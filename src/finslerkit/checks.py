@@ -1,6 +1,8 @@
 """The verification check registry.
 
-Each check sweeps sample points (and probe fields where relevant) on one
+Each check registers itself with @check(id, anchor), the one place its id
+and formula anchor are stated; run_check stamps both on the result. Each
+check sweeps sample points (and probe fields where relevant) on one
 structure and reduces to a CheckResult. Identity checks compare at a
 relative tolerance against max(1, |LHS|, |RHS|); nonvanishing claims use
 an absolute floor and carry a witness point.
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import connections, curvature, picalc
 from .chart import ChartPoint
-from .errors import FinslerError, SingularMetricError
+from .errors import FinslerError
 from .fields import ComponentField, GradientField, constant_field, tautological_field
 from .frame import point_frame
 from .jets import fd_partial, field_value, jet_eval
@@ -28,14 +30,15 @@ REPORT_ONLY = "REPORT-ONLY"
 
 @dataclass
 class CheckResult:
-    check_id: str
-    anchor: str
     n_points: int
     max_residual: float
     threshold: float
     verdict: str
     witness: Optional[dict] = None
     details: dict = field(default_factory=dict)
+    # stamped by run_check from the registry
+    check_id: str = ""
+    anchor: str = ""
 
 
 def _witness(p: ChartPoint, value: float) -> dict:
@@ -56,12 +59,9 @@ class _Sweep:
             self.max_residual = rel
             self.witness = _witness(p, residual)
 
-    def result(self, check_id: str, anchor: str, n_points: int, tol: float,
-               details: dict = None) -> CheckResult:
+    def result(self, n_points: int, tol: float, details: dict = None) -> CheckResult:
         verdict = PASS if self.max_residual < tol else FAIL
         return CheckResult(
-            check_id=check_id,
-            anchor=anchor,
             n_points=n_points,
             max_residual=self.max_residual,
             threshold=tol,
@@ -69,6 +69,20 @@ class _Sweep:
             witness=self.witness if verdict == FAIL else None,
             details=details or {},
         )
+
+
+# check id -> (anchor, check function); filled by @check, read by run_check
+_REGISTRY: dict = {}
+
+
+def check(check_id: str, anchor: str):
+    """Register a check function under its stable id and one-line formula anchor."""
+
+    def register(fn):
+        _REGISTRY[check_id] = (anchor, fn)
+        return fn
+
+    return register
 
 
 # -- probe builders -----------------------------------------------------------
@@ -158,6 +172,7 @@ def _probe_scalars(F: FinslerStructure, seed: int, tag: int):
 # -- structural checks ----------------------------------------------------------
 
 
+@check("struct.homogeneity", "L(x,ty)=tL: g degree 0, N and R degree 1, G degree 2 in y")
 def _check_homogeneity(F, pts, tol, floor, seed):
     sweep = _Sweep()
     t = 1.75
@@ -182,13 +197,10 @@ def _check_homogeneity(F, pts, tol, floor, seed):
                   float(np.max(np.abs(frs.Rhat))))
         sweep.add(p, float(np.max(np.abs(frs.g - fr.g))),
                   float(np.max(np.abs(fr.g))))
-    return sweep.result(
-        "struct.homogeneity",
-        "L(x,ty)=tL: g degree 0, N and R degree 1, G degree 2 in y",
-        len(pts), tol,
-    )
+    return sweep.result(len(pts), tol)
 
 
+@check("struct.cartan_contraction", "C_ijk y^k = 0 and C totally symmetric")
 def _check_cartan_contraction(F, pts, tol, floor, seed):
     sweep = _Sweep()
     for p in pts:
@@ -201,13 +213,10 @@ def _check_cartan_contraction(F, pts, tol, floor, seed):
             for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0))
         )
         sweep.add(p, max(contr, sym), scale)
-    return sweep.result(
-        "struct.cartan_contraction",
-        "C_ijk y^k = 0 and C totally symmetric",
-        len(pts), tol,
-    )
+    return sweep.result(len(pts), tol)
 
 
+@check("struct.spray_defect", "y^j d_j dy_m E - y^j d_m dy_j E - 2 g_mj G^j + d_m E = 0")
 def _check_spray_defect(F, pts, tol, floor, seed):
     sweep = _Sweep()
     for p in pts:
@@ -217,24 +226,20 @@ def _check_spray_defect(F, pts, tol, floor, seed):
             max(abs(fr.E_jet.partial1(i)) for i in range(fr.n)),
         )
         sweep.add(p, connections.spray_defect(F, p), scale)
-    return sweep.result(
-        "struct.spray_defect",
-        "y^j d_j dy_m E - y^j d_m dy_j E - 2 g_mj G^j + d_m E = 0; dy_m E = g_mj y^j",
-        len(pts), tol,
-    )
+    return sweep.result(len(pts), tol)
 
 
+@check("struct.conservativity", "delta_i E = 0")
 def _check_conservativity(F, pts, tol, floor, seed):
     sweep = _Sweep()
     for p in pts:
         fr = point_frame(F, p)
         scale = max(abs(fr.E_jet.partial1(i)) for i in range(fr.n))
         sweep.add(p, connections.conservativity_defect(F, p), max(scale, fr.E))
-    return sweep.result(
-        "struct.conservativity", "delta_i E = 0", len(pts), tol,
-    )
+    return sweep.result(len(pts), tol)
 
 
+@check("struct.torsion", "dy_k N^i_j - dy_j N^i_k = 0")
 def _check_torsion(F, pts, tol, floor, seed):
     sweep = _Sweep()
     for p in pts:
@@ -250,11 +255,13 @@ def _check_torsion(F, pts, tol, floor, seed):
                     worst = max(worst, abs(a - b))
                     scale = max(scale, abs(a), abs(b))
         sweep.add(p, worst, scale)
-    return sweep.result(
-        "struct.torsion", "dy_k N^i_j - dy_j N^i_k = 0", len(pts), tol,
-    )
+    return sweep.result(len(pts), tol)
 
 
+@check(
+    "struct.metricity",
+    "delta_k g_ij = F^m_ik g_mj + F^m_jk g_im; vertical analogue with C",
+)
 def _check_metricity(F, pts, tol, floor, seed):
     sweep = _Sweep()
     for p in pts:
@@ -263,51 +270,43 @@ def _check_metricity(F, pts, tol, floor, seed):
         scale = max(1.0, float(np.max(np.abs(fr.F @ np.ones(fr.n)))),
                     float(np.max(np.abs(fr.g))))
         sweep.add(p, max(h, v), scale)
-    return sweep.result(
-        "struct.metricity",
-        "delta_k g_ij = F^m_ik g_mj + F^m_jk g_im; dy_k g_ij = C^m_ik g_mj + C^m_jk g_im",
-        len(pts), tol,
-    )
+    return sweep.result(len(pts), tol)
 
 
+@check("struct.symmetry", "F^i_jk = F^i_kj")
 def _check_symmetry(F, pts, tol, floor, seed):
     sweep = _Sweep()
     for p in pts:
         fr = point_frame(F, p)
         sweep.add(p, connections.torsion_defect(F, p),
                   float(np.max(np.abs(fr.F))))
-    return sweep.result(
-        "struct.symmetry", "F^i_jk = F^i_kj", len(pts), tol,
-    )
+    return sweep.result(len(pts), tol)
 
 
+@check("struct.deflection", "F^i_kj y^k = N^i_j")
 def _check_deflection(F, pts, tol, floor, seed):
     sweep = _Sweep()
     for p in pts:
         fr = point_frame(F, p)
         sweep.add(p, connections.deflection_defect(F, p),
                   float(np.max(np.abs(fr.N))))
-    return sweep.result(
-        "struct.deflection", "F^i_kj y^k = N^i_j", len(pts), tol,
-    )
+    return sweep.result(len(pts), tol)
 
 
+@check("struct.projectors", "h + v = id, h^2 = h, v^2 = v, hv = vh = 0 on T(TM)")
 def _check_projectors(F, pts, tol, floor, seed):
     sweep = _Sweep()
     for p in pts:
         fr = point_frame(F, p)
         sweep.add(p, connections.projector_defects(F, p),
                   max(1.0, float(np.max(np.abs(fr.N)))))
-    return sweep.result(
-        "struct.projectors",
-        "h + v = id, h^2 = h, v^2 = v, hv = vh = 0 on T(TM)",
-        len(pts), tol,
-    )
+    return sweep.result(len(pts), tol)
 
 
 # -- curvature checks ------------------------------------------------------------
 
 
+@check("curv.contraction", "R^i_hjk y^h = R^i_jk")
 def _check_curv_contraction(F, pts, tol, floor, seed):
     sweep = _Sweep()
     for p in pts:
@@ -315,11 +314,10 @@ def _check_curv_contraction(F, pts, tol, floor, seed):
         scale = max(float(np.max(np.abs(fr.Rhat))),
                     float(np.max(np.abs(fr.hcurv))) * max(abs(v) for v in p.y))
         sweep.add(p, curvature.curvature_contraction_defect(F, p), scale)
-    return sweep.result(
-        "curv.contraction", "R^i_hjk y^h = R^i_jk", len(pts), tol,
-    )
+    return sweep.result(len(pts), tol)
 
 
+@check("curv.flatness", "R^i_hjk = 0 (horizontally flat structure)")
 def _check_flatness(F, pts, tol, floor, seed):
     sweep = _Sweep()
     worst_rhat = 0.0
@@ -327,22 +325,18 @@ def _check_flatness(F, pts, tol, floor, seed):
         fr = point_frame(F, p)
         sweep.add(p, float(np.max(np.abs(fr.hcurv))), 1.0)
         worst_rhat = max(worst_rhat, float(np.max(np.abs(fr.Rhat))))
-    return sweep.result(
-        "curv.flatness", "R^i_hjk = 0 (horizontally flat structure)",
-        len(pts), tol, details={"max_vh_torsion": worst_rhat},
-    )
+    return sweep.result(len(pts), tol, details={"max_vh_torsion": worst_rhat})
 
 
 def _max_rhat(F, pts) -> float:
     return max(float(np.max(np.abs(point_frame(F, p).Rhat))) for p in pts)
 
 
+@check("thm2.8.flat", "R = 0 implies every gradient field is closed and dbar^2 f = 0")
 def _check_thm28_flat(F, pts, tol, floor, seed):
     rhat = _max_rhat(F, pts)
     if rhat > floor:
         return CheckResult(
-            check_id="thm2.8.flat",
-            anchor="R = 0 implies every gradient field is closed and dbar^2 f = 0",
             n_points=len(pts),
             max_residual=rhat,
             threshold=tol,
@@ -358,20 +352,16 @@ def _check_thm28_flat(F, pts, tol, floor, seed):
             sweep.add(p, picalc.closedness_defect(F, GradientField(f), p), 1.0)
             res = picalc.dbar_sq(F, f, p)
             sweep.add(p, float(np.max(np.abs(res.nested))), 1.0)
-    return sweep.result(
-        "thm2.8.flat",
-        "R = 0 implies every gradient field is closed and dbar^2 f = 0",
-        len(pts), tol, details={"max_vh_torsion": rhat},
-    )
+    return sweep.result(len(pts), tol, details={"max_vh_torsion": rhat})
 
 
+@check("thm2.8.curved", "R != 0 witnessed and a documented gradient probe is not closed")
 def _check_thm28_curved(F, pts, tol, floor, seed):
-    anchor = "R != 0 witnessed and a documented gradient probe is not closed"
     rhat = _max_rhat(F, pts)
     if rhat <= floor:
         return CheckResult(
-            check_id="thm2.8.curved", anchor=anchor, n_points=len(pts),
-            max_residual=rhat, threshold=floor, verdict=REPORT_ONLY,
+            n_points=len(pts), max_residual=rhat, threshold=floor,
+            verdict=REPORT_ONLY,
             details={"note": "not applicable: structure is flat on the sample",
                      "max_vh_torsion": rhat},
         )
@@ -385,13 +375,14 @@ def _check_thm28_curved(F, pts, tol, floor, seed):
             wit = _witness(p, d)
     verdict = PASS if best > floor else FAIL
     return CheckResult(
-        check_id="thm2.8.curved", anchor=anchor, n_points=len(pts),
-        max_residual=best, threshold=floor, verdict=verdict, witness=wit,
+        n_points=len(pts), max_residual=best, threshold=floor, verdict=verdict,
+        witness=wit,
         details={"max_vh_torsion": rhat,
                  "probe": "f = (y1)^2/2, X = grad f"},
     )
 
 
+@check("eq2.13", "R^i_jk = omega_j phi^i_k - omega_k phi^i_j, omega from fitted kappa")
 def _check_eq213(F, pts, tol, floor, seed):
     sweep = _Sweep()
     kappas = []
@@ -399,23 +390,18 @@ def _check_eq213(F, pts, tol, floor, seed):
         res = curvature.scalar_form_check(F, p)
         sweep.add(p, res.residual, res.scale)
         kappas.append(res.kappa)
-        sc = curvature.scalar_h(F, p)
     details = {
         "kappa_min": float(np.min(kappas)),
         "kappa_max": float(np.max(kappas)),
-        "scalar_h_last": sc,
+        "scalar_h_last": point_frame(F, pts[-1]).scalar,
     }
-    return sweep.result(
-        "eq2.13",
-        "R^i_jk = omega_j phi^i_k - omega_k phi^i_j with "
-        "omega = (L/3)(L dy kappa + 3 kappa ell), kappa fitted per point",
-        len(pts), tol, details=details,
-    )
+    return sweep.result(len(pts), tol, details=details)
 
 
 # -- pi-calculus checks -----------------------------------------------------------
 
 
+@check("thm2.6", "(dbar i_X g)_jk = g_ks (A_X)^s_j - g_js (A_X)^s_k for every field X")
 def _check_thm26(F, pts, tol, floor, seed):
     sweep = _Sweep()
     fields = _probe_fields(F, seed, 26)
@@ -425,13 +411,10 @@ def _check_thm26(F, pts, tol, floor, seed):
             B = picalc.selfadjoint_matrix(F, X, p)
             scale = max(float(np.max(np.abs(M))), float(np.max(np.abs(B - B.T))))
             sweep.add(p, float(np.max(np.abs(M - (B.T - B)))), scale)
-    return sweep.result(
-        "thm2.6",
-        "(dbar i_X g)_jk = g_ks (A_X)^s_j - g_js (A_X)^s_k for every field X",
-        len(pts), tol,
-    )
+    return sweep.result(len(pts), tol)
 
 
+@check("dbar.sq", "(dbar dbar f)_jk = R^m_jk dy_m f (nested vs contracted)")
 def _check_dbar_sq(F, pts, tol, floor, seed):
     sweep = _Sweep()
     scalars = _probe_scalars(F, seed, 88)
@@ -439,13 +422,10 @@ def _check_dbar_sq(F, pts, tol, floor, seed):
         for f in scalars:
             res = picalc.dbar_sq(F, f, p)
             sweep.add(p, res.defect, res.scale)
-    return sweep.result(
-        "dbar.sq",
-        "(dbar dbar f)_jk = R^m_jk dy_m f (nested vs contracted)",
-        len(pts), tol,
-    )
+    return sweep.result(len(pts), tol)
 
 
+@check("eq2.12", "g_lk (A_gradf)^l_j - g_lj (A_gradf)^l_k = R^m_jk dy_m f")
 def _check_eq212(F, pts, tol, floor, seed):
     sweep = _Sweep()
     scalars = _probe_scalars(F, seed, 212)
@@ -459,16 +439,13 @@ def _check_eq212(F, pts, tol, floor, seed):
             if mag > side:
                 side = mag
                 wit = _witness(p, mag)
-    out = sweep.result(
-        "eq2.12",
-        "g_lk (A_gradf)^l_j - g_lj (A_gradf)^l_k = R^m_jk dy_m f",
-        len(pts), tol, details={"max_min_side_magnitude": side},
-    )
+    out = sweep.result(len(pts), tol, details={"max_min_side_magnitude": side})
     if out.verdict == PASS and wit is not None:
         out.witness = wit
     return out
 
 
+@check("eq2.14", "dy_i f = ell_i (y^k dy_k f)/L exactly for f = h(x) L^r")
 def _check_eq214(F, pts, tol, floor, seed):
     iso_h = lambda x, y: (1.0 + 0.3 * x[0]) * (F.L(x, y) ** 2)
     pos = lambda x, y: x[0]
@@ -487,11 +464,7 @@ def _check_eq214(F, pts, tol, floor, seed):
             wit = _witness(p, a)
     details = {"anisotropic_residual": best,
                "probes": "f = h(x) L^2; f = x1; f = (y1)^2"}
-    out = sweep.result(
-        "eq2.14",
-        "dy_i f = ell_i (y^k dy_k f)/L exactly for f = h(x) L^r",
-        len(pts), tol, details=details,
-    )
+    out = sweep.result(len(pts), tol, details=details)
     if out.verdict == PASS:
         if best <= floor:
             out.verdict = FAIL
@@ -502,6 +475,10 @@ def _check_eq214(F, pts, tol, floor, seed):
     return out
 
 
+@check(
+    "thm2.13.involutive",
+    "brackets of the orthogonal complement of a closed X stay orthogonal",
+)
 def _check_involutive(F, pts, tol, floor, seed):
     rng = np.random.default_rng([seed, 213])
     closed = GradientField(_positional_scalar(F.n, rng), name="gradpos")
@@ -516,15 +493,16 @@ def _check_involutive(F, pts, tol, floor, seed):
         sweep.add(p, rep2.identity_defect, rep2.scale)
         open_defect = max(open_defect, rep2.defect / max(1.0, rep2.scale))
     return sweep.result(
-        "thm2.13.involutive",
-        "g(rho[beta Y_a, beta Y_b], X) = 0 for the orthogonal complement "
-        "of a closed X; exchange identity for arbitrary X",
         len(pts), tol,
         details={"nonclosed_probe_defect": open_defect,
                  "pairs_per_point": max(0, (F.n - 1) * (F.n - 2) // 2)},
     )
 
 
+@check(
+    "prop2.14.lie",
+    "Lie_X g vs i_X dbar-g contraction, hypothesis measured not asserted",
+)
 def _check_lie(F, pts, tol, floor, seed):
     fields = [
         constant_field([1.0] + [0.0] * (F.n - 1)),
@@ -557,9 +535,6 @@ def _check_lie(F, pts, tol, floor, seed):
         details[f"lie_defect[{name}]"] = lie_d
         details[f"closedness[{name}]"] = clo_d
     return CheckResult(
-        check_id="prop2.14.lie",
-        anchor="Lie_X g reported next to X^i(delta_i g_jk - delta_j g_ik + "
-               "delta_k g_ij); hypothesis-conditional, measured not asserted",
         n_points=len(pts),
         max_residual=worst_diff,
         threshold=tol,
@@ -568,6 +543,7 @@ def _check_lie(F, pts, tol, floor, seed):
     )
 
 
+@check("prop.randers", "tau i_{m*} g* = i_m g under a closed drift; ell pairings vanish")
 def _check_randers(F, pts, tol, floor, seed):
     if "b_fn" in F.meta and "base" in F.meta:
         base = F.meta["base"]
@@ -608,12 +584,7 @@ def _check_randers(F, pts, tol, floor, seed):
         "base_closedness_max": base_def,
         "verdict_agreement": "yes" if agree else "no",
     }
-    out = sweep.result(
-        "prop.randers",
-        "tau i_{m*} g* = i_m g for L* = L + b_i y^i with db = 0; "
-        "ell(m) = 0 = ell*(m*); closedness defect pair reported",
-        len(pts), tol, details=details,
-    )
+    out = sweep.result(len(pts), tol, details=details)
     if not agree and out.verdict == PASS:
         out.verdict = FAIL
         out.witness = wit
@@ -621,6 +592,7 @@ def _check_randers(F, pts, tol, floor, seed):
     return out
 
 
+@check("thm2.16.conformal", "dbar~ i_X g~ = e^{2s}(2 ds wedge i_X g + dbar~ i_X g)")
 def _check_conformal(F, pts, tol, floor, seed):
     from .structures import conformal_change
 
@@ -651,12 +623,7 @@ def _check_conformal(F, pts, tol, floor, seed):
         "breakage_defect_max": breakage,
         "prediction_applicable_points": pred_applicable,
     }
-    out = sweep.result(
-        "thm2.16.conformal",
-        "dbar~ i_X g~ = e^{2s}(2 ds wedge i_X g + dbar~ i_X g); constant s "
-        "rescales, nonconstant s breaks closedness",
-        len(pts), tol, details=details,
-    )
+    out = sweep.result(len(pts), tol, details=details)
     if out.verdict == PASS:
         if breakage <= floor:
             out.verdict = FAIL
@@ -685,6 +652,7 @@ def _all_multis(nvars: int, max_degree: int):
     return out
 
 
+@check("jets.fd", "all jet partials of degree <= 3 match central differences")
 def _check_jets_fd(F, pts, tol, floor, seed):
     n = F.n
     rng = np.random.default_rng([seed, 99])
@@ -700,68 +668,10 @@ def _check_jets_fd(F, pts, tol, floor, seed):
                 exact = jet.partial(multi)
                 approx = fd_partial(f, p, multi)
                 sweep.add(p, abs(exact - approx), max(1.0, abs(exact)))
-    out = sweep.result(
-        "jets.fd",
-        "all jet partials of degree <= 3 match central differences",
-        len(pts[: min(3, len(pts))]), threshold,
-    )
-    return out
+    return sweep.result(len(pts[: min(3, len(pts))]), threshold)
 
 
-# -- registry -----------------------------------------------------------------------
-
-
-_REGISTRY = {
-    "struct.homogeneity": _check_homogeneity,
-    "struct.cartan_contraction": _check_cartan_contraction,
-    "struct.spray_defect": _check_spray_defect,
-    "struct.conservativity": _check_conservativity,
-    "struct.torsion": _check_torsion,
-    "struct.metricity": _check_metricity,
-    "struct.symmetry": _check_symmetry,
-    "struct.deflection": _check_deflection,
-    "struct.projectors": _check_projectors,
-    "curv.contraction": _check_curv_contraction,
-    "curv.flatness": _check_flatness,
-    "thm2.6": _check_thm26,
-    "thm2.8.flat": _check_thm28_flat,
-    "thm2.8.curved": _check_thm28_curved,
-    "dbar.sq": _check_dbar_sq,
-    "eq2.12": _check_eq212,
-    "eq2.13": _check_eq213,
-    "eq2.14": _check_eq214,
-    "thm2.13.involutive": _check_involutive,
-    "prop2.14.lie": _check_lie,
-    "prop.randers": _check_randers,
-    "thm2.16.conformal": _check_conformal,
-    "jets.fd": _check_jets_fd,
-}
-
-ANCHORS = {
-    "struct.homogeneity": "L(x,ty)=tL: g degree 0, N and R degree 1, G degree 2 in y",
-    "struct.cartan_contraction": "C_ijk y^k = 0 and C totally symmetric",
-    "struct.spray_defect": "y^j d_j dy_m E - y^j d_m dy_j E - 2 g_mj G^j + d_m E = 0",
-    "struct.conservativity": "delta_i E = 0",
-    "struct.torsion": "dy_k N^i_j - dy_j N^i_k = 0",
-    "struct.metricity": "delta_k g_ij = F^m_ik g_mj + F^m_jk g_im; vertical analogue with C",
-    "struct.symmetry": "F^i_jk = F^i_kj",
-    "struct.deflection": "F^i_kj y^k = N^i_j",
-    "struct.projectors": "h + v = id, h^2 = h, v^2 = v, hv = vh = 0 on T(TM)",
-    "curv.contraction": "R^i_hjk y^h = R^i_jk",
-    "curv.flatness": "R^i_hjk = 0 (horizontally flat structure)",
-    "thm2.6": "(dbar i_X g)_jk = g_ks (A_X)^s_j - g_js (A_X)^s_k for every field X",
-    "thm2.8.flat": "R = 0 implies every gradient field is closed and dbar^2 f = 0",
-    "thm2.8.curved": "R != 0 witnessed and a documented gradient probe is not closed",
-    "dbar.sq": "(dbar dbar f)_jk = R^m_jk dy_m f (nested vs contracted)",
-    "eq2.12": "g_lk (A_gradf)^l_j - g_lj (A_gradf)^l_k = R^m_jk dy_m f",
-    "eq2.13": "R^i_jk = omega_j phi^i_k - omega_k phi^i_j, omega from fitted kappa",
-    "eq2.14": "dy_i f = ell_i (y^k dy_k f)/L exactly for f = h(x) L^r",
-    "thm2.13.involutive": "brackets of the orthogonal complement of a closed X stay orthogonal",
-    "prop2.14.lie": "Lie_X g vs i_X dbar-g contraction, hypothesis measured not asserted",
-    "prop.randers": "tau i_{m*} g* = i_m g under a closed drift; ell pairings vanish",
-    "thm2.16.conformal": "dbar~ i_X g~ = e^{2s}(2 ds wedge i_X g + dbar~ i_X g)",
-    "jets.fd": "all jet partials of degree <= 3 match central differences",
-}
+ANCHORS = {cid: anchor for cid, (anchor, _) in _REGISTRY.items()}
 
 
 def check_ids() -> list:
@@ -770,23 +680,25 @@ def check_ids() -> list:
 
 def run_check(check_id: str, F: FinslerStructure, pts, tol: float, floor: float,
               seed: int) -> CheckResult:
+    """Run one registered check. A FinslerError raised inside it becomes that
+    check's FAIL, with the exception type and message in details["error"]."""
     if check_id not in _REGISTRY:
         raise ValueError(f"unknown check id {check_id!r}")
+    anchor, fn = _REGISTRY[check_id]
     try:
-        out = _REGISTRY[check_id](F, pts, tol, floor, seed)
-        out.anchor = ANCHORS[check_id]
-        return out
-    except SingularMetricError as exc:
-        return CheckResult(
-            check_id=check_id,
-            anchor=ANCHORS[check_id],
+        out = fn(F, pts, tol, floor, seed)
+    except FinslerError as exc:
+        out = CheckResult(
             n_points=len(pts),
             max_residual=float("inf"),
             threshold=tol,
             verdict=FAIL,
             witness=None,
-            details={"error": f"SingularMetricError: {exc}"},
+            details={"error": f"{type(exc).__name__}: {exc}"},
         )
+    out.check_id = check_id
+    out.anchor = anchor
+    return out
 
 
 def run_checks(F: FinslerStructure, ids, points: int, seed: int, tol: float,

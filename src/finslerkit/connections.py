@@ -1,4 +1,5 @@
-"""Spray, nonlinear connection, and the metric linear connection.
+"""Certificates of the spray, the nonlinear connection, and the metric
+linear connection, and the horizontal and vertical projectors.
 
 The spray is certified against the unreduced geodesic equation, not
 against its own defining solve, so a wrong sign or a dropped term in the
@@ -10,13 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chart import ChartPoint
-from .fields import PiVectorField
-from .frame import PointFrame, point_frame
-
-
-def spray(F, p: ChartPoint) -> np.ndarray:
-    """Geodesic spray coefficients G^i."""
-    return point_frame(F, p).G.copy()
+from .frame import point_frame
 
 
 def spray_defect(F, p: ChartPoint, G=None) -> float:
@@ -52,52 +47,6 @@ def spray_defect(F, p: ChartPoint, G=None) -> float:
         fib = e_partial(n + m) - float(fr.g[m] @ y)
         res = max(res, abs(fib))
     return res
-
-
-def barthel(F, p: ChartPoint) -> np.ndarray:
-    """Nonlinear connection coefficients N^i_j."""
-    return point_frame(F, p).N.copy()
-
-
-def horizontal_derivative(F, f, p: ChartPoint, i: int = None):
-    """delta_i f = d_i f - N^m_i dy_m f for a scalar field f(x, y).
-
-    Returns the full covector when i is omitted.
-    """
-    fr = point_frame(F, p)
-    jet = fr.field_jet(f, 1)
-    if i is not None:
-        return fr.delta_value(jet, i)
-    return np.array([fr.delta_value(jet, k) for k in range(fr.n)])
-
-
-def cartan_coeffs(F, p: ChartPoint):
-    """Linear connection pair (F^i_jk, C^i_jk): horizontal and vertical parts."""
-    fr = point_frame(F, p)
-    return fr.F.copy(), fr.Cmix.copy()
-
-
-def nabla_h(F, X: PiVectorField, p: ChartPoint) -> np.ndarray:
-    """Horizontal covariant derivative of a field, as the matrix
-
-        (nabla X)^i_j = delta_j X^i + F^i_kj X^k.
-
-    Column j is the derivative along the j-th horizontal frame vector.
-    """
-    fr = point_frame(F, p)
-    return _nabla_h_matrix(fr, X)
-
-
-def _nabla_h_matrix(fr: PointFrame, X: PiVectorField) -> np.ndarray:
-    n = fr.n
-    jets = X.jets(fr, 1)
-    vals = np.array([jet.value for jet in jets])
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = fr.delta_value(jets[i], j)
-    out += np.einsum("ikj,k->ij", fr.F, vals)
-    return out
 
 
 def deflection_defect(F, p: ChartPoint) -> float:

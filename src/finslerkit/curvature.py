@@ -22,33 +22,12 @@ from .chart import ChartPoint
 from .frame import point_frame
 
 
-def vh_torsion(F, p: ChartPoint) -> np.ndarray:
-    return point_frame(F, p).Rhat.copy()
-
-
-def h_curvature(F, p: ChartPoint) -> np.ndarray:
-    return point_frame(F, p).hcurv.copy()
-
-
-def ricci_h(F, p: ChartPoint) -> np.ndarray:
-    return point_frame(F, p).ricci.copy()
-
-
-def scalar_h(F, p: ChartPoint) -> float:
-    return point_frame(F, p).scalar
-
-
 def curvature_contraction_defect(F, p: ChartPoint) -> float:
     """max |R^i_hjk y^h - R^i_jk|: the certificate pinning the sign
     conventions of both curvature tensors to each other."""
     fr = point_frame(F, p)
     contracted = np.einsum("ihjk,h->ijk", fr.hcurv, np.array(p.y))
     return float(np.max(np.abs(contracted - fr.Rhat)))
-
-
-def flatness_defect(F, p: ChartPoint) -> float:
-    """max |R^i_hjk|; zero exactly for horizontally flat structures."""
-    return float(np.max(np.abs(point_frame(F, p).hcurv)))
 
 
 @dataclass

@@ -55,6 +55,17 @@ def jet_solve(A, B):
     return B
 
 
+class _readonly_array(cached_property):
+    """A cached_property whose ndarray value is marked read-only: frames are
+    shared through the point_frame cache, so no reader may write into one."""
+
+    def __get__(self, instance, owner=None):
+        value = super().__get__(instance, owner)
+        if instance is not None:
+            value.flags.writeable = False
+        return value
+
+
 class PointFrame:
     """All chart quantities of one structure at one admissible point."""
 
@@ -113,7 +124,7 @@ class PointFrame:
                 rows[j][i] = jet
         return rows
 
-    @cached_property
+    @_readonly_array
     def g(self) -> np.ndarray:
         n = self.n
         mat = np.empty((n, n))
@@ -133,7 +144,7 @@ class PointFrame:
             )
         return mat
 
-    @cached_property
+    @_readonly_array
     def g_inv(self) -> np.ndarray:
         return np.linalg.inv(self.g)
 
@@ -149,20 +160,20 @@ class PointFrame:
         ]
         return jet_solve(A, I)
 
-    @cached_property
+    @_readonly_array
     def ell(self) -> np.ndarray:
         """The unit covector, first fiber derivatives of L."""
         return np.array(
             [self.L_jet.partial1(self.n + i) for i in range(self.n)]
         )
 
-    @cached_property
+    @_readonly_array
     def phi(self) -> np.ndarray:
         """Projector onto the g-orthogonal complement of the tautological field."""
         y = np.array(self.point.y)
         return np.eye(self.n) - np.outer(y, self.ell) / self.L
 
-    @cached_property
+    @_readonly_array
     def C3(self) -> np.ndarray:
         """All-lower Cartan tensor, C_ijk = half the fiber derivative of g_ij."""
         n = self.n
@@ -175,7 +186,7 @@ class PointFrame:
                     out[j, i, k] = val
         return out
 
-    @cached_property
+    @_readonly_array
     def Cmix(self) -> np.ndarray:
         """C^i_jk, the Cartan tensor with the first index raised."""
         return np.einsum("is,sjk->ijk", self.g_inv, self.C3)
@@ -205,7 +216,7 @@ class PointFrame:
         sol = jet_solve(A, rhs)
         return [sol[i][0] for i in range(n)]
 
-    @cached_property
+    @_readonly_array
     def G(self) -> np.ndarray:
         return np.array([jet.value for jet in self.G_jets])
 
@@ -217,7 +228,7 @@ class PointFrame:
             [self.G_jets[i].partial_jet(n + j) for j in range(n)] for i in range(n)
         ]
 
-    @cached_property
+    @_readonly_array
     def N(self) -> np.ndarray:
         n = self.n
         return np.array(
@@ -272,7 +283,7 @@ class PointFrame:
                     out[i][k][j] = acc
         return out
 
-    @cached_property
+    @_readonly_array
     def F(self) -> np.ndarray:
         n = self.n
         arr = np.empty((n, n, n))
@@ -284,7 +295,7 @@ class PointFrame:
 
     # -- curvature ------------------------------------------------------------
 
-    @cached_property
+    @_readonly_array
     def Rhat(self) -> np.ndarray:
         """vh-torsion R^i_jk of the nonlinear connection (fiber components of
         the horizontal bracket defect)."""
@@ -300,7 +311,7 @@ class PointFrame:
                     arr[i, k, j] = -val
         return arr
 
-    @cached_property
+    @_readonly_array
     def hcurv(self) -> np.ndarray:
         """Horizontal curvature tensor R^i_hjk, contravariant slot first."""
         n = self.n
@@ -318,7 +329,7 @@ class PointFrame:
         out += np.einsum("mjk,ihm->ihjk", self.Rhat, self.Cmix)
         return out
 
-    @cached_property
+    @_readonly_array
     def ricci(self) -> np.ndarray:
         """Trace of the horizontal curvature on its first and last slots."""
         return np.einsum("ihji->jh", self.hcurv)

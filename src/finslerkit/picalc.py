@@ -13,7 +13,6 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .chart import ChartPoint
-from .connections import _nabla_h_matrix
 from .errors import CapabilityError, DegenerateFieldError, PreconditionError
 from .fields import (
     ComponentField,
@@ -25,7 +24,7 @@ from .fields import (
     ScaledField,
     _perm_sign,
 )
-from .frame import point_frame
+from .frame import PointFrame, point_frame
 from .structures import FinslerStructure, conformal_change, randers_change
 
 
@@ -59,10 +58,7 @@ def sharp(F, omega, p: ChartPoint) -> np.ndarray:
 
 def gradient(F, f, p: ChartPoint) -> np.ndarray:
     """grad f = (dbar f)^sharp, components g^ij delta_j f."""
-    fr = point_frame(F, p)
-    jet = fr.field_jet(f, 1)
-    df = np.array([fr.delta_value(jet, k) for k in range(fr.n)])
-    return fr.g_inv @ df
+    return point_frame(F, p).g_inv @ dbar_0(F, f, p)
 
 
 # -- horizontal exterior derivative ------------------------------------------
@@ -164,24 +160,48 @@ def a_operator(F, X: PiVectorField, p: ChartPoint) -> np.ndarray:
     return _nabla_h_matrix(fr, X)
 
 
-def flat_form_matrix(F, X: PiVectorField, p: ChartPoint) -> np.ndarray:
-    """(dbar X^flat)_jk computed from component jets of g_km X^m."""
-    fr = point_frame(F, p)
+def _nabla_h_matrix(fr: PointFrame, X: PiVectorField) -> np.ndarray:
     n = fr.n
-    Xj = X.jets(fr, 1)
-    wjets = []
+    jets = X.jets(fr, 1)
+    vals = np.array([jet.value for jet in jets])
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = fr.delta_value(jets[i], j)
+    out += np.einsum("ikj,k->ij", fr.F, vals)
+    return out
+
+
+def _lowered_jets(frame: PointFrame, Xjets) -> list:
+    """Order-1 jets of the lowered form w_k = g_km X^m, built in the frame's
+    own algebra from the component jets of X."""
+    n = frame.n
+    out = []
     for k in range(n):
-        acc = fr.g_jets[k][0].truncated(1) * Xj[0]
+        acc = frame.g_jets[k][0].truncated(1) * Xjets[0]
         for m in range(1, n):
-            acc = acc + fr.g_jets[k][m].truncated(1) * Xj[m]
-        wjets.append(acc)
+            acc = acc + frame.g_jets[k][m].truncated(1) * Xjets[m]
+        out.append(acc)
+    return out
+
+
+def _dbar_matrix(frame: PointFrame, wjets) -> np.ndarray:
+    """(dbar w)_jk = delta_j w_k - delta_k w_j of a 1-form given by its
+    component jets, as an antisymmetric matrix."""
+    n = frame.n
     out = np.zeros((n, n))
     for j in range(n):
         for k in range(j + 1, n):
-            v = fr.delta_value(wjets[k], j) - fr.delta_value(wjets[j], k)
+            v = frame.delta_value(wjets[k], j) - frame.delta_value(wjets[j], k)
             out[j, k] = v
             out[k, j] = -v
     return out
+
+
+def flat_form_matrix(F, X: PiVectorField, p: ChartPoint) -> np.ndarray:
+    """(dbar X^flat)_jk computed from component jets of g_km X^m."""
+    fr = point_frame(F, p)
+    return _dbar_matrix(fr, _lowered_jets(fr, X.jets(fr, 1)))
 
 
 def closedness_defect(F, X: PiVectorField, p: ChartPoint) -> float:
@@ -228,13 +248,7 @@ def dbar_sq(F, f, p: ChartPoint) -> DbarSqResult:
     fr = point_frame(F, p)
     n = fr.n
     fj = fr.field_jet(f, 2)
-    dflist = [fr.delta_jet(fj, k) for k in range(n)]
-    nested = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j + 1, n):
-            v = fr.delta_value(dflist[k], j) - fr.delta_value(dflist[j], k)
-            nested[j, k] = v
-            nested[k, j] = -v
+    nested = _dbar_matrix(fr, [fr.delta_jet(fj, k) for k in range(n)])
     dyf = np.array([fj.partial1(n + m) for m in range(n)])
     contracted = np.einsum("mjk,m->jk", fr.Rhat, dyf)
     defect = float(np.max(np.abs(nested - contracted)))
@@ -448,7 +462,6 @@ def drift_closedness_transfer(F: FinslerStructure, b, p: ChartPoint,
     b_fn = star.meta["b_fn"]
     fr = point_frame(F, p)
     frs = point_frame(star, p)
-    n = fr.n
 
     m_field = DriftCompanionField(b_fn)
     mj = m_field.jets(fr, 1)
@@ -468,33 +481,15 @@ def drift_closedness_transfer(F: FinslerStructure, b, p: ChartPoint,
     star_ell_pairing = float(frs.ell @ msv)
 
     # jets of the shared form, built through each structure's own algebra
-    def form_jets(frame, mjets):
-        out = []
-        for k in range(n):
-            acc = frame.g_jets[k][0].truncated(1) * mjets[0]
-            for m in range(1, n):
-                acc = acc + frame.g_jets[k][m].truncated(1) * mjets[m]
-            out.append(acc)
-        return out
-
-    w_base = form_jets(fr, mj)
+    w_base = _lowered_jets(fr, mj)
     tau_jet = frs.L_jet.truncated(1) / fr.L_jet.truncated(1)
-    w_star_scaled = [tau_jet * jet for jet in form_jets(frs, msj)]
+    w_star_scaled = [tau_jet * jet for jet in _lowered_jets(frs, msj)]
 
-    def dbar_matrix(frame, wjets):
-        out = np.zeros((n, n))
-        for j in range(n):
-            for k in range(j + 1, n):
-                v = frame.delta_value(wjets[k], j) - frame.delta_value(wjets[j], k)
-                out[j, k] = v
-                out[k, j] = -v
-        return out
-
-    star_of_scaled = dbar_matrix(frs, w_star_scaled)
-    star_of_base = dbar_matrix(frs, w_base)
+    star_of_scaled = _dbar_matrix(frs, w_star_scaled)
+    star_of_base = _dbar_matrix(frs, w_base)
     dual_path_residual = float(np.max(np.abs(star_of_scaled - star_of_base)))
 
-    base_defect = float(np.max(np.abs(dbar_matrix(fr, w_base))))
+    base_defect = float(np.max(np.abs(_dbar_matrix(fr, w_base))))
     star_defect = float(np.max(np.abs(star_of_base)))
     return DriftTransferReport(
         identity_residual=identity_residual,
@@ -570,31 +565,13 @@ def conformal_closedness_transfer(F: FinslerStructure, X: PiVectorField, sigma,
     Xj = X.jets(fr, 1)
     Xjt = X.jets(frt, 1)
 
-    def lowered_jets(frame, jets):
-        out = []
-        for k in range(n):
-            acc = frame.g_jets[k][0].truncated(1) * jets[0]
-            for m in range(1, n):
-                acc = acc + frame.g_jets[k][m].truncated(1) * jets[m]
-            out.append(acc)
-        return out
-
-    w = lowered_jets(fr, Xj)
-    wt = lowered_jets(frt, Xjt)
+    w = _lowered_jets(fr, Xj)
+    wt = _lowered_jets(frt, Xjt)
     wv = np.array([jet.value for jet in w])
 
-    def dbar_matrix(frame, wjets):
-        out = np.zeros((n, n))
-        for j in range(n):
-            for k in range(j + 1, n):
-                v = frame.delta_value(wjets[k], j) - frame.delta_value(wjets[j], k)
-                out[j, k] = v
-                out[k, j] = -v
-        return out
-
-    actual = dbar_matrix(frt, wt)
-    base_matrix = dbar_matrix(fr, w)
-    tilde_of_base = dbar_matrix(frt, w)
+    actual = _dbar_matrix(frt, wt)
+    base_matrix = _dbar_matrix(fr, w)
+    tilde_of_base = _dbar_matrix(frt, w)
 
     sig_jet = fr.field_jet(lambda x, y: sig_fn(x), 1)
     sig = sig_jet.value

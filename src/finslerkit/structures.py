@@ -29,6 +29,10 @@ class FinslerStructure:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(
+                f"dimension must be at least 2, got {self.n} for {self.name!r}"
+            )
         if self.domain is None:
             object.__setattr__(self, "domain", lambda x, y: True)
         if self.sample_domain is None:

@@ -107,7 +107,7 @@ def test_criterion_03_flatness_and_closedness_dichotomy(capsys):
     for name in ("euclidean2", "minkowski_quartic2"):
         s = by_name(name)
         for p in s.sample(NPTS, seed=SEED):
-            flat_torsion = max(flat_torsion, np.abs(curv.vh_torsion(s, p)).max())
+            flat_torsion = max(flat_torsion, np.abs(point_frame(s, p).Rhat).max())
             for f in scalar_probes:
                 flat_closed = max(
                     flat_closed, pc.closedness_defect(s, GradientField(f), p)
@@ -115,7 +115,7 @@ def test_criterion_03_flatness_and_closedness_dichotomy(capsys):
                 flat_dsq = max(flat_dsq, np.abs(pc.dbar_sq(s, f, p).nested).max())
     s = by_name("sphere2")
     pts = s.sample(NPTS, seed=SEED)
-    sphere_torsion = max(np.abs(curv.vh_torsion(s, p)).max() for p in pts)
+    sphere_torsion = max(np.abs(point_frame(s, p).Rhat).max() for p in pts)
     documented = GradientField(lambda x, y: 0.5 * y[0] * y[0], name="fiber-square")
     sphere_closed = max(pc.closedness_defect(s, documented, p) for p in pts)
 
@@ -168,12 +168,12 @@ def test_criterion_05_riemannian_oracle_equivalence(capsys):
     for p in s.sample(NPTS, seed=SEED):
         x = np.array(p.x)
         worst_R = max(
-            worst_R, np.abs(curv.h_curvature(s, p) - oracle_riemann(sphere_metric, x)).max()
+            worst_R, np.abs(point_frame(s, p).hcurv - oracle_riemann(sphere_metric, x)).max()
         )
         worst_ric = max(
-            worst_ric, np.abs(curv.ricci_h(s, p) - oracle_ricci(sphere_metric, x)).max()
+            worst_ric, np.abs(point_frame(s, p).ricci - oracle_ricci(sphere_metric, x)).max()
         )
-        worst_sc = max(worst_sc, abs(curv.scalar_h(s, p) - 2.0))
+        worst_sc = max(worst_sc, abs(point_frame(s, p).scalar - 2.0))
     worst_contraction = 0.0
     for name, s2 in _catalog():
         for p in s2.sample(NPTS, seed=SEED):

@@ -29,6 +29,12 @@ def run_verify(tmp_path, *extra, metric="euclidean2", checks="struct.symmetry"):
     return code, out
 
 
+def spec_file(tmp_path, spec):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
 class TestVerify:
     def test_passing_run_exits_zero(self, tmp_path, capsys):
         code, out = run_verify(tmp_path, checks="struct.spray_defect,struct.symmetry")
@@ -91,6 +97,32 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert "randers" in report["config"]["metric_name"]
 
+    def test_degenerate_probe_is_a_check_fail(self, tmp_path):
+        spec = {
+            "family": "conformal",
+            "base": {"family": "euclidean", "dim": 2},
+            "sigma": {"terms": [{"coef": 50, "powers": [2, 0]}]},
+        }
+        code, out = run_verify(tmp_path, metric=spec_file(tmp_path, spec), checks="all")
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert len(report["checks"]) == len(check_ids())
+        rec = {c["id"]: c for c in report["checks"]}["thm2.13.involutive"]
+        assert rec["verdict"] == "FAIL"
+        assert rec["details"]["error"].startswith("DegenerateFieldError: ")
+
+    def test_indefinite_metric_is_reported_not_raised(self, tmp_path):
+        spec = {"family": "riemannian", "dim": 2, "a": [[1, 0], [0, -1]]}
+        # the default sample meets both failure modes of an indefinite form
+        code, out = run_verify(tmp_path, "--points", "20", "--seed", "0",
+                               metric=spec_file(tmp_path, spec), checks="all")
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert len(report["checks"]) == len(check_ids())
+        errors = {c["details"]["error"].split(":")[0]
+                  for c in report["checks"] if c["verdict"] == "FAIL"}
+        assert errors == {"NumericalError", "SingularMetricError"}
+
 
 class TestUsageErrors:
     def test_unknown_metric(self, tmp_path):
@@ -104,6 +136,12 @@ class TestUsageErrors:
     def test_tolerance_must_be_below_floor(self, tmp_path):
         code, _ = run_verify(tmp_path, "--tol", "1e-2", "--floor", "1e-3")
         assert code == 2
+
+    def test_dimension_below_two_is_rejected(self, tmp_path, capsys):
+        spec = {"family": "euclidean", "dim": 1}
+        code, _ = run_verify(tmp_path, metric=spec_file(tmp_path, spec))
+        assert code == 2
+        assert "dimension must be at least 2, got 1" in capsys.readouterr().err
 
     def test_points_must_be_positive(self, tmp_path):
         code, _ = run_verify(tmp_path, "--points", "0")

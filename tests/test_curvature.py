@@ -40,10 +40,11 @@ class TestSphereOracle:
     def test_module_level_accessors(self):
         p = SPHERE_POINTS[0]
         s = sphere2()
-        assert np.abs(cv.h_curvature(s, p) - oracle.sphere_riemann(p.x)).max() < 1e-12
-        assert np.abs(cv.ricci_h(s, p) - oracle.sphere_ricci(p.x)).max() < 1e-12
-        assert cv.scalar_h(s, p) == pytest.approx(2.0, abs=1e-9)
-        assert np.abs(cv.vh_torsion(s, p) - oracle.sphere_vh_torsion(p.x, p.y)).max() < 1e-12
+        fr = point_frame(s, p)
+        assert np.abs(fr.hcurv - oracle.sphere_riemann(p.x)).max() < 1e-12
+        assert np.abs(fr.ricci - oracle.sphere_ricci(p.x)).max() < 1e-12
+        assert fr.scalar == pytest.approx(2.0, abs=1e-9)
+        assert np.abs(fr.Rhat - oracle.sphere_vh_torsion(p.x, p.y)).max() < 1e-12
 
 
 class TestContraction:
@@ -59,13 +60,13 @@ class TestFlatness:
     def test_flat_structures_have_zero_curvature(self, name):
         s = by_name(name)
         for p in s.sample(4, seed=53):
-            assert cv.flatness_defect(s, p) < 1e-12
+            assert np.abs(point_frame(s, p).hcurv).max() < 1e-12
             assert np.abs(point_frame(s, p).Rhat).max() < 1e-12
 
     @pytest.mark.parametrize("name", CURVED_NAMES)
     def test_curved_structures_are_detected(self, name):
         s = by_name(name)
-        worst = max(cv.flatness_defect(s, p) for p in s.sample(4, seed=53))
+        worst = max(np.abs(point_frame(s, p).hcurv).max() for p in s.sample(4, seed=53))
         assert worst > 1e-3
 
 
