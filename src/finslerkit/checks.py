@@ -18,9 +18,9 @@ import numpy as np
 from . import connections, curvature, picalc
 from .chart import ChartPoint
 from .errors import FinslerError
-from .fields import ComponentField, GradientField, constant_field, tautological_field
+from .fields import ComponentField, GradientField, constant_field
 from .frame import point_frame
-from .jets import fd_partial, field_value, jet_eval
+from .jets import fd_partial, jet_eval
 from .structures import FinslerStructure, randers_change
 
 PASS = "PASS"

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import __version__
 from .chart import ChartPoint
-from .checks import ANCHORS, FAIL, REPORT_ONLY, check_ids, run_checks
+from .checks import ANCHORS, FAIL, check_ids, run_checks
 from .errors import FinslerError, PreconditionError
 from .frame import point_frame
 from .structures import by_name, structure_from_spec

@@ -61,7 +61,7 @@ def conservativity_defect(F, p: ChartPoint) -> float:
     """max_i |delta_i E|: the energy must be horizontally constant."""
     fr = point_frame(F, p)
     jet = fr.E_jet
-    return max(abs(fr.delta_value(jet, i)) for i in range(fr.n))
+    return max(abs(v) for v in fr.delta_values(jet))
 
 
 def torsion_defect(F, p: ChartPoint) -> float:
@@ -80,13 +80,8 @@ def metricity_defect(F, p: ChartPoint):
     """
     fr = point_frame(F, p)
     n = fr.n
-    dg = np.empty((n, n, n))
-    dyg = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                dg[i, j, k] = fr.delta_value(fr.g_jets[i][j], k)
-                dyg[i, j, k] = fr.g_jets[i][j].partial1(n + k)
+    dg = fr._dg_jets.value  # [i, j, k] = delta_k g_ij
+    dyg = fr.g_jets.coeffs[..., 1 + n:1 + 2 * n]  # [i, j, k] = dy_k g_ij
     h = dg - np.einsum("mik,mj->ijk", fr.F, fr.g) - np.einsum("mjk,im->ijk", fr.F, fr.g)
     v = dyg - np.einsum("mik,mj->ijk", fr.Cmix, fr.g) - np.einsum("mjk,im->ijk", fr.Cmix, fr.g)
     return float(np.max(np.abs(h))), float(np.max(np.abs(v)))

@@ -68,7 +68,7 @@ class GradientField(PiVectorField):
             raise CapabilityError("gradient components carry jets up to order 1")
         n = frame.n
         fj = frame.field_jet(self.f, 2)
-        df = [frame.delta_jet(fj, k) for k in range(n)]
+        df = frame.delta_jets(fj)
         out = []
         for i in range(n):
             acc = frame.ginv_jets[i][0] * df[0]

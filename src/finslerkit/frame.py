@@ -8,7 +8,12 @@ metric check) never pay for curvature.
 
 Index layout: variable slots 0..n-1 are x, slots n..2n-1 are y. All
 tensor arrays are indexed with the contravariant slot first, so N[i, j]
-is N^i_j and F[i, j, k] is F^i_jk with lower indices (j, k).
+is N^i_j and F[i, j, k] is F^i_jk with lower indices (j, k). The jet rungs
+are stacked Jets in the same layout, with the graded coefficient table as
+the trailing axis: `N_jets[i][j]` is the jet of N^i_j. Each rung is built
+with one jet operation per tensor rather than one per component. The
+value arrays are C-contiguous, as einsum may sum in another order over
+another memory layout.
 """
 
 from __future__ import annotations
@@ -25,44 +30,42 @@ COND_LIMIT = 1e12
 _PIVOT_FLOOR = 1e-120
 
 
-def jet_solve(A, B):
+def jet_solve(A: Jet, B: Jet) -> Jet:
     """Solve the jet-linear system A X = B by Gauss-Jordan elimination.
 
-    A is an n x n nested list of jets, B an n x m nested list. Pivots are
-    chosen by the magnitude of the value part; a vanishing pivot means the
-    underlying matrix of values is singular.
+    A is an (n, n) stack of jets and B an (n, m) stack of the same or a
+    lower order, which A is truncated to; the result is the (n, m) stack X.
+    Pivots are chosen by the magnitude of the value part; a vanishing pivot
+    means the underlying matrix of values is singular. Each step scales the pivot row by the jet reciprocal of the
+    pivot, then updates every row of [A | B] at once, row - f * pivot_row,
+    and puts the scaled pivot row back. Columns of A at or left of the pivot
+    are never read again.
     """
-    n = len(A)
-    m = len(B[0])
-    A = [list(row) for row in A]
-    B = [list(row) for row in B]
+    n = A.coeffs.shape[0]
+    a = A.coeffs[..., :B.coeffs.shape[-1]]  # A truncated to the order of B
+    rows = Jet(B.nvars, B.order, np.concatenate([a, B.coeffs], axis=1))
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(A[r][col].value))
-        if abs(A[piv][col].value) < _PIVOT_FLOOR:
+        c = rows.coeffs
+        piv = col + int(np.argmax(np.abs(c[col:, col, 0])))
+        if abs(c[piv, col, 0]) < _PIVOT_FLOOR:
             raise SingularMetricError("singular jet system: zero pivot")
         if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            B[col], B[piv] = B[piv], B[col]
-        inv = 1.0 / A[col][col]
-        A[col] = [entry * inv for entry in A[col]]
-        B[col] = [entry * inv for entry in B[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = A[r][col]
-            A[r] = [a - f * ac for a, ac in zip(A[r], A[col])]
-            B[r] = [b - f * bc for b, bc in zip(B[r], B[col])]
-    return B
+            c[[col, piv]] = c[[piv, col]]
+        pivot_row = rows[col] * (1.0 / rows[col, col])
+        rows = rows - rows[:, col, None] * pivot_row
+        rows.coeffs[col] = pivot_row.coeffs
+    return rows[:, n:]
 
 
-class _readonly_array(cached_property):
-    """A cached_property whose ndarray value is marked read-only: frames are
-    shared through the point_frame cache, so no reader may write into one."""
+class _readonly(cached_property):
+    """A cached_property whose ndarray value, or Jet coefficient array, is
+    marked read-only: frames are shared through the point_frame cache, so no
+    reader may write into one."""
 
     def __get__(self, instance, owner=None):
         value = super().__get__(instance, owner)
         if instance is not None:
-            value.flags.writeable = False
+            (value.coeffs if isinstance(value, Jet) else value).flags.writeable = False
         return value
 
 
@@ -107,30 +110,20 @@ class PointFrame:
 
     # -- metric level ------------------------------------------------------
 
-    @cached_property
-    def _E_dy(self):
-        # first fiber derivatives of the energy, jets of order 3
-        return [self.E_jet.partial_jet(self.n + i) for i in range(self.n)]
+    @_readonly
+    def _E_dy(self) -> Jet:
+        # first fiber derivatives of the energy, an (n,) stack of order-3 jets
+        return self.E_jet.partial_jet(range(self.n, 2 * self.n))
 
-    @cached_property
-    def g_jets(self):
-        """g_ij as order-2 jets (second fiber derivatives of the energy)."""
-        n = self.n
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                jet = self._E_dy[i].partial_jet(n + j)
-                rows[i][j] = jet
-                rows[j][i] = jet
-        return rows
+    @_readonly
+    def g_jets(self) -> Jet:
+        """g_ij as an (n, n) stack of order-2 jets (second fiber derivatives
+        of the energy)."""
+        return self._E_dy.partial_jet(range(self.n, 2 * self.n))
 
-    @_readonly_array
+    @_readonly
     def g(self) -> np.ndarray:
-        n = self.n
-        mat = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                mat[i, j] = self.g_jets[i][j].value
+        mat = self.g_jets.value.copy()
         eig = np.linalg.eigvalsh(mat)
         if eig[0] <= 0.0:
             raise SingularMetricError(
@@ -144,184 +137,146 @@ class PointFrame:
             )
         return mat
 
-    @_readonly_array
+    @_readonly
     def g_inv(self) -> np.ndarray:
         return np.linalg.inv(self.g)
 
-    @cached_property
-    def ginv_jets(self):
-        """g^ij as order-1 jets, from solving g X = identity in the jet ring."""
+    @_readonly
+    def ginv_jets(self) -> Jet:
+        """g^ij as an (n, n) stack of order-1 jets, from solving g X = identity
+        in the jet ring."""
         n = self.n
         self.g  # run the conditioning guard first
-        A = [[self.g_jets[i][j].truncated(1) for j in range(n)] for i in range(n)]
-        I = [
-            [Jet.constant(2 * n, 1, 1.0 if i == j else 0.0) for j in range(n)]
-            for i in range(n)
-        ]
-        return jet_solve(A, I)
+        return jet_solve(self.g_jets, Jet.constant(2 * n, 1, np.eye(n)))
 
-    @_readonly_array
+    @_readonly
     def ell(self) -> np.ndarray:
         """The unit covector, first fiber derivatives of L."""
         return np.array(
             [self.L_jet.partial1(self.n + i) for i in range(self.n)]
         )
 
-    @_readonly_array
+    @_readonly
     def phi(self) -> np.ndarray:
         """Projector onto the g-orthogonal complement of the tautological field."""
         y = np.array(self.point.y)
         return np.eye(self.n) - np.outer(y, self.ell) / self.L
 
-    @_readonly_array
+    @_readonly
     def C3(self) -> np.ndarray:
         """All-lower Cartan tensor, C_ijk = half the fiber derivative of g_ij."""
-        n = self.n
-        out = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(n):
-                    val = 0.5 * self.g_jets[i][j].partial1(n + k)
-                    out[i, j, k] = val
-                    out[j, i, k] = val
-        return out
+        return np.ascontiguousarray(0.5 * self.g_jets.coeffs[..., 1 + self.n:1 + 2 * self.n])
 
-    @_readonly_array
+    @_readonly
     def Cmix(self) -> np.ndarray:
         """C^i_jk, the Cartan tensor with the first index raised."""
         return np.einsum("is,sjk->ijk", self.g_inv, self.C3)
 
     # -- spray and nonlinear connection ------------------------------------
 
-    @cached_property
-    def G_jets(self):
-        """Spray coefficients G^i as order-2 jets.
+    @_readonly
+    def G_jets(self) -> Jet:
+        """Spray coefficients G^i as an (n,) stack of order-2 jets.
 
         Solves 2 g_ml G^l = y^k (d_k dy_m E) - d_m E, the chart form of the
         geodesic equation i_S(d d_J E) = -d E.
         """
         n = self.n
-        y_jets = [
-            Jet.variable(2 * n, 2, n + k, self.point.y[k]) for k in range(n)
-        ]
-        rhs = []
-        for m_idx in range(n):
-            acc = -1.0 * self.E_jet.partial_jet(m_idx).truncated(2)
-            dym = self._E_dy[m_idx]
-            for k in range(n):
-                acc = acc + y_jets[k] * dym.partial_jet(k).truncated(2)
-            rhs.append([0.5 * acc])
-        A = [[self.g_jets[i][j] for j in range(n)] for i in range(n)]
+        y = Jet.variable(2 * n, 2, range(n, 2 * n), self.point.y)
+        terms = y * self._E_dy.partial_jet(range(n))  # [m, k] = y^k d_k dy_m E
+        acc = terms[:, 0] - self.E_jet.partial_jet(range(n))  # == -d_m E + terms[:, 0]
+        for k in range(1, n):
+            acc = acc + terms[:, k]
         self.g  # conditioning guard
-        sol = jet_solve(A, rhs)
-        return [sol[i][0] for i in range(n)]
+        return jet_solve(self.g_jets, (0.5 * acc)[:, None])[:, 0]
 
-    @_readonly_array
+    @_readonly
     def G(self) -> np.ndarray:
-        return np.array([jet.value for jet in self.G_jets])
+        return self.G_jets.value.copy()
 
-    @cached_property
-    def N_jets(self):
-        """Nonlinear connection N^i_j = fiber derivative of the spray, order 1."""
-        n = self.n
-        return [
-            [self.G_jets[i].partial_jet(n + j) for j in range(n)] for i in range(n)
-        ]
+    @_readonly
+    def N_jets(self) -> Jet:
+        """Nonlinear connection N^i_j = fiber derivative of the spray, an
+        (n, n) stack of order-1 jets."""
+        return self.G_jets.partial_jet(range(self.n, 2 * self.n))
 
-    @_readonly_array
+    @_readonly
     def N(self) -> np.ndarray:
-        n = self.n
-        return np.array(
-            [[self.N_jets[i][j].value for j in range(n)] for i in range(n)]
-        )
+        return self.N_jets.value.copy()
 
     # -- horizontal derivatives --------------------------------------------
 
-    def delta_value(self, jet: Jet, k: int) -> float:
-        """Value of the horizontal derivative delta_k of a jet quantity."""
-        out = jet.partial1(k)
-        for m in range(self.n):
-            out -= self.N[m, k] * jet.partial1(self.n + m)
+    def delta_values(self, jet: Jet) -> np.ndarray:
+        """Values of the horizontal derivatives delta_k of a jet quantity,
+        every direction k at once as a trailing axis."""
+        n = self.n
+        c = jet.coeffs
+        out = c[..., 1:1 + n]
+        for m in range(n):
+            out = out - self.N[m] * c[..., 1 + n + m, None]
         return out
 
-    def delta_jet(self, jet: Jet, k: int) -> Jet:
-        """Horizontal derivative as a jet; order drops by one (and is capped
-        by the nonlinear connection's jet order)."""
-        out = jet.partial_jet(k)
-        for m in range(self.n):
-            out = out - self.N_jets[m][k] * jet.partial_jet(self.n + m)
+    def delta_jets(self, jet: Jet) -> Jet:
+        """Horizontal derivatives delta_k of a jet quantity as jets, every
+        direction k at once as a trailing tensor axis; the order drops by one
+        (and is capped by the nonlinear connection's jet order)."""
+        n = self.n
+        dy = jet.partial_jet(range(n, 2 * n))  # [..., m] = dy_m
+        # [..., k, m] = N^m_k dy_m
+        terms = Jet(2 * n, 1, self.N_jets.coeffs.transpose(1, 0, 2)) * dy[..., None, :, :]
+        out = jet.partial_jet(range(n))
+        for m in range(n):
+            out = out - terms[..., m, :]
         return out
 
     # -- linear connection ---------------------------------------------------
 
-    @cached_property
-    def _dg_jets(self):
-        # dg[s][k][j] = delta_j g_sk as an order-1 jet
-        n = self.n
-        return [
-            [[self.delta_jet(self.g_jets[s][k], j) for j in range(n)] for k in range(n)]
-            for s in range(n)
-        ]
+    @_readonly
+    def _dg_jets(self) -> Jet:
+        """delta_j g_sk as an (n, n, n) stack of order-1 jets, indexed [s, k, j]."""
+        return self.delta_jets(self.g_jets)
 
-    @cached_property
-    def F_jets(self):
-        """Horizontal connection coefficients F^i_jk as order-1 jets."""
+    @_readonly
+    def F_jets(self) -> Jet:
+        """Horizontal connection coefficients F^i_jk as an (n, n, n) stack of
+        order-1 jets, 1/2 g^is (delta_j g_sk + delta_k g_js - delta_s g_jk)."""
         n = self.n
-        dg = self._dg_jets
-        out = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for j in range(n):
-            for k in range(j, n):
-                col = []
-                for s in range(n):
-                    col.append(dg[s][k][j] + dg[j][s][k] - dg[j][k][s])
-                for i in range(n):
-                    acc = self.ginv_jets[i][0] * col[0]
-                    for s in range(1, n):
-                        acc = acc + self.ginv_jets[i][s] * col[s]
-                    acc = 0.5 * acc
-                    out[i][j][k] = acc
-                    out[i][k][j] = acc
-        return out
+        dg = self._dg_jets.coeffs  # [s, k, j] = delta_j g_sk
+        col = (  # [s, j, k]
+            Jet(2 * n, 1, dg.transpose(0, 2, 1, 3))
+            + Jet(2 * n, 1, dg.transpose(1, 0, 2, 3))
+            - Jet(2 * n, 1, dg.transpose(2, 0, 1, 3))
+        )
+        terms = self.ginv_jets[:, :, None, None] * col  # [i, s, j, k]
+        acc = terms[:, 0]
+        for s in range(1, n):
+            acc = acc + terms[:, s]
+        return 0.5 * acc
 
-    @_readonly_array
+    @_readonly
     def F(self) -> np.ndarray:
-        n = self.n
-        arr = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    arr[i, j, k] = self.F_jets[i][j][k].value
-        return arr
+        return self.F_jets.value.copy()
 
     # -- curvature ------------------------------------------------------------
 
-    @_readonly_array
+    @_readonly
     def Rhat(self) -> np.ndarray:
         """vh-torsion R^i_jk of the nonlinear connection (fiber components of
         the horizontal bracket defect)."""
         n = self.n
+        dN = self.delta_values(self.N_jets)  # [i, j, k] = delta_k N^i_j
         arr = np.zeros((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(j + 1, n):
-                    val = self.delta_value(self.N_jets[i][j], k) - self.delta_value(
-                        self.N_jets[i][k], j
-                    )
-                    arr[i, j, k] = val
-                    arr[i, k, j] = -val
+        for j in range(n):
+            for k in range(j + 1, n):
+                val = dN[:, j, k] - dN[:, k, j]
+                arr[:, j, k] = val
+                arr[:, k, j] = -val
         return arr
 
-    @_readonly_array
+    @_readonly
     def hcurv(self) -> np.ndarray:
         """Horizontal curvature tensor R^i_hjk, contravariant slot first."""
-        n = self.n
-        dF = np.empty((n, n, n, n))
-        for i in range(n):
-            for h in range(n):
-                for k in range(n):
-                    jet = self.F_jets[i][h][k]
-                    for j in range(n):
-                        dF[i, h, k, j] = self.delta_value(jet, j)
+        dF = self.delta_values(self.F_jets)  # [i, h, k, j] = delta_j F^i_hk
         F = self.F
         out = -np.transpose(dF, (0, 1, 3, 2)) + dF
         out -= np.einsum("mhk,imj->ihjk", F, F)
@@ -329,7 +284,7 @@ class PointFrame:
         out += np.einsum("mjk,ihm->ihjk", self.Rhat, self.Cmix)
         return out
 
-    @_readonly_array
+    @_readonly
     def ricci(self) -> np.ndarray:
         """Trace of the horizontal curvature on its first and last slots."""
         return np.einsum("ihji->jh", self.hcurv)

@@ -6,13 +6,22 @@ smooth function at one point, for every multi-index of total degree up to
 lower order is always a prefix of a higher one; truncation is a slice and
 mixed-partial symmetry is structural (one slot per sorted multi-index).
 
+A Jet may also hold a stack of such tables: `coeffs` has shape (..., T),
+leading tensor axes and the graded table of length T last. Ring operations
+broadcast over the leading axes and `jet[i]` is the sub-jet as a view, so
+one operation serves every component of a tensor (vector Taylor
+propagation, Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+
 Products use the Leibniz rule in raw-derivative form,
 
     d^g (u v) = sum_{a <= g} C(g, a) d^a u d^{g-a} v,
 
-with the binomial weights precomputed per (nvars, order). Transcendental
-functions go through Taylor composition in the jet ring, so everything is
-exact to round-off for the smooth closed-form fields used here.
+with the binomial weights precomputed per (nvars, order). Each output slot
+sums its terms in one fixed order whatever the stack shape, so a stacked
+product equals the component-wise scalar products bit for bit.
+Transcendental functions go through Taylor composition in the jet ring, so
+everything is exact to round-off for the smooth closed-form fields used
+here.
 
 The module also carries the finite-difference oracle (`fd_partial`) the
 test suite uses to certify jet output against an independent scheme.
@@ -70,8 +79,53 @@ def _mul_program(nvars: int, order: int):
 
 
 @lru_cache(maxsize=None)
-def _shift_map(nvars: int, order: int, slot: int):
-    """Positions in the order-`order` table of alpha + e_slot, alpha over the (order-1) table."""
+def _gather_program(nvars: int, order: int):
+    """`_mul_program` as zero-padded (T, m) tables, one row per output slot
+    with its terms in program order; padding has weight 0."""
+    io, ia, ib, w, size = _mul_program(nvars, order)
+    counts = np.bincount(io, minlength=size)
+    col = np.arange(io.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = []
+    for src, dtype in ((ia, np.intp), (ib, np.intp), (w, np.float64)):
+        table = np.zeros((size, counts.max()), dtype=dtype)
+        table[io, col] = src
+        out.append(table)
+    return tuple(out)
+
+
+def _leibniz(nvars: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two coefficient arrays of one order, broadcast over their
+    leading axes.
+
+    Every slot adds its terms (w a[ia]) b[ib] in `_mul_program` order onto a
+    +0.0 start, as `np.bincount` does for a single table, so a stacked
+    product equals the scalar products bit for bit, down to the sign of a
+    zero. Order 1 has the closed form (0 + a0 b_k) + a_k b0. A stack of
+    higher order adds its terms column by column: numpy's `add.reduce`
+    would sum 8 or more terms pairwise (order 3 has 8), in another order.
+    """
+    if order <= 1:
+        out = a[..., :1] * b + 0.0
+        tail = out[..., 1:]
+        tail += a[..., 1:] * b[..., :1]
+        return out
+    if a.ndim == 1 and b.ndim == 1:
+        io, ia, ib, w, size = _mul_program(nvars, order)
+        return np.bincount(io, weights=w * a[ia] * b[ib], minlength=size)
+    ia, ib, w = _gather_program(nvars, order)
+    terms = (w * a.take(ia, -1)) * b.take(ib, -1)
+    out = np.zeros(terms.shape[:-1])
+    for c in range(terms.shape[-1]):
+        out += terms[..., c]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _shift_map(nvars: int, order: int, slot):
+    """Positions in the order-`order` table of alpha + e_slot, alpha over the
+    (order-1) table; a tuple of slots stacks one row per slot."""
+    if isinstance(slot, tuple):
+        return np.stack([_shift_map(nvars, order, s) for s in slot])
     lo, _ = _index_table(nvars, order - 1)
     _, pos_hi = _index_table(nvars, order)
     out = []
@@ -82,12 +136,18 @@ def _shift_map(nvars: int, order: int, slot: int):
     return np.asarray(out, dtype=np.intp)
 
 
+@lru_cache(maxsize=None)
 def _table_size(nvars: int, order: int) -> int:
     return math.comb(nvars + order, order)
 
 
 class Jet:
-    """Raw-derivative jet of a scalar function at a point."""
+    """Raw-derivative jet of a scalar function at a point, or a stack of them.
+
+    `coeffs` has shape (..., T): any leading tensor axes, then the graded
+    table. Readouts of a stack (`value`, `partial1`, `partial`) are arrays
+    over the leading axes; transcendental functions take scalar jets only.
+    """
 
     __slots__ = ("nvars", "order", "coeffs")
     __array_ufunc__ = None  # keep numpy scalars from absorbing us
@@ -96,35 +156,54 @@ class Jet:
         self.nvars = nvars
         self.order = order
         self.coeffs = np.asarray(coeffs, dtype=np.float64)
-        if self.coeffs.shape != (_table_size(nvars, order),):
+        if self.coeffs.shape[-1:] != (_table_size(nvars, order),):
             raise ValueError("coefficient array does not match the index table")
 
     @classmethod
     def constant(cls, nvars, order, value):
-        c = np.zeros(_table_size(nvars, order))
-        c[0] = float(value)
+        """Constant jet; an array `value` gives a stack of that shape."""
+        c = np.zeros(getattr(value, "shape", ()) + (_table_size(nvars, order),))
+        c[..., 0] = value
         return cls(nvars, order, c)
 
     @classmethod
     def variable(cls, nvars, order, slot, value):
-        """Jet of the coordinate function z_slot at z_slot = value."""
+        """Jet of the coordinate function z_slot at z_slot = value; a sequence
+        of slots with a sequence of values gives the stack of those jets."""
         if order < 1:
             raise ValueError("coordinate jets need order >= 1")
-        c = np.zeros(_table_size(nvars, order))
-        c[0] = float(value)
-        c[1 + slot] = 1.0
+        size = _table_size(nvars, order)
+        if isinstance(slot, (int, np.integer)):
+            c = np.zeros(size)
+            c[0] = float(value)
+            c[1 + slot] = 1.0
+        else:
+            slot = np.asarray(slot)
+            c = np.zeros((slot.size, size))
+            c[:, 0] = value
+            c[np.arange(slot.size), 1 + slot] = 1.0
         return cls(nvars, order, c)
+
+    def __getitem__(self, key):
+        """Sub-jet of a stack over its leading axes, sharing coefficients."""
+        if self.coeffs.ndim == 1:
+            raise TypeError("a scalar jet has no tensor axes to index")
+        return Jet(self.nvars, self.order, self.coeffs[key])
 
     # -- readout ---------------------------------------------------------
 
+    def _slot(self, i):
+        c = self.coeffs
+        return float(c[i]) if c.ndim == 1 else c[..., i]
+
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        return self._slot(0)
 
-    def partial1(self, slot: int) -> float:
-        return float(self.coeffs[1 + slot])
+    def partial1(self, slot: int):
+        return self._slot(1 + slot)
 
-    def partial(self, multi) -> float:
+    def partial(self, multi):
         """Raw partial derivative for a full multi-index (length nvars)."""
         multi = tuple(int(m) for m in multi)
         if len(multi) != self.nvars:
@@ -134,40 +213,45 @@ class Jet:
                 f"degree {sum(multi)} exceeds stored jet order {self.order}"
             )
         _, pos = _index_table(self.nvars, self.order)
-        return float(self.coeffs[pos[multi]])
+        return self._slot(pos[multi])
 
     def truncated(self, order: int) -> "Jet":
         if order > self.order:
             raise CapabilityError("cannot extend a jet to higher order")
         if order == self.order:
             return self
-        return Jet(self.nvars, order, self.coeffs[: _table_size(self.nvars, order)])
+        return Jet(self.nvars, order, self.coeffs[..., : _table_size(self.nvars, order)])
 
-    def partial_jet(self, slot: int) -> "Jet":
-        """Jet of the partial derivative w.r.t. variable `slot`, one order lower."""
+    def partial_jet(self, slot) -> "Jet":
+        """Jet of the partial derivative w.r.t. variable `slot`, one order lower.
+
+        A sequence of slots appends a tensor axis: `out[..., s, :]` is the
+        partial along `slot[s]`.
+        """
         if self.order < 1:
             raise CapabilityError("order-0 jet has no derivatives")
+        if not isinstance(slot, (int, np.integer)):
+            slot = tuple(slot)
         sm = _shift_map(self.nvars, self.order, slot)
-        return Jet(self.nvars, self.order - 1, self.coeffs[sm])
+        return Jet(self.nvars, self.order - 1, self.coeffs.take(sm, -1))
 
     # -- ring operations -------------------------------------------------
 
     def _mat(self, other):
-        if isinstance(other, Jet):
-            if other.nvars != self.nvars:
-                raise ValueError("jets live over different variable sets")
-            k = min(self.order, other.order)
-            s = _table_size(self.nvars, k)
-            return k, self.coeffs[:s], other.coeffs[:s]
-        return None
+        if other.nvars != self.nvars:
+            raise ValueError("jets live over different variable sets")
+        if other.order == self.order:
+            return self.order, self.coeffs, other.coeffs
+        k = min(self.order, other.order)
+        s = _table_size(self.nvars, k)
+        return k, self.coeffs[..., :s], other.coeffs[..., :s]
 
     def __add__(self, other):
-        m = self._mat(other)
-        if m is not None:
-            k, a, b = m
+        if isinstance(other, Jet):
+            k, a, b = self._mat(other)
             return Jet(self.nvars, k, a + b)
         c = self.coeffs.copy()
-        c[0] += float(other)
+        c[..., 0] += float(other)
         return Jet(self.nvars, self.order, c)
 
     __radd__ = __add__
@@ -176,18 +260,22 @@ class Jet:
         return Jet(self.nvars, self.order, -self.coeffs)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -float(other))
+        if isinstance(other, Jet):
+            k, a, b = self._mat(other)
+            return Jet(self.nvars, k, a - b)
+        c = self.coeffs.copy()
+        c[..., 0] -= float(other)
+        return Jet(self.nvars, self.order, c)
 
     def __rsub__(self, other):
-        return (-self) + float(other)
+        c = -self.coeffs
+        c[..., 0] += float(other)
+        return Jet(self.nvars, self.order, c)
 
     def __mul__(self, other):
-        m = self._mat(other)
-        if m is not None:
-            k, a, b = m
-            io, ia, ib, w, size = _mul_program(self.nvars, k)
-            prod = np.bincount(io, weights=w * a[ia] * b[ib], minlength=size)
-            return Jet(self.nvars, k, prod)
+        if isinstance(other, Jet):
+            k, a, b = self._mat(other)
+            return Jet(self.nvars, k, _leibniz(self.nvars, k, a, b))
         return Jet(self.nvars, self.order, self.coeffs * float(other))
 
     __rmul__ = __mul__
@@ -198,7 +286,8 @@ class Jet:
         return Jet(self.nvars, self.order, self.coeffs / float(other))
 
     def __rtruediv__(self, other):
-        return self._reciprocal() * float(other)
+        inv = self._reciprocal()
+        return inv if other == 1.0 else inv * float(other)  # x * 1.0 == x exactly
 
     def __pow__(self, p):
         if isinstance(p, int) or (isinstance(p, float) and p.is_integer() and p >= 0):
@@ -214,11 +303,21 @@ class Jet:
     # -- composition with smooth univariate functions ---------------------
 
     def compose(self, taylor_coeffs) -> "Jet":
-        """Evaluate sum_m c_m (self - self.value)^m in the jet ring."""
+        """Evaluate sum_m c_m (self - self.value)^m in the jet ring by Horner's
+        rule, (c_M v + c_{M-1}) v + ... with v = self - self.value.
+
+        The first step is constant(c_M) * v as a scalar multiple: every other
+        Leibniz term of that product is a signed zero, and `+ 0.0` is its
+        +0.0 start. Each step adds c_m in place on the fresh product.
+        """
+        if len(taylor_coeffs) == 1:
+            return Jet.constant(self.nvars, self.order, taylor_coeffs[0])
         v = self - self.value
-        out = Jet.constant(self.nvars, self.order, taylor_coeffs[-1])
-        for c in reversed(taylor_coeffs[:-1]):
-            out = out * v + c
+        out = Jet(self.nvars, self.order, taylor_coeffs[-1] * v.coeffs + 0.0)
+        out.coeffs[..., 0] += taylor_coeffs[-2]
+        for c in reversed(taylor_coeffs[:-2]):
+            out = out * v
+            out.coeffs[..., 0] += c
         return out
 
     def _reciprocal(self):

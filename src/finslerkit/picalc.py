@@ -13,15 +13,13 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .chart import ChartPoint
-from .errors import CapabilityError, DegenerateFieldError, PreconditionError
+from .errors import CapabilityError, DegenerateFieldError
 from .fields import (
-    ComponentField,
     DriftCompanionField,
     GradientField,
     PiForm,
     PiVectorField,
     ProjectedField,
-    ScaledField,
     _perm_sign,
 )
 from .frame import PointFrame, point_frame
@@ -68,7 +66,7 @@ def dbar_0(F, f, p: ChartPoint) -> np.ndarray:
     """(dbar f)_i = delta_i f."""
     fr = point_frame(F, p)
     jet = fr.field_jet(f, 1)
-    return np.array([fr.delta_value(jet, k) for k in range(fr.n)])
+    return fr.delta_values(jet)
 
 
 def dbar_1(F, omega: PiForm, p: ChartPoint) -> np.ndarray:
@@ -93,15 +91,15 @@ def dbar_p(F, omega: PiForm, p: ChartPoint) -> np.ndarray:
             f"dbar of a degree-{deg} form exceeds the supported degree "
             f"{PiForm.MAX_DEGREE}"
         )
-    jets = {key: fr.field_jet(fn, 1) for key, fn in omega.components.items()}
+    deltas = {key: fr.delta_values(fr.field_jet(fn, 1))
+              for key, fn in omega.components.items()}
     out = np.zeros((n,) * (deg + 1))
     for K in combinations(range(n), deg + 1):
         val = 0.0
         for q in range(deg + 1):
-            rest = K[:q] + K[q + 1:]
-            jet = jets.get(rest)
-            if jet is not None:
-                val += (-1.0) ** q * fr.delta_value(jet, K[q])
+            d = deltas.get(K[:q] + K[q + 1:])
+            if d is not None:
+                val += (-1.0) ** q * d[K[q]]
         for perm in permutations(K):
             out[perm] = _perm_sign(perm) * val
     return out
@@ -137,15 +135,11 @@ def dbar_1_on_fields(F, omega: PiForm, X: PiVectorField, Y: PiVectorField,
 
     wY = pair(wjets, Yj)
     wX = pair(wjets, Xj)
-    first = sum(xv[j] * fr.delta_value(wY, j) for j in range(n)) if wY is not None else 0.0
-    second = sum(yv[j] * fr.delta_value(wX, j) for j in range(n)) if wX is not None else 0.0
-    bracket = np.array(
-        [
-            sum(xv[j] * fr.delta_value(Yj[m], j) - yv[j] * fr.delta_value(Xj[m], j)
-                for j in range(n))
-            for m in range(n)
-        ]
-    )
+    first = sum(xv * fr.delta_values(wY)) if wY is not None else 0.0
+    second = sum(yv * fr.delta_values(wX)) if wX is not None else 0.0
+    dX = [fr.delta_values(jet) for jet in Xj]
+    dY = [fr.delta_values(jet) for jet in Yj]
+    bracket = np.array([sum(xv * dY[m] - yv * dX[m]) for m in range(n)])
     wvals = np.array([0.0 if wjets[k] is None else wjets[k].value for k in range(n)])
     return float(first - second - wvals @ bracket)
 
@@ -161,13 +155,9 @@ def a_operator(F, X: PiVectorField, p: ChartPoint) -> np.ndarray:
 
 
 def _nabla_h_matrix(fr: PointFrame, X: PiVectorField) -> np.ndarray:
-    n = fr.n
     jets = X.jets(fr, 1)
     vals = np.array([jet.value for jet in jets])
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = fr.delta_value(jets[i], j)
+    out = np.array([fr.delta_values(jet) for jet in jets])
     out += np.einsum("ikj,k->ij", fr.F, vals)
     return out
 
@@ -189,10 +179,11 @@ def _dbar_matrix(frame: PointFrame, wjets) -> np.ndarray:
     """(dbar w)_jk = delta_j w_k - delta_k w_j of a 1-form given by its
     component jets, as an antisymmetric matrix."""
     n = frame.n
+    d = np.array([frame.delta_values(wjets[k]) for k in range(n)])  # [k, j] = delta_j w_k
     out = np.zeros((n, n))
     for j in range(n):
         for k in range(j + 1, n):
-            v = frame.delta_value(wjets[k], j) - frame.delta_value(wjets[j], k)
+            v = d[k, j] - d[j, k]
             out[j, k] = v
             out[k, j] = -v
     return out
@@ -248,7 +239,7 @@ def dbar_sq(F, f, p: ChartPoint) -> DbarSqResult:
     fr = point_frame(F, p)
     n = fr.n
     fj = fr.field_jet(f, 2)
-    nested = _dbar_matrix(fr, [fr.delta_jet(fj, k) for k in range(n)])
+    nested = _dbar_matrix(fr, fr.delta_jets(fj))
     dyf = np.array([fj.partial1(n + m) for m in range(n)])
     contracted = np.einsum("mjk,m->jk", fr.Rhat, dyf)
     defect = float(np.max(np.abs(nested - contracted)))
@@ -319,15 +310,8 @@ def lie_metric_report(F, X: PiVectorField, p: ChartPoint) -> LieReport:
     n = fr.n
     Xj = X.jets(fr, 1)
     xv = np.array([j.value for j in Xj])
-    dg = np.empty((n, n, n))  # dg[k, i, j] = delta_k g_ij
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                dg[k, i, j] = fr.delta_value(fr.g_jets[i][j], k)
-    dX = np.empty((n, n))  # dX[m, i] = delta_i X^m
-    for m in range(n):
-        for i in range(n):
-            dX[m, i] = fr.delta_value(Xj[m], i)
+    dg = np.ascontiguousarray(fr._dg_jets.value.transpose(2, 0, 1))  # [k, i, j] = delta_k g_ij
+    dX = np.array([fr.delta_values(jet) for jet in Xj])  # [m, i] = delta_i X^m
     lie = (
         np.einsum("k,kij->ij", xv, dg)
         + np.einsum("mj,mi->ij", fr.g, dX)
@@ -400,16 +384,9 @@ def involutivity_report(F, X: PiVectorField, p: ChartPoint) -> InvolutivityRepor
             Yb = basis[b].jets(fr, 1)
             av = np.array([j.value for j in Ya])
             bv = np.array([j.value for j in Yb])
-            bracket = np.array(
-                [
-                    sum(
-                        av[j] * fr.delta_value(Yb[m], j)
-                        - bv[j] * fr.delta_value(Ya[m], j)
-                        for j in range(n)
-                    )
-                    for m in range(n)
-                ]
-            )
+            dA = [fr.delta_values(jet) for jet in Ya]
+            dB = [fr.delta_values(jet) for jet in Yb]
+            bracket = np.array([sum(av * dB[m] - bv * dA[m]) for m in range(n)])
             lhs = float(bracket @ g @ xv)
             rhs = float((A @ bv) @ g @ av - (A @ av) @ g @ bv)
             pairs.append(lhs)

@@ -13,6 +13,7 @@ from finslerkit.errors import CapabilityError, DomainError, NumericalError
 from finslerkit.jets import (
     MAX_ORDER,
     Jet,
+    _mul_program,
     coordinate_jets,
     cos,
     exp,
@@ -167,6 +168,86 @@ class TestRingLaws:
             a.order - 1
         ) * b.partial_jet(1)
         assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-8)
+
+
+def _reference_product(a: Jet, b: Jet) -> np.ndarray:
+    """Leibniz sum of two scalar jets, summed in program order by bincount."""
+    k = min(a.order, b.order)
+    io, ia, ib, w, size = _mul_program(a.nvars, k)
+    ca, cb = a.coeffs[:size], b.coeffs[:size]
+    return np.bincount(io, weights=w * ca[ia] * cb[ib], minlength=size)
+
+
+@st.composite
+def stacked_factors(draw):
+    """A (2, 3) stack of jets and a second factor of shape (2, 3), (3,) or a
+    scalar jet, in either operand order, with independent orders."""
+    nvars = draw(st.sampled_from([4, 6]))
+    orders = draw(st.tuples(st.integers(1, MAX_ORDER), st.integers(1, MAX_ORDER)))
+    shapes = [(2, 3), draw(st.sampled_from([(2, 3), (3,), ()]))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    jets = []
+    for order, shape in zip(orders, shapes):
+        shape = shape + (math.comb(nvars + order, order),)
+        c = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
+        c[rng.random(shape) < 0.2] = 0.0
+        jets.append(Jet(nvars, order, c))
+    return jets if draw(st.booleans()) else jets[::-1]
+
+
+class TestStackedJets:
+    @given(stacked_factors())
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_product_is_componentwise_bit_for_bit(self, factors):
+        a, b = factors
+        prod = a * b
+        k = min(a.order, b.order)
+        assert prod.order == k
+        assert prod.coeffs.shape == (2, 3, math.comb(a.nvars + k, k))
+        ca = np.broadcast_to(a.coeffs, (2, 3) + a.coeffs.shape[-1:])
+        cb = np.broadcast_to(b.coeffs, (2, 3) + b.coeffs.shape[-1:])
+        for idx in np.ndindex(2, 3):
+            sa, sb = Jet(a.nvars, a.order, ca[idx]), Jet(b.nvars, b.order, cb[idx])
+            assert (sa * sb).coeffs.tobytes() == prod.coeffs[idx].tobytes()
+            assert prod.coeffs[idx].tobytes() == _reference_product(sa, sb).tobytes()
+
+    @given(st.sampled_from([4, 6]), st.integers(0, MAX_ORDER), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_compose_is_plain_horner_bit_for_bit(self, nvars, order, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(math.comb(nvars + order, order))
+        c[rng.random(c.size) < 0.3] = 0.0
+        u = Jet(nvars, order, c)
+        cs = list(rng.standard_normal(order + 1))
+        v = u - u.value
+        ref = Jet.constant(nvars, order, cs[-1]).coeffs
+        for t in reversed(cs[:-1]):
+            ref = _reference_product(Jet(nvars, order, ref), v)
+            ref[0] += t
+        assert u.compose(cs).coeffs.tobytes() == ref.tobytes()
+
+    def test_wrong_table_length_raises(self):
+        with pytest.raises(ValueError):
+            Jet(4, 2, np.zeros(14))
+        with pytest.raises(ValueError):
+            Jet(4, 2, np.zeros((3, 16)))
+        with pytest.raises(ValueError):
+            Jet(4, 2, 1.0)
+
+    def test_index_is_a_view_of_the_stack(self):
+        stack = Jet(4, 1, np.arange(10.0).reshape(2, 5))
+        row = stack[1]
+        assert np.shares_memory(row.coeffs, stack.coeffs)
+        assert row.value == 5.0 and row.partial1(0) == 6.0
+        assert np.array_equal(stack.value, [0.0, 5.0])
+        with pytest.raises(TypeError):
+            row[0]
+
+    def test_partial_jet_over_slots_stacks_the_partials(self):
+        jet = jet_eval(lambda x, y: exp(x[0]) * y[1] ** 3, P, 3)
+        stacked = jet.partial_jet(range(2, 4))
+        for s, slot in enumerate(range(2, 4)):
+            assert np.array_equal(stacked[s].coeffs, jet.partial_jet(slot).coeffs)
 
 
 class TestOrderSemantics:
