@@ -19,7 +19,7 @@ from . import connections, curvature, picalc
 from .chart import ChartPoint
 from .errors import FinslerError
 from .fields import ComponentField, GradientField, constant_field
-from .frame import point_frame
+from .frame import local_frames, point_frame, point_frames
 from .jets import fd_partial, jet_eval
 from .structures import FinslerStructure, randers_change
 
@@ -176,27 +176,28 @@ def _probe_scalars(F: FinslerStructure, seed: int, tag: int):
 def _check_homogeneity(F, pts, tol, floor, seed):
     sweep = _Sweep()
     t = 1.75
-    for p in pts:
-        fr = point_frame(F, p)
-        n = fr.n
-        y = np.array(p.y)
-        sweep.add(p, abs(float(fr.ell @ y) - fr.L), fr.L)
-        dyg = max(
-            abs(sum(fr.g_jets[i][j].partial1(n + k) * y[k] for k in range(n)))
-            for i in range(n)
-            for j in range(n)
-        )
-        sweep.add(p, dyg, float(np.max(np.abs(fr.g))))
-        ps = ChartPoint(p.x, tuple(t * v for v in p.y))
-        frs = point_frame(F, ps)
-        sweep.add(p, float(np.max(np.abs(frs.G - t * t * fr.G))),
-                  float(np.max(np.abs(frs.G))))
-        sweep.add(p, float(np.max(np.abs(frs.N - t * fr.N))),
-                  float(np.max(np.abs(frs.N))))
-        sweep.add(p, float(np.max(np.abs(frs.Rhat - t * fr.Rhat))),
-                  float(np.max(np.abs(frs.Rhat))))
-        sweep.add(p, float(np.max(np.abs(frs.g - fr.g))),
-                  float(np.max(np.abs(fr.g))))
+    scaled = [ChartPoint(p.x, tuple(t * v for v in p.y)) for p in pts]
+    with local_frames(F, scaled):
+        for p, ps in zip(pts, scaled):
+            fr = point_frame(F, p)
+            n = fr.n
+            y = np.array(p.y)
+            sweep.add(p, abs(float(fr.ell @ y) - fr.L), fr.L)
+            dyg = max(
+                abs(sum(fr.g_jets[i, j].partial1(n + k) * y[k] for k in range(n)))
+                for i in range(n)
+                for j in range(n)
+            )
+            sweep.add(p, dyg, float(np.max(np.abs(fr.g))))
+            frs = point_frame(F, ps)
+            sweep.add(p, float(np.max(np.abs(frs.G - t * t * fr.G))),
+                      float(np.max(np.abs(frs.G))))
+            sweep.add(p, float(np.max(np.abs(frs.N - t * fr.N))),
+                      float(np.max(np.abs(frs.N))))
+            sweep.add(p, float(np.max(np.abs(frs.Rhat - t * fr.Rhat))),
+                      float(np.max(np.abs(frs.Rhat))))
+            sweep.add(p, float(np.max(np.abs(frs.g - fr.g))),
+                      float(np.max(np.abs(fr.g))))
     return sweep.result(len(pts), tol)
 
 
@@ -250,8 +251,8 @@ def _check_torsion(F, pts, tol, floor, seed):
         for i in range(n):
             for j in range(n):
                 for k in range(j + 1, n):
-                    a = fr.N_jets[i][j].partial1(n + k)
-                    b = fr.N_jets[i][k].partial1(n + j)
+                    a = fr.N_jets[i, j].partial1(n + k)
+                    b = fr.N_jets[i, k].partial1(n + j)
                     worst = max(worst, abs(a - b))
                     scale = max(scale, abs(a), abs(b))
         sweep.add(p, worst, scale)
@@ -560,23 +561,24 @@ def _check_randers(F, pts, tol, floor, seed):
     agree = True
     star_def = base_def = 0.0
     wit = None
-    for p in pts:
-        rep = picalc.drift_closedness_transfer(base, b_fn, p, star=star)
-        sweep.add(p, rep.identity_residual, rep.base_form_scale)
-        sweep.add(p, rep.dual_path_residual, rep.base_form_scale)
-        sweep.add(p, abs(rep.ell_pairing), 1.0)
-        sweep.add(p, abs(rep.star_ell_pairing), 1.0)
-        literal = max(literal, rep.literal_residual)
-        s_vanish = rep.star_defect < max(tol * rep.base_form_scale, tol)
-        b_vanish = rep.base_defect < max(tol * rep.base_form_scale, tol)
-        s_big = rep.star_defect > floor
-        b_big = rep.base_defect > floor
-        ok = (s_vanish and b_vanish) or (s_big and b_big)
-        if not ok:
-            agree = False
-            wit = _witness(p, max(rep.star_defect, rep.base_defect))
-        star_def = max(star_def, rep.star_defect)
-        base_def = max(base_def, rep.base_defect)
+    with local_frames(base if star is F else star, pts):
+        for p in pts:
+            rep = picalc.drift_closedness_transfer(base, b_fn, p, star=star)
+            sweep.add(p, rep.identity_residual, rep.base_form_scale)
+            sweep.add(p, rep.dual_path_residual, rep.base_form_scale)
+            sweep.add(p, abs(rep.ell_pairing), 1.0)
+            sweep.add(p, abs(rep.star_ell_pairing), 1.0)
+            literal = max(literal, rep.literal_residual)
+            s_vanish = rep.star_defect < max(tol * rep.base_form_scale, tol)
+            b_vanish = rep.base_defect < max(tol * rep.base_form_scale, tol)
+            s_big = rep.star_defect > floor
+            b_big = rep.base_defect > floor
+            ok = (s_vanish and b_vanish) or (s_big and b_big)
+            if not ok:
+                agree = False
+                wit = _witness(p, max(rep.star_defect, rep.base_defect))
+            star_def = max(star_def, rep.star_defect)
+            base_def = max(base_def, rep.base_defect)
     details = {
         "precondition_db": pre,
         "literal_residual_max": literal,
@@ -605,20 +607,21 @@ def _check_conformal(F, pts, tol, floor, seed):
     breakage = 0.0
     wit = None
     pred_applicable = 0
-    for p in pts:
-        rep_c = picalc.conformal_closedness_transfer(F, X, sig_const, p,
-                                                     tilde=tilde_const)
-        sweep.add(p, rep_c.scaling_residual, rep_c.scale)
-        sweep.add(p, rep_c.leibniz_residual, rep_c.scale)
-        rep_l = picalc.conformal_closedness_transfer(F, X, sig_lin, p,
-                                                     tilde=tilde_lin)
-        sweep.add(p, rep_l.leibniz_residual, rep_l.scale)
-        if rep_l.tilde_base_defect < tol * rep_l.scale:
-            pred_applicable += 1
-            sweep.add(p, rep_l.prediction_residual, rep_l.scale)
-        if rep_l.actual_defect > breakage:
-            breakage = rep_l.actual_defect
-            wit = _witness(p, breakage)
+    with local_frames(tilde_const, pts), local_frames(tilde_lin, pts):
+        for p in pts:
+            rep_c = picalc.conformal_closedness_transfer(F, X, sig_const, p,
+                                                         tilde=tilde_const)
+            sweep.add(p, rep_c.scaling_residual, rep_c.scale)
+            sweep.add(p, rep_c.leibniz_residual, rep_c.scale)
+            rep_l = picalc.conformal_closedness_transfer(F, X, sig_lin, p,
+                                                         tilde=tilde_lin)
+            sweep.add(p, rep_l.leibniz_residual, rep_l.scale)
+            if rep_l.tilde_base_defect < tol * rep_l.scale:
+                pred_applicable += 1
+                sweep.add(p, rep_l.prediction_residual, rep_l.scale)
+            if rep_l.actual_defect > breakage:
+                breakage = rep_l.actual_defect
+                wit = _witness(p, breakage)
     details = {
         "breakage_defect_max": breakage,
         "prediction_applicable_points": pred_applicable,
@@ -704,4 +707,5 @@ def run_check(check_id: str, F: FinslerStructure, pts, tol: float, floor: float,
 def run_checks(F: FinslerStructure, ids, points: int, seed: int, tol: float,
                floor: float) -> list:
     pts = F.sample(points, seed)
+    frames = point_frames(F, pts)  # noqa: F841 -- one batch serves every check
     return [run_check(cid, F, pts, tol, floor, seed) for cid in sorted(ids)]

@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapabilityError, DegenerateFieldError
+from .jets import Jet
 
 
 class PiVectorField:
@@ -71,9 +72,9 @@ class GradientField(PiVectorField):
         df = frame.delta_jets(fj)
         out = []
         for i in range(n):
-            acc = frame.ginv_jets[i][0] * df[0]
+            acc = frame.ginv_jets[i, 0] * df[0]
             for k in range(1, n):
-                acc = acc + frame.ginv_jets[i][k] * df[k]
+                acc = acc + frame.ginv_jets[i, k] * df[k]
             out.append(acc.truncated(order))
         return out
 
@@ -101,28 +102,19 @@ class DriftCompanionField(PiVectorField):
 
     It is g-orthogonal to the canonical field eta by construction. The
     components are read through whatever frame evaluates them, so the same
-    object serves a base structure and its Randers change.
+    object serves a base structure and its Randers change, and every
+    companion of one b shares the frames' cached jets of b.
     """
 
     def __init__(self, b_fn, name: str = None):
         self.b_fn = b_fn
         self.name = name or "m"
-        self._comps = None
-
-    def _component_callables(self, n: int):
-        if self._comps is None:
-            b_fn = self.b_fn
-            self._comps = [
-                (lambda i: (lambda x, y: b_fn(x)[i]))(i) for i in range(n)
-            ]
-        return self._comps
 
     def jets(self, frame, order: int):
         if order > 1:
             raise CapabilityError("drift companion components carry jets up to order 1")
         n = frame.n
-        comps = self._component_callables(n)
-        b = [frame.field_jet(c, order) for c in comps]
+        b = [frame.field_jet(Positional(self.b_fn, i), order) for i in range(n)]
         yj = [frame.field_jet(_coord_y(i), order) for i in range(n)]
         alpha = b[0] * yj[0]
         for i in range(1, n):
@@ -131,11 +123,33 @@ class DriftCompanionField(PiVectorField):
         scale = alpha / (Lj * Lj)
         out = []
         for i in range(n):
-            acc = frame.ginv_jets[i][0].truncated(order) * b[0]
+            acc = frame.ginv_jets[i, 0].truncated(order) * b[0]
             for k in range(1, n):
-                acc = acc + frame.ginv_jets[i][k].truncated(order) * b[k]
+                acc = acc + frame.ginv_jets[i, k].truncated(order) * b[k]
             out.append(acc - scale * yj[i])
         return out
+
+
+class Positional:
+    """The scalar field (x, y) -> fn(x), or fn(x)[i], of a function of the
+    base point. Instances of one (fn, i) are equal, so a frame's field-jet
+    cache holds one jet for all of them."""
+
+    __slots__ = ("fn", "i")
+
+    def __init__(self, fn, i: int = None):
+        self.fn = fn
+        self.i = i
+
+    def __call__(self, x, y):
+        value = self.fn(x)
+        return value if self.i is None else value[self.i]
+
+    def __eq__(self, other):
+        return isinstance(other, Positional) and (self.fn, self.i) == (other.fn, other.i)
+
+    def __hash__(self):
+        return hash((self.fn, self.i))
 
 
 _COORD_Y = {}
@@ -160,13 +174,13 @@ class ProjectedField(PiVectorField):
     def jets(self, frame, order: int):
         n = frame.n
         Xj = self.X.jets(frame, order)
-        vj = [frame.field_jet((lambda c: (lambda x, y: c))(v), order) for v in self.vec]
+        vj = [Jet.constant(2 * n, order, v) for v in self.vec]
         # g(v, X) and g(X, X) as jets
         gvx = None
         gxx = None
         for i in range(n):
             for j in range(n):
-                gij = frame.g_jets[i][j].truncated(order)
+                gij = frame.g_jets[i, j].truncated(order)
                 tvx = gij * (vj[i] * Xj[j])
                 txx = gij * (Xj[i] * Xj[j])
                 gvx = tvx if gvx is None else gvx + tvx

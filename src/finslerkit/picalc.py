@@ -19,6 +19,7 @@ from .fields import (
     GradientField,
     PiForm,
     PiVectorField,
+    Positional,
     ProjectedField,
     _perm_sign,
 )
@@ -137,11 +138,19 @@ def dbar_1_on_fields(F, omega: PiForm, X: PiVectorField, Y: PiVectorField,
     wX = pair(wjets, Xj)
     first = sum(xv * fr.delta_values(wY)) if wY is not None else 0.0
     second = sum(yv * fr.delta_values(wX)) if wX is not None else 0.0
-    dX = [fr.delta_values(jet) for jet in Xj]
-    dY = [fr.delta_values(jet) for jet in Yj]
-    bracket = np.array([sum(xv * dY[m] - yv * dX[m]) for m in range(n)])
+    bracket = _bracket(fr, Xj, Yj)
     wvals = np.array([0.0 if wjets[k] is None else wjets[k].value for k in range(n)])
     return float(first - second - wvals @ bracket)
+
+
+def _bracket(frame: PointFrame, Xjets, Yjets) -> np.ndarray:
+    """rho[bX, bY]^m = X^k delta_k Y^m - Y^k delta_k X^m, the base part of
+    the bracket of the horizontal lifts, from order-1 component jets."""
+    xv = np.array([j.value for j in Xjets])
+    yv = np.array([j.value for j in Yjets])
+    dX = [frame.delta_values(jet) for jet in Xjets]
+    dY = [frame.delta_values(jet) for jet in Yjets]
+    return np.array([sum(xv * dY[m] - yv * dX[m]) for m in range(len(Xjets))])
 
 
 # -- the operator A_X ----------------------------------------------------------
@@ -168,9 +177,9 @@ def _lowered_jets(frame: PointFrame, Xjets) -> list:
     n = frame.n
     out = []
     for k in range(n):
-        acc = frame.g_jets[k][0].truncated(1) * Xjets[0]
+        acc = frame.g_jets[k, 0].truncated(1) * Xjets[0]
         for m in range(1, n):
-            acc = acc + frame.g_jets[k][m].truncated(1) * Xjets[m]
+            acc = acc + frame.g_jets[k, m].truncated(1) * Xjets[m]
         out.append(acc)
     return out
 
@@ -384,9 +393,7 @@ def involutivity_report(F, X: PiVectorField, p: ChartPoint) -> InvolutivityRepor
             Yb = basis[b].jets(fr, 1)
             av = np.array([j.value for j in Ya])
             bv = np.array([j.value for j in Yb])
-            dA = [fr.delta_values(jet) for jet in Ya]
-            dB = [fr.delta_values(jet) for jet in Yb]
-            bracket = np.array([sum(av * dB[m] - bv * dA[m]) for m in range(n)])
+            bracket = _bracket(fr, Ya, Yb)
             lhs = float(bracket @ g @ xv)
             rhs = float((A @ bv) @ g @ av - (A @ av) @ g @ bv)
             pairs.append(lhs)
@@ -550,7 +557,7 @@ def conformal_closedness_transfer(F: FinslerStructure, X: PiVectorField, sigma,
     base_matrix = _dbar_matrix(fr, w)
     tilde_of_base = _dbar_matrix(frt, w)
 
-    sig_jet = fr.field_jet(lambda x, y: sig_fn(x), 1)
+    sig_jet = fr.field_jet(Positional(sig_fn), 1)
     sig = sig_jet.value
     dsig = np.array([sig_jet.partial1(i) for i in range(n)])
     wedge = 2.0 * np.exp(2.0 * sig) * (np.outer(dsig, wv) - np.outer(wv, dsig))

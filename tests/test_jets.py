@@ -25,6 +25,9 @@ from finslerkit.jets import (
     sin,
     sqrt,
 )
+from finslerkit.structures import by_name
+
+from conftest import CATALOG_NAMES
 
 P = ChartPoint(x=(0.3, -0.7), y=(1.1, 0.4))
 
@@ -248,6 +251,79 @@ class TestStackedJets:
         stacked = jet.partial_jet(range(2, 4))
         for s, slot in enumerate(range(2, 4)):
             assert np.array_equal(stacked[s].coeffs, jet.partial_jet(slot).coeffs)
+
+
+STACKED_FUNCTIONS = {
+    "sqrt": sqrt,
+    "powr": lambda u: powr(u, -1.25),
+    "exp": exp,
+    "log": log,
+    "sin": sin,
+    "cos": cos,
+    "reciprocal": lambda u: 1.0 / u,
+}
+
+
+class TestStackedFunctions:
+    @given(st.sampled_from(sorted(STACKED_FUNCTIONS)), st.sampled_from([4, 6]),
+           st.integers(1, MAX_ORDER), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_stacked_function_is_componentwise_bit_for_bit(self, name, nvars, order, seed):
+        rng = np.random.default_rng(seed)
+        shape = (2, 3, math.comb(nvars + order, order))
+        c = rng.standard_normal(shape)
+        c[rng.random(shape) < 0.2] = 0.0
+        # positive value parts of varied size, as sqrt, powr and log need
+        c[..., 0] = rng.uniform(0.05, 3.0, (2, 3)) * 10.0 ** rng.integers(-2, 3, (2, 3))
+        fn = STACKED_FUNCTIONS[name]
+        out = fn(Jet(nvars, order, c))
+        assert out.coeffs.shape == shape
+        for idx in np.ndindex(2, 3):
+            single = fn(Jet(nvars, order, c[idx]))
+            assert single.coeffs.tobytes() == out.coeffs[idx].tobytes(), (name, idx)
+
+    def test_an_invalid_entry_raises_for_the_stack(self):
+        c = np.zeros((3, 5))
+        c[:, 0] = [1.0, -2.0, 3.0]
+        with pytest.raises(NumericalError, match="got -2.0"):
+            sqrt(Jet(4, 1, c))
+        c[1, 0] = 0.0
+        with pytest.raises(NumericalError, match="zero value part"):
+            1.0 / Jet(4, 1, c)
+
+
+def _probe_polynomial(x, y):
+    return 0.3 * x[0] + x[1] * y[0] - 0.7 * (y[1] * y[1]) * x[0] + 1.5
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+    def test_probe_polynomial_stack_equals_each_point(self, order):
+        pts = by_name("sphere2").sample(12, seed=4)
+        stack = jet_eval(_probe_polynomial, pts, order)
+        assert stack.order == order
+        for i, p in enumerate(pts):
+            assert jet_eval(_probe_polynomial, p, order).coeffs.tobytes() \
+                == stack.coeffs[i].tobytes()
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"])
+    def test_lagrangian_stack_equals_each_point(self, name):
+        s = by_name(name)
+        pts = s.sample(12, seed=4)
+        stack = jet_eval(s.L, pts, MAX_ORDER)
+        for i, p in enumerate(pts):
+            assert jet_eval(s.L, p, MAX_ORDER).coeffs.tobytes() == stack.coeffs[i].tobytes()
+
+    def test_constant_field_is_a_stack_of_constants(self):
+        pts = by_name("euclidean2").sample(3, seed=4)
+        stack = jet_eval(lambda x, y: 2.5, pts, 2)
+        for i in range(3):
+            assert stack.coeffs[i].tobytes() == Jet.constant(4, 2, 2.5).coeffs.tobytes()
+
+    def test_a_bad_point_raises_for_the_stack(self):
+        pts = [ChartPoint((0.0, 0.0), (1.0, 0.5)), ChartPoint((0.0, 0.0), (0.5, 1.0))]
+        with pytest.raises(NumericalError, match="got -0.75"):
+            jet_eval(lambda x, y: sqrt(y[0] * y[0] - y[1] * y[1]), pts, 1)
 
 
 class TestOrderSemantics:
