@@ -25,7 +25,6 @@ from .fields import (
     PiForm,
     PiVectorField,
     ProjectedField,
-    ScaledField,
     constant_field,
     tautological_field,
 )

@@ -408,8 +408,7 @@ def _check_thm26(F, pts, tol, floor, seed):
     fields = _probe_fields(F, seed, 26)
     for p in pts:
         for X in fields:
-            M = picalc.flat_form_matrix(F, X, p)
-            B = picalc.selfadjoint_matrix(F, X, p)
+            M, B = picalc.flat_form_and_selfadjoint_matrix(F, X, p)
             scale = max(float(np.max(np.abs(M))), float(np.max(np.abs(B - B.T))))
             sweep.add(p, float(np.max(np.abs(M - (B.T - B)))), scale)
     return sweep.result(len(pts), tol)

@@ -1,13 +1,11 @@
 """Vector fields and forms along the projection, plus probe-field builders.
 
 A pi-vector field is given by its chart components X^i(x, y). The classes
-here only know how to produce component jets on a PointFrame; all calculus
-on them lives in `picalc`.
+here only know how to produce the stacked jet of those components on a
+PointFrame; all calculus on them lives in `picalc`.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
@@ -18,11 +16,13 @@ from .jets import Jet
 class PiVectorField:
     """Base class: components along the pullback bundle."""
 
-    def jets(self, frame, order: int):
+    def jets(self, frame, order: int) -> Jet:
+        """The components X^i as one (..., n) stack of jets: the component
+        axis is the last tensor axis, after the point axis of a batch frame."""
         raise NotImplementedError
 
     def values(self, frame) -> np.ndarray:
-        return np.array([jet.value for jet in self.jets(frame, 1)])
+        return self.jets(frame, 1).value.copy()
 
 
 class ComponentField(PiVectorField):
@@ -32,8 +32,8 @@ class ComponentField(PiVectorField):
         self.components = tuple(components)
         self.name = name
 
-    def jets(self, frame, order: int):
-        return [frame.field_jet(c, order) for c in self.components]
+    def jets(self, frame, order: int) -> Jet:
+        return Jet.stack([frame.field_jet(c, order) for c in self.components])
 
     def __repr__(self):
         return f"ComponentField({self.name or len(self.components)})"
@@ -64,35 +64,14 @@ class GradientField(PiVectorField):
         self.f = f
         self.name = name
 
-    def jets(self, frame, order: int):
+    def jets(self, frame, order: int) -> Jet:
         if order > 1:
             raise CapabilityError("gradient components carry jets up to order 1")
-        n = frame.n
-        fj = frame.field_jet(self.f, 2)
-        df = frame.delta_jets(fj)
-        out = []
-        for i in range(n):
-            acc = frame.ginv_jets[i, 0] * df[0]
-            for k in range(1, n):
-                acc = acc + frame.ginv_jets[i, k] * df[k]
-            out.append(acc.truncated(order))
-        return out
+        df = frame.delta_jets(frame.field_jet(self.f, 2))
+        return (frame.ginv_jets * df[..., None, :, :]).sum_last().truncated(order)
 
     def __repr__(self):
         return f"GradientField({self.name or self.f!r})"
-
-
-class ScaledField(PiVectorField):
-    """Pointwise scaling tau(x, y) * X of another field."""
-
-    def __init__(self, scalar, base: PiVectorField, name: str = None):
-        self.scalar = scalar
-        self.base = base
-        self.name = name
-
-    def jets(self, frame, order: int):
-        s = frame.field_jet(self.scalar, order)
-        return [s * jet for jet in self.base.jets(frame, order)]
 
 
 class DriftCompanionField(PiVectorField):
@@ -110,24 +89,17 @@ class DriftCompanionField(PiVectorField):
         self.b_fn = b_fn
         self.name = name or "m"
 
-    def jets(self, frame, order: int):
+    def jets(self, frame, order: int) -> Jet:
         if order > 1:
             raise CapabilityError("drift companion components carry jets up to order 1")
         n = frame.n
-        b = [frame.field_jet(Positional(self.b_fn, i), order) for i in range(n)]
-        yj = [frame.field_jet(_coord_y(i), order) for i in range(n)]
-        alpha = b[0] * yj[0]
-        for i in range(1, n):
-            alpha = alpha + b[i] * yj[i]
+        b = Jet.stack([frame.field_jet(Positional(self.b_fn, i), order) for i in range(n)])
+        yj = Jet.variable(2 * n, 1, range(n, 2 * n), frame._y()).truncated(order)
+        alpha = (b * yj).sum_last()
         Lj = frame.L_jet.truncated(order)
         scale = alpha / (Lj * Lj)
-        out = []
-        for i in range(n):
-            acc = frame.ginv_jets[i, 0].truncated(order) * b[0]
-            for k in range(1, n):
-                acc = acc + frame.ginv_jets[i, k].truncated(order) * b[k]
-            out.append(acc - scale * yj[i])
-        return out
+        acc = (frame.ginv_jets.truncated(order) * b[..., None, :, :]).sum_last()
+        return acc - scale[..., None, :] * yj
 
 
 class Positional:
@@ -152,17 +124,6 @@ class Positional:
         return hash((self.fn, self.i))
 
 
-_COORD_Y = {}
-
-
-def _coord_y(i: int):
-    fn = _COORD_Y.get(i)
-    if fn is None:
-        fn = (lambda k: (lambda x, y: y[k]))(i)
-        _COORD_Y[i] = fn
-    return fn
-
-
 class ProjectedField(PiVectorField):
     """g-orthogonal projection of a constant vector away from a field X."""
 
@@ -171,24 +132,19 @@ class ProjectedField(PiVectorField):
         self.X = X
         self.name = name
 
-    def jets(self, frame, order: int):
+    def jets(self, frame, order: int) -> Jet:
         n = frame.n
         Xj = self.X.jets(frame, order)
-        vj = [Jet.constant(2 * n, order, v) for v in self.vec]
-        # g(v, X) and g(X, X) as jets
-        gvx = None
-        gxx = None
-        for i in range(n):
-            for j in range(n):
-                gij = frame.g_jets[i, j].truncated(order)
-                tvx = gij * (vj[i] * Xj[j])
-                txx = gij * (Xj[i] * Xj[j])
-                gvx = tvx if gvx is None else gvx + tvx
-                gxx = txx if gxx is None else gxx + txx
-        if abs(gxx.value) < 1e-18:
+        vj = Jet.constant(2 * n, order, np.array(self.vec))
+        # g(v, X) and g(X, X) as jets, adding the terms in row-major (i, j) order
+        i, j = np.divmod(np.arange(n * n), n)
+        gij = frame.g_jets.truncated(order)[..., i, j, :]
+        gvx = (gij * (vj[..., i, :] * Xj[..., j, :])).sum_last()
+        gxx = (gij * (Xj[..., i, :] * Xj[..., j, :])).sum_last()
+        if np.any(np.abs(gxx.value) < 1e-18):
             raise DegenerateFieldError("cannot project: X has vanishing g-norm")
         lam = gvx / gxx
-        return [vj[i] - lam * Xj[i] for i in range(n)]
+        return vj - lam[..., None, :] * Xj
 
 
 class PiForm:
@@ -211,10 +167,6 @@ class PiForm:
                 raise ValueError(f"component key {key} is not a strict increasing tuple")
 
     @classmethod
-    def from_scalar(cls, n: int, f) -> "PiForm":
-        return cls(n, 0, {(): f})
-
-    @classmethod
     def one_form(cls, n: int, comps) -> "PiForm":
         return cls(n, 1, {(i,): c for i, c in enumerate(comps)})
 
@@ -226,15 +178,6 @@ class PiForm:
         sign = _perm_sign(key)
         fn = self.components.get(order)
         return fn, sign
-
-    def keys(self):
-        return combinations(range(self.n), self.degree)
-
-    def jet(self, frame, key, order: int):
-        fn = self.components.get(tuple(key))
-        if fn is None:
-            return None
-        return frame.field_jet(fn, order)
 
 
 def _perm_sign(key) -> float:

@@ -205,11 +205,29 @@ class Jet:
             c[..., np.arange(slot.size), 1 + slot] = 1.0
         return cls(nvars, order, c)
 
+    @classmethod
+    def stack(cls, jets) -> "Jet":
+        """One stack of jets of one order: `out[..., i, :]` is `jets[i]`, so
+        the new axis comes after the leading axes the jets share."""
+        first = jets[0]
+        return cls(first.nvars, first.order, np.stack([j.coeffs for j in jets], axis=-2))
+
     def __getitem__(self, key):
-        """Sub-jet of a stack over its leading axes, sharing coefficients."""
-        if self.coeffs.ndim == 1:
+        """Sub-jet of a stack over its leading axes, sharing coefficients. A
+        scalar jet takes only keys that begin with `...`, such as
+        `jet[..., None, :]`, which stands it against a stack."""
+        if self.coeffs.ndim == 1 and not (type(key) is tuple and key and key[0] is Ellipsis):
             raise TypeError("a scalar jet has no tensor axes to index")
         return Jet(self.nvars, self.order, self.coeffs[key])
+
+    def sum_last(self) -> "Jet":
+        """Sum of a stack over its last tensor axis, adding the terms in
+        index order: ((t_0 + t_1) + t_2) + ..."""
+        c = self.coeffs
+        acc = c[..., 0, :]
+        for k in range(1, c.shape[-2]):
+            acc = acc + c[..., k, :]
+        return Jet(self.nvars, self.order, acc)
 
     # -- readout ---------------------------------------------------------
 

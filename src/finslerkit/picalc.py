@@ -24,6 +24,7 @@ from .fields import (
     _perm_sign,
 )
 from .frame import PointFrame, point_frame
+from .jets import Jet
 from .structures import FinslerStructure, conformal_change, randers_change
 
 
@@ -118,39 +119,25 @@ def dbar_1_on_fields(F, omega: PiForm, X: PiVectorField, Y: PiVectorField,
     if omega.degree != 1:
         raise ValueError("dbar_1_on_fields expects a 1-form")
     fr = point_frame(F, p)
-    n = fr.n
     Xj = X.jets(fr, 1)
     Yj = Y.jets(fr, 1)
-    xv = np.array([j.value for j in Xj])
-    yv = np.array([j.value for j in Yj])
-    wjets = [omega.jet(fr, (k,), 1) for k in range(n)]
-
-    def pair(jets_w, jets_v):
-        acc = None
-        for k in range(n):
-            if jets_w[k] is None:
-                continue
-            term = jets_w[k] * jets_v[k]
-            acc = term if acc is None else acc + term
-        return acc
-
-    wY = pair(wjets, Yj)
-    wX = pair(wjets, Xj)
-    first = sum(xv * fr.delta_values(wY)) if wY is not None else 0.0
-    second = sum(yv * fr.delta_values(wX)) if wX is not None else 0.0
-    bracket = _bracket(fr, Xj, Yj)
-    wvals = np.array([0.0 if wjets[k] is None else wjets[k].value for k in range(n)])
-    return float(first - second - wvals @ bracket)
+    wvals = np.zeros(fr.n)
+    first = second = 0.0
+    ks = [k for (k,) in sorted(omega.components)]  # the components omega has
+    if ks:
+        w = Jet.stack([fr.field_jet(omega.components[(k,)], 1) for k in ks])
+        wvals[ks] = w.value
+        first = sum(Xj.value * fr.delta_values((w * Yj[..., ks, :]).sum_last()))
+        second = sum(Yj.value * fr.delta_values((w * Xj[..., ks, :]).sum_last()))
+    return float(first - second - wvals @ _bracket(fr, Xj, Yj))
 
 
-def _bracket(frame: PointFrame, Xjets, Yjets) -> np.ndarray:
+def _bracket(frame: PointFrame, Xj: Jet, Yj: Jet) -> np.ndarray:
     """rho[bX, bY]^m = X^k delta_k Y^m - Y^k delta_k X^m, the base part of
-    the bracket of the horizontal lifts, from order-1 component jets."""
-    xv = np.array([j.value for j in Xjets])
-    yv = np.array([j.value for j in Yjets])
-    dX = [frame.delta_values(jet) for jet in Xjets]
-    dY = [frame.delta_values(jet) for jet in Yjets]
-    return np.array([sum(xv * dY[m] - yv * dX[m]) for m in range(len(Xjets))])
+    the bracket of the horizontal lifts, from the order-1 jets of X and Y."""
+    terms = Xj.value[..., None, :] * frame.delta_values(Yj) \
+        - Yj.value[..., None, :] * frame.delta_values(Xj)  # [..., m, k]
+    return sum(np.moveaxis(terms, -1, 0))  # over k, in index order
 
 
 # -- the operator A_X ----------------------------------------------------------
@@ -160,35 +147,28 @@ def a_operator(F, X: PiVectorField, p: ChartPoint) -> np.ndarray:
     """(A_X)^i_j = delta_j X^i + F^i_kj X^k, the horizontal covariant
     derivative of X packaged as an endomorphism."""
     fr = point_frame(F, p)
-    return _nabla_h_matrix(fr, X)
+    return _nabla_h_matrix(fr, X.jets(fr, 1))
 
 
-def _nabla_h_matrix(fr: PointFrame, X: PiVectorField) -> np.ndarray:
-    jets = X.jets(fr, 1)
-    vals = np.array([jet.value for jet in jets])
-    out = np.array([fr.delta_values(jet) for jet in jets])
-    out += np.einsum("ikj,k->ij", fr.F, vals)
+def _nabla_h_matrix(fr: PointFrame, Xj: Jet) -> np.ndarray:
+    """(A_X)^i_j from the order-1 jets of X."""
+    out = fr.delta_values(Xj)
+    # a contiguous copy of the values: einsum may sum in another order over a view
+    out += np.einsum("ikj,k->ij", fr.F, Xj.value.copy())
     return out
 
 
-def _lowered_jets(frame: PointFrame, Xjets) -> list:
+def _lowered_jets(frame: PointFrame, Xj: Jet) -> Jet:
     """Order-1 jets of the lowered form w_k = g_km X^m, built in the frame's
-    own algebra from the component jets of X."""
-    n = frame.n
-    out = []
-    for k in range(n):
-        acc = frame.g_jets[k, 0].truncated(1) * Xjets[0]
-        for m in range(1, n):
-            acc = acc + frame.g_jets[k, m].truncated(1) * Xjets[m]
-        out.append(acc)
-    return out
+    own algebra from the jets of X."""
+    return (frame.g_jets.truncated(1) * Xj[..., None, :, :]).sum_last()
 
 
-def _dbar_matrix(frame: PointFrame, wjets) -> np.ndarray:
-    """(dbar w)_jk = delta_j w_k - delta_k w_j of a 1-form given by its
-    component jets, as an antisymmetric matrix."""
+def _dbar_matrix(frame: PointFrame, w: Jet) -> np.ndarray:
+    """(dbar w)_jk = delta_j w_k - delta_k w_j of a 1-form given by the
+    stacked jet of its components, as an antisymmetric matrix."""
     n = frame.n
-    d = np.array([frame.delta_values(wjets[k]) for k in range(n)])  # [k, j] = delta_j w_k
+    d = frame.delta_values(w)  # [k, j] = delta_j w_k
     out = np.zeros((n, n))
     for j in range(n):
         for k in range(j + 1, n):
@@ -198,36 +178,21 @@ def _dbar_matrix(frame: PointFrame, wjets) -> np.ndarray:
     return out
 
 
-def flat_form_matrix(F, X: PiVectorField, p: ChartPoint) -> np.ndarray:
-    """(dbar X^flat)_jk computed from component jets of g_km X^m."""
-    fr = point_frame(F, p)
-    return _dbar_matrix(fr, _lowered_jets(fr, X.jets(fr, 1)))
-
-
 def closedness_defect(F, X: PiVectorField, p: ChartPoint) -> float:
-    """max |(dbar X^flat)_jk|: zero exactly when X is closed at p."""
-    return float(np.max(np.abs(flat_form_matrix(F, X, p))))
-
-
-def selfadjoint_matrix(F, X: PiVectorField, p: ChartPoint) -> np.ndarray:
-    """B_jk = g_js (A_X)^s_k, the lowered operator; symmetry of B is
-    g-self-adjointness of A_X."""
+    """max |(dbar X^flat)_jk|, from the jets of g_km X^m: zero exactly when X
+    is closed at p."""
     fr = point_frame(F, p)
-    return fr.g @ _nabla_h_matrix(fr, X)
+    return float(np.max(np.abs(_dbar_matrix(fr, _lowered_jets(fr, X.jets(fr, 1))))))
 
 
-def selfadjoint_defect(F, X: PiVectorField, p: ChartPoint) -> float:
-    B = selfadjoint_matrix(F, X, p)
-    return float(np.max(np.abs(B - B.T)))
-
-
-def adjoint_identity_residual(F, X: PiVectorField, p: ChartPoint) -> float:
-    """Residual of (dbar X^flat)_jk = B_kj - B_jk, the bridge between
-    closedness of the lowered form and self-adjointness of A_X. Holds for
-    every field, closed or not."""
-    M = flat_form_matrix(F, X, p)
-    B = selfadjoint_matrix(F, X, p)
-    return float(np.max(np.abs(M - (B.T - B))))
+def flat_form_and_selfadjoint_matrix(F, X: PiVectorField, p: ChartPoint):
+    """(M, B) from one evaluation of the jets of X: M = dbar X^flat, and
+    B_jk = g_js (A_X)^s_k, the lowered operator, whose symmetry is
+    g-self-adjointness of A_X. M_jk = B_kj - B_jk holds for every field,
+    closed or not, which bridges the two."""
+    fr = point_frame(F, p)
+    Xj = X.jets(fr, 1)
+    return _dbar_matrix(fr, _lowered_jets(fr, Xj)), fr.g @ _nabla_h_matrix(fr, Xj)
 
 
 # -- second derivative and gradient identities ---------------------------------
@@ -268,7 +233,7 @@ def gradient_torsion_identity(F, f, p: ChartPoint) -> GradientIdentityResult:
     """For X = grad f: g_lk (A_X)^l_j - g_lj (A_X)^l_k = R^m_jk dy_m f."""
     fr = point_frame(F, p)
     n = fr.n
-    A = _nabla_h_matrix(fr, GradientField(f))
+    A = _nabla_h_matrix(fr, GradientField(f).jets(fr, 1))
     B = fr.g @ A
     lhs = B.T - B
     fj = fr.field_jet(f, 2)
@@ -318,9 +283,9 @@ def lie_metric_report(F, X: PiVectorField, p: ChartPoint) -> LieReport:
     fr = point_frame(F, p)
     n = fr.n
     Xj = X.jets(fr, 1)
-    xv = np.array([j.value for j in Xj])
+    xv = Xj.value.copy()
     dg = np.ascontiguousarray(fr._dg_jets.value.transpose(2, 0, 1))  # [k, i, j] = delta_k g_ij
-    dX = np.array([fr.delta_values(jet) for jet in Xj])  # [m, i] = delta_i X^m
+    dX = fr.delta_values(Xj)  # [m, i] = delta_i X^m
     lie = (
         np.einsum("k,kij->ij", xv, dg)
         + np.einsum("mj,mi->ij", fr.g, dX)
@@ -367,7 +332,7 @@ def involutivity_report(F, X: PiVectorField, p: ChartPoint) -> InvolutivityRepor
     fr = point_frame(F, p)
     n = fr.n
     Xj = X.jets(fr, 1)
-    xv = np.array([j.value for j in Xj])
+    xv = Xj.value.copy()
     xnorm2 = float(xv @ fr.g @ xv)
     if xnorm2 < 1e-18:
         raise DegenerateFieldError("involutivity probe needs a nonvanishing field")
@@ -376,23 +341,21 @@ def involutivity_report(F, X: PiVectorField, p: ChartPoint) -> InvolutivityRepor
     for a in range(n):
         e = np.zeros(n)
         e[a] = 1.0
-        Y = ProjectedField(e, X)
-        yv = Y.values(fr)
-        candidates.append((float(yv @ fr.g @ yv), a, Y))
+        Yj = ProjectedField(e, X).jets(fr, 1)
+        yv = Yj.value.copy()
+        candidates.append((float(yv @ fr.g @ yv), a, Yj, yv))
     candidates.sort(key=lambda t: (-t[0], t[1]))
-    basis = [Y for _, _, Y in candidates[: n - 1]]
+    basis = [(Yj, yv) for _, _, Yj, yv in candidates[: n - 1]]
 
-    A = _nabla_h_matrix(fr, X)
+    A = _nabla_h_matrix(fr, Xj)
     g = fr.g
     pairs = []
     residuals = []
     scale = 1.0
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
-            Ya = basis[a].jets(fr, 1)
-            Yb = basis[b].jets(fr, 1)
-            av = np.array([j.value for j in Ya])
-            bv = np.array([j.value for j in Yb])
+            Ya, av = basis[a]
+            Yb, bv = basis[b]
             bracket = _bracket(fr, Ya, Yb)
             lhs = float(bracket @ g @ xv)
             rhs = float((A @ bv) @ g @ av - (A @ av) @ g @ bv)
@@ -450,8 +413,8 @@ def drift_closedness_transfer(F: FinslerStructure, b, p: ChartPoint,
     m_field = DriftCompanionField(b_fn)
     mj = m_field.jets(fr, 1)
     msj = m_field.jets(frs, 1)
-    mv = np.array([j.value for j in mj])
-    msv = np.array([j.value for j in msj])
+    mv = mj.value.copy()
+    msv = msj.value.copy()
 
     tau = frs.L / fr.L
     omega_base = fr.g @ mv
@@ -467,7 +430,7 @@ def drift_closedness_transfer(F: FinslerStructure, b, p: ChartPoint,
     # jets of the shared form, built through each structure's own algebra
     w_base = _lowered_jets(fr, mj)
     tau_jet = frs.L_jet.truncated(1) / fr.L_jet.truncated(1)
-    w_star_scaled = [tau_jet * jet for jet in _lowered_jets(frs, msj)]
+    w_star_scaled = tau_jet[..., None, :] * _lowered_jets(frs, msj)
 
     star_of_scaled = _dbar_matrix(frs, w_star_scaled)
     star_of_base = _dbar_matrix(frs, w_base)
@@ -551,7 +514,7 @@ def conformal_closedness_transfer(F: FinslerStructure, X: PiVectorField, sigma,
 
     w = _lowered_jets(fr, Xj)
     wt = _lowered_jets(frt, Xjt)
-    wv = np.array([jet.value for jet in w])
+    wv = w.value.copy()
 
     actual = _dbar_matrix(frt, wt)
     base_matrix = _dbar_matrix(fr, w)

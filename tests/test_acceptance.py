@@ -84,8 +84,7 @@ def test_criterion_02_lowered_form_derivative_identity(capsys):
         probes = _probe_fields(s.n)
         for p in s.sample(NPTS, seed=SEED):
             for X in probes:
-                M = pc.flat_form_matrix(s, X, p)
-                B = pc.selfadjoint_matrix(s, X, p)
+                M, B = pc.flat_form_and_selfadjoint_matrix(s, X, p)
                 anti = B.T - B
                 scale = max(1.0, np.abs(M).max(), np.abs(anti).max())
                 worst = max(worst, np.abs(M - anti).max() / scale)

@@ -246,6 +246,18 @@ class TestStackedJets:
         with pytest.raises(TypeError):
             row[0]
 
+    def test_stack_and_sum_last_keep_index_order(self):
+        rng = np.random.default_rng(3)
+        terms = [Jet(4, 2, rng.standard_normal((5, 15)) * 10.0 ** k) for k in (8, -8, 0)]
+        stack = Jet.stack(terms)
+        assert stack.coeffs.shape == (5, 3, 15)
+        for i, t in enumerate(terms):
+            assert stack[..., i, :].coeffs.tobytes() == t.coeffs.tobytes()
+        expect = (terms[0] + terms[1]) + terms[2]
+        assert stack.sum_last().coeffs.tobytes() == expect.coeffs.tobytes()
+        scalar = terms[0][0]
+        assert scalar[..., None, :].coeffs.shape == (1, 15)
+
     def test_partial_jet_over_slots_stacks_the_partials(self):
         jet = jet_eval(lambda x, y: exp(x[0]) * y[1] ** 3, P, 3)
         stacked = jet.partial_jet(range(2, 4))

@@ -1,20 +1,22 @@
-"""The stacked PointFrame tower against its component-by-component
-reference in tower_oracle, and batched frames against standalone ones:
-every rung must agree exactly."""
+"""The stacked PointFrame tower and field calculus against their
+component-by-component reference in tower_oracle, and batched frames
+against standalone ones: every rung must agree exactly."""
 
 import numpy as np
 import pytest
 
 from finslerkit import checks, jets
+from finslerkit import picalc as pc
 from finslerkit import frame as frame_module
 from finslerkit.checks import _probe_fields, _probe_scalars, check_ids, run_checks
 from finslerkit.errors import FinslerError
-from finslerkit.fields import DriftCompanionField, Positional
+from finslerkit.fields import DriftCompanionField, Positional, ProjectedField
 from finslerkit.frame import PointFrame, jet_solve, local_frames, point_frame, point_frames
 from finslerkit.jets import Jet
 from finslerkit.structures import by_name, structure_from_spec
 
 from conftest import CATALOG_NAMES
+import tower_oracle as oracle
 from tower_oracle import ScalarTower, stack
 
 ALL_NAMES = CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"]
@@ -39,6 +41,53 @@ def test_stacked_rungs_equal_scalar_reference(name):
         assert np.array_equal(fr.Rhat, ref.Rhat), p
         assert np.array_equal(fr.hcurv, ref.hcurv), p
         assert fr.scalar == ref.scalar, p
+
+
+# -- pi-vector fields -----------------------------------------------------------------
+
+
+def _fields(s):
+    """Every field class the checks use: the thm2.6 probes (component
+    fields and gradients), a drift companion, and g-projections of the
+    coordinate directions away from two of the probes."""
+    probes = _probe_fields(s, 0, 26)
+    companion = DriftCompanionField(lambda x: [0.2] + [0.1 * x[0]] * (s.n - 1))
+    projected = [ProjectedField(np.eye(s.n)[a], X) for X in (probes[2], probes[5])
+                 for a in range(s.n)]
+    return probes + [companion] + projected
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_stacked_field_calculus_equals_component_reference(name):
+    s = by_name(name)
+    fields = _fields(s)
+    for p in s.sample(20, seed=0):
+        fr = PointFrame(s, p)
+        stacked = [X.jets(fr, 1) for X in fields]
+        listed = [oracle.field_jets(X, fr, 1) for X in fields]
+        for X, Xj, ref in zip(fields, stacked, listed):
+            assert Xj.coeffs.tobytes() == stack(ref).tobytes(), (X, p)
+            w, w_ref = pc._lowered_jets(fr, Xj), oracle.lowered_jets(fr, ref)
+            assert w.coeffs.tobytes() == stack(w_ref).tobytes(), (X, p)
+            assert pc._dbar_matrix(fr, w).tobytes() == oracle.dbar_matrix(fr, w_ref).tobytes()
+            assert (pc._nabla_h_matrix(fr, Xj).tobytes()
+                    == oracle.nabla_h_matrix(fr, ref).tobytes()), (X, p)
+        for a in range(len(fields)):
+            b = (a + 3) % len(fields)
+            assert (pc._bracket(fr, stacked[a], stacked[b]).tobytes()
+                    == oracle.bracket(fr, listed[a], listed[b]).tobytes()), (a, b, p)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_field_jets_on_a_batch_frame_equal_each_point(name):
+    s = by_name(name)
+    pts = s.sample(20, seed=0)
+    batch = PointFrame(s, tuple(pts))
+    for X in _fields(s):
+        whole = X.jets(batch, 1).coeffs
+        assert whole.shape == (len(pts), s.n, 2 * s.n + 1)
+        for i, p in enumerate(pts):
+            assert whole[i].tobytes() == X.jets(PointFrame(s, p), 1).coeffs.tobytes(), (X, p)
 
 
 # -- the point axis ----------------------------------------------------------------
@@ -71,8 +120,8 @@ def _requested_field_jets(s, frame):
         out += [frame.field_jet(f, order) for f in _probe_scalars(s, 0, tag)
                 for order in (1, 2)]
     for X in _probe_fields(s, 0, 26):
-        out += X.jets(frame, 1)
-    out += DriftCompanionField(lambda x: [0.2] + [0.1 * x[0]] * (s.n - 1)).jets(frame, 1)
+        out.append(X.jets(frame, 1))
+    out.append(DriftCompanionField(lambda x: [0.2] + [0.1 * x[0]] * (s.n - 1)).jets(frame, 1))
     out.append(frame.field_jet(Positional(lambda x: x[0]), 1))
     return [jet.coeffs.tobytes() for jet in out]
 

@@ -1,10 +1,13 @@
-"""Scalar reference for the stacked PointFrame tower.
+"""Scalar reference for the stacked PointFrame tower and field calculus.
 
 The frame builds each rung as one stacked jet. This module rebuilds the
 same rungs one component at a time from scalar jets, with the nested-list
 Gauss-Jordan solve and the per-component loops, in the same floating-point
 operation order. A stacked rung must equal its reference here exactly, not
-merely to round-off. Index conventions match the frame:
+merely to round-off. The same holds for the jets of pi-vector fields and
+for the `picalc` helpers built on them (`field_jets`, `lowered_jets`,
+`dbar_matrix`, `bracket`, `nabla_h_matrix` below), which take lists of
+scalar component jets. Index conventions match the frame:
 
     g_jets[i][j]        g_ij, order 2
     ginv_jets[i][j]     g^ij, order 1
@@ -18,7 +21,14 @@ from functools import cached_property
 
 import numpy as np
 
-from finslerkit.errors import SingularMetricError
+from finslerkit.errors import CapabilityError, DegenerateFieldError, SingularMetricError
+from finslerkit.fields import (
+    ComponentField,
+    DriftCompanionField,
+    GradientField,
+    Positional,
+    ProjectedField,
+)
 from finslerkit.jets import MAX_ORDER, Jet, jet_eval
 
 _PIVOT_FLOOR = 1e-120
@@ -215,3 +225,102 @@ def stack(nested):
     if isinstance(nested, Jet):
         return nested.coeffs
     return np.stack([stack(item) for item in nested])
+
+
+# -- pi-vector fields and their calculus, one component at a time ---------------
+
+
+def field_jets(X, frame, order):
+    """The order-`order` jets of the components of X, as a list of scalar
+    jets at a single-point frame."""
+    n = frame.n
+    if isinstance(X, ComponentField):
+        return [frame.field_jet(c, order) for c in X.components]
+    if isinstance(X, GradientField):
+        if order > 1:
+            raise CapabilityError("gradient components carry jets up to order 1")
+        df = frame.delta_jets(frame.field_jet(X.f, 2))
+        out = []
+        for i in range(n):
+            acc = frame.ginv_jets[i, 0] * df[0]
+            for k in range(1, n):
+                acc = acc + frame.ginv_jets[i, k] * df[k]
+            out.append(acc.truncated(order))
+        return out
+    if isinstance(X, DriftCompanionField):
+        if order > 1:
+            raise CapabilityError("drift companion components carry jets up to order 1")
+        b = [frame.field_jet(Positional(X.b_fn, i), order) for i in range(n)]
+        yj = [jet_eval((lambda k: lambda x, y: y[k])(i), frame.point, order)
+              for i in range(n)]
+        alpha = b[0] * yj[0]
+        for i in range(1, n):
+            alpha = alpha + b[i] * yj[i]
+        Lj = frame.L_jet.truncated(order)
+        scale = alpha / (Lj * Lj)
+        out = []
+        for i in range(n):
+            acc = frame.ginv_jets[i, 0].truncated(order) * b[0]
+            for k in range(1, n):
+                acc = acc + frame.ginv_jets[i, k].truncated(order) * b[k]
+            out.append(acc - scale * yj[i])
+        return out
+    if isinstance(X, ProjectedField):
+        Xj = field_jets(X.X, frame, order)
+        vj = [Jet.constant(2 * n, order, v) for v in X.vec]
+        gvx = None
+        gxx = None
+        for i in range(n):
+            for j in range(n):
+                gij = frame.g_jets[i, j].truncated(order)
+                tvx = gij * (vj[i] * Xj[j])
+                txx = gij * (Xj[i] * Xj[j])
+                gvx = tvx if gvx is None else gvx + tvx
+                gxx = txx if gxx is None else gxx + txx
+        if abs(gxx.value) < 1e-18:
+            raise DegenerateFieldError("cannot project: X has vanishing g-norm")
+        lam = gvx / gxx
+        return [vj[i] - lam * Xj[i] for i in range(n)]
+    raise TypeError(f"no reference for {type(X).__name__}")
+
+
+def lowered_jets(frame, Xjets):
+    """Jets of w_k = g_km X^m from component jets."""
+    n = frame.n
+    out = []
+    for k in range(n):
+        acc = frame.g_jets[k, 0].truncated(1) * Xjets[0]
+        for m in range(1, n):
+            acc = acc + frame.g_jets[k, m].truncated(1) * Xjets[m]
+        out.append(acc)
+    return out
+
+
+def dbar_matrix(frame, wjets):
+    """(dbar w)_jk = delta_j w_k - delta_k w_j from component jets."""
+    n = frame.n
+    d = np.array([frame.delta_values(wjets[k]) for k in range(n)])  # [k, j] = delta_j w_k
+    out = np.zeros((n, n))
+    for j in range(n):
+        for k in range(j + 1, n):
+            v = d[k, j] - d[j, k]
+            out[j, k] = v
+            out[k, j] = -v
+    return out
+
+
+def bracket(frame, Xjets, Yjets):
+    """rho[bX, bY]^m = X^k delta_k Y^m - Y^k delta_k X^m from component jets."""
+    xv = np.array([j.value for j in Xjets])
+    yv = np.array([j.value for j in Yjets])
+    dX = [frame.delta_values(jet) for jet in Xjets]
+    dY = [frame.delta_values(jet) for jet in Yjets]
+    return np.array([sum(xv * dY[m] - yv * dX[m]) for m in range(len(Xjets))])
+
+
+def nabla_h_matrix(frame, Xjets):
+    """(A_X)^i_j = delta_j X^i + F^i_kj X^k from component jets."""
+    vals = np.array([jet.value for jet in Xjets])
+    out = np.array([frame.delta_values(jet) for jet in Xjets])
+    out += np.einsum("ikj,k->ij", frame.F, vals)
+    return out
