@@ -1,11 +1,18 @@
 """The verification check registry.
 
 Each check registers itself with @check(id, anchor), the one place its id
-and formula anchor are stated; run_check stamps both on the result. Each
-check sweeps sample points (and probe fields where relevant) on one
-structure and reduces to a CheckResult. Identity checks compare at a
-relative tolerance against max(1, |LHS|, |RHS|); nonvanishing claims use
-an absolute floor and carry a witness point.
+and formula anchor are stated; run_check stamps both on the result.
+
+A check is a reduction over the point axis. The sample `pts` is a tuple,
+and a check runs its calculus once on its batch frame `point_frame(F, pts)`
+(and on each probe field): every identity it tests gives one array of
+residuals and one of scales, with an entry per point, and the check reduces
+those arrays to a CheckResult. The reductions pick the maximum and the
+witness point that adding the residuals one point at a time, in sample
+order, would pick. Identity checks compare at a relative tolerance against
+max(1, |LHS|, |RHS|); nonvanishing claims use an absolute floor and carry a
+witness point. An error inside a check is located at the first point where
+the check fails on its own (run_check).
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ from . import connections, curvature, picalc
 from .chart import ChartPoint
 from .errors import FinslerError
 from .fields import ComponentField, GradientField, constant_field
-from .frame import local_frames, point_frame, point_frames
+from .frame import dot, local_batch, matvec, max_abs, point_frame, pymax
 from .jets import fd_partial, jet_eval
-from .structures import FinslerStructure, randers_change
+from .structures import FinslerStructure, conformal_change, randers_change
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -45,28 +52,65 @@ def _witness(p: ChartPoint, value: float) -> dict:
     return {"x": list(p.x), "y": list(p.y), "value": float(value)}
 
 
+def _last_max(residual, scale, keep):
+    """Worst relative residual rel = residual / max(1, scale) and its flat
+    index, in row-major order, as a running `rel >= best` from best = 0.0
+    finds them: the last entry equal to the maximum wins, a NaN never wins,
+    a NaN scale counts as 1 (Python's max(1.0, nan) is 1.0), and entries
+    where `keep` is False are skipped. (0.0, None) when no entry wins."""
+    with np.errstate(invalid="ignore"):  # inf / inf is a NaN, which never wins
+        rel = residual / np.fmax(1.0, scale)
+    wins = keep & (rel >= 0.0)
+    if not wins.any():
+        return 0.0, None
+    k = np.flatnonzero(wins & (rel == rel[wins].max()))[-1]
+    return float(rel.flat[k]), int(k)
+
+
+def _first_max(values):
+    """Largest value and its flat index, in row-major order, as a running
+    `value > best` from best = 0.0 finds them: the first entry equal to the
+    maximum wins, and NaNs and values <= 0 never do. (0.0, None) when no
+    entry wins; the value alone is the running max(best, value)."""
+    values = np.asarray(values, dtype=float)
+    wins = values > 0.0
+    if not wins.any():
+        return 0.0, None
+    k = np.flatnonzero(values == values[wins].max())[0]
+    return float(values.flat[k]), int(k)
+
+
 class _Sweep:
-    """Tracks the worst relative residual and its witness over a sweep."""
+    """The worst relative residual of a sweep and its witness point.
 
-    def __init__(self):
-        self.max_residual = 0.0
-        self.witness = None
-        self.failed_point = None
+    Each `add` appends per-point columns: a residual array over the points
+    (a (P, k) array appends k columns), its scale, and where the add applies
+    (`keep`). `result` reduces the (P, C) matrix in point-major order, the
+    order of one scalar add per point and column, so the last point with the
+    maximum is the witness."""
 
-    def add(self, p: ChartPoint, residual: float, scale: float = 1.0):
-        rel = residual / max(1.0, scale)
-        if rel >= self.max_residual:
-            self.max_residual = rel
-            self.witness = _witness(p, residual)
+    def __init__(self, pts):
+        self.pts = pts
+        self.columns = []
+
+    def add(self, residual, scale=1.0, keep=True):
+        P = len(self.pts)
+        scale, keep = (np.reshape(v, (P, -1)) if np.ndim(v) else v for v in (scale, keep))
+        self.columns.append(np.broadcast_arrays(np.reshape(residual, (P, -1)), scale, keep))
 
     def result(self, n_points: int, tol: float, details: dict = None) -> CheckResult:
-        verdict = PASS if self.max_residual < tol else FAIL
+        residual, scale, keep = (np.concatenate(part, axis=1) for part in zip(*self.columns))
+        max_residual, k = _last_max(residual, scale, keep)
+        verdict = PASS if max_residual < tol else FAIL
+        witness = None
+        if verdict == FAIL and k is not None:
+            witness = _witness(self.pts[k // residual.shape[1]], residual.flat[k])
         return CheckResult(
             n_points=n_points,
-            max_residual=self.max_residual,
+            max_residual=max_residual,
             threshold=tol,
             verdict=verdict,
-            witness=self.witness if verdict == FAIL else None,
+            witness=witness,
             details=details or {},
         )
 
@@ -174,88 +218,76 @@ def _probe_scalars(F: FinslerStructure, seed: int, tag: int):
 
 @check("struct.homogeneity", "L(x,ty)=tL: g degree 0, N and R degree 1, G degree 2 in y")
 def _check_homogeneity(F, pts, tol, floor, seed):
-    sweep = _Sweep()
+    sweep = _Sweep(pts)
     t = 1.75
     scaled = [ChartPoint(p.x, tuple(t * v for v in p.y)) for p in pts]
-    with local_frames(F, scaled):
-        for p, ps in zip(pts, scaled):
-            fr = point_frame(F, p)
-            n = fr.n
-            y = np.array(p.y)
-            sweep.add(p, abs(float(fr.ell @ y) - fr.L), fr.L)
-            dyg = max(
-                abs(sum(fr.g_jets[i, j].partial1(n + k) * y[k] for k in range(n)))
-                for i in range(n)
-                for j in range(n)
-            )
-            sweep.add(p, dyg, float(np.max(np.abs(fr.g))))
-            frs = point_frame(F, ps)
-            sweep.add(p, float(np.max(np.abs(frs.G - t * t * fr.G))),
-                      float(np.max(np.abs(frs.G))))
-            sweep.add(p, float(np.max(np.abs(frs.N - t * fr.N))),
-                      float(np.max(np.abs(frs.N))))
-            sweep.add(p, float(np.max(np.abs(frs.Rhat - t * fr.Rhat))),
-                      float(np.max(np.abs(frs.Rhat))))
-            sweep.add(p, float(np.max(np.abs(frs.g - fr.g))),
-                      float(np.max(np.abs(fr.g))))
+    with local_batch(F, scaled) as frs:
+        fr = point_frame(F, pts)
+        n = fr.n
+        y = fr._y()
+        sweep.add(abs(dot(fr.ell, y) - fr.L), fr.L)
+        dyg = fr.g_jets.coeffs[..., 1 + n:1 + 2 * n]  # [..., i, j, k] = dy_k g_ij
+        euler = sum(dyg[..., k] * y[..., None, None, k] for k in range(n))
+        sweep.add(max_abs(euler, 2), max_abs(fr.g, 2))
+        sweep.add(max_abs(frs.G - t * t * fr.G, 1), max_abs(frs.G, 1))
+        sweep.add(max_abs(frs.N - t * fr.N, 2), max_abs(frs.N, 2))
+        sweep.add(max_abs(frs.Rhat - t * fr.Rhat, 3), max_abs(frs.Rhat, 3))
+        sweep.add(max_abs(frs.g - fr.g, 2), max_abs(fr.g, 2))
     return sweep.result(len(pts), tol)
 
 
 @check("struct.cartan_contraction", "C_ijk y^k = 0 and C totally symmetric")
 def _check_cartan_contraction(F, pts, tol, floor, seed):
-    sweep = _Sweep()
-    for p in pts:
-        fr = point_frame(F, p)
-        C = fr.C3
-        scale = max(1.0, float(np.max(np.abs(C))))
-        contr = float(np.max(np.abs(np.einsum("ijk,k->ij", C, np.array(p.y)))))
-        sym = max(
-            float(np.max(np.abs(C - np.transpose(C, perm))))
-            for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0))
-        )
-        sweep.add(p, max(contr, sym), scale)
+    sweep = _Sweep(pts)
+    fr = point_frame(F, pts)
+    C = fr.C3
+    contr = max_abs(np.einsum("...ijk,...k->...ij", C, fr._y()), 2)
+    sym = pymax(*(max_abs(C - np.swapaxes(C, a, b), 3)
+                  for a, b in ((-1, -2), (-3, -2), (-3, -1))))
+    sweep.add(pymax(contr, sym), pymax(1.0, max_abs(C, 3)))
     return sweep.result(len(pts), tol)
+
+
+def _abs_first_partials(jet, n):
+    """|d_i f| for i < n, the x-partials of a scalar jet, as a tuple."""
+    return tuple(np.abs(jet.coeffs[..., 1 + i]) for i in range(n))
 
 
 @check("struct.spray_defect", "y^j d_j dy_m E - y^j d_m dy_j E - 2 g_mj G^j + d_m E = 0")
 def _check_spray_defect(F, pts, tol, floor, seed):
-    sweep = _Sweep()
-    for p in pts:
-        fr = point_frame(F, p)
-        scale = max(
-            float(np.max(np.abs(2.0 * fr.g @ fr.G))),
-            max(abs(fr.E_jet.partial1(i)) for i in range(fr.n)),
-        )
-        sweep.add(p, connections.spray_defect(F, p), scale)
+    sweep = _Sweep(pts)
+    fr = point_frame(F, pts)
+    scale = pymax(max_abs(matvec(2.0 * fr.g, fr.G), 1),
+                  pymax(*_abs_first_partials(fr.E_jet, fr.n)))
+    sweep.add(connections.spray_defect(F, pts), scale)
     return sweep.result(len(pts), tol)
 
 
 @check("struct.conservativity", "delta_i E = 0")
 def _check_conservativity(F, pts, tol, floor, seed):
-    sweep = _Sweep()
-    for p in pts:
-        fr = point_frame(F, p)
-        scale = max(abs(fr.E_jet.partial1(i)) for i in range(fr.n))
-        sweep.add(p, connections.conservativity_defect(F, p), max(scale, fr.E))
+    sweep = _Sweep(pts)
+    fr = point_frame(F, pts)
+    scale = pymax(*_abs_first_partials(fr.E_jet, fr.n))
+    sweep.add(connections.conservativity_defect(F, pts), pymax(scale, fr.E))
     return sweep.result(len(pts), tol)
 
 
 @check("struct.torsion", "dy_k N^i_j - dy_j N^i_k = 0")
 def _check_torsion(F, pts, tol, floor, seed):
-    sweep = _Sweep()
-    for p in pts:
-        fr = point_frame(F, p)
-        n = fr.n
-        worst = 0.0
-        scale = 1.0
-        for i in range(n):
-            for j in range(n):
-                for k in range(j + 1, n):
-                    a = fr.N_jets[i, j].partial1(n + k)
-                    b = fr.N_jets[i, k].partial1(n + j)
-                    worst = max(worst, abs(a - b))
-                    scale = max(scale, abs(a), abs(b))
-        sweep.add(p, worst, scale)
+    sweep = _Sweep(pts)
+    fr = point_frame(F, pts)
+    n = fr.n
+    dyN = fr.N_jets.coeffs[..., 1 + n:1 + 2 * n]  # [..., i, j, k] = dy_k N^i_j
+    worst = 0.0
+    scale = 1.0
+    for i in range(n):
+        for j in range(n):
+            for k in range(j + 1, n):
+                a = dyN[..., i, j, k]
+                b = dyN[..., i, k, j]
+                worst = pymax(worst, abs(a - b))
+                scale = pymax(scale, abs(a), abs(b))
+    sweep.add(worst, scale)
     return sweep.result(len(pts), tol)
 
 
@@ -264,43 +296,33 @@ def _check_torsion(F, pts, tol, floor, seed):
     "delta_k g_ij = F^m_ik g_mj + F^m_jk g_im; vertical analogue with C",
 )
 def _check_metricity(F, pts, tol, floor, seed):
-    sweep = _Sweep()
-    for p in pts:
-        fr = point_frame(F, p)
-        h, v = connections.metricity_defect(F, p)
-        scale = max(1.0, float(np.max(np.abs(fr.F @ np.ones(fr.n)))),
-                    float(np.max(np.abs(fr.g))))
-        sweep.add(p, max(h, v), scale)
+    sweep = _Sweep(pts)
+    fr = point_frame(F, pts)
+    h, v = connections.metricity_defect(F, pts)
+    scale = pymax(1.0, max_abs(fr.F @ np.ones(fr.n), 2), max_abs(fr.g, 2))
+    sweep.add(pymax(h, v), scale)
     return sweep.result(len(pts), tol)
 
 
 @check("struct.symmetry", "F^i_jk = F^i_kj")
 def _check_symmetry(F, pts, tol, floor, seed):
-    sweep = _Sweep()
-    for p in pts:
-        fr = point_frame(F, p)
-        sweep.add(p, connections.torsion_defect(F, p),
-                  float(np.max(np.abs(fr.F))))
+    sweep = _Sweep(pts)
+    sweep.add(connections.torsion_defect(F, pts), max_abs(point_frame(F, pts).F, 3))
     return sweep.result(len(pts), tol)
 
 
 @check("struct.deflection", "F^i_kj y^k = N^i_j")
 def _check_deflection(F, pts, tol, floor, seed):
-    sweep = _Sweep()
-    for p in pts:
-        fr = point_frame(F, p)
-        sweep.add(p, connections.deflection_defect(F, p),
-                  float(np.max(np.abs(fr.N))))
+    sweep = _Sweep(pts)
+    sweep.add(connections.deflection_defect(F, pts), max_abs(point_frame(F, pts).N, 2))
     return sweep.result(len(pts), tol)
 
 
 @check("struct.projectors", "h + v = id, h^2 = h, v^2 = v, hv = vh = 0 on T(TM)")
 def _check_projectors(F, pts, tol, floor, seed):
-    sweep = _Sweep()
-    for p in pts:
-        fr = point_frame(F, p)
-        sweep.add(p, connections.projector_defects(F, p),
-                  max(1.0, float(np.max(np.abs(fr.N)))))
+    sweep = _Sweep(pts)
+    sweep.add(connections.projector_defects(F, pts),
+              pymax(1.0, max_abs(point_frame(F, pts).N, 2)))
     return sweep.result(len(pts), tol)
 
 
@@ -309,28 +331,26 @@ def _check_projectors(F, pts, tol, floor, seed):
 
 @check("curv.contraction", "R^i_hjk y^h = R^i_jk")
 def _check_curv_contraction(F, pts, tol, floor, seed):
-    sweep = _Sweep()
-    for p in pts:
-        fr = point_frame(F, p)
-        scale = max(float(np.max(np.abs(fr.Rhat))),
-                    float(np.max(np.abs(fr.hcurv))) * max(abs(v) for v in p.y))
-        sweep.add(p, curvature.curvature_contraction_defect(F, p), scale)
+    sweep = _Sweep(pts)
+    fr = point_frame(F, pts)
+    y_max = pymax(*np.moveaxis(np.abs(fr._y()), -1, 0))
+    scale = pymax(max_abs(fr.Rhat, 3), max_abs(fr.hcurv, 4) * y_max)
+    sweep.add(curvature.curvature_contraction_defect(F, pts), scale)
     return sweep.result(len(pts), tol)
 
 
 @check("curv.flatness", "R^i_hjk = 0 (horizontally flat structure)")
 def _check_flatness(F, pts, tol, floor, seed):
-    sweep = _Sweep()
-    worst_rhat = 0.0
-    for p in pts:
-        fr = point_frame(F, p)
-        sweep.add(p, float(np.max(np.abs(fr.hcurv))), 1.0)
-        worst_rhat = max(worst_rhat, float(np.max(np.abs(fr.Rhat))))
+    sweep = _Sweep(pts)
+    fr = point_frame(F, pts)
+    sweep.add(max_abs(fr.hcurv, 4))
+    worst_rhat = _first_max(max_abs(fr.Rhat, 3))[0]
     return sweep.result(len(pts), tol, details={"max_vh_torsion": worst_rhat})
 
 
 def _max_rhat(F, pts) -> float:
-    return max(float(np.max(np.abs(point_frame(F, p).Rhat))) for p in pts)
+    # the builtin max over the points, as a per-point loop takes it
+    return max(max_abs(point_frame(F, pts).Rhat, 3).tolist())
 
 
 @check("thm2.8.flat", "R = 0 implies every gradient field is closed and dbar^2 f = 0")
@@ -345,14 +365,11 @@ def _check_thm28_flat(F, pts, tol, floor, seed):
             details={"note": "not applicable: structure is curved",
                      "max_vh_torsion": rhat},
         )
-    sweep = _Sweep()
-    scalars = _probe_scalars(F, seed, 28)
-    for p in pts:
-        sweep.add(p, float(np.max(np.abs(point_frame(F, p).Rhat))), 1.0)
-        for f in scalars:
-            sweep.add(p, picalc.closedness_defect(F, GradientField(f), p), 1.0)
-            res = picalc.dbar_sq(F, f, p)
-            sweep.add(p, float(np.max(np.abs(res.nested))), 1.0)
+    sweep = _Sweep(pts)
+    sweep.add(max_abs(point_frame(F, pts).Rhat, 3))
+    for f in _probe_scalars(F, seed, 28):
+        sweep.add(picalc.closedness_defect(F, GradientField(f), pts))
+        sweep.add(max_abs(picalc.dbar_sq(F, f, pts).nested, 2))
     return sweep.result(len(pts), tol, details={"max_vh_torsion": rhat})
 
 
@@ -367,17 +384,11 @@ def _check_thm28_curved(F, pts, tol, floor, seed):
                      "max_vh_torsion": rhat},
         )
     doc = lambda x, y: 0.5 * (y[0] * y[0])
-    best = 0.0
-    wit = None
-    for p in pts:
-        d = picalc.closedness_defect(F, GradientField(doc), p)
-        if d > best:
-            best = d
-            wit = _witness(p, d)
+    best, k = _first_max(picalc.closedness_defect(F, GradientField(doc), pts))
     verdict = PASS if best > floor else FAIL
     return CheckResult(
         n_points=len(pts), max_residual=best, threshold=floor, verdict=verdict,
-        witness=wit,
+        witness=None if k is None else _witness(pts[k], best),
         details={"max_vh_torsion": rhat,
                  "probe": "f = (y1)^2/2, X = grad f"},
     )
@@ -385,16 +396,13 @@ def _check_thm28_curved(F, pts, tol, floor, seed):
 
 @check("eq2.13", "R^i_jk = omega_j phi^i_k - omega_k phi^i_j, omega from fitted kappa")
 def _check_eq213(F, pts, tol, floor, seed):
-    sweep = _Sweep()
-    kappas = []
-    for p in pts:
-        res = curvature.scalar_form_check(F, p)
-        sweep.add(p, res.residual, res.scale)
-        kappas.append(res.kappa)
+    sweep = _Sweep(pts)
+    res = curvature.scalar_form_check(F, pts)
+    sweep.add(res.residual, res.scale)
     details = {
-        "kappa_min": float(np.min(kappas)),
-        "kappa_max": float(np.max(kappas)),
-        "scalar_h_last": point_frame(F, pts[-1]).scalar,
+        "kappa_min": float(np.min(res.kappa)),
+        "kappa_max": float(np.max(res.kappa)),
+        "scalar_h_last": float(point_frame(F, pts).scalar[-1]),
     }
     return sweep.result(len(pts), tol, details=details)
 
@@ -404,44 +412,37 @@ def _check_eq213(F, pts, tol, floor, seed):
 
 @check("thm2.6", "(dbar i_X g)_jk = g_ks (A_X)^s_j - g_js (A_X)^s_k for every field X")
 def _check_thm26(F, pts, tol, floor, seed):
-    sweep = _Sweep()
-    fields = _probe_fields(F, seed, 26)
-    for p in pts:
-        for X in fields:
-            M, B = picalc.flat_form_and_selfadjoint_matrix(F, X, p)
-            scale = max(float(np.max(np.abs(M))), float(np.max(np.abs(B - B.T))))
-            sweep.add(p, float(np.max(np.abs(M - (B.T - B)))), scale)
+    sweep = _Sweep(pts)
+    for X in _probe_fields(F, seed, 26):
+        M, B = picalc.flat_form_and_selfadjoint_matrix(F, X, pts)
+        BT = np.swapaxes(B, -1, -2)
+        sweep.add(max_abs(M - (BT - B), 2), pymax(max_abs(M, 2), max_abs(B - BT, 2)))
     return sweep.result(len(pts), tol)
 
 
 @check("dbar.sq", "(dbar dbar f)_jk = R^m_jk dy_m f (nested vs contracted)")
 def _check_dbar_sq(F, pts, tol, floor, seed):
-    sweep = _Sweep()
-    scalars = _probe_scalars(F, seed, 88)
-    for p in pts:
-        for f in scalars:
-            res = picalc.dbar_sq(F, f, p)
-            sweep.add(p, res.defect, res.scale)
+    sweep = _Sweep(pts)
+    for f in _probe_scalars(F, seed, 88):
+        res = picalc.dbar_sq(F, f, pts)
+        sweep.add(res.defect, res.scale)
     return sweep.result(len(pts), tol)
 
 
 @check("eq2.12", "g_lk (A_gradf)^l_j - g_lj (A_gradf)^l_k = R^m_jk dy_m f")
 def _check_eq212(F, pts, tol, floor, seed):
-    sweep = _Sweep()
+    sweep = _Sweep(pts)
     scalars = _probe_scalars(F, seed, 212)
-    side = 0.0
-    wit = None
-    for p in pts:
-        for f in scalars:
-            res = picalc.gradient_torsion_identity(F, f, p)
-            sweep.add(p, res.residual, res.scale)
-            mag = min(float(np.max(np.abs(res.lhs))), float(np.max(np.abs(res.rhs))))
-            if mag > side:
-                side = mag
-                wit = _witness(p, mag)
+    sides = []
+    for f in scalars:
+        res = picalc.gradient_torsion_identity(F, f, pts)
+        sweep.add(res.residual, res.scale)
+        lhs, rhs = max_abs(res.lhs, 2), max_abs(res.rhs, 2)
+        sides.append(np.where(rhs < lhs, rhs, lhs))  # the builtin min(lhs, rhs)
+    side, k = _first_max(np.stack(sides, axis=-1))
     out = sweep.result(len(pts), tol, details={"max_min_side_magnitude": side})
-    if out.verdict == PASS and wit is not None:
-        out.witness = wit
+    if out.verdict == PASS and k is not None:
+        out.witness = _witness(pts[k // len(scalars)], side)
     return out
 
 
@@ -450,18 +451,12 @@ def _check_eq214(F, pts, tol, floor, seed):
     iso_h = lambda x, y: (1.0 + 0.3 * x[0]) * (F.L(x, y) ** 2)
     pos = lambda x, y: x[0]
     aniso = lambda x, y: y[0] * y[0]
-    sweep = _Sweep()
-    best = 0.0
-    wit = None
-    for p in pts:
-        fr = point_frame(F, p)
-        scale = max(1.0, fr.L)
-        sweep.add(p, picalc.isotropy_residual(F, iso_h, p), scale * fr.L)
-        sweep.add(p, picalc.isotropy_residual(F, pos, p), 1.0)
-        a = picalc.isotropy_residual(F, aniso, p)
-        if a > best:
-            best = a
-            wit = _witness(p, a)
+    sweep = _Sweep(pts)
+    fr = point_frame(F, pts)
+    sweep.add(picalc.isotropy_residual(F, iso_h, pts), pymax(1.0, fr.L) * fr.L)
+    sweep.add(picalc.isotropy_residual(F, pos, pts))
+    best, k = _first_max(picalc.isotropy_residual(F, aniso, pts))
+    wit = None if k is None else _witness(pts[k], best)
     details = {"anisotropic_residual": best,
                "probes": "f = h(x) L^2; f = x1; f = (y1)^2"}
     out = sweep.result(len(pts), tol, details=details)
@@ -483,15 +478,13 @@ def _check_involutive(F, pts, tol, floor, seed):
     rng = np.random.default_rng([seed, 213])
     closed = GradientField(_positional_scalar(F.n, rng), name="gradpos")
     other = _mixed_field(F.n, rng)
-    sweep = _Sweep()
-    open_defect = 0.0
-    for p in pts:
-        rep = picalc.involutivity_report(F, closed, p)
-        sweep.add(p, rep.defect, rep.scale)
-        sweep.add(p, rep.identity_defect, rep.scale)
-        rep2 = picalc.involutivity_report(F, other, p)
-        sweep.add(p, rep2.identity_defect, rep2.scale)
-        open_defect = max(open_defect, rep2.defect / max(1.0, rep2.scale))
+    sweep = _Sweep(pts)
+    rep = picalc.involutivity_report(F, closed, pts)
+    rep2 = picalc.involutivity_report(F, other, pts)
+    sweep.add(rep.defect, rep.scale)
+    sweep.add(rep.identity_defect, rep.scale)
+    sweep.add(rep2.identity_defect, rep2.scale)
+    open_defect = _first_max(rep2.defect / np.fmax(1.0, rep2.scale))[0]
     return sweep.result(
         len(pts), tol,
         details={"nonclosed_probe_defect": open_defect,
@@ -517,19 +510,22 @@ def _check_lie(F, pts, tol, floor, seed):
             name="stretch",
         ),
     ]
-    worst_diff = 0.0
-    rows = []
-    for p in pts[: max(1, len(pts) // 2)]:
-        for X in fields:
-            rep = picalc.lie_metric_report(F, X, p)
-            worst_diff = max(worst_diff, rep.difference)
-            rows.append((X, rep))
+
+    def lie_reports(sample):
+        return [(getattr(X, "name", "field"), picalc.lie_metric_report(F, X, sample))
+                for X in fields]
+
+    half = max(1, len(pts) // 2)
+    try:  # the first half of the sample, read off the whole batch's reports
+        reports = lie_reports(pts)
+    except FinslerError:  # a point of the second half may fail: the first half decides
+        reports = lie_reports(pts[:half])
+    worst_diff = _first_max([rep.difference[:half] for _, rep in reports])[0]
     lie_by_field = {}
-    for X, rep in rows:
-        name = getattr(X, "name", "field")
+    for name, rep in reports:
         prev = lie_by_field.get(name, (0.0, 0.0))
-        lie_by_field[name] = (max(prev[0], rep.lie_defect),
-                              max(prev[1], rep.closedness))
+        lie_by_field[name] = (max(prev[0], _first_max(rep.lie_defect[:half])[0]),
+                              max(prev[1], _first_max(rep.closedness[:half])[0]))
     details = {"max_lie_minus_contraction": worst_diff}
     for name, (lie_d, clo_d) in sorted(lie_by_field.items()):
         details[f"lie_defect[{name}]"] = lie_d
@@ -555,75 +551,57 @@ def _check_randers(F, pts, tol, floor, seed):
         b_fn = lambda x: const
         star = randers_change(F, b_fn, validate=False)
     pre = picalc.drift_precondition_defect(b_fn, pts, base.n)
-    sweep = _Sweep()
-    literal = 0.0
-    agree = True
-    star_def = base_def = 0.0
-    wit = None
-    with local_frames(base if star is F else star, pts):
-        for p in pts:
-            rep = picalc.drift_closedness_transfer(base, b_fn, p, star=star)
-            sweep.add(p, rep.identity_residual, rep.base_form_scale)
-            sweep.add(p, rep.dual_path_residual, rep.base_form_scale)
-            sweep.add(p, abs(rep.ell_pairing), 1.0)
-            sweep.add(p, abs(rep.star_ell_pairing), 1.0)
-            literal = max(literal, rep.literal_residual)
-            s_vanish = rep.star_defect < max(tol * rep.base_form_scale, tol)
-            b_vanish = rep.base_defect < max(tol * rep.base_form_scale, tol)
-            s_big = rep.star_defect > floor
-            b_big = rep.base_defect > floor
-            ok = (s_vanish and b_vanish) or (s_big and b_big)
-            if not ok:
-                agree = False
-                wit = _witness(p, max(rep.star_defect, rep.base_defect))
-            star_def = max(star_def, rep.star_defect)
-            base_def = max(base_def, rep.base_defect)
+    sweep = _Sweep(pts)
+    with local_batch(base if star is F else star, pts):
+        rep = picalc.drift_closedness_transfer(base, b_fn, pts, star=star)
+    sweep.add(rep.identity_residual, rep.base_form_scale)
+    sweep.add(rep.dual_path_residual, rep.base_form_scale)
+    sweep.add(abs(rep.ell_pairing))
+    sweep.add(abs(rep.star_ell_pairing))
+    vanish = pymax(tol * rep.base_form_scale, tol)
+    ok = ((rep.star_defect < vanish) & (rep.base_defect < vanish)) \
+        | ((rep.star_defect > floor) & (rep.base_defect > floor))
+    agree = bool(np.all(ok))
     details = {
         "precondition_db": pre,
-        "literal_residual_max": literal,
-        "star_closedness_max": star_def,
-        "base_closedness_max": base_def,
+        "literal_residual_max": _first_max(rep.literal_residual)[0],
+        "star_closedness_max": _first_max(rep.star_defect)[0],
+        "base_closedness_max": _first_max(rep.base_defect)[0],
         "verdict_agreement": "yes" if agree else "no",
     }
     out = sweep.result(len(pts), tol, details=details)
     if not agree and out.verdict == PASS:
+        k = np.flatnonzero(~ok)[-1]  # the last disagreeing point
         out.verdict = FAIL
-        out.witness = wit
+        out.witness = _witness(pts[k], pymax(rep.star_defect[k], rep.base_defect[k]))
         out.details["note"] = "closedness verdicts disagree between structures"
     return out
 
 
 @check("thm2.16.conformal", "dbar~ i_X g~ = e^{2s}(2 ds wedge i_X g + dbar~ i_X g)")
 def _check_conformal(F, pts, tol, floor, seed):
-    from .structures import conformal_change
-
     X = constant_field([0.0, 1.0] + [0.0] * (F.n - 2))
     sig_const = 0.25
     sig_lin = lambda x: x[0]
     tilde_const = conformal_change(F, sig_const)
     tilde_lin = conformal_change(F, sig_lin)
-    sweep = _Sweep()
-    breakage = 0.0
-    wit = None
-    pred_applicable = 0
-    with local_frames(tilde_const, pts), local_frames(tilde_lin, pts):
-        for p in pts:
-            rep_c = picalc.conformal_closedness_transfer(F, X, sig_const, p,
-                                                         tilde=tilde_const)
-            sweep.add(p, rep_c.scaling_residual, rep_c.scale)
-            sweep.add(p, rep_c.leibniz_residual, rep_c.scale)
-            rep_l = picalc.conformal_closedness_transfer(F, X, sig_lin, p,
-                                                         tilde=tilde_lin)
-            sweep.add(p, rep_l.leibniz_residual, rep_l.scale)
-            if rep_l.tilde_base_defect < tol * rep_l.scale:
-                pred_applicable += 1
-                sweep.add(p, rep_l.prediction_residual, rep_l.scale)
-            if rep_l.actual_defect > breakage:
-                breakage = rep_l.actual_defect
-                wit = _witness(p, breakage)
+    with local_batch(tilde_const, pts), local_batch(tilde_lin, pts):
+        rep_c = picalc.conformal_closedness_transfer(F, X, sig_const, pts,
+                                                     tilde=tilde_const)
+        rep_l = picalc.conformal_closedness_transfer(F, X, sig_lin, pts,
+                                                     tilde=tilde_lin)
+    # the wedge prediction applies where dbar~ of the base form vanishes
+    applicable = rep_l.tilde_base_defect < tol * rep_l.scale
+    sweep = _Sweep(pts)
+    sweep.add(rep_c.scaling_residual, rep_c.scale)
+    sweep.add(rep_c.leibniz_residual, rep_c.scale)
+    sweep.add(rep_l.leibniz_residual, rep_l.scale)
+    sweep.add(rep_l.prediction_residual, rep_l.scale, keep=applicable)
+    breakage, k = _first_max(rep_l.actual_defect)
+    wit = None if k is None else _witness(pts[k], breakage)
     details = {
         "breakage_defect_max": breakage,
-        "prediction_applicable_points": pred_applicable,
+        "prediction_applicable_points": int(np.count_nonzero(applicable)),
     }
     out = sweep.result(len(pts), tol, details=details)
     if out.verdict == PASS:
@@ -661,16 +639,16 @@ def _check_jets_fd(F, pts, tol, floor, seed):
     poly = _poly_scalar(n, rng)
     fields = [F.L, lambda x, y: poly(x, y) * F.L(x, y)]
     threshold = max(tol, 1e-5)
-    sweep = _Sweep()
     multis = _all_multis(2 * n, 3)
-    for p in pts[: min(3, len(pts))]:
-        for f in fields:
-            jet = jet_eval(f, p, 3)
-            for multi in multis:
-                exact = jet.partial(multi)
-                approx = fd_partial(f, p, multi)
-                sweep.add(p, abs(exact - approx), max(1.0, abs(exact)))
-    return sweep.result(len(pts[: min(3, len(pts))]), threshold)
+    sub = pts[: min(3, len(pts))]
+    # [point, (field, multi)]: one stacked jet per field, one difference scheme per entry
+    stacked = [jet_eval(f, sub, 3) for f in fields]
+    exact = np.stack([jet.partial(multi) for jet in stacked for multi in multis], axis=-1)
+    approx = np.array([[fd_partial(f, p, multi) for f in fields for multi in multis]
+                       for p in sub])
+    sweep = _Sweep(sub)
+    sweep.add(np.abs(exact - approx), pymax(1.0, np.abs(exact)))
+    return sweep.result(len(sub), threshold)
 
 
 ANCHORS = {cid: anchor for cid, (anchor, _) in _REGISTRY.items()}
@@ -680,16 +658,40 @@ def check_ids() -> list:
     return sorted(_REGISTRY)
 
 
+def _first_failure(fn, F, pts, tol, floor, seed):
+    """The error of the first sample point at which check `fn` fails on its
+    own, or None. A check fails on a prefix of the sample exactly when it
+    fails at one of the prefix's points, so bisection finds the shortest
+    failing prefix; its last point is the first failing one."""
+    passes, fails = 0, len(pts)  # prefix lengths
+    while fails - passes > 1:
+        mid = (passes + fails) // 2
+        try:
+            fn(F, pts[:mid], tol, floor, seed)
+            passes = mid
+        except FinslerError:
+            fails = mid
+    try:
+        fn(F, pts[fails - 1:fails], tol, floor, seed)
+    except FinslerError as exc:
+        return exc
+    return None
+
+
 def run_check(check_id: str, F: FinslerStructure, pts, tol: float, floor: float,
               seed: int) -> CheckResult:
     """Run one registered check. A FinslerError raised inside it becomes that
-    check's FAIL, with the exception type and message in details["error"]."""
+    check's FAIL, with the exception type and message in details["error"]:
+    those of the first sample point at which the check fails on its own, the
+    error a visit of the points in sample order meets first."""
     if check_id not in _REGISTRY:
         raise ValueError(f"unknown check id {check_id!r}")
     anchor, fn = _REGISTRY[check_id]
+    pts = tuple(pts)  # the key of the sample's batch frame
     try:
         out = fn(F, pts, tol, floor, seed)
     except FinslerError as exc:
+        exc = _first_failure(fn, F, pts, tol, floor, seed) or exc
         out = CheckResult(
             n_points=len(pts),
             max_residual=float("inf"),
@@ -705,6 +707,5 @@ def run_check(check_id: str, F: FinslerStructure, pts, tol: float, floor: float,
 
 def run_checks(F: FinslerStructure, ids, points: int, seed: int, tol: float,
                floor: float) -> list:
-    pts = F.sample(points, seed)
-    frames = point_frames(F, pts)  # noqa: F841 -- one batch serves every check
+    pts = tuple(F.sample(points, seed))  # every check runs on one batch frame of it
     return [run_check(cid, F, pts, tol, floor, seed) for cid in sorted(ids)]

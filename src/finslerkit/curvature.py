@@ -10,6 +10,10 @@ Conventions, fixed once for the whole package:
 
 With these signs the round unit sphere carries scalar value +2 in
 dimension two.
+
+Both entry points take a chart point, or a tuple of them: on a tuple every
+result carries a leading point axis, equal point by point to the result at
+that point alone.
 """
 
 from __future__ import annotations
@@ -19,15 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import ChartPoint
-from .frame import point_frame
+from .frame import _plain, max_abs, point_frame, pymax
 
 
 def curvature_contraction_defect(F, p: ChartPoint) -> float:
     """max |R^i_hjk y^h - R^i_jk|: the certificate pinning the sign
     conventions of both curvature tensors to each other."""
     fr = point_frame(F, p)
-    contracted = np.einsum("ihjk,h->ijk", fr.hcurv, np.array(p.y))
-    return float(np.max(np.abs(contracted - fr.Rhat)))
+    contracted = np.einsum("...ihjk,...h->...ijk", fr.hcurv, fr._y())
+    return max_abs(contracted - fr.Rhat, 3)
 
 
 @dataclass
@@ -63,7 +67,7 @@ def scalar_form_check(F, p: ChartPoint, kappa=None) -> ScalarFormResult:
     """
     fr = point_frame(F, p)
     n = fr.n
-    L = fr.L
+    L = np.asarray(fr.L)
     ell = fr.ell
     phi = fr.phi
     target = fr.Rhat
@@ -71,7 +75,7 @@ def scalar_form_check(F, p: ChartPoint, kappa=None) -> ScalarFormResult:
     if kappa is not None:
         kj = fr.field_jet(kappa, 1)
         kval = kj.value
-        u = np.array([kj.partial1(n + i) for i in range(n)])
+        u = np.array(kj.coeffs[..., 1 + n:1 + 2 * n])
         supplied = True
     else:
         rows = []
@@ -79,29 +83,33 @@ def scalar_form_check(F, p: ChartPoint, kappa=None) -> ScalarFormResult:
         for i in range(n):
             for j in range(n):
                 for k in range(j + 1, n):
-                    kcol = L * (ell[j] * phi[i, k] - ell[k] * phi[i, j])
+                    kcol = L * (ell[..., j] * phi[..., i, k] - ell[..., k] * phi[..., i, j])
                     ucols = [
-                        (L * L / 3.0) * ((1.0 if m == j else 0.0) * phi[i, k]
-                                         - (1.0 if m == k else 0.0) * phi[i, j])
+                        (L * L / 3.0) * ((1.0 if m == j else 0.0) * phi[..., i, k]
+                                         - (1.0 if m == k else 0.0) * phi[..., i, j])
                         for m in range(n)
                     ]
-                    rows.append([kcol] + ucols)
-                    rhs.append(target[i, j, k])
-        sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-        kval = float(sol[0])
-        u = sol[1:]
+                    rows.append(np.stack([kcol] + ucols, axis=-1))
+                    rhs.append(target[..., i, j, k])
+        A = np.stack(rows, axis=-2)
+        b = np.stack(rhs, axis=-1)
+        # one least-squares fit per point
+        fits = [np.linalg.lstsq(a, r, rcond=None)[0]
+                for a, r in zip(A.reshape((-1,) + A.shape[-2:]), b.reshape(-1, b.shape[-1]))]
+        sol = np.reshape(fits, A.shape[:-2] + (n + 1,))
+        kval = sol[..., 0]
+        u = sol[..., 1:]
         supplied = False
 
-    omega = (L * L / 3.0) * u + kval * L * ell
-    model = np.einsum("j,ik->ijk", omega, phi) - np.einsum("k,ij->ijk", omega, phi)
-    resid = float(np.max(np.abs(target - model)))
-    scale = max(1.0, float(np.max(np.abs(target))), float(np.max(np.abs(model))))
+    omega = (L * L / 3.0)[..., None] * u + np.asarray(kval * L)[..., None] * ell
+    model = np.einsum("...j,...ik->...ijk", omega, phi) \
+        - np.einsum("...k,...ij->...ijk", omega, phi)
     return ScalarFormResult(
-        kappa=kval,
+        kappa=_plain(kval),
         u=u,
         omega=omega,
-        residual=resid,
-        scale=scale,
-        torsion_norm=float(np.max(np.abs(target))),
+        residual=max_abs(target - model, 3),
+        scale=pymax(1.0, max_abs(target, 3), max_abs(model, 3)),
+        torsion_norm=max_abs(target, 3),
         supplied=supplied,
     )

@@ -133,18 +133,27 @@ class ProjectedField(PiVectorField):
         self.name = name
 
     def jets(self, frame, order: int) -> Jet:
-        n = frame.n
-        Xj = self.X.jets(frame, order)
-        vj = Jet.constant(2 * n, order, np.array(self.vec))
-        # g(v, X) and g(X, X) as jets, adding the terms in row-major (i, j) order
-        i, j = np.divmod(np.arange(n * n), n)
-        gij = frame.g_jets.truncated(order)[..., i, j, :]
-        gvx = (gij * (vj[..., i, :] * Xj[..., j, :])).sum_last()
-        gxx = (gij * (Xj[..., i, :] * Xj[..., j, :])).sum_last()
-        if np.any(np.abs(gxx.value) < 1e-18):
-            raise DegenerateFieldError("cannot project: X has vanishing g-norm")
-        lam = gvx / gxx
-        return vj - lam[..., None, :] * Xj
+        return project_away(frame, np.array(self.vec), self.X.jets(frame, order))
+
+
+def project_away(frame, vecs, Xj: Jet) -> Jet:
+    """Jets of v - (g(v, X) / g(X, X)) X for constant vectors v, from the jets
+    Xj of X. `vecs` is one vector (n,) or a stack of them (k, n); Xj then
+    carries one axis for the stack between its point axes and its component
+    axis, as `Xj[..., None, :, :]` does. A stack gives the projections of
+    every vector, each byte-equal to projecting that vector alone."""
+    n = frame.n
+    vj = Jet.constant(2 * n, Xj.order, vecs)
+    # g(v, X) and g(X, X) as jets, adding the terms in row-major (i, j) order
+    i, j = np.divmod(np.arange(n * n), n)
+    gij = frame.g_jets.truncated(Xj.order)[..., i, j, :]
+    gij = Jet(gij.nvars, gij.order, frame._against(gij.coeffs, Xj.coeffs.ndim))
+    gvx = (gij * (vj[..., i, :] * Xj[..., j, :])).sum_last()
+    gxx = (gij * (Xj[..., i, :] * Xj[..., j, :])).sum_last()
+    if np.any(np.abs(gxx.value) < 1e-18):
+        raise DegenerateFieldError("cannot project: X has vanishing g-norm")
+    lam = gvx / gxx
+    return vj - lam[..., None, :] * Xj
 
 
 class PiForm:

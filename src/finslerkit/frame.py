@@ -17,7 +17,8 @@ another memory layout.
 
 A frame may also hold a batch: `PointFrame(structure, points)` with a
 tuple of chart points puts a leading point axis before the tensor axes of
-every array and jet rung, computed by the same code. `point_frames` builds
+every array and jet rung, computed by the same code; `point_frame` with a
+tuple memoizes one such frame, and the checks run on it. `point_frames` builds
 one batch over the uncached points of a sample and hands out per-point
 frames whose attributes and field jets are slices of the batch's, read on
 first access and equal to a standalone frame's bit for bit. Where the batch
@@ -447,9 +448,11 @@ def _remember(key, frame: PointFrame) -> None:
         _frames.popitem(last=False)
 
 
-def point_frame(structure, point: ChartPoint) -> PointFrame:
+def point_frame(structure, point) -> PointFrame:
     """Shared, memoized frame lookup; structures hash by identity and points
-    by value, so repeated checks at one point reuse the whole tower."""
+    by value, so repeated checks at one point reuse the whole tower. A tuple
+    of chart points gives one batch frame over all of them, with a leading
+    point axis, in one cache slot."""
     key = (structure, point)
     frame = _frames.get(key)
     if frame is None:
@@ -491,15 +494,57 @@ def point_frames(structure, points) -> list:
 
 
 @contextmanager
-def local_frames(structure, points):
-    """`point_frames` for the length of a block: the frames leave the cache
-    when it exits, so a check's own structures and points do not outlive
-    the check."""
-    frames = point_frames(structure, points)
+def local_batch(structure, points):
+    """The batch frame `point_frame(structure, tuple(points))` for the length
+    of a block: it leaves the cache when the block exits, so a check's own
+    structures and points do not outlive the check."""
+    key = (structure, tuple(points))
+    frame = point_frame(*key)
     try:
-        yield frames
+        yield frame
     finally:
-        for frame in frames:
-            key = (frame.structure, frame.point)
-            if _frames.get(key) is frame:
-                del _frames[key]
+        if _frames.get(key) is frame:
+            del _frames[key]
+
+
+# -- per-point arithmetic over a frame's leading axes ----------------------------
+#
+# Each helper works on one point's tensors or on a stack with leading point
+# (or probe) axes, and gives every point the bits of the single-point numpy
+# expression it names: a stacked matmul runs the same BLAS kernel per point,
+# while a sum over the last axis or an einsum for a dot product may add in
+# another order.
+
+
+def _plain(value):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def matvec(A, v):
+    """A @ v for each point: (..., n, n) matrices times (..., n) vectors."""
+    return np.matmul(A, v[..., None])[..., 0]
+
+
+def dot(u, v):
+    """u @ v for each point, of (..., n) vectors."""
+    return _plain(np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0])
+
+
+def quad(u, A, v):
+    """u @ A @ v for each point, evaluated left to right as written."""
+    return _plain(np.matmul(np.matmul(u[..., None, :], A), v[..., :, None])[..., 0, 0])
+
+
+def max_abs(a, ndim: int):
+    """np.max(np.abs(t)) of each point's tensor t, the last `ndim` axes of a."""
+    return _plain(np.abs(a).max(axis=tuple(range(-ndim, 0))))
+
+
+def pymax(first, *rest):
+    """The builtin max(first, *rest) at each point: a later value replaces the
+    running one only where it is greater, so a NaN never replaces it."""
+    out = first
+    for value in rest:
+        out = np.where(value > out, value, out)
+    return _plain(out)

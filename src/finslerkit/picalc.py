@@ -3,6 +3,11 @@
 Implements the horizontal exterior derivative, the covariant operator
 A_X, musical isomorphisms, and the composite closedness diagnostics
 (Lie comparison, involutivity, drift and conformal transfer reports).
+
+Every entry point takes a chart point, or a tuple of them. On a tuple each
+array and report field carries a leading point axis, and its entry for a
+point equals the result at that point alone, bit for bit: the calculus runs
+once, as stacked jet and numpy operations, over the whole batch frame.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from .fields import (
     PiForm,
     PiVectorField,
     Positional,
-    ProjectedField,
     _perm_sign,
+    project_away,
 )
-from .frame import PointFrame, point_frame
+from .frame import PointFrame, _plain, dot, matvec, max_abs, point_frame, pymax, quad
 from .jets import Jet
 from .structures import FinslerStructure, conformal_change, randers_change
 
@@ -34,7 +39,7 @@ from .structures import FinslerStructure, conformal_change, randers_change
 def flat(F, X: PiVectorField, p: ChartPoint) -> np.ndarray:
     """Lower the index: (X^flat)_k = g_km X^m."""
     fr = point_frame(F, p)
-    return fr.g @ X.values(fr)
+    return matvec(fr.g, X.values(fr))
 
 
 def sharp(F, omega, p: ChartPoint) -> np.ndarray:
@@ -43,22 +48,17 @@ def sharp(F, omega, p: ChartPoint) -> np.ndarray:
     if isinstance(omega, PiForm):
         if omega.degree != 1:
             raise ValueError("sharp expects a 1-form")
-        vals = np.array(
-            [
-                fr.field_jet(omega.components[(i,)], 1).value
-                if (i,) in omega.components
-                else 0.0
-                for i in range(fr.n)
-            ]
-        )
+        vals = np.zeros(fr._lead + (fr.n,))
+        for (i,), fn in omega.components.items():
+            vals[..., i] = fr.field_jet(fn, 1).value
     else:
         vals = np.asarray(omega, dtype=float)
-    return fr.g_inv @ vals
+    return matvec(fr.g_inv, vals)
 
 
 def gradient(F, f, p: ChartPoint) -> np.ndarray:
     """grad f = (dbar f)^sharp, components g^ij delta_j f."""
-    return point_frame(F, p).g_inv @ dbar_0(F, f, p)
+    return matvec(point_frame(F, p).g_inv, dbar_0(F, f, p))
 
 
 # -- horizontal exterior derivative ------------------------------------------
@@ -95,15 +95,15 @@ def dbar_p(F, omega: PiForm, p: ChartPoint) -> np.ndarray:
         )
     deltas = {key: fr.delta_values(fr.field_jet(fn, 1))
               for key, fn in omega.components.items()}
-    out = np.zeros((n,) * (deg + 1))
+    out = np.zeros(fr._lead + (n,) * (deg + 1))
     for K in combinations(range(n), deg + 1):
         val = 0.0
         for q in range(deg + 1):
             d = deltas.get(K[:q] + K[q + 1:])
             if d is not None:
-                val += (-1.0) ** q * d[K[q]]
+                val = val + (-1.0) ** q * d[..., K[q]]
         for perm in permutations(K):
-            out[perm] = _perm_sign(perm) * val
+            out[(...,) + perm] = _perm_sign(perm) * val
     return out
 
 
@@ -121,15 +121,18 @@ def dbar_1_on_fields(F, omega: PiForm, X: PiVectorField, Y: PiVectorField,
     fr = point_frame(F, p)
     Xj = X.jets(fr, 1)
     Yj = Y.jets(fr, 1)
-    wvals = np.zeros(fr.n)
+    wvals = np.zeros(fr._lead + (fr.n,))
     first = second = 0.0
     ks = [k for (k,) in sorted(omega.components)]  # the components omega has
     if ks:
         w = Jet.stack([fr.field_jet(omega.components[(k,)], 1) for k in ks])
-        wvals[ks] = w.value
-        first = sum(Xj.value * fr.delta_values((w * Yj[..., ks, :]).sum_last()))
-        second = sum(Yj.value * fr.delta_values((w * Xj[..., ks, :]).sum_last()))
-    return float(first - second - wvals @ _bracket(fr, Xj, Yj))
+        wvals[..., ks] = w.value
+        # X^k delta_k (omega(Y)) and Y^k delta_k (omega(X)), summed over k in index order
+        first = sum(np.moveaxis(Xj.value * fr.delta_values((w * Yj[..., ks, :]).sum_last()),
+                                -1, 0))
+        second = sum(np.moveaxis(Yj.value * fr.delta_values((w * Xj[..., ks, :]).sum_last()),
+                                 -1, 0))
+    return _plain(first - second - dot(wvals, _bracket(fr, Xj, Yj)))
 
 
 def _bracket(frame: PointFrame, Xj: Jet, Yj: Jet) -> np.ndarray:
@@ -154,7 +157,7 @@ def _nabla_h_matrix(fr: PointFrame, Xj: Jet) -> np.ndarray:
     """(A_X)^i_j from the order-1 jets of X."""
     out = fr.delta_values(Xj)
     # a contiguous copy of the values: einsum may sum in another order over a view
-    out += np.einsum("ikj,k->ij", fr.F, Xj.value.copy())
+    out += np.einsum("...ikj,...k->...ij", fr.F, Xj.value.copy())
     return out
 
 
@@ -169,12 +172,12 @@ def _dbar_matrix(frame: PointFrame, w: Jet) -> np.ndarray:
     stacked jet of its components, as an antisymmetric matrix."""
     n = frame.n
     d = frame.delta_values(w)  # [k, j] = delta_j w_k
-    out = np.zeros((n, n))
+    out = np.zeros(d.shape)
     for j in range(n):
         for k in range(j + 1, n):
-            v = d[k, j] - d[j, k]
-            out[j, k] = v
-            out[k, j] = -v
+            v = d[..., k, j] - d[..., j, k]
+            out[..., j, k] = v
+            out[..., k, j] = -v
     return out
 
 
@@ -182,7 +185,7 @@ def closedness_defect(F, X: PiVectorField, p: ChartPoint) -> float:
     """max |(dbar X^flat)_jk|, from the jets of g_km X^m: zero exactly when X
     is closed at p."""
     fr = point_frame(F, p)
-    return float(np.max(np.abs(_dbar_matrix(fr, _lowered_jets(fr, X.jets(fr, 1))))))
+    return max_abs(_dbar_matrix(fr, _lowered_jets(fr, X.jets(fr, 1))), 2)
 
 
 def flat_form_and_selfadjoint_matrix(F, X: PiVectorField, p: ChartPoint):
@@ -214,10 +217,10 @@ def dbar_sq(F, f, p: ChartPoint) -> DbarSqResult:
     n = fr.n
     fj = fr.field_jet(f, 2)
     nested = _dbar_matrix(fr, fr.delta_jets(fj))
-    dyf = np.array([fj.partial1(n + m) for m in range(n)])
-    contracted = np.einsum("mjk,m->jk", fr.Rhat, dyf)
-    defect = float(np.max(np.abs(nested - contracted)))
-    scale = max(1.0, float(np.max(np.abs(nested))), float(np.max(np.abs(contracted))))
+    dyf = np.array(fj.coeffs[..., 1 + n:1 + 2 * n])
+    contracted = np.einsum("...mjk,...m->...jk", fr.Rhat, dyf)
+    defect = max_abs(nested - contracted, 2)
+    scale = pymax(1.0, max_abs(nested, 2), max_abs(contracted, 2))
     return DbarSqResult(nested=nested, contracted=contracted, defect=defect, scale=scale)
 
 
@@ -235,12 +238,12 @@ def gradient_torsion_identity(F, f, p: ChartPoint) -> GradientIdentityResult:
     n = fr.n
     A = _nabla_h_matrix(fr, GradientField(f).jets(fr, 1))
     B = fr.g @ A
-    lhs = B.T - B
+    lhs = np.swapaxes(B, -1, -2) - B
     fj = fr.field_jet(f, 2)
-    dyf = np.array([fj.partial1(n + m) for m in range(n)])
-    rhs = np.einsum("mjk,m->jk", fr.Rhat, dyf)
-    residual = float(np.max(np.abs(lhs - rhs)))
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    dyf = np.array(fj.coeffs[..., 1 + n:1 + 2 * n])
+    rhs = np.einsum("...mjk,...m->...jk", fr.Rhat, dyf)
+    residual = max_abs(lhs - rhs, 2)
+    scale = pymax(1.0, max_abs(lhs, 2), max_abs(rhs, 2))
     return GradientIdentityResult(lhs=lhs, rhs=rhs, residual=residual, scale=scale)
 
 
@@ -253,9 +256,9 @@ def isotropy_residual(F, f, p: ChartPoint) -> float:
     fr = point_frame(F, p)
     n = fr.n
     fj = fr.field_jet(f, 1)
-    dyf = np.array([fj.partial1(n + m) for m in range(n)])
-    radial = float(np.array(p.y) @ dyf)
-    return float(np.max(np.abs(dyf - fr.ell * radial / fr.L)))
+    dyf = np.array(fj.coeffs[..., 1 + n:1 + 2 * n])
+    radial = np.asarray(dot(fr._y(), dyf))
+    return max_abs(dyf - fr.ell * radial[..., None] / np.asarray(fr.L)[..., None], 1)
 
 
 # -- Lie derivative comparison --------------------------------------------------
@@ -284,24 +287,26 @@ def lie_metric_report(F, X: PiVectorField, p: ChartPoint) -> LieReport:
     n = fr.n
     Xj = X.jets(fr, 1)
     xv = Xj.value.copy()
-    dg = np.ascontiguousarray(fr._dg_jets.value.transpose(2, 0, 1))  # [k, i, j] = delta_k g_ij
+    # [k, i, j] = delta_k g_ij
+    dg = np.ascontiguousarray(np.moveaxis(fr._dg_jets.value, -1, -3))
     dX = fr.delta_values(Xj)  # [m, i] = delta_i X^m
     lie = (
-        np.einsum("k,kij->ij", xv, dg)
-        + np.einsum("mj,mi->ij", fr.g, dX)
-        + np.einsum("im,mj->ij", fr.g, dX)
+        np.einsum("...k,...kij->...ij", xv, dg)
+        + np.einsum("...mj,...mi->...ij", fr.g, dX)
+        + np.einsum("...im,...mj->...ij", fr.g, dX)
     )
-    con = np.empty((n, n))
+    con = np.empty(lie.shape)
     for j in range(n):
         for k in range(n):
-            con[j, k] = float(
-                sum(xv[i] * (dg[i, j, k] - dg[j, i, k] + dg[k, i, j]) for i in range(n))
+            con[..., j, k] = sum(
+                xv[..., i] * (dg[..., i, j, k] - dg[..., j, i, k] + dg[..., k, i, j])
+                for i in range(n)
             )
     return LieReport(
         lie=lie,
         contraction=con,
-        difference=float(np.max(np.abs(lie - con))),
-        lie_defect=float(np.max(np.abs(lie))),
+        difference=max_abs(lie - con, 2),
+        lie_defect=max_abs(lie, 2),
         closedness=closedness_defect(F, X, p),
     )
 
@@ -331,46 +336,47 @@ def involutivity_report(F, X: PiVectorField, p: ChartPoint) -> InvolutivityRepor
     """
     fr = point_frame(F, p)
     n = fr.n
+    g = fr.g
     Xj = X.jets(fr, 1)
     xv = Xj.value.copy()
-    xnorm2 = float(xv @ fr.g @ xv)
-    if xnorm2 < 1e-18:
+    xnorm2 = quad(xv, g, xv)
+    if np.any(xnorm2 < 1e-18):
         raise DegenerateFieldError("involutivity probe needs a nonvanishing field")
 
-    candidates = []
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = 1.0
-        Yj = ProjectedField(e, X).jets(fr, 1)
-        yv = Yj.value.copy()
-        candidates.append((float(yv @ fr.g @ yv), a, Yj, yv))
-    candidates.sort(key=lambda t: (-t[0], t[1]))
-    basis = [(Yj, yv) for _, _, Yj, yv in candidates[: n - 1]]
+    # the n candidates Y_a, the projections of e_a, as one stack [..., a, m]
+    Yj = project_away(fr, np.eye(n), Xj[..., None, :, :])
+    yv = Yj.value.copy()
+    norms = quad(yv, g[..., None, :, :], yv)
+    # the n - 1 of largest g-norm, ties to the lower index, per point
+    keep = np.argsort(-norms, axis=-1, kind="stable")[..., :n - 1]
+    Yj = Jet(Yj.nvars, Yj.order,
+             np.take_along_axis(Yj.coeffs, keep[..., None, None], axis=-3))
+    yv = np.take_along_axis(yv, keep[..., None], axis=-2)
 
     A = _nabla_h_matrix(fr, Xj)
-    g = fr.g
     pairs = []
     residuals = []
     scale = 1.0
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            Ya, av = basis[a]
-            Yb, bv = basis[b]
-            bracket = _bracket(fr, Ya, Yb)
-            lhs = float(bracket @ g @ xv)
-            rhs = float((A @ bv) @ g @ av - (A @ av) @ g @ bv)
+    for a in range(n - 1):
+        for b in range(a + 1, n - 1):
+            av = np.ascontiguousarray(yv[..., a, :])
+            bv = np.ascontiguousarray(yv[..., b, :])
+            bracket = _bracket(fr, Yj[..., a, :, :], Yj[..., b, :, :])
+            lhs = quad(bracket, g, xv)
+            rhs = quad(matvec(A, bv), g, av) - quad(matvec(A, av), g, bv)
             pairs.append(lhs)
             residuals.append(abs(lhs - rhs))
-            br_norm = float(np.sqrt(max(bracket @ g @ bracket, 0.0)))
-            scale = max(scale, br_norm * np.sqrt(xnorm2))
-    pairs = np.array(pairs) if pairs else np.zeros(0)
-    residuals = np.array(residuals) if residuals else np.zeros(0)
+            br_norm = np.sqrt(pymax(quad(bracket, g, bracket), 0.0))
+            scale = pymax(scale, br_norm * np.sqrt(xnorm2))
+    lead = np.shape(xnorm2)
+    pairs = np.stack(pairs, axis=-1) if pairs else np.zeros(lead + (0,))
+    residuals = np.stack(residuals, axis=-1) if residuals else np.zeros(lead + (0,))
     return InvolutivityReport(
         bracket_pairings=pairs,
         identity_residuals=residuals,
-        defect=float(np.max(np.abs(pairs))) if pairs.size else 0.0,
-        identity_defect=float(np.max(residuals)) if residuals.size else 0.0,
-        scale=scale,
+        defect=max_abs(pairs, 1) if pairs.size else _plain(np.zeros(lead)),
+        identity_defect=max_abs(residuals, 1) if residuals.size else _plain(np.zeros(lead)),
+        scale=_plain(np.broadcast_to(scale, lead)),
     )
 
 
@@ -416,16 +422,16 @@ def drift_closedness_transfer(F: FinslerStructure, b, p: ChartPoint,
     mv = mj.value.copy()
     msv = msj.value.copy()
 
-    tau = frs.L / fr.L
-    omega_base = fr.g @ mv
-    omega_star = frs.g @ msv
-    identity_residual = float(np.max(np.abs(tau * omega_star - omega_base)))
+    tau = np.asarray(frs.L / fr.L)[..., None]
+    omega_base = matvec(fr.g, mv)
+    omega_star = matvec(frs.g, msv)
+    identity_residual = max_abs(tau * omega_star - omega_base, 1)
 
-    literal = frs.g @ mv - tau * omega_base
-    literal_residual = float(np.max(np.abs(literal)))
+    literal = matvec(frs.g, mv) - tau * omega_base
+    literal_residual = max_abs(literal, 1)
 
-    ell_pairing = float(fr.ell @ mv)
-    star_ell_pairing = float(frs.ell @ msv)
+    ell_pairing = dot(fr.ell, mv)
+    star_ell_pairing = dot(frs.ell, msv)
 
     # jets of the shared form, built through each structure's own algebra
     w_base = _lowered_jets(fr, mj)
@@ -434,10 +440,10 @@ def drift_closedness_transfer(F: FinslerStructure, b, p: ChartPoint,
 
     star_of_scaled = _dbar_matrix(frs, w_star_scaled)
     star_of_base = _dbar_matrix(frs, w_base)
-    dual_path_residual = float(np.max(np.abs(star_of_scaled - star_of_base)))
+    dual_path_residual = max_abs(star_of_scaled - star_of_base, 2)
 
-    base_defect = float(np.max(np.abs(_dbar_matrix(fr, w_base))))
-    star_defect = float(np.max(np.abs(star_of_base)))
+    base_defect = max_abs(_dbar_matrix(fr, w_base), 2)
+    star_defect = max_abs(star_of_base, 2)
     return DriftTransferReport(
         identity_residual=identity_residual,
         dual_path_residual=dual_path_residual,
@@ -446,7 +452,7 @@ def drift_closedness_transfer(F: FinslerStructure, b, p: ChartPoint,
         star_ell_pairing=star_ell_pairing,
         base_defect=base_defect,
         star_defect=star_defect,
-        base_form_scale=max(1.0, float(np.max(np.abs(omega_base)))),
+        base_form_scale=pymax(1.0, max_abs(omega_base, 1)),
     )
 
 
@@ -522,30 +528,28 @@ def conformal_closedness_transfer(F: FinslerStructure, X: PiVectorField, sigma,
 
     sig_jet = fr.field_jet(Positional(sig_fn), 1)
     sig = sig_jet.value
-    dsig = np.array([sig_jet.partial1(i) for i in range(n)])
-    wedge = 2.0 * np.exp(2.0 * sig) * (np.outer(dsig, wv) - np.outer(wv, dsig))
+    dsig = np.array(sig_jet.coeffs[..., 1:1 + n])
+    e2s = np.asarray(np.exp(2.0 * sig))[..., None, None]
+    # the outer products dsig (x) w and w (x) dsig
+    dw = dsig[..., :, None] * wv[..., None, :]
+    wd = wv[..., :, None] * dsig[..., None, :]
+    wedge = 2.0 * e2s * (dw - wd)
 
-    leibniz = np.exp(2.0 * sig) * (
-        2.0 * (np.outer(dsig, wv) - np.outer(wv, dsig)) + tilde_of_base
-    )
-    scaling = np.exp(2.0 * sig) * base_matrix
+    leibniz = e2s * (2.0 * (dw - wd) + tilde_of_base)
+    scaling = e2s * base_matrix
 
-    scale = max(
-        1.0,
-        float(np.max(np.abs(actual))),
-        float(np.max(np.abs(leibniz))),
-    )
+    scale = pymax(1.0, max_abs(actual, 2), max_abs(leibniz, 2))
     return ConformalTransferReport(
         actual=actual,
         base_matrix=base_matrix,
         tilde_of_base=tilde_of_base,
         wedge=wedge,
-        leibniz_residual=float(np.max(np.abs(actual - leibniz))),
-        scaling_residual=float(np.max(np.abs(actual - scaling))),
-        prediction_residual=float(np.max(np.abs(actual - wedge))),
-        actual_defect=float(np.max(np.abs(actual))),
-        base_defect=float(np.max(np.abs(base_matrix))),
-        tilde_base_defect=float(np.max(np.abs(tilde_of_base))),
+        leibniz_residual=max_abs(actual - leibniz, 2),
+        scaling_residual=max_abs(actual - scaling, 2),
+        prediction_residual=max_abs(actual - wedge, 2),
+        actual_defect=max_abs(actual, 2),
+        base_defect=max_abs(base_matrix, 2),
+        tilde_base_defect=max_abs(tilde_of_base, 2),
         sigma_value=sig,
         scale=scale,
     )

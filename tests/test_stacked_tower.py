@@ -5,13 +5,14 @@ against standalone ones: every rung must agree exactly."""
 import numpy as np
 import pytest
 
-from finslerkit import checks, jets
+from finslerkit import checks, connections, curvature, jets
 from finslerkit import picalc as pc
 from finslerkit import frame as frame_module
 from finslerkit.checks import _probe_fields, _probe_scalars, check_ids, run_checks
 from finslerkit.errors import FinslerError
-from finslerkit.fields import DriftCompanionField, Positional, ProjectedField
-from finslerkit.frame import PointFrame, jet_solve, local_frames, point_frame, point_frames
+from finslerkit.fields import (ComponentField, DriftCompanionField, GradientField, PiForm,
+                               Positional, ProjectedField, project_away)
+from finslerkit.frame import PointFrame, jet_solve, local_batch, point_frame, point_frames
 from finslerkit.jets import Jet
 from finslerkit.structures import by_name, structure_from_spec
 
@@ -88,6 +89,121 @@ def test_field_jets_on_a_batch_frame_equal_each_point(name):
         assert whole.shape == (len(pts), s.n, 2 * s.n + 1)
         for i, p in enumerate(pts):
             assert whole[i].tobytes() == X.jets(PointFrame(s, p), 1).coeffs.tobytes(), (X, p)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_stacked_projections_equal_component_reference(name):
+    # the n candidates of the involutivity probe, projected in one stack from
+    # the jets of X, against the reference projection of each alone
+    s = by_name(name)
+    probes = _probe_fields(s, 0, 26)
+    pts = s.sample(20, seed=0)
+    batch = PointFrame(s, tuple(pts))
+    for X in (probes[2], probes[5]):
+        whole = project_away(batch, np.eye(s.n), X.jets(batch, 1)[..., None, :, :]).coeffs
+        for i, p in enumerate(pts):
+            fr = PointFrame(s, p)
+            one = project_away(fr, np.eye(s.n), X.jets(fr, 1)[..., None, :, :]).coeffs
+            assert whole[i].tobytes() == one.tobytes(), (X, p)
+            for a in range(s.n):
+                ref = oracle.field_jets(ProjectedField(np.eye(s.n)[a], X), fr, 1)
+                assert one[a].tobytes() == stack(ref).tobytes(), (X, a, p)
+
+
+class _Counted(ComponentField):
+    def jets(self, frame, order):
+        self.calls += 1
+        return super().jets(frame, order)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "euclidean3"])
+def test_involutivity_evaluates_the_probe_jets_once(name):
+    s = by_name(name)
+    X = _Counted(_probe_fields(s, 0, 26)[2].components)
+    X.calls = 0
+    pc.involutivity_report(s, X, tuple(s.sample(10, seed=1)))
+    assert X.calls == 1
+
+
+def _entry_point_calls(s):
+    """Every picalc, connections and curvature entry point, as (label, call)."""
+    n = s.n
+    probes = _probe_fields(s, 0, 26)
+    scalars = _probe_scalars(s, 0, 88)
+    closed = GradientField(scalars[1])
+    form = PiForm.one_form(n, [(lambda i: (lambda x, y: x[i] * y[0]))(i) for i in range(n)])
+    drift = lambda x: [0.2] + [0.1 * x[0]] * (n - 1)
+    sigma = lambda x: 0.3 * x[0] * x[-1]
+    vec = np.arange(2.0 * n) + 1.0
+    return [
+        ("flat", lambda p: pc.flat(s, probes[2], p)),
+        ("sharp", lambda p: pc.sharp(s, form, p)),
+        ("gradient", lambda p: pc.gradient(s, scalars[0], p)),
+        ("dbar_p", lambda p: pc.dbar_p(s, form, p)),
+        ("dbar_1_on_fields", lambda p: pc.dbar_1_on_fields(s, form, probes[0], probes[3], p)),
+        ("a_operator", lambda p: pc.a_operator(s, probes[4], p)),
+        ("closedness_defect", lambda p: pc.closedness_defect(s, probes[5], p)),
+        ("flat_form_and_selfadjoint_matrix",
+         lambda p: pc.flat_form_and_selfadjoint_matrix(s, probes[2], p)),
+        ("dbar_sq", lambda p: pc.dbar_sq(s, scalars[1], p)),
+        ("gradient_torsion_identity", lambda p: pc.gradient_torsion_identity(s, scalars[0], p)),
+        ("isotropy_residual", lambda p: pc.isotropy_residual(s, scalars[2], p)),
+        ("lie_metric_report", lambda p: pc.lie_metric_report(s, probes[1], p)),
+        ("involutivity_report[closed]", lambda p: pc.involutivity_report(s, closed, p)),
+        ("involutivity_report[open]", lambda p: pc.involutivity_report(s, probes[3], p)),
+        ("drift_closedness_transfer", lambda p: pc.drift_closedness_transfer(s, drift, p)),
+        ("conformal_closedness_transfer",
+         lambda p: pc.conformal_closedness_transfer(s, probes[0], sigma, p)),
+        ("spray_defect", lambda p: connections.spray_defect(s, p)),
+        ("deflection_defect", lambda p: connections.deflection_defect(s, p)),
+        ("conservativity_defect", lambda p: connections.conservativity_defect(s, p)),
+        ("torsion_defect", lambda p: connections.torsion_defect(s, p)),
+        ("metricity_defect", lambda p: connections.metricity_defect(s, p)),
+        ("projector_defects", lambda p: connections.projector_defects(s, p)),
+        ("project_h", lambda p: connections.project_h(s, p, vec)),
+        ("project_v", lambda p: connections.project_v(s, p, vec)),
+        ("curvature_contraction_defect",
+         lambda p: curvature.curvature_contraction_defect(s, p)),
+        ("scalar_form_check", lambda p: curvature.scalar_form_check(s, p)),
+        ("scalar_form_check[kappa]",
+         lambda p: curvature.scalar_form_check(s, p, kappa=lambda x, y: 1.0 + x[0] * y[0])),
+    ]
+
+
+def _parts(value):
+    """The numbers of a result as (type, bytes) pairs; dataclass reports by field."""
+    if hasattr(value, "__dataclass_fields__"):
+        return [part for f in value.__dataclass_fields__ for part in _parts(getattr(value, f))]
+    if isinstance(value, tuple):
+        return [part for v in value for part in _parts(v)]
+    if isinstance(value, (bool, float)):
+        return [(type(value), np.float64(value).tobytes())]
+    return [(np.ndarray, value.shape, np.ascontiguousarray(value).tobytes())]
+
+
+def _point_part(value, i):
+    """Point i of a result computed on a batch."""
+    if hasattr(value, "__dataclass_fields__"):
+        return type(value)(**{f: _point_part(getattr(value, f), i)
+                              for f in value.__dataclass_fields__})
+    if isinstance(value, tuple):
+        return tuple(_point_part(v, i) for v in value)
+    if isinstance(value, bool):
+        return value
+    part = np.asarray(value)[i] if np.ndim(value) else value
+    return float(part) if np.ndim(part) == 0 and not isinstance(part, bool) else part
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_entry_points_on_a_batch_equal_each_point(name):
+    # one code path: a tuple of points gives the single-point results, as
+    # plain floats for scalars, stacked on a leading point axis
+    s = by_name(name)
+    pts = s.sample(8, seed=4)
+    for label, call in _entry_point_calls(s):
+        whole = call(tuple(pts))
+        for i, p in enumerate(pts):
+            assert _parts(_point_part(whole, i)) == _parts(call(p)), (label, p)
 
 
 # -- the point axis ----------------------------------------------------------------
@@ -187,12 +303,19 @@ def _outcome_of_field(frame, f):
         return type(exc), str(exc)
 
 
-def test_check_local_frames_leave_the_cache():
+def test_a_tuple_of_points_is_one_memoized_batch_frame():
     s = by_name("sphere2")
     pts = s.sample(5, seed=2)
-    with local_frames(s, pts) as frames:
-        assert all(point_frame(s, p) is fr for fr, p in zip(frames, pts))
-    assert all(point_frame(s, p) is not fr for fr, p in zip(frames, pts))
+    fr = point_frame(s, tuple(pts))
+    assert fr is point_frame(s, tuple(pts)) and fr.g.shape == (5, 2, 2)
+
+
+def test_check_local_batches_leave_the_cache():
+    s = by_name("sphere2")
+    pts = s.sample(5, seed=3)
+    with local_batch(s, pts) as fr:
+        assert point_frame(s, tuple(pts)) is fr and fr.point == tuple(pts)
+    assert point_frame(s, tuple(pts)) is not fr
 
 
 def _jet_eval_calls(monkeypatch, points):
