@@ -179,15 +179,6 @@ class PiForm:
     def one_form(cls, n: int, comps) -> "PiForm":
         return cls(n, 1, {(i,): c for i, c in enumerate(comps)})
 
-    def component(self, key):
-        """Component at any index tuple, with alternating sign rules."""
-        if len(set(key)) != len(key):
-            return None, 0.0
-        order = tuple(sorted(key))
-        sign = _perm_sign(key)
-        fn = self.components.get(order)
-        return fn, sign
-
 
 def _perm_sign(key) -> float:
     key = list(key)

@@ -1,4 +1,4 @@
-"""Per-point derivative tower for a Finsler structure.
+"""Derivative tower for a Finsler structure, at one point or over a batch.
 
 A PointFrame owns every chart quantity at one (x, y): the energy jet,
 the fundamental tensor, the geodesic spray, the nonlinear connection,
@@ -17,26 +17,24 @@ another memory layout.
 
 A frame may also hold a batch: `PointFrame(structure, points)` with a
 tuple of chart points puts a leading point axis before the tensor axes of
-every array and jet rung, computed by the same code; `point_frame` with a
-tuple memoizes one such frame, and the checks run on it. `point_frames` builds
-one batch over the uncached points of a sample and hands out per-point
-frames whose attributes and field jets are slices of the batch's, read on
-first access and equal to a standalone frame's bit for bit. Where the batch
-cannot compute a quantity at every point (a point outside the positivity
-cone, a singular metric), each of its frames computes that quantity alone,
-and raises what it raises alone.
+every array and jet rung, computed by the same code, and slice i of each
+equals the quantity of a frame at points[i] alone, bit for bit;
+`point_frame` with a tuple memoizes one such frame, and the checks run on
+it. Where a batch cannot compute a quantity at every point (a point outside
+the positivity cone, a singular metric), the quantity raises for the whole
+batch; `checks.run_check` then finds the first sample point at which its
+check fails alone.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from operator import attrgetter
 
 import numpy as np
 
 from .chart import ChartPoint
-from .errors import DomainError, FinslerError, SingularMetricError
+from .errors import DomainError, SingularMetricError
 from .jets import MAX_ORDER, Jet, jet_eval
 
 COND_LIMIT = 1e12
@@ -87,11 +85,6 @@ def jet_solve(A: Jet, B: Jet) -> Jet:
     return rows[..., n:, :]
 
 
-# What a batch may raise because of some of its points; each of its frames
-# then computes that quantity alone.
-_BATCH_ERRORS = (FinslerError, ArithmeticError)
-
-
 def _freeze(value) -> None:
     """Mark an ndarray value, or a Jet's coefficient array, read-only."""
     if isinstance(value, Jet):
@@ -105,11 +98,9 @@ class _lazy:
     instance __dict__, which then answers every later read.
 
     Its value is read-only (`_freeze`): frames are shared through the frame
-    cache, so no reader may write into one. A frame from `point_frames`
-    takes its slice of the batch's value instead of calling `func`, unless
-    the batch cannot compute it; a batch keeps the error of a quantity it
-    cannot compute and raises it again on the next access. `func` is looked
-    up at call time.
+    cache, so no reader may write into one. A quantity that raises is not
+    stored, and raises again on the next access. `func` is looked up at call
+    time.
     """
 
     def __init__(self, func):
@@ -118,21 +109,11 @@ class _lazy:
 
     def __set_name__(self, owner, name):
         self.name = name
-        self.read = attrgetter(name)
 
     def __get__(self, frame, owner=None):
         if frame is None:
             return self
-        if frame._failed and self.name in frame._failed:
-            raise frame._failed[self.name]
-        value = frame._batch_part(self.name, self.read) if frame._batch else None
-        if value is None:
-            try:
-                value = self.func(frame)
-            except _BATCH_ERRORS as exc:
-                if frame._lead:
-                    frame._failed[self.name] = exc
-                raise
+        value = self.func(frame)
         _freeze(value)
         frame.__dict__[self.name] = value
         return value
@@ -155,27 +136,6 @@ class PointFrame:
         self.n = structure.n
         self._lead = (len(point),) if isinstance(point, tuple) else ()
         self._field_jets = {}
-        # set by point_frames on the frames of a batch
-        self._batch = None
-        self._index = None
-        # on a batch: the error of each quantity it cannot compute at every point
-        self._failed = {}
-
-    def _batch_part(self, key, read):
-        """This frame's slice of `read(batch)`, or None when the batch cannot
-        compute it at every point (the frame then computes it alone)."""
-        batch = self._batch
-        if key in batch._failed:
-            return None
-        try:
-            whole = read(batch)
-        except _BATCH_ERRORS as exc:
-            batch._failed[key] = exc
-            return None
-        if isinstance(whole, Jet):
-            return Jet(whole.nvars, whole.order, whole.coeffs[self._index])
-        part = whole[self._index]
-        return float(part) if part.ndim == 0 else part
 
     def _first(self, bad):
         """Index and chart point of the first point where `bad` holds."""
@@ -306,11 +266,10 @@ class PointFrame:
         y = Jet.variable(2 * n, 2, range(n, 2 * n), self._y()[..., None, :])
         # [..., m, k] = y^k d_k dy_m E
         terms = y * self._E_dy.partial_jet(range(n))
-        acc = terms[..., 0, :] - self.E_jet.partial_jet(range(n))  # == -d_m E + terms[..., 0]
-        for k in range(1, n):
-            acc = acc + terms[..., k, :]
+        # column 0 also takes -d_m E, so the row sums are the right-hand side
+        terms.coeffs[..., 0, :] -= self.E_jet.partial_jet(range(n)).truncated(2).coeffs
         self.g  # conditioning guard
-        return jet_solve(self.g_jets, (0.5 * acc)[..., None, :])[..., 0, :]
+        return jet_solve(self.g_jets, (0.5 * terms.sum_last())[..., None, :])[..., 0, :]
 
     @_lazy
     def G(self) -> np.ndarray:
@@ -370,10 +329,7 @@ class PointFrame:
         col = dg.swapaxes(-3, -2) + dg.swapaxes(-4, -3) - dg.swapaxes(-4, -2).swapaxes(-3, -2)
         col = Jet(2 * n, 1, self._against(col, col.ndim + 1))  # [..., 1, s, j, k]
         terms = self.ginv_jets[..., None, None, :] * col  # [..., i, s, j, k]
-        acc = terms[..., 0, :, :, :]
-        for s in range(1, n):
-            acc = acc + terms[..., s, :, :, :]
-        return 0.5 * acc
+        return 0.5 * Jet(2 * n, 1, np.moveaxis(terms.coeffs, -4, -2)).sum_last()
 
     @_lazy
     def F(self) -> np.ndarray:
@@ -419,17 +375,13 @@ class PointFrame:
     # -- scalar fields on the frame -------------------------------------------
 
     def field_jet(self, fn, order: int) -> Jet:
-        """Jet of a scalar field (x, y) -> value at this frame's point, cached
-        and read-only. A frame of a batch reads its slice of one stacked
-        `jet_eval` of `fn` over the whole batch."""
+        """Jet of a scalar field (x, y) -> value at this frame's point, or one
+        stacked jet over the points of a batch, cached and read-only."""
         key = (fn, order)
         jet = self._field_jets.get(key)
         if jet is None:
-            if self._batch:
-                jet = self._batch_part(key, lambda batch: batch.field_jet(fn, order))
-            if jet is None:
-                jet = jet_eval(fn, self.point, order)
-                _freeze(jet)
+            jet = jet_eval(fn, self.point, order)
+            _freeze(jet)
             self._field_jets[key] = jet
         return jet
 
@@ -437,15 +389,13 @@ class PointFrame:
 # -- the frame cache ------------------------------------------------------------
 
 # Frame slots, least recently used first. Structures hash by identity and
-# points by value; a batch fills one slot per point.
-_CACHE_SLOTS = 4096
+# points by value. A batch takes one slot, and one run_checks touches few:
+# the sample's batch, at most two local_batch frames at once, and while an
+# error is located about log2(P) + 1 prefix batches of the sample, which the
+# next failing check reuses. 64 slots keep those prefixes for a sample of a
+# few thousand points without pinning many dead batches.
+_CACHE_SLOTS = 64
 _frames: OrderedDict = OrderedDict()
-
-
-def _remember(key, frame: PointFrame) -> None:
-    _frames[key] = frame
-    if len(_frames) > _CACHE_SLOTS:
-        _frames.popitem(last=False)
 
 
 def point_frame(structure, point) -> PointFrame:
@@ -456,41 +406,15 @@ def point_frame(structure, point) -> PointFrame:
     key = (structure, point)
     frame = _frames.get(key)
     if frame is None:
-        frame = PointFrame(structure, point)
-        _remember(key, frame)
+        frame = _frames[key] = PointFrame(structure, point)
+        if len(_frames) > _CACHE_SLOTS:
+            _frames.popitem(last=False)
     else:
         _frames.move_to_end(key)
     return frame
 
 
 point_frame.cache_clear = _frames.clear  # as on the lru_cache it replaces
-
-
-def point_frames(structure, points) -> list:
-    """The cached frames of `structure` at `points`, as `point_frame` gives
-    them. The points not cached yet share one batch frame: each new frame's
-    quantities and field jets are its slices of the batch's, computed once
-    for all of them on first access. A point without a frame (outside the
-    domain, or of another dimension) is skipped, and `point_frame` raises
-    for it as for any such point. The batch lives as long as any of its
-    frames."""
-    frames, fresh = [], []
-    for p in points:
-        key = (structure, p)
-        frame = _frames.get(key)
-        if frame is None:
-            try:
-                frame = PointFrame(structure, p)
-            except (ValueError, DomainError):
-                continue
-            _remember(key, frame)
-            fresh.append(frame)
-        frames.append(frame)
-    if len(fresh) > 1:
-        batch = PointFrame(structure, tuple(frame.point for frame in fresh))
-        for i, frame in enumerate(fresh):
-            frame._batch, frame._index = batch, i
-    return frames
 
 
 @contextmanager

@@ -156,8 +156,7 @@ def a_operator(F, X: PiVectorField, p: ChartPoint) -> np.ndarray:
 def _nabla_h_matrix(fr: PointFrame, Xj: Jet) -> np.ndarray:
     """(A_X)^i_j from the order-1 jets of X."""
     out = fr.delta_values(Xj)
-    # a contiguous copy of the values: einsum may sum in another order over a view
-    out += np.einsum("...ikj,...k->...ij", fr.F, Xj.value.copy())
+    out += np.einsum("...ikj,...k->...ij", fr.F, Xj.value)
     return out
 
 

@@ -150,16 +150,6 @@ class TestDbarHigherDegree:
 
 
 class TestPiFormComponents:
-    def test_alternating_access(self):
-        base = lambda x, y: 2.0
-        w = PiForm(2, 2, {(0, 1): base})
-        fn, sign = w.component((1, 0))
-        assert fn is base and sign == -1.0
-        fn, sign = w.component((0, 1))
-        assert fn is base and sign == 1.0
-        fn, sign = w.component((0, 0))
-        assert fn is None and sign == 0.0
-
     def test_keys_must_increase(self):
         with pytest.raises(ValueError):
             PiForm(2, 2, {(1, 0): lambda x, y: 1.0})
