@@ -3,11 +3,14 @@
 Each check registers itself with @check(id, anchor), the one place its id
 and formula anchor are stated; run_check stamps both on the result.
 
-A check is a reduction over the point axis. The sample `pts` is a tuple,
-and a check runs its calculus once on its batch frame `point_frame(F, pts)`
-(and on each probe field): every identity it tests gives one array of
-residuals and one of scales, with an entry per point, and the check reduces
-those arrays to a CheckResult. The reductions pick the maximum and the
+A check is a reduction over the point axis. The sample `pts` is a tuple; a
+check looks up its batch frame `point_frame(F, pts)` once and passes it to
+the calculus, which runs once on it (and on each probe field): every
+identity it tests gives one array of residuals and one of scales, with an
+entry per point, and the check reduces those arrays to a CheckResult. The
+frames a check builds for itself (scaled points, a Randers or conformal
+change of F) are plain PointFrames, which do not enter the frame cache and
+are freed when the check returns. The reductions pick the maximum and the
 witness point that adding the residuals one point at a time, in sample
 order, would pick. Identity checks compare at a relative tolerance against
 max(1, |LHS|, |RHS|); nonvanishing claims use an absolute floor and carry a
@@ -26,7 +29,7 @@ from . import connections, curvature, picalc
 from .chart import ChartPoint
 from .errors import FinslerError
 from .fields import ComponentField, GradientField, constant_field
-from .frame import dot, local_batch, matvec, max_abs, point_frame, pymax
+from .frame import PointFrame, dot, matvec, max_abs, point_frame, pymax
 from .jets import fd_partial, jet_eval
 from .structures import FinslerStructure, conformal_change, randers_change
 
@@ -220,19 +223,18 @@ def _probe_scalars(F: FinslerStructure, seed: int, tag: int):
 def _check_homogeneity(F, pts, tol, floor, seed):
     sweep = _Sweep(pts)
     t = 1.75
-    scaled = [ChartPoint(p.x, tuple(t * v for v in p.y)) for p in pts]
-    with local_batch(F, scaled) as frs:
-        fr = point_frame(F, pts)
-        n = fr.n
-        y = fr._y()
-        sweep.add(abs(dot(fr.ell, y) - fr.L), fr.L)
-        dyg = fr.g_jets.coeffs[..., 1 + n:1 + 2 * n]  # [..., i, j, k] = dy_k g_ij
-        euler = sum(dyg[..., k] * y[..., None, None, k] for k in range(n))
-        sweep.add(max_abs(euler, 2), max_abs(fr.g, 2))
-        sweep.add(max_abs(frs.G - t * t * fr.G, 1), max_abs(frs.G, 1))
-        sweep.add(max_abs(frs.N - t * fr.N, 2), max_abs(frs.N, 2))
-        sweep.add(max_abs(frs.Rhat - t * fr.Rhat, 3), max_abs(frs.Rhat, 3))
-        sweep.add(max_abs(frs.g - fr.g, 2), max_abs(fr.g, 2))
+    frs = PointFrame(F, tuple(ChartPoint(p.x, tuple(t * v for v in p.y)) for p in pts))
+    fr = point_frame(F, pts)
+    n = fr.n
+    y = fr._y()
+    sweep.add(abs(dot(fr.ell, y) - fr.L), fr.L)
+    dyg = fr.g_jets.coeffs[..., 1 + n:1 + 2 * n]  # [..., i, j, k] = dy_k g_ij
+    euler = sum(dyg[..., k] * y[..., None, None, k] for k in range(n))
+    sweep.add(max_abs(euler, 2), max_abs(fr.g, 2))
+    sweep.add(max_abs(frs.G - t * t * fr.G, 1), max_abs(frs.G, 1))
+    sweep.add(max_abs(frs.N - t * fr.N, 2), max_abs(frs.N, 2))
+    sweep.add(max_abs(frs.Rhat - t * fr.Rhat, 3), max_abs(frs.Rhat, 3))
+    sweep.add(max_abs(frs.g - fr.g, 2), max_abs(fr.g, 2))
     return sweep.result(len(pts), tol)
 
 
@@ -259,7 +261,7 @@ def _check_spray_defect(F, pts, tol, floor, seed):
     fr = point_frame(F, pts)
     scale = pymax(max_abs(matvec(2.0 * fr.g, fr.G), 1),
                   pymax(*_abs_first_partials(fr.E_jet, fr.n)))
-    sweep.add(connections.spray_defect(F, pts), scale)
+    sweep.add(connections.spray_defect(fr), scale)
     return sweep.result(len(pts), tol)
 
 
@@ -268,7 +270,7 @@ def _check_conservativity(F, pts, tol, floor, seed):
     sweep = _Sweep(pts)
     fr = point_frame(F, pts)
     scale = pymax(*_abs_first_partials(fr.E_jet, fr.n))
-    sweep.add(connections.conservativity_defect(F, pts), pymax(scale, fr.E))
+    sweep.add(connections.conservativity_defect(fr), pymax(scale, fr.E))
     return sweep.result(len(pts), tol)
 
 
@@ -298,7 +300,7 @@ def _check_torsion(F, pts, tol, floor, seed):
 def _check_metricity(F, pts, tol, floor, seed):
     sweep = _Sweep(pts)
     fr = point_frame(F, pts)
-    h, v = connections.metricity_defect(F, pts)
+    h, v = connections.metricity_defect(fr)
     scale = pymax(1.0, max_abs(fr.F @ np.ones(fr.n), 2), max_abs(fr.g, 2))
     sweep.add(pymax(h, v), scale)
     return sweep.result(len(pts), tol)
@@ -307,22 +309,24 @@ def _check_metricity(F, pts, tol, floor, seed):
 @check("struct.symmetry", "F^i_jk = F^i_kj")
 def _check_symmetry(F, pts, tol, floor, seed):
     sweep = _Sweep(pts)
-    sweep.add(connections.torsion_defect(F, pts), max_abs(point_frame(F, pts).F, 3))
+    fr = point_frame(F, pts)
+    sweep.add(connections.torsion_defect(fr), max_abs(fr.F, 3))
     return sweep.result(len(pts), tol)
 
 
 @check("struct.deflection", "F^i_kj y^k = N^i_j")
 def _check_deflection(F, pts, tol, floor, seed):
     sweep = _Sweep(pts)
-    sweep.add(connections.deflection_defect(F, pts), max_abs(point_frame(F, pts).N, 2))
+    fr = point_frame(F, pts)
+    sweep.add(connections.deflection_defect(fr), max_abs(fr.N, 2))
     return sweep.result(len(pts), tol)
 
 
 @check("struct.projectors", "h + v = id, h^2 = h, v^2 = v, hv = vh = 0 on T(TM)")
 def _check_projectors(F, pts, tol, floor, seed):
     sweep = _Sweep(pts)
-    sweep.add(connections.projector_defects(F, pts),
-              pymax(1.0, max_abs(point_frame(F, pts).N, 2)))
+    fr = point_frame(F, pts)
+    sweep.add(connections.projector_defects(fr), pymax(1.0, max_abs(fr.N, 2)))
     return sweep.result(len(pts), tol)
 
 
@@ -335,7 +339,7 @@ def _check_curv_contraction(F, pts, tol, floor, seed):
     fr = point_frame(F, pts)
     y_max = pymax(*np.moveaxis(np.abs(fr._y()), -1, 0))
     scale = pymax(max_abs(fr.Rhat, 3), max_abs(fr.hcurv, 4) * y_max)
-    sweep.add(curvature.curvature_contraction_defect(F, pts), scale)
+    sweep.add(curvature.curvature_contraction_defect(fr), scale)
     return sweep.result(len(pts), tol)
 
 
@@ -348,14 +352,15 @@ def _check_flatness(F, pts, tol, floor, seed):
     return sweep.result(len(pts), tol, details={"max_vh_torsion": worst_rhat})
 
 
-def _max_rhat(F, pts) -> float:
+def _max_rhat(fr) -> float:
     # the builtin max over the points, as a per-point loop takes it
-    return max(max_abs(point_frame(F, pts).Rhat, 3).tolist())
+    return max(max_abs(fr.Rhat, 3).tolist())
 
 
 @check("thm2.8.flat", "R = 0 implies every gradient field is closed and dbar^2 f = 0")
 def _check_thm28_flat(F, pts, tol, floor, seed):
-    rhat = _max_rhat(F, pts)
+    fr = point_frame(F, pts)
+    rhat = _max_rhat(fr)
     if rhat > floor:
         return CheckResult(
             n_points=len(pts),
@@ -366,16 +371,17 @@ def _check_thm28_flat(F, pts, tol, floor, seed):
                      "max_vh_torsion": rhat},
         )
     sweep = _Sweep(pts)
-    sweep.add(max_abs(point_frame(F, pts).Rhat, 3))
+    sweep.add(max_abs(fr.Rhat, 3))
     for f in _probe_scalars(F, seed, 28):
-        sweep.add(picalc.closedness_defect(F, GradientField(f), pts))
-        sweep.add(max_abs(picalc.dbar_sq(F, f, pts).nested, 2))
+        sweep.add(picalc.closedness_defect(fr, GradientField(f)))
+        sweep.add(max_abs(picalc.dbar_sq(fr, f).nested, 2))
     return sweep.result(len(pts), tol, details={"max_vh_torsion": rhat})
 
 
 @check("thm2.8.curved", "R != 0 witnessed and a documented gradient probe is not closed")
 def _check_thm28_curved(F, pts, tol, floor, seed):
-    rhat = _max_rhat(F, pts)
+    fr = point_frame(F, pts)
+    rhat = _max_rhat(fr)
     if rhat <= floor:
         return CheckResult(
             n_points=len(pts), max_residual=rhat, threshold=floor,
@@ -384,7 +390,7 @@ def _check_thm28_curved(F, pts, tol, floor, seed):
                      "max_vh_torsion": rhat},
         )
     doc = lambda x, y: 0.5 * (y[0] * y[0])
-    best, k = _first_max(picalc.closedness_defect(F, GradientField(doc), pts))
+    best, k = _first_max(picalc.closedness_defect(fr, GradientField(doc)))
     verdict = PASS if best > floor else FAIL
     return CheckResult(
         n_points=len(pts), max_residual=best, threshold=floor, verdict=verdict,
@@ -397,12 +403,13 @@ def _check_thm28_curved(F, pts, tol, floor, seed):
 @check("eq2.13", "R^i_jk = omega_j phi^i_k - omega_k phi^i_j, omega from fitted kappa")
 def _check_eq213(F, pts, tol, floor, seed):
     sweep = _Sweep(pts)
-    res = curvature.scalar_form_check(F, pts)
+    fr = point_frame(F, pts)
+    res = curvature.scalar_form_check(fr)
     sweep.add(res.residual, res.scale)
     details = {
         "kappa_min": float(np.min(res.kappa)),
         "kappa_max": float(np.max(res.kappa)),
-        "scalar_h_last": float(point_frame(F, pts).scalar[-1]),
+        "scalar_h_last": float(fr.scalar[-1]),
     }
     return sweep.result(len(pts), tol, details=details)
 
@@ -413,8 +420,9 @@ def _check_eq213(F, pts, tol, floor, seed):
 @check("thm2.6", "(dbar i_X g)_jk = g_ks (A_X)^s_j - g_js (A_X)^s_k for every field X")
 def _check_thm26(F, pts, tol, floor, seed):
     sweep = _Sweep(pts)
+    fr = point_frame(F, pts)
     for X in _probe_fields(F, seed, 26):
-        M, B = picalc.flat_form_and_selfadjoint_matrix(F, X, pts)
+        M, B = picalc.flat_form_and_selfadjoint_matrix(fr, X)
         BT = np.swapaxes(B, -1, -2)
         sweep.add(max_abs(M - (BT - B), 2), pymax(max_abs(M, 2), max_abs(B - BT, 2)))
     return sweep.result(len(pts), tol)
@@ -423,8 +431,9 @@ def _check_thm26(F, pts, tol, floor, seed):
 @check("dbar.sq", "(dbar dbar f)_jk = R^m_jk dy_m f (nested vs contracted)")
 def _check_dbar_sq(F, pts, tol, floor, seed):
     sweep = _Sweep(pts)
+    fr = point_frame(F, pts)
     for f in _probe_scalars(F, seed, 88):
-        res = picalc.dbar_sq(F, f, pts)
+        res = picalc.dbar_sq(fr, f)
         sweep.add(res.defect, res.scale)
     return sweep.result(len(pts), tol)
 
@@ -432,10 +441,11 @@ def _check_dbar_sq(F, pts, tol, floor, seed):
 @check("eq2.12", "g_lk (A_gradf)^l_j - g_lj (A_gradf)^l_k = R^m_jk dy_m f")
 def _check_eq212(F, pts, tol, floor, seed):
     sweep = _Sweep(pts)
+    fr = point_frame(F, pts)
     scalars = _probe_scalars(F, seed, 212)
     sides = []
     for f in scalars:
-        res = picalc.gradient_torsion_identity(F, f, pts)
+        res = picalc.gradient_torsion_identity(fr, f)
         sweep.add(res.residual, res.scale)
         lhs, rhs = max_abs(res.lhs, 2), max_abs(res.rhs, 2)
         sides.append(np.where(rhs < lhs, rhs, lhs))  # the builtin min(lhs, rhs)
@@ -453,9 +463,9 @@ def _check_eq214(F, pts, tol, floor, seed):
     aniso = lambda x, y: y[0] * y[0]
     sweep = _Sweep(pts)
     fr = point_frame(F, pts)
-    sweep.add(picalc.isotropy_residual(F, iso_h, pts), pymax(1.0, fr.L) * fr.L)
-    sweep.add(picalc.isotropy_residual(F, pos, pts))
-    best, k = _first_max(picalc.isotropy_residual(F, aniso, pts))
+    sweep.add(picalc.isotropy_residual(fr, iso_h), pymax(1.0, fr.L) * fr.L)
+    sweep.add(picalc.isotropy_residual(fr, pos))
+    best, k = _first_max(picalc.isotropy_residual(fr, aniso))
     wit = None if k is None else _witness(pts[k], best)
     details = {"anisotropic_residual": best,
                "probes": "f = h(x) L^2; f = x1; f = (y1)^2"}
@@ -479,8 +489,9 @@ def _check_involutive(F, pts, tol, floor, seed):
     closed = GradientField(_positional_scalar(F.n, rng), name="gradpos")
     other = _mixed_field(F.n, rng)
     sweep = _Sweep(pts)
-    rep = picalc.involutivity_report(F, closed, pts)
-    rep2 = picalc.involutivity_report(F, other, pts)
+    fr = point_frame(F, pts)
+    rep = picalc.involutivity_report(fr, closed)
+    rep2 = picalc.involutivity_report(fr, other)
     sweep.add(rep.defect, rep.scale)
     sweep.add(rep.identity_defect, rep.scale)
     sweep.add(rep2.identity_defect, rep2.scale)
@@ -512,7 +523,8 @@ def _check_lie(F, pts, tol, floor, seed):
     ]
 
     def lie_reports(sample):
-        return [(getattr(X, "name", "field"), picalc.lie_metric_report(F, X, sample))
+        fr = point_frame(F, sample)
+        return [(getattr(X, "name", "field"), picalc.lie_metric_report(fr, X))
                 for X in fields]
 
     half = max(1, len(pts) // 2)
@@ -541,19 +553,17 @@ def _check_lie(F, pts, tol, floor, seed):
 
 @check("prop.randers", "tau i_{m*} g* = i_m g under a closed drift; ell pairings vanish")
 def _check_randers(F, pts, tol, floor, seed):
-    if "b_fn" in F.meta and "base" in F.meta:
-        base = F.meta["base"]
+    fr = point_frame(F, pts)
+    if "b_fn" in F.meta and "base" in F.meta:  # F is the changed structure
         b_fn = F.meta["b_fn"]
-        star = F
+        frb, frs = PointFrame(F.meta["base"], pts), fr
     else:
-        base = F
         const = tuple([0.2] + [0.0] * (F.n - 1))
         b_fn = lambda x: const
-        star = randers_change(F, b_fn, validate=False)
-    pre = picalc.drift_precondition_defect(b_fn, pts, base.n)
+        frb, frs = fr, PointFrame(randers_change(F, b_fn, validate=False), pts)
+    pre = picalc.drift_precondition_defect(b_fn, pts, F.n)
     sweep = _Sweep(pts)
-    with local_batch(base if star is F else star, pts):
-        rep = picalc.drift_closedness_transfer(base, b_fn, pts, star=star)
+    rep = picalc.drift_closedness_transfer(frb, frs)
     sweep.add(rep.identity_residual, rep.base_form_scale)
     sweep.add(rep.dual_path_residual, rep.base_form_scale)
     sweep.add(abs(rep.ell_pairing))
@@ -581,15 +591,9 @@ def _check_randers(F, pts, tol, floor, seed):
 @check("thm2.16.conformal", "dbar~ i_X g~ = e^{2s}(2 ds wedge i_X g + dbar~ i_X g)")
 def _check_conformal(F, pts, tol, floor, seed):
     X = constant_field([0.0, 1.0] + [0.0] * (F.n - 2))
-    sig_const = 0.25
-    sig_lin = lambda x: x[0]
-    tilde_const = conformal_change(F, sig_const)
-    tilde_lin = conformal_change(F, sig_lin)
-    with local_batch(tilde_const, pts), local_batch(tilde_lin, pts):
-        rep_c = picalc.conformal_closedness_transfer(F, X, sig_const, pts,
-                                                     tilde=tilde_const)
-        rep_l = picalc.conformal_closedness_transfer(F, X, sig_lin, pts,
-                                                     tilde=tilde_lin)
+    fr = point_frame(F, pts)
+    rep_c, rep_l = (picalc.conformal_closedness_transfer(fr, PointFrame(tilde, pts), X)
+                    for tilde in (conformal_change(F, 0.25), conformal_change(F, lambda x: x[0])))
     # the wedge prediction applies where dbar~ of the base form vanishes
     applicable = rep_l.tilde_base_defect < tol * rep_l.scale
     sweep = _Sweep(pts)

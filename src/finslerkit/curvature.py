@@ -11,9 +11,9 @@ Conventions, fixed once for the whole package:
 With these signs the round unit sphere carries scalar value +2 in
 dimension two.
 
-Both entry points take a chart point, or a tuple of them: on a tuple every
-result carries a leading point axis, equal point by point to the result at
-that point alone.
+Both entry points take the frame they compute on, at one chart point or
+over a tuple of them: on a batch frame every result carries a leading point
+axis, equal point by point to the result on a frame at that point alone.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import ChartPoint
-from .frame import _plain, max_abs, point_frame, pymax
+from .frame import PointFrame, _plain, max_abs, pymax
 
 
-def curvature_contraction_defect(F, p: ChartPoint) -> float:
+def curvature_contraction_defect(fr: PointFrame) -> float:
     """max |R^i_hjk y^h - R^i_jk|: the certificate pinning the sign
     conventions of both curvature tensors to each other."""
-    fr = point_frame(F, p)
     contracted = np.einsum("...ihjk,...h->...ijk", fr.hcurv, fr._y())
     return max_abs(contracted - fr.Rhat, 3)
 
@@ -57,15 +55,15 @@ class ScalarFormResult:
         return self.residual / self.scale
 
 
-def scalar_form_check(F, p: ChartPoint, kappa=None) -> ScalarFormResult:
-    """Test whether the vh-torsion has the isotropic (scalar) shape at p.
+def scalar_form_check(fr: PointFrame, kappa=None) -> ScalarFormResult:
+    """Test whether the vh-torsion has the isotropic (scalar) shape at the
+    frame's point.
 
     When `kappa` is a scalar field callable it is differentiated and the
     claimed identity is evaluated directly; otherwise the best (kappa, u)
     pair is fitted per point by least squares and the fit residual reported.
     A genuinely anisotropic structure leaves a large residual.
     """
-    fr = point_frame(F, p)
     n = fr.n
     L = np.asarray(fr.L)
     ell = fr.ell

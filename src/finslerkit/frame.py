@@ -19,8 +19,10 @@ A frame may also hold a batch: `PointFrame(structure, points)` with a
 tuple of chart points puts a leading point axis before the tensor axes of
 every array and jet rung, computed by the same code, and slice i of each
 equals the quantity of a frame at points[i] alone, bit for bit;
-`point_frame` with a tuple memoizes one such frame, and the checks run on
-it. Where a batch cannot compute a quantity at every point (a point outside
+`point_frame` with a tuple memoizes one such frame. The calculus modules
+(`picalc`, `connections`, `curvature`) take the frame they compute on, and
+each check looks up the batch frame of its sample once and passes it down.
+Where a batch cannot compute a quantity at every point (a point outside
 the positivity cone, a singular metric), the quantity raises for the whole
 batch; `checks.run_check` then finds the first sample point at which its
 check fails alone.
@@ -29,7 +31,6 @@ check fails alone.
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -390,10 +391,11 @@ class PointFrame:
 
 # Frame slots, least recently used first. Structures hash by identity and
 # points by value. A batch takes one slot, and one run_checks touches few:
-# the sample's batch, at most two local_batch frames at once, and while an
-# error is located about log2(P) + 1 prefix batches of the sample, which the
-# next failing check reuses. 64 slots keep those prefixes for a sample of a
-# few thousand points without pinning many dead batches.
+# the sample's batch, and while an error is located about log2(P) + 1 prefix
+# batches of the sample, which the next failing check reuses (the frames a
+# check builds for itself are plain PointFrames and never enter). 64 slots
+# keep those prefixes for a sample of a few thousand points without pinning
+# many dead batches.
 _CACHE_SLOTS = 64
 _frames: OrderedDict = OrderedDict()
 
@@ -415,20 +417,6 @@ def point_frame(structure, point) -> PointFrame:
 
 
 point_frame.cache_clear = _frames.clear  # as on the lru_cache it replaces
-
-
-@contextmanager
-def local_batch(structure, points):
-    """The batch frame `point_frame(structure, tuple(points))` for the length
-    of a block: it leaves the cache when the block exits, so a check's own
-    structures and points do not outlive the check."""
-    key = (structure, tuple(points))
-    frame = point_frame(*key)
-    try:
-        yield frame
-    finally:
-        if _frames.get(key) is frame:
-            del _frames[key]
 
 
 # -- per-point arithmetic over a frame's leading axes ----------------------------

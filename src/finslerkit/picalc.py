@@ -4,10 +4,11 @@ Implements the horizontal exterior derivative, the covariant operator
 A_X, musical isomorphisms, and the composite closedness diagnostics
 (Lie comparison, involutivity, drift and conformal transfer reports).
 
-Every entry point takes a chart point, or a tuple of them. On a tuple each
-array and report field carries a leading point axis, and its entry for a
-point equals the result at that point alone, bit for bit: the calculus runs
-once, as stacked jet and numpy operations, over the whole batch frame.
+Every entry point takes the frame it computes on, a PointFrame at one
+chart point or over a tuple of them. On a batch frame each array and report
+field carries a leading point axis, and its entry for a point equals the
+result on a frame at that point alone, bit for bit: the calculus runs once,
+as stacked jet and numpy operations, over the whole batch.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .chart import ChartPoint
 from .errors import CapabilityError, DegenerateFieldError
 from .fields import (
     DriftCompanionField,
@@ -28,23 +28,20 @@ from .fields import (
     _perm_sign,
     project_away,
 )
-from .frame import PointFrame, _plain, dot, matvec, max_abs, point_frame, pymax, quad
+from .frame import PointFrame, _plain, dot, matvec, max_abs, pymax, quad
 from .jets import Jet
-from .structures import FinslerStructure, conformal_change, randers_change
 
 
 # -- musical isomorphisms ---------------------------------------------------
 
 
-def flat(F, X: PiVectorField, p: ChartPoint) -> np.ndarray:
+def flat(fr: PointFrame, X: PiVectorField) -> np.ndarray:
     """Lower the index: (X^flat)_k = g_km X^m."""
-    fr = point_frame(F, p)
     return matvec(fr.g, X.values(fr))
 
 
-def sharp(F, omega, p: ChartPoint) -> np.ndarray:
+def sharp(fr: PointFrame, omega) -> np.ndarray:
     """Raise the index of a 1-form given as a PiForm or a component array."""
-    fr = point_frame(F, p)
     if isinstance(omega, PiForm):
         if omega.degree != 1:
             raise ValueError("sharp expects a 1-form")
@@ -56,36 +53,33 @@ def sharp(F, omega, p: ChartPoint) -> np.ndarray:
     return matvec(fr.g_inv, vals)
 
 
-def gradient(F, f, p: ChartPoint) -> np.ndarray:
+def gradient(fr: PointFrame, f) -> np.ndarray:
     """grad f = (dbar f)^sharp, components g^ij delta_j f."""
-    return matvec(point_frame(F, p).g_inv, dbar_0(F, f, p))
+    return matvec(fr.g_inv, dbar_0(fr, f))
 
 
 # -- horizontal exterior derivative ------------------------------------------
 
 
-def dbar_0(F, f, p: ChartPoint) -> np.ndarray:
+def dbar_0(fr: PointFrame, f) -> np.ndarray:
     """(dbar f)_i = delta_i f."""
-    fr = point_frame(F, p)
-    jet = fr.field_jet(f, 1)
-    return fr.delta_values(jet)
+    return fr.delta_values(fr.field_jet(f, 1))
 
 
-def dbar_1(F, omega: PiForm, p: ChartPoint) -> np.ndarray:
+def dbar_1(fr: PointFrame, omega: PiForm) -> np.ndarray:
     """(dbar omega)_jk = delta_j omega_k - delta_k omega_j for a 1-form."""
     if omega.degree != 1:
         raise ValueError("dbar_1 expects a 1-form")
-    return dbar_p(F, omega, p)
+    return dbar_p(fr, omega)
 
 
-def dbar_p(F, omega: PiForm, p: ChartPoint) -> np.ndarray:
+def dbar_p(fr: PointFrame, omega: PiForm) -> np.ndarray:
     """Horizontal exterior derivative of a form of any supported degree:
 
         (dbar w)_{k0..kp} = sum_q (-1)^q delta_{kq} w_{k0..^kq..kp}
 
     returned as the full antisymmetric component array.
     """
-    fr = point_frame(F, p)
     n = fr.n
     deg = omega.degree
     if deg + 1 > PiForm.MAX_DEGREE:
@@ -107,8 +101,8 @@ def dbar_p(F, omega: PiForm, p: ChartPoint) -> np.ndarray:
     return out
 
 
-def dbar_1_on_fields(F, omega: PiForm, X: PiVectorField, Y: PiVectorField,
-                     p: ChartPoint) -> float:
+def dbar_1_on_fields(fr: PointFrame, omega: PiForm, X: PiVectorField,
+                     Y: PiVectorField) -> float:
     """(dbar omega)(X, Y) through the field formula
 
         bX(omega(Y)) - bY(omega(X)) - omega(rho[bX, bY]),
@@ -118,7 +112,6 @@ def dbar_1_on_fields(F, omega: PiForm, X: PiVectorField, Y: PiVectorField,
     """
     if omega.degree != 1:
         raise ValueError("dbar_1_on_fields expects a 1-form")
-    fr = point_frame(F, p)
     Xj = X.jets(fr, 1)
     Yj = Y.jets(fr, 1)
     wvals = np.zeros(fr._lead + (fr.n,))
@@ -146,10 +139,9 @@ def _bracket(frame: PointFrame, Xj: Jet, Yj: Jet) -> np.ndarray:
 # -- the operator A_X ----------------------------------------------------------
 
 
-def a_operator(F, X: PiVectorField, p: ChartPoint) -> np.ndarray:
+def a_operator(fr: PointFrame, X: PiVectorField) -> np.ndarray:
     """(A_X)^i_j = delta_j X^i + F^i_kj X^k, the horizontal covariant
     derivative of X packaged as an endomorphism."""
-    fr = point_frame(F, p)
     return _nabla_h_matrix(fr, X.jets(fr, 1))
 
 
@@ -180,19 +172,17 @@ def _dbar_matrix(frame: PointFrame, w: Jet) -> np.ndarray:
     return out
 
 
-def closedness_defect(F, X: PiVectorField, p: ChartPoint) -> float:
+def closedness_defect(fr: PointFrame, X: PiVectorField) -> float:
     """max |(dbar X^flat)_jk|, from the jets of g_km X^m: zero exactly when X
-    is closed at p."""
-    fr = point_frame(F, p)
+    is closed at the frame's point."""
     return max_abs(_dbar_matrix(fr, _lowered_jets(fr, X.jets(fr, 1))), 2)
 
 
-def flat_form_and_selfadjoint_matrix(F, X: PiVectorField, p: ChartPoint):
+def flat_form_and_selfadjoint_matrix(fr: PointFrame, X: PiVectorField):
     """(M, B) from one evaluation of the jets of X: M = dbar X^flat, and
     B_jk = g_js (A_X)^s_k, the lowered operator, whose symmetry is
     g-self-adjointness of A_X. M_jk = B_kj - B_jk holds for every field,
     closed or not, which bridges the two."""
-    fr = point_frame(F, p)
     Xj = X.jets(fr, 1)
     return _dbar_matrix(fr, _lowered_jets(fr, Xj)), fr.g @ _nabla_h_matrix(fr, Xj)
 
@@ -208,16 +198,21 @@ class DbarSqResult:
     scale: float
 
 
-def dbar_sq(F, f, p: ChartPoint) -> DbarSqResult:
+def _torsion_contraction(fr: PointFrame, fj: Jet) -> np.ndarray:
+    """R^m_jk dy_m f, the vh-torsion contracted with the fiber differential
+    of a scalar f given by its jet."""
+    n = fr.n
+    dyf = np.array(fj.coeffs[..., 1 + n:1 + 2 * n])
+    return np.einsum("...mjk,...m->...jk", fr.Rhat, dyf)
+
+
+def dbar_sq(fr: PointFrame, f) -> DbarSqResult:
     """dbar(dbar f) computed twice: nested horizontal derivatives, and the
     vh-torsion contraction R^m_jk dy_m f. Their agreement is the numerical
     form of the commutation rule [delta_j, delta_k] = R^m_jk dy_m."""
-    fr = point_frame(F, p)
-    n = fr.n
     fj = fr.field_jet(f, 2)
     nested = _dbar_matrix(fr, fr.delta_jets(fj))
-    dyf = np.array(fj.coeffs[..., 1 + n:1 + 2 * n])
-    contracted = np.einsum("...mjk,...m->...jk", fr.Rhat, dyf)
+    contracted = _torsion_contraction(fr, fj)
     defect = max_abs(nested - contracted, 2)
     scale = pymax(1.0, max_abs(nested, 2), max_abs(contracted, 2))
     return DbarSqResult(nested=nested, contracted=contracted, defect=defect, scale=scale)
@@ -231,28 +226,23 @@ class GradientIdentityResult:
     scale: float
 
 
-def gradient_torsion_identity(F, f, p: ChartPoint) -> GradientIdentityResult:
+def gradient_torsion_identity(fr: PointFrame, f) -> GradientIdentityResult:
     """For X = grad f: g_lk (A_X)^l_j - g_lj (A_X)^l_k = R^m_jk dy_m f."""
-    fr = point_frame(F, p)
-    n = fr.n
     A = _nabla_h_matrix(fr, GradientField(f).jets(fr, 1))
     B = fr.g @ A
     lhs = np.swapaxes(B, -1, -2) - B
-    fj = fr.field_jet(f, 2)
-    dyf = np.array(fj.coeffs[..., 1 + n:1 + 2 * n])
-    rhs = np.einsum("...mjk,...m->...jk", fr.Rhat, dyf)
+    rhs = _torsion_contraction(fr, fr.field_jet(f, 2))
     residual = max_abs(lhs - rhs, 2)
     scale = pymax(1.0, max_abs(lhs, 2), max_abs(rhs, 2))
     return GradientIdentityResult(lhs=lhs, rhs=rhs, residual=residual, scale=scale)
 
 
-def isotropy_residual(F, f, p: ChartPoint) -> float:
+def isotropy_residual(fr: PointFrame, f) -> float:
     """max_i |dy_i f - ell_i (y^k dy_k f) / L|.
 
     Vanishes exactly when the fiber differential of f is proportional to
     ell, that is when f depends on y through L alone.
     """
-    fr = point_frame(F, p)
     n = fr.n
     fj = fr.field_jet(f, 1)
     dyf = np.array(fj.coeffs[..., 1 + n:1 + 2 * n])
@@ -266,23 +256,21 @@ def isotropy_residual(F, f, p: ChartPoint) -> float:
 @dataclass
 class LieReport:
     lie: np.ndarray
-    contraction: np.ndarray
     difference: float
     lie_defect: float
     closedness: float
 
 
-def lie_metric_report(F, X: PiVectorField, p: ChartPoint) -> LieReport:
+def lie_metric_report(fr: PointFrame, X: PiVectorField) -> LieReport:
     """Horizontal Lie derivative of g along X next to the contraction
     i_X(dbar g) built from the alternated horizontal derivative of g.
 
         lie_ij  = X^k delta_k g_ij + g_mj delta_i X^m + g_im delta_j X^m
         con_jk  = X^i (delta_i g_jk - delta_j g_ik + delta_k g_ij)
 
-    Both matrices and their difference are reported; no identity between
-    them is asserted.
+    The Lie matrix and the largest entry of its difference from the
+    contraction are reported; no identity between them is asserted.
     """
-    fr = point_frame(F, p)
     n = fr.n
     Xj = X.jets(fr, 1)
     xv = Xj.value.copy()
@@ -303,10 +291,9 @@ def lie_metric_report(F, X: PiVectorField, p: ChartPoint) -> LieReport:
             )
     return LieReport(
         lie=lie,
-        contraction=con,
         difference=max_abs(lie - con, 2),
         lie_defect=max_abs(lie, 2),
-        closedness=closedness_defect(F, X, p),
+        closedness=closedness_defect(fr, X),
     )
 
 
@@ -316,24 +303,22 @@ def lie_metric_report(F, X: PiVectorField, p: ChartPoint) -> LieReport:
 @dataclass
 class InvolutivityReport:
     bracket_pairings: np.ndarray
-    identity_residuals: np.ndarray
     defect: float
     identity_defect: float
     scale: float
 
 
-def involutivity_report(F, X: PiVectorField, p: ChartPoint) -> InvolutivityReport:
+def involutivity_report(fr: PointFrame, X: PiVectorField) -> InvolutivityReport:
     """Probe the g-orthogonal complement of X for involutivity.
 
     Builds n-1 fields Y_a by g-projecting coordinate directions away from
     X, then for every pair reports g(rho[bY_a, bY_b], X) together with the
-    residual of the exchange identity
+    largest residual of the exchange identity
 
         g(rho[bY_a, bY_b], X) = g(A_X Y_b, Y_a) - g(A_X Y_a, Y_b),
 
     which holds whether or not X is closed.
     """
-    fr = point_frame(F, p)
     n = fr.n
     g = fr.g
     Xj = X.jets(fr, 1)
@@ -372,7 +357,6 @@ def involutivity_report(F, X: PiVectorField, p: ChartPoint) -> InvolutivityRepor
     residuals = np.stack(residuals, axis=-1) if residuals else np.zeros(lead + (0,))
     return InvolutivityReport(
         bracket_pairings=pairs,
-        identity_residuals=residuals,
         defect=max_abs(pairs, 1) if pairs.size else _plain(np.zeros(lead)),
         identity_defect=max_abs(residuals, 1) if residuals.size else _plain(np.zeros(lead)),
         scale=_plain(np.broadcast_to(scale, lead)),
@@ -394,9 +378,10 @@ class DriftTransferReport:
     base_form_scale: float
 
 
-def drift_closedness_transfer(F: FinslerStructure, b, p: ChartPoint,
-                              star: FinslerStructure = None) -> DriftTransferReport:
-    """Compare the drift companion form across a Randers change L* = L + b.
+def drift_closedness_transfer(fr: PointFrame, frs: PointFrame) -> DriftTransferReport:
+    """Compare the drift companion form across a Randers change L* = L + b,
+    from a frame `fr` of the base structure and a frame `frs` of the changed
+    one at the same points; b is read from `frs.structure.meta["b_fn"]`.
 
     With tau = L*/L and m, m* the drift companions of b in the base and
     changed structures, the form identity
@@ -409,13 +394,7 @@ def drift_closedness_transfer(F: FinslerStructure, b, p: ChartPoint,
     is generically nonzero), both eta-pairings, and the closedness defects
     of the shared form under both horizontal derivatives.
     """
-    if star is None:
-        star = randers_change(F, b, validate=False)
-    b_fn = star.meta["b_fn"]
-    fr = point_frame(F, p)
-    frs = point_frame(star, p)
-
-    m_field = DriftCompanionField(b_fn)
+    m_field = DriftCompanionField(frs.structure.meta["b_fn"])
     mj = m_field.jets(fr, 1)
     msj = m_field.jets(frs, 1)
     mv = mj.value.copy()
@@ -480,9 +459,6 @@ def drift_precondition_defect(b_fn, points, n: int) -> float:
 @dataclass
 class ConformalTransferReport:
     actual: np.ndarray
-    base_matrix: np.ndarray
-    tilde_of_base: np.ndarray
-    wedge: np.ndarray
     leibniz_residual: float
     scaling_residual: float
     prediction_residual: float
@@ -493,10 +469,11 @@ class ConformalTransferReport:
     scale: float
 
 
-def conformal_closedness_transfer(F: FinslerStructure, X: PiVectorField, sigma,
-                                  p: ChartPoint,
-                                  tilde: FinslerStructure = None) -> ConformalTransferReport:
-    """Track the lowered form of X across the rescaling L~ = e^sigma L.
+def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
+                                  X: PiVectorField) -> ConformalTransferReport:
+    """Track the lowered form of X across the rescaling L~ = e^sigma L, from
+    a frame `fr` of the base structure and a frame `frt` of the rescaled one
+    at the same points; sigma is read from `frt.structure.meta["sigma_fn"]`.
 
     omega~ = i_X g~ equals e^(2 sigma) omega, and its tilde-horizontal
     derivative obeys the exact shape
@@ -507,11 +484,6 @@ def conformal_closedness_transfer(F: FinslerStructure, X: PiVectorField, sigma,
     residual and the residual against the pure wedge term (the prediction
     applicable when dbar~ omega itself vanishes).
     """
-    if tilde is None:
-        tilde = conformal_change(F, sigma)
-    sig_fn = tilde.meta["sigma_fn"]
-    fr = point_frame(F, p)
-    frt = point_frame(tilde, p)
     n = fr.n
 
     Xj = X.jets(fr, 1)
@@ -525,7 +497,7 @@ def conformal_closedness_transfer(F: FinslerStructure, X: PiVectorField, sigma,
     base_matrix = _dbar_matrix(fr, w)
     tilde_of_base = _dbar_matrix(frt, w)
 
-    sig_jet = fr.field_jet(Positional(sig_fn), 1)
+    sig_jet = fr.field_jet(Positional(frt.structure.meta["sigma_fn"]), 1)
     sig = sig_jet.value
     dsig = np.array(sig_jet.coeffs[..., 1:1 + n])
     e2s = np.asarray(np.exp(2.0 * sig))[..., None, None]
@@ -540,9 +512,6 @@ def conformal_closedness_transfer(F: FinslerStructure, X: PiVectorField, sigma,
     scale = pymax(1.0, max_abs(actual, 2), max_abs(leibniz, 2))
     return ConformalTransferReport(
         actual=actual,
-        base_matrix=base_matrix,
-        tilde_of_base=tilde_of_base,
-        wedge=wedge,
         leibniz_residual=max_abs(actual - leibniz, 2),
         scaling_residual=max_abs(actual - scaling, 2),
         prediction_residual=max_abs(actual - wedge, 2),

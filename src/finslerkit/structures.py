@@ -169,11 +169,11 @@ def randers_change(base: FinslerStructure, b, name: str = None,
         meta={"base": base, "b_fn": b_fn},
     )
     if validate:
-        from .frame import point_frame
+        from .frame import PointFrame
         import numpy as np
 
         for p in base.sample(12, seed=0):
-            fr = point_frame(base, p)
+            fr = PointFrame(base, p)
             bv = np.array([float(v) for v in b_fn(p.x)], dtype=float)
             norm2 = float(bv @ fr.g_inv @ bv)
             if norm2 >= 1.0:

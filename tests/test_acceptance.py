@@ -17,7 +17,7 @@ from finslerkit import picalc as pc
 from finslerkit.cli import main as cli_main
 from finslerkit.fields import ComponentField, GradientField, constant_field
 from finslerkit.frame import point_frame
-from finslerkit.structures import by_name, euclidean, randers_change
+from finslerkit.structures import by_name, conformal_change, euclidean, randers_change
 
 from conftest import CATALOG_NAMES
 from riemann_oracle import riemann as oracle_riemann
@@ -64,13 +64,13 @@ def test_criterion_01_structural_certificates(capsys):
             fr = point_frame(s, p)
             y = np.array(p.y)
             residuals = [
-                conn.spray_defect(s, p),
-                conn.conservativity_defect(s, p),
-                conn.torsion_defect(s, p),
-                *conn.metricity_defect(s, p),
+                conn.spray_defect(fr),
+                conn.conservativity_defect(fr),
+                conn.torsion_defect(fr),
+                *conn.metricity_defect(fr),
                 float(np.max(np.abs(fr.F - fr.F.swapaxes(1, 2)))),
                 float(np.max(np.abs(np.einsum("ijk,k->ij", fr.C3, y)))),
-                conn.deflection_defect(s, p),
+                conn.deflection_defect(fr),
             ]
             worst = max(worst, max(residuals))
     ok = worst < 1e-7
@@ -83,8 +83,9 @@ def test_criterion_02_lowered_form_derivative_identity(capsys):
     for name, s in _catalog():
         probes = _probe_fields(s.n)
         for p in s.sample(NPTS, seed=SEED):
+            fr = point_frame(s, p)
             for X in probes:
-                M, B = pc.flat_form_and_selfadjoint_matrix(s, X, p)
+                M, B = pc.flat_form_and_selfadjoint_matrix(fr, X)
                 anti = B.T - B
                 scale = max(1.0, np.abs(M).max(), np.abs(anti).max())
                 worst = max(worst, np.abs(M - anti).max() / scale)
@@ -106,17 +107,18 @@ def test_criterion_03_flatness_and_closedness_dichotomy(capsys):
     for name in ("euclidean2", "minkowski_quartic2"):
         s = by_name(name)
         for p in s.sample(NPTS, seed=SEED):
-            flat_torsion = max(flat_torsion, np.abs(point_frame(s, p).Rhat).max())
+            fr = point_frame(s, p)
+            flat_torsion = max(flat_torsion, np.abs(fr.Rhat).max())
             for f in scalar_probes:
                 flat_closed = max(
-                    flat_closed, pc.closedness_defect(s, GradientField(f), p)
+                    flat_closed, pc.closedness_defect(fr, GradientField(f))
                 )
-                flat_dsq = max(flat_dsq, np.abs(pc.dbar_sq(s, f, p).nested).max())
+                flat_dsq = max(flat_dsq, np.abs(pc.dbar_sq(fr, f).nested).max())
     s = by_name("sphere2")
     pts = s.sample(NPTS, seed=SEED)
     sphere_torsion = max(np.abs(point_frame(s, p).Rhat).max() for p in pts)
     documented = GradientField(lambda x, y: 0.5 * y[0] * y[0], name="fiber-square")
-    sphere_closed = max(pc.closedness_defect(s, documented, p) for p in pts)
+    sphere_closed = max(pc.closedness_defect(point_frame(s, p), documented) for p in pts)
 
     ok = (
         flat_torsion < 1e-8
@@ -146,7 +148,7 @@ def test_criterion_04_gradient_torsion_identity(capsys):
         s = by_name(name)
         best_side = 0.0
         for p in s.sample(NPTS, seed=SEED):
-            res = pc.gradient_torsion_identity(s, f, p)
+            res = pc.gradient_torsion_identity(point_frame(s, p), f)
             worst_rel = max(worst_rel, res.residual / res.scale)
             best_side = max(
                 best_side, min(np.abs(res.lhs).max(), np.abs(res.rhs).max())
@@ -177,7 +179,7 @@ def test_criterion_05_riemannian_oracle_equivalence(capsys):
     for name, s2 in _catalog():
         for p in s2.sample(NPTS, seed=SEED):
             worst_contraction = max(
-                worst_contraction, curv.curvature_contraction_defect(s2, p)
+                worst_contraction, curv.curvature_contraction_defect(point_frame(s2, p))
             )
     ok = (
         worst_R < 1e-6
@@ -199,13 +201,14 @@ def test_criterion_05_riemannian_oracle_equivalence(capsys):
 def test_criterion_06_scalar_curvature_shape(capsys):
     s = by_name("sphere2")
     pts = s.sample(NPTS, seed=SEED)
-    worst_fit = max(curv.scalar_form_check(s, p).relative_residual for p in pts)
+    frames = [point_frame(s, p) for p in pts]
+    worst_fit = max(curv.scalar_form_check(fr).relative_residual for fr in frames)
     iso = lambda x, y: (1.0 + 0.3 * x[0]) * s.L(x, y) ** 2
     aniso = lambda x, y: y[0] ** 2
     positional = lambda x, y: x[0] ** 3 - x[1]
-    worst_iso = max(pc.isotropy_residual(s, iso, p) for p in pts)
-    min_aniso = min(pc.isotropy_residual(s, aniso, p) for p in pts)
-    worst_corollary = max(pc.isotropy_residual(s, positional, p) for p in pts)
+    worst_iso = max(pc.isotropy_residual(fr, iso) for fr in frames)
+    min_aniso = min(pc.isotropy_residual(fr, aniso) for fr in frames)
+    worst_corollary = max(pc.isotropy_residual(fr, positional) for fr in frames)
     ok = (
         worst_fit < 1e-6
         and worst_iso < 1e-9
@@ -231,7 +234,7 @@ def test_criterion_07_randers_drift_transfer(capsys):
         base = by_name(base_name)
         star = randers_change(base, b, validate=True)
         for p in base.sample(NPTS, seed=SEED):
-            rep = pc.drift_closedness_transfer(base, b, p, star=star)
+            rep = pc.drift_closedness_transfer(point_frame(base, p), point_frame(star, p))
             worst_ell = max(
                 worst_ell, abs(rep.ell_pairing), abs(rep.star_ell_pairing)
             )
@@ -259,14 +262,15 @@ def test_criterion_08_conformal_transfer(capsys):
     X = constant_field([0.0, 1.0])
     pts = e.sample(NPTS, seed=SEED)
     worst_const = 0.0
+    tilde = conformal_change(e, 0.25)
     for p in pts:
-        rep = pc.conformal_closedness_transfer(e, X, 0.25, p)
+        rep = pc.conformal_closedness_transfer(point_frame(e, p), point_frame(tilde, p), X)
         worst_const = max(worst_const, rep.actual_defect, rep.scaling_residual)
     worst_pred = 0.0
     best_defect = 0.0
-    sigma = lambda x: x[0]
+    tilde = conformal_change(e, lambda x: x[0])
     for p in pts:
-        rep = pc.conformal_closedness_transfer(e, X, sigma, p)
+        rep = pc.conformal_closedness_transfer(point_frame(e, p), point_frame(tilde, p), X)
         worst_pred = max(worst_pred, rep.prediction_residual / rep.scale)
         best_defect = max(best_defect, rep.actual_defect)
     ok = worst_const < 1e-7 and worst_pred < 1e-7 and best_defect > 1e-3

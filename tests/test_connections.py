@@ -54,20 +54,20 @@ class TestStructuralCertificates:
     def test_spray_certificate(self, name):
         s = by_name(name)
         for p in s.sample(4, seed=13):
-            assert cn.spray_defect(s, p) < 1e-10
+            assert cn.spray_defect(point_frame(s, p)) < 1e-10
 
     def test_spray_certificate_flags_wrong_spray(self):
         s = sphere2()
         p = SPHERE_POINTS[2]
-        good = point_frame(s, p).G
-        assert cn.spray_defect(s, p, G=good) < 1e-10
-        assert cn.spray_defect(s, p, G=good + 0.05) > 1e-3
+        fr = point_frame(s, p)
+        assert cn.spray_defect(fr, G=fr.G) < 1e-10
+        assert cn.spray_defect(fr, G=fr.G + 0.05) > 1e-3
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_conservativity(self, name):
         s = by_name(name)
         for p in s.sample(4, seed=13):
-            assert cn.conservativity_defect(s, p) < 1e-10
+            assert cn.conservativity_defect(point_frame(s, p)) < 1e-10
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_barthel_torsion_free(self, name):
@@ -85,13 +85,13 @@ class TestStructuralCertificates:
     def test_horizontal_coefficients_symmetric(self, name):
         s = by_name(name)
         for p in s.sample(4, seed=13):
-            assert cn.torsion_defect(s, p) < 1e-10
+            assert cn.torsion_defect(point_frame(s, p)) < 1e-10
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_metricity_both_parts(self, name):
         s = by_name(name)
         for p in s.sample(4, seed=13):
-            h, v = cn.metricity_defect(s, p)
+            h, v = cn.metricity_defect(point_frame(s, p))
             assert h < 1e-10
             assert v < 1e-10
 
@@ -99,27 +99,27 @@ class TestStructuralCertificates:
     def test_deflection(self, name):
         s = by_name(name)
         for p in s.sample(4, seed=13):
-            assert cn.deflection_defect(s, p) < 1e-10
+            assert cn.deflection_defect(point_frame(s, p)) < 1e-10
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_projectors(self, name):
         s = by_name(name)
         for p in s.sample(4, seed=13):
-            assert cn.projector_defects(s, p) < 1e-12
+            assert cn.projector_defects(point_frame(s, p)) < 1e-12
 
 
 class TestHorizontalDerivative:
     def test_energy_is_horizontally_constant(self):
         s = sphere2()
         p = SPHERE_POINTS[3]
-        dE = pc.dbar_0(s, lambda x, y: 0.5 * s.L(x, y) ** 2, p)
+        dE = pc.dbar_0(point_frame(s, p), lambda x, y: 0.5 * s.L(x, y) ** 2)
         assert np.abs(dE).max() < 1e-12
 
     def test_positional_scalar_reduces_to_base_gradient(self):
         s = sphere2()
         p = SPHERE_POINTS[0]
         f = lambda x, y: x[0] ** 2 - 2.0 * x[1]
-        df = pc.dbar_0(s, f, p)
+        df = pc.dbar_0(point_frame(s, p), f)
         assert df[0] == pytest.approx(2 * p.x[0], rel=1e-12)
         assert df[1] == pytest.approx(-2.0, rel=1e-12)
 
@@ -127,7 +127,7 @@ class TestHorizontalDerivative:
         s = sphere2()
         p = SPHERE_POINTS[0]
         f = lambda x, y: x[0] * y[1]
-        df = pc.dbar_0(s, f, p)
+        df = pc.dbar_0(point_frame(s, p), f)
         # delta_k f = d_k f - N^m_k dy_m f with dy_m f = x^0 for m = 1 only
         N = point_frame(s, p).N
         assert df[0] == pytest.approx(p.y[1] - N[1, 0] * p.x[0], rel=1e-12)
@@ -139,7 +139,7 @@ class TestCovariantDerivative:
         # nabla_h of eta vanishes: delta_j y^i = -N^i_j cancels F^i_kj y^k
         s = sphere2()
         for p in SPHERE_POINTS[:3]:
-            A = pc.a_operator(s, tautological_field(2), p)
+            A = pc.a_operator(point_frame(s, p), tautological_field(2))
             assert np.abs(A).max() < 1e-12
 
     def test_cartan_pair_shapes(self):

@@ -52,7 +52,7 @@ class TestContraction:
     def test_torsion_is_the_y_trace_of_curvature(self, name):
         s = by_name(name)
         for p in s.sample(4, seed=53):
-            assert np.abs(cv.curvature_contraction_defect(s, p)).max() < 1e-10
+            assert np.abs(cv.curvature_contraction_defect(point_frame(s, p))).max() < 1e-10
 
 
 class TestFlatness:
@@ -92,26 +92,26 @@ class TestScalarFormShape:
     def test_sphere_fits_with_unit_kappa(self):
         s = sphere2()
         for p in SPHERE_POINTS[:4]:
-            res = cv.scalar_form_check(s, p, kappa=lambda x, y: 1.0)
+            res = cv.scalar_form_check(point_frame(s, p), kappa=lambda x, y: 1.0)
             assert res.relative_residual < 1e-10
             assert res.supplied
 
     def test_sphere_free_fit_is_exact(self):
         s = sphere2()
-        res = cv.scalar_form_check(s, SPHERE_POINTS[0])
+        res = cv.scalar_form_check(point_frame(s, SPHERE_POINTS[0]))
         assert res.relative_residual < 1e-10
         assert not res.supplied
         assert res.torsion_norm > 0.1
 
     def test_wrong_kappa_leaves_residual(self):
         s = sphere2()
-        res = cv.scalar_form_check(s, SPHERE_POINTS[0], kappa=lambda x, y: 0.0)
+        res = cv.scalar_form_check(point_frame(s, SPHERE_POINTS[0]), kappa=lambda x, y: 0.0)
         assert res.relative_residual > 0.1
 
     def test_flat_structure_fits_trivially(self):
         s = by_name("minkowski_quartic2")
         p = s.sample(1, seed=61)[0]
-        res = cv.scalar_form_check(s, p)
+        res = cv.scalar_form_check(point_frame(s, p))
         assert res.torsion_norm < 1e-12
         assert res.relative_residual < 1e-12
 
@@ -120,5 +120,5 @@ class TestScalarFormShape:
         s = sphere2()
         p = SPHERE_POINTS[2]
         fr = point_frame(s, p)
-        res = cv.scalar_form_check(s, p, kappa=lambda x, y: 1.0)
+        res = cv.scalar_form_check(fr, kappa=lambda x, y: 1.0)
         assert np.abs(res.omega - fr.L * fr.ell).max() < 1e-10

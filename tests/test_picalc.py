@@ -43,29 +43,32 @@ class TestMusicals:
         s = by_name(name)
         p = s.sample(1, seed=73)[0]
         w = np.array([0.7, -0.4])
-        X = pc.sharp(s, w, p)
-        back = pc.flat(s, constant_field(X), p)
+        fr = point_frame(s, p)
+        X = pc.sharp(fr, w)
+        back = pc.flat(fr, constant_field(X))
         assert np.abs(back - w).max() < 1e-12
 
     def test_gradient_is_sharp_of_dbar(self):
         f = lambda x, y: x[0] * x[1] + 0.2 * y[0]
         for p in SPHERE_POINTS[:3]:
-            grad = pc.gradient(SPHERE, f, p)
-            df = pc.dbar_0(SPHERE, f, p)
-            assert np.abs(pc.flat(SPHERE, constant_field(grad), p) - df).max() < 1e-12
+            fr = point_frame(SPHERE, p)
+            grad = pc.gradient(fr, f)
+            df = pc.dbar_0(fr, f)
+            assert np.abs(pc.flat(fr, constant_field(grad)) - df).max() < 1e-12
 
     def test_sharp_accepts_one_form_objects(self):
         p = SPHERE_POINTS[0]
         form = PiForm.one_form(2, [lambda x, y: 1.0, lambda x, y: x[0]])
-        arr = pc.sharp(SPHERE, form, p)
-        direct = pc.sharp(SPHERE, np.array([1.0, p.x[0]]), p)
+        fr = point_frame(SPHERE, p)
+        arr = pc.sharp(fr, form)
+        direct = pc.sharp(fr, np.array([1.0, p.x[0]]))
         assert np.abs(arr - direct).max() < 1e-14
 
     def test_sharp_rejects_higher_degree(self):
         p = SPHERE_POINTS[0]
         two = PiForm(2, 2, {(0, 1): lambda x, y: 1.0})
         with pytest.raises(ValueError):
-            pc.sharp(SPHERE, two, p)
+            pc.sharp(point_frame(SPHERE, p), two)
 
 
 class TestDbarDegreeZero:
@@ -73,7 +76,7 @@ class TestDbarDegreeZero:
         e = euclidean(2)
         p = e.sample(1, seed=79)[0]
         f = lambda x, y: 3.0 * x[0] - x[1] ** 2
-        df = pc.dbar_0(e, f, p)
+        df = pc.dbar_0(point_frame(e, p), f)
         assert df[0] == pytest.approx(3.0, abs=1e-14)
         assert df[1] == pytest.approx(-2.0 * p.x[1], rel=1e-13)
 
@@ -82,7 +85,7 @@ class TestDbarDegreeZero:
             s = by_name(name)
             p = s.sample(1, seed=79)[0]
             E = lambda x, y: 0.5 * s.L(x, y) ** 2
-            assert np.abs(pc.dbar_0(s, E, p)).max() < 1e-12
+            assert np.abs(pc.dbar_0(point_frame(s, p), E)).max() < 1e-12
 
 
 class TestDbarHigherDegree:
@@ -97,7 +100,7 @@ class TestDbarHigherDegree:
                 lambda x, y: x[2] ** 2,
             ],
         )
-        D = pc.dbar_1(e3, w, p)
+        D = pc.dbar_1(point_frame(e3, p), w)
         x = p.x
         assert D[0, 1] == pytest.approx(x[2] - 1.0, rel=1e-12, abs=1e-13)
         assert D[0, 2] == pytest.approx(0.0, abs=1e-13)
@@ -108,7 +111,7 @@ class TestDbarHigherDegree:
         e3 = euclidean(3)
         p = e3.sample(1, seed=83)[0]
         two = PiForm(3, 2, {(0, 1): lambda x, y: x[2]})
-        D = pc.dbar_p(e3, two, p)
+        D = pc.dbar_p(point_frame(e3, p), two)
         assert D[0, 1, 2] == pytest.approx(1.0, abs=1e-13)
         assert D[1, 0, 2] == pytest.approx(-1.0, abs=1e-13)
         assert D[2, 0, 1] == pytest.approx(1.0, abs=1e-13)
@@ -119,7 +122,7 @@ class TestDbarHigherDegree:
         p = e3.sample(1, seed=83)[0]
         three = PiForm(3, 3, {(0, 1, 2): lambda x, y: x[0]})
         with pytest.raises(CapabilityError):
-            pc.dbar_p(e3, three, p)
+            pc.dbar_p(point_frame(e3, p), three)
 
     def test_component_formula_is_the_invariant_formula(self):
         # (dbar w)(X, Y) via components against the lift/bracket expression
@@ -127,11 +130,11 @@ class TestDbarHigherDegree:
         X = mixed_probe(2, seed=5)
         Y = mixed_probe(2, seed=6)
         for p in SPHERE_POINTS[:3]:
-            D = pc.dbar_1(SPHERE, w, p)
             fr = point_frame(SPHERE, p)
+            D = pc.dbar_1(fr, w)
             xv = X.values(fr)
             yv = Y.values(fr)
-            via_fields = pc.dbar_1_on_fields(SPHERE, w, X, Y, p)
+            via_fields = pc.dbar_1_on_fields(fr, w, X, Y)
             assert float(xv @ D @ yv) == pytest.approx(via_fields, rel=1e-10, abs=1e-11)
 
     def test_invariant_formula_with_a_missing_component(self):
@@ -140,10 +143,10 @@ class TestDbarHigherDegree:
         X = mixed_probe(2, seed=5)
         Y = mixed_probe(2, seed=6)
         for p in SPHERE_POINTS[:3]:
-            D = pc.dbar_1(SPHERE, w, p)
-            assert np.abs(D).max() > 1e-3
             fr = point_frame(SPHERE, p)
-            via_fields = pc.dbar_1_on_fields(SPHERE, w, X, Y, p)
+            D = pc.dbar_1(fr, w)
+            assert np.abs(D).max() > 1e-3
+            via_fields = pc.dbar_1_on_fields(fr, w, X, Y)
             assert float(X.values(fr) @ D @ Y.values(fr)) == pytest.approx(
                 via_fields, rel=1e-10, abs=1e-11
             )
@@ -160,7 +163,7 @@ class TestAOperator:
     def test_tautological_field_is_parallel(self, name):
         s = by_name(name)
         for p in s.sample(3, seed=89):
-            assert np.abs(pc.a_operator(s, tautological_field(s.n), p)).max() < 1e-12
+            assert np.abs(pc.a_operator(point_frame(s, p), tautological_field(s.n))).max() < 1e-12
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_adjoint_identity_for_probe_fields(self, name):
@@ -171,15 +174,17 @@ class TestAOperator:
             constant_field([1.0, -0.5]),
         ]
         for p in s.sample(3, seed=89):
+            fr = point_frame(s, p)
             for X in probes:
-                M, B = pc.flat_form_and_selfadjoint_matrix(s, X, p)
+                M, B = pc.flat_form_and_selfadjoint_matrix(fr, X)
                 assert float(np.max(np.abs(M - (B.T - B)))) < 1e-10
 
     def test_closedness_equals_selfadjointness(self):
         X = mixed_probe(2, seed=11)
         for p in SPHERE_POINTS[:3]:
-            _, B = pc.flat_form_and_selfadjoint_matrix(SPHERE, X, p)
-            assert pc.closedness_defect(SPHERE, X, p) == pytest.approx(
+            fr = point_frame(SPHERE, p)
+            _, B = pc.flat_form_and_selfadjoint_matrix(fr, X)
+            assert pc.closedness_defect(fr, X) == pytest.approx(
                 float(np.max(np.abs(B - B.T))), rel=1e-9, abs=1e-12
             )
 
@@ -187,7 +192,7 @@ class TestAOperator:
     def test_tautological_field_is_closed(self, name):
         s = by_name(name)
         for p in s.sample(3, seed=89):
-            assert pc.closedness_defect(s, tautological_field(s.n), p) < 1e-12
+            assert pc.closedness_defect(point_frame(s, p), tautological_field(s.n)) < 1e-12
 
 
 class TestSecondDerivative:
@@ -196,20 +201,20 @@ class TestSecondDerivative:
         s = by_name(name)
         f = lambda x, y: x[0] * y[1] + 0.5 * y[0] * y[0] / s.L(x, y)
         for p in s.sample(3, seed=97):
-            res = pc.dbar_sq(s, f, p)
+            res = pc.dbar_sq(point_frame(s, p), f)
             assert res.defect < 1e-10 * res.scale
 
     def test_nested_derivative_vanishes_on_flat(self):
         e = euclidean(2)
         f = lambda x, y: x[0] * y[1] ** 2
         p = e.sample(1, seed=97)[0]
-        res = pc.dbar_sq(e, f, p)
+        res = pc.dbar_sq(point_frame(e, p), f)
         assert np.abs(res.nested).max() < 1e-12
         assert np.abs(res.contracted).max() == 0.0
 
     def test_nested_derivative_nonzero_on_sphere(self):
         f = lambda x, y: 0.5 * y[0] * y[0]
-        res = pc.dbar_sq(SPHERE, f, SPHERE_POINTS[0])
+        res = pc.dbar_sq(point_frame(SPHERE, SPHERE_POINTS[0]), f)
         assert np.abs(res.nested).max() > 1e-3
 
 
@@ -219,26 +224,25 @@ class TestGradientIdentity:
         s = by_name(name)
         f = lambda x, y: x[0] * y[0] + x[1]
         for p in s.sample(3, seed=101):
-            res = pc.gradient_torsion_identity(s, f, p)
+            res = pc.gradient_torsion_identity(point_frame(s, p), f)
             assert res.residual < 1e-9 * res.scale
 
     def test_positional_gradients_are_closed_even_when_curved(self):
         f = lambda x, y: x[0] ** 2 - x[1]
         for p in SPHERE_POINTS[:3]:
-            assert pc.closedness_defect(SPHERE, GradientField(f), p) < 1e-11
+            assert pc.closedness_defect(point_frame(SPHERE, p), GradientField(f)) < 1e-11
 
     def test_fiber_dependent_gradient_not_closed_on_sphere(self):
         f = lambda x, y: 0.5 * y[0] * y[0]
-        worst = max(
-            pc.closedness_defect(SPHERE, GradientField(f), p) for p in SPHERE_POINTS
-        )
+        worst = max(pc.closedness_defect(point_frame(SPHERE, p), GradientField(f))
+                    for p in SPHERE_POINTS)
         assert worst > 1e-3
 
     def test_sides_are_nontrivial_on_sphere(self):
         f = lambda x, y: x[0] * y[0] + x[1]
         seen = 0.0
         for p in SPHERE_POINTS:
-            res = pc.gradient_torsion_identity(SPHERE, f, p)
+            res = pc.gradient_torsion_identity(point_frame(SPHERE, p), f)
             seen = max(seen, min(np.abs(res.lhs).max(), np.abs(res.rhs).max()))
         assert seen > 1e-3
 
@@ -247,26 +251,26 @@ class TestIsotropy:
     def test_isotropic_functions_pass(self):
         h = lambda x, y: (1.0 + 0.4 * x[1]) * SPHERE.L(x, y) ** 2
         for p in SPHERE_POINTS[:3]:
-            assert pc.isotropy_residual(SPHERE, h, p) < 1e-12
+            assert pc.isotropy_residual(point_frame(SPHERE, p), h) < 1e-12
 
     def test_positional_functions_pass_exactly(self):
         f = lambda x, y: x[0] ** 3 - x[1]
         for p in SPHERE_POINTS[:3]:
-            assert pc.isotropy_residual(SPHERE, f, p) == 0.0
+            assert pc.isotropy_residual(point_frame(SPHERE, p), f) == 0.0
 
     def test_anisotropic_function_fails(self):
         f = lambda x, y: y[0] ** 2
-        worst = max(pc.isotropy_residual(SPHERE, f, p) for p in SPHERE_POINTS)
+        worst = max(pc.isotropy_residual(point_frame(SPHERE, p), f) for p in SPHERE_POINTS)
         assert worst > 1e-2
 
     def test_quartic_norm_square_is_anisotropic_for_round_metric(self):
         q = minkowski_quartic(2)
         f = lambda x, y: q.L(x, y) ** 2
         p = q.sample(1, seed=103)[0]
-        assert pc.isotropy_residual(q, f, p) < 1e-12  # in its own structure
+        assert pc.isotropy_residual(point_frame(q, p), f) < 1e-12  # in its own structure
         e = euclidean(2)
         pe = ChartPoint(p.x, p.y)
-        assert pc.isotropy_residual(e, f, pe) > 1e-3  # alien fiber geometry
+        assert pc.isotropy_residual(point_frame(e, pe), f) > 1e-3  # alien fiber geometry
 
 
 class TestLieComparison:
@@ -274,7 +278,7 @@ class TestLieComparison:
         e = euclidean(2)
         p = e.sample(1, seed=107)[0]
         X = ComponentField([lambda x, y: x[0], lambda x, y: 0.0], name="stretch")
-        rep = pc.lie_metric_report(e, X, p)
+        rep = pc.lie_metric_report(point_frame(e, p), X)
         assert rep.lie_defect == pytest.approx(2.0, abs=1e-12)
         assert rep.closedness < 1e-12
         assert rep.difference == pytest.approx(2.0, abs=1e-12)
@@ -283,14 +287,14 @@ class TestLieComparison:
         e = euclidean(2)
         p = e.sample(1, seed=107)[0]
         X = ComponentField([lambda x, y: -x[1], lambda x, y: x[0]], name="rotation")
-        rep = pc.lie_metric_report(e, X, p)
+        rep = pc.lie_metric_report(point_frame(e, p), X)
         assert rep.lie_defect < 1e-12
         assert rep.closedness == pytest.approx(2.0, abs=1e-12)
 
     def test_rotation_is_a_sphere_isometry(self):
         X = ComponentField([lambda x, y: -x[1], lambda x, y: x[0]], name="rotation")
         for p in SPHERE_POINTS[:3]:
-            rep = pc.lie_metric_report(SPHERE, X, p)
+            rep = pc.lie_metric_report(point_frame(SPHERE, p), X)
             assert rep.lie_defect < 1e-11
 
 
@@ -299,7 +303,7 @@ class TestInvolutivity:
         e3 = euclidean(3)
         p = e3.sample(1, seed=109)[0]
         X = GradientField(lambda x, y: x[0] * x[1] + x[2] ** 2, name="gradpos")
-        rep = pc.involutivity_report(e3, X, p)
+        rep = pc.involutivity_report(point_frame(e3, p), X)
         assert rep.identity_defect < 1e-10
         assert rep.defect < 1e-10
 
@@ -311,7 +315,7 @@ class TestInvolutivity:
         )
         worst = 0.0
         for p in e3.sample(4, seed=109):
-            rep = pc.involutivity_report(e3, X, p)
+            rep = pc.involutivity_report(point_frame(e3, p), X)
             assert rep.identity_defect < 1e-10  # exchange identity always holds
             worst = max(worst, rep.defect)
         assert worst > 1e-3
@@ -320,12 +324,12 @@ class TestInvolutivity:
         m3 = by_name("minkowski_quartic3")
         X = mixed_probe(3, seed=7)
         for p in m3.sample(3, seed=109):
-            rep = pc.involutivity_report(m3, X, p)
+            rep = pc.involutivity_report(point_frame(m3, p), X)
             assert rep.identity_defect < 1e-9 * rep.scale
 
     def test_two_dimensional_complement_has_no_pairs(self):
         p = SPHERE_POINTS[0]
-        rep = pc.involutivity_report(SPHERE, tautological_field(2), p)
+        rep = pc.involutivity_report(point_frame(SPHERE, p), tautological_field(2))
         assert rep.bracket_pairings.size == 0
         assert rep.defect == 0.0
 

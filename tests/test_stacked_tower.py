@@ -2,19 +2,23 @@
 component-by-component reference in tower_oracle, and batch frames
 against standalone ones: every rung must agree exactly."""
 
+import gc
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
 from finslerkit import checks, connections, curvature, jets
 from finslerkit import picalc as pc
 from finslerkit import frame as frame_module
-from finslerkit.checks import _probe_fields, _probe_scalars, check_ids, run_checks
+from finslerkit.checks import _probe_fields, _probe_scalars, check_ids, run_check, run_checks
 from finslerkit.errors import FinslerError, SingularMetricError
 from finslerkit.fields import (ComponentField, DriftCompanionField, GradientField, PiForm,
                                Positional, ProjectedField, project_away)
-from finslerkit.frame import PointFrame, jet_solve, local_batch, point_frame
+from finslerkit.frame import PointFrame, jet_solve, point_frame
 from finslerkit.jets import Jet
-from finslerkit.structures import by_name, structure_from_spec
+from finslerkit.structures import by_name, conformal_change, randers_change, structure_from_spec
 
 from conftest import CATALOG_NAMES
 import tower_oracle as oracle
@@ -121,52 +125,55 @@ def test_involutivity_evaluates_the_probe_jets_once(name):
     s = by_name(name)
     X = _Counted(_probe_fields(s, 0, 26)[2].components)
     X.calls = 0
-    pc.involutivity_report(s, X, tuple(s.sample(10, seed=1)))
+    pc.involutivity_report(PointFrame(s, tuple(s.sample(10, seed=1))), X)
     assert X.calls == 1
 
 
 def _entry_point_calls(s):
-    """Every picalc, connections and curvature entry point, as (label, call)."""
+    """Every picalc, connections and curvature entry point, as (label, call)
+    of a frame of s; the transfer reports also build a frame of the changed
+    structure at the frame's points."""
     n = s.n
     probes = _probe_fields(s, 0, 26)
     scalars = _probe_scalars(s, 0, 88)
     closed = GradientField(scalars[1])
     form = PiForm.one_form(n, [(lambda i: (lambda x, y: x[i] * y[0]))(i) for i in range(n)])
-    drift = lambda x: [0.2] + [0.1 * x[0]] * (n - 1)
-    sigma = lambda x: 0.3 * x[0] * x[-1]
+    star = randers_change(s, lambda x: [0.2] + [0.1 * x[0]] * (n - 1), validate=False)
+    tilde = conformal_change(s, lambda x: 0.3 * x[0] * x[-1])
     vec = np.arange(2.0 * n) + 1.0
     return [
-        ("flat", lambda p: pc.flat(s, probes[2], p)),
-        ("sharp", lambda p: pc.sharp(s, form, p)),
-        ("gradient", lambda p: pc.gradient(s, scalars[0], p)),
-        ("dbar_p", lambda p: pc.dbar_p(s, form, p)),
-        ("dbar_1_on_fields", lambda p: pc.dbar_1_on_fields(s, form, probes[0], probes[3], p)),
-        ("a_operator", lambda p: pc.a_operator(s, probes[4], p)),
-        ("closedness_defect", lambda p: pc.closedness_defect(s, probes[5], p)),
+        ("flat", lambda fr: pc.flat(fr, probes[2])),
+        ("sharp", lambda fr: pc.sharp(fr, form)),
+        ("gradient", lambda fr: pc.gradient(fr, scalars[0])),
+        ("dbar_p", lambda fr: pc.dbar_p(fr, form)),
+        ("dbar_1_on_fields", lambda fr: pc.dbar_1_on_fields(fr, form, probes[0], probes[3])),
+        ("a_operator", lambda fr: pc.a_operator(fr, probes[4])),
+        ("closedness_defect", lambda fr: pc.closedness_defect(fr, probes[5])),
         ("flat_form_and_selfadjoint_matrix",
-         lambda p: pc.flat_form_and_selfadjoint_matrix(s, probes[2], p)),
-        ("dbar_sq", lambda p: pc.dbar_sq(s, scalars[1], p)),
-        ("gradient_torsion_identity", lambda p: pc.gradient_torsion_identity(s, scalars[0], p)),
-        ("isotropy_residual", lambda p: pc.isotropy_residual(s, scalars[2], p)),
-        ("lie_metric_report", lambda p: pc.lie_metric_report(s, probes[1], p)),
-        ("involutivity_report[closed]", lambda p: pc.involutivity_report(s, closed, p)),
-        ("involutivity_report[open]", lambda p: pc.involutivity_report(s, probes[3], p)),
-        ("drift_closedness_transfer", lambda p: pc.drift_closedness_transfer(s, drift, p)),
+         lambda fr: pc.flat_form_and_selfadjoint_matrix(fr, probes[2])),
+        ("dbar_sq", lambda fr: pc.dbar_sq(fr, scalars[1])),
+        ("gradient_torsion_identity", lambda fr: pc.gradient_torsion_identity(fr, scalars[0])),
+        ("isotropy_residual", lambda fr: pc.isotropy_residual(fr, scalars[2])),
+        ("lie_metric_report", lambda fr: pc.lie_metric_report(fr, probes[1])),
+        ("involutivity_report[closed]", lambda fr: pc.involutivity_report(fr, closed)),
+        ("involutivity_report[open]", lambda fr: pc.involutivity_report(fr, probes[3])),
+        ("drift_closedness_transfer",
+         lambda fr: pc.drift_closedness_transfer(fr, PointFrame(star, fr.point))),
         ("conformal_closedness_transfer",
-         lambda p: pc.conformal_closedness_transfer(s, probes[0], sigma, p)),
-        ("spray_defect", lambda p: connections.spray_defect(s, p)),
-        ("deflection_defect", lambda p: connections.deflection_defect(s, p)),
-        ("conservativity_defect", lambda p: connections.conservativity_defect(s, p)),
-        ("torsion_defect", lambda p: connections.torsion_defect(s, p)),
-        ("metricity_defect", lambda p: connections.metricity_defect(s, p)),
-        ("projector_defects", lambda p: connections.projector_defects(s, p)),
-        ("project_h", lambda p: connections.project_h(s, p, vec)),
-        ("project_v", lambda p: connections.project_v(s, p, vec)),
+         lambda fr: pc.conformal_closedness_transfer(fr, PointFrame(tilde, fr.point), probes[0])),
+        ("spray_defect", lambda fr: connections.spray_defect(fr)),
+        ("deflection_defect", lambda fr: connections.deflection_defect(fr)),
+        ("conservativity_defect", lambda fr: connections.conservativity_defect(fr)),
+        ("torsion_defect", lambda fr: connections.torsion_defect(fr)),
+        ("metricity_defect", lambda fr: connections.metricity_defect(fr)),
+        ("projector_defects", lambda fr: connections.projector_defects(fr)),
+        ("project_h", lambda fr: connections.project_h(fr, vec)),
+        ("project_v", lambda fr: connections.project_v(fr, vec)),
         ("curvature_contraction_defect",
-         lambda p: curvature.curvature_contraction_defect(s, p)),
-        ("scalar_form_check", lambda p: curvature.scalar_form_check(s, p)),
+         lambda fr: curvature.curvature_contraction_defect(fr)),
+        ("scalar_form_check", lambda fr: curvature.scalar_form_check(fr)),
         ("scalar_form_check[kappa]",
-         lambda p: curvature.scalar_form_check(s, p, kappa=lambda x, y: 1.0 + x[0] * y[0])),
+         lambda fr: curvature.scalar_form_check(fr, kappa=lambda x, y: 1.0 + x[0] * y[0])),
     ]
 
 
@@ -196,14 +203,16 @@ def _point_part(value, i):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_entry_points_on_a_batch_equal_each_point(name):
-    # one code path: a tuple of points gives the single-point results, as
-    # plain floats for scalars, stacked on a leading point axis
+    # one code path: a batch frame gives the single-point results, as plain
+    # floats for scalars, stacked on a leading point axis
     s = by_name(name)
     pts = s.sample(8, seed=4)
+    batch = PointFrame(s, tuple(pts))
+    alone = [PointFrame(s, p) for p in pts]
     for label, call in _entry_point_calls(s):
-        whole = call(tuple(pts))
+        whole = call(batch)
         for i, p in enumerate(pts):
-            assert _parts(_point_part(whole, i)) == _parts(call(p)), (label, p)
+            assert _parts(_point_part(whole, i)) == _parts(call(alone[i])), (label, p)
 
 
 # -- the point axis ----------------------------------------------------------------
@@ -307,12 +316,55 @@ def test_a_tuple_of_points_is_one_memoized_batch_frame():
     assert fr is point_frame(s, tuple(pts)) and fr.g.shape == (5, 2, 2)
 
 
-def test_check_local_batches_leave_the_cache():
+def test_checks_leave_only_the_sample_frame(monkeypatch):
+    # the frames a check builds for itself (the scaled points of
+    # struct.homogeneity, the Randers star or base, the two conformal tildes)
+    # are plain PointFrames: after run_checks the cache holds the sample's
+    # batch frame alone, and no other frame is still alive
+    built = []
+    init = PointFrame.__init__
+
+    def recorded(self, structure, point):
+        built.append(weakref.ref(self))
+        init(self, structure, point)
+
+    for name in ("sphere2", "randers_sphere2"):
+        s = by_name(name)
+        built.clear()
+        point_frame.cache_clear()
+        monkeypatch.setattr(PointFrame, "__init__", recorded)
+        run_checks(s, check_ids(), 20, 0, 1e-7, 1e-3)
+        monkeypatch.undo()
+        key = (s, tuple(s.sample(20, 0)))
+        assert list(frame_module._frames) == [key], name
+        gc.collect()
+        alive = [ref() for ref in built if ref() is not None]
+        assert alive == [frame_module._frames[key]], name
+        # the sample, the scaled points, a Randers change, two tildes
+        assert len(built) == 5, name
+
+
+def test_each_check_looks_up_its_sample_frame_once(monkeypatch):
+    # every finslerkit module's binding of point_frame, as perfbench rebinds it
     s = by_name("sphere2")
-    pts = s.sample(5, seed=3)
-    with local_batch(s, pts) as fr:
-        assert point_frame(s, tuple(pts)) is fr and fr.point == tuple(pts)
-    assert point_frame(s, tuple(pts)) is not fr
+    pts = tuple(s.sample(20, 0))
+    calls = []
+
+    def counted(structure, point):
+        calls.append((structure, point))
+        return point_frame(structure, point)
+
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "finslerkit"]:
+        for attr, value in list(vars(mod).items()):
+            if value is point_frame:
+                monkeypatch.setattr(mod, attr, counted)
+    per_check = {}
+    for cid in check_ids():
+        start = len(calls)
+        run_check(cid, s, pts, 1e-7, 1e-3, 0)
+        per_check[cid] = len(calls) - start
+    assert max(per_check.values()) <= 2, per_check
+    assert set(calls) == {(s, pts)}
 
 
 def _jet_eval_calls(monkeypatch, points):

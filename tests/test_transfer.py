@@ -5,6 +5,7 @@ import pytest
 
 from finslerkit import picalc as pc
 from finslerkit.fields import ComponentField, constant_field
+from finslerkit.frame import point_frame
 from finslerkit.structures import (
     by_name,
     conformal_change,
@@ -24,7 +25,7 @@ class TestDriftTransfer:
         pts = e.sample(5, seed=113)
         literal_worst = 0.0
         for p in pts:
-            rep = pc.drift_closedness_transfer(e, B, p, star=star)
+            rep = pc.drift_closedness_transfer(point_frame(e, p), point_frame(star, p))
             assert rep.identity_residual < 1e-12
             assert rep.dual_path_residual < 1e-10
             assert abs(rep.ell_pairing) < 1e-12
@@ -41,7 +42,7 @@ class TestDriftTransfer:
         base_seen = 0.0
         star_seen = 0.0
         for p in s.sample(5, seed=113):
-            rep = pc.drift_closedness_transfer(s, B, p, star=star)
+            rep = pc.drift_closedness_transfer(point_frame(s, p), point_frame(star, p))
             assert rep.identity_residual < 1e-10 * rep.base_form_scale
             assert rep.dual_path_residual < 1e-9 * rep.base_form_scale
             base_seen = max(base_seen, rep.base_defect)
@@ -52,8 +53,9 @@ class TestDriftTransfer:
 
     def test_drift_companion_is_vertical_to_ell(self):
         s = sphere2()
+        star = randers_change(s, B, validate=False)
         for p in s.sample(3, seed=127):
-            rep = pc.drift_closedness_transfer(s, B, p)
+            rep = pc.drift_closedness_transfer(point_frame(s, p), point_frame(star, p))
             assert abs(rep.ell_pairing) < 1e-11
             assert abs(rep.star_ell_pairing) < 1e-11
 
@@ -86,7 +88,7 @@ class TestConformalTransfer:
         )
         tilde = conformal_change(s, 0.25)
         for p in s.sample(4, seed=137):
-            rep = pc.conformal_closedness_transfer(s, X, 0.25, p, tilde=tilde)
+            rep = pc.conformal_closedness_transfer(point_frame(s, p), point_frame(tilde, p), X)
             assert rep.scaling_residual < 1e-10 * rep.scale
             assert rep.leibniz_residual < 1e-10 * rep.scale
             assert rep.sigma_value == 0.25
@@ -94,9 +96,9 @@ class TestConformalTransfer:
     def test_linear_sigma_on_flat_base_frozen_value(self):
         e = euclidean(2)
         X = constant_field([0.0, 1.0])
-        sigma = lambda x: x[0]
+        tilde = conformal_change(e, lambda x: x[0])
         for p in e.sample(3, seed=137):
-            rep = pc.conformal_closedness_transfer(e, X, sigma, p)
+            rep = pc.conformal_closedness_transfer(point_frame(e, p), point_frame(tilde, p), X)
             assert rep.leibniz_residual < 1e-10 * rep.scale
             # base form is closed, so the wedge term is the whole derivative
             assert rep.tilde_base_defect < 1e-10
@@ -110,10 +112,10 @@ class TestConformalTransfer:
         X = ComponentField(
             [lambda x, y: y[0], lambda x, y: 0.5 - x[1]], name="probe"
         )
-        sigma = lambda x: 0.3 * x[0]
+        tilde = conformal_change(q, lambda x: 0.3 * x[0])
         actual_seen = 0.0
         for p in q.sample(4, seed=139):
-            rep = pc.conformal_closedness_transfer(q, X, sigma, p)
+            rep = pc.conformal_closedness_transfer(point_frame(q, p), point_frame(tilde, p), X)
             assert rep.leibniz_residual < 1e-9 * rep.scale
             actual_seen = max(actual_seen, rep.actual_defect)
         assert actual_seen > 1e-3
@@ -123,7 +125,5 @@ class TestConformalTransfer:
         tilde = by_name("conformal_quartic2")
         X = constant_field([0.7, -0.2])
         p = tilde.sample(1, seed=149)[0]
-        rep = pc.conformal_closedness_transfer(
-            q, X, tilde.meta["sigma_fn"], p, tilde=tilde
-        )
+        rep = pc.conformal_closedness_transfer(point_frame(q, p), point_frame(tilde, p), X)
         assert rep.leibniz_residual < 1e-9 * rep.scale
