@@ -3,19 +3,20 @@
 Each check registers itself with @check(id, anchor), the one place its id
 and formula anchor are stated; run_check stamps both on the result.
 
-A check is a reduction over the point axis. The sample `pts` is a tuple; a
-check looks up its batch frame `point_frame(F, pts)` once and passes it to
-the calculus, which runs once on it (and on each probe field): every
-identity it tests gives one array of residuals and one of scales, with an
-entry per point, and the check reduces those arrays to a CheckResult. The
-frames a check builds for itself (scaled points, a Randers or conformal
-change of F) are plain PointFrames, which do not enter the frame cache and
-are freed when the check returns. The reductions pick the maximum and the
-witness point that adding the residuals one point at a time, in sample
-order, would pick. Identity checks compare at a relative tolerance against
-max(1, |LHS|, |RHS|); nonvanishing claims use an absolute floor and carry a
-witness point. An error inside a check is located at the first point where
-the check fails on its own (run_check).
+A check is a reduction over the point axis. run_checks builds one batch
+frame over its sample and hands it to every check as `fn(fr, tol, floor,
+seed)`; the check reads the structure and the points off `fr` and passes
+the frame to the calculus, which runs once on it (and on each probe field):
+every identity it tests gives one array of residuals and one of scales,
+with an entry per point, and the check reduces those arrays to a
+CheckResult. The frames a check builds for itself (scaled points, a Randers
+or conformal change of the structure) are freed when the check returns, and
+the sample's frame and its parts when the run does. The reductions pick the
+maximum and the witness point that adding the residuals one point at a
+time, in sample order, would pick. Identity checks compare at a relative
+tolerance against max(1, |LHS|, |RHS|); nonvanishing claims use an absolute
+floor and carry a witness point. An error inside a check is located at the
+first point where the check fails on its own (run_check).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import connections, curvature, picalc
 from .chart import ChartPoint
 from .errors import FinslerError
 from .fields import ComponentField, GradientField, constant_field
-from .frame import PointFrame, dot, matvec, max_abs, point_frame, pymax
+from .frame import PointFrame, dot, matvec, max_abs, pymax
 from .jets import fd_partial, jet_eval
 from .structures import FinslerStructure, conformal_change, randers_change
 
@@ -101,7 +102,7 @@ class _Sweep:
         scale, keep = (np.reshape(v, (P, -1)) if np.ndim(v) else v for v in (scale, keep))
         self.columns.append(np.broadcast_arrays(np.reshape(residual, (P, -1)), scale, keep))
 
-    def result(self, n_points: int, tol: float, details: dict = None) -> CheckResult:
+    def result(self, tol: float, details: dict = None) -> CheckResult:
         residual, scale, keep = (np.concatenate(part, axis=1) for part in zip(*self.columns))
         max_residual, k = _last_max(residual, scale, keep)
         verdict = PASS if max_residual < tol else FAIL
@@ -109,7 +110,7 @@ class _Sweep:
         if verdict == FAIL and k is not None:
             witness = _witness(self.pts[k // residual.shape[1]], residual.flat[k])
         return CheckResult(
-            n_points=n_points,
+            n_points=len(self.pts),
             max_residual=max_residual,
             threshold=tol,
             verdict=verdict,
@@ -220,11 +221,11 @@ def _probe_scalars(F: FinslerStructure, seed: int, tag: int):
 
 
 @check("struct.homogeneity", "L(x,ty)=tL: g degree 0, N and R degree 1, G degree 2 in y")
-def _check_homogeneity(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
+def _check_homogeneity(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
     t = 1.75
-    frs = PointFrame(F, tuple(ChartPoint(p.x, tuple(t * v for v in p.y)) for p in pts))
-    fr = point_frame(F, pts)
+    frs = PointFrame(fr.structure,
+                     tuple(ChartPoint(p.x, tuple(t * v for v in p.y)) for p in fr.point))
     n = fr.n
     y = fr._y()
     sweep.add(abs(dot(fr.ell, y) - fr.L), fr.L)
@@ -235,19 +236,18 @@ def _check_homogeneity(F, pts, tol, floor, seed):
     sweep.add(max_abs(frs.N - t * fr.N, 2), max_abs(frs.N, 2))
     sweep.add(max_abs(frs.Rhat - t * fr.Rhat, 3), max_abs(frs.Rhat, 3))
     sweep.add(max_abs(frs.g - fr.g, 2), max_abs(fr.g, 2))
-    return sweep.result(len(pts), tol)
+    return sweep.result(tol)
 
 
 @check("struct.cartan_contraction", "C_ijk y^k = 0 and C totally symmetric")
-def _check_cartan_contraction(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
+def _check_cartan_contraction(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
     C = fr.C3
     contr = max_abs(np.einsum("...ijk,...k->...ij", C, fr._y()), 2)
     sym = pymax(*(max_abs(C - np.swapaxes(C, a, b), 3)
                   for a, b in ((-1, -2), (-3, -2), (-3, -1))))
     sweep.add(pymax(contr, sym), pymax(1.0, max_abs(C, 3)))
-    return sweep.result(len(pts), tol)
+    return sweep.result(tol)
 
 
 def _abs_first_partials(jet, n):
@@ -256,28 +256,25 @@ def _abs_first_partials(jet, n):
 
 
 @check("struct.spray_defect", "y^j d_j dy_m E - y^j d_m dy_j E - 2 g_mj G^j + d_m E = 0")
-def _check_spray_defect(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
+def _check_spray_defect(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
     scale = pymax(max_abs(matvec(2.0 * fr.g, fr.G), 1),
                   pymax(*_abs_first_partials(fr.E_jet, fr.n)))
     sweep.add(connections.spray_defect(fr), scale)
-    return sweep.result(len(pts), tol)
+    return sweep.result(tol)
 
 
 @check("struct.conservativity", "delta_i E = 0")
-def _check_conservativity(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
+def _check_conservativity(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
     scale = pymax(*_abs_first_partials(fr.E_jet, fr.n))
     sweep.add(connections.conservativity_defect(fr), pymax(scale, fr.E))
-    return sweep.result(len(pts), tol)
+    return sweep.result(tol)
 
 
 @check("struct.torsion", "dy_k N^i_j - dy_j N^i_k = 0")
-def _check_torsion(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
+def _check_torsion(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
     n = fr.n
     dyN = fr.N_jets.coeffs[..., 1 + n:1 + 2 * n]  # [..., i, j, k] = dy_k N^i_j
     worst = 0.0
@@ -290,66 +287,60 @@ def _check_torsion(F, pts, tol, floor, seed):
                 worst = pymax(worst, abs(a - b))
                 scale = pymax(scale, abs(a), abs(b))
     sweep.add(worst, scale)
-    return sweep.result(len(pts), tol)
+    return sweep.result(tol)
 
 
 @check(
     "struct.metricity",
     "delta_k g_ij = F^m_ik g_mj + F^m_jk g_im; vertical analogue with C",
 )
-def _check_metricity(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
+def _check_metricity(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
     h, v = connections.metricity_defect(fr)
     scale = pymax(1.0, max_abs(fr.F @ np.ones(fr.n), 2), max_abs(fr.g, 2))
     sweep.add(pymax(h, v), scale)
-    return sweep.result(len(pts), tol)
+    return sweep.result(tol)
 
 
 @check("struct.symmetry", "F^i_jk = F^i_kj")
-def _check_symmetry(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
+def _check_symmetry(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
     sweep.add(connections.torsion_defect(fr), max_abs(fr.F, 3))
-    return sweep.result(len(pts), tol)
+    return sweep.result(tol)
 
 
 @check("struct.deflection", "F^i_kj y^k = N^i_j")
-def _check_deflection(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
+def _check_deflection(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
     sweep.add(connections.deflection_defect(fr), max_abs(fr.N, 2))
-    return sweep.result(len(pts), tol)
+    return sweep.result(tol)
 
 
 @check("struct.projectors", "h + v = id, h^2 = h, v^2 = v, hv = vh = 0 on T(TM)")
-def _check_projectors(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
+def _check_projectors(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
     sweep.add(connections.projector_defects(fr), pymax(1.0, max_abs(fr.N, 2)))
-    return sweep.result(len(pts), tol)
+    return sweep.result(tol)
 
 
 # -- curvature checks ------------------------------------------------------------
 
 
 @check("curv.contraction", "R^i_hjk y^h = R^i_jk")
-def _check_curv_contraction(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
+def _check_curv_contraction(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
     y_max = pymax(*np.moveaxis(np.abs(fr._y()), -1, 0))
     scale = pymax(max_abs(fr.Rhat, 3), max_abs(fr.hcurv, 4) * y_max)
     sweep.add(curvature.curvature_contraction_defect(fr), scale)
-    return sweep.result(len(pts), tol)
+    return sweep.result(tol)
 
 
 @check("curv.flatness", "R^i_hjk = 0 (horizontally flat structure)")
-def _check_flatness(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
+def _check_flatness(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
     sweep.add(max_abs(fr.hcurv, 4))
     worst_rhat = _first_max(max_abs(fr.Rhat, 3))[0]
-    return sweep.result(len(pts), tol, details={"max_vh_torsion": worst_rhat})
+    return sweep.result(tol, details={"max_vh_torsion": worst_rhat})
 
 
 def _max_rhat(fr) -> float:
@@ -358,33 +349,31 @@ def _max_rhat(fr) -> float:
 
 
 @check("thm2.8.flat", "R = 0 implies every gradient field is closed and dbar^2 f = 0")
-def _check_thm28_flat(F, pts, tol, floor, seed):
-    fr = point_frame(F, pts)
+def _check_thm28_flat(fr, tol, floor, seed):
     rhat = _max_rhat(fr)
     if rhat > floor:
         return CheckResult(
-            n_points=len(pts),
+            n_points=len(fr.point),
             max_residual=rhat,
             threshold=tol,
             verdict=REPORT_ONLY,
             details={"note": "not applicable: structure is curved",
                      "max_vh_torsion": rhat},
         )
-    sweep = _Sweep(pts)
+    sweep = _Sweep(fr.point)
     sweep.add(max_abs(fr.Rhat, 3))
-    for f in _probe_scalars(F, seed, 28):
+    for f in _probe_scalars(fr.structure, seed, 28):
         sweep.add(picalc.closedness_defect(fr, GradientField(f)))
         sweep.add(max_abs(picalc.dbar_sq(fr, f).nested, 2))
-    return sweep.result(len(pts), tol, details={"max_vh_torsion": rhat})
+    return sweep.result(tol, details={"max_vh_torsion": rhat})
 
 
 @check("thm2.8.curved", "R != 0 witnessed and a documented gradient probe is not closed")
-def _check_thm28_curved(F, pts, tol, floor, seed):
-    fr = point_frame(F, pts)
+def _check_thm28_curved(fr, tol, floor, seed):
     rhat = _max_rhat(fr)
     if rhat <= floor:
         return CheckResult(
-            n_points=len(pts), max_residual=rhat, threshold=floor,
+            n_points=len(fr.point), max_residual=rhat, threshold=floor,
             verdict=REPORT_ONLY,
             details={"note": "not applicable: structure is flat on the sample",
                      "max_vh_torsion": rhat},
@@ -393,17 +382,16 @@ def _check_thm28_curved(F, pts, tol, floor, seed):
     best, k = _first_max(picalc.closedness_defect(fr, GradientField(doc)))
     verdict = PASS if best > floor else FAIL
     return CheckResult(
-        n_points=len(pts), max_residual=best, threshold=floor, verdict=verdict,
-        witness=None if k is None else _witness(pts[k], best),
+        n_points=len(fr.point), max_residual=best, threshold=floor, verdict=verdict,
+        witness=None if k is None else _witness(fr.point[k], best),
         details={"max_vh_torsion": rhat,
                  "probe": "f = (y1)^2/2, X = grad f"},
     )
 
 
 @check("eq2.13", "R^i_jk = omega_j phi^i_k - omega_k phi^i_j, omega from fitted kappa")
-def _check_eq213(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
+def _check_eq213(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
     res = curvature.scalar_form_check(fr)
     sweep.add(res.residual, res.scale)
     details = {
@@ -411,38 +399,35 @@ def _check_eq213(F, pts, tol, floor, seed):
         "kappa_max": float(np.max(res.kappa)),
         "scalar_h_last": float(fr.scalar[-1]),
     }
-    return sweep.result(len(pts), tol, details=details)
+    return sweep.result(tol, details=details)
 
 
 # -- pi-calculus checks -----------------------------------------------------------
 
 
 @check("thm2.6", "(dbar i_X g)_jk = g_ks (A_X)^s_j - g_js (A_X)^s_k for every field X")
-def _check_thm26(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
-    for X in _probe_fields(F, seed, 26):
+def _check_thm26(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
+    for X in _probe_fields(fr.structure, seed, 26):
         M, B = picalc.flat_form_and_selfadjoint_matrix(fr, X)
         BT = np.swapaxes(B, -1, -2)
         sweep.add(max_abs(M - (BT - B), 2), pymax(max_abs(M, 2), max_abs(B - BT, 2)))
-    return sweep.result(len(pts), tol)
+    return sweep.result(tol)
 
 
 @check("dbar.sq", "(dbar dbar f)_jk = R^m_jk dy_m f (nested vs contracted)")
-def _check_dbar_sq(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
-    for f in _probe_scalars(F, seed, 88):
+def _check_dbar_sq(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
+    for f in _probe_scalars(fr.structure, seed, 88):
         res = picalc.dbar_sq(fr, f)
         sweep.add(res.defect, res.scale)
-    return sweep.result(len(pts), tol)
+    return sweep.result(tol)
 
 
 @check("eq2.12", "g_lk (A_gradf)^l_j - g_lj (A_gradf)^l_k = R^m_jk dy_m f")
-def _check_eq212(F, pts, tol, floor, seed):
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
-    scalars = _probe_scalars(F, seed, 212)
+def _check_eq212(fr, tol, floor, seed):
+    sweep = _Sweep(fr.point)
+    scalars = _probe_scalars(fr.structure, seed, 212)
     sides = []
     for f in scalars:
         res = picalc.gradient_torsion_identity(fr, f)
@@ -450,26 +435,26 @@ def _check_eq212(F, pts, tol, floor, seed):
         lhs, rhs = max_abs(res.lhs, 2), max_abs(res.rhs, 2)
         sides.append(np.where(rhs < lhs, rhs, lhs))  # the builtin min(lhs, rhs)
     side, k = _first_max(np.stack(sides, axis=-1))
-    out = sweep.result(len(pts), tol, details={"max_min_side_magnitude": side})
+    out = sweep.result(tol, details={"max_min_side_magnitude": side})
     if out.verdict == PASS and k is not None:
-        out.witness = _witness(pts[k // len(scalars)], side)
+        out.witness = _witness(fr.point[k // len(scalars)], side)
     return out
 
 
 @check("eq2.14", "dy_i f = ell_i (y^k dy_k f)/L exactly for f = h(x) L^r")
-def _check_eq214(F, pts, tol, floor, seed):
-    iso_h = lambda x, y: (1.0 + 0.3 * x[0]) * (F.L(x, y) ** 2)
+def _check_eq214(fr, tol, floor, seed):
+    L = fr.structure.L  # a probe holding fr would form a cycle with fr's field-jet memo
+    iso_h = lambda x, y: (1.0 + 0.3 * x[0]) * (L(x, y) ** 2)
     pos = lambda x, y: x[0]
     aniso = lambda x, y: y[0] * y[0]
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
+    sweep = _Sweep(fr.point)
     sweep.add(picalc.isotropy_residual(fr, iso_h), pymax(1.0, fr.L) * fr.L)
     sweep.add(picalc.isotropy_residual(fr, pos))
     best, k = _first_max(picalc.isotropy_residual(fr, aniso))
-    wit = None if k is None else _witness(pts[k], best)
+    wit = None if k is None else _witness(fr.point[k], best)
     details = {"anisotropic_residual": best,
                "probes": "f = h(x) L^2; f = x1; f = (y1)^2"}
-    out = sweep.result(len(pts), tol, details=details)
+    out = sweep.result(tol, details=details)
     if out.verdict == PASS:
         if best <= floor:
             out.verdict = FAIL
@@ -484,12 +469,11 @@ def _check_eq214(F, pts, tol, floor, seed):
     "thm2.13.involutive",
     "brackets of the orthogonal complement of a closed X stay orthogonal",
 )
-def _check_involutive(F, pts, tol, floor, seed):
+def _check_involutive(fr, tol, floor, seed):
     rng = np.random.default_rng([seed, 213])
-    closed = GradientField(_positional_scalar(F.n, rng), name="gradpos")
-    other = _mixed_field(F.n, rng)
-    sweep = _Sweep(pts)
-    fr = point_frame(F, pts)
+    closed = GradientField(_positional_scalar(fr.n, rng), name="gradpos")
+    other = _mixed_field(fr.n, rng)
+    sweep = _Sweep(fr.point)
     rep = picalc.involutivity_report(fr, closed)
     rep2 = picalc.involutivity_report(fr, other)
     sweep.add(rep.defect, rep.scale)
@@ -497,9 +481,9 @@ def _check_involutive(F, pts, tol, floor, seed):
     sweep.add(rep2.identity_defect, rep2.scale)
     open_defect = _first_max(rep2.defect / np.fmax(1.0, rep2.scale))[0]
     return sweep.result(
-        len(pts), tol,
+        tol,
         details={"nonclosed_probe_defect": open_defect,
-                 "pairs_per_point": max(0, (F.n - 1) * (F.n - 2) // 2)},
+                 "pairs_per_point": max(0, (fr.n - 1) * (fr.n - 2) // 2)},
     )
 
 
@@ -507,31 +491,30 @@ def _check_involutive(F, pts, tol, floor, seed):
     "prop2.14.lie",
     "Lie_X g vs i_X dbar-g contraction, hypothesis measured not asserted",
 )
-def _check_lie(F, pts, tol, floor, seed):
+def _check_lie(fr, tol, floor, seed):
     fields = [
-        constant_field([1.0] + [0.0] * (F.n - 1)),
+        constant_field([1.0] + [0.0] * (fr.n - 1)),
         ComponentField(
             [lambda x, y: -x[1], lambda x, y: x[0]]
-            + [(lambda k: (lambda x, y: 0.0))(k) for k in range(F.n - 2)],
+            + [(lambda k: (lambda x, y: 0.0))(k) for k in range(fr.n - 2)],
             name="rotation",
         ),
         ComponentField(
             [lambda x, y: x[0]] + [(lambda k: (lambda x, y: 0.0))(k)
-                                   for k in range(F.n - 1)],
+                                   for k in range(fr.n - 1)],
             name="stretch",
         ),
     ]
 
-    def lie_reports(sample):
-        fr = point_frame(F, sample)
-        return [(getattr(X, "name", "field"), picalc.lie_metric_report(fr, X))
+    def lie_reports(part):
+        return [(getattr(X, "name", "field"), picalc.lie_metric_report(part, X))
                 for X in fields]
 
-    half = max(1, len(pts) // 2)
+    half = max(1, len(fr.point) // 2)
     try:  # the first half of the sample, read off the whole batch's reports
-        reports = lie_reports(pts)
+        reports = lie_reports(fr)
     except FinslerError:  # a point of the second half may fail: the first half decides
-        reports = lie_reports(pts[:half])
+        reports = lie_reports(fr.part(0, half))
     worst_diff = _first_max([rep.difference[:half] for _, rep in reports])[0]
     lie_by_field = {}
     for name, rep in reports:
@@ -543,7 +526,7 @@ def _check_lie(F, pts, tol, floor, seed):
         details[f"lie_defect[{name}]"] = lie_d
         details[f"closedness[{name}]"] = clo_d
     return CheckResult(
-        n_points=len(pts),
+        n_points=len(fr.point),
         max_residual=worst_diff,
         threshold=tol,
         verdict=REPORT_ONLY,
@@ -552,17 +535,17 @@ def _check_lie(F, pts, tol, floor, seed):
 
 
 @check("prop.randers", "tau i_{m*} g* = i_m g under a closed drift; ell pairings vanish")
-def _check_randers(F, pts, tol, floor, seed):
-    fr = point_frame(F, pts)
-    if "b_fn" in F.meta and "base" in F.meta:  # F is the changed structure
-        b_fn = F.meta["b_fn"]
-        frb, frs = PointFrame(F.meta["base"], pts), fr
+def _check_randers(fr, tol, floor, seed):
+    meta = fr.structure.meta
+    if "b_fn" in meta and "base" in meta:  # fr is over the changed structure
+        b_fn = meta["b_fn"]
+        frb, frs = PointFrame(meta["base"], fr.point), fr
     else:
-        const = tuple([0.2] + [0.0] * (F.n - 1))
+        const = tuple([0.2] + [0.0] * (fr.n - 1))
         b_fn = lambda x: const
-        frb, frs = fr, PointFrame(randers_change(F, b_fn, validate=False), pts)
-    pre = picalc.drift_precondition_defect(b_fn, pts, F.n)
-    sweep = _Sweep(pts)
+        frb, frs = fr, PointFrame(randers_change(fr.structure, b_fn, validate=False), fr.point)
+    pre = picalc.drift_precondition_defect(b_fn, fr.point, fr.n)
+    sweep = _Sweep(fr.point)
     rep = picalc.drift_closedness_transfer(frb, frs)
     sweep.add(rep.identity_residual, rep.base_form_scale)
     sweep.add(rep.dual_path_residual, rep.base_form_scale)
@@ -579,35 +562,35 @@ def _check_randers(F, pts, tol, floor, seed):
         "base_closedness_max": _first_max(rep.base_defect)[0],
         "verdict_agreement": "yes" if agree else "no",
     }
-    out = sweep.result(len(pts), tol, details=details)
+    out = sweep.result(tol, details=details)
     if not agree and out.verdict == PASS:
         k = np.flatnonzero(~ok)[-1]  # the last disagreeing point
         out.verdict = FAIL
-        out.witness = _witness(pts[k], pymax(rep.star_defect[k], rep.base_defect[k]))
+        out.witness = _witness(fr.point[k], pymax(rep.star_defect[k], rep.base_defect[k]))
         out.details["note"] = "closedness verdicts disagree between structures"
     return out
 
 
 @check("thm2.16.conformal", "dbar~ i_X g~ = e^{2s}(2 ds wedge i_X g + dbar~ i_X g)")
-def _check_conformal(F, pts, tol, floor, seed):
-    X = constant_field([0.0, 1.0] + [0.0] * (F.n - 2))
-    fr = point_frame(F, pts)
-    rep_c, rep_l = (picalc.conformal_closedness_transfer(fr, PointFrame(tilde, pts), X)
-                    for tilde in (conformal_change(F, 0.25), conformal_change(F, lambda x: x[0])))
+def _check_conformal(fr, tol, floor, seed):
+    X = constant_field([0.0, 1.0] + [0.0] * (fr.n - 2))
+    rep_c, rep_l = (picalc.conformal_closedness_transfer(fr, PointFrame(tilde, fr.point), X)
+                    for tilde in (conformal_change(fr.structure, 0.25),
+                                  conformal_change(fr.structure, lambda x: x[0])))
     # the wedge prediction applies where dbar~ of the base form vanishes
     applicable = rep_l.tilde_base_defect < tol * rep_l.scale
-    sweep = _Sweep(pts)
+    sweep = _Sweep(fr.point)
     sweep.add(rep_c.scaling_residual, rep_c.scale)
     sweep.add(rep_c.leibniz_residual, rep_c.scale)
     sweep.add(rep_l.leibniz_residual, rep_l.scale)
     sweep.add(rep_l.prediction_residual, rep_l.scale, keep=applicable)
     breakage, k = _first_max(rep_l.actual_defect)
-    wit = None if k is None else _witness(pts[k], breakage)
+    wit = None if k is None else _witness(fr.point[k], breakage)
     details = {
         "breakage_defect_max": breakage,
         "prediction_applicable_points": int(np.count_nonzero(applicable)),
     }
-    out = sweep.result(len(pts), tol, details=details)
+    out = sweep.result(tol, details=details)
     if out.verdict == PASS:
         if breakage <= floor:
             out.verdict = FAIL
@@ -637,14 +620,13 @@ def _all_multis(nvars: int, max_degree: int):
 
 
 @check("jets.fd", "all jet partials of degree <= 3 match central differences")
-def _check_jets_fd(F, pts, tol, floor, seed):
-    n = F.n
+def _check_jets_fd(fr, tol, floor, seed):
     rng = np.random.default_rng([seed, 99])
-    poly = _poly_scalar(n, rng)
-    fields = [F.L, lambda x, y: poly(x, y) * F.L(x, y)]
+    poly = _poly_scalar(fr.n, rng)
+    fields = [fr.structure.L, lambda x, y: poly(x, y) * fr.structure.L(x, y)]
     threshold = max(tol, 1e-5)
-    multis = _all_multis(2 * n, 3)
-    sub = pts[: min(3, len(pts))]
+    multis = _all_multis(2 * fr.n, 3)
+    sub = fr.point[:3]
     # [point, (field, multi)]: one stacked jet per field, one difference scheme per entry
     stacked = [jet_eval(f, sub, 3) for f in fields]
     exact = np.stack([jet.partial(multi) for jet in stacked for multi in multis], axis=-1)
@@ -652,7 +634,7 @@ def _check_jets_fd(F, pts, tol, floor, seed):
                        for p in sub])
     sweep = _Sweep(sub)
     sweep.add(np.abs(exact - approx), pymax(1.0, np.abs(exact)))
-    return sweep.result(len(sub), threshold)
+    return sweep.result(threshold)
 
 
 ANCHORS = {cid: anchor for cid, (anchor, _) in _REGISTRY.items()}
@@ -662,42 +644,44 @@ def check_ids() -> list:
     return sorted(_REGISTRY)
 
 
-def _first_failure(fn, F, pts, tol, floor, seed):
+def _first_failure(fn, fr, tol, floor, seed):
     """The error of the first sample point at which check `fn` fails on its
     own, or None. A check fails on a prefix of the sample exactly when it
     fails at one of the prefix's points, so bisection finds the shortest
-    failing prefix; its last point is the first failing one."""
-    passes, fails = 0, len(pts)  # prefix lengths
+    failing prefix; its last point is the first failing one. The prefixes
+    and that point are parts of the sample's frame (`PointFrame.part`),
+    which every check of the run shares."""
+    passes, fails = 0, len(fr.point)  # prefix lengths
     while fails - passes > 1:
         mid = (passes + fails) // 2
         try:
-            fn(F, pts[:mid], tol, floor, seed)
+            fn(fr.part(0, mid), tol, floor, seed)
             passes = mid
         except FinslerError:
             fails = mid
     try:
-        fn(F, pts[fails - 1:fails], tol, floor, seed)
+        fn(fr.part(fails - 1, fails), tol, floor, seed)
     except FinslerError as exc:
         return exc
     return None
 
 
-def run_check(check_id: str, F: FinslerStructure, pts, tol: float, floor: float,
+def run_check(check_id: str, fr: PointFrame, tol: float, floor: float,
               seed: int) -> CheckResult:
-    """Run one registered check. A FinslerError raised inside it becomes that
-    check's FAIL, with the exception type and message in details["error"]:
-    those of the first sample point at which the check fails on its own, the
-    error a visit of the points in sample order meets first."""
+    """Run one registered check on the batch frame `fr` of a sample. A
+    FinslerError raised inside it becomes that check's FAIL, with the
+    exception type and message in details["error"]: those of the first
+    sample point at which the check fails on its own, the error a visit of
+    the points in sample order meets first."""
     if check_id not in _REGISTRY:
         raise ValueError(f"unknown check id {check_id!r}")
     anchor, fn = _REGISTRY[check_id]
-    pts = tuple(pts)  # the key of the sample's batch frame
     try:
-        out = fn(F, pts, tol, floor, seed)
+        out = fn(fr, tol, floor, seed)
     except FinslerError as exc:
-        exc = _first_failure(fn, F, pts, tol, floor, seed) or exc
+        exc = _first_failure(fn, fr, tol, floor, seed) or exc
         out = CheckResult(
-            n_points=len(pts),
+            n_points=len(fr.point),
             max_residual=float("inf"),
             threshold=tol,
             verdict=FAIL,
@@ -711,5 +695,5 @@ def run_check(check_id: str, F: FinslerStructure, pts, tol: float, floor: float,
 
 def run_checks(F: FinslerStructure, ids, points: int, seed: int, tol: float,
                floor: float) -> list:
-    pts = tuple(F.sample(points, seed))  # every check runs on one batch frame of it
-    return [run_check(cid, F, pts, tol, floor, seed) for cid in sorted(ids)]
+    fr = PointFrame(F, tuple(F.sample(points, seed)))  # the run's one frame of its sample
+    return [run_check(cid, fr, tol, floor, seed) for cid in sorted(ids)]

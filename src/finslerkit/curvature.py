@@ -43,7 +43,6 @@ class ScalarFormResult:
     """
 
     kappa: float
-    u: np.ndarray
     omega: np.ndarray
     residual: float
     scale: float
@@ -104,7 +103,6 @@ def scalar_form_check(fr: PointFrame, kappa=None) -> ScalarFormResult:
         - np.einsum("...k,...ij->...ijk", omega, phi)
     return ScalarFormResult(
         kappa=_plain(kval),
-        u=u,
         omega=omega,
         residual=max_abs(target - model, 3),
         scale=pymax(1.0, max_abs(target, 3), max_abs(model, 3)),

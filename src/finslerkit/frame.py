@@ -18,19 +18,18 @@ another memory layout.
 A frame may also hold a batch: `PointFrame(structure, points)` with a
 tuple of chart points puts a leading point axis before the tensor axes of
 every array and jet rung, computed by the same code, and slice i of each
-equals the quantity of a frame at points[i] alone, bit for bit;
-`point_frame` with a tuple memoizes one such frame. The calculus modules
-(`picalc`, `connections`, `curvature`) take the frame they compute on, and
-each check looks up the batch frame of its sample once and passes it down.
-Where a batch cannot compute a quantity at every point (a point outside
-the positivity cone, a singular metric), the quantity raises for the whole
-batch; `checks.run_check` then finds the first sample point at which its
-check fails alone.
+equals the quantity of a frame at points[i] alone, bit for bit. There is
+no frame cache: whoever builds a frame owns it, and `checks.run_checks`
+builds the batch frame of its sample once and hands it to every check. The
+calculus modules (`picalc`, `connections`, `curvature`) take the frame they
+compute on. Where a batch cannot compute a quantity at every point (a point
+outside the positivity cone, a singular metric), the quantity raises for
+the whole batch; `checks.run_check` then finds the first sample point at
+which its check fails alone, on frames over slices of the sample that
+`part` builds once per sample.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 import numpy as np
 
@@ -98,8 +97,8 @@ class _lazy:
     """A frame quantity computed by `func` on first access and stored in the
     instance __dict__, which then answers every later read.
 
-    Its value is read-only (`_freeze`): frames are shared through the frame
-    cache, so no reader may write into one. A quantity that raises is not
+    Its value is read-only (`_freeze`): one frame is shared by every check
+    of a run, so no reader may write into one. A quantity that raises is not
     stored, and raises again on the next access. `func` is looked up at call
     time.
     """
@@ -137,6 +136,22 @@ class PointFrame:
         self.n = structure.n
         self._lead = (len(point),) if isinstance(point, tuple) else ()
         self._field_jets = {}
+        # a batch starts at point 0 of its sample and shares the memo of its parts
+        self._start, self._parts = 0, {}
+
+    def part(self, start: int, stop: int) -> "PointFrame":
+        """The batch frame over points[start:stop] of this batch, built once:
+        the parts of one sample share one memo, keyed by their slice of the
+        sample, so a part of a part is the sample's part over the same
+        points. The memo lives as long as the sample's frame or a part of it."""
+        if stop - start == len(self.point):
+            return self
+        key = (self._start + start, self._start + stop)
+        frame = self._parts.get(key)
+        if frame is None:
+            frame = self._parts[key] = PointFrame(self.structure, self.point[start:stop])
+            frame._start, frame._parts = key[0], self._parts
+        return frame
 
     def _first(self, bad):
         """Index and chart point of the first point where `bad` holds."""
@@ -342,15 +357,8 @@ class PointFrame:
     def Rhat(self) -> np.ndarray:
         """vh-torsion R^i_jk of the nonlinear connection (fiber components of
         the horizontal bracket defect)."""
-        n = self.n
         dN = self.delta_values(self.N_jets)  # [..., i, j, k] = delta_k N^i_j
-        arr = np.zeros(dN.shape)
-        for j in range(n):
-            for k in range(j + 1, n):
-                val = dN[..., j, k] - dN[..., k, j]
-                arr[..., j, k] = val
-                arr[..., k, j] = -val
-        return arr
+        return antisymmetric(dN)
 
     @_lazy
     def hcurv(self) -> np.ndarray:
@@ -387,36 +395,10 @@ class PointFrame:
         return jet
 
 
-# -- the frame cache ------------------------------------------------------------
-
-# Frame slots, least recently used first. Structures hash by identity and
-# points by value. A batch takes one slot, and one run_checks touches few:
-# the sample's batch, and while an error is located about log2(P) + 1 prefix
-# batches of the sample, which the next failing check reuses (the frames a
-# check builds for itself are plain PointFrames and never enter). 64 slots
-# keep those prefixes for a sample of a few thousand points without pinning
-# many dead batches.
-_CACHE_SLOTS = 64
-_frames: OrderedDict = OrderedDict()
-
-
 def point_frame(structure, point) -> PointFrame:
-    """Shared, memoized frame lookup; structures hash by identity and points
-    by value, so repeated checks at one point reuse the whole tower. A tuple
-    of chart points gives one batch frame over all of them, with a leading
-    point axis, in one cache slot."""
-    key = (structure, point)
-    frame = _frames.get(key)
-    if frame is None:
-        frame = _frames[key] = PointFrame(structure, point)
-        if len(_frames) > _CACHE_SLOTS:
-            _frames.popitem(last=False)
-    else:
-        _frames.move_to_end(key)
-    return frame
-
-
-point_frame.cache_clear = _frames.clear  # as on the lru_cache it replaces
+    """The frame of a structure at a chart point, or over a tuple of them:
+    a function of its own, so that rebinding it leaves the class alone."""
+    return PointFrame(structure, point)
 
 
 # -- per-point arithmetic over a frame's leading axes ----------------------------
@@ -426,6 +408,21 @@ point_frame.cache_clear = _frames.clear  # as on the lru_cache it replaces
 # expression it names: a stacked matmul runs the same BLAS kernel per point,
 # while a sum over the last axis or an einsum for a dot product may add in
 # another order.
+
+
+def antisymmetric(t):
+    """t[..., j, k] - t[..., k, j] of each point's square matrices, computed
+    once per pair j < k and negated below the diagonal, with +0.0 on it (so
+    an entry below the diagonal is -0.0 where the pair's entries are equal,
+    unlike t - t.T)."""
+    n = t.shape[-1]
+    out = np.zeros(t.shape)
+    for j in range(n):
+        for k in range(j + 1, n):
+            v = t[..., j, k] - t[..., k, j]
+            out[..., j, k] = v
+            out[..., k, j] = -v
+    return out
 
 
 def _plain(value):

@@ -28,7 +28,7 @@ from .fields import (
     _perm_sign,
     project_away,
 )
-from .frame import PointFrame, _plain, dot, matvec, max_abs, pymax, quad
+from .frame import PointFrame, _plain, antisymmetric, dot, matvec, max_abs, pymax, quad
 from .jets import Jet
 
 
@@ -161,15 +161,8 @@ def _lowered_jets(frame: PointFrame, Xj: Jet) -> Jet:
 def _dbar_matrix(frame: PointFrame, w: Jet) -> np.ndarray:
     """(dbar w)_jk = delta_j w_k - delta_k w_j of a 1-form given by the
     stacked jet of its components, as an antisymmetric matrix."""
-    n = frame.n
-    d = frame.delta_values(w)  # [k, j] = delta_j w_k
-    out = np.zeros(d.shape)
-    for j in range(n):
-        for k in range(j + 1, n):
-            v = d[..., k, j] - d[..., j, k]
-            out[..., j, k] = v
-            out[..., k, j] = -v
-    return out
+    d = frame.delta_values(w)  # [..., k, j] = delta_j w_k
+    return antisymmetric(np.swapaxes(d, -1, -2))
 
 
 def closedness_defect(fr: PointFrame, X: PiVectorField) -> float:

@@ -3,7 +3,6 @@ component-by-component reference in tower_oracle, and batch frames
 against standalone ones: every rung must agree exactly."""
 
 import gc
-import sys
 import weakref
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 from finslerkit import checks, connections, curvature, jets
 from finslerkit import picalc as pc
 from finslerkit import frame as frame_module
-from finslerkit.checks import _probe_fields, _probe_scalars, check_ids, run_check, run_checks
+from finslerkit.checks import _probe_fields, _probe_scalars, check_ids, run_checks
 from finslerkit.errors import FinslerError, SingularMetricError
 from finslerkit.fields import (ComponentField, DriftCompanionField, GradientField, PiForm,
                                Positional, ProjectedField, project_away)
@@ -22,6 +21,7 @@ from finslerkit.structures import by_name, conformal_change, randers_change, str
 
 from conftest import CATALOG_NAMES
 import tower_oracle as oracle
+from test_report_hashes import INDEFINITE, LATE
 from tower_oracle import ScalarTower, stack
 
 ALL_NAMES = CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"]
@@ -309,62 +309,49 @@ def test_batch_errors_stay_with_their_points():
     assert kind is SingularMetricError and str(inside[0]) in message
 
 
-def test_a_tuple_of_points_is_one_memoized_batch_frame():
-    s = by_name("sphere2")
-    pts = s.sample(5, seed=2)
-    fr = point_frame(s, tuple(pts))
-    assert fr is point_frame(s, tuple(pts)) and fr.g.shape == (5, 2, 2)
-
-
-def test_checks_leave_only_the_sample_frame(monkeypatch):
-    # the frames a check builds for itself (the scaled points of
-    # struct.homogeneity, the Randers star or base, the two conformal tildes)
-    # are plain PointFrames: after run_checks the cache holds the sample's
-    # batch frame alone, and no other frame is still alive
+def _built_frames(monkeypatch, s, points, seed):
+    """Weak references to every frame built by run_checks on s, with the
+    structure and points of each, and the run's sample."""
     built = []
     init = PointFrame.__init__
 
     def recorded(self, structure, point):
-        built.append(weakref.ref(self))
+        built.append((weakref.ref(self), structure, point))
         init(self, structure, point)
 
-    for name in ("sphere2", "randers_sphere2"):
-        s = by_name(name)
-        built.clear()
-        point_frame.cache_clear()
-        monkeypatch.setattr(PointFrame, "__init__", recorded)
-        run_checks(s, check_ids(), 20, 0, 1e-7, 1e-3)
-        monkeypatch.undo()
-        key = (s, tuple(s.sample(20, 0)))
-        assert list(frame_module._frames) == [key], name
-        gc.collect()
-        alive = [ref() for ref in built if ref() is not None]
-        assert alive == [frame_module._frames[key]], name
-        # the sample, the scaled points, a Randers change, two tildes
-        assert len(built) == 5, name
+    monkeypatch.setattr(PointFrame, "__init__", recorded)
+    run_checks(s, check_ids(), points, seed, 1e-7, 1e-3)
+    monkeypatch.undo()
+    gc.collect()
+    return built, tuple(s.sample(points, seed))
 
 
-def test_each_check_looks_up_its_sample_frame_once(monkeypatch):
-    # every finslerkit module's binding of point_frame, as perfbench rebinds it
-    s = by_name("sphere2")
-    pts = tuple(s.sample(20, 0))
-    calls = []
+@pytest.mark.parametrize("name", ["sphere2", "randers_sphere2"])
+def test_a_run_builds_five_frames_and_frees_them(monkeypatch, name):
+    # the sample, the scaled points of struct.homogeneity, the Randers star
+    # or base of prop.randers and the two tildes of thm2.16.conformal; the
+    # run owns them all, so none outlives it
+    built, pts = _built_frames(monkeypatch, by_name(name), 20, 0)
+    assert len(built) == 5
+    assert built[0][2] == pts
+    assert [ref() for ref, _, _ in built] == [None] * 5
 
-    def counted(structure, point):
-        calls.append((structure, point))
-        return point_frame(structure, point)
 
-    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "finslerkit"]:
-        for attr, value in list(vars(mod).items()):
-            if value is point_frame:
-                monkeypatch.setattr(mod, attr, counted)
-    per_check = {}
-    for cid in check_ids():
-        start = len(calls)
-        run_check(cid, s, pts, 1e-7, 1e-3, 0)
-        per_check[cid] = len(calls) - start
-    assert max(per_check.values()) <= 2, per_check
-    assert set(calls) == {(s, pts)}
+@pytest.mark.parametrize("seed", [0, 30])
+@pytest.mark.parametrize("spec", [INDEFINITE, LATE], ids=["indefinite", "late"])
+def test_each_slice_of_the_sample_is_built_once(monkeypatch, spec, seed):
+    # locating the failures of many checks bisects on prefixes of the sample
+    # and ends on one point: every check reuses the sample's parts
+    s = structure_from_spec(spec)
+    built, pts = _built_frames(monkeypatch, s, 20, seed)
+    slices = []
+    for _, structure, point in built:
+        if structure is s and point[0] in pts:  # not the scaled points
+            start = pts.index(point[0])
+            assert pts[start:start + len(point)] == point
+            slices.append((start, len(point)))
+    assert len(slices) > 1 and len(set(slices)) == len(slices), slices
+    assert all(ref() is None for ref, _, _ in built)
 
 
 def _jet_eval_calls(monkeypatch, points):

@@ -112,13 +112,6 @@ class TestRandersValidation:
         assert s.meta["base"].name == "sphere2"
         assert tuple(s.meta["b_fn"]((0.0, 0.0))) == (0.2, 0.0)
 
-    def test_validation_leaves_no_frame_in_the_cache(self):
-        from finslerkit import frame
-
-        point_frame.cache_clear()
-        randers_change(sphere2(), (0.2, 0.0), validate=True)
-        assert not frame._frames
-
 
 class TestSpecLoader:
     def test_euclidean_family(self):

@@ -85,8 +85,8 @@ def test_sweep_reduction_equals_scalar_adds(data):
     sweep = _Sweep(pts)
     for c in range(columns):  # one column per add call, as the checks make them
         sweep.add(residual[:, c], scale[:, c], keep=keep[:, c])
-    out = sweep.result(points, tol=-math.inf)  # every sweep FAILs, so the witness shows
-    assert out.verdict == FAIL
+    out = sweep.result(tol=-math.inf)  # every sweep FAILs, so the witness shows
+    assert out.verdict == FAIL and out.n_points == points
     assert _bits(out.max_residual) == _bits(ref.max_residual)
     if ref.witness is None:
         assert out.witness is None
@@ -106,7 +106,7 @@ def test_a_matrix_add_equals_its_column_adds(data):
     whole.add(residual, scale)
     for c in range(residual.shape[1]):
         by_column.add(residual[:, c], scale[:, c])
-    a, b = whole.result(len(pts), -math.inf), by_column.result(len(pts), -math.inf)
+    a, b = whole.result(-math.inf), by_column.result(-math.inf)
     assert _bits(a.max_residual) == _bits(b.max_residual) and a.witness == b.witness
 
 
@@ -128,7 +128,7 @@ def test_ties_pick_the_last_point_for_sweeps_and_the_first_for_trackers():
     pts = _points(4)
     sweep = _Sweep(pts)
     sweep.add(np.array([1.0, 3.0, 3.0, 2.0]))
-    out = sweep.result(4, tol=0.0)
+    out = sweep.result(tol=0.0)
     assert out.max_residual == 3.0 and out.witness["x"] == list(pts[2].x)
     assert _first_max(np.array([1.0, 3.0, 3.0, 2.0])) == (3.0, 1)
 
@@ -137,12 +137,12 @@ def test_all_zero_input_keeps_the_start_values():
     pts = _points(3)
     sweep = _Sweep(pts)
     sweep.add(np.array([0.0, -0.0, 0.0]), np.zeros(3))
-    out = sweep.result(3, tol=1e-7)
+    out = sweep.result(tol=1e-7)
     # the last zero wins the `>=` sweep; no zero passes the strict tracker
     assert out.verdict == "PASS" and _bits(out.max_residual) == _bits(0.0)
     sweep = _Sweep(pts)
     sweep.add(np.array([0.0, 0.0, -0.0]))
-    assert _bits(sweep.result(3, tol=1e-7).max_residual) == _bits(-0.0)
+    assert _bits(sweep.result(tol=1e-7).max_residual) == _bits(-0.0)
     assert _first_max(np.zeros((3, 2))) == (0.0, None)
 
 
@@ -150,7 +150,7 @@ def test_nan_never_wins_and_nan_scale_counts_as_one():
     pts = _points(3)
     sweep = _Sweep(pts)
     sweep.add(np.array([math.nan, 0.5, math.nan]), np.array([1.0, math.nan, 4.0]))
-    out = sweep.result(3, tol=0.1)
+    out = sweep.result(tol=0.1)
     assert out.max_residual == 0.5 and out.witness["x"] == list(pts[1].x)
     assert _first_max(np.array([math.nan, math.nan])) == (0.0, None)
 
@@ -160,7 +160,7 @@ def test_masked_entries_are_skipped():
     sweep = _Sweep(pts)
     sweep.add(np.array([1.0, 1.0, 1.0]))
     sweep.add(np.array([5.0, 9.0, 7.0]), keep=np.array([True, False, True]))
-    out = sweep.result(3, tol=0.1)
+    out = sweep.result(tol=0.1)
     assert out.max_residual == 7.0 and out.witness["x"] == list(pts[2].x)
 
 
