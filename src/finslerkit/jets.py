@@ -20,7 +20,10 @@ Products use the Leibniz rule in raw-derivative form,
 
 with the binomial weights precomputed per (nvars, order). Each output slot
 sums its terms in one fixed order whatever the stack shape, so a stacked
-product equals the component-wise scalar products bit for bit.
+product equals the component-wise scalar products bit for bit. A large
+stack is multiplied coefficient-major, as vector Taylor propagation keeps
+its direction axis: the table axis goes first and each term of a slot
+program is one contiguous row over all points and components.
 Transcendental functions go through Taylor composition in the jet ring, so
 everything is exact to round-off for the smooth closed-form fields used
 here; on a stack each jet's Taylor coefficients come from the same Python
@@ -97,13 +100,33 @@ def _gather_program(nvars: int, order: int):
     return tuple(out)
 
 
-# Above this many gathered coefficients (both operands' coefficient counts
-# times the longest slot program) a stacked product gathers column by column.
-# Measured at nvars 4 and 6, orders 2-4, equal operands: the whole (T, m)
-# gather is 1.2-2.5x faster below about 2e5 and 1-3x slower above 6e5. A
-# single-point frame stays below 2e4; a sample of hundreds of points lies
-# above.
-_COLUMN_GATHER_WORK = 1 << 18
+@lru_cache(maxsize=None)
+def _row_program(nvars: int, order: int):
+    """`_gather_program` column by column without its padding.
+
+    Returns the slots sorted by falling term count (stable) and, for each
+    column c, (k_c, ia, ib, w) over the k_c leading slots that have a c-th
+    term, so column c updates a prefix of the sorted slots. Real weights are
+    binomial products, never 0, so the padding is where w is 0.
+    """
+    ia, ib, w = _gather_program(nvars, order)
+    counts = np.count_nonzero(w, axis=1)
+    perm = np.argsort(-counts, kind="stable")
+    columns = []
+    for c in range(ia.shape[1]):
+        rows = perm[: np.count_nonzero(counts > c)]
+        columns.append((rows.size, ia[rows, c], ib[rows, c], w[rows, c, None]))
+    return perm, tuple(columns)
+
+
+# From this much work, the broadcast output's S rows times the (T, m) slot
+# programs, a stacked product runs coefficient-major. Measured at nvars 4
+# and 6, orders 2-4, equal (S, T) operands: the whole (T, m) gather is
+# 1.3-2.6x faster at 1e4, the two break even at 4e4-5e4, and the
+# coefficient-major kernel is 1.2-1.4x faster at 7e4 and about 3x from 1e5.
+# A single-point frame of the catalog stays below 4e3 (the largest is one
+# 6-variable order-4 table, 3360); a sample of hundreds of points lies above.
+_COLUMN_GATHER_WORK = 50_000
 
 
 def _leibniz(nvars: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,9 +136,14 @@ def _leibniz(nvars: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray
     Every slot adds its terms (w a[ia]) b[ib] in `_mul_program` order onto a
     +0.0 start, as `np.bincount` does for a single table, so a stacked
     product equals the scalar products bit for bit, down to the sign of a
-    zero. Order 1 has the closed form (0 + a0 b_k) + a_k b0. A stack of
-    higher order adds its terms column by column: numpy's `add.reduce`
-    would sum 8 or more terms pairwise (order 3 has 8), in another order.
+    zero. Order 1 has the closed form (0 + a0 b_k) + a_k b0. A small stack
+    gathers the whole zero-padded (..., T, m) term array and adds it column
+    by column: numpy's `add.reduce` would sum 8 or more terms pairwise
+    (order 3 has 8), in another order. A large stack runs coefficient-major:
+    both operands become (T, S) copies over the S output rows, and column c
+    of `_row_program` adds the contiguous rows (w_c A[ia_c]) B[ib_c] onto
+    the first k_c sorted slots. Skipping the padding changes no bit for
+    finite operands: a padded term adds +-0.0 to a sum that is never -0.0.
     """
     if order <= 1:
         out = a[..., :1] * b + 0.0
@@ -126,18 +154,23 @@ def _leibniz(nvars: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray
         io, ia, ib, w, size = _mul_program(nvars, order)
         return np.bincount(io, weights=w * a[ia] * b[ib], minlength=size)
     ia, ib, w = _gather_program(nvars, order)
-    if (a.size + b.size) * ia.shape[1] < _COLUMN_GATHER_WORK:
+    lead = np.broadcast(a[..., 0], b[..., 0])
+    if lead.size * ia.size < _COLUMN_GATHER_WORK:
         terms = (w * a.take(ia, -1)) * b.take(ib, -1)
         out = np.zeros(terms.shape[:-1])
         for c in range(terms.shape[-1]):
             out += terms[..., c]
         return out
-    # a large stack (points times components) gathers one column at a time
-    # and never holds the whole (..., T, m) term array
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + ia.shape[:1])
-    for c in range(ia.shape[1]):
-        out += (w[:, c] * a.take(ia[:, c], -1)) * b.take(ib[:, c], -1)
-    return out
+    size = ia.shape[0]
+    perm, columns = _row_program(nvars, order)
+    A, B = (np.moveaxis(np.broadcast_to(x, lead.shape + (size,)), -1, 0).reshape(size, -1)
+            for x in (a, b))
+    acc = np.zeros(A.shape)
+    for k, ia_c, ib_c, w_c in columns:
+        acc[:k] += (w_c * A[ia_c]) * B[ib_c]
+    out = np.empty(acc.shape[::-1])
+    out[:, perm] = acc.T
+    return out.reshape(lead.shape + (size,))
 
 
 @lru_cache(maxsize=None)
@@ -159,6 +192,12 @@ def _shift_map(nvars: int, order: int, slot):
 @lru_cache(maxsize=None)
 def _table_size(nvars: int, order: int) -> int:
     return math.comb(nvars + order, order)
+
+
+def _value_part(other):
+    """A number, or an array over a stack's leading axes, to add to or
+    subtract from value parts."""
+    return other if isinstance(other, np.ndarray) else float(other)
 
 
 class Jet:
@@ -290,7 +329,7 @@ class Jet:
             k, a, b = self._mat(other)
             return Jet(self.nvars, k, a + b)
         c = self.coeffs.copy()
-        c[..., 0] += float(other)
+        c[..., 0] += _value_part(other)
         return Jet(self.nvars, self.order, c)
 
     __radd__ = __add__
@@ -303,12 +342,12 @@ class Jet:
             k, a, b = self._mat(other)
             return Jet(self.nvars, k, a - b)
         c = self.coeffs.copy()
-        c[..., 0] -= other if isinstance(other, np.ndarray) else float(other)
+        c[..., 0] -= _value_part(other)
         return Jet(self.nvars, self.order, c)
 
     def __rsub__(self, other):
         c = -self.coeffs
-        c[..., 0] += float(other)
+        c[..., 0] += _value_part(other)
         return Jet(self.nvars, self.order, c)
 
     def __mul__(self, other):
@@ -329,7 +368,7 @@ class Jet:
         return inv if other == 1.0 else inv * float(other)  # x * 1.0 == x exactly
 
     def __pow__(self, p):
-        if isinstance(p, int) or (isinstance(p, float) and p.is_integer() and p >= 0):
+        if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
             p = int(p)
             if p < 0:
                 return self._reciprocal() ** (-p)

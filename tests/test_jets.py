@@ -5,15 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finslerkit.chart import ChartPoint
 from finslerkit.errors import CapabilityError, DomainError, NumericalError
 from finslerkit.jets import (
     MAX_ORDER,
+    _COLUMN_GATHER_WORK,
     Jet,
+    _gather_program,
     _mul_program,
+    _row_program,
     coordinate_jets,
     cos,
     exp,
@@ -128,6 +131,17 @@ class TestTranscendentals:
         with pytest.raises(NumericalError):
             1.0 / j
 
+    def test_integral_float_power_takes_the_integer_path(self):
+        j = 0.2 * Jet.variable(4, 3, 1, 0.5) - 0.9 + Jet.variable(4, 3, 2, 0.3) ** 2
+        assert j.value < 0.0
+        for p in (-2.0, -1.0, 0.0, 3.0):
+            assert (j ** p).coeffs.tobytes() == (j ** int(p)).coeffs.tobytes()
+        assert (j.value ** -2.0) == pytest.approx((j ** -2.0).value, rel=1e-15)
+        stack = Jet(4, 2, np.stack([(j * s).truncated(2).coeffs for s in (1.0, -1.0, 2.0)]))
+        assert (stack ** -2.0).coeffs.tobytes() == (stack ** -2).coeffs.tobytes()
+        with pytest.raises(NumericalError):
+            j ** -2.5
+
 
 @st.composite
 def small_jets(draw, nvars=2, order=3):
@@ -198,6 +212,17 @@ def stacked_factors(draw):
     return jets if draw(st.booleans()) else jets[::-1]
 
 
+# Leading shapes of the two factors for a point axis of P and a tensor axis
+# of k: a point-wise product, an outer product over the tensor axes, a
+# shared tensor against a stack, and a scalar jet against a stack.
+BROADCAST_PAIRS = {
+    "points": lambda P, k: ((P,), (P,)),
+    "outer": lambda P, k: ((P, 1, k), (P, k, 1)),
+    "shared": lambda P, k: ((k,), (P, k)),
+    "scalar": lambda P, k: ((), (P,)),
+}
+
+
 class TestStackedJets:
     @given(stacked_factors())
     @settings(max_examples=80, deadline=None)
@@ -214,6 +239,59 @@ class TestStackedJets:
             assert (sa * sb).coeffs.tobytes() == prod.coeffs[idx].tobytes()
             assert prod.coeffs[idx].tobytes() == _reference_product(sa, sb).tobytes()
 
+    @given(st.sampled_from([4, 6]), st.tuples(st.integers(1, MAX_ORDER), st.integers(1, MAX_ORDER)),
+           st.sampled_from(sorted(BROADCAST_PAIRS)), st.integers(1, 400), st.integers(1, 3),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    # the sweep's order-4 Lagrangian products, far above the threshold
+    @example(4, (4, 4), "points", 400, 1, False, 0)
+    # a stack of one point, as on a single-point frame, below it
+    @example(6, (4, 4), "outer", 1, 3, True, 1)
+    @settings(max_examples=40, deadline=None)
+    def test_large_stack_product_is_componentwise_bit_for_bit(
+            self, nvars, orders, pair, points, k, flip, seed):
+        rng = np.random.default_rng(seed)
+        jets = []
+        for order, shape in zip(orders, BROADCAST_PAIRS[pair](points, k)):
+            shape = shape + (math.comb(nvars + order, order),)
+            c = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-4.0, 4.0, shape)
+            zero = rng.random(shape) < 0.2
+            c[zero] = rng.choice([-0.0, 0.0], int(zero.sum()))
+            jets.append(Jet(nvars, order, c))
+        a, b = jets[::-1] if flip else jets
+        prod = a * b
+        lead = np.broadcast_shapes(a.coeffs.shape[:-1], b.coeffs.shape[:-1])
+        size = math.comb(nvars + prod.order, prod.order)
+        assert prod.coeffs.shape == lead + (size,)
+        assert prod.coeffs.flags.c_contiguous
+        ca = np.broadcast_to(a.coeffs, lead + a.coeffs.shape[-1:])
+        cb = np.broadcast_to(b.coeffs, lead + b.coeffs.shape[-1:])
+        for idx in np.ndindex(lead):
+            sa, sb = Jet(nvars, a.order, ca[idx]), Jet(nvars, b.order, cb[idx])
+            assert prod.coeffs[idx].tobytes() == _reference_product(sa, sb).tobytes()
+
+    def test_the_examples_lie_on_both_sides_of_the_threshold(self):
+        work = lambda nvars, order, rows: rows * _gather_program(nvars, order)[0].size
+        assert work(4, 4, 400) >= _COLUMN_GATHER_WORK > work(6, 4, 3 * 3)
+
+    @pytest.mark.parametrize("nvars", [4, 6])
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_row_program_lists_each_slot_program_without_padding(self, nvars, order):
+        io, ia, ib, w, size = _mul_program(nvars, order)
+        perm, columns = _row_program(nvars, order)
+        assert sorted(perm.tolist()) == list(range(size))
+        ks = [col[0] for col in columns]
+        assert ks == sorted(ks, reverse=True) and ks[-1] > 0
+        listed = {s: [] for s in range(size)}
+        for k, ia_c, ib_c, w_c in columns:
+            assert ia_c.shape == ib_c.shape == (k,) and w_c.shape == (k, 1)
+            for slot, i, j, v in zip(perm[:k], ia_c, ib_c, w_c[:, 0]):
+                listed[int(slot)].append((int(i), int(j), float(v)))
+        assert sum(ks) == io.size
+        for s in range(size):
+            terms = io == s
+            assert listed[s] == list(zip(ia[terms].tolist(), ib[terms].tolist(),
+                                         w[terms].tolist()))
+
     @given(st.sampled_from([4, 6]), st.integers(0, MAX_ORDER), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_compose_is_plain_horner_bit_for_bit(self, nvars, order, seed):
@@ -228,6 +306,25 @@ class TestStackedJets:
             ref = _reference_product(Jet(nvars, order, ref), v)
             ref[0] += t
         assert u.compose(cs).coeffs.tobytes() == ref.tobytes()
+
+    def test_an_array_over_the_leading_axes_moves_the_value_parts(self):
+        rng = np.random.default_rng(5)
+        stack = Jet(4, 2, rng.standard_normal((3, 2, 15)))
+        arr = rng.standard_normal((3, 2))
+        for out, expect in ((stack + arr, stack.coeffs[..., 0] + arr),
+                            (arr + stack, stack.coeffs[..., 0] + arr),
+                            (stack - arr, stack.coeffs[..., 0] - arr),
+                            (arr - stack, arr - stack.coeffs[..., 0])):
+            assert out.coeffs.shape == stack.coeffs.shape
+            assert out.coeffs[..., 0].tobytes() == expect.tobytes()
+        assert (stack + arr).coeffs[..., 1:].tobytes() == stack.coeffs[..., 1:].tobytes()
+        assert (arr - stack).coeffs[..., 1:].tobytes() == (-stack.coeffs[..., 1:]).tobytes()
+        for idx in np.ndindex(3, 2):
+            point = stack[idx]
+            assert (stack + arr)[idx].coeffs.tobytes() == (point + arr[idx]).coeffs.tobytes()
+            assert (arr - stack)[idx].coeffs.tobytes() == (arr[idx] - point).coeffs.tobytes()
+        # a row of values stands against the last leading axis
+        assert (stack + arr[0]).coeffs[..., 0].tobytes() == (stack.coeffs[..., 0] + arr[0]).tobytes()
 
     def test_wrong_table_length_raises(self):
         with pytest.raises(ValueError):
