@@ -23,12 +23,17 @@ sums its terms in one fixed order whatever the stack shape, so a stacked
 product equals the component-wise scalar products bit for bit. A large
 stack is multiplied coefficient-major, as vector Taylor propagation keeps
 its direction axis: the table axis goes first and each term of a slot
-program is one contiguous row over all points and components.
+program is one contiguous row over all points and components. It is also
+support-aware, as vector Taylor propagation carries the sparsity of its
+seeds: a term runs only when both of its operand columns are nonzero
+somewhere in the stack, which drops most of the work for Lagrangians built
+from x-only factors, y-only polynomials and constants.
 Transcendental functions go through Taylor composition in the jet ring, so
 everything is exact to round-off for the smooth closed-form fields used
-here; on a stack each jet's Taylor coefficients come from the same Python
-float arithmetic as a scalar jet's, so a stacked function equals the
-component-wise scalar results bit for bit too.
+here; a stack's Taylor coefficients are built per degree over all its value
+parts, from the same Python float seeds and IEEE operations as a scalar
+jet's, so a stacked function equals the component-wise scalar results bit
+for bit too.
 
 The module also carries the finite-difference oracle (`fd_partial`) the
 test suite uses to certify jet output against an independent scheme.
@@ -85,32 +90,44 @@ def _mul_program(nvars: int, order: int):
     )
 
 
-@lru_cache(maxsize=None)
-def _gather_program(nvars: int, order: int):
-    """`_mul_program` as zero-padded (T, m) tables, one row per output slot
-    with its terms in program order; padding has weight 0."""
-    io, ia, ib, w, size = _mul_program(nvars, order)
+def _slot_tables(io, size: int, *terms):
+    """Per-slot term counts, and each term array as a zero-padded (T, m)
+    table, one row per output slot with its terms in program order."""
     counts = np.bincount(io, minlength=size)
     col = np.arange(io.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    out = []
-    for src, dtype in ((ia, np.intp), (ib, np.intp), (w, np.float64)):
-        table = np.zeros((size, counts.max()), dtype=dtype)
+    tables = []
+    for src in terms:
+        table = np.zeros((size, counts.max()), dtype=src.dtype)
         table[io, col] = src
-        out.append(table)
-    return tuple(out)
+        tables.append(table)
+    return counts, tables
 
 
 @lru_cache(maxsize=None)
-def _row_program(nvars: int, order: int):
-    """`_gather_program` column by column without its padding.
+def _gather_program(nvars: int, order: int):
+    """`_mul_program` as zero-padded (T, m) tables; padding has weight 0."""
+    io, ia, ib, w, size = _mul_program(nvars, order)
+    return tuple(_slot_tables(io, size, ia, ib, w)[1])
 
-    Returns the slots sorted by falling term count (stable) and, for each
+
+# One program per support pair met: a 1000-point sweep of sphere2 builds 30,
+# of minkowski_quartic3 46. The bound keeps a long-lived process from
+# growing with every pair it ever meets.
+@lru_cache(maxsize=256)
+def _live_program(nvars: int, order: int, live_a: bytes, live_b: bytes):
+    """The `_mul_program` terms whose two columns are live, coefficient-major.
+
+    `live_a` and `live_b` are the operands' supports as bool-array bytes:
+    column i is live when it is nonzero in some row of the stack. Returns
+    the slots sorted by falling live-term count (stable) and, for each
     column c, (k_c, ia, ib, w) over the k_c leading slots that have a c-th
-    term, so column c updates a prefix of the sorted slots. Real weights are
-    binomial products, never 0, so the padding is where w is 0.
+    live term, in `_mul_program` order, so column c updates a prefix of the
+    sorted slots. Slots with no live term come last and are never updated.
+    Full support gives every term of every slot, without padding.
     """
-    ia, ib, w = _gather_program(nvars, order)
-    counts = np.count_nonzero(w, axis=1)
+    io, ia, ib, w, size = _mul_program(nvars, order)
+    live = np.frombuffer(live_a, dtype=bool)[ia] & np.frombuffer(live_b, dtype=bool)[ib]
+    counts, (ia, ib, w) = _slot_tables(io[live], size, ia[live], ib[live], w[live])
     perm = np.argsort(-counts, kind="stable")
     columns = []
     for c in range(ia.shape[1]):
@@ -121,11 +138,15 @@ def _row_program(nvars: int, order: int):
 
 # From this much work, the broadcast output's S rows times the (T, m) slot
 # programs, a stacked product runs coefficient-major. Measured at nvars 4
-# and 6, orders 2-4, equal (S, T) operands: the whole (T, m) gather is
+# and 6, orders 2-4, equal dense (S, T) operands: the whole (T, m) gather is
 # 1.3-2.6x faster at 1e4, the two break even at 4e4-5e4, and the
 # coefficient-major kernel is 1.2-1.4x faster at 7e4 and about 3x from 1e5.
-# A single-point frame of the catalog stays below 4e3 (the largest is one
-# 6-variable order-4 table, 3360); a sample of hundreds of points lies above.
+# Support filtering leaves the dense crossover where it was. An x-only
+# times a y-only operand breaks even near 1e4, but the supports are read
+# from the (T, S) arrays of the coefficient-major branch, so the choice
+# stays on the work count. A single-point frame of the catalog stays below
+# 4e3 (the largest is one 6-variable order-4 table, 3360); a sample of
+# hundreds of points lies above.
 _COLUMN_GATHER_WORK = 50_000
 
 
@@ -140,10 +161,12 @@ def _leibniz(nvars: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray
     gathers the whole zero-padded (..., T, m) term array and adds it column
     by column: numpy's `add.reduce` would sum 8 or more terms pairwise
     (order 3 has 8), in another order. A large stack runs coefficient-major:
-    both operands become (T, S) copies over the S output rows, and column c
-    of `_row_program` adds the contiguous rows (w_c A[ia_c]) B[ib_c] onto
-    the first k_c sorted slots. Skipping the padding changes no bit for
-    finite operands: a padded term adds +-0.0 to a sum that is never -0.0.
+    both operands become (T, S) arrays over the S output rows, their
+    supports (`any` along the rows) pick the `_live_program`, and its
+    column c adds the contiguous rows (w_c A[ia_c]) B[ib_c] onto the first
+    k_c sorted slots; a slot with no live term stays +0.0. Skipping the
+    padding and the terms with a zero column changes no bit for finite
+    operands: such a term adds +-0.0 to a sum that is never -0.0.
     """
     if order <= 1:
         out = a[..., :1] * b + 0.0
@@ -162,9 +185,9 @@ def _leibniz(nvars: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray
             out += terms[..., c]
         return out
     size = ia.shape[0]
-    perm, columns = _row_program(nvars, order)
     A, B = (np.moveaxis(np.broadcast_to(x, lead.shape + (size,)), -1, 0).reshape(size, -1)
             for x in (a, b))
+    perm, columns = _live_program(nvars, order, A.any(axis=1).tobytes(), B.any(axis=1).tobytes())
     acc = np.zeros(A.shape)
     for k, ia_c, ib_c, w_c in columns:
         acc[:k] += (w_c * A[ia_c]) * B[ib_c]
@@ -411,20 +434,27 @@ class Jet:
 
 
 def _taylor(u: Jet, series) -> Jet:
-    """u composed with the function whose Taylor coefficients at a value u0,
-    up to degree `order`, are series(u0, order).
+    """u composed with the function whose Taylor coefficients at the value
+    parts u0, up to degree `order`, are series(u0, order).
 
-    A stack gets one coefficient list per jet from the same Python float
-    arithmetic, as arrays over its leading axes (numpy's exp and power may
-    differ from `math` and float ** by an ulp). An error at any jet of the
-    stack raises for the whole stack.
+    A series takes the value parts of the whole stack as one list of floats,
+    in ravel order, and returns one sequence over them per degree; a single
+    jet reads index 0. An error at any jet of the stack raises for the whole
+    stack, naming the first bad value part.
     """
     if u.coeffs.ndim == 1:
-        return u.compose(series(u.value, u.order))
+        return u.compose([c[0] for c in series([u.value], u.order)])
     u0 = u.coeffs[..., 0]
-    rows = [series(v, u.order) for v in u0.ravel().tolist()]
-    cs = np.array(rows).T.reshape((u.order + 1,) + u0.shape)
-    return u.compose(list(cs))
+    return u.compose([np.reshape(c, u0.shape) for c in series(u0.ravel().tolist(), u.order)])
+
+
+# Series share the factors of a degree, such as binom(r, m) and m!, across
+# the stack. The transcendental seed stays a Python float operation per
+# value part: numpy's power and exp may differ from float ** and `math` by
+# an ulp. A seed's power keeps its float division or product in the same
+# expression: that raises ZeroDivisionError on an underflowed power, as a
+# scalar jet always did, and keeps the reciprocal, power and log of a
+# single jet free of numpy calls.
 
 
 def _binom_real(r: float, m: int) -> float:
@@ -434,54 +464,77 @@ def _binom_real(r: float, m: int) -> float:
     return out
 
 
-def _reciprocal_series(u0: float, order: int) -> list:
-    if u0 == 0.0:
+def _power_domain(u0: list):
+    for v in u0:
+        if v <= 0.0:
+            raise NumericalError(f"fractional power needs a positive value part, got {v}")
+
+
+def _log_domain(u0: list):
+    for v in u0:
+        if v <= 0.0:
+            raise NumericalError("log needs a positive value part")
+
+
+def _reciprocal_series(u0: list, order: int) -> list:
+    if 0.0 in u0:
         raise NumericalError("division by a jet with zero value part")
-    return [(-1.0) ** m / u0 ** (m + 1) for m in range(order + 1)]
+    out = []
+    for m in range(order + 1):
+        s, e = (-1.0) ** m, m + 1
+        out.append([s / v ** e for v in u0])
+    return out
 
 
 def _power_series(r: float):
-    def series(u0: float, order: int) -> list:
-        if u0 <= 0.0:
-            raise NumericalError(f"fractional power needs a positive value part, got {u0}")
-        return [_binom_real(r, m) * u0 ** (r - m) for m in range(order + 1)]
+    def series(u0: list, order: int) -> list:
+        _power_domain(u0)
+        out = []
+        for m in range(order + 1):
+            c, e = _binom_real(r, m), r - m
+            out.append([c * v ** e for v in u0])
+        return out
 
     return series
 
 
-def _exp_series(u0: float, order: int) -> list:
-    e0 = math.exp(u0)
+def _exp_series(u0: list, order: int) -> list:
+    e0 = np.array([math.exp(v) for v in u0])
     return [e0 / math.factorial(m) for m in range(order + 1)]
 
 
-def _log_series(u0: float, order: int) -> list:
-    if u0 <= 0.0:
-        raise NumericalError("log needs a positive value part")
-    cs = [math.log(u0)]
+def _log_series(u0: list, order: int) -> list:
+    _log_domain(u0)
+    out = [[math.log(v) for v in u0]]
     for m in range(1, order + 1):
-        cs.append((-1.0) ** (m + 1) / (m * u0 ** m))
-    return cs
+        s = (-1.0) ** (m + 1)
+        out.append([s / (m * v ** m) for v in u0])
+    return out
 
 
-def _sin_series(u0: float, order: int) -> list:
-    cycle = [math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0)]
-    return [cycle[m % 4] / math.factorial(m) for m in range(order + 1)]
+def _sin_series(u0: list, order: int, shift: int = 0) -> list:
+    s0, c0 = np.array([math.sin(v) for v in u0]), np.array([math.cos(v) for v in u0])
+    cycle = [s0, c0, -s0, -c0]  # the derivatives of sin; cos starts one later
+    return [cycle[(m + shift) % 4] / math.factorial(m) for m in range(order + 1)]
 
 
-def _cos_series(u0: float, order: int) -> list:
-    cycle = [math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0)]
-    return [cycle[m % 4] / math.factorial(m) for m in range(order + 1)]
+def _cos_series(u0: list, order: int) -> list:
+    return _sin_series(u0, order, 1)
 
 
 def powr(u, r: float):
     """u**r for real r; u must be a positive number or a jet with positive value."""
     if not isinstance(u, Jet):
-        return float(u) ** r
+        u = float(u)
+        _power_domain((u,))
+        return u ** r
     return _taylor(u, _power_series(r))
 
 
 def sqrt(u):
     if not isinstance(u, Jet):
+        u = float(u)
+        _power_domain((u,))
         return math.sqrt(u)
     return powr(u, 0.5)
 
@@ -494,6 +547,8 @@ def exp(u):
 
 def log(u):
     if not isinstance(u, Jet):
+        u = float(u)
+        _log_domain((u,))
         return math.log(u)
     return _taylor(u, _log_series)
 

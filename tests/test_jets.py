@@ -14,9 +14,17 @@ from finslerkit.jets import (
     MAX_ORDER,
     _COLUMN_GATHER_WORK,
     Jet,
+    _binom_real,
     _gather_program,
+    _cos_series,
+    _exp_series,
+    _index_table,
+    _live_program,
+    _log_series,
     _mul_program,
-    _row_program,
+    _power_series,
+    _reciprocal_series,
+    _sin_series,
     coordinate_jets,
     cos,
     exp,
@@ -28,6 +36,7 @@ from finslerkit.jets import (
     sin,
     sqrt,
 )
+from finslerkit.frame import point_frame
 from finslerkit.structures import by_name
 
 from conftest import CATALOG_NAMES
@@ -126,6 +135,19 @@ class TestTranscendentals:
         with pytest.raises(NumericalError):
             powr(j, 0.5)
 
+    @pytest.mark.parametrize("fn,u0,message", [
+        (lambda u: powr(u, 0.25), -0.5, "fractional power needs a positive value part, got -0.5"),
+        (lambda u: powr(u, 0.25), 0.0, "fractional power needs a positive value part, got 0.0"),
+        (sqrt, -0.5, "fractional power needs a positive value part, got -0.5"),
+        (log, 0.0, "log needs a positive value part"),
+        (log, -1.0, "log needs a positive value part"),
+    ])
+    def test_float_paths_share_the_jet_domain_errors(self, fn, u0, message):
+        for u in (u0, Jet.constant(4, 2, u0)):
+            with pytest.raises(NumericalError) as err:
+                fn(u)
+            assert str(err.value) == message
+
     def test_division_by_zero_value_jet(self):
         j = Jet.variable(4, 2, 0, 0.0)
         with pytest.raises(NumericalError):
@@ -223,6 +245,33 @@ BROADCAST_PAIRS = {
 }
 
 
+def _block_support(kind, nvars, order, rng):
+    """Columns of an operand that is x-only, y-only, constant, all zero,
+    truncated to a lower order, full, or random (x-block first)."""
+    table, _ = _index_table(nvars, order)
+    half = nvars // 2
+    deg = np.array([sum(mi) for mi in table])
+    x_part = np.array([sum(mi[:half]) for mi in table])
+    return {
+        "x": x_part == deg,
+        "y": x_part == 0,
+        "const": deg == 0,
+        "zero": np.zeros(deg.size, dtype=bool),
+        "trunc": deg <= rng.integers(1, order),
+        "full": np.ones(deg.size, dtype=bool),
+        "random": rng.random(deg.size) < 0.5,
+    }[kind]
+
+
+def _listed_terms(perm, columns, size):
+    """slot -> [(ia, ib, w), ...] in the order the columns add them."""
+    listed = {s: [] for s in range(size)}
+    for k, ia_c, ib_c, w_c in columns:
+        for slot, i, j, v in zip(perm[:k], ia_c, ib_c, w_c[:, 0]):
+            listed[int(slot)].append((int(i), int(j), float(v)))
+    return listed
+
+
 class TestStackedJets:
     @given(stacked_factors())
     @settings(max_examples=80, deadline=None)
@@ -269,29 +318,93 @@ class TestStackedJets:
             sa, sb = Jet(nvars, a.order, ca[idx]), Jet(nvars, b.order, cb[idx])
             assert prod.coeffs[idx].tobytes() == _reference_product(sa, sb).tobytes()
 
+    @given(st.sampled_from([4, 6]), st.tuples(st.integers(2, MAX_ORDER), st.integers(2, MAX_ORDER)),
+           st.sampled_from(sorted(BROADCAST_PAIRS)), st.integers(1, 400), st.integers(1, 3),
+           st.tuples(*[st.sampled_from(["x", "y", "const", "zero", "trunc", "full", "random"])] * 2),
+           st.integers(0, 2 ** 32 - 1))
+    # the sweep's order-4 Lagrangian products: an x-only factor times a y-only one
+    @example(4, (4, 4), "points", 400, 1, ("x", "y"), 0)
+    @example(6, (4, 4), "outer", 300, 2, ("trunc", "const"), 1)
+    @example(4, (3, 4), "shared", 400, 3, ("zero", "random"), 2)
+    @settings(max_examples=60, deadline=None)
+    def test_block_sparse_stack_product_is_componentwise_bit_for_bit(
+            self, nvars, orders, pair, points, k, kinds, seed):
+        """Operands zero in whole columns across the stack; a dead column
+        holds +-0.0, so a skipped term would show in the sign of a zero."""
+        rng = np.random.default_rng(seed)
+        jets = []
+        for order, shape, kind in zip(orders, BROADCAST_PAIRS[pair](points, k), kinds):
+            live = _block_support(kind, nvars, order, rng)
+            shape = shape + (live.size,)
+            c = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-4.0, 4.0, shape)
+            zero = (rng.random(shape) < 0.2) | ~live
+            c[zero] = rng.choice([-0.0, 0.0], int(zero.sum()))
+            jets.append(Jet(nvars, order, c))
+        a, b = jets
+        prod = a * b
+        lead = np.broadcast_shapes(a.coeffs.shape[:-1], b.coeffs.shape[:-1])
+        assert prod.coeffs.shape == lead + (math.comb(nvars + prod.order, prod.order),)
+        assert prod.coeffs.flags.c_contiguous
+        ca = np.broadcast_to(a.coeffs, lead + a.coeffs.shape[-1:])
+        cb = np.broadcast_to(b.coeffs, lead + b.coeffs.shape[-1:])
+        for idx in np.ndindex(lead):
+            sa, sb = Jet(nvars, a.order, ca[idx]), Jet(nvars, b.order, cb[idx])
+            assert prod.coeffs[idx].tobytes() == _reference_product(sa, sb).tobytes()
+
     def test_the_examples_lie_on_both_sides_of_the_threshold(self):
         work = lambda nvars, order, rows: rows * _gather_program(nvars, order)[0].size
         assert work(4, 4, 400) >= _COLUMN_GATHER_WORK > work(6, 4, 3 * 3)
 
+    def test_single_point_queries_build_no_live_program(self):
+        """P = 1 stays on the bincount and whole-table gather paths."""
+        before = _live_program.cache_info()
+        for name in CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"]:
+            F = by_name(name)
+            for p in F.sample(5, seed=11):
+                point_frame(F, p).scalar
+        after = _live_program.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses
+
     @pytest.mark.parametrize("nvars", [4, 6])
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_row_program_lists_each_slot_program_without_padding(self, nvars, order):
+        """Full support gives every term of every slot, in program order."""
         io, ia, ib, w, size = _mul_program(nvars, order)
-        perm, columns = _row_program(nvars, order)
-        assert sorted(perm.tolist()) == list(range(size))
+        full = np.ones(size, dtype=bool).tobytes()
+        perm, columns = _live_program(nvars, order, full, full)
         ks = [col[0] for col in columns]
-        assert ks == sorted(ks, reverse=True) and ks[-1] > 0
-        listed = {s: [] for s in range(size)}
-        for k, ia_c, ib_c, w_c in columns:
-            assert ia_c.shape == ib_c.shape == (k,) and w_c.shape == (k, 1)
-            for slot, i, j, v in zip(perm[:k], ia_c, ib_c, w_c[:, 0]):
-                listed[int(slot)].append((int(i), int(j), float(v)))
-        assert sum(ks) == io.size
+        assert ks[-1] > 0 and sum(ks) == io.size
+        listed = _listed_terms(perm, columns, size)
         for s in range(size):
             terms = io == s
             assert listed[s] == list(zip(ia[terms].tolist(), ib[terms].tolist(),
                                          w[terms].tolist()))
 
+    @pytest.mark.parametrize("nvars", [4, 6])
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("kinds", [("x", "y"), ("y", "y"), ("x", "const"), ("zero", "full"),
+                                       ("trunc", "x"), ("random", "random"), ("full", "full")])
+    def test_live_program_lists_the_live_terms_of_each_slot(self, nvars, order, kinds):
+        io, ia, ib, w, size = _mul_program(nvars, order)
+        rng = np.random.default_rng([nvars, order])
+        live_a, live_b = (_block_support(kind, nvars, order, rng) for kind in kinds)
+        perm, columns = _live_program(nvars, order, live_a.tobytes(), live_b.tobytes())
+        assert sorted(perm.tolist()) == list(range(size))
+        ks = [col[0] for col in columns]
+        assert ks == sorted(ks, reverse=True) and all(k > 0 for k in ks)
+        for k, ia_c, ib_c, w_c in columns:
+            assert ia_c.shape == ib_c.shape == (k,) and w_c.shape == (k, 1)
+        listed = _listed_terms(perm, columns, size)
+        live = live_a[ia] & live_b[ib]
+        counts = [len(listed[s]) for s in perm.tolist()]
+        assert counts == sorted(counts, reverse=True)
+        for tie in range(size - 1):  # equal counts keep table order
+            if counts[tie] == counts[tie + 1]:
+                assert perm[tie] < perm[tie + 1]
+        for s in range(size):
+            terms = (io == s) & live
+            assert listed[s] == list(zip(ia[terms].tolist(), ib[terms].tolist(),
+                                         w[terms].tolist()))
     @given(st.sampled_from([4, 6]), st.integers(0, MAX_ORDER), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_compose_is_plain_horner_bit_for_bit(self, nvars, order, seed):
@@ -399,6 +512,65 @@ class TestStackedFunctions:
         c[1, 0] = 0.0
         with pytest.raises(NumericalError, match="zero value part"):
             1.0 / Jet(4, 1, c)
+
+
+# The per-point series of a scalar jet, one Python float list per value
+# part, as `_taylor` evaluated every jet of a stack before it went per degree
+SCALAR_SERIES = {
+    "reciprocal": (_reciprocal_series,
+                   lambda u0, order: [(-1.0) ** m / u0 ** (m + 1) for m in range(order + 1)]),
+    "powr": (_power_series(-1.25),
+             lambda u0, order: [_binom_real(-1.25, m) * u0 ** (-1.25 - m) for m in range(order + 1)]),
+    "sqrt": (_power_series(0.5),
+             lambda u0, order: [_binom_real(0.5, m) * u0 ** (0.5 - m) for m in range(order + 1)]),
+    "exp": (_exp_series,
+            lambda u0, order: [math.exp(u0) / math.factorial(m) for m in range(order + 1)]),
+    "log": (_log_series,
+            lambda u0, order: [math.log(u0)] + [(-1.0) ** (m + 1) / (m * u0 ** m)
+                                                for m in range(1, order + 1)]),
+    "sin": (_sin_series,
+            lambda u0, order: [[math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0)][m % 4]
+                               / math.factorial(m) for m in range(order + 1)]),
+    "cos": (_cos_series,
+            lambda u0, order: [[math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0)][m % 4]
+                               / math.factorial(m) for m in range(order + 1)]),
+}
+
+
+class TestStackedSeries:
+    @given(st.sampled_from(sorted(SCALAR_SERIES)), st.integers(0, MAX_ORDER),
+           st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+    # numpy's exp and power take a SIMD path, which may differ by an ulp,
+    # only on arrays longer than a few elements: pin long stacks
+    @example("exp", MAX_ORDER, 300, 0)
+    @example("powr", MAX_ORDER, 300, 1)
+    @example("sqrt", MAX_ORDER, 300, 2)
+    @example("log", MAX_ORDER, 300, 3)
+    @example("reciprocal", MAX_ORDER, 300, 4)
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_coefficients_equal_the_scalar_series(self, name, order, points, seed):
+        rng = np.random.default_rng(seed)
+        u0 = (rng.uniform(0.05, 3.0, points) * 10.0 ** rng.integers(-2, 3, points)).tolist()
+        series, scalar = SCALAR_SERIES[name]
+        stacked = series(u0, order)
+        assert len(stacked) == order + 1
+        for i, v in enumerate(u0):
+            expect = np.array(scalar(v, order))
+            assert np.array([c[i] for c in stacked]).tobytes() == expect.tobytes(), (name, i)
+            assert np.array([c[0] for c in series([v], order)]).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("name,fn,message", [
+        ("sqrt", sqrt, "fractional power needs a positive value part, got -2.0"),
+        ("powr", lambda u: powr(u, 1.5), "fractional power needs a positive value part, got -2.0"),
+        ("log", log, "log needs a positive value part"),
+    ])
+    def test_the_stacked_error_names_the_first_bad_value(self, name, fn, message):
+        c = np.zeros((2, 3, 5))
+        c[..., 0] = [[1.0, 2.0, -2.0], [-3.0, 0.0, 1.5]]  # ravel order: -2.0 comes first
+        for jet in (Jet(4, 1, c), Jet(4, 1, c[0, 2])):
+            with pytest.raises(NumericalError) as err:
+                fn(jet)
+            assert str(err.value) == message
 
 
 def _probe_polynomial(x, y):

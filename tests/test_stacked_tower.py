@@ -12,6 +12,7 @@ from finslerkit import checks, connections, curvature, jets
 from finslerkit import picalc as pc
 from finslerkit import frame as frame_module
 from finslerkit.checks import _probe_fields, _probe_scalars, check_ids, run_checks
+from finslerkit.chart import ChartPoint
 from finslerkit.errors import FinslerError, SingularMetricError
 from finslerkit.fields import (ComponentField, DriftCompanionField, GradientField, PiForm,
                                Positional, ProjectedField, project_away)
@@ -307,6 +308,18 @@ def test_batch_errors_stay_with_their_points():
         assert _outcome(batch, attr) == alone[pts.index(outside[0])], attr
     kind, message = _outcome(PointFrame(s, tuple(inside)), "g")
     assert kind is SingularMetricError and str(inside[0]) in message
+
+
+def test_a_stencil_point_outside_the_cone_fails_the_fd_check():
+    # a_11 = x^1 is positive at the point but not at the x-stencil points of
+    # the degree-3 differences, where the float path of sqrt meets L < 0
+    s = structure_from_spec({"family": "riemannian", "dim": 2,
+                             "a": [[{"terms": [{"coef": 1.0, "powers": [1, 0]}]}, 0], [0, 1]]})
+    fr = PointFrame(s, (ChartPoint((5e-4, 0.3), (1.0, 0.01)),))
+    out = checks.run_check("jets.fd", fr, 1e-7, 1e-3, 0)
+    assert out.verdict == "FAIL"
+    assert out.details["error"].startswith(
+        "NumericalError: fractional power needs a positive value part, got -")
 
 
 def _built_frames(monkeypatch, s, points, seed):
