@@ -101,12 +101,12 @@ def sample_points(domain: SampleDomain, count: int, seed: int) -> list:
             )
         x = rng.uniform(domain.x_low, domain.x_high, size=domain.n)
         d = rng.normal(size=domain.n)
-        nd = np.linalg.norm(d)
+        nd = math.sqrt(d.dot(d))  # the bits of np.linalg.norm(d)
         if nd < 1e-12:
             continue
         r = rng.uniform(lo, hi)
-        y = d * (r / nd)
-        if domain.predicate is not None and not domain.predicate(tuple(x), tuple(y)):
+        x, y = tuple(x.tolist()), tuple((d * (r / nd)).tolist())
+        if domain.predicate is not None and not domain.predicate(x, y):
             continue
-        out.append(ChartPoint(tuple(x), tuple(y)))
+        out.append(ChartPoint(x, y))
     return out

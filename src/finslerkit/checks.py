@@ -543,7 +543,7 @@ def _check_randers(fr, tol, floor, seed):
     else:
         const = tuple([0.2] + [0.0] * (fr.n - 1))
         b_fn = lambda x: const
-        frb, frs = fr, PointFrame(randers_change(fr.structure, b_fn, validate=False), fr.point)
+        frb, frs = fr, fr.derived(randers_change(fr.structure, b_fn, validate=False))
     pre = picalc.drift_precondition_defect(b_fn, fr.point, fr.n)
     sweep = _Sweep(fr.point)
     rep = picalc.drift_closedness_transfer(frb, frs)
@@ -574,7 +574,7 @@ def _check_randers(fr, tol, floor, seed):
 @check("thm2.16.conformal", "dbar~ i_X g~ = e^{2s}(2 ds wedge i_X g + dbar~ i_X g)")
 def _check_conformal(fr, tol, floor, seed):
     X = constant_field([0.0, 1.0] + [0.0] * (fr.n - 2))
-    rep_c, rep_l = (picalc.conformal_closedness_transfer(fr, PointFrame(tilde, fr.point), X)
+    rep_c, rep_l = (picalc.conformal_closedness_transfer(fr, fr.derived(tilde), X)
                     for tilde in (conformal_change(fr.structure, 0.25),
                                   conformal_change(fr.structure, lambda x: x[0])))
     # the wedge prediction applies where dbar~ of the base form vanishes

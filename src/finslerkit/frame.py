@@ -27,6 +27,14 @@ outside the positivity cone, a singular metric), the quantity raises for
 the whole batch; `checks.run_check` then finds the first sample point at
 which its check fails alone, on frames over slices of the sample that
 `part` builds once per sample.
+
+A frame may stand on a base frame: `frame.derived(structure)` is the frame
+of a Randers or conformal change of `frame.structure` at the same points.
+The change's Lagrangian is a lift of the base Lagrangian,
+`meta["lift"](x, y, base L)`, so the derived frame's `L_jet` lifts the base
+frame's `L_jet` instead of evaluating the base Lagrangian again. The
+coordinate jets are the same, so the lifted jet has every bit of the jet
+the change's own Lagrangian gives; every rung above it follows.
 """
 
 from __future__ import annotations
@@ -51,38 +59,42 @@ def jet_solve(A: Jet, B: Jet) -> Jet:
     value part; a vanishing pivot means the underlying matrix of values is
     singular. Each step scales the pivot row by the jet reciprocal of the
     pivot, then updates every row of [A | B] at once, row - f * pivot_row,
-    and puts the scaled pivot row back. Columns of A at or left of the pivot
-    are never read again.
+    and puts the scaled pivot row back. A step then drops the pivot column:
+    neither it nor any column left of it is read again, so the products run
+    over the columns right of the pivot and over B only, and give the bits
+    an update of every column gives them.
     """
     n = A.coeffs.shape[-2]
     a = A.coeffs[..., :B.coeffs.shape[-1]]  # A truncated to the order of B
     b = B.coeffs
     if a.shape[:-3] != b.shape[:-3]:
         b = np.broadcast_to(b, a.shape[:-3] + b.shape[-3:])
-    rows = Jet(B.nvars, B.order, np.concatenate([a, b], axis=-2))
-    one = rows.coeffs.ndim == 3  # a single system
+    c = np.concatenate([a, b], axis=-2)  # [..., row, column of A | B]
+    nvars, order = B.nvars, B.order
+    one = c.ndim == 3  # a single system
     for col in range(n):
-        c = rows.coeffs
-        piv = col + np.abs(c.T[0, col, col:]).argmax(0).T  # over the leading axes
+        # column 0 of c is the pivot column
+        piv = col + np.abs(c.T[0, 0, col:]).argmax(0).T  # over the leading axes
         if one:
-            if abs(c[piv, col, 0]) < _PIVOT_FLOOR:
+            if abs(c[piv, 0, 0]) < _PIVOT_FLOOR:
                 raise SingularMetricError("singular jet system: zero pivot")
             if piv != col:
                 c[[col, piv]] = c[[piv, col]]
         else:
             at = np.indices(piv.shape, sparse=True)
-            if np.any(np.abs(c[(*at, piv, col, 0)]) < _PIVOT_FLOOR):
+            if np.any(np.abs(c[(*at, piv, 0, 0)]) < _PIVOT_FLOOR):
                 raise SingularMetricError("singular jet system: zero pivot")
             swap = np.nonzero(piv != col)
             if swap[0].size:
                 top, low = swap + (col,), swap + (piv[swap],)
                 c[top], c[low] = c[low], c[top]
-        inv = 1.0 / rows[..., col, col, :]
-        pivot_row = rows[..., col, :, :] * (inv if one else inv[..., None, :])
-        factor = rows[..., :, col, None, :]
-        rows = rows - factor * (pivot_row if one else pivot_row[..., None, :, :])
-        rows.coeffs[..., col, :, :] = pivot_row.coeffs
-    return rows[..., n:, :]
+        inv = 1.0 / Jet(nvars, order, c[..., col, 0, :])
+        pivot_row = Jet(nvars, order, c[..., col, 1:, :]) * (inv if one else inv[..., None, :])
+        factor = Jet(nvars, order, c[..., :, 0, None, :])
+        update = factor * (pivot_row if one else pivot_row[..., None, :, :])
+        c = c[..., 1:, :] - update.coeffs
+        c[..., col, :, :] = pivot_row.coeffs
+    return Jet(nvars, order, c)
 
 
 def _freeze(value) -> None:
@@ -153,6 +165,18 @@ class PointFrame:
             frame._start, frame._parts = key[0], self._parts
         return frame
 
+    _base = None  # the frame a derived frame lifts its Lagrangian jet from
+
+    def derived(self, structure) -> "PointFrame":
+        """The frame of `structure`, a change of this frame's structure
+        (`meta["base"]`), at this frame's points; its `L_jet` lifts this
+        frame's `L_jet` through `meta["lift"]`. It keeps this frame alive."""
+        if structure.meta.get("base") is not self.structure:
+            raise ValueError(f"{structure.name} is not a change of {self.structure.name}")
+        frame = PointFrame(structure, self.point)
+        frame._base = self
+        return frame
+
     def _first(self, bad):
         """Index and chart point of the first point where `bad` holds."""
         if not self._lead:
@@ -178,7 +202,11 @@ class PointFrame:
 
     @_lazy
     def L_jet(self) -> Jet:
-        jet = jet_eval(self.structure.L, self.point, MAX_ORDER)
+        if self._base is None:
+            jet = jet_eval(self.structure.L, self.point, MAX_ORDER)
+        else:
+            lift, base = self.structure.meta["lift"], self._base.L_jet
+            jet = jet_eval(lambda x, y: lift(x, y, base), self.point, MAX_ORDER)
         value = jet.coeffs.T[0]
         bad = value <= 0.0
         if bad.any():

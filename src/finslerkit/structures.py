@@ -149,6 +149,10 @@ def randers_change(base: FinslerStructure, b, name: str = None,
                    validate: bool = True) -> FinslerStructure:
     """L* = L + b_i(x) y^i for a covector field b on the base chart.
 
+    The change is written once, as the lift (x, y, Lb) -> Lb + sum_i b_i(x) y^i
+    of a base Lagrangian value or jet Lb, kept in `meta["lift"]`: L* lifts
+    base.L, and `PointFrame.derived` lifts a base frame's Lagrangian jet.
+
     When `validate` is set, |b|_g < 1 is checked on a deterministic sample
     of the base domain; a violation raises SingularMetricError since the
     changed metric stops being positive definite there.
@@ -156,17 +160,17 @@ def randers_change(base: FinslerStructure, b, name: str = None,
     n = base.n
     b_fn = _covector_callable(b, n)
 
-    def L(x, y):
-        out = base.L(x, y)
+    def lift(x, y, Lb):
+        out = Lb
         bv = b_fn(x)
         for i in range(n):
             out = out + bv[i] * y[i]
         return out
 
     changed = FinslerStructure(
-        n=n, L=L, name=name or f"randers({base.name})",
+        n=n, L=lambda x, y: lift(x, y, base.L(x, y)), name=name or f"randers({base.name})",
         domain=base.domain, sample_domain=base.sample_domain,
-        meta={"base": base, "b_fn": b_fn},
+        meta={"base": base, "lift": lift, "b_fn": b_fn},
     )
     if validate:
         from .frame import PointFrame
@@ -185,20 +189,26 @@ def randers_change(base: FinslerStructure, b, name: str = None,
 
 
 def conformal_change(base: FinslerStructure, sigma, name: str = None) -> FinslerStructure:
-    """L~ = e^(sigma(x)) L for a positional factor sigma."""
+    """L~ = e^(sigma(x)) L for a positional factor sigma.
+
+    The change is written once, as the lift (x, y, Lb) -> e^(sigma(x)) Lb of
+    a base Lagrangian value or jet Lb, kept in `meta["lift"]`: L~ lifts
+    base.L, and `PointFrame.derived` lifts a base frame's Lagrangian jet.
+    """
     if callable(sigma):
         sig_fn = sigma
     else:
         const = float(sigma)
         sig_fn = lambda x: const
 
-    def L(x, y):
-        return exp(sig_fn(x)) * base.L(x, y)
+    def lift(x, y, Lb):
+        return exp(sig_fn(x)) * Lb
 
     return FinslerStructure(
-        n=base.n, L=L, name=name or f"conformal({base.name})",
+        n=base.n, L=lambda x, y: lift(x, y, base.L(x, y)),
+        name=name or f"conformal({base.name})",
         domain=base.domain, sample_domain=base.sample_domain,
-        meta={"base": base, "sigma_fn": sig_fn},
+        meta={"base": base, "lift": lift, "sigma_fn": sig_fn},
     )
 
 

@@ -5,6 +5,9 @@ import pytest
 
 from finslerkit.chart import ChartPoint, SampleDomain, sample_points
 from finslerkit.errors import DomainError
+from finslerkit.structures import by_name
+
+from conftest import CATALOG_NAMES
 
 
 class TestChartPoint:
@@ -92,3 +95,34 @@ class TestSampling:
         dom = SampleDomain(n=2, predicate=never)
         with pytest.raises(Exception):
             sample_points(dom, 2, seed=5)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"])
+    @pytest.mark.parametrize("seed", [0, 3, 17, 2024])
+    def test_same_points_as_the_reference_loop(self, name, seed):
+        dom = by_name(name).sample_domain
+        got = sample_points(dom, 60, seed)
+        want = _reference_sample_points(dom, 60, seed)
+        assert len(got) == len(want) == 60
+        assert all(type(v) is float for p in got for v in p.x + p.y)
+        assert np.array([p.x + p.y for p in got]).tobytes() \
+            == np.array([p.x + p.y for p in want]).tobytes()
+
+
+def _reference_sample_points(domain, count, seed):
+    """The sampling loop with numpy's vector norm and the draws as numpy
+    scalars, one draw after another as `sample_points` makes them."""
+    rng = np.random.default_rng(seed)
+    lo, hi = domain.y_norm
+    out = []
+    while len(out) < count:
+        x = rng.uniform(domain.x_low, domain.x_high, size=domain.n)
+        d = rng.normal(size=domain.n)
+        nd = np.linalg.norm(d)
+        if nd < 1e-12:
+            continue
+        r = rng.uniform(lo, hi)
+        y = d * (r / nd)
+        if domain.predicate is not None and not domain.predicate(tuple(x), tuple(y)):
+            continue
+        out.append(ChartPoint(tuple(x), tuple(y)))
+    return out

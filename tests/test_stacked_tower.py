@@ -3,10 +3,13 @@ component-by-component reference in tower_oracle, and batch frames
 against standalone ones: every rung must agree exactly."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerkit import checks, connections, curvature, jets
 from finslerkit import picalc as pc
@@ -289,6 +292,65 @@ def test_batched_solve_pivots_per_system():
         assert X.coeffs[i].tobytes() == jet_solve(A[i], B[i]).coeffs.tobytes(), i
         first_pivots.add(int(np.argmax(np.abs(A.coeffs[i, :, 0, 0]))))
     assert first_pivots == {0, 1, 2}
+
+
+@st.composite
+def _jet_systems(draw):
+    """(A, B) for jet_solve: P = 1 or a stack of systems whose value matrices
+    are row permutations of diagonally dominant ones, so most steps swap
+    rows; a singular system has an all-zero value row in one of them."""
+    n, order = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    nvars, m = draw(st.sampled_from([2, 4])), draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([(), (3,), (70,)]))
+    a_order = draw(st.integers(order, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal(lead + (n, n, math.comb(nvars + a_order, a_order)))
+    values = 0.1 * rng.standard_normal(lead + (n, n)) + 3.0 * np.eye(n)
+    rows = np.argsort(rng.random(lead + (n,)), axis=-1)  # a permutation per system
+    a[..., 0] = np.take_along_axis(values, rows[..., None], axis=-2)
+    if draw(st.booleans()):  # one system singular
+        a[(*(k - 1 for k in lead), draw(st.integers(0, n - 1)), slice(None), 0)] = 0.0
+    b_lead = lead if draw(st.booleans()) else ()  # B may broadcast over the points
+    b = rng.standard_normal(b_lead + (n, m, math.comb(nvars + order, order)))
+    return Jet(nvars, a_order, a), Jet(nvars, order, b)
+
+
+def _oracle_solve(A, B):
+    """tower_oracle.jet_solve of one system, as its (n, m, T) coefficients."""
+    A = A.truncated(B.order)
+    n, m = B.coeffs.shape[-3:-1]
+    X = oracle.jet_solve([[A[i, j] for j in range(n)] for i in range(n)],
+                         [[B[i, j] for j in range(m)] for i in range(n)])
+    return np.array([[x.coeffs for x in row] for row in X])
+
+
+def _outcome_of(solve):
+    try:
+        return solve()
+    except SingularMetricError as exc:
+        return f"SingularMetricError: {exc}"
+
+
+@given(_jet_systems())
+@settings(max_examples=40, deadline=None)
+def test_jet_solve_equals_the_oracle_that_updates_every_column(system):
+    # a step drops the pivot column and updates the columns right of it and
+    # B only; the oracle updates every column, with the same bits
+    A, B = system
+    got = _outcome_of(lambda: jet_solve(A, B).coeffs)
+    if A.coeffs.ndim == 3:
+        want = _outcome_of(lambda: _oracle_solve(A, B))
+    else:
+        b = np.broadcast_to(B.coeffs, A.coeffs.shape[:-3] + B.coeffs.shape[-3:])
+        want = [_outcome_of(lambda: _oracle_solve(A[i], Jet(B.nvars, B.order, b[i])))
+                for i in range(len(A.coeffs))]
+        errors = [w for w in want if isinstance(w, str)]
+        want = errors[0] if errors else np.stack(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_batch_errors_stay_with_their_points():

@@ -1,5 +1,7 @@
 """Behaviour of lowered forms under Randers drift and conformal rescaling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,38 @@ class TestDriftPrecondition:
         b_fn = lambda x: (0.2 * x[1], 0.0)
         defect = pc.drift_precondition_defect(b_fn, pts, 2)
         assert defect == pytest.approx(0.2, rel=1e-6)
+
+    @pytest.mark.parametrize("b_fn", [
+        lambda x: B,
+        lambda x: (0.2 * x[1] * x[0], x[0] ** 3 - x[1]),
+        lambda x: (math.sqrt(x[0]) if x[0] > 0.0 else float("nan"), 0.3 * x[0]),
+        lambda x: (float("nan"), 0.0),
+    ], ids=["constant", "polynomial", "nan-somewhere", "nan-everywhere"])
+    def test_equals_the_per_point_loop(self, b_fn):
+        pts = euclidean(2).sample(30, seed=5)
+        got = pc.drift_precondition_defect(b_fn, pts, 2)
+        want = _reference_precondition(b_fn, pts, 2)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _reference_precondition(b_fn, points, n):
+    """One Jacobian per point and the builtin max over the points, so a point
+    whose asymmetry is NaN never replaces the running maximum."""
+    worst = 0.0
+    h = 1e-5
+    for p in points:
+        x = list(p.x)
+        jac = np.empty((n, n))
+        for i in range(n):
+            xp = list(x)
+            xm = list(x)
+            xp[i] += h
+            xm[i] -= h
+            bp = np.array([float(v) for v in b_fn(xp)])
+            bm = np.array([float(v) for v in b_fn(xm)])
+            jac[:, i] = (bp - bm) / (2 * h)
+        worst = max(worst, float(np.max(np.abs(jac - jac.T))))
+    return worst
 
 
 class TestConformalTransfer:
