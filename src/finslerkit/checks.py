@@ -13,10 +13,17 @@ CheckResult. The frames a check builds for itself (scaled points, a Randers
 or conformal change of the structure) are freed when the check returns, and
 the sample's frame and its parts when the run does. The reductions pick the
 maximum and the witness point that adding the residuals one point at a
-time, in sample order, would pick. Identity checks compare at a relative
-tolerance against max(1, |LHS|, |RHS|); nonvanishing claims use an absolute
-floor and carry a witness point. An error inside a check is located at the
+time, in sample order, would pick. An error inside a check is located at the
 first point where the check fails on its own (run_check).
+
+Three verdict rules, each written once:
+- identity (`_Sweep.result`): PASS when the worst residual relative to
+  max(1, |LHS|, |RHS|) is below `tol`; a FAIL has the witness point;
+- negative control (`_negative_control`): a PASS also needs a control value,
+  a probe the identity must break, to exceed the absolute `floor`, else it
+  becomes a FAIL with a note; both carry the control's witness point;
+- REPORT-ONLY (`_report_only`): a measured value and no verdict, where the
+  hypothesis fails on the sample or is measured rather than asserted.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .chart import ChartPoint
 from .errors import FinslerError
 from .fields import ComponentField, GradientField, constant_field
 from .frame import PointFrame, dot, matvec, max_abs, pymax
-from .jets import fd_partial, jet_eval
+from .jets import _index_table, fd_partial, jet_eval
 from .structures import FinslerStructure, conformal_change, randers_change
 
 PASS = "PASS"
@@ -117,6 +124,23 @@ class _Sweep:
             witness=witness,
             details=details or {},
         )
+
+
+def _negative_control(out: CheckResult, pts, values, floor: float, note: str) -> float:
+    """On a PASS, witness the first largest control value, and turn the PASS
+    into a FAIL with `note` when that value is <= floor. Returns the value."""
+    best, k = _first_max(values)
+    if out.verdict == PASS:
+        out.witness = None if k is None else _witness(pts[k], best)
+        if best <= floor:
+            out.verdict = FAIL
+            out.details["note"] = note
+    return best
+
+
+def _report_only(fr, value: float, threshold: float, details: dict) -> CheckResult:
+    return CheckResult(n_points=len(fr.point), max_residual=value, threshold=threshold,
+                       verdict=REPORT_ONLY, details=details)
 
 
 # check id -> (anchor, check function); filled by @check, read by run_check
@@ -210,11 +234,14 @@ def _probe_fields(F: FinslerStructure, seed: int, tag: int):
     ]
 
 
+def _doc_scalar(x, y):
+    """The documented probe f = (y1)^2/2."""
+    return 0.5 * (y[0] * y[0])
+
+
 def _probe_scalars(F: FinslerStructure, seed: int, tag: int):
     rng = np.random.default_rng([seed, tag])
-    n = F.n
-    doc = lambda x, y: 0.5 * (y[0] * y[0])
-    return [_poly_scalar(n, rng), _positional_scalar(n, rng), doc]
+    return [_poly_scalar(F.n, rng), _positional_scalar(F.n, rng), _doc_scalar]
 
 
 # -- structural checks ----------------------------------------------------------
@@ -339,27 +366,20 @@ def _check_curv_contraction(fr, tol, floor, seed):
 def _check_flatness(fr, tol, floor, seed):
     sweep = _Sweep(fr.point)
     sweep.add(max_abs(fr.hcurv, 4))
-    worst_rhat = _first_max(max_abs(fr.Rhat, 3))[0]
-    return sweep.result(tol, details={"max_vh_torsion": worst_rhat})
+    return sweep.result(tol, details={"max_vh_torsion": _max_rhat(fr)})
 
 
 def _max_rhat(fr) -> float:
-    # the builtin max over the points, as a per-point loop takes it
-    return max(max_abs(fr.Rhat, 3).tolist())
+    """The max vh-torsion over the sample; NaNs never win."""
+    return _first_max(max_abs(fr.Rhat, 3))[0]
 
 
 @check("thm2.8.flat", "R = 0 implies every gradient field is closed and dbar^2 f = 0")
 def _check_thm28_flat(fr, tol, floor, seed):
     rhat = _max_rhat(fr)
     if rhat > floor:
-        return CheckResult(
-            n_points=len(fr.point),
-            max_residual=rhat,
-            threshold=tol,
-            verdict=REPORT_ONLY,
-            details={"note": "not applicable: structure is curved",
-                     "max_vh_torsion": rhat},
-        )
+        return _report_only(fr, rhat, tol, {"note": "not applicable: structure is curved",
+                                            "max_vh_torsion": rhat})
     sweep = _Sweep(fr.point)
     sweep.add(max_abs(fr.Rhat, 3))
     for f in _probe_scalars(fr.structure, seed, 28):
@@ -372,14 +392,10 @@ def _check_thm28_flat(fr, tol, floor, seed):
 def _check_thm28_curved(fr, tol, floor, seed):
     rhat = _max_rhat(fr)
     if rhat <= floor:
-        return CheckResult(
-            n_points=len(fr.point), max_residual=rhat, threshold=floor,
-            verdict=REPORT_ONLY,
-            details={"note": "not applicable: structure is flat on the sample",
-                     "max_vh_torsion": rhat},
-        )
-    doc = lambda x, y: 0.5 * (y[0] * y[0])
-    best, k = _first_max(picalc.closedness_defect(fr, GradientField(doc)))
+        return _report_only(fr, rhat, floor,
+                            {"note": "not applicable: structure is flat on the sample",
+                             "max_vh_torsion": rhat})
+    best, k = _first_max(picalc.closedness_defect(fr, GradientField(_doc_scalar)))
     verdict = PASS if best > floor else FAIL
     return CheckResult(
         n_points=len(fr.point), max_residual=best, threshold=floor, verdict=verdict,
@@ -450,18 +466,10 @@ def _check_eq214(fr, tol, floor, seed):
     sweep = _Sweep(fr.point)
     sweep.add(picalc.isotropy_residual(fr, iso_h), pymax(1.0, fr.L) * fr.L)
     sweep.add(picalc.isotropy_residual(fr, pos))
-    best, k = _first_max(picalc.isotropy_residual(fr, aniso))
-    wit = None if k is None else _witness(fr.point[k], best)
-    details = {"anisotropic_residual": best,
-               "probes": "f = h(x) L^2; f = x1; f = (y1)^2"}
-    out = sweep.result(tol, details=details)
-    if out.verdict == PASS:
-        if best <= floor:
-            out.verdict = FAIL
-            out.witness = wit
-            out.details["note"] = "negative control failed to exceed floor"
-        else:
-            out.witness = wit
+    out = sweep.result(tol, details={"probes": "f = h(x) L^2; f = x1; f = (y1)^2"})
+    out.details["anisotropic_residual"] = _negative_control(
+        out, fr.point, picalc.isotropy_residual(fr, aniso), floor,
+        "negative control failed to exceed floor")
     return out
 
 
@@ -506,32 +514,17 @@ def _check_lie(fr, tol, floor, seed):
         ),
     ]
 
-    def lie_reports(part):
-        return [(getattr(X, "name", "field"), picalc.lie_metric_report(part, X))
-                for X in fields]
-
     half = max(1, len(fr.point) // 2)
     try:  # the first half of the sample, read off the whole batch's reports
-        reports = lie_reports(fr)
+        reports = [picalc.lie_metric_report(fr, X) for X in fields]
     except FinslerError:  # a point of the second half may fail: the first half decides
-        reports = lie_reports(fr.part(0, half))
-    worst_diff = _first_max([rep.difference[:half] for _, rep in reports])[0]
-    lie_by_field = {}
-    for name, rep in reports:
-        prev = lie_by_field.get(name, (0.0, 0.0))
-        lie_by_field[name] = (max(prev[0], _first_max(rep.lie_defect[:half])[0]),
-                              max(prev[1], _first_max(rep.closedness[:half])[0]))
+        reports = [picalc.lie_metric_report(fr.part(0, half), X) for X in fields]
+    worst_diff = _first_max([rep.difference[:half] for rep in reports])[0]
     details = {"max_lie_minus_contraction": worst_diff}
-    for name, (lie_d, clo_d) in sorted(lie_by_field.items()):
-        details[f"lie_defect[{name}]"] = lie_d
-        details[f"closedness[{name}]"] = clo_d
-    return CheckResult(
-        n_points=len(fr.point),
-        max_residual=worst_diff,
-        threshold=tol,
-        verdict=REPORT_ONLY,
-        details=details,
-    )
+    for X, rep in zip(fields, reports):
+        details[f"lie_defect[{X.name}]"] = _first_max(rep.lie_defect[:half])[0]
+        details[f"closedness[{X.name}]"] = _first_max(rep.closedness[:half])[0]
+    return _report_only(fr, worst_diff, tol, details)
 
 
 @check("prop.randers", "tau i_{m*} g* = i_m g under a closed drift; ell pairings vanish")
@@ -584,39 +577,15 @@ def _check_conformal(fr, tol, floor, seed):
     sweep.add(rep_c.leibniz_residual, rep_c.scale)
     sweep.add(rep_l.leibniz_residual, rep_l.scale)
     sweep.add(rep_l.prediction_residual, rep_l.scale, keep=applicable)
-    breakage, k = _first_max(rep_l.actual_defect)
-    wit = None if k is None else _witness(fr.point[k], breakage)
-    details = {
-        "breakage_defect_max": breakage,
-        "prediction_applicable_points": int(np.count_nonzero(applicable)),
-    }
-    out = sweep.result(tol, details=details)
-    if out.verdict == PASS:
-        if breakage <= floor:
-            out.verdict = FAIL
-            out.details["note"] = "nonconstant sigma produced no breakage witness"
-            out.witness = wit
-        else:
-            out.witness = wit
+    out = sweep.result(
+        tol, details={"prediction_applicable_points": int(np.count_nonzero(applicable))})
+    out.details["breakage_defect_max"] = _negative_control(
+        out, fr.point, rep_l.actual_defect, floor,
+        "nonconstant sigma produced no breakage witness")
     return out
 
 
 # -- jet/FD cross-check -------------------------------------------------------------
-
-
-def _all_multis(nvars: int, max_degree: int):
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            if sum(prefix) > 0:
-                out.append(tuple(prefix))
-            return
-        for d in range(remaining + 1):
-            rec(prefix + [d], remaining - d, slots - 1)
-
-    rec([], max_degree, nvars)
-    return out
 
 
 @check("jets.fd", "all jet partials of degree <= 3 match central differences")
@@ -625,7 +594,7 @@ def _check_jets_fd(fr, tol, floor, seed):
     poly = _poly_scalar(fr.n, rng)
     fields = [fr.structure.L, lambda x, y: poly(x, y) * fr.structure.L(x, y)]
     threshold = max(tol, 1e-5)
-    multis = _all_multis(2 * fr.n, 3)
+    multis = _index_table(2 * fr.n, 3)[0][1:]  # every multi-index of degree 1 to 3
     sub = fr.point[:3]
     # [point, (field, multi)]: one stacked jet per field, one difference scheme per entry
     stacked = [jet_eval(f, sub, 3) for f in fields]

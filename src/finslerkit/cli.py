@@ -121,25 +121,24 @@ def _parse_at(text: str, n: int) -> ChartPoint:
     return ChartPoint(tuple(parts["x"]), tuple(parts["y"]))
 
 
-_EVAL_OBJECTS = ("g", "C", "G", "N", "F", "R", "Ric", "Sc")
+# --object name -> its value on a point frame; the keys are the choices
+_EVAL_OBJECTS = {
+    "g": lambda fr: fr.g,
+    "C": lambda fr: fr.C3,
+    "G": lambda fr: fr.G,
+    "N": lambda fr: fr.N,
+    "F": lambda fr: fr.F,
+    "R": lambda fr: fr.hcurv,
+    "Ric": lambda fr: fr.ricci,
+    "Sc": lambda fr: fr.scalar,
+}
 
 
 def cmd_eval(args) -> int:
     metric = _load_metric(args.metric)
     p = _parse_at(args.at, metric.n)
-    fr = point_frame(metric, p)
     obj = args.object
-    value = {
-        "g": lambda: fr.g,
-        "C": lambda: fr.C3,
-        "G": lambda: fr.G,
-        "N": lambda: fr.N,
-        "F": lambda: fr.F,
-        "R": lambda: fr.hcurv,
-        "Ric": lambda: fr.ricci,
-        "Sc": lambda: np.array(fr.scalar),
-    }[obj]()
-    value = np.asarray(value)
+    value = np.asarray(_EVAL_OBJECTS[obj](point_frame(metric, p)))
     print(f"{metric.name} at x={list(p.x)} y={list(p.y)}: {obj} =")
     if value.ndim == 0:
         print(_fmt(value))

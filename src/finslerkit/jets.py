@@ -262,7 +262,8 @@ class Jet:
             c[1 + slot] = 1.0
         else:
             slot = np.asarray(slot)
-            c = np.zeros(np.shape(value) + (size,))
+            value = np.asarray(value, dtype=np.float64)
+            c = np.zeros(value.shape + (size,))
             c[..., 0] = value
             c[..., np.arange(slot.size), 1 + slot] = 1.0
         return cls(nvars, order, c)
@@ -624,14 +625,14 @@ def field_value(field, point: ChartPoint) -> float:
 # -- finite-difference oracle ----------------------------------------------
 
 
-def fd_partial(field, point: ChartPoint, multi, step: float = None,
-               richardson: bool = None) -> float:
+def fd_partial(field, point: ChartPoint, multi) -> float:
     """Central-difference estimate of a raw partial derivative.
 
     `multi` is a full multi-index over the 2n coordinates (x-block first),
-    total degree at most 3. Degree-3 estimates use one Richardson
-    extrapolation step by default. This is the independent oracle used to
-    certify jet arithmetic; it never feeds production code paths.
+    total degree at most 3. The step is 1e-4 up to degree 2 and 1e-3 at
+    degree 3, where one Richardson extrapolation step follows. This is the
+    independent oracle used to certify jet arithmetic; it never feeds
+    production code paths.
     """
     multi = tuple(int(m) for m in multi)
     if len(multi) != 2 * point.n:
@@ -643,16 +644,11 @@ def fd_partial(field, point: ChartPoint, multi, step: float = None,
         return field_value(field, point)
     if deg > 3:
         raise CapabilityError("finite-difference oracle supports degree <= 3")
-    if step is None:
-        step = 1e-4 if deg <= 2 else 1e-3
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    step = 1e-4 if deg <= 2 else 1e-3
     coords = point.coords()
     for d, m in enumerate(multi):
         if m > 0 and coords[d] + step == coords[d]:
             raise NumericalError("finite-difference step underflows at this point")
-    if richardson is None:
-        richardson = deg == 3
 
     def central(pt, mi, h):
         d = next(i for i, m in enumerate(mi) if m > 0)
@@ -668,7 +664,7 @@ def fd_partial(field, point: ChartPoint, multi, step: float = None,
         return (hi - lo) / (2.0 * h)
 
     est = central(point, multi, step)
-    if richardson:
+    if deg == 3:
         est_half = central(point, multi, step / 2.0)
         est = (4.0 * est_half - est) / 3.0
     return est

@@ -15,7 +15,9 @@ import json
 
 import pytest
 
+from finslerkit.checks import FAIL, REPORT_ONLY, check_ids, run_checks
 from finslerkit.cli import main
+from finslerkit.structures import by_name
 
 REPORTS = {
     ("conformal_quartic2", 20): "46b09f40ff2e50e1d4b9be2492bfbbd0b9422d94df494c6cc2eaaf6e23c2156e",
@@ -48,13 +50,21 @@ LATE_SHA256 = {
     30: "868dce659cec0b19caff79991e674b0d465674a94870c9ce09fe202168be71d4",
 }
 
+# --floor 1e3 (20 points, seed 0): no negative control clears the floor, so
+# eq2.14 and thm2.16.conformal turn their identity PASS into a FAIL, and
+# thm2.8.curved reads the curved sample as flat (REPORT-ONLY)
+FLOOR_1E3_SHA256 = {
+    "sphere2": "d378e6d0725aba69d65e3f3e6d6a03b0df2b2c7b56eb8510c3ee0f33aed24810",
+    "conformal_quartic2": "3c7c195267de30e5c9986196896f5def5553edb1b13df7b4bc5eafda89c89072",
+}
+
 LIST_CHECKS_SHA256 = "b43d4a60a46758d38e1f3137e438b9eaa99a3f20439b2027cc525529a25e73a5"
 
 
-def _verify_sha256(tmp_path, metric, points, seed=0):
+def _verify_sha256(tmp_path, metric, points, seed=0, floor="1e-3"):
     out = tmp_path / "report.json"
     main(["verify", "--metric", metric, "--checks", "all", "--points", str(points),
-          "--seed", str(seed), "--out", str(out)])
+          "--seed", str(seed), "--floor", floor, "--out", str(out)])
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -75,6 +85,23 @@ def test_late_failure_report_hash(tmp_path, monkeypatch, seed):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "late.json").write_text(json.dumps(LATE))
     assert _verify_sha256(tmp_path, "late.json", 20, seed) == LATE_SHA256[seed]
+
+
+@pytest.mark.parametrize("metric", sorted(FLOOR_1E3_SHA256))
+def test_floor_1e3_report_hash(tmp_path, metric):
+    assert _verify_sha256(tmp_path, metric, 20, floor="1e3") == FLOOR_1E3_SHA256[metric]
+
+
+def test_negative_controls_fail_below_a_high_floor():
+    results = {r.check_id: r for r in
+               run_checks(by_name("sphere2"), check_ids(), 20, 0, 1e-7, 1e3)}
+    aniso, conformal, curved = (results[c] for c in
+                                ("eq2.14", "thm2.16.conformal", "thm2.8.curved"))
+    assert aniso.verdict == FAIL and aniso.witness is not None
+    assert aniso.details["note"] == "negative control failed to exceed floor"
+    assert conformal.verdict == FAIL and conformal.witness is not None
+    assert conformal.details["note"] == "nonconstant sigma produced no breakage witness"
+    assert curved.verdict == REPORT_ONLY and curved.threshold == 1e3
 
 
 def test_list_checks_hash(capsys):
