@@ -15,7 +15,6 @@ from .errors import (
     DomainError,
     FinslerError,
     NumericalError,
-    PreconditionError,
     SingularMetricError,
 )
 from .fields import (

@@ -40,25 +40,6 @@ class ChartPoint:
         """All 2n coordinates, x-block first."""
         return self.x + self.y
 
-    def shifted(self, slot: int, h: float) -> "ChartPoint":
-        """New point with coordinate `slot` (0..2n-1, x-block first) moved by h.
-
-        Only the moved coordinate is validated again; the others are this
-        point's, already floats and finite.
-        """
-        c = list(self.coords())
-        c[slot] = float(c[slot] + h)
-        if not math.isfinite(c[slot]):
-            raise DomainError("non-finite coordinates")
-        n = self.n
-        y = tuple(c[n:])
-        if not any(y):
-            raise DomainError("y = 0 is excluded from the slit tangent bundle")
-        out = object.__new__(ChartPoint)
-        object.__setattr__(out, "x", tuple(c[:n]))
-        object.__setattr__(out, "y", y)
-        return out
-
     def __repr__(self):
         return f"ChartPoint(x={self.x}, y={self.y})"
 

@@ -45,6 +45,11 @@ PASS = "PASS"
 FAIL = "FAIL"
 REPORT_ONLY = "REPORT-ONLY"
 
+# What a point can raise inside a check: the library's own errors, and float
+# arithmetic that overflows or divides by an underflowed zero (math.exp of a
+# huge sigma, a power whose base underflows)
+_CHECK_ERRORS = (FinslerError, ArithmeticError)
+
 
 @dataclass
 class CheckResult:
@@ -517,7 +522,7 @@ def _check_lie(fr, tol, floor, seed):
     half = max(1, len(fr.point) // 2)
     try:  # the first half of the sample, read off the whole batch's reports
         reports = [picalc.lie_metric_report(fr, X) for X in fields]
-    except FinslerError:  # a point of the second half may fail: the first half decides
+    except _CHECK_ERRORS:  # a point of the second half may fail: the first half decides
         reports = [picalc.lie_metric_report(fr.part(0, half), X) for X in fields]
     worst_diff = _first_max([rep.difference[:half] for rep in reports])[0]
     details = {"max_lie_minus_contraction": worst_diff}
@@ -626,28 +631,28 @@ def _first_failure(fn, fr, tol, floor, seed):
         try:
             fn(fr.part(0, mid), tol, floor, seed)
             passes = mid
-        except FinslerError:
+        except _CHECK_ERRORS:
             fails = mid
     try:
         fn(fr.part(fails - 1, fails), tol, floor, seed)
-    except FinslerError as exc:
+    except _CHECK_ERRORS as exc:
         return exc
     return None
 
 
 def run_check(check_id: str, fr: PointFrame, tol: float, floor: float,
               seed: int) -> CheckResult:
-    """Run one registered check on the batch frame `fr` of a sample. A
-    FinslerError raised inside it becomes that check's FAIL, with the
-    exception type and message in details["error"]: those of the first
-    sample point at which the check fails on its own, the error a visit of
-    the points in sample order meets first."""
+    """Run one registered check on the batch frame `fr` of a sample. An
+    error of `_CHECK_ERRORS` raised inside it becomes that check's FAIL,
+    with the exception type and message in details["error"]: those of the
+    first sample point at which the check fails on its own, the error a
+    visit of the points in sample order meets first."""
     if check_id not in _REGISTRY:
         raise ValueError(f"unknown check id {check_id!r}")
     anchor, fn = _REGISTRY[check_id]
     try:
         out = fn(fr, tol, floor, seed)
-    except FinslerError as exc:
+    except _CHECK_ERRORS as exc:
         exc = _first_failure(fn, fr, tol, floor, seed) or exc
         out = CheckResult(
             n_points=len(fr.point),

@@ -12,7 +12,7 @@ import numpy as np
 from . import __version__
 from .chart import ChartPoint
 from .checks import ANCHORS, FAIL, check_ids, run_checks
-from .errors import FinslerError, PreconditionError
+from .errors import FinslerError
 from .frame import point_frame
 from .structures import by_name, structure_from_spec
 
@@ -182,11 +182,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            PreconditionError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FinslerError as exc:
+    except (FinslerError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,9 +26,5 @@ class SingularMetricError(FinslerError):
     """The fundamental tensor is singular or too ill-conditioned to invert."""
 
 
-class PreconditionError(FinslerError):
-    """A stated hypothesis of an operation fails at the supplied data."""
-
-
 class DegenerateFieldError(FinslerError):
     """A field argument is degenerate where the operation needs it nonzero."""

@@ -1,8 +1,9 @@
 """Vector fields and forms along the projection, plus probe-field builders.
 
 A pi-vector field is given by its chart components X^i(x, y). The classes
-here only know how to produce the stacked jet of those components on a
-PointFrame; all calculus on them lives in `picalc`.
+here only know how to produce the stacked order-1 jet of those components
+on a PointFrame: closedness and every other identity of `picalc` reads the
+first derivatives of a field only. All calculus on them lives in `picalc`.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from .jets import Jet
 class PiVectorField:
     """Base class: components along the pullback bundle."""
 
-    def jets(self, frame, order: int) -> Jet:
-        """The components X^i as one (..., n) stack of jets: the component
-        axis is the last tensor axis, after the point axis of a batch frame."""
+    def jets(self, frame) -> Jet:
+        """The components X^i as one (..., n) stack of order-1 jets: the
+        component axis is the last tensor axis, after the point axis of a
+        batch frame."""
         raise NotImplementedError
 
     def values(self, frame) -> np.ndarray:
-        return self.jets(frame, 1).value.copy()
+        return self.jets(frame).value.copy()
 
 
 class ComponentField(PiVectorField):
@@ -32,8 +34,8 @@ class ComponentField(PiVectorField):
         self.components = tuple(components)
         self.name = name
 
-    def jets(self, frame, order: int) -> Jet:
-        return Jet.stack([frame.field_jet(c, order) for c in self.components])
+    def jets(self, frame) -> Jet:
+        return Jet.stack([frame.field_jet(c, 1) for c in self.components])
 
     def __repr__(self):
         return f"ComponentField({self.name or len(self.components)})"
@@ -54,21 +56,15 @@ def tautological_field(n: int) -> ComponentField:
 
 
 class GradientField(PiVectorField):
-    """Gradient of a scalar field: X^i = g^ij delta_j f.
-
-    Component jets are available to order one; the inverse-metric jets the
-    frame holds stop there.
-    """
+    """Gradient of a scalar field: X^i = g^ij delta_j f."""
 
     def __init__(self, f, name: str = None):
         self.f = f
         self.name = name
 
-    def jets(self, frame, order: int) -> Jet:
-        if order > 1:
-            raise CapabilityError("gradient components carry jets up to order 1")
+    def jets(self, frame) -> Jet:
         df = frame.delta_jets(frame.field_jet(self.f, 2))
-        return (frame.ginv_jets * df[..., None, :, :]).sum_last().truncated(order)
+        return (frame.ginv_jets * df[..., None, :, :]).sum_last()
 
     def __repr__(self):
         return f"GradientField({self.name or self.f!r})"
@@ -89,16 +85,14 @@ class DriftCompanionField(PiVectorField):
         self.b_fn = b_fn
         self.name = name or "m"
 
-    def jets(self, frame, order: int) -> Jet:
-        if order > 1:
-            raise CapabilityError("drift companion components carry jets up to order 1")
+    def jets(self, frame) -> Jet:
         n = frame.n
-        b = Jet.stack([frame.field_jet(Positional(self.b_fn, i), order) for i in range(n)])
-        yj = Jet.variable(2 * n, 1, range(n, 2 * n), frame._y()).truncated(order)
+        b = Jet.stack([frame.field_jet(Positional(self.b_fn, i), 1) for i in range(n)])
+        yj = Jet.variable(2 * n, 1, range(n, 2 * n), frame._y())
         alpha = (b * yj).sum_last()
-        Lj = frame.L_jet.truncated(order)
+        Lj = frame.L_jet.truncated(1)
         scale = alpha / (Lj * Lj)
-        acc = (frame.ginv_jets.truncated(order) * b[..., None, :, :]).sum_last()
+        acc = (frame.ginv_jets * b[..., None, :, :]).sum_last()
         return acc - scale[..., None, :] * yj
 
 
@@ -132,8 +126,8 @@ class ProjectedField(PiVectorField):
         self.X = X
         self.name = name
 
-    def jets(self, frame, order: int) -> Jet:
-        return project_away(frame, np.array(self.vec), self.X.jets(frame, order))
+    def jets(self, frame) -> Jet:
+        return project_away(frame, np.array(self.vec), self.X.jets(frame))
 
 
 def project_away(frame, vecs, Xj: Jet) -> Jet:

@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chart import ChartPoint
-from .errors import CapabilityError, DomainError, NumericalError
+from .errors import CapabilityError, NumericalError
 
 MAX_ORDER = 4
 
@@ -570,21 +570,21 @@ def cos(u):
 
 
 def coordinate_jets(point, order: int):
-    """Coordinate jets (x-list, y-list) seeding jet evaluation at `point`; a
-    sequence of chart points gives stacks with a leading point axis."""
-    if isinstance(point, ChartPoint):
-        n = point.n
-        nvars = 2 * n
-        xj = [Jet.variable(nvars, order, i, point.x[i]) for i in range(n)]
-        yj = [Jet.variable(nvars, order, n + i, point.y[i]) for i in range(n)]
-        return xj, yj
-    n = point[0].n
-    z = Jet.variable(2 * n, order, range(2 * n), [p.x + p.y for p in point])
-    stacks = [Jet(2 * n, order, z.coeffs[:, s]) for s in range(2 * n)]
-    return stacks[:n], stacks[n:]
+    """Coordinate jets (x-list, y-list) seeding jet evaluation at `point`.
+
+    A chart point seeds as its (2n,) coordinate row, a sequence of them as
+    (P, 2n) rows, into one `Jet.variable` stack z over the 2n slots; its row
+    `z[..., s, :]` is coordinate s, with a leading point axis for a sequence
+    (vector Taylor propagation seeds one point as a stack of one)."""
+    rows = np.asarray(point.coords() if isinstance(point, ChartPoint)
+                      else [p.x + p.y for p in point])
+    nvars = rows.shape[-1]
+    z = Jet.variable(nvars, order, range(nvars), rows)
+    jets = [z[..., s, :] for s in range(nvars)]
+    return jets[:nvars // 2], jets[nvars // 2:]
 
 
-def jet_eval(field, point, order: int, domain=None) -> Jet:
+def jet_eval(field, point, order: int) -> Jet:
     """Evaluate `field(x, y)` in jet arithmetic at a chart point.
 
     `field` must be written against the generic math functions of this
@@ -592,33 +592,36 @@ def jet_eval(field, point, order: int, domain=None) -> Jet:
     of chart points the field runs once on stacked coordinate jets and the
     result has a leading point axis; each point's slice equals `jet_eval` at
     that point alone, bit for bit. An error at any point raises for all.
+    Whether a point is admissible is for the caller to ask (`PointFrame`
+    asks its structure).
     """
     if order > MAX_ORDER:
         raise CapabilityError(f"jet order {order} exceeds the supported maximum {MAX_ORDER}")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    points = (point,) if isinstance(point, ChartPoint) else tuple(point)
-    lead = () if isinstance(point, ChartPoint) else (len(points),)
-    if domain is not None:
-        for p in points:
-            if not domain(p.x, p.y):
-                raise DomainError(f"point outside the admissible chart domain: {p}")
-    nvars = 2 * points[0].n
+    single = isinstance(point, ChartPoint)
     xj, yj = coordinate_jets(point, max(order, 1))
     out = field(xj, yj)
     if not isinstance(out, Jet):
-        out = Jet.constant(nvars, max(order, 1), np.full(lead, float(out)) if lead else float(out))
+        value = float(out) if single else np.full(len(point), float(out))
+        out = Jet.constant(xj[0].nvars, max(order, 1), value)
     if not np.all(np.isfinite(out.coeffs)):
-        bad = point if not lead else points[int(np.argmin(np.isfinite(out.coeffs).all(-1)))]
+        bad = point if single else point[int(np.argmin(np.isfinite(out.coeffs).all(-1)))]
         raise NumericalError(f"field produced non-finite jet coefficients at {bad}")
     return out.truncated(order) if out.order > order else out
 
 
 def field_value(field, point: ChartPoint) -> float:
     """Plain float evaluation, shared by the finite-difference oracle."""
-    v = float(field(point.x, point.y))
+    return _value_at(field, point.x, point.y)
+
+
+def _value_at(field, x: tuple, y: tuple) -> float:
+    """field(x, y) on coordinate tuples, as a float; a non-finite value
+    raises, naming the chart point (x, y)."""
+    v = float(field(x, y))
     if not math.isfinite(v):
-        raise NumericalError(f"field produced a non-finite value at {point}")
+        raise NumericalError(f"field produced a non-finite value at {ChartPoint(x, y)}")
     return v
 
 
@@ -630,9 +633,10 @@ def fd_partial(field, point: ChartPoint, multi) -> float:
 
     `multi` is a full multi-index over the 2n coordinates (x-block first),
     total degree at most 3. The step is 1e-4 up to degree 2 and 1e-3 at
-    degree 3, where one Richardson extrapolation step follows. This is the
-    independent oracle used to certify jet arithmetic; it never feeds
-    production code paths.
+    degree 3, where one Richardson extrapolation step follows. The stencil
+    walks coordinate tuples: a step moves one entry c[d] by +h or -h and
+    the field runs on (c[:n], c[n:]). This is the independent oracle used
+    to certify jet arithmetic; it never feeds production code paths.
     """
     multi = tuple(int(m) for m in multi)
     if len(multi) != 2 * point.n:
@@ -649,22 +653,19 @@ def fd_partial(field, point: ChartPoint, multi) -> float:
     for d, m in enumerate(multi):
         if m > 0 and coords[d] + step == coords[d]:
             raise NumericalError("finite-difference step underflows at this point")
+    n = point.n
 
-    def central(pt, mi, h):
+    def central(c, mi, h):
         d = next(i for i, m in enumerate(mi) if m > 0)
-        rest = list(mi)
-        rest[d] -= 1
-        rest = tuple(rest)
-        if sum(rest) == 0:
-            hi = field_value(field, pt.shifted(d, +h))
-            lo = field_value(field, pt.shifted(d, -h))
-        else:
-            hi = central(pt.shifted(d, +h), rest, h)
-            lo = central(pt.shifted(d, -h), rest, h)
-        return (hi - lo) / (2.0 * h)
+        rest = mi[:d] + (mi[d] - 1,) + mi[d + 1:]
+        ends = []
+        for s in (h, -h):
+            e = c[:d] + (c[d] + s,) + c[d + 1:]
+            ends.append(central(e, rest, h) if any(rest) else _value_at(field, e[:n], e[n:]))
+        return (ends[0] - ends[1]) / (2.0 * h)
 
-    est = central(point, multi, step)
+    est = central(coords, multi, step)
     if deg == 3:
-        est_half = central(point, multi, step / 2.0)
+        est_half = central(coords, multi, step / 2.0)
         est = (4.0 * est_half - est) / 3.0
     return est

@@ -112,8 +112,8 @@ def dbar_1_on_fields(fr: PointFrame, omega: PiForm, X: PiVectorField,
     """
     if omega.degree != 1:
         raise ValueError("dbar_1_on_fields expects a 1-form")
-    Xj = X.jets(fr, 1)
-    Yj = Y.jets(fr, 1)
+    Xj = X.jets(fr)
+    Yj = Y.jets(fr)
     wvals = np.zeros(fr._lead + (fr.n,))
     first = second = 0.0
     ks = [k for (k,) in sorted(omega.components)]  # the components omega has
@@ -142,7 +142,7 @@ def _bracket(frame: PointFrame, Xj: Jet, Yj: Jet) -> np.ndarray:
 def a_operator(fr: PointFrame, X: PiVectorField) -> np.ndarray:
     """(A_X)^i_j = delta_j X^i + F^i_kj X^k, the horizontal covariant
     derivative of X packaged as an endomorphism."""
-    return _nabla_h_matrix(fr, X.jets(fr, 1))
+    return _nabla_h_matrix(fr, X.jets(fr))
 
 
 def _nabla_h_matrix(fr: PointFrame, Xj: Jet) -> np.ndarray:
@@ -168,7 +168,7 @@ def _dbar_matrix(frame: PointFrame, w: Jet) -> np.ndarray:
 def closedness_defect(fr: PointFrame, X: PiVectorField) -> float:
     """max |(dbar X^flat)_jk|, from the jets of g_km X^m: zero exactly when X
     is closed at the frame's point."""
-    return max_abs(_dbar_matrix(fr, _lowered_jets(fr, X.jets(fr, 1))), 2)
+    return max_abs(_dbar_matrix(fr, _lowered_jets(fr, X.jets(fr))), 2)
 
 
 def flat_form_and_selfadjoint_matrix(fr: PointFrame, X: PiVectorField):
@@ -176,7 +176,7 @@ def flat_form_and_selfadjoint_matrix(fr: PointFrame, X: PiVectorField):
     B_jk = g_js (A_X)^s_k, the lowered operator, whose symmetry is
     g-self-adjointness of A_X. M_jk = B_kj - B_jk holds for every field,
     closed or not, which bridges the two."""
-    Xj = X.jets(fr, 1)
+    Xj = X.jets(fr)
     return _dbar_matrix(fr, _lowered_jets(fr, Xj)), fr.g @ _nabla_h_matrix(fr, Xj)
 
 
@@ -221,7 +221,7 @@ class GradientIdentityResult:
 
 def gradient_torsion_identity(fr: PointFrame, f) -> GradientIdentityResult:
     """For X = grad f: g_lk (A_X)^l_j - g_lj (A_X)^l_k = R^m_jk dy_m f."""
-    A = _nabla_h_matrix(fr, GradientField(f).jets(fr, 1))
+    A = _nabla_h_matrix(fr, GradientField(f).jets(fr))
     B = fr.g @ A
     lhs = np.swapaxes(B, -1, -2) - B
     rhs = _torsion_contraction(fr, fr.field_jet(f, 2))
@@ -265,7 +265,7 @@ def lie_metric_report(fr: PointFrame, X: PiVectorField) -> LieReport:
     contraction are reported; no identity between them is asserted.
     """
     n = fr.n
-    Xj = X.jets(fr, 1)
+    Xj = X.jets(fr)
     xv = Xj.value.copy()
     # [k, i, j] = delta_k g_ij
     dg = np.ascontiguousarray(np.moveaxis(fr._dg_jets.value, -1, -3))
@@ -314,7 +314,7 @@ def involutivity_report(fr: PointFrame, X: PiVectorField) -> InvolutivityReport:
     """
     n = fr.n
     g = fr.g
-    Xj = X.jets(fr, 1)
+    Xj = X.jets(fr)
     xv = Xj.value.copy()
     xnorm2 = quad(xv, g, xv)
     if np.any(xnorm2 < 1e-18):
@@ -388,8 +388,8 @@ def drift_closedness_transfer(fr: PointFrame, frs: PointFrame) -> DriftTransferR
     of the shared form under both horizontal derivatives.
     """
     m_field = DriftCompanionField(frs.structure.meta["b_fn"])
-    mj = m_field.jets(fr, 1)
-    msj = m_field.jets(frs, 1)
+    mj = m_field.jets(fr)
+    msj = m_field.jets(frs)
     mv = mj.value.copy()
     msv = msj.value.copy()
 
@@ -482,8 +482,8 @@ def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
     """
     n = fr.n
 
-    Xj = X.jets(fr, 1)
-    Xjt = X.jets(frt, 1)
+    Xj = X.jets(fr)
+    Xjt = X.jets(frt)
 
     w = _lowered_jets(fr, Xj)
     wt = _lowered_jets(frt, Xjt)

@@ -84,7 +84,6 @@ def minkowski_quartic(n: int) -> FinslerStructure:
         L=L,
         name=f"minkowski_quartic{n}",
         domain=admissible,
-        sample_domain=SampleDomain(n=n, predicate=admissible),
     )
 
 

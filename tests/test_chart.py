@@ -29,36 +29,6 @@ class TestChartPoint:
         with pytest.raises(DomainError):
             ChartPoint(x=(float("nan"), 0.0), y=(1.0, 0.0))
 
-    def test_shifted_moves_one_slot(self):
-        p = ChartPoint(x=(0.5, -0.5), y=(1.0, 2.0))
-        q = p.shifted(3, 0.25)
-        assert q.x == p.x
-        assert q.y == (1.0, 2.25)
-        assert p.y == (1.0, 2.0)  # original untouched
-
-    @pytest.mark.parametrize("slot,h", [(0, 1e-4), (1, -0.3), (2, 2.5), (3, -1e-3), (3, 1)])
-    def test_shifted_equals_a_fresh_point(self, slot, h):
-        p = ChartPoint(x=(0.5, -0.25), y=(1.0, 0.01))
-        c = list(p.coords())
-        c[slot] += h
-        fresh = ChartPoint(tuple(c[:2]), tuple(c[2:]))
-        q = p.shifted(slot, np.float64(h))
-        for field in ("x", "y"):
-            got, want = getattr(q, field), getattr(fresh, field)
-            assert type(got) is tuple and [type(v) for v in got] == [float, float]
-            assert got == want
-        assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
-
-    def test_shifted_validates_the_moved_coordinate(self):
-        p = ChartPoint(x=(0.5, -0.5), y=(1.0, 0.0))
-        with pytest.raises(DomainError, match="non-finite coordinates"):
-            p.shifted(1, float("inf"))
-        with pytest.raises(DomainError, match="non-finite coordinates"):
-            p.shifted(2, float("nan"))
-        with pytest.raises(DomainError, match="slit tangent bundle"):
-            p.shifted(2, -1.0)
-        assert p.shifted(0, -0.5).x == (0.0, -0.5)  # x may be 0
-
     def test_hashable_for_frame_caching(self):
         a = ChartPoint(x=(0.1, 0.2), y=(1.0, 0.0))
         b = ChartPoint(x=(0.1, 0.2), y=(1.0, 0.0))

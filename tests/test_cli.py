@@ -29,6 +29,11 @@ def run_verify(tmp_path, *extra, metric="euclidean2", checks="struct.symmetry"):
     return code, out
 
 
+# conformal sphere2 with sigma = 1000: e^sigma overflows a float
+HUGE_SIGMA = {"family": "conformal", "sigma": 1000.0,
+              "base": {"family": "riemannian", "preset": "sphere2"}}
+
+
 def spec_file(tmp_path, spec):
     path = tmp_path / "metric.json"
     path.write_text(json.dumps(spec))
@@ -123,6 +128,18 @@ class TestVerify:
                   for c in report["checks"] if c["verdict"] == "FAIL"}
         assert errors == {"NumericalError", "SingularMetricError"}
 
+    def test_float_overflow_is_a_check_fail(self, tmp_path, capsys):
+        # e^1000 overflows a float: every check FAILs and the report is written
+        code, out = run_verify(tmp_path, "--points", "20", "--seed", "0",
+                               metric=spec_file(tmp_path, HUGE_SIGMA), checks="all")
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert [c["id"] for c in report["checks"]] == check_ids()
+        for rec in report["checks"]:
+            assert rec["verdict"] == "FAIL"
+            assert rec["details"]["error"] == "OverflowError: math range error"
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_metric(self, tmp_path):
@@ -195,3 +212,9 @@ class TestEval:
         text = capsys.readouterr().out
         value = float(text.strip().splitlines()[-1])
         assert value == pytest.approx(2.0, abs=1e-9)
+
+    def test_float_overflow_is_an_error_exit(self, tmp_path, capsys):
+        code = main(["eval", "--metric", spec_file(tmp_path, HUGE_SIGMA),
+                     "--at", "x=0.1,0.2;y=1.0,0.5", "--object", "Sc"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: math range error\n"

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finslerkit.chart import ChartPoint
-from finslerkit.errors import CapabilityError, DomainError, NumericalError
+from finslerkit.checks import _poly_scalar
+from finslerkit.errors import CapabilityError, NumericalError
 from finslerkit.jets import (
     MAX_ORDER,
     _COLUMN_GATHER_WORK,
@@ -634,11 +635,6 @@ class TestOrderSemantics:
         t = jet.truncated(2)
         assert np.array_equal(t.coeffs, jet.coeffs[: t.coeffs.size])
 
-    def test_domain_predicate_enforced(self):
-        inside = lambda x, y: x[0] > 10.0
-        with pytest.raises(DomainError):
-            jet_eval(lambda x, y: y[0], P, 1, domain=inside)
-
 
 FD_CASES = [
     ("norm", lambda x, y: sqrt(y[0] ** 2 + 2.0 * y[1] ** 2 + x[0] ** 2 * y[0] ** 2)),
@@ -667,6 +663,52 @@ class TestFiniteDifferenceOracle:
     def test_fd_rejects_bad_multi(self):
         with pytest.raises(ValueError):
             fd_partial(FD_CASES[0][1], P, (1, 0))
+
+    @given(st.sampled_from(CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"]),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_tuple_walk_has_the_bits_of_the_chart_point_walk(self, name, seed, probe):
+        s = by_name(name)
+        f = s.L
+        if probe:
+            poly = _poly_scalar(s.n, np.random.default_rng(seed))
+            f = lambda x, y: poly(x, y) * s.L(x, y)
+        p = s.sample(1, seed)[0]
+        for m in _index_table(2 * s.n, 3)[0][1:]:
+            assert fd_partial(f, p, m).hex() == _chart_point_fd(f, p, m).hex(), m
+
+
+def _chart_point_fd(field, point, multi):
+    """The finite-difference stencil walked over chart points: every
+    stencil point is a fresh ChartPoint one coordinate away from the last,
+    evaluated by field_value. The reference for fd_partial's tuple walk."""
+    deg = sum(multi)
+    step = 1e-4 if deg <= 2 else 1e-3
+    n = point.n
+
+    def moved(pt, d, h):
+        c = list(pt.coords())
+        c[d] = c[d] + h
+        return ChartPoint(tuple(c[:n]), tuple(c[n:]))
+
+    def central(pt, mi, h):
+        d = next(i for i, m in enumerate(mi) if m > 0)
+        rest = list(mi)
+        rest[d] -= 1
+        rest = tuple(rest)
+        if sum(rest) == 0:
+            hi = field_value(field, moved(pt, d, +h))
+            lo = field_value(field, moved(pt, d, -h))
+        else:
+            hi = central(moved(pt, d, +h), rest, h)
+            lo = central(moved(pt, d, -h), rest, h)
+        return (hi - lo) / (2.0 * h)
+
+    est = central(point, multi, step)
+    if deg == 3:
+        est_half = central(point, multi, step / 2.0)
+        est = (4.0 * est_half - est) / 3.0
+    return est
 
 
 def _all_multis(nvars, max_degree):

@@ -346,4 +346,4 @@ class TestInvolutivity:
         p = SPHERE_POINTS[1]
         zero = constant_field([0.0, 0.0])
         with pytest.raises(DegenerateFieldError):
-            ProjectedField([1.0, 0.0], zero).jets(point_frame(SPHERE, p), 1)
+            ProjectedField([1.0, 0.0], zero).jets(point_frame(SPHERE, p))

@@ -72,7 +72,7 @@ def test_stacked_field_calculus_equals_component_reference(name):
     fields = _fields(s)
     for p in s.sample(20, seed=0):
         fr = PointFrame(s, p)
-        stacked = [X.jets(fr, 1) for X in fields]
+        stacked = [X.jets(fr) for X in fields]
         listed = [oracle.field_jets(X, fr, 1) for X in fields]
         for X, Xj, ref in zip(fields, stacked, listed):
             assert Xj.coeffs.tobytes() == stack(ref).tobytes(), (X, p)
@@ -93,10 +93,10 @@ def test_field_jets_on_a_batch_frame_equal_each_point(name):
     pts = s.sample(20, seed=0)
     batch = PointFrame(s, tuple(pts))
     for X in _fields(s):
-        whole = X.jets(batch, 1).coeffs
+        whole = X.jets(batch).coeffs
         assert whole.shape == (len(pts), s.n, 2 * s.n + 1)
         for i, p in enumerate(pts):
-            assert whole[i].tobytes() == X.jets(PointFrame(s, p), 1).coeffs.tobytes(), (X, p)
+            assert whole[i].tobytes() == X.jets(PointFrame(s, p)).coeffs.tobytes(), (X, p)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -108,10 +108,10 @@ def test_stacked_projections_equal_component_reference(name):
     pts = s.sample(20, seed=0)
     batch = PointFrame(s, tuple(pts))
     for X in (probes[2], probes[5]):
-        whole = project_away(batch, np.eye(s.n), X.jets(batch, 1)[..., None, :, :]).coeffs
+        whole = project_away(batch, np.eye(s.n), X.jets(batch)[..., None, :, :]).coeffs
         for i, p in enumerate(pts):
             fr = PointFrame(s, p)
-            one = project_away(fr, np.eye(s.n), X.jets(fr, 1)[..., None, :, :]).coeffs
+            one = project_away(fr, np.eye(s.n), X.jets(fr)[..., None, :, :]).coeffs
             assert whole[i].tobytes() == one.tobytes(), (X, p)
             for a in range(s.n):
                 ref = oracle.field_jets(ProjectedField(np.eye(s.n)[a], X), fr, 1)
@@ -119,9 +119,9 @@ def test_stacked_projections_equal_component_reference(name):
 
 
 class _Counted(ComponentField):
-    def jets(self, frame, order):
+    def jets(self, frame):
         self.calls += 1
-        return super().jets(frame, order)
+        return super().jets(frame)
 
 
 @pytest.mark.parametrize("name", ["sphere2", "euclidean3"])
@@ -254,8 +254,8 @@ def _requested_field_jets(s, frame):
         out += [frame.field_jet(f, order) for f in _probe_scalars(s, 0, tag)
                 for order in (1, 2)]
     for X in _probe_fields(s, 0, 26):
-        out.append(X.jets(frame, 1))
-    out.append(DriftCompanionField(lambda x: [0.2] + [0.1 * x[0]] * (s.n - 1)).jets(frame, 1))
+        out.append(X.jets(frame))
+    out.append(DriftCompanionField(lambda x: [0.2] + [0.1 * x[0]] * (s.n - 1)).jets(frame))
     out.append(frame.field_jet(Positional(lambda x: x[0]), 1))
     return out
 
