@@ -11,10 +11,10 @@ every identity it tests gives one array of residuals and one of scales,
 with an entry per point, and the check reduces those arrays to a
 CheckResult. The frames a check builds for itself (scaled points, a Randers
 or conformal change of the structure) are freed when the check returns, and
-the sample's frame and its parts when the run does. The reductions pick the
-maximum and the witness point that adding the residuals one point at a
-time, in sample order, would pick. An error inside a check is located at the
-first point where the check fails on its own (run_check).
+the sample's frame when the run does. The reductions pick the maximum and
+the witness point that adding the residuals one point at a time, in sample
+order, would pick. An error inside a check is its FAIL, with the first error
+its batch meets, naming its point where the frame can (run_check).
 
 Three verdict rules, each written once:
 - identity (`_Sweep.result`): PASS when the worst residual relative to
@@ -47,7 +47,7 @@ REPORT_ONLY = "REPORT-ONLY"
 
 # What a point can raise inside a check: the library's own errors, and float
 # arithmetic that overflows or divides by an underflowed zero (math.exp of a
-# huge sigma, a power whose base underflows)
+# huge sigma, a power whose base underflows, numpy overflow under run_check)
 _CHECK_ERRORS = (FinslerError, ArithmeticError)
 
 
@@ -523,7 +523,8 @@ def _check_lie(fr, tol, floor, seed):
     try:  # the first half of the sample, read off the whole batch's reports
         reports = [picalc.lie_metric_report(fr, X) for X in fields]
     except _CHECK_ERRORS:  # a point of the second half may fail: the first half decides
-        reports = [picalc.lie_metric_report(fr.part(0, half), X) for X in fields]
+        first = PointFrame(fr.structure, fr.point[:half])
+        reports = [picalc.lie_metric_report(first, X) for X in fields]
     worst_diff = _first_max([rep.difference[:half] for rep in reports])[0]
     details = {"max_lie_minus_contraction": worst_diff}
     for X, rep in zip(fields, reports):
@@ -618,50 +619,23 @@ def check_ids() -> list:
     return sorted(_REGISTRY)
 
 
-def _first_failure(fn, fr, tol, floor, seed):
-    """The error of the first sample point at which check `fn` fails on its
-    own, or None. A check fails on a prefix of the sample exactly when it
-    fails at one of the prefix's points, so bisection finds the shortest
-    failing prefix; its last point is the first failing one. The prefixes
-    and that point are parts of the sample's frame (`PointFrame.part`),
-    which every check of the run shares."""
-    passes, fails = 0, len(fr.point)  # prefix lengths
-    while fails - passes > 1:
-        mid = (passes + fails) // 2
-        try:
-            fn(fr.part(0, mid), tol, floor, seed)
-            passes = mid
-        except _CHECK_ERRORS:
-            fails = mid
-    try:
-        fn(fr.part(fails - 1, fails), tol, floor, seed)
-    except _CHECK_ERRORS as exc:
-        return exc
-    return None
-
-
 def run_check(check_id: str, fr: PointFrame, tol: float, floor: float,
               seed: int) -> CheckResult:
     """Run one registered check on the batch frame `fr` of a sample. An
-    error of `_CHECK_ERRORS` raised inside it becomes that check's FAIL,
-    with the exception type and message in details["error"]: those of the
-    first sample point at which the check fails on its own, the error a
-    visit of the points in sample order meets first."""
+    error of `_CHECK_ERRORS` raised inside it, numpy overflow included,
+    becomes that check's FAIL, with the exception type and message in
+    details["error"]: the first error the batch meets. The errors of a
+    frame's field evaluation, the positivity cone, `g` and a degenerate
+    probe name the point they failed at."""
     if check_id not in _REGISTRY:
         raise ValueError(f"unknown check id {check_id!r}")
     anchor, fn = _REGISTRY[check_id]
     try:
-        out = fn(fr, tol, floor, seed)
+        with np.errstate(over="raise"):  # a FloatingPointError, an ArithmeticError
+            out = fn(fr, tol, floor, seed)
     except _CHECK_ERRORS as exc:
-        exc = _first_failure(fn, fr, tol, floor, seed) or exc
-        out = CheckResult(
-            n_points=len(fr.point),
-            max_residual=float("inf"),
-            threshold=tol,
-            verdict=FAIL,
-            witness=None,
-            details={"error": f"{type(exc).__name__}: {exc}"},
-        )
+        out = CheckResult(n_points=len(fr.point), max_residual=float("inf"), threshold=tol,
+                          verdict=FAIL, details={"error": f"{type(exc).__name__}: {exc}"})
     out.check_id = check_id
     out.anchor = anchor
     return out

@@ -144,8 +144,10 @@ def project_away(frame, vecs, Xj: Jet) -> Jet:
     gij = Jet(gij.nvars, gij.order, frame._against(gij.coeffs, Xj.coeffs.ndim))
     gvx = (gij * (vj[..., i, :] * Xj[..., j, :])).sum_last()
     gxx = (gij * (Xj[..., i, :] * Xj[..., j, :])).sum_last()
-    if np.any(np.abs(gxx.value) < 1e-18):
-        raise DegenerateFieldError("cannot project: X has vanishing g-norm")
+    bad = np.abs(gxx.value) < 1e-18
+    if bad.any():
+        raise DegenerateFieldError(
+            f"cannot project: X has vanishing g-norm at {frame._first(bad)[1]}")
     lam = gvx / gxx
     return vj - lam[..., None, :] * Xj
 

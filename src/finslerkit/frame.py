@@ -24,9 +24,7 @@ builds the batch frame of its sample once and hands it to every check. The
 calculus modules (`picalc`, `connections`, `curvature`) take the frame they
 compute on. Where a batch cannot compute a quantity at every point (a point
 outside the positivity cone, a singular metric), the quantity raises for
-the whole batch; `checks.run_check` then finds the first sample point at
-which its check fails alone, on frames over slices of the sample that
-`part` builds once per sample.
+the whole batch, with an error that names the point it failed at.
 
 A frame may stand on a base frame: `frame.derived(structure)` is the frame
 of a Randers or conformal change of `frame.structure` at the same points.
@@ -42,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chart import ChartPoint
-from .errors import DomainError, SingularMetricError
+from .errors import DomainError, NumericalError, SingularMetricError
 from .jets import MAX_ORDER, Jet, jet_eval
 
 COND_LIMIT = 1e12
@@ -148,22 +146,6 @@ class PointFrame:
         self.n = structure.n
         self._lead = (len(point),) if isinstance(point, tuple) else ()
         self._field_jets = {}
-        # a batch starts at point 0 of its sample and shares the memo of its parts
-        self._start, self._parts = 0, {}
-
-    def part(self, start: int, stop: int) -> "PointFrame":
-        """The batch frame over points[start:stop] of this batch, built once:
-        the parts of one sample share one memo, keyed by their slice of the
-        sample, so a part of a part is the sample's part over the same
-        points. The memo lives as long as the sample's frame or a part of it."""
-        if stop - start == len(self.point):
-            return self
-        key = (self._start + start, self._start + stop)
-        frame = self._parts.get(key)
-        if frame is None:
-            frame = self._parts[key] = PointFrame(self.structure, self.point[start:stop])
-            frame._start, frame._parts = key[0], self._parts
-        return frame
 
     _base = None  # the frame a derived frame lifts its Lagrangian jet from
 
@@ -178,11 +160,26 @@ class PointFrame:
         return frame
 
     def _first(self, bad):
-        """Index and chart point of the first point where `bad` holds."""
+        """Index and chart point of the first point where some entry of `bad` holds."""
         if not self._lead:
             return (), self.point
-        k = int(np.argmax(bad))
+        k = int(np.argmax(np.reshape(bad, self._lead + (-1,)).any(-1)))
         return k, self.point[k]
+
+    def _jet_eval(self, fn, order: int, float_fn=None) -> Jet:
+        """jet_eval(fn, self.point, order). If it raises a NumericalError or
+        an ArithmeticError, `float_fn` (default `fn`) runs on floats point by
+        point, and the first point that raises re-raises its own error, naming
+        the point; if none does, the stacked error stands."""
+        try:
+            return jet_eval(fn, self.point, order)
+        except (NumericalError, ArithmeticError) as exc:
+            for p in self.point if self._lead else (self.point,):
+                try:
+                    (float_fn or fn)(p.x, p.y)  # a non-finite value is jet_eval's error
+                except (NumericalError, ArithmeticError) as alone:
+                    raise type(alone)(f"{alone} at {p}") from exc
+            raise
 
     def _y(self) -> np.ndarray:
         if self._lead:
@@ -203,10 +200,10 @@ class PointFrame:
     @_lazy
     def L_jet(self) -> Jet:
         if self._base is None:
-            jet = jet_eval(self.structure.L, self.point, MAX_ORDER)
-        else:
+            jet = self._jet_eval(self.structure.L, MAX_ORDER)
+        else:  # the float pass runs the change's own Lagrangian
             lift, base = self.structure.meta["lift"], self._base.L_jet
-            jet = jet_eval(lambda x, y: lift(x, y, base), self.point, MAX_ORDER)
+            jet = self._jet_eval(lambda x, y: lift(x, y, base), MAX_ORDER, self.structure.L)
         value = jet.coeffs.T[0]
         bad = value <= 0.0
         if bad.any():
@@ -417,7 +414,7 @@ class PointFrame:
         key = (fn, order)
         jet = self._field_jets.get(key)
         if jet is None:
-            jet = jet_eval(fn, self.point, order)
+            jet = self._jet_eval(fn, order)
             _freeze(jet)
             self._field_jets[key] = jet
         return jet

@@ -317,8 +317,10 @@ def involutivity_report(fr: PointFrame, X: PiVectorField) -> InvolutivityReport:
     Xj = X.jets(fr)
     xv = Xj.value.copy()
     xnorm2 = quad(xv, g, xv)
-    if np.any(xnorm2 < 1e-18):
-        raise DegenerateFieldError("involutivity probe needs a nonvanishing field")
+    bad = xnorm2 < 1e-18
+    if np.any(bad):
+        raise DegenerateFieldError(
+            f"involutivity probe needs a nonvanishing field at {fr._first(bad)[1]}")
 
     # the n candidates Y_a, the projections of e_a, as one stack [..., a, m]
     Yj = project_away(fr, np.eye(n), Xj[..., None, :, :])

@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, report shape, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -115,30 +116,55 @@ class TestVerify:
         rec = {c["id"]: c for c in report["checks"]}["thm2.13.involutive"]
         assert rec["verdict"] == "FAIL"
         assert rec["details"]["error"].startswith("DegenerateFieldError: ")
+        assert "ChartPoint(" in rec["details"]["error"]
 
     def test_indefinite_metric_is_reported_not_raised(self, tmp_path):
         spec = {"family": "riemannian", "dim": 2, "a": [[1, 0], [0, -1]]}
-        # the default sample meets both failure modes of an indefinite form
+        # some points of the sample leave the positivity cone, where L's square
+        # root fails; every failing check names the point its batch failed at
         code, out = run_verify(tmp_path, "--points", "20", "--seed", "0",
                                metric=spec_file(tmp_path, spec), checks="all")
         assert code == 1
         report = json.loads(out.read_text())
         assert len(report["checks"]) == len(check_ids())
-        errors = {c["details"]["error"].split(":")[0]
-                  for c in report["checks"] if c["verdict"] == "FAIL"}
-        assert errors == {"NumericalError", "SingularMetricError"}
+        errors = [c["details"]["error"] for c in report["checks"] if c["verdict"] == "FAIL"]
+        assert errors and all("ChartPoint(" in error for error in errors), errors
+        assert {error.split(":")[0] for error in errors} == {"NumericalError"}
 
     def test_float_overflow_is_a_check_fail(self, tmp_path, capsys):
-        # e^1000 overflows a float: every check FAILs and the report is written
+        # e^1000 overflows a float: every check FAILs and the report is written.
+        # Each frame error names the first point of the sample; jets.fd
+        # evaluates the Lagrangian on its own, so its error names none
         code, out = run_verify(tmp_path, "--points", "20", "--seed", "0",
                                metric=spec_file(tmp_path, HUGE_SIGMA), checks="all")
         assert code == 1
         report = json.loads(out.read_text())
         assert [c["id"] for c in report["checks"]] == check_ids()
+        first = ("ChartPoint(x=(0.32870804957149025, -0.5525118869667113), "
+                 "y=(1.6972870697854454, 0.27801267231818655))")
         for rec in report["checks"]:
             assert rec["verdict"] == "FAIL"
-            assert rec["details"]["error"] == "OverflowError: math range error"
+            named = "" if rec["id"] == "jets.fd" else f" at {first}"
+            assert rec["details"]["error"] == f"OverflowError: math range error{named}"
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_numpy_overflow_is_a_check_fail(self, tmp_path):
+        # e^(400 x^1) is finite, but L^2 overflows in the jet products: under
+        # warnings as errors, numpy's overflow is each check's FAIL and the
+        # report is written
+        spec = {"family": "conformal",
+                "sigma": {"terms": [{"coef": 400, "powers": [1, 0]}]},
+                "base": {"family": "riemannian", "preset": "sphere2"}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_verify(tmp_path, "--points", "20", "--seed", "0",
+                                   metric=spec_file(tmp_path, spec), checks="all")
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert [c["id"] for c in report["checks"]] == check_ids()
+        assert all(c["verdict"] == "FAIL" for c in report["checks"])
+        errors = {c["details"].get("error") for c in report["checks"]}
+        assert "FloatingPointError: overflow encountered in multiply" in errors
 
 
 class TestUsageErrors:
@@ -217,4 +243,5 @@ class TestEval:
         code = main(["eval", "--metric", spec_file(tmp_path, HUGE_SIGMA),
                      "--at", "x=0.1,0.2;y=1.0,0.5", "--object", "Sc"])
         assert code == 1
-        assert capsys.readouterr().err == "error: math range error\n"
+        assert capsys.readouterr().err == (
+            "error: math range error at ChartPoint(x=(0.1, 0.2), y=(1.0, 0.5))\n")

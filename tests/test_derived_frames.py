@@ -6,10 +6,11 @@ import pytest
 
 from finslerkit.checks import check_ids, run_checks
 from finslerkit.chart import ChartPoint
-from finslerkit.errors import DomainError
+from finslerkit.errors import DomainError, NumericalError
 from finslerkit.frame import PointFrame
-from finslerkit.jets import MAX_ORDER, Jet, jet_eval
+from finslerkit.jets import MAX_ORDER, Jet, field_value, jet_eval, sqrt
 from finslerkit.structures import (
+    FinslerStructure,
     conformal_change,
     minkowski_quartic,
     randers_change,
@@ -88,6 +89,26 @@ def test_a_derived_frame_keeps_the_positivity_check():
         PointFrame(s, p).derived(star).L_jet
     assert str(lifted.value) == str(alone.value)
     assert "positivity cone" in str(alone.value)
+
+
+def test_a_derived_frame_names_the_point_its_lagrangian_fails_at():
+    # L~ = sqrt(L - 1) over sphere2 fails where L < 1, first at point 3 of
+    # the sample. The float pass runs the change's own Lagrangian point by
+    # point; the lift holds the whole batch's base jet, so at point 0 it
+    # would meet point 3's root already
+    s = sphere2()
+    lift = lambda x, y, Lb: sqrt(Lb - 1.0)
+    change = FinslerStructure(n=2, L=lambda x, y: lift(x, y, s.L(x, y)), name="shifted",
+                              domain=s.domain, sample_domain=s.sample_domain,
+                              meta={"base": s, "lift": lift})
+    pts = tuple(s.sample(20, seed=0))
+    with pytest.raises(NumericalError) as alone:
+        PointFrame(change, pts).L_jet
+    with pytest.raises(NumericalError) as lifted:
+        PointFrame(s, pts).derived(change).L_jet
+    assert str(lifted.value) == str(alone.value)
+    assert str(alone.value).endswith(f" at {pts[3]}")
+    assert [field_value(s.L, p) < 1.0 for p in pts[:4]] == [False] * 3 + [True]
 
 
 def test_a_sphere2_run_evaluates_the_base_lagrangian_twice_on_order_4_jets():
