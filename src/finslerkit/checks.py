@@ -37,8 +37,8 @@ from . import connections, curvature, picalc
 from .chart import ChartPoint
 from .errors import FinslerError
 from .fields import ComponentField, GradientField, constant_field
-from .frame import PointFrame, dot, matvec, max_abs, pymax
-from .jets import _index_table, fd_partial, jet_eval
+from .frame import PointFrame, dot, located_jet_eval, matvec, max_abs, pymax
+from .jets import _index_table, fd_partial
 from .structures import FinslerStructure, conformal_change, randers_change
 
 PASS = "PASS"
@@ -165,64 +165,40 @@ def check(check_id: str, anchor: str):
 # -- probe builders -----------------------------------------------------------
 
 
-def _poly_scalar(n: int, rng) -> Callable:
-    cx = rng.uniform(-1.0, 1.0, size=n)
-    cy = rng.uniform(-1.0, 1.0, size=n)
-    cxy = rng.uniform(-0.5, 0.5, size=(n, n))
+def _quadratic_scalar(n: int, rng, fiber: bool) -> Callable:
+    """f = sum_i (a_i x^i + b_i y^i + sum_j c_ij x^i y^j) with `fiber`, and
+    f = sum_i (a_i x^i + sum_j c_ij x^i x^j) without: a positional scalar."""
+    lin = [rng.uniform(-1.0, 1.0, size=n) for _ in range(1 + fiber)]
+    cq = rng.uniform(-0.5, 0.5, size=(n, n))
 
     def f(x, y):
+        v = y if fiber else x
         acc = 0.0
         for i in range(n):
-            acc = acc + cx[i] * x[i] + cy[i] * y[i]
+            for c, z in zip(lin, (x, y)):
+                acc = acc + c[i] * z[i]
             for j in range(n):
-                acc = acc + cxy[i][j] * (x[i] * y[j])
+                acc = acc + cq[i][j] * (x[i] * v[j])
         return acc
 
     return f
 
 
-def _positional_scalar(n: int, rng) -> Callable:
-    c1 = rng.uniform(-1.0, 1.0, size=n)
-    c2 = rng.uniform(-0.5, 0.5, size=(n, n))
-
-    def f(x, y):
-        acc = 0.0
-        for i in range(n):
-            acc = acc + c1[i] * x[i]
-            for j in range(n):
-                acc = acc + c2[i][j] * (x[i] * x[j])
-        return acc
-
-    return f
-
-
-def _lift_field(n: int, rng) -> ComponentField:
+def _affine_field(n: int, rng, fiber: bool) -> ComponentField:
+    """X^i = c_i + sum_j (a_ij x^j + b_ij y^j) with `fiber`, and
+    X^i = c_i + sum_j a_ij x^j, a lift of a base field, without."""
     c0 = rng.uniform(-1.0, 1.0, size=n)
-    c1 = rng.uniform(-1.0, 1.0, size=(n, n))
+    lin = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(1 + fiber)]
     comps = []
     for i in range(n):
         def comp(x, y, i=i):
             acc = c0[i]
             for j in range(n):
-                acc = acc + c1[i][j] * x[j]
+                for c, z in zip(lin, (x, y)):
+                    acc = acc + c[i][j] * z[j]
             return acc
         comps.append(comp)
-    return ComponentField(comps, name=f"lift{c0.round(2)}")
-
-
-def _mixed_field(n: int, rng) -> ComponentField:
-    c0 = rng.uniform(-1.0, 1.0, size=n)
-    cx = rng.uniform(-1.0, 1.0, size=(n, n))
-    cy = rng.uniform(-1.0, 1.0, size=(n, n))
-    comps = []
-    for i in range(n):
-        def comp(x, y, i=i):
-            acc = c0[i]
-            for j in range(n):
-                acc = acc + cx[i][j] * x[j] + cy[i][j] * y[j]
-            return acc
-        comps.append(comp)
-    return ComponentField(comps, name="mixedpoly")
+    return ComponentField(comps, name="mixedpoly" if fiber else f"lift{c0.round(2)}")
 
 
 def _probe_fields(F: FinslerStructure, seed: int, tag: int):
@@ -230,12 +206,12 @@ def _probe_fields(F: FinslerStructure, seed: int, tag: int):
     rng = np.random.default_rng([seed, tag])
     n = F.n
     return [
-        _lift_field(n, rng),
-        _lift_field(n, rng),
-        _mixed_field(n, rng),
-        _mixed_field(n, rng),
-        GradientField(_poly_scalar(n, rng), name="gradpoly"),
-        GradientField(_positional_scalar(n, rng), name="gradpos"),
+        _affine_field(n, rng, False),
+        _affine_field(n, rng, False),
+        _affine_field(n, rng, True),
+        _affine_field(n, rng, True),
+        GradientField(_quadratic_scalar(n, rng, True), name="gradpoly"),
+        GradientField(_quadratic_scalar(n, rng, False), name="gradpos"),
     ]
 
 
@@ -246,7 +222,7 @@ def _doc_scalar(x, y):
 
 def _probe_scalars(F: FinslerStructure, seed: int, tag: int):
     rng = np.random.default_rng([seed, tag])
-    return [_poly_scalar(F.n, rng), _positional_scalar(F.n, rng), _doc_scalar]
+    return [_quadratic_scalar(F.n, rng, True), _quadratic_scalar(F.n, rng, False), _doc_scalar]
 
 
 # -- structural checks ----------------------------------------------------------
@@ -484,8 +460,8 @@ def _check_eq214(fr, tol, floor, seed):
 )
 def _check_involutive(fr, tol, floor, seed):
     rng = np.random.default_rng([seed, 213])
-    closed = GradientField(_positional_scalar(fr.n, rng), name="gradpos")
-    other = _mixed_field(fr.n, rng)
+    closed = GradientField(_quadratic_scalar(fr.n, rng, False), name="gradpos")
+    other = _affine_field(fr.n, rng, True)
     sweep = _Sweep(fr.point)
     rep = picalc.involutivity_report(fr, closed)
     rep2 = picalc.involutivity_report(fr, other)
@@ -597,13 +573,13 @@ def _check_conformal(fr, tol, floor, seed):
 @check("jets.fd", "all jet partials of degree <= 3 match central differences")
 def _check_jets_fd(fr, tol, floor, seed):
     rng = np.random.default_rng([seed, 99])
-    poly = _poly_scalar(fr.n, rng)
+    poly = _quadratic_scalar(fr.n, rng, True)
     fields = [fr.structure.L, lambda x, y: poly(x, y) * fr.structure.L(x, y)]
     threshold = max(tol, 1e-5)
     multis = _index_table(2 * fr.n, 3)[0][1:]  # every multi-index of degree 1 to 3
     sub = fr.point[:3]
     # [point, (field, multi)]: one stacked jet per field, one difference scheme per entry
-    stacked = [jet_eval(f, sub, 3) for f in fields]
+    stacked = [located_jet_eval(f, sub, 3) for f in fields]
     exact = np.stack([jet.partial(multi) for jet in stacked for multi in multis], axis=-1)
     approx = np.array([[fd_partial(f, p, multi) for f in fields for multi in multis]
                        for p in sub])

@@ -1,12 +1,16 @@
 """Vector fields and forms along the projection, plus probe-field builders.
 
-A pi-vector field is given by its chart components X^i(x, y). The classes
-here only know how to produce the stacked order-1 jet of those components
-on a PointFrame: closedness and every other identity of `picalc` reads the
-first derivatives of a field only. All calculus on them lives in `picalc`.
+A pi-vector field is given by its chart components X^i(x, y), and a form
+by its components on increasing index tuples. The classes here only know
+how to produce the stacked order-1 jet of those components on a PointFrame
+(`PiVectorField.jets`, `PiForm.jets`): closedness and every other identity
+of `picalc` reads the first derivatives of a field only. All calculus on
+them lives in `picalc`.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 import numpy as np
 
@@ -90,8 +94,7 @@ class DriftCompanionField(PiVectorField):
         b = Jet.stack([frame.field_jet(Positional(self.b_fn, i), 1) for i in range(n)])
         yj = Jet.variable(2 * n, 1, range(n, 2 * n), frame._y())
         alpha = (b * yj).sum_last()
-        Lj = frame.L_jet.truncated(1)
-        scale = alpha / (Lj * Lj)
+        scale = alpha / (2.0 * frame.E_jet.truncated(1))  # L^2 = 2E
         acc = (frame.ginv_jets * b[..., None, :, :]).sum_last()
         return acc - scale[..., None, :] * yj
 
@@ -174,6 +177,18 @@ class PiForm:
     @classmethod
     def one_form(cls, n: int, comps) -> "PiForm":
         return cls(n, 1, {(i,): c for i, c in enumerate(comps)})
+
+    def jets(self, frame) -> Jet:
+        """The components as one stacked order-1 jet on a frame, one (n,)
+        axis per degree after the frame's point axes: w[..., K, :] is the jet
+        of w_K for every index tuple K, antisymmetric in K, and zero where a
+        component is absent."""
+        out = Jet.constant(2 * self.n, 1, np.zeros(frame._lead + (self.n,) * self.degree))
+        for key, fn in self.components.items():
+            jet = frame.field_jet(fn, 1).coeffs
+            for perm in permutations(key):
+                out.coeffs[(...,) + perm + (slice(None),)] = _perm_sign(perm) * jet
+        return out
 
 
 def _perm_sign(key) -> float:

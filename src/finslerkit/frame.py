@@ -24,7 +24,8 @@ builds the batch frame of its sample once and hands it to every check. The
 calculus modules (`picalc`, `connections`, `curvature`) take the frame they
 compute on. Where a batch cannot compute a quantity at every point (a point
 outside the positivity cone, a singular metric), the quantity raises for
-the whole batch, with an error that names the point it failed at.
+the whole batch, with an error that names the point it failed at (through
+`located_jet_eval` for a field, and in `E_jet` for a numpy overflow of L^2).
 
 A frame may stand on a base frame: `frame.derived(structure)` is the frame
 of a Randers or conformal change of `frame.structure` at the same points.
@@ -166,21 +167,6 @@ class PointFrame:
         k = int(np.argmax(np.reshape(bad, self._lead + (-1,)).any(-1)))
         return k, self.point[k]
 
-    def _jet_eval(self, fn, order: int, float_fn=None) -> Jet:
-        """jet_eval(fn, self.point, order). If it raises a NumericalError or
-        an ArithmeticError, `float_fn` (default `fn`) runs on floats point by
-        point, and the first point that raises re-raises its own error, naming
-        the point; if none does, the stacked error stands."""
-        try:
-            return jet_eval(fn, self.point, order)
-        except (NumericalError, ArithmeticError) as exc:
-            for p in self.point if self._lead else (self.point,):
-                try:
-                    (float_fn or fn)(p.x, p.y)  # a non-finite value is jet_eval's error
-                except (NumericalError, ArithmeticError) as alone:
-                    raise type(alone)(f"{alone} at {p}") from exc
-            raise
-
     def _y(self) -> np.ndarray:
         if self._lead:
             return np.array([p.y for p in self.point])
@@ -200,10 +186,11 @@ class PointFrame:
     @_lazy
     def L_jet(self) -> Jet:
         if self._base is None:
-            jet = self._jet_eval(self.structure.L, MAX_ORDER)
+            jet = located_jet_eval(self.structure.L, self.point, MAX_ORDER)
         else:  # the float pass runs the change's own Lagrangian
             lift, base = self.structure.meta["lift"], self._base.L_jet
-            jet = self._jet_eval(lambda x, y: lift(x, y, base), MAX_ORDER, self.structure.L)
+            jet = located_jet_eval(lambda x, y: lift(x, y, base), self.point, MAX_ORDER,
+                                   self.structure.L)
         value = jet.coeffs.T[0]
         bad = value <= 0.0
         if bad.any():
@@ -216,7 +203,12 @@ class PointFrame:
 
     @_lazy
     def E_jet(self) -> Jet:
-        return 0.5 * (self.L_jet * self.L_jet)
+        try:
+            return 0.5 * (self.L_jet * self.L_jet)
+        except FloatingPointError as exc:  # numpy overflow raised as an error
+            with np.errstate(all="ignore"):
+                square = (self.L_jet * self.L_jet).coeffs
+            raise FloatingPointError(f"{exc} at {self._first(~np.isfinite(square))[1]}") from exc
 
     @property
     def L(self) -> float:
@@ -414,10 +406,27 @@ class PointFrame:
         key = (fn, order)
         jet = self._field_jets.get(key)
         if jet is None:
-            jet = self._jet_eval(fn, order)
+            jet = located_jet_eval(fn, self.point, order)
             _freeze(jet)
             self._field_jets[key] = jet
         return jet
+
+
+def located_jet_eval(fn, points, order: int, float_fn=None) -> Jet:
+    """jet_eval(fn, points, order) at a chart point or a tuple of them. If it
+    raises a NumericalError or an ArithmeticError, `float_fn` (default `fn`)
+    runs on floats point by point, and the first point that raises re-raises
+    its own error, naming the point; if none does, the stacked error stands.
+    `jet_eval` is read from this module at each call."""
+    try:
+        return jet_eval(fn, points, order)
+    except (NumericalError, ArithmeticError) as exc:
+        for p in points if isinstance(points, tuple) else (points,):
+            try:
+                (float_fn or fn)(p.x, p.y)  # a non-finite value is jet_eval's error
+            except (NumericalError, ArithmeticError) as alone:
+                raise type(alone)(f"{alone} at {p}") from exc
+        raise
 
 
 def point_frame(structure, point) -> PointFrame:

@@ -249,23 +249,16 @@ class Jet:
         return cls(nvars, order, c)
 
     @classmethod
-    def variable(cls, nvars, order, slot, value):
-        """Jet of the coordinate function z_slot at z_slot = value; a sequence
-        of slots with values of shape (..., len(slots)) gives the stack of
-        those jets, slots last."""
+    def variable(cls, nvars, order, slots, values):
+        """Jets of the coordinate functions z_s for a sequence of slots s, at
+        values of shape (..., len(slots)): a stack with the slots last."""
         if order < 1:
             raise ValueError("coordinate jets need order >= 1")
-        size = _table_size(nvars, order)
-        if isinstance(slot, (int, np.integer)):
-            c = np.zeros(size)
-            c[0] = float(value)
-            c[1 + slot] = 1.0
-        else:
-            slot = np.asarray(slot)
-            value = np.asarray(value, dtype=np.float64)
-            c = np.zeros(value.shape + (size,))
-            c[..., 0] = value
-            c[..., np.arange(slot.size), 1 + slot] = 1.0
+        slots = np.asarray(slots)
+        values = np.asarray(values, dtype=np.float64)
+        c = np.zeros(values.shape + (_table_size(nvars, order),))
+        c[..., 0] = values
+        c[..., np.arange(slots.size), 1 + slots] = 1.0
         return cls(nvars, order, c)
 
     @classmethod

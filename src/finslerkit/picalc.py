@@ -3,6 +3,8 @@
 Implements the horizontal exterior derivative, the covariant operator
 A_X, musical isomorphisms, and the composite closedness diagnostics
 (Lie comparison, involutivity, drift and conformal transfer reports).
+`dbar_p` is the one horizontal exterior derivative: every closedness
+diagnostic applies it to the jets of i_X g, as X is closed when dbar(i_X g) = 0.
 
 Every entry point takes the frame it computes on, a PointFrame at one
 chart point or over a tuple of them. On a batch frame each array and report
@@ -28,7 +30,7 @@ from .fields import (
     _perm_sign,
     project_away,
 )
-from .frame import PointFrame, _plain, antisymmetric, dot, matvec, max_abs, pymax, quad
+from .frame import PointFrame, _plain, dot, matvec, max_abs, pymax, quad
 from .jets import Jet
 
 
@@ -45,12 +47,8 @@ def sharp(fr: PointFrame, omega) -> np.ndarray:
     if isinstance(omega, PiForm):
         if omega.degree != 1:
             raise ValueError("sharp expects a 1-form")
-        vals = np.zeros(fr._lead + (fr.n,))
-        for (i,), fn in omega.components.items():
-            vals[..., i] = fr.field_jet(fn, 1).value
-    else:
-        vals = np.asarray(omega, dtype=float)
-    return matvec(fr.g_inv, vals)
+        omega = omega.jets(fr).value
+    return matvec(fr.g_inv, np.asarray(omega, dtype=float))
 
 
 def gradient(fr: PointFrame, f) -> np.ndarray:
@@ -66,38 +64,35 @@ def dbar_0(fr: PointFrame, f) -> np.ndarray:
     return fr.delta_values(fr.field_jet(f, 1))
 
 
-def dbar_1(fr: PointFrame, omega: PiForm) -> np.ndarray:
-    """(dbar omega)_jk = delta_j omega_k - delta_k omega_j for a 1-form."""
-    if omega.degree != 1:
-        raise ValueError("dbar_1 expects a 1-form")
-    return dbar_p(fr, omega)
-
-
-def dbar_p(fr: PointFrame, omega: PiForm) -> np.ndarray:
-    """Horizontal exterior derivative of a form of any supported degree:
+def dbar_p(fr: PointFrame, omega) -> np.ndarray:
+    """Horizontal exterior derivative of a p-form, given as a PiForm or as
+    the stacked jet of its components (one (n,) axis per degree after the
+    frame's point axes, as `PiForm.jets` gives it):
 
         (dbar w)_{k0..kp} = sum_q (-1)^q delta_{kq} w_{k0..^kq..kp}
 
-    returned as the full antisymmetric component array.
+    returned as the full antisymmetric component array. The sum runs once
+    per increasing index tuple, from its q = 0 term, and each permutation of
+    the tuple takes that value with its sign; entries with a repeated index
+    are +0.0.
     """
+    w = omega.jets(fr) if isinstance(omega, PiForm) else omega
     n = fr.n
-    deg = omega.degree
+    deg = w.coeffs.ndim - 1 - len(fr._lead)
     if deg + 1 > PiForm.MAX_DEGREE:
         raise CapabilityError(
             f"dbar of a degree-{deg} form exceeds the supported degree "
             f"{PiForm.MAX_DEGREE}"
         )
-    deltas = {key: fr.delta_values(fr.field_jet(fn, 1))
-              for key, fn in omega.components.items()}
+    d = fr.delta_values(w)  # [..., K, k] = delta_k w_K
     out = np.zeros(fr._lead + (n,) * (deg + 1))
     for K in combinations(range(n), deg + 1):
-        val = 0.0
-        for q in range(deg + 1):
-            d = deltas.get(K[:q] + K[q + 1:])
-            if d is not None:
-                val = val + (-1.0) ** q * d[..., K[q]]
+        val = d[(...,) + K[1:] + K[:1]]
+        for q in range(1, deg + 1):
+            term = d[(...,) + K[:q] + K[q + 1:] + K[q:q + 1]]
+            val = val - term if q % 2 else val + term
         for perm in permutations(K):
-            out[(...,) + perm] = _perm_sign(perm) * val
+            out[(...,) + perm] = val if _perm_sign(perm) > 0 else -val
     return out
 
 
@@ -108,24 +103,17 @@ def dbar_1_on_fields(fr: PointFrame, omega: PiForm, X: PiVectorField,
         bX(omega(Y)) - bY(omega(X)) - omega(rho[bX, bY]),
 
     where b marks the horizontal lift. Used to certify that the component
-    formula of dbar_1 is the coordinate expression of this invariant one.
+    formula of dbar_p is the coordinate expression of this invariant one.
     """
     if omega.degree != 1:
         raise ValueError("dbar_1_on_fields expects a 1-form")
     Xj = X.jets(fr)
     Yj = Y.jets(fr)
-    wvals = np.zeros(fr._lead + (fr.n,))
-    first = second = 0.0
-    ks = [k for (k,) in sorted(omega.components)]  # the components omega has
-    if ks:
-        w = Jet.stack([fr.field_jet(omega.components[(k,)], 1) for k in ks])
-        wvals[..., ks] = w.value
-        # X^k delta_k (omega(Y)) and Y^k delta_k (omega(X)), summed over k in index order
-        first = sum(np.moveaxis(Xj.value * fr.delta_values((w * Yj[..., ks, :]).sum_last()),
-                                -1, 0))
-        second = sum(np.moveaxis(Yj.value * fr.delta_values((w * Xj[..., ks, :]).sum_last()),
-                                 -1, 0))
-    return _plain(first - second - dot(wvals, _bracket(fr, Xj, Yj)))
+    w = omega.jets(fr)
+    # X^k delta_k (omega(Y)) and Y^k delta_k (omega(X)), summed over k in index order
+    first = sum(np.moveaxis(Xj.value * fr.delta_values((w * Yj).sum_last()), -1, 0))
+    second = sum(np.moveaxis(Yj.value * fr.delta_values((w * Xj).sum_last()), -1, 0))
+    return _plain(first - second - dot(w.value, _bracket(fr, Xj, Yj)))
 
 
 def _bracket(frame: PointFrame, Xj: Jet, Yj: Jet) -> np.ndarray:
@@ -158,17 +146,10 @@ def _lowered_jets(frame: PointFrame, Xj: Jet) -> Jet:
     return (frame.g_jets.truncated(1) * Xj[..., None, :, :]).sum_last()
 
 
-def _dbar_matrix(frame: PointFrame, w: Jet) -> np.ndarray:
-    """(dbar w)_jk = delta_j w_k - delta_k w_j of a 1-form given by the
-    stacked jet of its components, as an antisymmetric matrix."""
-    d = frame.delta_values(w)  # [..., k, j] = delta_j w_k
-    return antisymmetric(np.swapaxes(d, -1, -2))
-
-
 def closedness_defect(fr: PointFrame, X: PiVectorField) -> float:
-    """max |(dbar X^flat)_jk|, from the jets of g_km X^m: zero exactly when X
+    """max |dbar_p(i_X g)_jk|, from the jets of g_km X^m: zero exactly when X
     is closed at the frame's point."""
-    return max_abs(_dbar_matrix(fr, _lowered_jets(fr, X.jets(fr))), 2)
+    return max_abs(dbar_p(fr, _lowered_jets(fr, X.jets(fr))), 2)
 
 
 def flat_form_and_selfadjoint_matrix(fr: PointFrame, X: PiVectorField):
@@ -177,7 +158,7 @@ def flat_form_and_selfadjoint_matrix(fr: PointFrame, X: PiVectorField):
     g-self-adjointness of A_X. M_jk = B_kj - B_jk holds for every field,
     closed or not, which bridges the two."""
     Xj = X.jets(fr)
-    return _dbar_matrix(fr, _lowered_jets(fr, Xj)), fr.g @ _nabla_h_matrix(fr, Xj)
+    return dbar_p(fr, _lowered_jets(fr, Xj)), fr.g @ _nabla_h_matrix(fr, Xj)
 
 
 # -- second derivative and gradient identities ---------------------------------
@@ -204,7 +185,7 @@ def dbar_sq(fr: PointFrame, f) -> DbarSqResult:
     vh-torsion contraction R^m_jk dy_m f. Their agreement is the numerical
     form of the commutation rule [delta_j, delta_k] = R^m_jk dy_m."""
     fj = fr.field_jet(f, 2)
-    nested = _dbar_matrix(fr, fr.delta_jets(fj))
+    nested = dbar_p(fr, fr.delta_jets(fj))
     contracted = _torsion_contraction(fr, fj)
     defect = max_abs(nested - contracted, 2)
     scale = pymax(1.0, max_abs(nested, 2), max_abs(contracted, 2))
@@ -411,11 +392,11 @@ def drift_closedness_transfer(fr: PointFrame, frs: PointFrame) -> DriftTransferR
     tau_jet = frs.L_jet.truncated(1) / fr.L_jet.truncated(1)
     w_star_scaled = tau_jet[..., None, :] * _lowered_jets(frs, msj)
 
-    star_of_scaled = _dbar_matrix(frs, w_star_scaled)
-    star_of_base = _dbar_matrix(frs, w_base)
+    star_of_scaled = dbar_p(frs, w_star_scaled)
+    star_of_base = dbar_p(frs, w_base)
     dual_path_residual = max_abs(star_of_scaled - star_of_base, 2)
 
-    base_defect = max_abs(_dbar_matrix(fr, w_base), 2)
+    base_defect = max_abs(dbar_p(fr, w_base), 2)
     star_defect = max_abs(star_of_base, 2)
     return DriftTransferReport(
         identity_residual=identity_residual,
@@ -491,9 +472,9 @@ def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
     wt = _lowered_jets(frt, Xjt)
     wv = w.value.copy()
 
-    actual = _dbar_matrix(frt, wt)
-    base_matrix = _dbar_matrix(fr, w)
-    tilde_of_base = _dbar_matrix(frt, w)
+    actual = dbar_p(frt, wt)
+    base_matrix = dbar_p(fr, w)
+    tilde_of_base = dbar_p(frt, w)
 
     sig_jet = fr.field_jet(Positional(frt.structure.meta["sigma_fn"]), 1)
     sig = sig_jet.value

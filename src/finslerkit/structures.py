@@ -172,18 +172,19 @@ def randers_change(base: FinslerStructure, b, name: str = None,
         meta={"base": base, "lift": lift, "b_fn": b_fn},
     )
     if validate:
-        from .frame import PointFrame
+        from .frame import PointFrame, quad
         import numpy as np
 
-        for p in base.sample(12, seed=0):
-            fr = PointFrame(base, p)
-            bv = np.array([float(v) for v in b_fn(p.x)], dtype=float)
-            norm2 = float(bv @ fr.g_inv @ bv)
-            if norm2 >= 1.0:
-                raise SingularMetricError(
-                    f"|b|_g = {math.sqrt(norm2):.3f} >= 1 at {p}; "
-                    "the changed metric degenerates"
-                )
+        fr = PointFrame(base, tuple(base.sample(12, seed=0)))
+        bv = np.array([[float(v) for v in b_fn(p.x)] for p in fr.point])
+        norm2 = quad(bv, fr.g_inv, bv)
+        bad = norm2 >= 1.0
+        if bad.any():
+            k, p = fr._first(bad)
+            raise SingularMetricError(
+                f"|b|_g = {math.sqrt(norm2[k]):.3f} >= 1 at {p}; "
+                "the changed metric degenerates"
+            )
     return changed
 
 

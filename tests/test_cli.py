@@ -133,8 +133,7 @@ class TestVerify:
 
     def test_float_overflow_is_a_check_fail(self, tmp_path, capsys):
         # e^1000 overflows a float: every check FAILs and the report is written.
-        # Each frame error names the first point of the sample; jets.fd
-        # evaluates the Lagrangian on its own, so its error names none
+        # Each error names the first point of the sample, jets.fd's too
         code, out = run_verify(tmp_path, "--points", "20", "--seed", "0",
                                metric=spec_file(tmp_path, HUGE_SIGMA), checks="all")
         assert code == 1
@@ -144,14 +143,13 @@ class TestVerify:
                  "y=(1.6972870697854454, 0.27801267231818655))")
         for rec in report["checks"]:
             assert rec["verdict"] == "FAIL"
-            named = "" if rec["id"] == "jets.fd" else f" at {first}"
-            assert rec["details"]["error"] == f"OverflowError: math range error{named}"
+            assert rec["details"]["error"] == f"OverflowError: math range error at {first}"
         assert "Traceback" not in capsys.readouterr().err
 
     def test_numpy_overflow_is_a_check_fail(self, tmp_path):
         # e^(400 x^1) is finite, but L^2 overflows in the jet products: under
-        # warnings as errors, numpy's overflow is each check's FAIL and the
-        # report is written
+        # warnings as errors, numpy's overflow is each check's FAIL, naming
+        # the point whose L^2 overflows, and the report is written
         spec = {"family": "conformal",
                 "sigma": {"terms": [{"coef": 400, "powers": [1, 0]}]},
                 "base": {"family": "riemannian", "preset": "sphere2"}}
@@ -163,8 +161,14 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert [c["id"] for c in report["checks"]] == check_ids()
         assert all(c["verdict"] == "FAIL" for c in report["checks"])
-        errors = {c["details"].get("error") for c in report["checks"]}
-        assert "FloatingPointError: overflow encountered in multiply" in errors
+        at = ("ChartPoint(x=(0.990613385466532, 0.25592586184123167), "
+              "y=(1.5271611855478908, -1.1347679647956048))")
+        errors = {c["id"]: c["details"].get("error") for c in report["checks"]}
+        assert errors.pop("jets.fd") is None  # a residual FAIL, no error
+        eq214 = errors.pop("eq2.14")  # its probe's float power overflows first
+        assert eq214.startswith("OverflowError: ") and eq214.endswith(f" at {at}")
+        assert set(errors.values()) == {
+            f"FloatingPointError: overflow encountered in multiply at {at}"}
 
 
 class TestUsageErrors:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finslerkit.chart import ChartPoint
-from finslerkit.checks import _poly_scalar
+from finslerkit.checks import _quadratic_scalar
 from finslerkit.errors import CapabilityError, NumericalError
 from finslerkit.jets import (
     MAX_ORDER,
@@ -150,12 +150,12 @@ class TestTranscendentals:
             assert str(err.value) == message
 
     def test_division_by_zero_value_jet(self):
-        j = Jet.variable(4, 2, 0, 0.0)
+        j = Jet.variable(4, 2, [0], [0.0])[0]
         with pytest.raises(NumericalError):
             1.0 / j
 
     def test_integral_float_power_takes_the_integer_path(self):
-        j = 0.2 * Jet.variable(4, 3, 1, 0.5) - 0.9 + Jet.variable(4, 3, 2, 0.3) ** 2
+        j = 0.2 * Jet.variable(4, 3, [1], [0.5])[0] - 0.9 + Jet.variable(4, 3, [2], [0.3])[0] ** 2
         assert j.value < 0.0
         for p in (-2.0, -1.0, 0.0, 3.0):
             assert (j ** p).coeffs.tobytes() == (j ** int(p)).coeffs.tobytes()
@@ -671,7 +671,7 @@ class TestFiniteDifferenceOracle:
         s = by_name(name)
         f = s.L
         if probe:
-            poly = _poly_scalar(s.n, np.random.default_rng(seed))
+            poly = _quadratic_scalar(s.n, np.random.default_rng(seed), True)
             f = lambda x, y: poly(x, y) * s.L(x, y)
         p = s.sample(1, seed)[0]
         for m in _index_table(2 * s.n, 3)[0][1:]:

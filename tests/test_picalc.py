@@ -1,6 +1,8 @@
 """Musical isomorphisms, the horizontal exterior derivative, the operator
 A_X, and the identity suite built on them."""
 
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,12 @@ from finslerkit.fields import (
     GradientField,
     PiForm,
     ProjectedField,
+    _perm_sign,
     constant_field,
     tautological_field,
 )
 from finslerkit.frame import point_frame
-from finslerkit.structures import by_name, euclidean, minkowski_quartic, sphere2
+from finslerkit.structures import by_name, conformal_change, euclidean, minkowski_quartic, sphere2
 
 from conftest import CATALOG_NAMES, FLAT_NAMES
 
@@ -100,7 +103,7 @@ class TestDbarHigherDegree:
                 lambda x, y: x[2] ** 2,
             ],
         )
-        D = pc.dbar_1(point_frame(e3, p), w)
+        D = pc.dbar_p(point_frame(e3, p), w)
         x = p.x
         assert D[0, 1] == pytest.approx(x[2] - 1.0, rel=1e-12, abs=1e-13)
         assert D[0, 2] == pytest.approx(0.0, abs=1e-13)
@@ -117,6 +120,25 @@ class TestDbarHigherDegree:
         assert D[2, 0, 1] == pytest.approx(1.0, abs=1e-13)
         assert D[0, 0, 1] == 0.0
 
+    def test_a_form_and_its_component_jets_give_one_dbar(self):
+        s = conformal_change(euclidean(3), lambda x: 0.3 * x[0])
+        fr = point_frame(s, tuple(s.sample(4, seed=83)))
+        for form in (PiForm.one_form(3, [lambda x, y: x[1] * y[2], lambda x, y: y[0]]),
+                     PiForm(3, 2, {(0, 2): lambda x, y: x[1] * y[0]})):
+            assert pc.dbar_p(fr, form).tobytes() == pc.dbar_p(fr, form.jets(fr)).tobytes()
+
+    def test_two_form_on_a_batch_equals_each_point_and_the_per_key_sum(self):
+        s = conformal_change(euclidean(3), lambda x: 0.3 * x[0])
+        pts = s.sample(6, seed=83)
+        two = PiForm(3, 2, {(0, 1): lambda x, y: x[2] * y[1],
+                            (1, 2): lambda x, y: x[0] * y[0] + y[2]})
+        batch = point_frame(s, tuple(pts))
+        whole = pc.dbar_p(batch, two)
+        assert np.abs(whole).max() > 1e-3
+        assert np.array_equal(whole, _per_key_dbar(batch, two))
+        for i, p in enumerate(pts):
+            assert whole[i].tobytes() == pc.dbar_p(point_frame(s, p), two).tobytes(), p
+
     def test_degree_cap(self):
         e3 = euclidean(3)
         p = e3.sample(1, seed=83)[0]
@@ -131,7 +153,7 @@ class TestDbarHigherDegree:
         Y = mixed_probe(2, seed=6)
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            D = pc.dbar_1(fr, w)
+            D = pc.dbar_p(fr, w)
             xv = X.values(fr)
             yv = Y.values(fr)
             via_fields = pc.dbar_1_on_fields(fr, w, X, Y)
@@ -144,12 +166,31 @@ class TestDbarHigherDegree:
         Y = mixed_probe(2, seed=6)
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            D = pc.dbar_1(fr, w)
+            D = pc.dbar_p(fr, w)
             assert np.abs(D).max() > 1e-3
             via_fields = pc.dbar_1_on_fields(fr, w, X, Y)
             assert float(X.values(fr) @ D @ Y.values(fr)) == pytest.approx(
                 via_fields, rel=1e-10, abs=1e-11
             )
+
+
+def _per_key_dbar(fr, omega):
+    """The alternating sum of dbar over the components a form has, key by
+    key from 0.0, each from the horizontal derivatives of its own field jet:
+    the reference for dbar_p's sum over the form's stacked jet."""
+    n, deg = fr.n, omega.degree
+    deltas = {key: fr.delta_values(fr.field_jet(fn, 1))
+              for key, fn in omega.components.items()}
+    out = np.zeros(fr._lead + (n,) * (deg + 1))
+    for K in combinations(range(n), deg + 1):
+        val = 0.0
+        for q in range(deg + 1):
+            d = deltas.get(K[:q] + K[q + 1:])
+            if d is not None:
+                val = val + (-1.0) ** q * d[..., K[q]]
+        for perm in permutations(K):
+            out[(...,) + perm] = _perm_sign(perm) * val
+    return out
 
 
 class TestPiFormComponents:

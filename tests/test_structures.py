@@ -1,5 +1,7 @@
 """Catalog structures: values, homogeneity, domains, and the JSON spec loader."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,22 @@ class TestRandersValidation:
     def test_strong_drift_rejected(self):
         with pytest.raises(SingularMetricError):
             randers_change(euclidean(2), lambda x: (1.2, 0.0))
+
+    def test_strong_drift_names_the_first_point_past_the_unit_ball(self):
+        # |b|_g >= 1 first at the second sample point; the message gives the
+        # value a frame at that point alone computes
+        base = sphere2()
+        b = lambda x: (x[0], 0.0)
+        for p in base.sample(12, seed=0):
+            bv = np.array(b(p.x), dtype=float)
+            norm2 = float(bv @ point_frame(base, p).g_inv @ bv)
+            if norm2 >= 1.0:
+                break
+        assert p == base.sample(12, seed=0)[1]
+        with pytest.raises(SingularMetricError) as err:
+            randers_change(base, b)
+        assert str(err.value) == (f"|b|_g = {math.sqrt(norm2):.3f} >= 1 at {p}; "
+                                  "the changed metric degenerates")
 
     def test_validation_can_be_skipped(self):
         s = randers_change(euclidean(2), lambda x: (1.2, 0.0), validate=False)

@@ -100,7 +100,7 @@ class ScalarTower:
     @cached_property
     def G_jets(self):
         n = self.n
-        y_jets = [Jet.variable(2 * n, 2, n + k, self.point.y[k]) for k in range(n)]
+        y_jets = Jet.variable(2 * n, 2, range(n, 2 * n), self.point.y)
         rhs = []
         for m_idx in range(n):
             acc = -1.0 * self.E_jet.partial_jet(m_idx).truncated(2)
