@@ -23,7 +23,6 @@ from .fields import (
     GradientField,
     PiForm,
     PiVectorField,
-    ProjectedField,
     constant_field,
     tautological_field,
 )
@@ -32,7 +31,6 @@ from .jets import Jet, fd_partial, field_value, jet_eval
 from .structures import (
     FinslerStructure,
     by_name,
-    catalog,
     conformal_change,
     conformal_quartic2,
     euclidean,

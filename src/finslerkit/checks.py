@@ -235,7 +235,7 @@ def _check_homogeneity(fr, tol, floor, seed):
     frs = PointFrame(fr.structure,
                      tuple(ChartPoint(p.x, tuple(t * v for v in p.y)) for p in fr.point))
     n = fr.n
-    y = fr._y()
+    y = fr.y
     sweep.add(abs(dot(fr.ell, y) - fr.L), fr.L)
     dyg = fr.g_jets.coeffs[..., 1 + n:1 + 2 * n]  # [..., i, j, k] = dy_k g_ij
     euler = sum(dyg[..., k] * y[..., None, None, k] for k in range(n))
@@ -251,7 +251,7 @@ def _check_homogeneity(fr, tol, floor, seed):
 def _check_cartan_contraction(fr, tol, floor, seed):
     sweep = _Sweep(fr.point)
     C = fr.C3
-    contr = max_abs(np.einsum("...ijk,...k->...ij", C, fr._y()), 2)
+    contr = max_abs(np.einsum("...ijk,...k->...ij", C, fr.y), 2)
     sym = pymax(*(max_abs(C - np.swapaxes(C, a, b), 3)
                   for a, b in ((-1, -2), (-3, -2), (-3, -1))))
     sweep.add(pymax(contr, sym), pymax(1.0, max_abs(C, 3)))
@@ -337,7 +337,7 @@ def _check_projectors(fr, tol, floor, seed):
 @check("curv.contraction", "R^i_hjk y^h = R^i_jk")
 def _check_curv_contraction(fr, tol, floor, seed):
     sweep = _Sweep(fr.point)
-    y_max = pymax(*np.moveaxis(np.abs(fr._y()), -1, 0))
+    y_max = pymax(*np.moveaxis(np.abs(fr.y), -1, 0))
     scale = pymax(max_abs(fr.Rhat, 3), max_abs(fr.hcurv, 4) * y_max)
     sweep.add(curvature.curvature_contraction_defect(fr), scale)
     return sweep.result(tol)

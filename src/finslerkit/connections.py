@@ -29,7 +29,7 @@ def spray_defect(fr: PointFrame, G=None) -> float:
     externally supplied G is certified instead of trusted.
     """
     n = fr.n
-    y = fr._y()
+    y = fr.y
     Gv = fr.G if G is None else np.asarray(G, dtype=float)
 
     def e_partial(*slots):
@@ -54,7 +54,7 @@ def spray_defect(fr: PointFrame, G=None) -> float:
 def deflection_defect(fr: PointFrame) -> float:
     """max |F^i_kj y^k - N^i_j|: the linear connection must reproduce the
     nonlinear one on the tautological section."""
-    return max_abs(np.einsum("...ikj,...k->...ij", fr.F, fr._y()) - fr.N, 2)
+    return max_abs(np.einsum("...ikj,...k->...ij", fr.F, fr.y) - fr.N, 2)
 
 
 def conservativity_defect(fr: PointFrame) -> float:

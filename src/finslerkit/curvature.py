@@ -28,7 +28,7 @@ from .frame import PointFrame, _plain, max_abs, pymax
 def curvature_contraction_defect(fr: PointFrame) -> float:
     """max |R^i_hjk y^h - R^i_jk|: the certificate pinning the sign
     conventions of both curvature tensors to each other."""
-    contracted = np.einsum("...ihjk,...h->...ijk", fr.hcurv, fr._y())
+    contracted = np.einsum("...ihjk,...h->...ijk", fr.hcurv, fr.y)
     return max_abs(contracted - fr.Rhat, 3)
 
 

@@ -4,8 +4,10 @@ A pi-vector field is given by its chart components X^i(x, y), and a form
 by its components on increasing index tuples. The classes here only know
 how to produce the stacked order-1 jet of those components on a PointFrame
 (`PiVectorField.jets`, `PiForm.jets`): closedness and every other identity
-of `picalc` reads the first derivatives of a field only. All calculus on
-them lives in `picalc`.
+of `picalc` reads the first derivatives of a field only. The musical
+isomorphisms on those jets are the frame's (`PointFrame.flat_jets`,
+`PointFrame.sharp_jets`), as the frame owns g and its inverse; all other
+calculus on them lives in `picalc`.
 """
 
 from __future__ import annotations
@@ -67,8 +69,7 @@ class GradientField(PiVectorField):
         self.name = name
 
     def jets(self, frame) -> Jet:
-        df = frame.delta_jets(frame.field_jet(self.f, 2))
-        return (frame.ginv_jets * df[..., None, :, :]).sum_last()
+        return frame.sharp_jets(frame.delta_jets(frame.field_jet(self.f, 2)))
 
     def __repr__(self):
         return f"GradientField({self.name or self.f!r})"
@@ -81,8 +82,7 @@ class DriftCompanionField(PiVectorField):
 
     It is g-orthogonal to the canonical field eta by construction. The
     components are read through whatever frame evaluates them, so the same
-    object serves a base structure and its Randers change, and every
-    companion of one b shares the frames' cached jets of b.
+    object serves a base structure and its Randers change.
     """
 
     def __init__(self, b_fn, name: str = None):
@@ -91,46 +91,12 @@ class DriftCompanionField(PiVectorField):
 
     def jets(self, frame) -> Jet:
         n = frame.n
-        b = Jet.stack([frame.field_jet(Positional(self.b_fn, i), 1) for i in range(n)])
-        yj = Jet.variable(2 * n, 1, range(n, 2 * n), frame._y())
+        b = Jet.stack([frame.field_jet((lambda i: lambda x, y: self.b_fn(x)[i])(i), 1)
+                       for i in range(n)])
+        yj = Jet.variable(2 * n, 1, range(n, 2 * n), frame.y)
         alpha = (b * yj).sum_last()
         scale = alpha / (2.0 * frame.E_jet.truncated(1))  # L^2 = 2E
-        acc = (frame.ginv_jets * b[..., None, :, :]).sum_last()
-        return acc - scale[..., None, :] * yj
-
-
-class Positional:
-    """The scalar field (x, y) -> fn(x), or fn(x)[i], of a function of the
-    base point. Instances of one (fn, i) are equal, so a frame's field-jet
-    cache holds one jet for all of them."""
-
-    __slots__ = ("fn", "i")
-
-    def __init__(self, fn, i: int = None):
-        self.fn = fn
-        self.i = i
-
-    def __call__(self, x, y):
-        value = self.fn(x)
-        return value if self.i is None else value[self.i]
-
-    def __eq__(self, other):
-        return isinstance(other, Positional) and (self.fn, self.i) == (other.fn, other.i)
-
-    def __hash__(self):
-        return hash((self.fn, self.i))
-
-
-class ProjectedField(PiVectorField):
-    """g-orthogonal projection of a constant vector away from a field X."""
-
-    def __init__(self, vec, X: PiVectorField, name: str = None):
-        self.vec = tuple(float(v) for v in vec)
-        self.X = X
-        self.name = name
-
-    def jets(self, frame) -> Jet:
-        return project_away(frame, np.array(self.vec), self.X.jets(frame))
+        return frame.sharp_jets(b) - scale[..., None, :] * yj
 
 
 def project_away(frame, vecs, Xj: Jet) -> Jet:

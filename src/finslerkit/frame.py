@@ -70,7 +70,9 @@ def jet_solve(A: Jet, B: Jet) -> Jet:
         b = np.broadcast_to(b, a.shape[:-3] + b.shape[-3:])
     c = np.concatenate([a, b], axis=-2)  # [..., row, column of A | B]
     nvars, order = B.nvars, B.order
-    one = c.ndim == 3  # a single system
+    # a single system keeps its own branch: folding it into the stacked path
+    # slowed a 2100-query single-point Sc stream 1.44 -> 1.74 s (2 cores)
+    one = c.ndim == 3
     for col in range(n):
         # column 0 of c is the pivot column
         piv = col + np.abs(c.T[0, 0, col:]).argmax(0).T  # over the leading axes
@@ -167,11 +169,6 @@ class PointFrame:
         k = int(np.argmax(np.reshape(bad, self._lead + (-1,)).any(-1)))
         return k, self.point[k]
 
-    def _y(self) -> np.ndarray:
-        if self._lead:
-            return np.array([p.y for p in self.point])
-        return np.array(self.point.y)
-
     def _against(self, arr: np.ndarray, ndim: int) -> np.ndarray:
         """A tensor over this frame's points, reshaped to broadcast against
         `ndim`-axis arrays that share its point axes: ones are inserted
@@ -266,6 +263,11 @@ class PointFrame:
         return jet_solve(self.g_jets, Jet.constant(2 * n, 1, np.eye(n)))
 
     @_lazy
+    def y(self) -> np.ndarray:
+        """The fiber coordinates y^i of the frame's points."""
+        return np.array([p.y for p in self.point] if self._lead else self.point.y)
+
+    @_lazy
     def ell(self) -> np.ndarray:
         """The unit covector, first fiber derivatives of L."""
         return np.ascontiguousarray(self.L_jet.coeffs[..., 1 + self.n:1 + 2 * self.n])
@@ -273,8 +275,16 @@ class PointFrame:
     @_lazy
     def phi(self) -> np.ndarray:
         """Projector onto the g-orthogonal complement of the tautological field."""
-        outer = self._y()[..., :, None] * self.ell[..., None, :]
+        outer = self.y[..., :, None] * self.ell[..., None, :]
         return np.eye(self.n) - outer / np.reshape(self.L, self._lead + (1, 1))
+
+    def flat_jets(self, Xj: Jet) -> Jet:
+        """Order-1 jets of X flat = i_X g, w_k = g_km X^m, from those of X."""
+        return (self.g_jets.truncated(1) * Xj[..., None, :, :]).sum_last()
+
+    def sharp_jets(self, wj: Jet) -> Jet:
+        """Order-1 jets of w sharp, X^i = g^ik w_k, from those of a 1-form w."""
+        return (self.ginv_jets * wj[..., None, :, :]).sum_last()
 
     @_lazy
     def C3(self) -> np.ndarray:
@@ -296,7 +306,7 @@ class PointFrame:
         geodesic equation i_S(d d_J E) = -d E.
         """
         n = self.n
-        y = Jet.variable(2 * n, 2, range(n, 2 * n), self._y()[..., None, :])
+        y = Jet.variable(2 * n, 2, range(n, 2 * n), self.y[..., None, :])
         # [..., m, k] = y^k d_k dy_m E
         terms = y * self._E_dy.partial_jet(range(n))
         # column 0 also takes -d_m E, so the row sums are the right-hand side
@@ -322,7 +332,9 @@ class PointFrame:
 
     def delta_values(self, jet: Jet) -> np.ndarray:
         """Values of the horizontal derivatives delta_k of a jet quantity,
-        every direction k at once as a trailing axis."""
+        every direction k at once as a trailing axis: the bits of
+        `delta_jets(jet.truncated(1)).value`, which cost 6-7% more to read on a
+        1000-point sphere2 run_checks and on a single-point Sc stream."""
         n = self.n
         c = jet.coeffs
         N = self._against(self.N, c.ndim + 1)

@@ -3,8 +3,10 @@
 Implements the horizontal exterior derivative, the covariant operator
 A_X, musical isomorphisms, and the composite closedness diagnostics
 (Lie comparison, involutivity, drift and conformal transfer reports).
-`dbar_p` is the one horizontal exterior derivative: every closedness
-diagnostic applies it to the jets of i_X g, as X is closed when dbar(i_X g) = 0.
+Each operator is written once, on order-1 jets: `dbar_p` (of any degree)
+and `a_operator` take a form or field or its jets, every closedness
+diagnostic applies `dbar_p` to `fr.flat_jets` of X, the jets of i_X g, and
+`flat`, `sharp` and `gradient` read the value parts of the frame's jets.
 
 Every entry point takes the frame it computes on, a PointFrame at one
 chart point or over a tuple of them. On a batch frame each array and report
@@ -26,7 +28,6 @@ from .fields import (
     GradientField,
     PiForm,
     PiVectorField,
-    Positional,
     _perm_sign,
     project_away,
 )
@@ -38,36 +39,33 @@ from .jets import Jet
 
 
 def flat(fr: PointFrame, X: PiVectorField) -> np.ndarray:
-    """Lower the index: (X^flat)_k = g_km X^m."""
-    return matvec(fr.g, X.values(fr))
+    """Lower the index: (X^flat)_k = g_km X^m, the value of `fr.flat_jets`."""
+    return fr.flat_jets(X.jets(fr)).value.copy()
 
 
 def sharp(fr: PointFrame, omega) -> np.ndarray:
-    """Raise the index of a 1-form given as a PiForm or a component array."""
-    if isinstance(omega, PiForm):
-        if omega.degree != 1:
-            raise ValueError("sharp expects a 1-form")
-        omega = omega.jets(fr).value
-    return matvec(fr.g_inv, np.asarray(omega, dtype=float))
+    """Raise the index of a 1-form given as a PiForm or a component array:
+    the value of `fr.sharp_jets`, X^i = g^ik w_k."""
+    if isinstance(omega, PiForm) and omega.degree != 1:
+        raise ValueError("sharp expects a 1-form")
+    wj = (omega.jets(fr) if isinstance(omega, PiForm)
+          else Jet.constant(2 * fr.n, 1, np.asarray(omega, dtype=float)))
+    return fr.sharp_jets(wj).value.copy()
 
 
 def gradient(fr: PointFrame, f) -> np.ndarray:
     """grad f = (dbar f)^sharp, components g^ij delta_j f."""
-    return matvec(fr.g_inv, dbar_0(fr, f))
+    return GradientField(f).values(fr)
 
 
 # -- horizontal exterior derivative ------------------------------------------
 
 
-def dbar_0(fr: PointFrame, f) -> np.ndarray:
-    """(dbar f)_i = delta_i f."""
-    return fr.delta_values(fr.field_jet(f, 1))
-
-
 def dbar_p(fr: PointFrame, omega) -> np.ndarray:
     """Horizontal exterior derivative of a p-form, given as a PiForm or as
     the stacked jet of its components (one (n,) axis per degree after the
-    frame's point axes, as `PiForm.jets` gives it):
+    frame's point axes, as `PiForm.jets` gives it; degree 0 is the jet of a
+    scalar f, say `fr.field_jet(f, 1)`, and gives delta_k f):
 
         (dbar w)_{k0..kp} = sum_q (-1)^q delta_{kq} w_{k0..^kq..kp}
 
@@ -127,29 +125,20 @@ def _bracket(frame: PointFrame, Xj: Jet, Yj: Jet) -> np.ndarray:
 # -- the operator A_X ----------------------------------------------------------
 
 
-def a_operator(fr: PointFrame, X: PiVectorField) -> np.ndarray:
+def a_operator(fr: PointFrame, X) -> np.ndarray:
     """(A_X)^i_j = delta_j X^i + F^i_kj X^k, the horizontal covariant
-    derivative of X packaged as an endomorphism."""
-    return _nabla_h_matrix(fr, X.jets(fr))
-
-
-def _nabla_h_matrix(fr: PointFrame, Xj: Jet) -> np.ndarray:
-    """(A_X)^i_j from the order-1 jets of X."""
+    derivative of X packaged as an endomorphism, of a field or of its
+    order-1 jets (as `X.jets` gives them)."""
+    Xj = X.jets(fr) if isinstance(X, PiVectorField) else X
     out = fr.delta_values(Xj)
     out += np.einsum("...ikj,...k->...ij", fr.F, Xj.value)
     return out
 
 
-def _lowered_jets(frame: PointFrame, Xj: Jet) -> Jet:
-    """Order-1 jets of the lowered form w_k = g_km X^m, built in the frame's
-    own algebra from the jets of X."""
-    return (frame.g_jets.truncated(1) * Xj[..., None, :, :]).sum_last()
-
-
 def closedness_defect(fr: PointFrame, X: PiVectorField) -> float:
     """max |dbar_p(i_X g)_jk|, from the jets of g_km X^m: zero exactly when X
     is closed at the frame's point."""
-    return max_abs(dbar_p(fr, _lowered_jets(fr, X.jets(fr))), 2)
+    return max_abs(dbar_p(fr, fr.flat_jets(X.jets(fr))), 2)
 
 
 def flat_form_and_selfadjoint_matrix(fr: PointFrame, X: PiVectorField):
@@ -158,7 +147,7 @@ def flat_form_and_selfadjoint_matrix(fr: PointFrame, X: PiVectorField):
     g-self-adjointness of A_X. M_jk = B_kj - B_jk holds for every field,
     closed or not, which bridges the two."""
     Xj = X.jets(fr)
-    return dbar_p(fr, _lowered_jets(fr, Xj)), fr.g @ _nabla_h_matrix(fr, Xj)
+    return dbar_p(fr, fr.flat_jets(Xj)), fr.g @ a_operator(fr, Xj)
 
 
 # -- second derivative and gradient identities ---------------------------------
@@ -202,7 +191,7 @@ class GradientIdentityResult:
 
 def gradient_torsion_identity(fr: PointFrame, f) -> GradientIdentityResult:
     """For X = grad f: g_lk (A_X)^l_j - g_lj (A_X)^l_k = R^m_jk dy_m f."""
-    A = _nabla_h_matrix(fr, GradientField(f).jets(fr))
+    A = a_operator(fr, GradientField(f))
     B = fr.g @ A
     lhs = np.swapaxes(B, -1, -2) - B
     rhs = _torsion_contraction(fr, fr.field_jet(f, 2))
@@ -220,7 +209,7 @@ def isotropy_residual(fr: PointFrame, f) -> float:
     n = fr.n
     fj = fr.field_jet(f, 1)
     dyf = np.array(fj.coeffs[..., 1 + n:1 + 2 * n])
-    radial = np.asarray(dot(fr._y(), dyf))
+    radial = np.asarray(dot(fr.y, dyf))
     return max_abs(dyf - fr.ell * radial[..., None] / np.asarray(fr.L)[..., None], 1)
 
 
@@ -313,7 +302,7 @@ def involutivity_report(fr: PointFrame, X: PiVectorField) -> InvolutivityReport:
              np.take_along_axis(Yj.coeffs, keep[..., None, None], axis=-3))
     yv = np.take_along_axis(yv, keep[..., None], axis=-2)
 
-    A = _nabla_h_matrix(fr, Xj)
+    A = a_operator(fr, Xj)
     pairs = []
     residuals = []
     scale = 1.0
@@ -388,9 +377,9 @@ def drift_closedness_transfer(fr: PointFrame, frs: PointFrame) -> DriftTransferR
     star_ell_pairing = dot(frs.ell, msv)
 
     # jets of the shared form, built through each structure's own algebra
-    w_base = _lowered_jets(fr, mj)
+    w_base = fr.flat_jets(mj)
     tau_jet = frs.L_jet.truncated(1) / fr.L_jet.truncated(1)
-    w_star_scaled = tau_jet[..., None, :] * _lowered_jets(frs, msj)
+    w_star_scaled = tau_jet[..., None, :] * frs.flat_jets(msj)
 
     star_of_scaled = dbar_p(frs, w_star_scaled)
     star_of_base = dbar_p(frs, w_base)
@@ -468,15 +457,16 @@ def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
     Xj = X.jets(fr)
     Xjt = X.jets(frt)
 
-    w = _lowered_jets(fr, Xj)
-    wt = _lowered_jets(frt, Xjt)
+    w = fr.flat_jets(Xj)
+    wt = frt.flat_jets(Xjt)
     wv = w.value.copy()
 
     actual = dbar_p(frt, wt)
     base_matrix = dbar_p(fr, w)
     tilde_of_base = dbar_p(frt, w)
 
-    sig_jet = fr.field_jet(Positional(frt.structure.meta["sigma_fn"]), 1)
+    sigma = frt.structure.meta["sigma_fn"]  # not frt, which fr's field-jet memo would keep
+    sig_jet = fr.field_jet(lambda x, y: sigma(x), 1)
     sig = sig_jet.value
     dsig = np.array(sig_jet.coeffs[..., 1:1 + n])
     e2s = np.asarray(np.exp(2.0 * sig))[..., None, None]

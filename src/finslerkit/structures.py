@@ -224,17 +224,6 @@ def conformal_quartic2() -> FinslerStructure:
     )
 
 
-def catalog() -> list:
-    """The five reference structures every sweeping test runs over."""
-    return [
-        euclidean(2),
-        minkowski_quartic(2),
-        sphere2(),
-        randers_sphere2(),
-        conformal_quartic2(),
-    ]
-
-
 _NAMED = {
     "euclidean2": lambda: euclidean(2),
     "euclidean3": lambda: euclidean(3),
@@ -257,6 +246,14 @@ def by_name(name: str) -> FinslerStructure:
 # -- JSON metric specifications ----------------------------------------------
 
 
+def _field(spec, key: str, convert):
+    """convert(spec[key]), with a value of the wrong type a ValueError naming key."""
+    try:
+        return convert(spec[key])
+    except TypeError:
+        raise ValueError(f"metric field {key!r} has the wrong type") from None
+
+
 def _poly_callable(spec, n: int) -> Callable:
     """Polynomial in x from a spec: a number, or {"terms": [{"coef", "powers"}]}."""
     if isinstance(spec, (int, float)):
@@ -265,9 +262,9 @@ def _poly_callable(spec, n: int) -> Callable:
     if not isinstance(spec, dict) or "terms" not in spec:
         raise ValueError("polynomial spec must be a number or {'terms': [...]}")
     terms = []
-    for t in spec["terms"]:
-        coef = float(t["coef"])
-        powers = tuple(int(e) for e in t["powers"])
+    for t in _field(spec, "terms", list):
+        coef = _field(t, "coef", float)
+        powers = _field(t, "powers", lambda p: tuple(int(e) for e in p))
         if len(powers) != n or any(e < 0 for e in powers):
             raise ValueError(f"term powers must be {n} nonnegative integers")
         terms.append((coef, powers))
@@ -291,14 +288,14 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
         raise ValueError("metric spec must be an object with a 'family' key")
     family = spec["family"]
     if family == "euclidean":
-        return euclidean(int(spec["dim"]))
+        return euclidean(_field(spec, "dim", int))
     if family == "minkowski_quartic":
-        return minkowski_quartic(int(spec["dim"]))
+        return minkowski_quartic(_field(spec, "dim", int))
     if family == "riemannian":
         if spec.get("preset") == "sphere2":
             return sphere2()
-        n = int(spec["dim"])
-        rows = spec["a"]
+        n = _field(spec, "dim", int)
+        rows = _field(spec, "a", lambda a: [list(r) for r in a])
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("'a' must be an n x n table of polynomial specs")
         polys = [[_poly_callable(rows[i][j], n) for j in range(n)] for i in range(n)]
@@ -314,7 +311,7 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
         return riemannian(a_fn, n, name=spec.get("name", "riemannian"))
     if family == "randers":
         base = structure_from_spec(spec["base"])
-        comps = spec["b"]
+        comps = _field(spec, "b", list)
         if len(comps) != base.n:
             raise ValueError(f"'b' needs {base.n} components")
         polys = [_poly_callable(c, base.n) for c in comps]

@@ -3,7 +3,6 @@ import pytest
 
 from finslerkit.structures import (
     by_name,
-    catalog,
     conformal_quartic2,
     euclidean,
     minkowski_quartic,

@@ -35,6 +35,17 @@ HUGE_SIGMA = {"family": "conformal", "sigma": 1000.0,
               "base": {"family": "riemannian", "preset": "sphere2"}}
 
 
+SPHERE = {"family": "riemannian", "preset": "sphere2"}
+# one field of the wrong type in each spec
+MALFORMED = [
+    ("a", {"family": "riemannian", "dim": 2, "a": 5}),
+    ("b", {"family": "randers", "b": 3, "base": SPHERE}),
+    ("powers", {"family": "conformal", "base": SPHERE,
+                "sigma": {"terms": [{"coef": 1.0, "powers": 5}]}}),
+    ("dim", {"family": "riemannian", "dim": [2], "a": [[1, 0], [0, 1]]}),
+]
+
+
 def spec_file(tmp_path, spec):
     path = tmp_path / "metric.json"
     path.write_text(json.dumps(spec))
@@ -199,6 +210,23 @@ class TestUsageErrors:
             ["eval", "--metric", "euclidean2", "--at", "x=0.1", "--object", "g"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["verify", "eval"])
+    @pytest.mark.parametrize("field, spec", MALFORMED, ids=[f for f, _ in MALFORMED])
+    def test_malformed_spec_is_a_configuration_error(self, tmp_path, capsys,
+                                                     command, field, spec):
+        # a field of the wrong type is a configuration error naming the field,
+        # not a traceback, and not the exit code of a failed check
+        path = spec_file(tmp_path, spec)
+        if command == "verify":
+            code, _ = run_verify(tmp_path, metric=path)
+        else:
+            code = main(["eval", "--metric", path, "--at", "x=0.1,0.2;y=1.0,0.5",
+                         "--object", "g"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and repr(field) in err
+        assert "Traceback" not in err
 
 
 class TestListChecks:

@@ -112,14 +112,16 @@ class TestHorizontalDerivative:
     def test_energy_is_horizontally_constant(self):
         s = sphere2()
         p = SPHERE_POINTS[3]
-        dE = pc.dbar_0(point_frame(s, p), lambda x, y: 0.5 * s.L(x, y) ** 2)
+        fr = point_frame(s, p)
+        dE = pc.dbar_p(fr, fr.field_jet(lambda x, y: 0.5 * s.L(x, y) ** 2, 1))
         assert np.abs(dE).max() < 1e-12
 
     def test_positional_scalar_reduces_to_base_gradient(self):
         s = sphere2()
         p = SPHERE_POINTS[0]
         f = lambda x, y: x[0] ** 2 - 2.0 * x[1]
-        df = pc.dbar_0(point_frame(s, p), f)
+        fr = point_frame(s, p)
+        df = pc.dbar_p(fr, fr.field_jet(f, 1))
         assert df[0] == pytest.approx(2 * p.x[0], rel=1e-12)
         assert df[1] == pytest.approx(-2.0, rel=1e-12)
 
@@ -127,9 +129,10 @@ class TestHorizontalDerivative:
         s = sphere2()
         p = SPHERE_POINTS[0]
         f = lambda x, y: x[0] * y[1]
-        df = pc.dbar_0(point_frame(s, p), f)
+        fr = point_frame(s, p)
+        df = pc.dbar_p(fr, fr.field_jet(f, 1))
         # delta_k f = d_k f - N^m_k dy_m f with dy_m f = x^0 for m = 1 only
-        N = point_frame(s, p).N
+        N = fr.N
         assert df[0] == pytest.approx(p.y[1] - N[1, 0] * p.x[0], rel=1e-12)
         assert df[1] == pytest.approx(-N[1, 1] * p.x[0], rel=1e-12)
 

@@ -13,12 +13,13 @@ from finslerkit.fields import (
     ComponentField,
     GradientField,
     PiForm,
-    ProjectedField,
     _perm_sign,
     constant_field,
+    project_away,
     tautological_field,
 )
-from finslerkit.frame import point_frame
+from finslerkit.frame import PointFrame, point_frame
+from finslerkit.jets import Jet
 from finslerkit.structures import by_name, conformal_change, euclidean, minkowski_quartic, sphere2
 
 from conftest import CATALOG_NAMES, FLAT_NAMES
@@ -56,8 +57,31 @@ class TestMusicals:
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
             grad = pc.gradient(fr, f)
-            df = pc.dbar_0(fr, f)
+            df = pc.dbar_p(fr, fr.field_jet(f, 1))
             assert np.abs(pc.flat(fr, constant_field(grad)) - df).max() < 1e-12
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"])
+    def test_value_forms_read_the_frame_jets(self, name):
+        # flat, sharp and gradient return the value parts of the jet operators,
+        # byte for byte, as fresh arrays, on a single frame and a batch frame
+        s = by_name(name)
+        pts = s.sample(20, seed=5)
+        X = mixed_probe(s.n, seed=3)
+        form = PiForm.one_form(s.n, [(lambda i: lambda x, y: x[i] * y[0] + 0.5)(i)
+                                     for i in range(s.n)])
+        f = lambda x, y: x[0] * y[-1] + x[-1] ** 2
+        vec = np.linspace(0.5, -0.5, s.n)
+        for fr in (PointFrame(s, pts[0]), PointFrame(s, tuple(pts))):
+            cases = [
+                (pc.flat(fr, X), fr.flat_jets(X.jets(fr))),
+                (pc.sharp(fr, form), fr.sharp_jets(form.jets(fr))),
+                (pc.sharp(fr, vec), fr.sharp_jets(Jet.constant(2 * s.n, 1, vec))),
+                (pc.gradient(fr, f), GradientField(f).jets(fr)),
+            ]
+            for got, jet in cases:
+                assert got.shape == jet.value.shape == fr._lead + (s.n,)
+                assert got.tobytes() == jet.value.tobytes()
+                assert got.flags.writeable and got.base is None
 
     def test_sharp_accepts_one_form_objects(self):
         p = SPHERE_POINTS[0]
@@ -79,7 +103,8 @@ class TestDbarDegreeZero:
         e = euclidean(2)
         p = e.sample(1, seed=79)[0]
         f = lambda x, y: 3.0 * x[0] - x[1] ** 2
-        df = pc.dbar_0(point_frame(e, p), f)
+        fr = point_frame(e, p)
+        df = pc.dbar_p(fr, fr.field_jet(f, 1))
         assert df[0] == pytest.approx(3.0, abs=1e-14)
         assert df[1] == pytest.approx(-2.0 * p.x[1], rel=1e-13)
 
@@ -88,7 +113,8 @@ class TestDbarDegreeZero:
             s = by_name(name)
             p = s.sample(1, seed=79)[0]
             E = lambda x, y: 0.5 * s.L(x, y) ** 2
-            assert np.abs(pc.dbar_0(point_frame(s, p), E)).max() < 1e-12
+            fr = point_frame(s, p)
+            assert np.abs(pc.dbar_p(fr, fr.field_jet(E, 1))).max() < 1e-12
 
 
 class TestDbarHigherDegree:
@@ -378,13 +404,13 @@ class TestInvolutivity:
         p = SPHERE_POINTS[1]
         fr = point_frame(SPHERE, p)
         X = mixed_probe(2, seed=9)
-        Y = ProjectedField([1.0, 0.0], X)
         xv = X.values(fr)
-        yv = Y.values(fr)
+        yv = project_away(fr, np.array([1.0, 0.0]), X.jets(fr)).value
         assert abs(yv @ fr.g @ xv) < 1e-14
 
     def test_degenerate_projection_rejected(self):
         p = SPHERE_POINTS[1]
         zero = constant_field([0.0, 0.0])
         with pytest.raises(DegenerateFieldError):
-            ProjectedField([1.0, 0.0], zero).jets(point_frame(SPHERE, p))
+            fr = point_frame(SPHERE, p)
+            project_away(fr, np.array([1.0, 0.0]), zero.jets(fr))

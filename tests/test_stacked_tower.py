@@ -19,7 +19,7 @@ from finslerkit.checks import _probe_fields, _probe_scalars, check_ids, run_chec
 from finslerkit.chart import ChartPoint
 from finslerkit.errors import FinslerError, SingularMetricError
 from finslerkit.fields import (ComponentField, DriftCompanionField, GradientField, PiForm,
-                               Positional, ProjectedField, project_away)
+                               PiVectorField, project_away)
 from finslerkit.frame import PointFrame, jet_solve, point_frame
 from finslerkit.jets import Jet
 from finslerkit.structures import by_name, conformal_change, randers_change, structure_from_spec
@@ -56,15 +56,33 @@ def test_stacked_rungs_equal_scalar_reference(name):
 # -- pi-vector fields -----------------------------------------------------------------
 
 
+class _Projection(PiVectorField):
+    """A constant vector g-projected away from X by `project_away`, as the
+    involutivity probe projects the coordinate directions."""
+
+    def __init__(self, vec, X):
+        self.vec, self.X = vec, X
+
+    def jets(self, frame):
+        return project_away(frame, self.vec, self.X.jets(frame))
+
+
 def _fields(s):
-    """Every field class the checks use: the thm2.6 probes (component
-    fields and gradients), a drift companion, and g-projections of the
-    coordinate directions away from two of the probes."""
+    """Every field the checks use: the thm2.6 probes (component fields and
+    gradients), a drift companion, and g-projections of the coordinate
+    directions away from two of the probes."""
     probes = _probe_fields(s, 0, 26)
     companion = DriftCompanionField(lambda x: [0.2] + [0.1 * x[0]] * (s.n - 1))
-    projected = [ProjectedField(np.eye(s.n)[a], X) for X in (probes[2], probes[5])
+    projected = [_Projection(np.eye(s.n)[a], X) for X in (probes[2], probes[5])
                  for a in range(s.n)]
     return probes + [companion] + projected
+
+
+def _reference_jets(X, frame):
+    """tower_oracle's component jets of a field of `_fields`."""
+    if isinstance(X, _Projection):
+        return oracle.projected_jets(X.vec, X.X, frame, 1)
+    return oracle.field_jets(X, frame, 1)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -74,13 +92,13 @@ def test_stacked_field_calculus_equals_component_reference(name):
     for p in s.sample(20, seed=0):
         fr = PointFrame(s, p)
         stacked = [X.jets(fr) for X in fields]
-        listed = [oracle.field_jets(X, fr, 1) for X in fields]
+        listed = [_reference_jets(X, fr) for X in fields]
         for X, Xj, ref in zip(fields, stacked, listed):
             assert Xj.coeffs.tobytes() == stack(ref).tobytes(), (X, p)
-            w, w_ref = pc._lowered_jets(fr, Xj), oracle.lowered_jets(fr, ref)
+            w, w_ref = fr.flat_jets(Xj), oracle.lowered_jets(fr, ref)
             assert w.coeffs.tobytes() == stack(w_ref).tobytes(), (X, p)
             assert pc.dbar_p(fr, w).tobytes() == oracle.dbar_matrix(fr, w_ref).tobytes()
-            assert (pc._nabla_h_matrix(fr, Xj).tobytes()
+            assert (pc.a_operator(fr, Xj).tobytes()
                     == oracle.nabla_h_matrix(fr, ref).tobytes()), (X, p)
         for a in range(len(fields)):
             b = (a + 3) % len(fields)
@@ -115,7 +133,7 @@ def test_stacked_projections_equal_component_reference(name):
             one = project_away(fr, np.eye(s.n), X.jets(fr)[..., None, :, :]).coeffs
             assert whole[i].tobytes() == one.tobytes(), (X, p)
             for a in range(s.n):
-                ref = oracle.field_jets(ProjectedField(np.eye(s.n)[a], X), fr, 1)
+                ref = oracle.projected_jets(np.eye(s.n)[a], X, fr, 1)
                 assert one[a].tobytes() == stack(ref).tobytes(), (X, a, p)
 
 
@@ -257,7 +275,7 @@ def _requested_field_jets(s, frame):
     for X in _probe_fields(s, 0, 26):
         out.append(X.jets(frame))
     out.append(DriftCompanionField(lambda x: [0.2] + [0.1 * x[0]] * (s.n - 1)).jets(frame))
-    out.append(frame.field_jet(Positional(lambda x: x[0]), 1))
+    out.append(frame.field_jet(lambda x, y: x[0], 1))
     return out
 
 
@@ -411,6 +429,28 @@ def test_a_run_builds_five_frames_and_frees_them(monkeypatch, name):
     assert len(built) == 5
     assert built[0][2] == pts
     assert [ref() for ref, _, _ in built] == [None] * 5
+
+
+def test_the_sample_frame_keeps_no_frame_a_check_built(monkeypatch):
+    # the sample frame's field-jet memo keeps the callables each check
+    # evaluates on it until the run ends; none of them may hold a frame the
+    # check built (the scaled points, the Randers star, the conformal tildes)
+    s = by_name("sphere2")
+    fr = PointFrame(s, tuple(s.sample(10, 0)))
+    built = []
+    init = PointFrame.__init__
+
+    def recorded(self, structure, point):
+        built.append(weakref.ref(self))
+        init(self, structure, point)
+
+    monkeypatch.setattr(PointFrame, "__init__", recorded)
+    for check_id in check_ids():
+        checks.run_check(check_id, fr, 1e-7, 1e-3, 0)
+    monkeypatch.undo()
+    gc.collect()
+    assert len(built) == 4 and fr._field_jets
+    assert [ref() for ref in built] == [None] * 4
 
 
 def _role(s, pts, structure, point):

@@ -6,7 +6,7 @@ Gauss-Jordan solve and the per-component loops, in the same floating-point
 operation order. A stacked rung must equal its reference here exactly, not
 merely to round-off. The same holds for the jets of pi-vector fields and
 for the `picalc` helpers built on them (`field_jets`, `lowered_jets`,
-`dbar_matrix`, `bracket`, `nabla_h_matrix` below), which take lists of
+`projected_jets`, `dbar_matrix`, `bracket`, `nabla_h_matrix` below), which take lists of
 scalar component jets. Index conventions match the frame:
 
     g_jets[i][j]        g_ij, order 2
@@ -22,13 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from finslerkit.errors import CapabilityError, DegenerateFieldError, SingularMetricError
-from finslerkit.fields import (
-    ComponentField,
-    DriftCompanionField,
-    GradientField,
-    Positional,
-    ProjectedField,
-)
+from finslerkit.fields import ComponentField, DriftCompanionField, GradientField
 from finslerkit.jets import MAX_ORDER, Jet, jet_eval
 
 _PIVOT_FLOOR = 1e-120
@@ -250,7 +244,8 @@ def field_jets(X, frame, order):
     if isinstance(X, DriftCompanionField):
         if order > 1:
             raise CapabilityError("drift companion components carry jets up to order 1")
-        b = [frame.field_jet(Positional(X.b_fn, i), order) for i in range(n)]
+        b = [frame.field_jet((lambda i: lambda x, y: X.b_fn(x)[i])(i), order)
+             for i in range(n)]
         yj = [jet_eval((lambda k: lambda x, y: y[k])(i), frame.point, order)
               for i in range(n)]
         alpha = b[0] * yj[0]
@@ -265,23 +260,29 @@ def field_jets(X, frame, order):
                 acc = acc + frame.ginv_jets[i, k].truncated(order) * b[k]
             out.append(acc - scale * yj[i])
         return out
-    if isinstance(X, ProjectedField):
-        Xj = field_jets(X.X, frame, order)
-        vj = [Jet.constant(2 * n, order, v) for v in X.vec]
-        gvx = None
-        gxx = None
-        for i in range(n):
-            for j in range(n):
-                gij = frame.g_jets[i, j].truncated(order)
-                tvx = gij * (vj[i] * Xj[j])
-                txx = gij * (Xj[i] * Xj[j])
-                gvx = tvx if gvx is None else gvx + tvx
-                gxx = txx if gxx is None else gxx + txx
-        if abs(gxx.value) < 1e-18:
-            raise DegenerateFieldError("cannot project: X has vanishing g-norm")
-        lam = gvx / gxx
-        return [vj[i] - lam * Xj[i] for i in range(n)]
     raise TypeError(f"no reference for {type(X).__name__}")
+
+
+def projected_jets(vec, X, frame, order):
+    """The jets of v - (g(v, X) / g(X, X)) X for a constant vector v, the
+    g-orthogonal projection of v away from the field X, as a list of scalar
+    jets at a single-point frame."""
+    n = frame.n
+    Xj = field_jets(X, frame, order)
+    vj = [Jet.constant(2 * n, order, float(v)) for v in vec]
+    gvx = None
+    gxx = None
+    for i in range(n):
+        for j in range(n):
+            gij = frame.g_jets[i, j].truncated(order)
+            tvx = gij * (vj[i] * Xj[j])
+            txx = gij * (Xj[i] * Xj[j])
+            gvx = tvx if gvx is None else gvx + tvx
+            gxx = txx if gxx is None else gxx + txx
+    if abs(gxx.value) < 1e-18:
+        raise DegenerateFieldError("cannot project: X has vanishing g-norm")
+    lam = gvx / gxx
+    return [vj[i] - lam * Xj[i] for i in range(n)]
 
 
 def lowered_jets(frame, Xjets):
