@@ -4,7 +4,9 @@ A PointFrame owns every chart quantity at one (x, y): the energy jet,
 the fundamental tensor, the geodesic spray, the nonlinear connection,
 the linear connection coefficients, and their horizontal derivatives.
 Everything is computed lazily and cached, so cheap consumers (say, a
-metric check) never pay for curvature.
+metric check) never pay for curvature. The two rungs that solve with g,
+`ginv_jets` and `G_jets`, run `jet_solve` on `g_inv`, which reads `g` and
+so its conditioning guard first; `ginv_jets.value` is `g_inv`.
 
 Index layout: variable slots 0..n-1 are x, slots n..2n-1 are y. All
 tensor arrays are indexed with the contravariant slot first, so N[i, j]
@@ -42,60 +44,37 @@ import numpy as np
 
 from .chart import ChartPoint
 from .errors import DomainError, NumericalError, SingularMetricError
-from .jets import MAX_ORDER, Jet, jet_eval
+from .jets import MAX_ORDER, Jet, _table_size, jet_eval
 
 COND_LIMIT = 1e12
-_PIVOT_FLOOR = 1e-120
 
 
-def jet_solve(A: Jet, B: Jet) -> Jet:
-    """Solve the jet-linear system A X = B by Gauss-Jordan elimination.
+def jet_solve(A: Jet, B: Jet, inv: np.ndarray) -> Jet:
+    """Solve the jet-linear system A X = B, given the inverse `inv` of A's
+    value matrices, which the caller computes behind its conditioning guard.
 
     A is an (..., n, n) stack of jets and B an (..., n, m) stack of the same
-    or a lower order, which A is truncated to; the result is the (..., n, m)
-    stack X. B broadcasts over the leading axes (points) of A, and each
-    system pivots on its own. Pivots are chosen by the magnitude of the
-    value part; a vanishing pivot means the underlying matrix of values is
-    singular. Each step scales the pivot row by the jet reciprocal of the
-    pivot, then updates every row of [A | B] at once, row - f * pivot_row,
-    and puts the scaled pivot row back. A step then drops the pivot column:
-    neither it nor any column left of it is read again, so the products run
-    over the columns right of the pivot and over B only, and give the bits
-    an update of every column gives them.
+    or a lower order K, which A is truncated to; B broadcasts over A's
+    leading axes (points). With C = inv B and M = inv (A - A_0), X = C - M X,
+    and M has no value part, so the degree-d slots of M X read X below degree
+    d only: X starts as C, and for d = 1..K its degree-d slots take away
+    those of sum_j M_ij X_jm, an order-d product (Griewank & Walther,
+    *Evaluating Derivatives*, ch. 13). Each matmul runs once, per point, and
+    the j sum adds in index order, so a stack's slice i is system i alone.
     """
-    n = A.coeffs.shape[-2]
-    a = A.coeffs[..., :B.coeffs.shape[-1]]  # A truncated to the order of B
-    b = B.coeffs
-    if a.shape[:-3] != b.shape[:-3]:
-        b = np.broadcast_to(b, a.shape[:-3] + b.shape[-3:])
-    c = np.concatenate([a, b], axis=-2)  # [..., row, column of A | B]
-    nvars, order = B.nvars, B.order
-    # a single system keeps its own branch: folding it into the stacked path
-    # slowed a 2100-query single-point Sc stream 1.44 -> 1.74 s (2 cores)
-    one = c.ndim == 3
-    for col in range(n):
-        # column 0 of c is the pivot column
-        piv = col + np.abs(c.T[0, 0, col:]).argmax(0).T  # over the leading axes
-        if one:
-            if abs(c[piv, 0, 0]) < _PIVOT_FLOOR:
-                raise SingularMetricError("singular jet system: zero pivot")
-            if piv != col:
-                c[[col, piv]] = c[[piv, col]]
-        else:
-            at = np.indices(piv.shape, sparse=True)
-            if np.any(np.abs(c[(*at, piv, 0, 0)]) < _PIVOT_FLOOR):
-                raise SingularMetricError("singular jet system: zero pivot")
-            swap = np.nonzero(piv != col)
-            if swap[0].size:
-                top, low = swap + (col,), swap + (piv[swap],)
-                c[top], c[low] = c[low], c[top]
-        inv = 1.0 / Jet(nvars, order, c[..., col, 0, :])
-        pivot_row = Jet(nvars, order, c[..., col, 1:, :]) * (inv if one else inv[..., None, :])
-        factor = Jet(nvars, order, c[..., :, 0, None, :])
-        update = factor * (pivot_row if one else pivot_row[..., None, :, :])
-        c = c[..., 1:, :] - update.coeffs
-        c[..., col, :, :] = pivot_row.coeffs
-    return Jet(nvars, order, c)
+    nvars, order, T = B.nvars, B.order, B.coeffs.shape[-1]
+    a, b = A.coeffs[..., :T], B.coeffs  # A truncated to the order of B
+    M = np.matmul(inv, a.reshape(a.shape[:-2] + (-1,))).reshape(a.shape)
+    M[..., 0] = 0.0
+    X = np.matmul(inv, b.reshape(b.shape[:-2] + (-1,)))
+    X = X.reshape(X.shape[:-1] + b.shape[-2:])
+    Xt = X.swapaxes(-3, -2)  # [..., m, j]
+    for d in range(1, order + 1):
+        lo, hi = _table_size(nvars, d - 1), _table_size(nvars, d)
+        # [..., i, m, j] = M_ij X_jm, order d
+        terms = Jet(nvars, d, M[..., :, None, :, :hi]) * Jet(nvars, d, Xt[..., None, :, :, :hi])
+        X[..., lo:hi] -= terms.sum_last().coeffs[..., lo:hi]
+    return Jet(nvars, order, X)
 
 
 def _freeze(value) -> None:
@@ -257,10 +236,8 @@ class PointFrame:
     @_lazy
     def ginv_jets(self) -> Jet:
         """g^ij as an (n, n) stack of order-1 jets, from solving g X = identity
-        in the jet ring."""
-        n = self.n
-        self.g  # run the conditioning guard first
-        return jet_solve(self.g_jets, Jet.constant(2 * n, 1, np.eye(n)))
+        in the jet ring; its value part is `g_inv`."""
+        return jet_solve(self.g_jets, Jet.constant(2 * self.n, 1, np.eye(self.n)), self.g_inv)
 
     @_lazy
     def y(self) -> np.ndarray:
@@ -311,8 +288,8 @@ class PointFrame:
         terms = y * self._E_dy.partial_jet(range(n))
         # column 0 also takes -d_m E, so the row sums are the right-hand side
         terms.coeffs[..., 0, :] -= self.E_jet.partial_jet(range(n)).truncated(2).coeffs
-        self.g  # conditioning guard
-        return jet_solve(self.g_jets, (0.5 * terms.sum_last())[..., None, :])[..., 0, :]
+        rhs = (0.5 * terms.sum_last())[..., None, :]
+        return jet_solve(self.g_jets, rhs, self.g_inv)[..., 0, :]
 
     @_lazy
     def G(self) -> np.ndarray:

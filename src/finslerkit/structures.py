@@ -254,6 +254,14 @@ def _field(spec, key: str, convert):
         raise ValueError(f"metric field {key!r} has the wrong type") from None
 
 
+def _whole(value, key: str) -> int:
+    """An int, or a float with no fractional part, as an int; a fractional
+    number, a string or a bool is a ValueError naming the field `key`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"metric field {key!r} must hold integers, got {value!r}")
+    return int(value)
+
+
 def _poly_callable(spec, n: int) -> Callable:
     """Polynomial in x from a spec: a number, or {"terms": [{"coef", "powers"}]}."""
     if isinstance(spec, (int, float)):
@@ -264,7 +272,7 @@ def _poly_callable(spec, n: int) -> Callable:
     terms = []
     for t in _field(spec, "terms", list):
         coef = _field(t, "coef", float)
-        powers = _field(t, "powers", lambda p: tuple(int(e) for e in p))
+        powers = _field(t, "powers", lambda p: tuple(_whole(e, "powers") for e in p))
         if len(powers) != n or any(e < 0 for e in powers):
             raise ValueError(f"term powers must be {n} nonnegative integers")
         terms.append((coef, powers))
@@ -288,13 +296,13 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
         raise ValueError("metric spec must be an object with a 'family' key")
     family = spec["family"]
     if family == "euclidean":
-        return euclidean(_field(spec, "dim", int))
+        return euclidean(_whole(spec["dim"], "dim"))
     if family == "minkowski_quartic":
-        return minkowski_quartic(_field(spec, "dim", int))
+        return minkowski_quartic(_whole(spec["dim"], "dim"))
     if family == "riemannian":
         if spec.get("preset") == "sphere2":
             return sphere2()
-        n = _field(spec, "dim", int)
+        n = _whole(spec["dim"], "dim")
         rows = _field(spec, "a", lambda a: [list(r) for r in a])
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("'a' must be an n x n table of polynomial specs")

@@ -44,12 +44,35 @@ MALFORMED = [
                 "sigma": {"terms": [{"coef": 1.0, "powers": 5}]}}),
     ("dim", {"family": "riemannian", "dim": [2], "a": [[1, 0], [0, 1]]}),
 ]
+# an integer field holding a fractional number, a string or a bool: each is
+# rejected, not truncated or converted
+NOT_INTEGER = {
+    "dim=2.7": ("dim", {"family": "riemannian", "dim": 2.7, "a": [[1, 0], [0, 1]]}),
+    "dim='2'": ("dim", {"family": "riemannian", "dim": "2", "a": [[1, 0], [0, 1]]}),
+    "dim=true": ("dim", {"family": "euclidean", "dim": True}),
+    "dim=3.5": ("dim", {"family": "minkowski_quartic", "dim": 3.5}),
+    "powers=1.5": ("powers", {"family": "conformal", "base": SPHERE,
+                              "sigma": {"terms": [{"coef": 1.0, "powers": [1.5, 0]}]}}),
+    "powers='1'": ("powers", {"family": "conformal", "base": SPHERE,
+                              "sigma": {"terms": [{"coef": 1.0, "powers": ["1", 0]}]}}),
+}
 
 
 def spec_file(tmp_path, spec):
     path = tmp_path / "metric.json"
     path.write_text(json.dumps(spec))
     return str(path)
+
+
+def _run_spec(tmp_path, capsys, command, spec):
+    """(exit code, captured output) of `verify` or of `eval --object g` on a
+    metric spec."""
+    path = spec_file(tmp_path, spec)
+    if command == "verify":
+        code, _ = run_verify(tmp_path, metric=path)
+    else:
+        code = main(["eval", "--metric", path, "--at", "x=0.1,0.2;y=1.0,0.5", "--object", "g"])
+    return code, capsys.readouterr()
 
 
 class TestVerify:
@@ -217,16 +240,31 @@ class TestUsageErrors:
                                                      command, field, spec):
         # a field of the wrong type is a configuration error naming the field,
         # not a traceback, and not the exit code of a failed check
-        path = spec_file(tmp_path, spec)
-        if command == "verify":
-            code, _ = run_verify(tmp_path, metric=path)
-        else:
-            code = main(["eval", "--metric", path, "--at", "x=0.1,0.2;y=1.0,0.5",
-                         "--object", "g"])
-        err = capsys.readouterr().err
+        code, out = _run_spec(tmp_path, capsys, command, spec)
         assert code == 2
-        assert err.startswith("error: ") and repr(field) in err
-        assert "Traceback" not in err
+        assert out.err.startswith("error: ") and repr(field) in out.err
+        assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize("command", ["verify", "eval"])
+    @pytest.mark.parametrize("case", sorted(NOT_INTEGER))
+    def test_a_non_integer_in_an_integer_field_is_rejected(self, tmp_path, capsys, command,
+                                                           case):
+        field, spec = NOT_INTEGER[case]
+        code, out = _run_spec(tmp_path, capsys, command, spec)
+        assert code == 2
+        assert out.err.startswith(f"error: metric field {field!r} must hold integers")
+        assert "Traceback" not in out.err
+
+    def test_whole_floats_read_as_integers(self, tmp_path, capsys):
+        printed = []
+        for dim, power in ((2, 1), (2.0, 1.0)):
+            spec = {"family": "conformal",
+                    "sigma": {"terms": [{"coef": 0.3, "powers": [power, 0]}]},
+                    "base": {"family": "riemannian", "dim": dim, "a": [[1, 0], [0, 1]]}}
+            code, out = _run_spec(tmp_path, capsys, "eval", spec)
+            assert code == 0
+            printed.append(out.out)
+        assert printed[0] == printed[1] and "g =" in printed[0]
 
 
 class TestListChecks:

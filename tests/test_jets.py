@@ -352,6 +352,26 @@ class TestStackedJets:
             sa, sb = Jet(nvars, a.order, ca[idx]), Jet(nvars, b.order, cb[idx])
             assert prod.coeffs[idx].tobytes() == _reference_product(sa, sb).tobytes()
 
+    @given(st.sampled_from([4, 6]), st.tuples(st.integers(2, MAX_ORDER), st.integers(2, MAX_ORDER)),
+           st.tuples(*[st.sampled_from(["x", "y", "const", "zero", "trunc", "full", "random"])] * 2),
+           st.integers(0, 2 ** 32 - 1))
+    @example(4, (4, 4), ("x", "y"), 0)
+    @example(6, (4, 2), ("y", "zero"), 1)
+    @settings(max_examples=150, deadline=None)
+    def test_single_jet_product_skips_dead_terms_bit_for_bit(self, nvars, orders, kinds, seed):
+        """Single jets with random supports: a zero column holds +-0.0, so a
+        skipped term would show in the sign of a zero."""
+        rng = np.random.default_rng(seed)
+        jets = []
+        for order, kind in zip(orders, kinds):
+            live = _block_support(kind, nvars, order, rng)
+            c = rng.choice([-1.0, 1.0], live.size) * 10.0 ** rng.uniform(-4.0, 4.0, live.size)
+            zero = (rng.random(live.size) < 0.2) | ~live
+            c[zero] = rng.choice([-0.0, 0.0], int(zero.sum()))
+            jets.append(Jet(nvars, order, c))
+        a, b = jets
+        assert (a * b).coeffs.tobytes() == _reference_product(a, b).tobytes()
+
     def test_the_examples_lie_on_both_sides_of_the_threshold(self):
         work = lambda nvars, order, rows: rows * _gather_program(nvars, order)[0].size
         assert work(4, 4, 400) >= _COLUMN_GATHER_WORK > work(6, 4, 3 * 3)

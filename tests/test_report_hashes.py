@@ -20,16 +20,16 @@ from finslerkit.cli import main
 from finslerkit.structures import by_name
 
 REPORTS = {
-    ("conformal_quartic2", 20): "46b09f40ff2e50e1d4b9be2492bfbbd0b9422d94df494c6cc2eaaf6e23c2156e",
+    ("conformal_quartic2", 20): "28f8411cdaa16681a378f960eb585a60e87a7abe3a2e56f89a2076ca075baed9",
     ("euclidean2", 20): "377c97e9e5b18b9a633cd1861dfa0e5b3a82db2f51d5686e3c46a16182d283f8",
     ("euclidean3", 20): "33604b837f3a00056704ab248f40cc7ec4a85b504d02234b3d6e43e53621845c",
-    ("minkowski_quartic2", 20): "a6491e508ba5377ebcdb355fbbfb1515300dfa8074c64a76713c8570f938a7fe",
-    ("minkowski_quartic3", 20): "86996c0c738bf9110f81babde84d1e91c6f6ef646243d7df2dfcd21c2344a1e7",
-    ("randers_sphere2", 20): "933201e15c92f532375d32c34df24e57ca4b66da782d0254c4e26a40f53baf59",
-    ("sphere2", 20): "ad0042ebcd042394c9529c8002159d944041ba58464da88f3fefe5eb98b4d3ee",
+    ("minkowski_quartic2", 20): "f85d1d7d6b505529141a7d81ae61d364a1786e7104f00b3c6beca3b69aa248dc",
+    ("minkowski_quartic3", 20): "f22a36aff3c189f7a351d78f78a4dae9cfc81878558ee0c263eb752d52b31d44",
+    ("randers_sphere2", 20): "34d8a2fafec68de3778344f0bfc1e1312d61ba10f3ed91c52fddcbb275688f4e",
+    ("sphere2", 20): "190a2b78567a14e141e0bf8c9e7b47b6f35f1f06ea64f269d4f181ddef19f441",
     ("euclidean3", 200): "e832417dfd3d8c10603d754c8890166231a1395e410666d42c08cf26e11e727a",
-    ("sphere2", 200): "cfd2c9084d2f39c94c74e43e914eb1d7e677e0b47fe78078d79010c858ac7330",
-    ("sphere2", 1000): "ef9d38f6c39b1bbcd6ad47d842cb1a23aa68e452679b7bd4b611ff4f4309da10",
+    ("sphere2", 200): "e422e0da0d4bffdac4b53a7fa35d4e06393fced1d419eacebf424d72124e8eed",
+    ("sphere2", 1000): "093d98cbca074099ff7089b899d1b3a5676005ed0992e671d524ee526f31a1db",
 }
 
 # an indefinite form: every point of the sample fails, some at L (NumericalError)
@@ -55,8 +55,8 @@ LATE_SHA256 = {
 # eq2.14 and thm2.16.conformal turn their identity PASS into a FAIL, and
 # thm2.8.curved reads the curved sample as flat (REPORT-ONLY)
 FLOOR_1E3_SHA256 = {
-    "sphere2": "d378e6d0725aba69d65e3f3e6d6a03b0df2b2c7b56eb8510c3ee0f33aed24810",
-    "conformal_quartic2": "3c7c195267de30e5c9986196896f5def5553edb1b13df7b4bc5eafda89c89072",
+    "sphere2": "15e3a169c171d951cf1bdca8c7a4d47ab1ee4bcd2078d043a5a4c48728b42774",
+    "conformal_quartic2": "b4b363c42d38a38cb2ef9b2a77b5e85a6ce9edf0ab009f043aa610cf75e1aff5",
 }
 
 LIST_CHECKS_SHA256 = "b43d4a60a46758d38e1f3137e438b9eaa99a3f20439b2027cc525529a25e73a5"

@@ -301,23 +301,25 @@ def test_batched_frames_equal_standalone_frames(name):
     assert not batch.g.flags.writeable and not batch.field_jet(s.L, 1).coeffs.flags.writeable
 
 
-def test_batched_solve_pivots_per_system():
+def _inverse(A: Jet) -> np.ndarray:
+    """The inverse of A's value matrices, the `inv` argument of jet_solve."""
+    return np.linalg.inv(A.coeffs[..., 0])
+
+
+def test_stacked_solve_equals_each_systems_solve():
     rng = np.random.default_rng(5)
     A = Jet(6, 2, rng.standard_normal((40, 3, 3, 28)))
     B = Jet(6, 1, rng.standard_normal((40, 3, 2, 7)))
-    X = jet_solve(A, B)
-    first_pivots = set()
+    inv = _inverse(A)
+    X = jet_solve(A, B, inv)
     for i in range(40):
-        assert X.coeffs[i].tobytes() == jet_solve(A[i], B[i]).coeffs.tobytes(), i
-        first_pivots.add(int(np.argmax(np.abs(A.coeffs[i, :, 0, 0]))))
-    assert first_pivots == {0, 1, 2}
+        assert X.coeffs[i].tobytes() == jet_solve(A[i], B[i], inv[i]).coeffs.tobytes(), i
 
 
 @st.composite
 def _jet_systems(draw):
     """(A, B) for jet_solve: P = 1 or a stack of systems whose value matrices
-    are row permutations of diagonally dominant ones, so most steps swap
-    rows; a singular system has an all-zero value row in one of them."""
+    are row permutations of diagonally dominant ones."""
     n, order = draw(st.integers(2, 4)), draw(st.integers(1, 3))
     nvars, m = draw(st.sampled_from([2, 4])), draw(st.integers(1, 3))
     lead = draw(st.sampled_from([(), (3,), (70,)]))
@@ -327,49 +329,101 @@ def _jet_systems(draw):
     values = 0.1 * rng.standard_normal(lead + (n, n)) + 3.0 * np.eye(n)
     rows = np.argsort(rng.random(lead + (n,)), axis=-1)  # a permutation per system
     a[..., 0] = np.take_along_axis(values, rows[..., None], axis=-2)
-    if draw(st.booleans()):  # one system singular
-        a[(*(k - 1 for k in lead), draw(st.integers(0, n - 1)), slice(None), 0)] = 0.0
     b_lead = lead if draw(st.booleans()) else ()  # B may broadcast over the points
     b = rng.standard_normal(b_lead + (n, m, math.comb(nvars + order, order)))
     return Jet(nvars, a_order, a), Jet(nvars, order, b)
 
 
-def _oracle_solve(A, B):
+def _oracle_solve(A, B, inv):
     """tower_oracle.jet_solve of one system, as its (n, m, T) coefficients."""
-    A = A.truncated(B.order)
     n, m = B.coeffs.shape[-3:-1]
     X = oracle.jet_solve([[A[i, j] for j in range(n)] for i in range(n)],
-                         [[B[i, j] for j in range(m)] for i in range(n)])
+                         [[B[i, j] for j in range(m)] for i in range(n)], inv)
     return np.array([[x.coeffs for x in row] for row in X])
-
-
-def _outcome_of(solve):
-    try:
-        return solve()
-    except SingularMetricError as exc:
-        return f"SingularMetricError: {exc}"
 
 
 @given(_jet_systems())
 @settings(max_examples=40, deadline=None)
-def test_jet_solve_equals_the_oracle_that_updates_every_column(system):
-    # a step drops the pivot column and updates the columns right of it and
-    # B only; the oracle updates every column, with the same bits
+def test_jet_solve_equals_the_component_oracle(system):
     A, B = system
-    got = _outcome_of(lambda: jet_solve(A, B).coeffs)
+    inv = _inverse(A)
+    got = jet_solve(A, B, inv).coeffs
     if A.coeffs.ndim == 3:
-        want = _outcome_of(lambda: _oracle_solve(A, B))
+        want = _oracle_solve(A, B, inv)
     else:
         b = np.broadcast_to(B.coeffs, A.coeffs.shape[:-3] + B.coeffs.shape[-3:])
-        want = [_outcome_of(lambda: _oracle_solve(A[i], Jet(B.nvars, B.order, b[i])))
-                for i in range(len(A.coeffs))]
-        errors = [w for w in want if isinstance(w, str)]
-        want = errors[0] if errors else np.stack(want)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert not isinstance(got, str), got
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        want = np.stack([_oracle_solve(A[i], Jet(B.nvars, B.order, b[i]), inv[i])
+                         for i in range(len(A.coeffs))])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _residual_ratio(A, B, X):
+    """max |A X - B| / (max |A| max |X|) of each system, A X a jet product."""
+    A = A.truncated(B.order)
+    Xt = Jet(X.nvars, X.order, X.coeffs.swapaxes(-3, -2))  # [..., m, j]
+    R = ((A[..., :, None, :, :] * Xt[..., None, :, :, :]).sum_last() - B).coeffs
+    size = lambda c: np.abs(c).max(axis=(-3, -2, -1))
+    return size(R) / (size(A.coeffs) * size(X.coeffs))
+
+
+# Round-off bound on the residual ratio: the largest of two runs of 2000
+# drawn systems each was 8.9e-16, and the bound is 4.5 times that
+_RESIDUAL_BOUND = 4e-15
+
+
+@given(_jet_systems())
+@settings(max_examples=60, deadline=None)
+def test_jet_solve_solves_the_system_in_the_jet_ring(system):
+    A, B = system
+    X = jet_solve(A, B, _inverse(A))
+    assert np.all(_residual_ratio(A, B, X) <= _RESIDUAL_BOUND)
+# The recursion against Gauss-Jordan elimination on the frame's systems: the
+# largest move measured over the 7 metrics at 20 points (seed 0) was 4.47e-15
+# of max |X| (conformal_quartic2, G_jets); the bound is 2.2 times that.
+_GAUSS_JORDAN_BOUND = 1e-14
+
+
+def _gauss_jordan_rungs(s, p):
+    """ginv_jets and G_jets at p by tower_oracle.gauss_jordan_solve."""
+    ref, n = ScalarTower(s, p), s.n
+    A = [[jet.truncated(1) for jet in row] for row in ref.g_jets]
+    eye = [[Jet.constant(2 * n, 1, float(i == j)) for j in range(n)] for i in range(n)]
+    return {"ginv_jets": stack(oracle.gauss_jordan_solve(A, eye)),
+            "G_jets": stack(oracle.gauss_jordan_solve(ref.g_jets, ref.G_rhs))[:, 0]}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_solves_equal_gauss_jordan_to_round_off(name):
+    s = by_name(name)
+    pts = s.sample(20, seed=0)
+    batch = PointFrame(s, tuple(pts))
+    for i, p in enumerate(pts):
+        alone = PointFrame(s, p)
+        for rung, want in _gauss_jordan_rungs(s, p).items():
+            for got in (getattr(alone, rung).coeffs, getattr(batch, rung).coeffs[i]):
+                bound = _GAUSS_JORDAN_BOUND * np.abs(got).max()
+                assert np.abs(got - want).max() <= bound, (rung, p)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_ginv_jets_value_is_g_inv(name):
+    s = by_name(name)
+    pts = s.sample(20, seed=0)
+    for fr in [PointFrame(s, p) for p in pts] + [PointFrame(s, tuple(pts))]:
+        assert fr.ginv_jets.value.tobytes() == fr.g_inv.tobytes()
+
+
+@pytest.mark.parametrize("a22, words", [(0, "not positive definite"),
+                                        (1e-13, "numerically singular")])
+def test_a_singular_metric_raises_from_the_guard_at_the_solves(a22, words):
+    s = structure_from_spec({"family": "riemannian", "dim": 2, "a": [[1, 0], [0, a22]]})
+    pts = s.sample(5, seed=0)
+    for rung in ("ginv_jets", "G_jets"):
+        # a batch names its first point
+        for fr, at in ((PointFrame(s, pts[2]), pts[2]), (PointFrame(s, tuple(pts)), pts[0])):
+            with pytest.raises(SingularMetricError) as info:
+                getattr(fr, rung)
+            assert words in str(info.value) and str(at) in str(info.value)
 
 
 def test_batch_errors_stay_with_their_points():

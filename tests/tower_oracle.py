@@ -1,13 +1,16 @@
 """Scalar reference for the stacked PointFrame tower and field calculus.
 
 The frame builds each rung as one stacked jet. This module rebuilds the
-same rungs one component at a time from scalar jets, with the nested-list
-Gauss-Jordan solve and the per-component loops, in the same floating-point
-operation order. A stacked rung must equal its reference here exactly, not
-merely to round-off. The same holds for the jets of pi-vector fields and
+same rungs one component at a time from scalar jets, with the jet-linear
+solves written as the same degree recursion on the value inverse and the
+per-component loops, in the same floating-point operation order. A stacked
+rung must equal its reference here exactly, not merely to round-off. The
+same holds for the jets of pi-vector fields and
 for the `picalc` helpers built on them (`field_jets`, `lowered_jets`,
 `projected_jets`, `dbar_matrix`, `bracket`, `nabla_h_matrix` below), which take lists of
-scalar component jets. Index conventions match the frame:
+scalar component jets. `gauss_jordan_solve` is an independent algorithm
+for the same solves, which the recursion is compared with to round-off.
+Index conventions match the frame:
 
     g_jets[i][j]        g_ij, order 2
     ginv_jets[i][j]     g^ij, order 1
@@ -17,6 +20,7 @@ scalar component jets. Index conventions match the frame:
     F_jets[i][j][k]     F^i_jk, order 1
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +32,34 @@ from finslerkit.jets import MAX_ORDER, Jet, jet_eval
 _PIVOT_FLOOR = 1e-120
 
 
-def jet_solve(A, B):
+def jet_solve(A, B, inv):
+    """A X = B on nested lists of scalar jets (A is n x n, B is n x m) by the
+    degree recursion of `frame.jet_solve`, given the inverse `inv` of A's
+    value matrix: X = C - M X with C = inv B and M = inv (A - A_0), where
+    the degree-d slots of each sum_j M_ij X_jm are taken from X's degree-d
+    slots, d = 1..order, one component at a time."""
+    n, m = len(B), len(B[0])
+    nvars, order = B[0][0].nvars, B[0][0].order
+    sizes = [math.comb(nvars + d, d) for d in range(order + 1)]
+    a = np.array([[A[i][j].coeffs[:sizes[-1]] for j in range(n)] for i in range(n)])
+    M = np.matmul(inv, a.reshape(n, -1)).reshape(a.shape)
+    M[..., 0] = 0.0
+    X = np.matmul(inv, stack(B).reshape(n, -1)).reshape(n, m, sizes[-1])
+    for d in range(1, order + 1):
+        lo, hi = sizes[d - 1], sizes[d]
+        sums = {}
+        for i in range(n):
+            for k in range(m):
+                acc = Jet(nvars, d, M[i, 0, :hi]) * Jet(nvars, d, X[0, k, :hi])
+                for j in range(1, n):
+                    acc = acc + Jet(nvars, d, M[i, j, :hi]) * Jet(nvars, d, X[j, k, :hi])
+                sums[i, k] = acc.coeffs[lo:hi]
+        for (i, k), acc in sums.items():
+            X[i, k, lo:hi] -= acc
+    return [[Jet(nvars, order, X[i, k]) for k in range(m)] for i in range(n)]
+
+
+def gauss_jordan_solve(A, B):
     """Gauss-Jordan on nested lists of scalar jets: A is n x n, B is n x m."""
     n = len(A)
     A = [list(row) for row in A]
@@ -89,10 +120,11 @@ class ScalarTower:
             [Jet.constant(2 * n, 1, 1.0 if i == j else 0.0) for j in range(n)]
             for i in range(n)
         ]
-        return jet_solve(A, I)
+        return jet_solve(A, I, np.linalg.inv(self.g))
 
     @cached_property
-    def G_jets(self):
+    def G_rhs(self):
+        """The right-hand side of the spray system g G = rhs, an n x 1 list."""
         n = self.n
         y_jets = Jet.variable(2 * n, 2, range(n, 2 * n), self.point.y)
         rhs = []
@@ -102,9 +134,12 @@ class ScalarTower:
             for k in range(n):
                 acc = acc + y_jets[k] * dym.partial_jet(k).truncated(2)
             rhs.append([0.5 * acc])
-        A = [[self.g_jets[i][j] for j in range(n)] for i in range(n)]
-        sol = jet_solve(A, rhs)
-        return [sol[i][0] for i in range(n)]
+        return rhs
+
+    @cached_property
+    def G_jets(self):
+        sol = jet_solve(self.g_jets, self.G_rhs, np.linalg.inv(self.g))
+        return [sol[i][0] for i in range(self.n)]
 
     @cached_property
     def N_jets(self):
