@@ -38,7 +38,7 @@ from .chart import ChartPoint
 from .errors import FinslerError
 from .fields import ComponentField, GradientField, constant_field
 from .frame import PointFrame, dot, located_jet_eval, matvec, max_abs, pymax
-from .jets import _index_table, fd_partial
+from .jets import fd_partial, index_table
 from .structures import FinslerStructure, conformal_change, randers_change
 
 PASS = "PASS"
@@ -234,11 +234,10 @@ def _check_homogeneity(fr, tol, floor, seed):
     t = 1.75
     frs = PointFrame(fr.structure,
                      tuple(ChartPoint(p.x, tuple(t * v for v in p.y)) for p in fr.point))
-    n = fr.n
     y = fr.y
     sweep.add(abs(dot(fr.ell, y) - fr.L), fr.L)
-    dyg = fr.g_jets.coeffs[..., 1 + n:1 + 2 * n]  # [..., i, j, k] = dy_k g_ij
-    euler = sum(dyg[..., k] * y[..., None, None, k] for k in range(n))
+    dyg = fr.g_jets.dy  # [..., i, j, k] = dy_k g_ij
+    euler = sum(dyg[..., k] * y[..., None, None, k] for k in range(fr.n))
     sweep.add(max_abs(euler, 2), max_abs(fr.g, 2))
     sweep.add(max_abs(frs.G - t * t * fr.G, 1), max_abs(frs.G, 1))
     sweep.add(max_abs(frs.N - t * fr.N, 2), max_abs(frs.N, 2))
@@ -258,16 +257,11 @@ def _check_cartan_contraction(fr, tol, floor, seed):
     return sweep.result(tol)
 
 
-def _abs_first_partials(jet, n):
-    """|d_i f| for i < n, the x-partials of a scalar jet, as a tuple."""
-    return tuple(np.abs(jet.coeffs[..., 1 + i]) for i in range(n))
-
-
 @check("struct.spray_defect", "y^j d_j dy_m E - y^j d_m dy_j E - 2 g_mj G^j + d_m E = 0")
 def _check_spray_defect(fr, tol, floor, seed):
     sweep = _Sweep(fr.point)
     scale = pymax(max_abs(matvec(2.0 * fr.g, fr.G), 1),
-                  pymax(*_abs_first_partials(fr.E_jet, fr.n)))
+                  pymax(*np.moveaxis(np.abs(fr.E_jet.dx), -1, 0)))
     sweep.add(connections.spray_defect(fr), scale)
     return sweep.result(tol)
 
@@ -275,7 +269,7 @@ def _check_spray_defect(fr, tol, floor, seed):
 @check("struct.conservativity", "delta_i E = 0")
 def _check_conservativity(fr, tol, floor, seed):
     sweep = _Sweep(fr.point)
-    scale = pymax(*_abs_first_partials(fr.E_jet, fr.n))
+    scale = pymax(*np.moveaxis(np.abs(fr.E_jet.dx), -1, 0))
     sweep.add(connections.conservativity_defect(fr), pymax(scale, fr.E))
     return sweep.result(tol)
 
@@ -284,7 +278,7 @@ def _check_conservativity(fr, tol, floor, seed):
 def _check_torsion(fr, tol, floor, seed):
     sweep = _Sweep(fr.point)
     n = fr.n
-    dyN = fr.N_jets.coeffs[..., 1 + n:1 + 2 * n]  # [..., i, j, k] = dy_k N^i_j
+    dyN = fr.N_jets.dy  # [..., i, j, k] = dy_k N^i_j
     worst = 0.0
     scale = 1.0
     for i in range(n):
@@ -576,7 +570,7 @@ def _check_jets_fd(fr, tol, floor, seed):
     poly = _quadratic_scalar(fr.n, rng, True)
     fields = [fr.structure.L, lambda x, y: poly(x, y) * fr.structure.L(x, y)]
     threshold = max(tol, 1e-5)
-    multis = _index_table(2 * fr.n, 3)[0][1:]  # every multi-index of degree 1 to 3
+    multis = index_table(2 * fr.n, 3)[0][1:]  # every multi-index of degree 1 to 3
     sub = fr.point[:3]
     # [point, (field, multi)]: one stacked jet per field, one difference scheme per entry
     stacked = [located_jet_eval(f, sub, 3) for f in fields]

@@ -31,22 +31,16 @@ def spray_defect(fr: PointFrame, G=None) -> float:
     n = fr.n
     y = fr.y
     Gv = fr.G if G is None else np.asarray(G, dtype=float)
-
-    def e_partial(*slots):
-        multi = [0] * (2 * n)
-        for s in slots:
-            multi[s] += 1
-        return fr.E_jet.partial(tuple(multi))
-
+    mixed = fr._E_dy.dx  # [..., m, j] = d_j dy_m E
     res = 0.0
     for m in range(n):
-        acc = e_partial(m)
+        acc = fr.E_jet.dx[..., m]
         for j in range(n):
-            acc = acc + y[..., j] * e_partial(j, n + m)
-            acc = acc - y[..., j] * e_partial(m, n + j)
+            acc = acc + y[..., j] * mixed[..., m, j]
+            acc = acc - y[..., j] * mixed[..., j, m]
             acc = acc - 2.0 * fr.g[..., m, j] * Gv[..., j]
         res = pymax(res, abs(acc))
-        fib = e_partial(n + m) - dot(fr.g[..., m, :], y)
+        fib = fr.E_jet.dy[..., m] - dot(fr.g[..., m, :], y)
         res = pymax(res, abs(fib))
     return res
 
@@ -75,9 +69,8 @@ def metricity_defect(fr: PointFrame):
         h: delta_k g_ij - F^m_ik g_mj - F^m_jk g_im
         v: dy_k g_ij - C^m_ik g_mj - C^m_jk g_im
     """
-    n = fr.n
     dg = fr._dg_jets.value  # [i, j, k] = delta_k g_ij
-    dyg = fr.g_jets.coeffs[..., 1 + n:1 + 2 * n]  # [i, j, k] = dy_k g_ij
+    dyg = fr.g_jets.dy  # [i, j, k] = dy_k g_ij
     h = dg - np.einsum("...mik,...mj->...ijk", fr.F, fr.g) \
         - np.einsum("...mjk,...im->...ijk", fr.F, fr.g)
     v = dyg - np.einsum("...mik,...mj->...ijk", fr.Cmix, fr.g) \

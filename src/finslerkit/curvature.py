@@ -72,7 +72,7 @@ def scalar_form_check(fr: PointFrame, kappa=None) -> ScalarFormResult:
     if kappa is not None:
         kj = fr.field_jet(kappa, 1)
         kval = kj.value
-        u = np.array(kj.coeffs[..., 1 + n:1 + 2 * n])
+        u = np.array(kj.dy)
         supplied = True
     else:
         rows = []

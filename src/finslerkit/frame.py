@@ -5,17 +5,17 @@ the fundamental tensor, the geodesic spray, the nonlinear connection,
 the linear connection coefficients, and their horizontal derivatives.
 Everything is computed lazily and cached, so cheap consumers (say, a
 metric check) never pay for curvature. The two rungs that solve with g,
-`ginv_jets` and `G_jets`, run `jet_solve` on `g_inv`, which reads `g` and
-so its conditioning guard first; `ginv_jets.value` is `g_inv`.
+`ginv_jets` and `G_jets`, run `jets.jet_solve` on `g_inv`, which reads `g`
+and so its conditioning guard first; `ginv_jets.value` is `g_inv`.
 
 Index layout: variable slots 0..n-1 are x, slots n..2n-1 are y. All
 tensor arrays are indexed with the contravariant slot first, so N[i, j]
 is N^i_j and F[i, j, k] is F^i_jk with lower indices (j, k). The jet rungs
 are stacked Jets in the same layout, with the graded coefficient table as
-the trailing axis: `N_jets[i, j]` is the jet of N^i_j. Each rung is built
-with one jet operation per tensor rather than one per component. The
-value arrays are C-contiguous, as einsum may sum in another order over
-another memory layout.
+the trailing axis: `N_jets[i, j]` is the jet of N^i_j, and `N_jets.dy`
+holds dy_k N^i_j at [..., i, j, k]. Each rung is built with one jet
+operation per tensor rather than one per component. The value arrays are
+C-contiguous, as einsum may sum in another order over another memory layout.
 
 A frame may also hold a batch: `PointFrame(structure, points)` with a
 tuple of chart points puts a leading point axis before the tensor axes of
@@ -44,37 +44,10 @@ import numpy as np
 
 from .chart import ChartPoint
 from .errors import DomainError, NumericalError, SingularMetricError
-from .jets import MAX_ORDER, Jet, _table_size, jet_eval
+from . import jets
+from .jets import MAX_ORDER, Jet, jet_eval
 
 COND_LIMIT = 1e12
-
-
-def jet_solve(A: Jet, B: Jet, inv: np.ndarray) -> Jet:
-    """Solve the jet-linear system A X = B, given the inverse `inv` of A's
-    value matrices, which the caller computes behind its conditioning guard.
-
-    A is an (..., n, n) stack of jets and B an (..., n, m) stack of the same
-    or a lower order K, which A is truncated to; B broadcasts over A's
-    leading axes (points). With C = inv B and M = inv (A - A_0), X = C - M X,
-    and M has no value part, so the degree-d slots of M X read X below degree
-    d only: X starts as C, and for d = 1..K its degree-d slots take away
-    those of sum_j M_ij X_jm, an order-d product (Griewank & Walther,
-    *Evaluating Derivatives*, ch. 13). Each matmul runs once, per point, and
-    the j sum adds in index order, so a stack's slice i is system i alone.
-    """
-    nvars, order, T = B.nvars, B.order, B.coeffs.shape[-1]
-    a, b = A.coeffs[..., :T], B.coeffs  # A truncated to the order of B
-    M = np.matmul(inv, a.reshape(a.shape[:-2] + (-1,))).reshape(a.shape)
-    M[..., 0] = 0.0
-    X = np.matmul(inv, b.reshape(b.shape[:-2] + (-1,)))
-    X = X.reshape(X.shape[:-1] + b.shape[-2:])
-    Xt = X.swapaxes(-3, -2)  # [..., m, j]
-    for d in range(1, order + 1):
-        lo, hi = _table_size(nvars, d - 1), _table_size(nvars, d)
-        # [..., i, m, j] = M_ij X_jm, order d
-        terms = Jet(nvars, d, M[..., :, None, :, :hi]) * Jet(nvars, d, Xt[..., None, :, :, :hi])
-        X[..., lo:hi] -= terms.sum_last().coeffs[..., lo:hi]
-    return Jet(nvars, order, X)
 
 
 def _freeze(value) -> None:
@@ -237,7 +210,8 @@ class PointFrame:
     def ginv_jets(self) -> Jet:
         """g^ij as an (n, n) stack of order-1 jets, from solving g X = identity
         in the jet ring; its value part is `g_inv`."""
-        return jet_solve(self.g_jets, Jet.constant(2 * self.n, 1, np.eye(self.n)), self.g_inv)
+        eye = Jet.constant(2 * self.n, 1, np.eye(self.n))
+        return jets.jet_solve(self.g_jets, eye, self.g_inv)
 
     @_lazy
     def y(self) -> np.ndarray:
@@ -247,7 +221,7 @@ class PointFrame:
     @_lazy
     def ell(self) -> np.ndarray:
         """The unit covector, first fiber derivatives of L."""
-        return np.ascontiguousarray(self.L_jet.coeffs[..., 1 + self.n:1 + 2 * self.n])
+        return np.ascontiguousarray(self.L_jet.dy)
 
     @_lazy
     def phi(self) -> np.ndarray:
@@ -266,7 +240,7 @@ class PointFrame:
     @_lazy
     def C3(self) -> np.ndarray:
         """All-lower Cartan tensor, C_ijk = half the fiber derivative of g_ij."""
-        return np.ascontiguousarray(0.5 * self.g_jets.coeffs[..., 1 + self.n:1 + 2 * self.n])
+        return np.ascontiguousarray(0.5 * self.g_jets.dy)
 
     @_lazy
     def Cmix(self) -> np.ndarray:
@@ -289,7 +263,7 @@ class PointFrame:
         # column 0 also takes -d_m E, so the row sums are the right-hand side
         terms.coeffs[..., 0, :] -= self.E_jet.partial_jet(range(n)).truncated(2).coeffs
         rhs = (0.5 * terms.sum_last())[..., None, :]
-        return jet_solve(self.g_jets, rhs, self.g_inv)[..., 0, :]
+        return jets.jet_solve(self.g_jets, rhs, self.g_inv)[..., 0, :]
 
     @_lazy
     def G(self) -> np.ndarray:
@@ -312,12 +286,11 @@ class PointFrame:
         every direction k at once as a trailing axis: the bits of
         `delta_jets(jet.truncated(1)).value`, which cost 6-7% more to read on a
         1000-point sphere2 run_checks and on a single-point Sc stream."""
-        n = self.n
-        c = jet.coeffs
-        N = self._against(self.N, c.ndim + 1)
-        out = c[..., 1:1 + n]
-        for m in range(n):
-            out = out - N[..., m, :] * c[..., 1 + n + m, None]
+        dy = jet.dy
+        N = self._against(self.N, dy.ndim + 1)
+        out = jet.dx
+        for m in range(self.n):
+            out = out - N[..., m, :] * dy[..., m, None]
         return out
 
     def delta_jets(self, jet: Jet) -> Jet:

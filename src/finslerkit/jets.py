@@ -5,6 +5,7 @@ smooth function at one point, for every multi-index of total degree up to
 `order`. The multi-index table is graded by degree, so the table of a
 lower order is always a prefix of a higher one; truncation is a slice and
 mixed-partial symmetry is structural (one slot per sorted multi-index).
+Slot 0 is the value, then the first partials, x first (`Jet.dx`, `Jet.dy`).
 
 A Jet may also hold a stack of such tables: `coeffs` has shape (..., T),
 leading axes and the graded table of length T last. Ring operations
@@ -36,8 +37,8 @@ parts, from the same Python float seeds and IEEE operations as a scalar
 jet's, so a stacked function equals the component-wise scalar results bit
 for bit too.
 
-The module also carries the finite-difference oracle (`fd_partial`) the
-test suite uses to certify jet output against an independent scheme.
+The module also carries the jet linear solve (`jet_solve`) and the
+finite-difference oracle (`fd_partial`) that certifies jet output in tests.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ MAX_ORDER = 4
 
 
 @lru_cache(maxsize=None)
-def _index_table(nvars: int, order: int):
+def index_table(nvars: int, order: int):
     """(multi-index tuple list, position dict) graded by total degree."""
     idx = []
     for deg in range(order + 1):
@@ -70,7 +71,7 @@ def _index_table(nvars: int, order: int):
 
 @lru_cache(maxsize=None)
 def _mul_program(nvars: int, order: int):
-    table, pos = _index_table(nvars, order)
+    table, pos = index_table(nvars, order)
     io, ia, ib, w = [], [], [], []
     for gi, gamma in enumerate(table):
         for alpha in itertools.product(*[range(g + 1) for g in gamma]):
@@ -210,14 +211,42 @@ def _leibniz(nvars: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return out.reshape(lead.shape + (size,))
 
 
+def jet_solve(A: Jet, B: Jet, inv: np.ndarray) -> Jet:
+    """Solve the jet-linear system A X = B, given the inverse `inv` of A's
+    value matrices, which the caller computes behind its conditioning guard.
+
+    A is an (..., n, n) stack of jets and B an (..., n, m) stack of the same
+    or a lower order K, which A is truncated to; B broadcasts over A's
+    leading axes (points). With C = inv B and M = inv (A - A_0), X = C - M X,
+    and M has no value part, so the degree-d slots of M X read X below degree
+    d only: X starts as C, and for d = 1..K its degree-d slots take away
+    those of sum_j M_ij X_jm, an order-d product (Griewank & Walther,
+    *Evaluating Derivatives*, ch. 13). Each matmul runs once, per point, and
+    the j sum adds in index order, so a stack's slice i is system i alone.
+    """
+    nvars, order, T = B.nvars, B.order, B.coeffs.shape[-1]
+    a, b = A.coeffs[..., :T], B.coeffs  # A truncated to the order of B
+    M = np.matmul(inv, a.reshape(a.shape[:-2] + (-1,))).reshape(a.shape)
+    M[..., 0] = 0.0
+    X = np.matmul(inv, b.reshape(b.shape[:-2] + (-1,)))
+    X = X.reshape(X.shape[:-1] + b.shape[-2:])
+    Xt = X.swapaxes(-3, -2)  # [..., m, j]
+    for d in range(1, order + 1):
+        lo, hi = _table_size(nvars, d - 1), _table_size(nvars, d)
+        # [..., i, m, j] = M_ij X_jm, order d
+        terms = Jet(nvars, d, M[..., :, None, :, :hi]) * Jet(nvars, d, Xt[..., None, :, :, :hi])
+        X[..., lo:hi] -= terms.sum_last().coeffs[..., lo:hi]
+    return Jet(nvars, order, X)
+
+
 @lru_cache(maxsize=None)
 def _shift_map(nvars: int, order: int, slot):
     """Positions in the order-`order` table of alpha + e_slot, alpha over the
     (order-1) table; a tuple of slots stacks one row per slot."""
     if isinstance(slot, tuple):
         return np.stack([_shift_map(nvars, order, s) for s in slot])
-    lo, _ = _index_table(nvars, order - 1)
-    _, pos_hi = _index_table(nvars, order)
+    lo, _ = index_table(nvars, order - 1)
+    _, pos_hi = index_table(nvars, order)
     out = []
     for alpha in lo:
         shifted = list(alpha)
@@ -241,8 +270,8 @@ class Jet:
     """Raw-derivative jet of a scalar function at a point, or a stack of them.
 
     `coeffs` has shape (..., T): any leading axes (points, then tensor
-    components), then the graded table. Readouts of a stack (`value`,
-    `partial1`, `partial`) are arrays over the leading axes.
+    components), then the graded table. Readouts of a stack (`value`, `dx`,
+    `dy`, `partial`) are arrays over the leading axes.
     """
 
     __slots__ = ("nvars", "order", "coeffs")
@@ -309,8 +338,16 @@ class Jet:
     def value(self):
         return self._slot(0)
 
-    def partial1(self, slot: int):
-        return self._slot(1 + slot)
+    @property
+    def dx(self) -> np.ndarray:
+        """First partials along x, slots 0..n-1 of the 2n variables: an (..., n)
+        view of the table, read-only where the table is (a frame's rungs)."""
+        return self.coeffs[..., 1:1 + self.nvars // 2]
+
+    @property
+    def dy(self) -> np.ndarray:
+        """First partials along y, slots n..2n-1: an (..., n) view, as `dx`."""
+        return self.coeffs[..., 1 + self.nvars // 2:1 + self.nvars]
 
     def partial(self, multi):
         """Raw partial derivative for a full multi-index (length nvars)."""
@@ -321,7 +358,7 @@ class Jet:
             raise CapabilityError(
                 f"degree {sum(multi)} exceeds stored jet order {self.order}"
             )
-        _, pos = _index_table(self.nvars, self.order)
+        _, pos = index_table(self.nvars, self.order)
         return self._slot(pos[multi])
 
     def truncated(self, order: int) -> "Jet":

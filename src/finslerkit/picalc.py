@@ -164,8 +164,7 @@ class DbarSqResult:
 def _torsion_contraction(fr: PointFrame, fj: Jet) -> np.ndarray:
     """R^m_jk dy_m f, the vh-torsion contracted with the fiber differential
     of a scalar f given by its jet."""
-    n = fr.n
-    dyf = np.array(fj.coeffs[..., 1 + n:1 + 2 * n])
+    dyf = np.array(fj.dy)
     return np.einsum("...mjk,...m->...jk", fr.Rhat, dyf)
 
 
@@ -206,9 +205,7 @@ def isotropy_residual(fr: PointFrame, f) -> float:
     Vanishes exactly when the fiber differential of f is proportional to
     ell, that is when f depends on y through L alone.
     """
-    n = fr.n
-    fj = fr.field_jet(f, 1)
-    dyf = np.array(fj.coeffs[..., 1 + n:1 + 2 * n])
+    dyf = np.array(fr.field_jet(f, 1).dy)
     radial = np.asarray(dot(fr.y, dyf))
     return max_abs(dyf - fr.ell * radial[..., None] / np.asarray(fr.L)[..., None], 1)
 
@@ -452,8 +449,6 @@ def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
     residual and the residual against the pure wedge term (the prediction
     applicable when dbar~ omega itself vanishes).
     """
-    n = fr.n
-
     Xj = X.jets(fr)
     Xjt = X.jets(frt)
 
@@ -468,7 +463,7 @@ def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
     sigma = frt.structure.meta["sigma_fn"]  # not frt, which fr's field-jet memo would keep
     sig_jet = fr.field_jet(lambda x, y: sigma(x), 1)
     sig = sig_jet.value
-    dsig = np.array(sig_jet.coeffs[..., 1:1 + n])
+    dsig = np.array(sig_jet.dx)
     e2s = np.asarray(np.exp(2.0 * sig))[..., None, None]
     # the outer products dsig (x) w and w (x) dsig
     dw = dsig[..., :, None] * wv[..., None, :]

@@ -262,16 +262,23 @@ def _whole(value, key: str) -> int:
     return int(value)
 
 
-def _poly_callable(spec, n: int) -> Callable:
-    """Polynomial in x from a spec: a number, or {"terms": [{"coef", "powers"}]}."""
-    if isinstance(spec, (int, float)):
-        const = float(spec)
+def _real(value, key: str) -> float:
+    """An int or a float as a float; a string or a bool is a ValueError naming `key`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"metric field {key!r} must hold numbers, got {value!r}")
+    return float(value)
+
+
+def _poly_callable(spec, n: int, key: str) -> Callable:
+    """Polynomial in x from spec field `key`: a number, or {"terms": [{"coef", "powers"}]}."""
+    if not isinstance(spec, dict):
+        const = _real(spec, key)
         return lambda x: const
-    if not isinstance(spec, dict) or "terms" not in spec:
+    if "terms" not in spec:
         raise ValueError("polynomial spec must be a number or {'terms': [...]}")
     terms = []
     for t in _field(spec, "terms", list):
-        coef = _field(t, "coef", float)
+        coef = _field(t, "coef", lambda c: _real(c, "coef"))
         powers = _field(t, "powers", lambda p: tuple(_whole(e, "powers") for e in p))
         if len(powers) != n or any(e < 0 for e in powers):
             raise ValueError(f"term powers must be {n} nonnegative integers")
@@ -306,7 +313,7 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
         rows = _field(spec, "a", lambda a: [list(r) for r in a])
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("'a' must be an n x n table of polynomial specs")
-        polys = [[_poly_callable(rows[i][j], n) for j in range(n)] for i in range(n)]
+        polys = [[_poly_callable(rows[i][j], n, "a") for j in range(n)] for i in range(n)]
 
         def a_fn(x):
             vals = [[polys[i][j](x) for j in range(n)] for i in range(n)]
@@ -322,11 +329,11 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
         comps = _field(spec, "b", list)
         if len(comps) != base.n:
             raise ValueError(f"'b' needs {base.n} components")
-        polys = [_poly_callable(c, base.n) for c in comps]
+        polys = [_poly_callable(c, base.n, "b") for c in comps]
         b_fn = lambda x: [p(x) for p in polys]
         return randers_change(base, b_fn, name=spec.get("name"))
     if family == "conformal":
         base = structure_from_spec(spec["base"])
-        sig = _poly_callable(spec["sigma"], base.n)
+        sig = _poly_callable(spec["sigma"], base.n, "sigma")
         return conformal_change(base, sig, name=spec.get("name"))
     raise ValueError(f"unknown metric family {family!r}")

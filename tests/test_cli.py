@@ -56,6 +56,14 @@ NOT_INTEGER = {
     "powers='1'": ("powers", {"family": "conformal", "base": SPHERE,
                               "sigma": {"terms": [{"coef": 1.0, "powers": ["1", 0]}]}}),
 }
+# a number field holding a string or a bool: each is rejected, not converted
+NOT_A_NUMBER = {
+    "coef='0.5'": ("coef", {"family": "conformal", "base": SPHERE,
+                            "sigma": {"terms": [{"coef": "0.5", "powers": [1, 0]}]}}),
+    "a=true": ("a", {"family": "riemannian", "dim": 2, "a": [[True, 0], [0, 1]]}),
+    "b=false": ("b", {"family": "randers", "b": [False, 0.1], "base": SPHERE}),
+    "sigma='1'": ("sigma", {"family": "conformal", "sigma": "1", "base": SPHERE}),
+}
 
 
 def spec_file(tmp_path, spec):
@@ -255,12 +263,23 @@ class TestUsageErrors:
         assert out.err.startswith(f"error: metric field {field!r} must hold integers")
         assert "Traceback" not in out.err
 
+    @pytest.mark.parametrize("command", ["verify", "eval"])
+    @pytest.mark.parametrize("case", sorted(NOT_A_NUMBER))
+    def test_a_non_number_in_a_number_field_is_rejected(self, tmp_path, capsys, command,
+                                                        case):
+        field, spec = NOT_A_NUMBER[case]
+        code, out = _run_spec(tmp_path, capsys, command, spec)
+        assert code == 2
+        assert out.err.startswith(f"error: metric field {field!r} must hold numbers")
+        assert "Traceback" not in out.err
+
     def test_whole_floats_read_as_integers(self, tmp_path, capsys):
         printed = []
-        for dim, power in ((2, 1), (2.0, 1.0)):
-            spec = {"family": "conformal",
-                    "sigma": {"terms": [{"coef": 0.3, "powers": [power, 0]}]},
-                    "base": {"family": "riemannian", "dim": dim, "a": [[1, 0], [0, 1]]}}
+        # and an int in a number field (a coef, a constant entry) reads as its float
+        for dim, power, one in ((2, 1, 1), (2.0, 1.0, 1.0)):
+            terms = [{"coef": 0.3, "powers": [power, 0]}, {"coef": one, "powers": [0, 0]}]
+            spec = {"family": "conformal", "sigma": {"terms": terms},
+                    "base": {"family": "riemannian", "dim": dim, "a": [[one, 0], [0, one]]}}
             code, out = _run_spec(tmp_path, capsys, "eval", spec)
             assert code == 0
             printed.append(out.out)

@@ -74,11 +74,7 @@ class TestStructuralCertificates:
         s = by_name(name)
         for p in s.sample(4, seed=13):
             fr = point_frame(s, p)
-            dN = np.empty((s.n, s.n, s.n))
-            for i in range(s.n):
-                for j in range(s.n):
-                    for k in range(s.n):
-                        dN[i, j, k] = fr.N_jets[i][j].partial1(s.n + k)
+            dN = fr.N_jets.dy  # [i, j, k] = dy_k N^i_j
             assert np.abs(dN - np.transpose(dN, (0, 2, 1))).max() < 1e-10
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)

@@ -1,4 +1,6 @@
-"""Import hygiene of the package: every imported name is used."""
+"""Import hygiene of the package: every imported name is used, and no
+module but `jets` reads a private name of `jets`, whose coefficient layout
+stays behind its public readouts."""
 
 import ast
 from pathlib import Path
@@ -35,3 +37,31 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def private_jets_names(source: str) -> list:
+    """(line, name) of each underscore name that `source` takes from the jets
+    module: imported from it, or read as an attribute of a name `jets`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "jets":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "jets" and node.attr.startswith("_")):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_scan_finds_a_private_jets_name():
+    source = ("from .jets import Jet, _table_size\n"
+              "from finslerkit.jets import _leibniz\n"
+              "from . import jets\n"
+              "print(Jet, jets.jet_eval, jets._shift_map)\n")
+    assert private_jets_names(source) == [(1, "_table_size"), (2, "_leibniz"),
+                                          (4, "_shift_map")]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "jets.py"])
+def test_no_private_jets_names_outside_jets(module):
+    assert private_jets_names((PACKAGE / module).read_text()) == []

@@ -19,7 +19,6 @@ from finslerkit.jets import (
     _gather_program,
     _cos_series,
     _exp_series,
-    _index_table,
     _live_program,
     _log_series,
     _mul_program,
@@ -31,12 +30,14 @@ from finslerkit.jets import (
     exp,
     fd_partial,
     field_value,
+    index_table,
     jet_eval,
     log,
     powr,
     sin,
     sqrt,
 )
+from finslerkit import frame as frame_module
 from finslerkit.frame import point_frame
 from finslerkit.structures import by_name
 
@@ -94,7 +95,7 @@ class TestFrozenValues:
         p = ChartPoint(x=(0.0, 0.0), y=(1.0, 1.0))
         jet = jet_eval(f, p, 2)
         # d/dy0 (y0^4 + y1^4)^(1/2) = 2 y0^3 / sqrt(y0^4 + y1^4) = sqrt(2)
-        assert jet.partial1(2) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert jet.dy[0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
         # d2/dy0^2 = 6 y0^2/sqrt(u) - 4 y0^6 u^(-3/2) = 2 sqrt(2)
         assert jet.partial(multi(4, s2=2)) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-13)
 
@@ -102,7 +103,7 @@ class TestFrozenValues:
         f = lambda x, y: sqrt(y[0] ** 2 + y[1] ** 2)
         jet = jet_eval(f, P, 1)
         val = jet.value
-        euler = P.y[0] * jet.partial1(2) + P.y[1] * jet.partial1(3)
+        euler = P.y[0] * jet.dy[0] + P.y[1] * jet.dy[1]
         assert euler == pytest.approx(val, rel=1e-14)
 
 
@@ -249,7 +250,7 @@ BROADCAST_PAIRS = {
 def _block_support(kind, nvars, order, rng):
     """Columns of an operand that is x-only, y-only, constant, all zero,
     truncated to a lower order, full, or random (x-block first)."""
-    table, _ = _index_table(nvars, order)
+    table, _ = index_table(nvars, order)
     half = nvars // 2
     deg = np.array([sum(mi) for mi in table])
     x_part = np.array([sum(mi[:half]) for mi in table])
@@ -472,7 +473,7 @@ class TestStackedJets:
         stack = Jet(4, 1, np.arange(10.0).reshape(2, 5))
         row = stack[1]
         assert np.shares_memory(row.coeffs, stack.coeffs)
-        assert row.value == 5.0 and row.partial1(0) == 6.0
+        assert row.value == 5.0 and row.dx[0] == 6.0
         assert np.array_equal(stack.value, [0.0, 5.0])
         with pytest.raises(TypeError):
             row[0]
@@ -628,6 +629,56 @@ class TestStackedEvaluation:
             jet_eval(lambda x, y: sqrt(y[0] * y[0] - y[1] * y[1]), pts, 1)
 
 
+def _unit(nvars, slot):
+    return tuple(int(s == slot) for s in range(nvars))
+
+
+class TestFirstPartials:
+    """`dx` and `dy` read the first partials along x and along y out of the
+    table, as views."""
+
+    @staticmethod
+    def _jets():
+        """One field's jet at a point, its stack over two points, and a frame's
+        (P, n, n) stack of g_ij jets."""
+        f = lambda x, y: exp(x[0] * y[2]) * (x[1] + y[0] * y[1]) + x[2] ** 2 * y[1]
+        pts = [ChartPoint((0.3, -0.7, 0.2), (1.1, 0.4, -0.5)),
+               ChartPoint((-0.1, 0.5, 0.9), (0.2, 1.3, 0.6))]
+        s = by_name("minkowski_quartic3")
+        g_jets = point_frame(s, tuple(s.sample(2, seed=4))).g_jets
+        return jet_eval(f, pts[0], 2), jet_eval(f, pts, 2), g_jets
+
+    def test_dx_and_dy_are_the_unit_partials_bit_for_bit(self):
+        for jet in self._jets():
+            n = jet.nvars // 2
+            for k in range(n):
+                for got, slot in ((jet.dx[..., k], k), (jet.dy[..., k], n + k)):
+                    want = np.asarray(jet.partial(_unit(jet.nvars, slot)))
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_readouts_are_views_of_the_table(self):
+        for jet in self._jets():
+            for view in (jet.dx, jet.dy):
+                assert view.shape == jet.coeffs.shape[:-1] + (jet.nvars // 2,)
+                assert np.shares_memory(view, jet.coeffs)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_a_frame_rung_readout_refuses_writes(self, batch):
+        s = by_name("sphere2")
+        pts = s.sample(3, seed=1)
+        fr = point_frame(s, tuple(pts) if batch else pts[0])
+        with pytest.raises(ValueError):
+            fr.g_jets.dy[...] = 0.0
+        # on a single point's table too, where dy[..., k] is a 0-d view
+        part = fr.E_jet.dy[..., 0]
+        with pytest.raises(ValueError):
+            part -= 1.0
+
+    def test_the_old_readout_and_solver_home_are_gone(self):
+        assert not hasattr(Jet, "partial1")
+        assert not hasattr(frame_module, "jet_solve")
+
+
 class TestOrderSemantics:
     def test_product_truncates_to_min_order(self):
         a = Jet.constant(4, 3, 2.0)
@@ -694,7 +745,7 @@ class TestFiniteDifferenceOracle:
             poly = _quadratic_scalar(s.n, np.random.default_rng(seed), True)
             f = lambda x, y: poly(x, y) * s.L(x, y)
         p = s.sample(1, seed)[0]
-        for m in _index_table(2 * s.n, 3)[0][1:]:
+        for m in index_table(2 * s.n, 3)[0][1:]:
             assert fd_partial(f, p, m).hex() == _chart_point_fd(f, p, m).hex(), m
 
 

@@ -20,8 +20,8 @@ from finslerkit.chart import ChartPoint
 from finslerkit.errors import FinslerError, SingularMetricError
 from finslerkit.fields import (ComponentField, DriftCompanionField, GradientField, PiForm,
                                PiVectorField, project_away)
-from finslerkit.frame import PointFrame, jet_solve, point_frame
-from finslerkit.jets import Jet
+from finslerkit.frame import PointFrame, point_frame
+from finslerkit.jets import Jet, jet_solve
 from finslerkit.structures import by_name, conformal_change, randers_change, structure_from_spec
 
 from conftest import CATALOG_NAMES

@@ -34,7 +34,7 @@ _PIVOT_FLOOR = 1e-120
 
 def jet_solve(A, B, inv):
     """A X = B on nested lists of scalar jets (A is n x n, B is n x m) by the
-    degree recursion of `frame.jet_solve`, given the inverse `inv` of A's
+    degree recursion of `jets.jet_solve`, given the inverse `inv` of A's
     value matrix: X = C - M X with C = inv B and M = inv (A - A_0), where
     the degree-d slots of each sum_j M_ij X_jm are taken from X's degree-d
     slots, d = 1..order, one component at a time."""
@@ -152,9 +152,9 @@ class ScalarTower:
         return np.array([[self.N_jets[i][j].value for j in range(n)] for i in range(n)])
 
     def delta_value(self, jet, k):
-        out = jet.partial1(k)
+        out = jet.dx[..., k]
         for m in range(self.n):
-            out -= self.N[m, k] * jet.partial1(self.n + m)
+            out = out - self.N[m, k] * jet.dy[..., m]
         return out
 
     def delta_jet(self, jet, k):
@@ -207,7 +207,7 @@ class ScalarTower:
         for i in range(n):
             for j in range(i, n):
                 for k in range(n):
-                    val = 0.5 * self.g_jets[i][j].partial1(n + k)
+                    val = 0.5 * self.g_jets[i][j].dy[..., k]
                     C3[i, j, k] = val
                     C3[j, i, k] = val
         return np.einsum("is,sjk->ijk", np.linalg.inv(self.g), C3)
