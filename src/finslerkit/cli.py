@@ -13,7 +13,7 @@ from . import __version__
 from .chart import ChartPoint
 from .checks import ANCHORS, FAIL, check_ids, run_checks
 from .errors import FinslerError
-from .frame import point_frame
+from .frame import PointFrame
 from .structures import by_name, structure_from_spec
 
 
@@ -121,7 +121,7 @@ def _parse_at(text: str, n: int) -> ChartPoint:
     return ChartPoint(tuple(parts["x"]), tuple(parts["y"]))
 
 
-# --object name -> its value on a point frame; the keys are the choices
+# --object name -> its value over a frame's points; the keys are the choices
 _EVAL_OBJECTS = {
     "g": lambda fr: fr.g,
     "C": lambda fr: fr.C3,
@@ -138,7 +138,7 @@ def cmd_eval(args) -> int:
     metric = _load_metric(args.metric)
     p = _parse_at(args.at, metric.n)
     obj = args.object
-    value = np.asarray(_EVAL_OBJECTS[obj](point_frame(metric, p)))
+    value = np.asarray(_EVAL_OBJECTS[obj](PointFrame(metric, (p,)))[0])
     print(f"{metric.name} at x={list(p.x)} y={list(p.y)}: {obj} =")
     if value.ndim == 0:
         print(_fmt(value))

@@ -5,9 +5,9 @@ The spray is certified against the unreduced geodesic equation, not
 against its own defining solve, so a wrong sign or a dropped term in the
 tower shows up as a nonzero defect here.
 
-Every entry point takes the frame it computes on, at one chart point or
-over a tuple of them: on a batch frame each defect is an array with one
-entry per point, equal to the defect on a frame at that point alone.
+Every entry point takes the frame it computes on, over a tuple of chart
+points: each defect is an array with one entry per point, equal to the
+defect on a frame at that point alone.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 from .frame import PointFrame, dot, matvec, max_abs, pymax
 
 
-def spray_defect(fr: PointFrame, G=None) -> float:
-    """Residual of the unreduced geodesic equation at the frame's point.
+def spray_defect(fr: PointFrame, G=None) -> np.ndarray:
+    """Residual of the unreduced geodesic equation at each frame point.
 
     Checks both chart components of i_S(d d_J E) + d E = 0:
 
@@ -45,18 +45,18 @@ def spray_defect(fr: PointFrame, G=None) -> float:
     return res
 
 
-def deflection_defect(fr: PointFrame) -> float:
+def deflection_defect(fr: PointFrame) -> np.ndarray:
     """max |F^i_kj y^k - N^i_j|: the linear connection must reproduce the
     nonlinear one on the tautological section."""
     return max_abs(np.einsum("...ikj,...k->...ij", fr.F, fr.y) - fr.N, 2)
 
 
-def conservativity_defect(fr: PointFrame) -> float:
+def conservativity_defect(fr: PointFrame) -> np.ndarray:
     """max_i |delta_i E|: the energy must be horizontally constant."""
     return pymax(*np.moveaxis(np.abs(fr.delta_values(fr.E_jet)), -1, 0))
 
 
-def torsion_defect(fr: PointFrame) -> float:
+def torsion_defect(fr: PointFrame) -> np.ndarray:
     """Symmetry defect of the horizontal coefficients, max |F^i_jk - F^i_kj|."""
     return max_abs(fr.F - np.swapaxes(fr.F, -1, -2), 3)
 
@@ -95,7 +95,7 @@ def project_v(fr: PointFrame, vec) -> np.ndarray:
     return np.concatenate([np.zeros(b.shape), b], axis=-1)
 
 
-def projector_defects(fr: PointFrame) -> float:
+def projector_defects(fr: PointFrame) -> np.ndarray:
     """Idempotency, complementarity, and annihilation defects of (h, v)."""
     eye = np.eye(2 * fr.n)
     h = np.stack([project_h(fr, e) for e in eye.T], axis=-1)

@@ -11,9 +11,9 @@ Conventions, fixed once for the whole package:
 With these signs the round unit sphere carries scalar value +2 in
 dimension two.
 
-Both entry points take the frame they compute on, at one chart point or
-over a tuple of them: on a batch frame every result carries a leading point
-axis, equal point by point to the result on a frame at that point alone.
+Both entry points take the frame they compute on, over a tuple of chart
+points: every result carries the frame's leading point axis, equal point by
+point to the result on a frame at that point alone.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import PointFrame, _plain, max_abs, pymax
+from .frame import PointFrame, max_abs, pymax
 
 
-def curvature_contraction_defect(fr: PointFrame) -> float:
+def curvature_contraction_defect(fr: PointFrame) -> np.ndarray:
     """max |R^i_hjk y^h - R^i_jk|: the certificate pinning the sign
     conventions of both curvature tensors to each other."""
     contracted = np.einsum("...ihjk,...h->...ijk", fr.hcurv, fr.y)
@@ -42,21 +42,21 @@ class ScalarFormResult:
     with unknowns kappa (a scalar) and u_i (standing for dy_i kappa).
     """
 
-    kappa: float
+    kappa: np.ndarray
     omega: np.ndarray
-    residual: float
-    scale: float
-    torsion_norm: float
+    residual: np.ndarray
+    scale: np.ndarray
+    torsion_norm: np.ndarray
     supplied: bool
 
     @property
-    def relative_residual(self) -> float:
+    def relative_residual(self) -> np.ndarray:
         return self.residual / self.scale
 
 
 def scalar_form_check(fr: PointFrame, kappa=None) -> ScalarFormResult:
-    """Test whether the vh-torsion has the isotropic (scalar) shape at the
-    frame's point.
+    """Test whether the vh-torsion has the isotropic (scalar) shape at each
+    of the frame's points.
 
     When `kappa` is a scalar field callable it is differentiated and the
     claimed identity is evaluated directly; otherwise the best (kappa, u)
@@ -64,7 +64,7 @@ def scalar_form_check(fr: PointFrame, kappa=None) -> ScalarFormResult:
     A genuinely anisotropic structure leaves a large residual.
     """
     n = fr.n
-    L = np.asarray(fr.L)
+    L = fr.L
     ell = fr.ell
     phi = fr.phi
     target = fr.Rhat
@@ -98,11 +98,11 @@ def scalar_form_check(fr: PointFrame, kappa=None) -> ScalarFormResult:
         u = sol[..., 1:]
         supplied = False
 
-    omega = (L * L / 3.0)[..., None] * u + np.asarray(kval * L)[..., None] * ell
+    omega = (L * L / 3.0)[..., None] * u + (kval * L)[..., None] * ell
     model = np.einsum("...j,...ik->...ijk", omega, phi) \
         - np.einsum("...k,...ij->...ijk", omega, phi)
     return ScalarFormResult(
-        kappa=_plain(kval),
+        kappa=kval,
         omega=omega,
         residual=max_abs(target - model, 3),
         scale=pymax(1.0, max_abs(target, 3), max_abs(model, 3)),

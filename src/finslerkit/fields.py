@@ -25,8 +25,8 @@ class PiVectorField:
 
     def jets(self, frame) -> Jet:
         """The components X^i as one (..., n) stack of order-1 jets: the
-        component axis is the last tensor axis, after the point axis of a
-        batch frame."""
+        component axis is the last tensor axis, after the frame's point
+        axis."""
         raise NotImplementedError
 
     def values(self, frame) -> np.ndarray:
@@ -102,7 +102,7 @@ class DriftCompanionField(PiVectorField):
 def project_away(frame, vecs, Xj: Jet) -> Jet:
     """Jets of v - (g(v, X) / g(X, X)) X for constant vectors v, from the jets
     Xj of X. `vecs` is one vector (n,) or a stack of them (k, n); Xj then
-    carries one axis for the stack between its point axes and its component
+    carries one axis for the stack between its point axis and its component
     axis, as `Xj[..., None, :, :]` does. A stack gives the projections of
     every vector, each byte-equal to projecting that vector alone."""
     n = frame.n
@@ -146,10 +146,10 @@ class PiForm:
 
     def jets(self, frame) -> Jet:
         """The components as one stacked order-1 jet on a frame, one (n,)
-        axis per degree after the frame's point axes: w[..., K, :] is the jet
+        axis per degree after the frame's point axis: w[..., K, :] is the jet
         of w_K for every index tuple K, antisymmetric in K, and zero where a
         component is absent."""
-        out = Jet.constant(2 * self.n, 1, np.zeros(frame._lead + (self.n,) * self.degree))
+        out = Jet.constant(2 * self.n, 1, np.zeros((len(frame.point),) + (self.n,) * self.degree))
         for key, fn in self.components.items():
             jet = frame.field_jet(fn, 1).coeffs
             for perm in permutations(key):

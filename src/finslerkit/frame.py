@@ -1,6 +1,6 @@
-"""Derivative tower for a Finsler structure, at one point or over a batch.
+"""Derivative tower for a Finsler structure over a batch of chart points.
 
-A PointFrame owns every chart quantity at one (x, y): the energy jet,
+A PointFrame owns every chart quantity at its points (x, y): the energy jet,
 the fundamental tensor, the geodesic spray, the nonlinear connection,
 the linear connection coefficients, and their horizontal derivatives.
 Everything is computed lazily and cached, so cheap consumers (say, a
@@ -17,17 +17,19 @@ holds dy_k N^i_j at [..., i, j, k]. Each rung is built with one jet
 operation per tensor rather than one per component. The value arrays are
 C-contiguous, as einsum may sum in another order over another memory layout.
 
-A frame may also hold a batch: `PointFrame(structure, points)` with a
-tuple of chart points puts a leading point axis before the tensor axes of
-every array and jet rung, computed by the same code, and slice i of each
-equals the quantity of a frame at points[i] alone, bit for bit. There is
-no frame cache: whoever builds a frame owns it, and `checks.run_checks`
-builds the batch frame of its sample once and hands it to every check. The
-calculus modules (`picalc`, `connections`, `curvature`) take the frame they
-compute on. Where a batch cannot compute a quantity at every point (a point
-outside the positivity cone, a singular metric), the quantity raises for
-the whole batch, with an error that names the point it failed at (through
-`located_jet_eval` for a field, and in `E_jet` for a numpy overflow of L^2).
+Every frame is a batch: `PointFrame(structure, points)` on a tuple of chart
+points puts a leading point axis before the tensor axes of every array and
+jet rung, and slice i of each equals the quantity of a frame on
+`(points[i],)` alone, bit for bit. A bare chart point is the batch of one
+`(point,)`; only the `scalar` of such a frame reads out a Python float.
+There is no frame cache: whoever builds a frame owns it, and
+`checks.run_checks` builds the batch frame of its sample once and hands it
+to every check. The calculus modules (`picalc`, `connections`, `curvature`)
+take the frame they compute on. Where a batch cannot compute a quantity at
+every point (a point outside the positivity cone, a singular metric), the
+quantity raises for the whole batch, with an error that names the point it
+failed at (through `located_jet_eval` for a field, and in `E_jet` for a
+numpy overflow of L^2).
 
 A frame may stand on a base frame: `frame.derived(structure)` is the frame
 of a Randers or conformal change of `frame.structure` at the same points.
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chart import ChartPoint
 from .errors import DomainError, NumericalError, SingularMetricError
 from . import jets
 from .jets import MAX_ORDER, Jet, jet_eval
@@ -55,7 +56,7 @@ def _freeze(value) -> None:
     if isinstance(value, Jet):
         value = value.coeffs
     if isinstance(value, np.ndarray):
-        value.flags.writeable = False
+        value.setflags(write=False)
 
 
 class _lazy:
@@ -85,11 +86,13 @@ class _lazy:
 
 
 class PointFrame:
-    """All chart quantities of one structure at one admissible point, or at
-    each point of a tuple of them (a batch, with a leading point axis)."""
+    """All chart quantities of one structure at each admissible point of a
+    tuple of them, with a leading point axis; a bare point is a tuple of one."""
 
-    def __init__(self, structure, point: ChartPoint):
-        for p in point if isinstance(point, tuple) else (point,):
+    def __init__(self, structure, point):
+        self._bare = not isinstance(point, tuple)  # `scalar` reads out a float
+        point = (point,) if self._bare else point
+        for p in point:
             if p.n != structure.n:
                 raise ValueError(
                     f"point dimension {p.n} != structure dimension {structure.n}"
@@ -99,7 +102,6 @@ class PointFrame:
         self.structure = structure
         self.point = point
         self.n = structure.n
-        self._lead = (len(point),) if isinstance(point, tuple) else ()
         self._field_jets = {}
 
     _base = None  # the frame a derived frame lifts its Lagrangian jet from
@@ -116,19 +118,15 @@ class PointFrame:
 
     def _first(self, bad):
         """Index and chart point of the first point where some entry of `bad` holds."""
-        if not self._lead:
-            return (), self.point
-        k = int(np.argmax(np.reshape(bad, self._lead + (-1,)).any(-1)))
+        k = int(np.argmax(bad.reshape(len(self.point), -1).any(-1)))
         return k, self.point[k]
 
-    def _against(self, arr: np.ndarray, ndim: int) -> np.ndarray:
-        """A tensor over this frame's points, reshaped to broadcast against
-        `ndim`-axis arrays that share its point axes: ones are inserted
-        between the point axes and the tensor axes."""
-        if not self._lead:
-            return arr  # broadcasting prepends the ones itself
-        k = len(self._lead)
-        return arr.reshape(self._lead + (1,) * (ndim - arr.ndim) + arr.shape[k:])
+    @staticmethod
+    def _against(arr: np.ndarray, ndim: int) -> np.ndarray:
+        """A tensor over a frame's points, reshaped to broadcast against
+        `ndim`-axis arrays that share its point axis: ones are inserted
+        between the point axis and the tensor axes."""
+        return arr.reshape(arr.shape[:1] + (1,) * (ndim - arr.ndim) + arr.shape[1:])
 
     # -- scalars ---------------------------------------------------------
 
@@ -160,11 +158,11 @@ class PointFrame:
             raise FloatingPointError(f"{exc} at {self._first(~np.isfinite(square))[1]}") from exc
 
     @property
-    def L(self) -> float:
+    def L(self) -> np.ndarray:
         return self.L_jet.value
 
     @property
-    def E(self) -> float:
+    def E(self) -> np.ndarray:
         return self.E_jet.value
 
     # -- metric level ------------------------------------------------------
@@ -216,7 +214,7 @@ class PointFrame:
     @_lazy
     def y(self) -> np.ndarray:
         """The fiber coordinates y^i of the frame's points."""
-        return np.array([p.y for p in self.point] if self._lead else self.point.y)
+        return np.array([p.y for p in self.point])
 
     @_lazy
     def ell(self) -> np.ndarray:
@@ -227,7 +225,7 @@ class PointFrame:
     def phi(self) -> np.ndarray:
         """Projector onto the g-orthogonal complement of the tautological field."""
         outer = self.y[..., :, None] * self.ell[..., None, :]
-        return np.eye(self.n) - outer / np.reshape(self.L, self._lead + (1, 1))
+        return np.eye(self.n) - outer / self.L[:, None, None]
 
     def flat_jets(self, Xj: Jet) -> Jet:
         """Order-1 jets of X flat = i_X g, w_k = g_km X^m, from those of X."""
@@ -356,15 +354,17 @@ class PointFrame:
         return np.einsum("...ihji->...jh", self.hcurv)
 
     @_lazy
-    def scalar(self) -> float:
+    def scalar(self):
+        """Scalar curvature g^jh Ric_jh per point; on a frame built on a bare
+        chart point, the Python float of its one point."""
         sc = np.einsum("...jh,...jh->...", self.g_inv, self.ricci)
-        return sc if self._lead else float(sc)
+        return float(sc[0]) if self._bare else sc
 
     # -- scalar fields on the frame -------------------------------------------
 
     def field_jet(self, fn, order: int) -> Jet:
-        """Jet of a scalar field (x, y) -> value at this frame's point, or one
-        stacked jet over the points of a batch, cached and read-only."""
+        """Jet of a scalar field (x, y) -> value, one stacked jet over the
+        frame's points, cached and read-only."""
         key = (fn, order)
         jet = self._field_jets.get(key)
         if jet is None:
@@ -375,7 +375,7 @@ class PointFrame:
 
 
 def located_jet_eval(fn, points, order: int, float_fn=None) -> Jet:
-    """jet_eval(fn, points, order) at a chart point or a tuple of them. If it
+    """jet_eval(fn, points, order) at a tuple of chart points. If it
     raises a NumericalError or an ArithmeticError, `float_fn` (default `fn`)
     runs on floats point by point, and the first point that raises re-raises
     its own error, naming the point; if none does, the stacked error stands.
@@ -383,7 +383,7 @@ def located_jet_eval(fn, points, order: int, float_fn=None) -> Jet:
     try:
         return jet_eval(fn, points, order)
     except (NumericalError, ArithmeticError) as exc:
-        for p in points if isinstance(points, tuple) else (points,):
+        for p in points:
             try:
                 (float_fn or fn)(p.x, p.y)  # a non-finite value is jet_eval's error
             except (NumericalError, ArithmeticError) as alone:
@@ -392,18 +392,18 @@ def located_jet_eval(fn, points, order: int, float_fn=None) -> Jet:
 
 
 def point_frame(structure, point) -> PointFrame:
-    """The frame of a structure at a chart point, or over a tuple of them:
+    """The frame of a structure over a tuple of chart points, or a bare one:
     a function of its own, so that rebinding it leaves the class alone."""
     return PointFrame(structure, point)
 
 
 # -- per-point arithmetic over a frame's leading axes ----------------------------
 #
-# Each helper works on one point's tensors or on a stack with leading point
-# (or probe) axes, and gives every point the bits of the single-point numpy
-# expression it names: a stacked matmul runs the same BLAS kernel per point,
-# while a sum over the last axis or an einsum for a dot product may add in
-# another order.
+# Each helper works on a stack with leading point (or probe) axes, and gives
+# every point the bits of the numpy expression it names on that point's
+# tensors alone: a stacked matmul runs the same BLAS kernel per point, while
+# a sum over the last axis or an einsum for a dot product may add in another
+# order.
 
 
 def antisymmetric(t):
@@ -421,11 +421,6 @@ def antisymmetric(t):
     return out
 
 
-def _plain(value):
-    """A 0-d result as a Python float; arrays pass through."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def matvec(A, v):
     """A @ v for each point: (..., n, n) matrices times (..., n) vectors."""
     return np.matmul(A, v[..., None])[..., 0]
@@ -433,17 +428,17 @@ def matvec(A, v):
 
 def dot(u, v):
     """u @ v for each point, of (..., n) vectors."""
-    return _plain(np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0])
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
 
 
 def quad(u, A, v):
     """u @ A @ v for each point, evaluated left to right as written."""
-    return _plain(np.matmul(np.matmul(u[..., None, :], A), v[..., :, None])[..., 0, 0])
+    return np.matmul(np.matmul(u[..., None, :], A), v[..., :, None])[..., 0, 0]
 
 
 def max_abs(a, ndim: int):
     """np.max(np.abs(t)) of each point's tensor t, the last `ndim` axes of a."""
-    return _plain(np.abs(a).max(axis=tuple(range(-ndim, 0))))
+    return np.abs(a).max(axis=tuple(range(-ndim, 0)))
 
 
 def pymax(first, *rest):
@@ -452,4 +447,4 @@ def pymax(first, *rest):
     out = first
     for value in rest:
         out = np.where(value > out, value, out)
-    return _plain(out)
+    return out

@@ -27,7 +27,7 @@ its direction axis: the table axis goes first and each term of a slot
 program is one contiguous row over all points and components. It is also
 support-aware, as vector Taylor propagation carries the sparsity of its
 seeds: a term runs only when both of its operand columns are nonzero
-somewhere in the stack (in a product of two single jets, when both are
+somewhere in the stack (in a product with one output row, when both are
 nonzero), which drops most of the work for Lagrangians built from x-only
 factors, y-only polynomials and constants.
 Transcendental functions go through Taylor composition in the jet ring, so
@@ -138,8 +138,8 @@ def _live_program(nvars: int, order: int, live_a: bytes, live_b: bytes):
     return perm, tuple(columns)
 
 
-# One program per support pair of two single jets: a single-point Sc stream
-# over the 7 catalog metrics meets 67. Bounded as `_live_program` is.
+# One program per support pair of a one-row product: a stream of one-point
+# Sc queries over the 7 catalog metrics meets 67. Bounded as `_live_program` is.
 @lru_cache(maxsize=256)
 def _point_program(nvars: int, order: int, live_a: bytes, live_b: bytes):
     """`_mul_program` without the terms whose column is zero in the nonzero
@@ -157,9 +157,9 @@ def _point_program(nvars: int, order: int, live_a: bytes, live_b: bytes):
 # Support filtering leaves the dense crossover where it was. An x-only
 # times a y-only operand breaks even near 1e4, but the supports are read
 # from the (T, S) arrays of the coefficient-major branch, so the choice
-# stays on the work count. A single-point frame of the catalog stays below
-# 4e3 (the largest is one 6-variable order-4 table, 3360); a sample of
-# hundreds of points lies above.
+# stays on the work count. A frame on one point stays below 1.1e3 (its one-row
+# products take `_point_program`; nine order-2 rows over 6 variables are
+# 1008); a sample of hundreds of points lies above.
 _COLUMN_GATHER_WORK = 50_000
 
 
@@ -170,27 +170,29 @@ def _leibniz(nvars: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray
     Every slot adds its terms (w a[ia]) b[ib] in `_mul_program` order onto a
     +0.0 start, as `np.bincount` does for a single table, so a stacked
     product equals the scalar products bit for bit, down to the sign of a
-    zero. Order 1 has the closed form (0 + a0 b_k) + a_k b0. Two single
-    tables run the `_point_program` of their nonzero masks. A small stack
-    gathers the whole zero-padded (..., T, m) term array and adds it column
-    by column: numpy's `add.reduce` would sum 8 or more terms pairwise
-    (order 3 has 8), in another order. A large stack runs coefficient-major:
-    both operands become (T, S) arrays over the S output rows, their
-    supports (`any` along the rows) pick the `_live_program`, and its
-    column c adds the contiguous rows (w_c A[ia_c]) B[ib_c] onto the first
-    k_c sorted slots; a slot with no live term stays +0.0. Skipping the
-    padding and the terms with a zero column changes no bit for finite
-    operands: such a term adds +-0.0 to a sum that is never -0.0.
+    zero. Order 1 has the closed form (0 + a0 b_k) + a_k b0. One output row,
+    from (T,), (1, T) or (1, 1, T) tables, runs the `_point_program` of the
+    nonzero masks on the flat tables. A small stack gathers the whole
+    zero-padded (..., T, m) term array and adds it column by column: numpy's
+    `add.reduce` would sum 8 or more terms pairwise (order 3 has 8), in
+    another order. A large stack runs coefficient-major: both operands
+    become (T, S) arrays over the S output rows, their supports (`any` along
+    the rows) pick the `_live_program`, and its column c adds the contiguous
+    rows (w_c A[ia_c]) B[ib_c] onto the first k_c sorted slots; a slot with
+    no live term stays +0.0. Skipping the padding and the terms with a zero
+    column changes no bit for finite operands: such a term adds +-0.0 to a
+    sum that is never -0.0.
     """
     if order <= 1:
         out = a[..., :1] * b + 0.0
         tail = out[..., 1:]
         tail += a[..., 1:] * b[..., :1]
         return out
-    if a.ndim == 1 and b.ndim == 1:
+    if a.size == b.size == a.shape[-1]:  # one output row, read flat
         io, ia, ib, w, size = _point_program(nvars, order, (a != 0.0).tobytes(),
                                              (b != 0.0).tobytes())
-        return np.bincount(io, weights=w * a[ia] * b[ib], minlength=size)
+        out = np.bincount(io, weights=w * a.ravel()[ia] * b.ravel()[ib], minlength=size)
+        return out.reshape(a.shape if a.ndim >= b.ndim else b.shape)
     ia, ib, w = _gather_program(nvars, order)
     lead = np.broadcast(a[..., 0], b[..., 0])
     if lead.size * ia.size < _COLUMN_GATHER_WORK:
@@ -280,8 +282,8 @@ class Jet:
     def __init__(self, nvars, order, coeffs):
         self.nvars = nvars
         self.order = order
-        self.coeffs = np.asarray(coeffs, dtype=np.float64)
-        if self.coeffs.shape[-1:] != (_table_size(nvars, order),):
+        self.coeffs = coeffs = np.asarray(coeffs, dtype=np.float64)
+        if coeffs.shape[-1:] != (_table_size(nvars, order),):
             raise ValueError("coefficient array does not match the index table")
 
     @classmethod
@@ -483,14 +485,12 @@ def _taylor(u: Jet, series) -> Jet:
     parts u0, up to degree `order`, are series(u0, order).
 
     A series takes the value parts of the whole stack as one list of floats,
-    in ravel order, and returns one sequence over them per degree; a single
-    jet reads index 0. An error at any jet of the stack raises for the whole
-    stack, naming the first bad value part.
+    in ravel order, and returns one sequence over them per degree, read as an
+    array over the leading axes. An error at any jet of the stack raises for
+    the whole stack, naming the first bad value part.
     """
-    if u.coeffs.ndim == 1:
-        return u.compose([c[0] for c in series([u.value], u.order)])
     u0 = u.coeffs[..., 0]
-    return u.compose([np.reshape(c, u0.shape) for c in series(u0.ravel().tolist(), u.order)])
+    return u.compose(np.array(series(u0.ravel().tolist(), u.order)).reshape((-1,) + u0.shape))
 
 
 # Series share the factors of a degree, such as binom(r, m) and m!, across
@@ -649,7 +649,7 @@ def jet_eval(field, point, order: int) -> Jet:
     if not isinstance(out, Jet):
         value = float(out) if single else np.full(len(point), float(out))
         out = Jet.constant(xj[0].nvars, max(order, 1), value)
-    if not np.all(np.isfinite(out.coeffs)):
+    if not np.isfinite(out.coeffs).all():
         bad = point if single else point[int(np.argmin(np.isfinite(out.coeffs).all(-1)))]
         raise NumericalError(f"field produced non-finite jet coefficients at {bad}")
     return out.truncated(order) if out.order > order else out

@@ -8,11 +8,11 @@ and `a_operator` take a form or field or its jets, every closedness
 diagnostic applies `dbar_p` to `fr.flat_jets` of X, the jets of i_X g, and
 `flat`, `sharp` and `gradient` read the value parts of the frame's jets.
 
-Every entry point takes the frame it computes on, a PointFrame at one
-chart point or over a tuple of them. On a batch frame each array and report
-field carries a leading point axis, and its entry for a point equals the
-result on a frame at that point alone, bit for bit: the calculus runs once,
-as stacked jet and numpy operations, over the whole batch.
+Every entry point takes the frame it computes on, a PointFrame over a
+tuple of chart points. Each array and report field carries the frame's
+leading point axis, and its entry for a point equals the result on a frame
+at that point alone, bit for bit: the calculus runs once, as stacked jet and
+numpy operations, over the whole batch.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .fields import (
     _perm_sign,
     project_away,
 )
-from .frame import PointFrame, _plain, dot, matvec, max_abs, pymax, quad
+from .frame import PointFrame, dot, matvec, max_abs, pymax, quad
 from .jets import Jet
 
 
@@ -64,7 +64,7 @@ def gradient(fr: PointFrame, f) -> np.ndarray:
 def dbar_p(fr: PointFrame, omega) -> np.ndarray:
     """Horizontal exterior derivative of a p-form, given as a PiForm or as
     the stacked jet of its components (one (n,) axis per degree after the
-    frame's point axes, as `PiForm.jets` gives it; degree 0 is the jet of a
+    frame's point axis, as `PiForm.jets` gives it; degree 0 is the jet of a
     scalar f, say `fr.field_jet(f, 1)`, and gives delta_k f):
 
         (dbar w)_{k0..kp} = sum_q (-1)^q delta_{kq} w_{k0..^kq..kp}
@@ -76,14 +76,14 @@ def dbar_p(fr: PointFrame, omega) -> np.ndarray:
     """
     w = omega.jets(fr) if isinstance(omega, PiForm) else omega
     n = fr.n
-    deg = w.coeffs.ndim - 1 - len(fr._lead)
+    deg = w.coeffs.ndim - 2  # after the point axis, before the table axis
     if deg + 1 > PiForm.MAX_DEGREE:
         raise CapabilityError(
             f"dbar of a degree-{deg} form exceeds the supported degree "
             f"{PiForm.MAX_DEGREE}"
         )
     d = fr.delta_values(w)  # [..., K, k] = delta_k w_K
-    out = np.zeros(fr._lead + (n,) * (deg + 1))
+    out = np.zeros(d.shape[:1] + (n,) * (deg + 1))
     for K in combinations(range(n), deg + 1):
         val = d[(...,) + K[1:] + K[:1]]
         for q in range(1, deg + 1):
@@ -95,7 +95,7 @@ def dbar_p(fr: PointFrame, omega) -> np.ndarray:
 
 
 def dbar_1_on_fields(fr: PointFrame, omega: PiForm, X: PiVectorField,
-                     Y: PiVectorField) -> float:
+                     Y: PiVectorField) -> np.ndarray:
     """(dbar omega)(X, Y) through the field formula
 
         bX(omega(Y)) - bY(omega(X)) - omega(rho[bX, bY]),
@@ -111,7 +111,7 @@ def dbar_1_on_fields(fr: PointFrame, omega: PiForm, X: PiVectorField,
     # X^k delta_k (omega(Y)) and Y^k delta_k (omega(X)), summed over k in index order
     first = sum(np.moveaxis(Xj.value * fr.delta_values((w * Yj).sum_last()), -1, 0))
     second = sum(np.moveaxis(Yj.value * fr.delta_values((w * Xj).sum_last()), -1, 0))
-    return _plain(first - second - dot(w.value, _bracket(fr, Xj, Yj)))
+    return first - second - dot(w.value, _bracket(fr, Xj, Yj))
 
 
 def _bracket(frame: PointFrame, Xj: Jet, Yj: Jet) -> np.ndarray:
@@ -135,9 +135,9 @@ def a_operator(fr: PointFrame, X) -> np.ndarray:
     return out
 
 
-def closedness_defect(fr: PointFrame, X: PiVectorField) -> float:
+def closedness_defect(fr: PointFrame, X: PiVectorField) -> np.ndarray:
     """max |dbar_p(i_X g)_jk|, from the jets of g_km X^m: zero exactly when X
-    is closed at the frame's point."""
+    is closed at a frame point."""
     return max_abs(dbar_p(fr, fr.flat_jets(X.jets(fr))), 2)
 
 
@@ -157,8 +157,8 @@ def flat_form_and_selfadjoint_matrix(fr: PointFrame, X: PiVectorField):
 class DbarSqResult:
     nested: np.ndarray
     contracted: np.ndarray
-    defect: float
-    scale: float
+    defect: np.ndarray
+    scale: np.ndarray
 
 
 def _torsion_contraction(fr: PointFrame, fj: Jet) -> np.ndarray:
@@ -184,8 +184,8 @@ def dbar_sq(fr: PointFrame, f) -> DbarSqResult:
 class GradientIdentityResult:
     lhs: np.ndarray
     rhs: np.ndarray
-    residual: float
-    scale: float
+    residual: np.ndarray
+    scale: np.ndarray
 
 
 def gradient_torsion_identity(fr: PointFrame, f) -> GradientIdentityResult:
@@ -199,15 +199,15 @@ def gradient_torsion_identity(fr: PointFrame, f) -> GradientIdentityResult:
     return GradientIdentityResult(lhs=lhs, rhs=rhs, residual=residual, scale=scale)
 
 
-def isotropy_residual(fr: PointFrame, f) -> float:
+def isotropy_residual(fr: PointFrame, f) -> np.ndarray:
     """max_i |dy_i f - ell_i (y^k dy_k f) / L|.
 
     Vanishes exactly when the fiber differential of f is proportional to
     ell, that is when f depends on y through L alone.
     """
     dyf = np.array(fr.field_jet(f, 1).dy)
-    radial = np.asarray(dot(fr.y, dyf))
-    return max_abs(dyf - fr.ell * radial[..., None] / np.asarray(fr.L)[..., None], 1)
+    radial = dot(fr.y, dyf)
+    return max_abs(dyf - fr.ell * radial[..., None] / fr.L[..., None], 1)
 
 
 # -- Lie derivative comparison --------------------------------------------------
@@ -216,9 +216,9 @@ def isotropy_residual(fr: PointFrame, f) -> float:
 @dataclass
 class LieReport:
     lie: np.ndarray
-    difference: float
-    lie_defect: float
-    closedness: float
+    difference: np.ndarray
+    lie_defect: np.ndarray
+    closedness: np.ndarray
 
 
 def lie_metric_report(fr: PointFrame, X: PiVectorField) -> LieReport:
@@ -263,9 +263,9 @@ def lie_metric_report(fr: PointFrame, X: PiVectorField) -> LieReport:
 @dataclass
 class InvolutivityReport:
     bracket_pairings: np.ndarray
-    defect: float
-    identity_defect: float
-    scale: float
+    defect: np.ndarray
+    identity_defect: np.ndarray
+    scale: np.ndarray
 
 
 def involutivity_report(fr: PointFrame, X: PiVectorField) -> InvolutivityReport:
@@ -319,9 +319,9 @@ def involutivity_report(fr: PointFrame, X: PiVectorField) -> InvolutivityReport:
     residuals = np.stack(residuals, axis=-1) if residuals else np.zeros(lead + (0,))
     return InvolutivityReport(
         bracket_pairings=pairs,
-        defect=max_abs(pairs, 1) if pairs.size else _plain(np.zeros(lead)),
-        identity_defect=max_abs(residuals, 1) if residuals.size else _plain(np.zeros(lead)),
-        scale=_plain(np.broadcast_to(scale, lead)),
+        defect=max_abs(pairs, 1) if pairs.size else np.zeros(lead),
+        identity_defect=max_abs(residuals, 1) if residuals.size else np.zeros(lead),
+        scale=np.broadcast_to(scale, lead),
     )
 
 
@@ -330,14 +330,14 @@ def involutivity_report(fr: PointFrame, X: PiVectorField) -> InvolutivityReport:
 
 @dataclass
 class DriftTransferReport:
-    identity_residual: float
-    dual_path_residual: float
-    literal_residual: float
-    ell_pairing: float
-    star_ell_pairing: float
-    base_defect: float
-    star_defect: float
-    base_form_scale: float
+    identity_residual: np.ndarray
+    dual_path_residual: np.ndarray
+    literal_residual: np.ndarray
+    ell_pairing: np.ndarray
+    star_ell_pairing: np.ndarray
+    base_defect: np.ndarray
+    star_defect: np.ndarray
+    base_form_scale: np.ndarray
 
 
 def drift_closedness_transfer(fr: PointFrame, frs: PointFrame) -> DriftTransferReport:
@@ -362,7 +362,7 @@ def drift_closedness_transfer(fr: PointFrame, frs: PointFrame) -> DriftTransferR
     mv = mj.value.copy()
     msv = msj.value.copy()
 
-    tau = np.asarray(frs.L / fr.L)[..., None]
+    tau = (frs.L / fr.L)[..., None]
     omega_base = matvec(fr.g, mv)
     omega_star = matvec(frs.g, msv)
     identity_residual = max_abs(tau * omega_star - omega_base, 1)
@@ -424,14 +424,14 @@ def drift_precondition_defect(b_fn, points, n: int) -> float:
 @dataclass
 class ConformalTransferReport:
     actual: np.ndarray
-    leibniz_residual: float
-    scaling_residual: float
-    prediction_residual: float
-    actual_defect: float
-    base_defect: float
-    tilde_base_defect: float
-    sigma_value: float
-    scale: float
+    leibniz_residual: np.ndarray
+    scaling_residual: np.ndarray
+    prediction_residual: np.ndarray
+    actual_defect: np.ndarray
+    base_defect: np.ndarray
+    tilde_base_defect: np.ndarray
+    sigma_value: np.ndarray
+    scale: np.ndarray
 
 
 def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
@@ -464,7 +464,7 @@ def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
     sig_jet = fr.field_jet(lambda x, y: sigma(x), 1)
     sig = sig_jet.value
     dsig = np.array(sig_jet.dx)
-    e2s = np.asarray(np.exp(2.0 * sig))[..., None, None]
+    e2s = np.exp(2.0 * sig)[..., None, None]
     # the outer products dsig (x) w and w (x) dsig
     dw = dsig[..., :, None] * wv[..., None, :]
     wd = wv[..., :, None] * dsig[..., None, :]

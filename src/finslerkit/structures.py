@@ -247,9 +247,12 @@ def by_name(name: str) -> FinslerStructure:
 
 
 def _field(spec, key: str, convert):
-    """convert(spec[key]), with a value of the wrong type a ValueError naming key."""
+    """convert(spec[key]); a missing key (all fields are read here, so never a
+    nested spec's) or a value of the wrong type is a ValueError naming key."""
     try:
         return convert(spec[key])
+    except KeyError:
+        raise ValueError(f"metric field {key!r} is missing") from None
     except TypeError:
         raise ValueError(f"metric field {key!r} has the wrong type") from None
 
@@ -274,8 +277,6 @@ def _poly_callable(spec, n: int, key: str) -> Callable:
     if not isinstance(spec, dict):
         const = _real(spec, key)
         return lambda x: const
-    if "terms" not in spec:
-        raise ValueError("polynomial spec must be a number or {'terms': [...]}")
     terms = []
     for t in _field(spec, "terms", list):
         coef = _field(t, "coef", lambda c: _real(c, "coef"))
@@ -303,13 +304,13 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
         raise ValueError("metric spec must be an object with a 'family' key")
     family = spec["family"]
     if family == "euclidean":
-        return euclidean(_whole(spec["dim"], "dim"))
+        return euclidean(_field(spec, "dim", lambda d: _whole(d, "dim")))
     if family == "minkowski_quartic":
-        return minkowski_quartic(_whole(spec["dim"], "dim"))
+        return minkowski_quartic(_field(spec, "dim", lambda d: _whole(d, "dim")))
     if family == "riemannian":
         if spec.get("preset") == "sphere2":
             return sphere2()
-        n = _whole(spec["dim"], "dim")
+        n = _field(spec, "dim", lambda d: _whole(d, "dim"))
         rows = _field(spec, "a", lambda a: [list(r) for r in a])
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("'a' must be an n x n table of polynomial specs")
@@ -325,7 +326,7 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
 
         return riemannian(a_fn, n, name=spec.get("name", "riemannian"))
     if family == "randers":
-        base = structure_from_spec(spec["base"])
+        base = _field(spec, "base", structure_from_spec)
         comps = _field(spec, "b", list)
         if len(comps) != base.n:
             raise ValueError(f"'b' needs {base.n} components")
@@ -333,7 +334,7 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
         b_fn = lambda x: [p(x) for p in polys]
         return randers_change(base, b_fn, name=spec.get("name"))
     if family == "conformal":
-        base = structure_from_spec(spec["base"])
-        sig = _poly_callable(spec["sigma"], base.n, "sigma")
+        base = _field(spec, "base", structure_from_spec)
+        sig = _field(spec, "sigma", lambda s: _poly_callable(s, base.n, "sigma"))
         return conformal_change(base, sig, name=spec.get("name"))
     raise ValueError(f"unknown metric family {family!r}")

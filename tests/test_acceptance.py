@@ -61,16 +61,17 @@ def test_criterion_01_structural_certificates(capsys):
     worst = 0.0
     for name, s in _catalog():
         for p in s.sample(NPTS, seed=SEED):
-            fr = point_frame(s, p)
+            fr = point_frame(s, p)  # a batch of one: its results have a point axis
             y = np.array(p.y)
+            F, C3 = fr.F[0], fr.C3[0]
             residuals = [
-                conn.spray_defect(fr),
-                conn.conservativity_defect(fr),
-                conn.torsion_defect(fr),
-                *conn.metricity_defect(fr),
-                float(np.max(np.abs(fr.F - fr.F.swapaxes(1, 2)))),
-                float(np.max(np.abs(np.einsum("ijk,k->ij", fr.C3, y)))),
-                conn.deflection_defect(fr),
+                conn.spray_defect(fr)[0],
+                conn.conservativity_defect(fr)[0],
+                conn.torsion_defect(fr)[0],
+                *(defect[0] for defect in conn.metricity_defect(fr)),
+                float(np.max(np.abs(F - F.swapaxes(1, 2)))),
+                float(np.max(np.abs(np.einsum("ijk,k->ij", C3, y)))),
+                conn.deflection_defect(fr)[0],
             ]
             worst = max(worst, max(residuals))
     ok = worst < 1e-7
@@ -85,7 +86,7 @@ def test_criterion_02_lowered_form_derivative_identity(capsys):
         for p in s.sample(NPTS, seed=SEED):
             fr = point_frame(s, p)
             for X in probes:
-                M, B = pc.flat_form_and_selfadjoint_matrix(fr, X)
+                M, B = (a[0] for a in pc.flat_form_and_selfadjoint_matrix(fr, X))
                 anti = B.T - B
                 scale = max(1.0, np.abs(M).max(), np.abs(anti).max())
                 worst = max(worst, np.abs(M - anti).max() / scale)
@@ -111,14 +112,14 @@ def test_criterion_03_flatness_and_closedness_dichotomy(capsys):
             flat_torsion = max(flat_torsion, np.abs(fr.Rhat).max())
             for f in scalar_probes:
                 flat_closed = max(
-                    flat_closed, pc.closedness_defect(fr, GradientField(f))
+                    flat_closed, pc.closedness_defect(fr, GradientField(f))[0]
                 )
                 flat_dsq = max(flat_dsq, np.abs(pc.dbar_sq(fr, f).nested).max())
     s = by_name("sphere2")
     pts = s.sample(NPTS, seed=SEED)
     sphere_torsion = max(np.abs(point_frame(s, p).Rhat).max() for p in pts)
     documented = GradientField(lambda x, y: 0.5 * y[0] * y[0], name="fiber-square")
-    sphere_closed = max(pc.closedness_defect(point_frame(s, p), documented) for p in pts)
+    sphere_closed = max(pc.closedness_defect(point_frame(s, p), documented)[0] for p in pts)
 
     ok = (
         flat_torsion < 1e-8
@@ -149,7 +150,7 @@ def test_criterion_04_gradient_torsion_identity(capsys):
         best_side = 0.0
         for p in s.sample(NPTS, seed=SEED):
             res = pc.gradient_torsion_identity(point_frame(s, p), f)
-            worst_rel = max(worst_rel, res.residual / res.scale)
+            worst_rel = max(worst_rel, (res.residual / res.scale)[0])
             best_side = max(
                 best_side, min(np.abs(res.lhs).max(), np.abs(res.rhs).max())
             )
@@ -179,7 +180,7 @@ def test_criterion_05_riemannian_oracle_equivalence(capsys):
     for name, s2 in _catalog():
         for p in s2.sample(NPTS, seed=SEED):
             worst_contraction = max(
-                worst_contraction, curv.curvature_contraction_defect(point_frame(s2, p))
+                worst_contraction, curv.curvature_contraction_defect(point_frame(s2, p))[0]
             )
     ok = (
         worst_R < 1e-6
@@ -202,13 +203,13 @@ def test_criterion_06_scalar_curvature_shape(capsys):
     s = by_name("sphere2")
     pts = s.sample(NPTS, seed=SEED)
     frames = [point_frame(s, p) for p in pts]
-    worst_fit = max(curv.scalar_form_check(fr).relative_residual for fr in frames)
+    worst_fit = max(curv.scalar_form_check(fr).relative_residual[0] for fr in frames)
     iso = lambda x, y: (1.0 + 0.3 * x[0]) * s.L(x, y) ** 2
     aniso = lambda x, y: y[0] ** 2
     positional = lambda x, y: x[0] ** 3 - x[1]
-    worst_iso = max(pc.isotropy_residual(fr, iso) for fr in frames)
-    min_aniso = min(pc.isotropy_residual(fr, aniso) for fr in frames)
-    worst_corollary = max(pc.isotropy_residual(fr, positional) for fr in frames)
+    worst_iso = max(pc.isotropy_residual(fr, iso)[0] for fr in frames)
+    min_aniso = min(pc.isotropy_residual(fr, aniso)[0] for fr in frames)
+    worst_corollary = max(pc.isotropy_residual(fr, positional)[0] for fr in frames)
     ok = (
         worst_fit < 1e-6
         and worst_iso < 1e-9
@@ -236,14 +237,14 @@ def test_criterion_07_randers_drift_transfer(capsys):
         for p in base.sample(NPTS, seed=SEED):
             rep = pc.drift_closedness_transfer(point_frame(base, p), point_frame(star, p))
             worst_ell = max(
-                worst_ell, abs(rep.ell_pairing), abs(rep.star_ell_pairing)
+                worst_ell, abs(rep.ell_pairing[0]), abs(rep.star_ell_pairing[0])
             )
             worst_identity = max(
-                worst_identity, rep.identity_residual / rep.base_form_scale
+                worst_identity, rep.identity_residual[0] / rep.base_form_scale[0]
             )
-            worst_literal = max(worst_literal, rep.literal_residual)
+            worst_literal = max(worst_literal, rep.literal_residual[0])
             agree = agree and (
-                (rep.base_defect > FLOOR) == (rep.star_defect > FLOOR)
+                (rep.base_defect[0] > FLOOR) == (rep.star_defect[0] > FLOOR)
             )
     ok = worst_ell < 1e-9 and worst_identity < 1e-8 and agree
     _announce(
@@ -265,14 +266,14 @@ def test_criterion_08_conformal_transfer(capsys):
     tilde = conformal_change(e, 0.25)
     for p in pts:
         rep = pc.conformal_closedness_transfer(point_frame(e, p), point_frame(tilde, p), X)
-        worst_const = max(worst_const, rep.actual_defect, rep.scaling_residual)
+        worst_const = max(worst_const, rep.actual_defect[0], rep.scaling_residual[0])
     worst_pred = 0.0
     best_defect = 0.0
     tilde = conformal_change(e, lambda x: x[0])
     for p in pts:
         rep = pc.conformal_closedness_transfer(point_frame(e, p), point_frame(tilde, p), X)
-        worst_pred = max(worst_pred, rep.prediction_residual / rep.scale)
-        best_defect = max(best_defect, rep.actual_defect)
+        worst_pred = max(worst_pred, rep.prediction_residual[0] / rep.scale[0])
+        best_defect = max(best_defect, rep.actual_defect[0])
     ok = worst_const < 1e-7 and worst_pred < 1e-7 and best_defect > 1e-3
     _announce(
         capsys, 8, "conformal rescaling of closed forms", ok,

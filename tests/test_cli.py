@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, report shape, determinism."""
 
+import hashlib
 import json
 import warnings
 
@@ -36,14 +37,27 @@ HUGE_SIGMA = {"family": "conformal", "sigma": 1000.0,
 
 
 SPHERE = {"family": "riemannian", "preset": "sphere2"}
-# one field of the wrong type in each spec
-MALFORMED = [
-    ("a", {"family": "riemannian", "dim": 2, "a": 5}),
-    ("b", {"family": "randers", "b": 3, "base": SPHERE}),
-    ("powers", {"family": "conformal", "base": SPHERE,
-                "sigma": {"terms": [{"coef": 1.0, "powers": 5}]}}),
-    ("dim", {"family": "riemannian", "dim": [2], "a": [[1, 0], [0, 1]]}),
-]
+# one field of the wrong type, or left out, in each spec
+MALFORMED = {
+    "a": ("a", {"family": "riemannian", "dim": 2, "a": 5}),
+    "b": ("b", {"family": "randers", "b": 3, "base": SPHERE}),
+    "powers": ("powers", {"family": "conformal", "base": SPHERE,
+                          "sigma": {"terms": [{"coef": 1.0, "powers": 5}]}}),
+    "dim": ("dim", {"family": "riemannian", "dim": [2], "a": [[1, 0], [0, 1]]}),
+    "b-missing": ("b", {"family": "randers", "base": SPHERE}),
+    "dim-missing": ("dim", {"family": "euclidean"}),
+}
+# one field left out of each spec: the error names it
+MISSING = {
+    "dim": {"family": "euclidean"},
+    "a": {"family": "riemannian", "dim": 2},
+    "b": {"family": "randers", "base": SPHERE},
+    "base": {"family": "randers", "b": [0.1, 0.0]},
+    "sigma": {"family": "conformal", "base": SPHERE},
+    "terms": {"family": "conformal", "sigma": {"coef": 1.0}, "base": SPHERE},
+    "coef": {"family": "conformal", "base": SPHERE, "sigma": {"terms": [{"powers": [1, 0]}]}},
+    "powers": {"family": "conformal", "base": SPHERE, "sigma": {"terms": [{"coef": 1.0}]}},
+}
 # an integer field holding a fractional number, a string or a bool: each is
 # rejected, not truncated or converted
 NOT_INTEGER = {
@@ -63,6 +77,63 @@ NOT_A_NUMBER = {
     "a=true": ("a", {"family": "riemannian", "dim": 2, "a": [[True, 0], [0, 1]]}),
     "b=false": ("b", {"family": "randers", "b": [False, 0.1], "base": SPHERE}),
     "sigma='1'": ("sigma", {"family": "conformal", "sigma": "1", "base": SPHERE}),
+}
+
+
+# sha256 of the standard output of `finsler eval` for every --object at one
+# point of three metrics (numpy 2.4.6): the readout of a frame's point 0 must
+# print the bytes the values printed before the frame had a point axis
+EVAL_AT = {"sphere2": "x=0.25,-0.4;y=0.8,0.5", "randers_sphere2": "x=0.25,-0.4;y=0.8,0.5",
+           "minkowski_quartic3": "x=0.1,-0.2,0.3;y=0.9,0.4,-0.6"}
+EVAL_SHA256 = {
+    ("sphere2", "g"):
+        "86bd893a184ccec920602a8386d103bb19f8224455e45e62d65e71468b767b63",
+    ("sphere2", "C"):
+        "8f0049a0a9c0238110c05fa19f2c722a5087470567238309264298f97ada7679",
+    ("sphere2", "G"):
+        "72fcf4ebc24743b9c64504c95de89b827e6edc9b63ed0f51a4d352b1a7f1b9b5",
+    ("sphere2", "N"):
+        "eb35cd4a5040df1e33b8fd83f9de53f4f6f431726bf44e653f419dbf31538dee",
+    ("sphere2", "F"):
+        "dca46de83e02df91592d59b8b6397b8e110b1fffd2df20cdb2db41fc693d198e",
+    ("sphere2", "R"):
+        "da642ee96dce6529d6645b6babbaa07446324d5e72b40a22eaee5366d5f5ffe1",
+    ("sphere2", "Ric"):
+        "7bb137f729bc5fa0e8bf0b0ac3eeaa75159e252c1f46a4a338238fea49f8778f",
+    ("sphere2", "Sc"):
+        "9dd2de251a4ac3a5096e014d2673252a9a72842aa0b38a6101d6e8cb49c78d85",
+    ("randers_sphere2", "g"):
+        "139f5ee50b94c850928ffddbbffdb3eb181a45232f5efd795c944390f9b55c8a",
+    ("randers_sphere2", "C"):
+        "d9418c17e5971f65357540aa5a1e4c2d084d06763bb3d1e99c3c6a1aec00fac2",
+    ("randers_sphere2", "G"):
+        "eed16349f0b17df593d3c794a097a2354e0fe1de0bf4539d76538e932fcca544",
+    ("randers_sphere2", "N"):
+        "d427ce13048db113fdecb10d6aca108bc9d456b06f838b75b8a5b978193c862e",
+    ("randers_sphere2", "F"):
+        "023ab8f01a2e1f397387f2f78d65eb5345051cbeec51feef598ba8d492394516",
+    ("randers_sphere2", "R"):
+        "158fa71a761eaaa9af45f9803623fc07e9940b81efb1b34ef154846b357074ff",
+    ("randers_sphere2", "Ric"):
+        "8d2742491eaaffd55fddf2a95fb38da6bf853ccee9b338acff4431e9ab8f489c",
+    ("randers_sphere2", "Sc"):
+        "be9c6a52a3e7c521521008e395b95cfbef2bfb7b06d0b0f5e341aa019559e27f",
+    ("minkowski_quartic3", "g"):
+        "d5b5f07b9f97406433341307d0e7cf6b1106eadb49b1bf6c1492634a038987c3",
+    ("minkowski_quartic3", "C"):
+        "14919dd05fd6d0b0e63fa2bffa2750fd92c41fc1a0eee517249fe78eca0e5ff6",
+    ("minkowski_quartic3", "G"):
+        "5b92427b0a946f6e54274ce5d9f9d0cb26885d7103e6c1c5d8accfa09e94b660",
+    ("minkowski_quartic3", "N"):
+        "854a45f7921d3692d51253346a682e539afd520e65d680f60de3acf117c68af0",
+    ("minkowski_quartic3", "F"):
+        "2b32d8e78afb4a137908052711fea13c18b462b3ac71e5561262c692b5777490",
+    ("minkowski_quartic3", "R"):
+        "b16703a116a9c4d07df224a4a3ccad3d6b0bb32e5ab198f3244b250583c399c4",
+    ("minkowski_quartic3", "Ric"):
+        "0d67e6d4b8d8cdd6f78c377f9c7629d57a20af94deb785d6938ad705625b25c9",
+    ("minkowski_quartic3", "Sc"):
+        "1acce6635f4fb3e97b806fa781ddba551a3c25e93d5e44ccb529ad04e6713bc1",
 }
 
 
@@ -243,15 +314,23 @@ class TestUsageErrors:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["verify", "eval"])
-    @pytest.mark.parametrize("field, spec", MALFORMED, ids=[f for f, _ in MALFORMED])
-    def test_malformed_spec_is_a_configuration_error(self, tmp_path, capsys,
-                                                     command, field, spec):
-        # a field of the wrong type is a configuration error naming the field,
-        # not a traceback, and not the exit code of a failed check
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_spec_is_a_configuration_error(self, tmp_path, capsys, command, case):
+        # a field of the wrong type or a missing field is a configuration
+        # error naming the field, not a traceback, and not the exit code of a
+        # failed check
+        field, spec = MALFORMED[case]
         code, out = _run_spec(tmp_path, capsys, command, spec)
         assert code == 2
-        assert out.err.startswith("error: ") and repr(field) in out.err
+        assert out.err.startswith(f"error: metric field {field!r} ")
         assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize("command", ["verify", "eval"])
+    @pytest.mark.parametrize("field", sorted(MISSING))
+    def test_a_missing_field_is_named(self, tmp_path, capsys, command, field):
+        code, out = _run_spec(tmp_path, capsys, command, MISSING[field])
+        assert code == 2
+        assert out.err == f"error: metric field {field!r} is missing\n"
 
     @pytest.mark.parametrize("command", ["verify", "eval"])
     @pytest.mark.parametrize("case", sorted(NOT_INTEGER))
@@ -327,6 +406,12 @@ class TestEval:
         text = capsys.readouterr().out
         value = float(text.strip().splitlines()[-1])
         assert value == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("metric, obj", list(EVAL_SHA256), ids="-".join)
+    def test_eval_prints_the_pinned_bytes(self, capsys, metric, obj):
+        assert main(["eval", "--metric", metric, "--at", EVAL_AT[metric], "--object", obj]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == EVAL_SHA256[metric, obj], out
 
     def test_float_overflow_is_an_error_exit(self, tmp_path, capsys):
         code = main(["eval", "--metric", spec_file(tmp_path, HUGE_SIGMA),

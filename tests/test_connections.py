@@ -74,7 +74,7 @@ class TestStructuralCertificates:
         s = by_name(name)
         for p in s.sample(4, seed=13):
             fr = point_frame(s, p)
-            dN = fr.N_jets.dy  # [i, j, k] = dy_k N^i_j
+            dN = fr.N_jets.dy[0]  # [i, j, k] = dy_k N^i_j
             assert np.abs(dN - np.transpose(dN, (0, 2, 1))).max() < 1e-10
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -117,7 +117,7 @@ class TestHorizontalDerivative:
         p = SPHERE_POINTS[0]
         f = lambda x, y: x[0] ** 2 - 2.0 * x[1]
         fr = point_frame(s, p)
-        df = pc.dbar_p(fr, fr.field_jet(f, 1))
+        df = pc.dbar_p(fr, fr.field_jet(f, 1))[0]
         assert df[0] == pytest.approx(2 * p.x[0], rel=1e-12)
         assert df[1] == pytest.approx(-2.0, rel=1e-12)
 
@@ -126,9 +126,9 @@ class TestHorizontalDerivative:
         p = SPHERE_POINTS[0]
         f = lambda x, y: x[0] * y[1]
         fr = point_frame(s, p)
-        df = pc.dbar_p(fr, fr.field_jet(f, 1))
+        df = pc.dbar_p(fr, fr.field_jet(f, 1))[0]
         # delta_k f = d_k f - N^m_k dy_m f with dy_m f = x^0 for m = 1 only
-        N = fr.N
+        N = fr.N[0]
         assert df[0] == pytest.approx(p.y[1] - N[1, 0] * p.x[0], rel=1e-12)
         assert df[1] == pytest.approx(-N[1, 1] * p.x[0], rel=1e-12)
 
@@ -145,9 +145,10 @@ class TestCovariantDerivative:
         s = by_name("minkowski_quartic2")
         p = s.sample(1, seed=40)[0]
         fr = point_frame(s, p)
-        F, C = fr.F, fr.Cmix
-        assert F.shape == (2, 2, 2)
-        assert C.shape == (2, 2, 2)
+        F, C = fr.F, fr.Cmix  # a point axis of length 1, then the tensor axes
+        assert F.shape == (1, 2, 2, 2)
+        assert C.shape == (1, 2, 2, 2)
+        C = C[0]
         # vertical coefficients contract to zero against y on the last slot
         y = np.array(p.y)
         assert np.abs(np.einsum("ijk,k->ij", C, y)).max() < 1e-12

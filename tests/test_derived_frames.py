@@ -60,7 +60,7 @@ def test_a_derived_frame_lifts_the_bits_of_its_lagrangian(name, count):
     fr = PointFrame(chain[0], point)
     for s in chain[1:]:  # every level of a nested change lifts the one below
         fr = fr.derived(s)
-        want = jet_eval(s.L, point, MAX_ORDER)
+        want = jet_eval(s.L, fr.point, MAX_ORDER)  # a bare point is the batch (point,)
         assert fr.L_jet.coeffs.shape == want.coeffs.shape
         assert fr.L_jet.coeffs.tobytes() == want.coeffs.tobytes(), s.name
     assert len(chain) == (3 if name == "nested" else 2)

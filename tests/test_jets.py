@@ -22,6 +22,7 @@ from finslerkit.jets import (
     _live_program,
     _log_series,
     _mul_program,
+    _point_program,
     _power_series,
     _reciprocal_series,
     _sin_series,
@@ -295,7 +296,7 @@ class TestStackedJets:
            st.booleans(), st.integers(0, 2 ** 32 - 1))
     # the sweep's order-4 Lagrangian products, far above the threshold
     @example(4, (4, 4), "points", 400, 1, False, 0)
-    # a stack of one point, as on a single-point frame, below it
+    # a stack of one point, as on a frame on one point, below it
     @example(6, (4, 4), "outer", 1, 3, True, 1)
     @settings(max_examples=40, deadline=None)
     def test_large_stack_product_is_componentwise_bit_for_bit(
@@ -355,23 +356,38 @@ class TestStackedJets:
 
     @given(st.sampled_from([4, 6]), st.tuples(st.integers(2, MAX_ORDER), st.integers(2, MAX_ORDER)),
            st.tuples(*[st.sampled_from(["x", "y", "const", "zero", "trunc", "full", "random"])] * 2),
+           st.tuples(*[st.sampled_from([(), (1,), (1, 1)])] * 2),
            st.integers(0, 2 ** 32 - 1))
-    @example(4, (4, 4), ("x", "y"), 0)
-    @example(6, (4, 2), ("y", "zero"), 1)
+    @example(4, (4, 4), ("x", "y"), ((), ()), 0)
+    @example(6, (4, 2), ("y", "zero"), ((), ()), 1)
+    @example(4, (4, 4), ("x", "y"), ((1,), (1,)), 2)
+    @example(4, (3, 4), ("random", "full"), ((1, 1), (1, 1)), 3)
+    @example(6, (4, 4), ("trunc", "y"), ((1,), (1, 1)), 4)
+    @example(4, (4, 3), ("const", "random"), ((), (1,)), 5)
     @settings(max_examples=150, deadline=None)
-    def test_single_jet_product_skips_dead_terms_bit_for_bit(self, nvars, orders, kinds, seed):
+    def test_single_jet_product_skips_dead_terms_bit_for_bit(self, nvars, orders, kinds,
+                                                            leads, seed):
         """Single jets with random supports: a zero column holds +-0.0, so a
-        skipped term would show in the sign of a zero."""
+        skipped term would show in the sign of a zero. A stack of one row,
+        (1, T) or (1, 1, T), and its broadcast against (T,) or another stack
+        of one, take the same one-row product."""
         rng = np.random.default_rng(seed)
         jets = []
-        for order, kind in zip(orders, kinds):
+        for order, kind, lead in zip(orders, kinds, leads):
             live = _block_support(kind, nvars, order, rng)
             c = rng.choice([-1.0, 1.0], live.size) * 10.0 ** rng.uniform(-4.0, 4.0, live.size)
             zero = (rng.random(live.size) < 0.2) | ~live
             c[zero] = rng.choice([-0.0, 0.0], int(zero.sum()))
-            jets.append(Jet(nvars, order, c))
+            jets.append(Jet(nvars, order, c.reshape(lead + c.shape)))
         a, b = jets
-        assert (a * b).coeffs.tobytes() == _reference_product(a, b).tobytes()
+        before = _point_program.cache_info()
+        prod = a * b
+        after = _point_program.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 1  # one lookup
+        size = math.comb(nvars + prod.order, prod.order)
+        assert prod.coeffs.shape == np.broadcast_shapes(*leads) + (size,)
+        rows = [Jet(nvars, jet.order, jet.coeffs.reshape(-1)) for jet in jets]
+        assert prod.coeffs.tobytes() == _reference_product(*rows).tobytes()
 
     def test_the_examples_lie_on_both_sides_of_the_threshold(self):
         work = lambda nvars, order, rows: rows * _gather_program(nvars, order)[0].size

@@ -47,9 +47,9 @@ def test_stacked_rungs_equal_scalar_reference(name):
             "F_jets": ref.F_jets,
         }
         for rung, expect in jets.items():
-            assert np.array_equal(getattr(fr, rung).coeffs, stack(expect)), (rung, p)
-        assert np.array_equal(fr.Rhat, ref.Rhat), p
-        assert np.array_equal(fr.hcurv, ref.hcurv), p
+            assert np.array_equal(getattr(fr, rung).coeffs[0], stack(expect)), (rung, p)
+        assert np.array_equal(fr.Rhat[0], ref.Rhat), p
+        assert np.array_equal(fr.hcurv[0], ref.hcurv), p
         assert fr.scalar == ref.scalar, p
 
 
@@ -94,15 +94,15 @@ def test_stacked_field_calculus_equals_component_reference(name):
         stacked = [X.jets(fr) for X in fields]
         listed = [_reference_jets(X, fr) for X in fields]
         for X, Xj, ref in zip(fields, stacked, listed):
-            assert Xj.coeffs.tobytes() == stack(ref).tobytes(), (X, p)
+            assert Xj.coeffs[0].tobytes() == stack(ref).tobytes(), (X, p)
             w, w_ref = fr.flat_jets(Xj), oracle.lowered_jets(fr, ref)
-            assert w.coeffs.tobytes() == stack(w_ref).tobytes(), (X, p)
-            assert pc.dbar_p(fr, w).tobytes() == oracle.dbar_matrix(fr, w_ref).tobytes()
-            assert (pc.a_operator(fr, Xj).tobytes()
+            assert w.coeffs[0].tobytes() == stack(w_ref).tobytes(), (X, p)
+            assert pc.dbar_p(fr, w)[0].tobytes() == oracle.dbar_matrix(fr, w_ref).tobytes()
+            assert (pc.a_operator(fr, Xj)[0].tobytes()
                     == oracle.nabla_h_matrix(fr, ref).tobytes()), (X, p)
         for a in range(len(fields)):
             b = (a + 3) % len(fields)
-            assert (pc._bracket(fr, stacked[a], stacked[b]).tobytes()
+            assert (pc._bracket(fr, stacked[a], stacked[b])[0].tobytes()
                     == oracle.bracket(fr, listed[a], listed[b]).tobytes()), (a, b, p)
 
 
@@ -115,7 +115,7 @@ def test_field_jets_on_a_batch_frame_equal_each_point(name):
         whole = X.jets(batch).coeffs
         assert whole.shape == (len(pts), s.n, 2 * s.n + 1)
         for i, p in enumerate(pts):
-            assert whole[i].tobytes() == X.jets(PointFrame(s, p)).coeffs.tobytes(), (X, p)
+            assert whole[i].tobytes() == X.jets(PointFrame(s, p)).coeffs[0].tobytes(), (X, p)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -130,7 +130,7 @@ def test_stacked_projections_equal_component_reference(name):
         whole = project_away(batch, np.eye(s.n), X.jets(batch)[..., None, :, :]).coeffs
         for i, p in enumerate(pts):
             fr = PointFrame(s, p)
-            one = project_away(fr, np.eye(s.n), X.jets(fr)[..., None, :, :]).coeffs
+            one = project_away(fr, np.eye(s.n), X.jets(fr)[..., None, :, :]).coeffs[0]
             assert whole[i].tobytes() == one.tobytes(), (X, p)
             for a in range(s.n):
                 ref = oracle.projected_jets(np.eye(s.n)[a], X, fr, 1)
@@ -226,8 +226,8 @@ def _point_part(value, i):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_entry_points_on_a_batch_equal_each_point(name):
-    # one code path: a batch frame gives the single-point results, as plain
-    # floats for scalars, stacked on a leading point axis
+    # one code path: point i of a result on a batch is point 0 of the result
+    # on a frame at that point alone
     s = by_name(name)
     pts = s.sample(8, seed=4)
     batch = PointFrame(s, tuple(pts))
@@ -235,7 +235,9 @@ def test_entry_points_on_a_batch_equal_each_point(name):
     for label, call in _entry_point_calls(s):
         whole = call(batch)
         for i, p in enumerate(pts):
-            assert _parts(_point_part(whole, i)) == _parts(call(alone[i])), (label, p)
+            one = call(alone[i])
+            assert all(part[0] is bool or part[1][:1] == (1,) for part in _parts(one)), label
+            assert _parts(_point_part(whole, i)) == _parts(_point_part(one, 0)), (label, p)
 
 
 # -- the point axis ----------------------------------------------------------------
@@ -281,15 +283,25 @@ def _requested_field_jets(s, frame):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_batched_frames_equal_standalone_frames(name):
+    # a frame on a bare point is the batch of one: every quantity but the
+    # scalar has the bytes and a point axis of length 1; its scalar is the
+    # Python float of that one point
     s = by_name(name)
     pts = s.sample(20, seed=0)
     batch = PointFrame(s, tuple(pts))
     field_jets = _requested_field_jets(s, batch)
     for i, p in enumerate(pts):
-        alone = PointFrame(s, p)
+        alone, one = PointFrame(s, p), PointFrame(s, (p,))
         ref = ScalarTower(s, p)
-        for attr in FRAME_ATTRS:
-            assert _part(getattr(batch, attr), i) == _raw(getattr(alone, attr)), (attr, p)
+        for attr in FRAME_ATTRS[:-1]:  # all but the scalar
+            value = getattr(one, attr)
+            assert (value.coeffs if isinstance(value, Jet) else value).shape[0] == 1, attr
+            assert _raw(getattr(alone, attr)) == _raw(value), (attr, p)
+            assert _part(getattr(batch, attr), i) == _part(value, 0), (attr, p)
+        scalar = point_frame(s, p).scalar
+        assert type(scalar) is float and type(alone.scalar) is float
+        assert np.float64(scalar).tobytes() == one.scalar[0].tobytes() == batch.scalar[i].tobytes()
+        assert one.scalar.shape == (1,)
         for rung, expect in (("g_jets", ref.g_jets), ("ginv_jets", ref.ginv_jets),
                              ("G_jets", ref.G_jets), ("N_jets", ref.N_jets),
                              ("_dg_jets", ref.dg_jets), ("F_jets", ref.F_jets)):
@@ -297,7 +309,7 @@ def test_batched_frames_equal_standalone_frames(name):
         assert np.array_equal(batch.Rhat[i], ref.Rhat) and np.array_equal(batch.hcurv[i], ref.hcurv)
         assert batch.scalar[i] == ref.scalar
         assert ([_part(jet, i) for jet in field_jets]
-                == [_raw(jet) for jet in _requested_field_jets(s, alone)]), p
+                == [_part(jet, 0) for jet in _requested_field_jets(s, alone)]), p
     assert not batch.g.flags.writeable and not batch.field_jet(s.L, 1).coeffs.flags.writeable
 
 

@@ -113,7 +113,7 @@ class TestRandersValidation:
         b = lambda x: (x[0], 0.0)
         for p in base.sample(12, seed=0):
             bv = np.array(b(p.x), dtype=float)
-            norm2 = float(bv @ point_frame(base, p).g_inv @ bv)
+            norm2 = float(bv @ point_frame(base, p).g_inv[0] @ bv)
             if norm2 >= 1.0:
                 break
         assert p == base.sample(12, seed=0)[1]

@@ -138,7 +138,7 @@ class TestConformalTransfer:
             assert rep.tilde_base_defect < 1e-10
             assert rep.prediction_residual < 1e-10 * rep.scale
             expected = 2.0 * np.exp(2.0 * p.x[0])
-            assert rep.actual[0, 1] == pytest.approx(expected, rel=1e-11)
+            assert rep.actual[0, 0, 1] == pytest.approx(expected, rel=1e-11)
             assert rep.actual_defect > 1e-3
 
     def test_leibniz_shape_on_quartic_base(self):

@@ -8,7 +8,7 @@ rung must equal its reference here exactly, not merely to round-off. The
 same holds for the jets of pi-vector fields and
 for the `picalc` helpers built on them (`field_jets`, `lowered_jets`,
 `projected_jets`, `dbar_matrix`, `bracket`, `nabla_h_matrix` below), which take lists of
-scalar component jets. `gauss_jordan_solve` is an independent algorithm
+scalar component jets and a frame on one point, whose point 0 they read. `gauss_jordan_solve` is an independent algorithm
 for the same solves, which the recursion is compared with to round-off.
 Index conventions match the frame:
 
@@ -261,38 +261,38 @@ def stack(nested):
 
 def field_jets(X, frame, order):
     """The order-`order` jets of the components of X, as a list of scalar
-    jets at a single-point frame."""
+    jets at a frame on one point."""
     n = frame.n
     if isinstance(X, ComponentField):
-        return [frame.field_jet(c, order) for c in X.components]
+        return [frame.field_jet(c, order)[0] for c in X.components]
     if isinstance(X, GradientField):
         if order > 1:
             raise CapabilityError("gradient components carry jets up to order 1")
-        df = frame.delta_jets(frame.field_jet(X.f, 2))
+        df = frame.delta_jets(frame.field_jet(X.f, 2))[0]
         out = []
         for i in range(n):
-            acc = frame.ginv_jets[i, 0] * df[0]
+            acc = frame.ginv_jets[0, i, 0] * df[0]
             for k in range(1, n):
-                acc = acc + frame.ginv_jets[i, k] * df[k]
+                acc = acc + frame.ginv_jets[0, i, k] * df[k]
             out.append(acc.truncated(order))
         return out
     if isinstance(X, DriftCompanionField):
         if order > 1:
             raise CapabilityError("drift companion components carry jets up to order 1")
-        b = [frame.field_jet((lambda i: lambda x, y: X.b_fn(x)[i])(i), order)
+        b = [frame.field_jet((lambda i: lambda x, y: X.b_fn(x)[i])(i), order)[0]
              for i in range(n)]
-        yj = [jet_eval((lambda k: lambda x, y: y[k])(i), frame.point, order)
+        yj = [jet_eval((lambda k: lambda x, y: y[k])(i), frame.point[0], order)
               for i in range(n)]
         alpha = b[0] * yj[0]
         for i in range(1, n):
             alpha = alpha + b[i] * yj[i]
-        Lj = frame.L_jet.truncated(order)
+        Lj = frame.L_jet[0].truncated(order)
         scale = alpha / (Lj * Lj)
         out = []
         for i in range(n):
-            acc = frame.ginv_jets[i, 0].truncated(order) * b[0]
+            acc = frame.ginv_jets[0, i, 0].truncated(order) * b[0]
             for k in range(1, n):
-                acc = acc + frame.ginv_jets[i, k].truncated(order) * b[k]
+                acc = acc + frame.ginv_jets[0, i, k].truncated(order) * b[k]
             out.append(acc - scale * yj[i])
         return out
     raise TypeError(f"no reference for {type(X).__name__}")
@@ -301,7 +301,7 @@ def field_jets(X, frame, order):
 def projected_jets(vec, X, frame, order):
     """The jets of v - (g(v, X) / g(X, X)) X for a constant vector v, the
     g-orthogonal projection of v away from the field X, as a list of scalar
-    jets at a single-point frame."""
+    jets at a frame on one point."""
     n = frame.n
     Xj = field_jets(X, frame, order)
     vj = [Jet.constant(2 * n, order, float(v)) for v in vec]
@@ -309,7 +309,7 @@ def projected_jets(vec, X, frame, order):
     gxx = None
     for i in range(n):
         for j in range(n):
-            gij = frame.g_jets[i, j].truncated(order)
+            gij = frame.g_jets[0, i, j].truncated(order)
             tvx = gij * (vj[i] * Xj[j])
             txx = gij * (Xj[i] * Xj[j])
             gvx = tvx if gvx is None else gvx + tvx
@@ -325,9 +325,9 @@ def lowered_jets(frame, Xjets):
     n = frame.n
     out = []
     for k in range(n):
-        acc = frame.g_jets[k, 0].truncated(1) * Xjets[0]
+        acc = frame.g_jets[0, k, 0].truncated(1) * Xjets[0]
         for m in range(1, n):
-            acc = acc + frame.g_jets[k, m].truncated(1) * Xjets[m]
+            acc = acc + frame.g_jets[0, k, m].truncated(1) * Xjets[m]
         out.append(acc)
     return out
 
@@ -335,7 +335,7 @@ def lowered_jets(frame, Xjets):
 def dbar_matrix(frame, wjets):
     """(dbar w)_jk = delta_j w_k - delta_k w_j from component jets."""
     n = frame.n
-    d = np.array([frame.delta_values(wjets[k]) for k in range(n)])  # [k, j] = delta_j w_k
+    d = np.array([frame.delta_values(wjets[k])[0] for k in range(n)])  # [k, j] = delta_j w_k
     out = np.zeros((n, n))
     for j in range(n):
         for k in range(j + 1, n):
@@ -349,14 +349,14 @@ def bracket(frame, Xjets, Yjets):
     """rho[bX, bY]^m = X^k delta_k Y^m - Y^k delta_k X^m from component jets."""
     xv = np.array([j.value for j in Xjets])
     yv = np.array([j.value for j in Yjets])
-    dX = [frame.delta_values(jet) for jet in Xjets]
-    dY = [frame.delta_values(jet) for jet in Yjets]
+    dX = [frame.delta_values(jet)[0] for jet in Xjets]
+    dY = [frame.delta_values(jet)[0] for jet in Yjets]
     return np.array([sum(xv * dY[m] - yv * dX[m]) for m in range(len(Xjets))])
 
 
 def nabla_h_matrix(frame, Xjets):
     """(A_X)^i_j = delta_j X^i + F^i_kj X^k from component jets."""
     vals = np.array([jet.value for jet in Xjets])
-    out = np.array([frame.delta_values(jet) for jet in Xjets])
-    out += np.einsum("ikj,k->ij", frame.F, vals)
+    out = np.array([frame.delta_values(jet)[0] for jet in Xjets])
+    out += np.einsum("ikj,k->ij", frame.F[0], vals)
     return out
