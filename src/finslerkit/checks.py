@@ -4,17 +4,18 @@ Each check registers itself with @check(id, anchor), the one place its id
 and formula anchor are stated; run_check stamps both on the result.
 
 A check is a reduction over the point axis. run_checks builds one batch
-frame over its sample and hands it to every check as `fn(fr, tol, floor,
-seed)`; the check reads the structure and the points off `fr` and passes
-the frame to the calculus, which runs once on it (and on each probe field):
-every identity it tests gives one array of residuals and one of scales,
-with an entry per point, and the check reduces those arrays to a
-CheckResult. The frames a check builds for itself (scaled points, a Randers
-or conformal change of the structure) are freed when the check returns, and
-the sample's frame when the run does. The reductions pick the maximum and
-the witness point that adding the residuals one point at a time, in sample
-order, would pick. An error inside a check is its FAIL, with the first error
-its batch meets, naming its point where the frame can (run_check).
+frame over its sample and runs each distinct check id once, handing the
+frame to it as `fn(fr, tol, floor, seed)`; the check reads the structure and
+the points off `fr` and passes the frame to the calculus, which runs once on
+it (and on each probe field): every identity it tests gives one array of
+residuals and one of scales, with an entry per point, and the check reduces
+those arrays over the whole sample to a CheckResult. The frames a check
+builds for itself (scaled points, a Randers or conformal change of the
+structure) are freed when the check returns, and the sample's frame when
+the run does. The reductions pick the maximum and the witness point that
+adding the residuals one point at a time, in sample order, would pick. No
+check catches an error: run_check alone turns one into the check's FAIL,
+with the first error its batch meets, naming its point where the frame can.
 
 Three verdict rules, each written once:
 - identity (`_Sweep.result`): PASS when the worst residual relative to
@@ -489,17 +490,12 @@ def _check_lie(fr, tol, floor, seed):
         ),
     ]
 
-    half = max(1, len(fr.point) // 2)
-    try:  # the first half of the sample, read off the whole batch's reports
-        reports = [picalc.lie_metric_report(fr, X) for X in fields]
-    except _CHECK_ERRORS:  # a point of the second half may fail: the first half decides
-        first = PointFrame(fr.structure, fr.point[:half])
-        reports = [picalc.lie_metric_report(first, X) for X in fields]
-    worst_diff = _first_max([rep.difference[:half] for rep in reports])[0]
+    reports = [picalc.lie_metric_report(fr, X) for X in fields]
+    worst_diff = _first_max([rep.difference for rep in reports])[0]
     details = {"max_lie_minus_contraction": worst_diff}
     for X, rep in zip(fields, reports):
-        details[f"lie_defect[{X.name}]"] = _first_max(rep.lie_defect[:half])[0]
-        details[f"closedness[{X.name}]"] = _first_max(rep.closedness[:half])[0]
+        details[f"lie_defect[{X.name}]"] = _first_max(rep.lie_defect)[0]
+        details[f"closedness[{X.name}]"] = _first_max(rep.closedness)[0]
     return _report_only(fr, worst_diff, tol, details)
 
 
@@ -613,5 +609,6 @@ def run_check(check_id: str, fr: PointFrame, tol: float, floor: float,
 
 def run_checks(F: FinslerStructure, ids, points: int, seed: int, tol: float,
                floor: float) -> list:
-    fr = PointFrame(F, tuple(F.sample(points, seed)))  # the run's one frame of its sample
-    return [run_check(cid, fr, tol, floor, seed) for cid in sorted(ids)]
+    """Each distinct id of `ids` once, in sorted order, on the run's one frame of its sample."""
+    fr = PointFrame(F, tuple(F.sample(points, seed)))
+    return [run_check(cid, fr, tol, floor, seed) for cid in sorted(set(ids))]

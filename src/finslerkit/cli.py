@@ -68,7 +68,9 @@ def cmd_verify(args) -> int:
     if args.checks.strip() == "all":
         ids = check_ids()
     else:
-        ids = [c.strip() for c in args.checks.split(",") if c.strip()]
+        ids = sorted({c.strip() for c in args.checks.split(",") if c.strip()})
+        if not ids:
+            raise ValueError("--checks names no check id")
         unknown = [c for c in ids if c not in ANCHORS]
         if unknown:
             raise ValueError(f"unknown check ids: {', '.join(unknown)}")
@@ -78,7 +80,7 @@ def cmd_verify(args) -> int:
         "config": {
             "metric": args.metric,
             "metric_name": metric.name,
-            "checks": sorted(ids),
+            "checks": ids,
             "points": int(args.points),
             "seed": int(args.seed),
             "tol": _fmt(args.tol),

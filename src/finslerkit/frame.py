@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .chart import ChartPoint
 from .errors import DomainError, NumericalError, SingularMetricError
 from . import jets
 from .jets import MAX_ORDER, Jet, jet_eval
@@ -132,20 +133,24 @@ class PointFrame:
 
     @_lazy
     def L_jet(self) -> Jet:
+        L = self.structure.L
+
+        def in_cone(x, y):  # the float pass: the first failing point may be outside the cone
+            value = L(x, y)
+            if value <= 0.0:
+                raise _outside_cone(value, ChartPoint(x, y))
+
         if self._base is None:
-            jet = located_jet_eval(self.structure.L, self.point, MAX_ORDER)
-        else:  # the float pass runs the change's own Lagrangian
+            fn = L
+        else:  # the float pass still runs the change's own Lagrangian
             lift, base = self.structure.meta["lift"], self._base.L_jet
-            jet = located_jet_eval(lambda x, y: lift(x, y, base), self.point, MAX_ORDER,
-                                   self.structure.L)
+            fn = lambda x, y: lift(x, y, base)
+        jet = located_jet_eval(fn, self.point, MAX_ORDER, in_cone)
         value = jet.coeffs.T[0]
         bad = value <= 0.0
         if bad.any():
             k, at = self._first(bad)
-            raise DomainError(
-                f"Lagrangian is {value[k]:.3g} <= 0 at {at}; "
-                "point lies outside the positivity cone"
-            )
+            raise _outside_cone(value[k], at)
         return jet
 
     @_lazy
@@ -374,12 +379,19 @@ class PointFrame:
         return jet
 
 
+def _outside_cone(value, at) -> DomainError:
+    """L_jet's error at the chart point `at`, where L takes `value` <= 0."""
+    return DomainError(f"Lagrangian is {value:.3g} <= 0 at {at}; "
+                       "point lies outside the positivity cone")
+
+
 def located_jet_eval(fn, points, order: int, float_fn=None) -> Jet:
     """jet_eval(fn, points, order) at a tuple of chart points. If it
     raises a NumericalError or an ArithmeticError, `float_fn` (default `fn`)
     runs on floats point by point, and the first point that raises re-raises
     its own error, naming the point; if none does, the stacked error stands.
-    `jet_eval` is read from this module at each call."""
+    Any other error of `float_fn` (L_jet's cone error, which names its point
+    itself) passes through. `jet_eval` is read from this module at each call."""
     try:
         return jet_eval(fn, points, order)
     except (NumericalError, ArithmeticError) as exc:

@@ -308,7 +308,10 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
     if family == "minkowski_quartic":
         return minkowski_quartic(_field(spec, "dim", lambda d: _whole(d, "dim")))
     if family == "riemannian":
-        if spec.get("preset") == "sphere2":
+        if "preset" in spec:  # sphere2 is the one preset
+            if spec["preset"] != "sphere2":
+                raise ValueError(f"metric field 'preset' must be \"sphere2\", "
+                                 f"got {spec['preset']!r}")
             return sphere2()
         n = _field(spec, "dim", lambda d: _whole(d, "dim"))
         rows = _field(spec, "a", lambda a: [list(r) for r in a])

@@ -46,6 +46,8 @@ MALFORMED = {
     "dim": ("dim", {"family": "riemannian", "dim": [2], "a": [[1, 0], [0, 1]]}),
     "b-missing": ("b", {"family": "randers", "base": SPHERE}),
     "dim-missing": ("dim", {"family": "euclidean"}),
+    "preset": ("preset", {"family": "riemannian", "preset": "sphere3", "dim": 2,
+                          "a": [[1, 0], [0, 1]]}),
 }
 # one field left out of each spec: the error names it
 MISSING = {
@@ -194,6 +196,13 @@ class TestVerify:
         verdicts = {c["id"]: c["verdict"] for c in report["checks"]}
         assert verdicts["prop2.14.lie"] == "REPORT-ONLY"
 
+    def test_a_repeated_check_id_is_reported_once(self, tmp_path):
+        code, out = run_verify(tmp_path, checks="struct.symmetry, thm2.6,struct.symmetry")
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["checks"] == ["struct.symmetry", "thm2.6"]
+        assert [c["id"] for c in report["checks"]] == ["struct.symmetry", "thm2.6"]
+
     def test_reports_are_byte_identical(self, tmp_path):
         code1, out1 = run_verify(tmp_path, checks="all")
         blob1 = out1.read_bytes()
@@ -284,6 +293,31 @@ class TestVerify:
             f"FloatingPointError: overflow encountered in multiply at {at}"}
 
 
+    def test_an_underflowed_lagrangian_is_the_first_failing_point(self, tmp_path):
+        # e^(800 x^1) underflows to 0 at point 0 (x^1 = -0.994) and overflows
+        # at a later point (x^1 = 1.095), where the stacked evaluation of L
+        # raises; the point-by-point pass finds point 0 outside the cone first
+        spec = {"family": "conformal",
+                "sigma": {"terms": [{"coef": 800, "powers": [1, 0]}]},
+                "base": {"family": "riemannian", "preset": "sphere2"}}
+        code, out = run_verify(tmp_path, "--points", "200", "--seed", "3",
+                               metric=spec_file(tmp_path, spec), checks="all")
+        assert code == 1
+        report = json.loads(out.read_text())
+        first = ("ChartPoint(x=(-0.9944419988553015, -0.6316547841693607), "
+                 "y=(0.3802031486641992, -0.5163080301612353))")
+        late = ("ChartPoint(x=(1.0950414116066363, -0.5179172070029004), "
+                "y=(-0.22696709811076618, 0.9112405241890745))")
+        errors = {c["id"]: c["details"].get("error") for c in report["checks"]}
+        assert errors.pop("jets.fd") is None  # its three points all evaluate
+        # its probe h(x) L^2 is evaluated before L's jet, and the probe's
+        # point-by-point pass meets the overflow; L = 0 is no error of the probe
+        assert errors.pop("eq2.14") == f"OverflowError: math range error at {late}"
+        assert set(errors.values()) == {
+            f"DomainError: Lagrangian is 0 <= 0 at {first}; "
+            "point lies outside the positivity cone"}
+
+
 class TestUsageErrors:
     def test_unknown_metric(self, tmp_path):
         code, _ = run_verify(tmp_path, metric="banana2")
@@ -292,6 +326,14 @@ class TestUsageErrors:
     def test_unknown_check_id(self, tmp_path):
         code, _ = run_verify(tmp_path, checks="struct.nonsense")
         assert code == 2
+
+    @pytest.mark.parametrize("checks", [",", " ", " , "])
+    def test_a_check_list_naming_no_id(self, tmp_path, capsys, checks):
+        # an empty report would read as an all-clear
+        code, out = run_verify(tmp_path, checks=checks)
+        assert code == 2
+        assert capsys.readouterr().err == "error: --checks names no check id\n"
+        assert not out.exists()
 
     def test_tolerance_must_be_below_floor(self, tmp_path):
         code, _ = run_verify(tmp_path, "--tol", "1e-2", "--floor", "1e-3")

@@ -20,16 +20,16 @@ from finslerkit.cli import main
 from finslerkit.structures import by_name
 
 REPORTS = {
-    ("conformal_quartic2", 20): "28f8411cdaa16681a378f960eb585a60e87a7abe3a2e56f89a2076ca075baed9",
-    ("euclidean2", 20): "377c97e9e5b18b9a633cd1861dfa0e5b3a82db2f51d5686e3c46a16182d283f8",
-    ("euclidean3", 20): "33604b837f3a00056704ab248f40cc7ec4a85b504d02234b3d6e43e53621845c",
-    ("minkowski_quartic2", 20): "f85d1d7d6b505529141a7d81ae61d364a1786e7104f00b3c6beca3b69aa248dc",
-    ("minkowski_quartic3", 20): "f22a36aff3c189f7a351d78f78a4dae9cfc81878558ee0c263eb752d52b31d44",
-    ("randers_sphere2", 20): "34d8a2fafec68de3778344f0bfc1e1312d61ba10f3ed91c52fddcbb275688f4e",
-    ("sphere2", 20): "190a2b78567a14e141e0bf8c9e7b47b6f35f1f06ea64f269d4f181ddef19f441",
+    ("conformal_quartic2", 20): "bde91091df40c5d6c482f2368e39c4e0112ff8868ea21a13703ce89c3bedcaa7",
+    ("euclidean2", 20): "b22100739fc09bee2932eea48567a44b310af9bac4bb7e4874afc0118d330f4f",
+    ("euclidean3", 20): "e2b21f1ce297f32446cfbe5c55fa500afe02f29a86ae0ea05705195e00615209",
+    ("minkowski_quartic2", 20): "7e61539785a0b6b8bc4b73bf9b728a93c27d2bff7166680ea626e3f801f7b431",
+    ("minkowski_quartic3", 20): "8948158ce6b88a3e409b3b360fc5c612f4e0163e8c4303537ff37ff6efad22a9",
+    ("randers_sphere2", 20): "255761631f37b50decb3c18319b9d4bcd9b6b0845bffb929ead0d7d0306f438a",
+    ("sphere2", 20): "db2ad6f344b0084d1709bbd7b42ae6b91720ce40d96b4d5817da785d3160f3be",
     ("euclidean3", 200): "e832417dfd3d8c10603d754c8890166231a1395e410666d42c08cf26e11e727a",
-    ("sphere2", 200): "e422e0da0d4bffdac4b53a7fa35d4e06393fced1d419eacebf424d72124e8eed",
-    ("sphere2", 1000): "093d98cbca074099ff7089b899d1b3a5676005ed0992e671d524ee526f31a1db",
+    ("sphere2", 200): "723ec179962390877737980875a8ce59168544dfedd81ae8f024e75ea3bff41a",
+    ("sphere2", 1000): "6d2aeee756d862626b40bfd58e886e5d75b8c85e73ecbb2a2b80ca1b6b015078",
 }
 
 # an indefinite form: every point of the sample fails, some at L (NumericalError)
@@ -40,23 +40,23 @@ INDEFINITE_SHA256 = "b0dddae35d1247b1f95e82d2a81f4f95f0d54eee8048caa81f5c003e38a
 
 # g is indefinite only near the origin, where a_11 = |x|^2 - 0.1 < 0: the first
 # failing point of these samples comes late (index 15 at seed 0, 12 at seed 30),
-# so each error names that point, and prop2.14.lie, which reads the first half
-# of the sample only, still reports
+# so each error names that point; prop2.14.lie reduces the whole sample like
+# every other check, so it FAILs with that error too
 LATE = {"family": "riemannian", "dim": 2,
         "a": [[1, 0], [0, {"terms": [{"coef": 1, "powers": [2, 0]},
                                      {"coef": 1, "powers": [0, 2]},
                                      {"coef": -0.1, "powers": [0, 0]}]}]]}
 LATE_SHA256 = {
-    0: "a75d3dad6636b9fc341b6533460144e0817e9c967c7754664e203a72a86ff684",
-    30: "868dce659cec0b19caff79991e674b0d465674a94870c9ce09fe202168be71d4",
+    0: "336c0b4f70e1737b7195de43ec96b6adb8fcd2f018bd7000376fd76ef8533ff1",
+    30: "dac7fb30618868540e1999c8b0e8b154173f705e1997cbc1a965a4dd7c4b1b70",
 }
 
 # --floor 1e3 (20 points, seed 0): no negative control clears the floor, so
 # eq2.14 and thm2.16.conformal turn their identity PASS into a FAIL, and
 # thm2.8.curved reads the curved sample as flat (REPORT-ONLY)
 FLOOR_1E3_SHA256 = {
-    "sphere2": "15e3a169c171d951cf1bdca8c7a4d47ab1ee4bcd2078d043a5a4c48728b42774",
-    "conformal_quartic2": "b4b363c42d38a38cb2ef9b2a77b5e85a6ce9edf0ab009f043aa610cf75e1aff5",
+    "sphere2": "8702aa1fb15414af1e797de66453bf1857d19cc5bb4b87cab2f3f0e541b550e1",
+    "conformal_quartic2": "c4e86121140f31e45c00a0b307d98d47c8f7f5222423c7fdac3426708c0667c9",
 }
 
 LIST_CHECKS_SHA256 = "b43d4a60a46758d38e1f3137e438b9eaa99a3f20439b2027cc525529a25e73a5"

@@ -523,7 +523,7 @@ def _role(s, pts, structure, point):
     """What a frame built by a run on the sample pts of s is for."""
     if structure is s:
         scaled = tuple(ChartPoint(p.x, tuple(1.75 * v for v in p.y)) for p in pts)
-        return {pts: "sample", scaled: "scaled", pts[:len(pts) // 2]: "first half"}[point]
+        return {pts: "sample", scaled: "scaled"}[point]
     assert structure.meta["base"] is s and point == pts
     return structure.name.split("(")[0]  # the Randers star or a conformal tilde
 
@@ -532,16 +532,44 @@ def _role(s, pts, structure, point):
 @pytest.mark.parametrize("spec", [INDEFINITE, LATE], ids=["indefinite", "late"])
 def test_a_failing_run_reruns_no_check(monkeypatch, spec, seed):
     # a check that raises reports its batch's error, so no check runs again on
-    # a part of the sample: the run builds frames a passing run builds (a
-    # failing check may stop before it builds its own), plus the first half
-    # of prop2.14.lie, whose batch raises here
+    # a part of the sample: the run builds only frames a passing run builds (a
+    # failing check may stop before it builds its own)
     s = structure_from_spec(spec)
     built, pts = _built_frames(monkeypatch, s, 20, seed)
     roles = collections.Counter(_role(s, pts, structure, point)
                                 for _, structure, point in built)
     passing = collections.Counter({"sample": 1, "scaled": 1, "randers": 1, "conformal": 2})
-    assert roles - passing == {"first half": 1}, roles
+    assert roles - passing == {}, roles
     assert all(ref() is None for ref, _, _ in built)
+
+
+@pytest.mark.parametrize("seed", [0, 30])
+def test_the_lie_check_reports_its_batch_error(seed):
+    # prop2.14.lie reduces the whole sample, so the late failing point of
+    # LATE is its FAIL with the error every other check on the sample frame
+    # meets; thm2.16.conformal reads the g of its own conformal change
+    results = {r.check_id: r for r in
+               run_checks(structure_from_spec(LATE), check_ids(), 20, seed, 1e-7, 1e-3)}
+    lie = results.pop("prop2.14.lie")
+    results.pop("thm2.16.conformal")
+    assert lie.verdict == checks.FAIL
+    assert lie.details["error"].startswith("SingularMetricError: ")
+    errors = {r.details["error"] for r in results.values() if r.verdict == checks.FAIL}
+    assert errors == {lie.details["error"]}
+
+
+def test_a_repeated_check_id_runs_once(monkeypatch):
+    calls = []
+    anchor, fn = checks._REGISTRY["thm2.6"]
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setitem(checks._REGISTRY, "thm2.6", (anchor, counted))
+    results = run_checks(by_name("sphere2"), ["thm2.6", "eq2.13", "thm2.6"], 5, 0, 1e-7, 1e-3)
+    assert [r.check_id for r in results] == ["eq2.13", "thm2.6"]
+    assert len(calls) == 1
 
 
 def _jet_eval_calls(monkeypatch, points):
