@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frame import PointFrame, dot, matvec, max_abs, pymax
+from .frame import PointFrame, dot, max_abs, pymax
 
 
 def spray_defect(fr: PointFrame, G=None) -> np.ndarray:
@@ -78,27 +78,16 @@ def metricity_defect(fr: PointFrame):
     return max_abs(h, 3), max_abs(v, 3)
 
 
-def project_h(fr: PointFrame, vec) -> np.ndarray:
-    """Horizontal projector on a full tangent vector (a^i, b^i) at (x, y):
-    keeps the base part and subtracts the connection drift, (a, -N a)."""
-    n = fr.n
-    a = np.asarray(vec, dtype=float)[..., :n]
-    drift = matvec(-fr.N, a)
-    return np.concatenate([np.broadcast_to(a, drift.shape), drift], axis=-1)
-
-
-def project_v(fr: PointFrame, vec) -> np.ndarray:
-    """Vertical projector: (0, b + N a)."""
-    vec = np.asarray(vec, dtype=float)
-    n = fr.n
-    b = vec[..., n:] + matvec(fr.N, vec[..., :n])
-    return np.concatenate([np.zeros(b.shape), b], axis=-1)
-
-
 def projector_defects(fr: PointFrame) -> np.ndarray:
-    """Idempotency, complementarity, and annihilation defects of (h, v)."""
-    eye = np.eye(2 * fr.n)
-    h = np.stack([project_h(fr, e) for e in eye.T], axis=-1)
-    v = np.stack([project_v(fr, e) for e in eye.T], axis=-1)
+    """Idempotency, complementarity, and annihilation defects of the
+    horizontal and vertical projectors on full tangent vectors (a, b) at
+    (x, y): h = [[I, 0], [-N, 0]] keeps the base part and subtracts the
+    connection drift, (a, -N a), and v = [[0, 0], [N, I]] gives (0, b + N a)."""
+    n, N = fr.n, fr.N
+    h = np.zeros(N.shape[:-2] + (2 * n, 2 * n))
+    v = h.copy()
+    h[..., :n, :n] = v[..., n:, n:] = np.eye(n)
+    h[..., n:, :n], v[..., n:, :n] = -N, N
+    eye = np.eye(2 * n)
     return pymax(0.0, max_abs(h @ h - h, 2), max_abs(v @ v - v, 2),
                  max_abs(h + v - eye, 2), max_abs(h @ v, 2), max_abs(v @ h, 2))

@@ -21,15 +21,17 @@ Products use the Leibniz rule in raw-derivative form,
 
 with the binomial weights precomputed per (nvars, order). Each output slot
 sums its terms in one fixed order whatever the stack shape, so a stacked
-product equals the component-wise scalar products bit for bit. A large
-stack is multiplied coefficient-major, as vector Taylor propagation keeps
-its direction axis: the table axis goes first and each term of a slot
-program is one contiguous row over all points and components. It is also
-support-aware, as vector Taylor propagation carries the sparsity of its
-seeds: a term runs only when both of its operand columns are nonzero
-somewhere in the stack (in a product with one output row, when both are
-nonzero), which drops most of the work for Lagrangians built from x-only
-factors, y-only polynomials and constants.
+product equals the component-wise scalar products bit for bit. The terms
+are summed in one of two ways. A single jet and a small stack add them
+with one `np.bincount` over the output slots. A large stack is multiplied
+coefficient-major, as vector Taylor propagation keeps its direction axis:
+the table axis goes first and each term of a slot program is one
+contiguous row over all points and components. A single jet and a large
+stack are also support-aware, as vector Taylor propagation carries the
+sparsity of its seeds: a term runs only when both of its operand columns
+are nonzero (somewhere in the stack, for a large one), which drops most of
+the work for Lagrangians built from x-only factors, y-only polynomials and
+constants.
 Transcendental functions go through Taylor composition in the jet ring, so
 everything is exact to round-off for the smooth closed-form fields used
 here; a stack's Taylor coefficients are built per degree over all its value
@@ -92,75 +94,62 @@ def _mul_program(nvars: int, order: int):
     )
 
 
-def _slot_tables(io, size: int, *terms):
-    """Per-slot term counts, and each term array as a zero-padded (T, m)
-    table, one row per output slot with its terms in program order."""
-    counts = np.bincount(io, minlength=size)
-    col = np.arange(io.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    tables = []
-    for src in terms:
-        table = np.zeros((size, counts.max()), dtype=src.dtype)
-        table[io, col] = src
-        tables.append(table)
-    return counts, tables
-
-
-@lru_cache(maxsize=None)
-def _gather_program(nvars: int, order: int):
-    """`_mul_program` as zero-padded (T, m) tables; padding has weight 0."""
+# One program per support pair: a stream of one-point Sc queries over the 7
+# catalog metrics meets 67 in its one-row products, and each `_live_program`
+# reads one. The bound keeps a long-lived process from growing with every
+# pair it ever meets.
+@lru_cache(maxsize=256)
+def _point_program(nvars: int, order: int, live_a: bytes, live_b: bytes):
+    """`_mul_program` without the terms whose column is dead in `live_a` or
+    `live_b` (bool-array bytes, one entry per column), in program order."""
     io, ia, ib, w, size = _mul_program(nvars, order)
-    return tuple(_slot_tables(io, size, ia, ib, w)[1])
+    live = np.frombuffer(live_a, dtype=bool)[ia] & np.frombuffer(live_b, dtype=bool)[ib]
+    return io[live], ia[live], ib[live], w[live], size
 
 
-# One program per support pair met: a 1000-point sweep of sphere2 builds 30,
-# of minkowski_quartic3 46. The bound keeps a long-lived process from
-# growing with every pair it ever meets.
+# One program per support pair of a large stack: a 1000-point sweep of
+# sphere2 builds 30, of minkowski_quartic3 46. Bounded as `_point_program` is.
 @lru_cache(maxsize=256)
 def _live_program(nvars: int, order: int, live_a: bytes, live_b: bytes):
-    """The `_mul_program` terms whose two columns are live, coefficient-major.
+    """The `_point_program` of the supports `live_a` and `live_b`,
+    coefficient-major.
 
-    `live_a` and `live_b` are the operands' supports as bool-array bytes:
-    column i is live when it is nonzero in some row of the stack. Returns
+    A column is live when it is nonzero in some row of the stack. Returns
     the slots sorted by falling live-term count (stable) and, for each
     column c, (k_c, ia, ib, w) over the k_c leading slots that have a c-th
     live term, in `_mul_program` order, so column c updates a prefix of the
     sorted slots. Slots with no live term come last and are never updated.
     Full support gives every term of every slot, without padding.
     """
-    io, ia, ib, w, size = _mul_program(nvars, order)
-    live = np.frombuffer(live_a, dtype=bool)[ia] & np.frombuffer(live_b, dtype=bool)[ib]
-    counts, (ia, ib, w) = _slot_tables(io[live], size, ia[live], ib[live], w[live])
+    io, ia, ib, w, size = _point_program(nvars, order, live_a, live_b)
+    counts = np.bincount(io, minlength=size)
+    first = np.cumsum(counts) - counts  # io is sorted: a slot's terms are contiguous
     perm = np.argsort(-counts, kind="stable")
     columns = []
-    for c in range(ia.shape[1]):
-        rows = perm[: np.count_nonzero(counts > c)]
-        columns.append((rows.size, ia[rows, c], ib[rows, c], w[rows, c, None]))
+    for c in range(counts.max()):
+        t = first[perm[: np.count_nonzero(counts > c)]] + c
+        columns.append((t.size, ia[t], ib[t], w[t, None]))
     return perm, tuple(columns)
 
 
-# One program per support pair of a one-row product: a stream of one-point
-# Sc queries over the 7 catalog metrics meets 67. Bounded as `_live_program` is.
-@lru_cache(maxsize=256)
-def _point_program(nvars: int, order: int, live_a: bytes, live_b: bytes):
-    """`_mul_program` without the terms whose column is zero in the nonzero
-    mask `live_a` or `live_b` (bool-array bytes), in program order."""
-    io, ia, ib, w, size = _mul_program(nvars, order)
-    live = np.frombuffer(live_a, dtype=bool)[ia] & np.frombuffer(live_b, dtype=bool)[ib]
-    return io[live], ia[live], ib[live], w[live], size
-
-
-# From this much work, the broadcast output's S rows times the (T, m) slot
-# programs, a stacked product runs coefficient-major. Measured at nvars 4
-# and 6, orders 2-4, equal dense (S, T) operands: the whole (T, m) gather is
-# 1.3-2.6x faster at 1e4, the two break even at 4e4-5e4, and the
-# coefficient-major kernel is 1.2-1.4x faster at 7e4 and about 3x from 1e5.
-# Support filtering leaves the dense crossover where it was. An x-only
-# times a y-only operand breaks even near 1e4, but the supports are read
-# from the (T, S) arrays of the coefficient-major branch, so the choice
-# stays on the work count. A frame on one point stays below 1.1e3 (its one-row
-# products take `_point_program`; nine order-2 rows over 6 variables are
-# 1008); a sample of hundreds of points lies above.
-_COLUMN_GATHER_WORK = 50_000
+# From this much work, the S output rows times the `_mul_program` terms, a
+# stacked product runs coefficient-major. Bincount time over
+# coefficient-major time for (S, T) operands, dense or an x-only times a
+# y-only one, by work (median of 3 runs; 2 cores, numpy 2.4):
+#
+#   nvars order terms | dense 5e3  1e4  2e4  4e4  1e5 | x*y 5e3  1e4  2e4  4e4  1e5
+#     4     2     45  |       0.6  0.6  1.8  1.8  2.1 |     0.8  1.3  1.6  1.7  4.0
+#     4     3    165  |       0.4  0.6  0.9  1.1  2.6 |     0.9  1.6  2.1  3.1  7.1
+#     4     4    495  |       0.2  0.4  0.6  0.9  2.6 |     0.9  1.6  2.5  4.0 11.8
+#     6     2     91  |       0.5  0.8  1.0  1.2  2.2 |     0.9  1.3  1.8  2.4  4.7
+#     6     3    455  |       0.3  0.5  0.8  1.1  2.8 |     0.9  1.3  2.2  3.5  9.4
+#     6     4   1820  |       0.2  0.3  0.6  0.8  2.5 |     0.9  1.3  2.5  3.8 11.0
+#
+# Dense operands break even from 1e4-2e4 (order 2) to 4e4-1e5 (order 4),
+# sparse ones at 5e3-1e4; 2e4 splits the loss. A frame on one point stays
+# far below it (nine order-2 rows over 6 variables are 819), a 1000-point
+# sample above it (1000 order-2 rows over 4 variables are 45,000).
+_COEFFICIENT_MAJOR_WORK = 20_000
 
 
 def _leibniz(nvars: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -168,20 +157,19 @@ def _leibniz(nvars: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray
     leading axes.
 
     Every slot adds its terms (w a[ia]) b[ib] in `_mul_program` order onto a
-    +0.0 start, as `np.bincount` does for a single table, so a stacked
-    product equals the scalar products bit for bit, down to the sign of a
-    zero. Order 1 has the closed form (0 + a0 b_k) + a_k b0. One output row,
-    from (T,), (1, T) or (1, 1, T) tables, runs the `_point_program` of the
-    nonzero masks on the flat tables. A small stack gathers the whole
-    zero-padded (..., T, m) term array and adds it column by column: numpy's
-    `add.reduce` would sum 8 or more terms pairwise (order 3 has 8), in
-    another order. A large stack runs coefficient-major: both operands
-    become (T, S) arrays over the S output rows, their supports (`any` along
-    the rows) pick the `_live_program`, and its column c adds the contiguous
-    rows (w_c A[ia_c]) B[ib_c] onto the first k_c sorted slots; a slot with
-    no live term stays +0.0. Skipping the padding and the terms with a zero
-    column changes no bit for finite operands: such a term adds +-0.0 to a
-    sum that is never -0.0.
+    +0.0 start, as `np.bincount` does, so a stacked product equals the
+    scalar products bit for bit, down to the sign of a zero. Order 1 has the
+    closed form (0 + a0 b_k) + a_k b0. Above it the terms are summed one of
+    two ways. By bincount: one output row, from (T,), (1, T) or (1, 1, T)
+    tables, runs the `_point_program` of the nonzero masks on the flat
+    tables, and a small stack runs every term of every row in one bincount
+    over the row-offset slots io + T row. Coefficient-major, for a large
+    stack: both operands become (T, S) arrays over the S output rows, their
+    supports (`any` along the rows) pick the `_live_program`, and its column
+    c adds the contiguous rows (w_c A[ia_c]) B[ib_c] onto the first k_c
+    sorted slots; a slot with no live term stays +0.0. Skipping the terms
+    with a dead column changes no bit for finite operands: such a term adds
+    +-0.0 to a sum that is never -0.0.
     """
     if order <= 1:
         out = a[..., :1] * b + 0.0
@@ -193,15 +181,13 @@ def _leibniz(nvars: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray
                                              (b != 0.0).tobytes())
         out = np.bincount(io, weights=w * a.ravel()[ia] * b.ravel()[ib], minlength=size)
         return out.reshape(a.shape if a.ndim >= b.ndim else b.shape)
-    ia, ib, w = _gather_program(nvars, order)
+    io, ia, ib, w, size = _mul_program(nvars, order)
     lead = np.broadcast(a[..., 0], b[..., 0])
-    if lead.size * ia.size < _COLUMN_GATHER_WORK:
+    if lead.size * io.size < _COEFFICIENT_MAJOR_WORK:
         terms = (w * a.take(ia, -1)) * b.take(ib, -1)
-        out = np.zeros(terms.shape[:-1])
-        for c in range(terms.shape[-1]):
-            out += terms[..., c]
-        return out
-    size = ia.shape[0]
+        slots = np.arange(0, lead.size * size, size)[:, None] + io
+        out = np.bincount(slots.ravel(), weights=terms.ravel(), minlength=lead.size * size)
+        return out.reshape(lead.shape + (size,))
     A, B = (np.moveaxis(np.broadcast_to(x, lead.shape + (size,)), -1, 0).reshape(size, -1)
             for x in (a, b))
     perm, columns = _live_program(nvars, order, A.any(axis=1).tobytes(), B.any(axis=1).tobytes())

@@ -272,6 +272,13 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
+def _only(spec: dict, keys, what: str):
+    """A ValueError naming the first key of `spec` that is not in `keys`."""
+    for key in spec:
+        if key not in keys:
+            raise ValueError(f"metric field {key!r} is not a field of {what}")
+
+
 def _poly_callable(spec, n: int, key: str) -> Callable:
     """Polynomial in x from spec field `key`: a number, or {"terms": [{"coef", "powers"}]}."""
     if not isinstance(spec, dict):
@@ -283,7 +290,9 @@ def _poly_callable(spec, n: int, key: str) -> Callable:
         powers = _field(t, "powers", lambda p: tuple(_whole(e, "powers") for e in p))
         if len(powers) != n or any(e < 0 for e in powers):
             raise ValueError(f"term powers must be {n} nonnegative integers")
+        _only(t, ("coef", "powers"), "a polynomial term")
         terms.append((coef, powers))
+    _only(spec, ("terms",), "a polynomial")
 
     def poly(x):
         acc = 0.0
@@ -298,21 +307,36 @@ def _poly_callable(spec, n: int, key: str) -> Callable:
     return poly
 
 
+# The fields each family reads besides "family"; a riemannian "preset" reads none.
+_FIELDS = {
+    "euclidean": ("dim",),
+    "minkowski_quartic": ("dim",),
+    "riemannian": ("dim", "a", "name"),
+    "randers": ("base", "b", "name"),
+    "conformal": ("base", "sigma", "name"),
+}
+
+
 def structure_from_spec(spec: dict) -> FinslerStructure:
-    """Build a structure from the JSON metric schema used by the CLI."""
+    """Build a structure from the JSON metric schema used by the CLI; a key
+    that its family does not read is a ValueError naming the key."""
     if not isinstance(spec, dict) or "family" not in spec:
         raise ValueError("metric spec must be an object with a 'family' key")
     family = spec["family"]
+    if not isinstance(family, str) or family not in _FIELDS:
+        raise ValueError(f"unknown metric family {family!r}")
+    if family == "riemannian" and "preset" in spec:  # sphere2 is the one preset
+        if spec["preset"] != "sphere2":
+            raise ValueError(f"metric field 'preset' must be \"sphere2\", "
+                             f"got {spec['preset']!r}")
+        _only(spec, ("family", "preset"), "a riemannian preset")
+        return sphere2()
+    _only(spec, ("family",) + _FIELDS[family], f"the {family} family")
     if family == "euclidean":
         return euclidean(_field(spec, "dim", lambda d: _whole(d, "dim")))
     if family == "minkowski_quartic":
         return minkowski_quartic(_field(spec, "dim", lambda d: _whole(d, "dim")))
     if family == "riemannian":
-        if "preset" in spec:  # sphere2 is the one preset
-            if spec["preset"] != "sphere2":
-                raise ValueError(f"metric field 'preset' must be \"sphere2\", "
-                                 f"got {spec['preset']!r}")
-            return sphere2()
         n = _field(spec, "dim", lambda d: _whole(d, "dim"))
         rows = _field(spec, "a", lambda a: [list(r) for r in a])
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -336,8 +360,6 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
         polys = [_poly_callable(c, base.n, "b") for c in comps]
         b_fn = lambda x: [p(x) for p in polys]
         return randers_change(base, b_fn, name=spec.get("name"))
-    if family == "conformal":
-        base = _field(spec, "base", structure_from_spec)
-        sig = _field(spec, "sigma", lambda s: _poly_callable(s, base.n, "sigma"))
-        return conformal_change(base, sig, name=spec.get("name"))
-    raise ValueError(f"unknown metric family {family!r}")
+    base = _field(spec, "base", structure_from_spec)
+    sig = _field(spec, "sigma", lambda s: _poly_callable(s, base.n, "sigma"))
+    return conformal_change(base, sig, name=spec.get("name"))

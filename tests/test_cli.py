@@ -37,7 +37,7 @@ HUGE_SIGMA = {"family": "conformal", "sigma": 1000.0,
 
 
 SPHERE = {"family": "riemannian", "preset": "sphere2"}
-# one field of the wrong type, or left out, in each spec
+# one field of the wrong type, left out, or not read by its family, in each spec
 MALFORMED = {
     "a": ("a", {"family": "riemannian", "dim": 2, "a": 5}),
     "b": ("b", {"family": "randers", "b": 3, "base": SPHERE}),
@@ -48,6 +48,14 @@ MALFORMED = {
     "dim-missing": ("dim", {"family": "euclidean"}),
     "preset": ("preset", {"family": "riemannian", "preset": "sphere3", "dim": 2,
                           "a": [[1, 0], [0, 1]]}),
+    # a key the family does not read
+    "preset-euclidean": ("preset", {"family": "euclidean", "dim": 2, "preset": "sphere2"}),
+    "preset-dim": ("dim", {"family": "riemannian", "preset": "sphere2", "dim": 3, "a": 5}),
+    "sigam": ("sigam", {"family": "conformal", "base": SPHERE, "sigma": 0.3, "sigam": 0.3}),
+    "term-key": ("coef2", {"family": "conformal", "base": SPHERE, "sigma": {
+        "terms": [{"coef": 0.3, "powers": [1, 0], "coef2": 1.0}]}}),
+    "poly-key": ("term", {"family": "randers", "base": SPHERE, "b": [
+        0.1, {"terms": [], "term": {"coef": 0.1, "powers": [0, 1]}}]}),
 }
 # one field left out of each spec: the error names it
 MISSING = {
@@ -358,9 +366,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["verify", "eval"])
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_malformed_spec_is_a_configuration_error(self, tmp_path, capsys, command, case):
-        # a field of the wrong type or a missing field is a configuration
-        # error naming the field, not a traceback, and not the exit code of a
-        # failed check
+        # a field of the wrong type, a missing field or a field the family
+        # does not read is a configuration error naming the field, not a
+        # traceback, and not the exit code of a failed check
         field, spec = MALFORMED[case]
         code, out = _run_spec(tmp_path, capsys, command, spec)
         assert code == 2

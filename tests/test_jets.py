@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finslerkit.chart import ChartPoint
@@ -13,10 +13,9 @@ from finslerkit.checks import _quadratic_scalar
 from finslerkit.errors import CapabilityError, NumericalError
 from finslerkit.jets import (
     MAX_ORDER,
-    _COLUMN_GATHER_WORK,
+    _COEFFICIENT_MAJOR_WORK,
     Jet,
     _binom_real,
-    _gather_program,
     _cos_series,
     _exp_series,
     _live_program,
@@ -389,9 +388,51 @@ class TestStackedJets:
         rows = [Jet(nvars, jet.order, jet.coeffs.reshape(-1)) for jet in jets]
         assert prod.coeffs.tobytes() == _reference_product(*rows).tobytes()
 
+    @given(st.sampled_from([4, 6]), st.integers(2, MAX_ORDER), st.integers(1, 4),
+           st.integers(1, 3), st.tuples(*[st.sampled_from(["slice", "broadcast", "moved"])] * 2),
+           st.integers(0, 2 ** 32 - 1))
+    @example(6, 4, 1, 3, ("slice", "slice"), 0)  # jet_solve's M[..., :hi] X[..., :hi], nine rows
+    @example(4, 4, 4, 2, ("broadcast", "moved"), 1)
+    @settings(max_examples=60, deadline=None)
+    def test_small_stack_of_views_is_componentwise_bit_for_bit(self, nvars, order, points, k,
+                                                              kinds, seed):
+        """Non-contiguous operands below the crossover, as outer products
+        (P, 1, k) x (P, k, 1): a table-axis slice of a longer table, as
+        `jet_solve` reads M[..., :hi], a view broadcast over the point axis,
+        and a point axis moved to the front."""
+        size = math.comb(nvars + order, order)
+        rows = points * k * k
+        assume(1 < rows and rows * _mul_program(nvars, order)[0].size < _COEFFICIENT_MAJOR_WORK)
+        rng = np.random.default_rng(seed)
+
+        def table(lead, length=size):
+            shape = lead + (length,)
+            c = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-4.0, 4.0, shape)
+            zero = rng.random(c.shape) < 0.2
+            c[zero] = rng.choice([-0.0, 0.0], int(zero.sum()))
+            return c
+
+        def view(kind, lead):
+            if kind == "slice":
+                return table(lead, math.comb(nvars + order + 1, order + 1))[..., :size]
+            if kind == "broadcast":
+                return np.broadcast_to(table(lead[1:]), lead + (size,))
+            return np.moveaxis(table(lead[1:] + lead[:1]), -2, 0)
+
+        ca, cb = (view(kind, lead) for kind, lead in zip(kinds, [(points, 1, k), (points, k, 1)]))
+        before = _live_program.cache_info(), _point_program.cache_info()
+        prod = Jet(nvars, order, ca) * Jet(nvars, order, cb)
+        assert (_live_program.cache_info(), _point_program.cache_info()) == before
+        lead = (points, k, k)
+        assert prod.coeffs.shape == lead + (size,)
+        ca, cb = np.broadcast_to(ca, prod.coeffs.shape), np.broadcast_to(cb, prod.coeffs.shape)
+        for idx in np.ndindex(lead):
+            sa, sb = Jet(nvars, order, ca[idx]), Jet(nvars, order, cb[idx])
+            assert prod.coeffs[idx].tobytes() == _reference_product(sa, sb).tobytes()
+
     def test_the_examples_lie_on_both_sides_of_the_threshold(self):
-        work = lambda nvars, order, rows: rows * _gather_program(nvars, order)[0].size
-        assert work(4, 4, 400) >= _COLUMN_GATHER_WORK > work(6, 4, 3 * 3)
+        work = lambda nvars, order, rows: rows * _mul_program(nvars, order)[0].size
+        assert work(4, 4, 400) >= _COEFFICIENT_MAJOR_WORK > work(6, 4, 3 * 3)
 
     def test_single_point_queries_build_no_live_program(self):
         """P = 1 stays on the bincount and whole-table gather paths."""

@@ -163,7 +163,6 @@ def _entry_point_calls(s):
     form = PiForm.one_form(n, [(lambda i: (lambda x, y: x[i] * y[0]))(i) for i in range(n)])
     star = randers_change(s, lambda x: [0.2] + [0.1 * x[0]] * (n - 1), validate=False)
     tilde = conformal_change(s, lambda x: 0.3 * x[0] * x[-1])
-    vec = np.arange(2.0 * n) + 1.0
     return [
         ("flat", lambda fr: pc.flat(fr, probes[2])),
         ("sharp", lambda fr: pc.sharp(fr, form)),
@@ -190,8 +189,6 @@ def _entry_point_calls(s):
         ("torsion_defect", lambda fr: connections.torsion_defect(fr)),
         ("metricity_defect", lambda fr: connections.metricity_defect(fr)),
         ("projector_defects", lambda fr: connections.projector_defects(fr)),
-        ("project_h", lambda fr: connections.project_h(fr, vec)),
-        ("project_v", lambda fr: connections.project_v(fr, vec)),
         ("curvature_contraction_defect",
          lambda fr: curvature.curvature_contraction_defect(fr)),
         ("scalar_form_check", lambda fr: curvature.scalar_form_check(fr)),

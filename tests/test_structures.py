@@ -188,6 +188,8 @@ class TestSpecLoader:
     def test_unknown_family_rejected(self):
         with pytest.raises((ValueError, KeyError)):
             structure_from_spec({"family": "kropina", "dim": 2})
+        with pytest.raises(ValueError, match="unknown metric family"):
+            structure_from_spec({"family": ["euclidean"], "dim": 2})  # unhashable
 
 
 class TestFrameGuards:
