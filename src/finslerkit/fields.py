@@ -91,12 +91,18 @@ class DriftCompanionField(PiVectorField):
 
     def jets(self, frame) -> Jet:
         n = frame.n
-        b = Jet.stack([frame.field_jet((lambda i: lambda x, y: self.b_fn(x)[i])(i), 1)
-                       for i in range(n)])
+        b = covector_jets(frame, self.b_fn)
         yj = Jet.variable(2 * n, 1, range(n, 2 * n), frame.y)
         alpha = (b * yj).sum_last()
         scale = alpha / (2.0 * frame.E_jet.truncated(1))  # L^2 = 2E
         return frame.sharp_jets(b) - scale[..., None, :] * yj
+
+
+def covector_jets(frame, b_fn) -> Jet:
+    """The components b_i of a positional covector x -> b(x) as one (..., n)
+    stack of order-1 jets on a frame, one evaluation of b per component."""
+    return Jet.stack([frame.field_jet((lambda i: lambda x, y: b_fn(x)[i])(i), 1)
+                      for i in range(frame.n)])
 
 
 def project_away(frame, vecs, Xj: Jet) -> Jet:

@@ -3,10 +3,11 @@
 A PointFrame owns every chart quantity at its points (x, y): the energy jet,
 the fundamental tensor, the geodesic spray, the nonlinear connection,
 the linear connection coefficients, and their horizontal derivatives.
-Everything is computed lazily and cached, so cheap consumers (say, a
-metric check) never pay for curvature. The two rungs that solve with g,
-`ginv_jets` and `G_jets`, run `jets.jet_solve` on `g_inv`, which reads `g`
-and so its conditioning guard first; `ginv_jets.value` is `g_inv`.
+Every rung is computed lazily and cached, so cheap consumers (say, a
+metric check) never pay for curvature; a frame holds nothing else. `g_jets`
+guards g's definiteness and conditioning for every rung that reads it. The
+two rungs that solve with g, `ginv_jets` and `G_jets`, run `jets.jet_solve`
+on `g_inv`; `ginv_jets.value` is `g_inv`.
 
 Index layout: variable slots 0..n-1 are x, slots n..2n-1 are y. All
 tensor arrays are indexed with the contravariant slot first, so N[i, j]
@@ -103,7 +104,6 @@ class PointFrame:
         self.structure = structure
         self.point = point
         self.n = structure.n
-        self._field_jets = {}
 
     _base = None  # the frame a derived frame lifts its Lagrangian jet from
 
@@ -180,13 +180,10 @@ class PointFrame:
     @_lazy
     def g_jets(self) -> Jet:
         """g_ij as an (n, n) stack of order-2 jets (second fiber derivatives
-        of the energy)."""
-        return self._E_dy.partial_jet(range(self.n, 2 * self.n))
-
-    @_lazy
-    def g(self) -> np.ndarray:
-        mat = self.g_jets.value.copy()
-        eig = np.linalg.eigvalsh(mat).T
+        of the energy); a SingularMetricError names the first point where g
+        is not positive definite or is numerically singular."""
+        jet = self._E_dy.partial_jet(range(self.n, 2 * self.n))
+        eig = np.linalg.eigvalsh(jet.value).T
         low = eig[0]
         bad = low <= 0.0
         if bad.any():
@@ -203,7 +200,11 @@ class PointFrame:
                 f"fundamental tensor is numerically singular at {at} "
                 f"(condition number {cond[k]:.3g})"
             )
-        return mat
+        return jet
+
+    @_lazy
+    def g(self) -> np.ndarray:
+        return self.g_jets.value.copy()
 
     @_lazy
     def g_inv(self) -> np.ndarray:
@@ -369,13 +370,9 @@ class PointFrame:
 
     def field_jet(self, fn, order: int) -> Jet:
         """Jet of a scalar field (x, y) -> value, one stacked jet over the
-        frame's points, cached and read-only."""
-        key = (fn, order)
-        jet = self._field_jets.get(key)
-        if jet is None:
-            jet = located_jet_eval(fn, self.point, order)
-            _freeze(jet)
-            self._field_jets[key] = jet
+        frame's points, read-only and evaluated at each call (not kept)."""
+        jet = located_jet_eval(fn, self.point, order)
+        _freeze(jet)
         return jet
 
 

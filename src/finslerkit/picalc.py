@@ -3,10 +3,13 @@
 Implements the horizontal exterior derivative, the covariant operator
 A_X, musical isomorphisms, and the composite closedness diagnostics
 (Lie comparison, involutivity, drift and conformal transfer reports).
-Each operator is written once, on order-1 jets: `dbar_p` (of any degree)
-and `a_operator` take a form or field or its jets, every closedness
-diagnostic applies `dbar_p` to `fr.flat_jets` of X, the jets of i_X g, and
-`flat`, `sharp` and `gradient` read the value parts of the frame's jets.
+Each operator is written once, on order-1 jets: `dbar_p` (of any degree),
+`a_operator` and `closedness_defect` take a form or field or its jets, every
+closedness diagnostic applies `dbar_p` to `fr.flat_jets` of X, the jets of
+i_X g, and `flat`, `sharp` and `gradient` read the value parts of the frame's
+jets. A frame keeps no field jets, so a function that reads a field's jets
+twice evaluates them once; every derivative, the drift's db = 0 included,
+is read from jets.
 
 Every entry point takes the frame it computes on, a PointFrame over a
 tuple of chart points. Each array and report field carries the frame's
@@ -29,9 +32,10 @@ from .fields import (
     PiForm,
     PiVectorField,
     _perm_sign,
+    covector_jets,
     project_away,
 )
-from .frame import PointFrame, dot, matvec, max_abs, pymax, quad
+from .frame import PointFrame, antisymmetric, dot, matvec, max_abs, pymax, quad
 from .jets import Jet
 
 
@@ -135,10 +139,11 @@ def a_operator(fr: PointFrame, X) -> np.ndarray:
     return out
 
 
-def closedness_defect(fr: PointFrame, X: PiVectorField) -> np.ndarray:
-    """max |dbar_p(i_X g)_jk|, from the jets of g_km X^m: zero exactly when X
-    is closed at a frame point."""
-    return max_abs(dbar_p(fr, fr.flat_jets(X.jets(fr))), 2)
+def closedness_defect(fr: PointFrame, X) -> np.ndarray:
+    """max |dbar_p(i_X g)_jk|, from the jets of g_km X^m, of a field or of
+    its order-1 jets: zero exactly when X is closed at a frame point."""
+    Xj = X.jets(fr) if isinstance(X, PiVectorField) else X
+    return max_abs(dbar_p(fr, fr.flat_jets(Xj)), 2)
 
 
 def flat_form_and_selfadjoint_matrix(fr: PointFrame, X: PiVectorField):
@@ -190,10 +195,10 @@ class GradientIdentityResult:
 
 def gradient_torsion_identity(fr: PointFrame, f) -> GradientIdentityResult:
     """For X = grad f: g_lk (A_X)^l_j - g_lj (A_X)^l_k = R^m_jk dy_m f."""
-    A = a_operator(fr, GradientField(f))
-    B = fr.g @ A
+    fj = fr.field_jet(f, 2)
+    B = fr.g @ a_operator(fr, fr.sharp_jets(fr.delta_jets(fj)))
     lhs = np.swapaxes(B, -1, -2) - B
-    rhs = _torsion_contraction(fr, fr.field_jet(f, 2))
+    rhs = _torsion_contraction(fr, fj)
     residual = max_abs(lhs - rhs, 2)
     scale = pymax(1.0, max_abs(lhs, 2), max_abs(rhs, 2))
     return GradientIdentityResult(lhs=lhs, rhs=rhs, residual=residual, scale=scale)
@@ -253,7 +258,7 @@ def lie_metric_report(fr: PointFrame, X: PiVectorField) -> LieReport:
         lie=lie,
         difference=max_abs(lie - con, 2),
         lie_defect=max_abs(lie, 2),
-        closedness=closedness_defect(fr, X),
+        closedness=closedness_defect(fr, Xj),
     )
 
 
@@ -396,26 +401,10 @@ def drift_closedness_transfer(fr: PointFrame, frs: PointFrame) -> DriftTransferR
     )
 
 
-def drift_precondition_defect(b_fn, points, n: int) -> float:
-    """max |d_i b_j - d_j b_i| over sample points, by central differences.
-
-    b_fn runs once per shifted point on plain floats, as it may use the
-    float-only math of `jets`; a point whose asymmetry is NaN is skipped, as
-    the builtin max over the points skips it.
-    """
-    h = 1e-5
-    flat = []
-    for p in points:
-        for step in (h, -h):
-            for i in range(n):
-                x = list(p.x)
-                x[i] += step
-                flat.extend(b_fn(x))
-    # [point, side, i, j] = b_j(x + side h e_i)
-    b = np.array(flat, dtype=float).reshape(-1, 2, n, n)
-    jac = (b[:, 0] - b[:, 1]) / (2 * h)  # [point, i, j] = d_i b_j
-    asym = np.abs(jac - jac.swapaxes(-1, -2)).max(axis=(-2, -1))
-    return float(np.max(asym, initial=0.0, where=asym == asym))
+def drift_precondition_defect(fr: PointFrame, b_fn) -> np.ndarray:
+    """max |d_i b_j - d_j b_i| at each frame point, the hypothesis db = 0 of
+    the drift transfer, from the order-1 jets of the covector x -> b(x)."""
+    return max_abs(antisymmetric(covector_jets(fr, b_fn).dx), 2)
 
 
 # -- conformal transfer ------------------------------------------------------------
@@ -460,7 +449,7 @@ def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
     base_matrix = dbar_p(fr, w)
     tilde_of_base = dbar_p(frt, w)
 
-    sigma = frt.structure.meta["sigma_fn"]  # not frt, which fr's field-jet memo would keep
+    sigma = frt.structure.meta["sigma_fn"]
     sig_jet = fr.field_jet(lambda x, y: sigma(x), 1)
     sig = sig_jet.value
     dsig = np.array(sig_jet.dx)

@@ -28,8 +28,8 @@ REPORTS = {
     ("randers_sphere2", 20): "255761631f37b50decb3c18319b9d4bcd9b6b0845bffb929ead0d7d0306f438a",
     ("sphere2", 20): "db2ad6f344b0084d1709bbd7b42ae6b91720ce40d96b4d5817da785d3160f3be",
     ("euclidean3", 200): "e832417dfd3d8c10603d754c8890166231a1395e410666d42c08cf26e11e727a",
-    ("sphere2", 200): "723ec179962390877737980875a8ce59168544dfedd81ae8f024e75ea3bff41a",
-    ("sphere2", 1000): "6d2aeee756d862626b40bfd58e886e5d75b8c85e73ecbb2a2b80ca1b6b015078",
+    ("sphere2", 200): "fa4e902342f74e7f126c8f611723b34e7485a659a8782aad7f6965b8b89cc2aa",
+    ("sphere2", 1000): "7bc6cce9054a30577b349d657ab72555c50ad922c49cdfb03836946c0081de24",
 }
 
 # an indefinite form: every point of the sample fails, some at L (NumericalError)
@@ -41,22 +41,25 @@ INDEFINITE_SHA256 = "b0dddae35d1247b1f95e82d2a81f4f95f0d54eee8048caa81f5c003e38a
 # g is indefinite only near the origin, where a_11 = |x|^2 - 0.1 < 0: the first
 # failing point of these samples comes late (index 15 at seed 0, 12 at seed 30),
 # so each error names that point; prop2.14.lie reduces the whole sample like
-# every other check, so it FAILs with that error too
+# every other check, so it FAILs with that error too, and so do
+# struct.cartan_contraction (C3 reads the guarded g_jets) and thm2.16.conformal
+# (it lowers its probe on the sample frame before either tilde)
 LATE = {"family": "riemannian", "dim": 2,
         "a": [[1, 0], [0, {"terms": [{"coef": 1, "powers": [2, 0]},
                                      {"coef": 1, "powers": [0, 2]},
                                      {"coef": -0.1, "powers": [0, 0]}]}]]}
 LATE_SHA256 = {
-    0: "336c0b4f70e1737b7195de43ec96b6adb8fcd2f018bd7000376fd76ef8533ff1",
-    30: "dac7fb30618868540e1999c8b0e8b154173f705e1997cbc1a965a4dd7c4b1b70",
+    0: "1648670d5dca41894d88bb7e8e8088195d0e58bac596e454c6d0f626e569eb95",
+    30: "d852247f4898584b1e73089c3be2e9783e32766f36585c7f82dce5685d5d808b",
 }
 
 # --floor 1e3 (20 points, seed 0): no negative control clears the floor, so
-# eq2.14 and thm2.16.conformal turn their identity PASS into a FAIL, and
-# thm2.8.curved reads the curved sample as flat (REPORT-ONLY)
+# eq2.14 and thm2.16.conformal turn their identity PASS into a FAIL,
+# thm2.8.curved reads the curved sample as flat (REPORT-ONLY), and prop.randers
+# FAILs, since its non-closed form stays below the floor on both structures
 FLOOR_1E3_SHA256 = {
-    "sphere2": "8702aa1fb15414af1e797de66453bf1857d19cc5bb4b87cab2f3f0e541b550e1",
-    "conformal_quartic2": "c4e86121140f31e45c00a0b307d98d47c8f7f5222423c7fdac3426708c0667c9",
+    "sphere2": "1e5620120668308bdcc9baa9bc01afb9b861ffefe3450527fb63f4ade2ddcc16",
+    "conformal_quartic2": "41c22b0fb44a294063621fda8a619fdc3e0859a9b78a840c60046e91d4c58562",
 }
 
 LIST_CHECKS_SHA256 = "b43d4a60a46758d38e1f3137e438b9eaa99a3f20439b2027cc525529a25e73a5"

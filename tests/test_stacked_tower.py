@@ -495,9 +495,9 @@ def test_a_run_builds_five_frames_and_frees_them(monkeypatch, name):
 
 
 def test_the_sample_frame_keeps_no_frame_a_check_built(monkeypatch):
-    # the sample frame's field-jet memo keeps the callables each check
-    # evaluates on it until the run ends; none of them may hold a frame the
-    # check built (the scaled points, the Randers star, the conformal tildes)
+    # the sample frame outlives every check of a run and holds only its rungs,
+    # so no frame a check built (the scaled points, the Randers star, the
+    # conformal tildes) outlives that check
     s = by_name("sphere2")
     fr = PointFrame(s, tuple(s.sample(10, 0)))
     built = []
@@ -512,7 +512,7 @@ def test_the_sample_frame_keeps_no_frame_a_check_built(monkeypatch):
         checks.run_check(check_id, fr, 1e-7, 1e-3, 0)
     monkeypatch.undo()
     gc.collect()
-    assert len(built) == 4 and fr._field_jets
+    assert len(built) == 4
     assert [ref() for ref in built] == [None] * 4
 
 
@@ -543,12 +543,11 @@ def test_a_failing_run_reruns_no_check(monkeypatch, spec, seed):
 @pytest.mark.parametrize("seed", [0, 30])
 def test_the_lie_check_reports_its_batch_error(seed):
     # prop2.14.lie reduces the whole sample, so the late failing point of
-    # LATE is its FAIL with the error every other check on the sample frame
-    # meets; thm2.16.conformal reads the g of its own conformal change
+    # LATE is its FAIL with the error every other check meets: each reads the
+    # sample frame's g_jets, which alone guards g, before any frame it builds
     results = {r.check_id: r for r in
                run_checks(structure_from_spec(LATE), check_ids(), 20, seed, 1e-7, 1e-3)}
     lie = results.pop("prop2.14.lie")
-    results.pop("thm2.16.conformal")
     assert lie.verdict == checks.FAIL
     assert lie.details["error"].startswith("SingularMetricError: ")
     errors = {r.details["error"] for r in results.values() if r.verdict == checks.FAIL}
@@ -586,3 +585,25 @@ def test_field_jet_evaluations_do_not_grow_with_the_sample(monkeypatch):
     # one stacked evaluation per (batch, field, order): a callable made
     # afresh for each point would add evaluations with every point
     assert _jet_eval_calls(monkeypatch, 20) == _jet_eval_calls(monkeypatch, 40)
+
+
+@pytest.mark.parametrize("name,check_id,probes", [
+    ("euclidean3", "eq2.12", 3),
+    ("euclidean3", "thm2.8.flat", 3),
+    ("sphere2", "prop2.14.lie", 6),  # two components of each of three fields
+])
+def test_a_check_evaluates_each_probe_once(monkeypatch, name, check_id, probes):
+    # a frame keeps no field jets, so a check that reads a probe's jets twice
+    # must evaluate them once and pass them on
+    s = by_name(name)
+    fr = PointFrame(s, tuple(s.sample(10, 0)))
+    fr.L_jet  # the Lagrangian's evaluation is the frame's, not the check's
+    calls = collections.Counter()
+
+    def counted(fn, *args, **kwargs):
+        calls[fn] += 1
+        return jets.jet_eval(fn, *args, **kwargs)
+
+    monkeypatch.setattr(frame_module, "jet_eval", counted)
+    assert checks.run_check(check_id, fr, 1e-7, 1e-3, 0).verdict != checks.FAIL
+    assert len(calls) == probes and set(calls.values()) == {1}, calls

@@ -1,13 +1,16 @@
 """Behaviour of lowered forms under Randers drift and conformal rescaling."""
 
-import math
+import re
 
 import numpy as np
 import pytest
 
 from finslerkit import picalc as pc
+from finslerkit.checks import FAIL, PASS, REPORT_ONLY, run_checks
+from finslerkit.errors import NumericalError
 from finslerkit.fields import ComponentField, constant_field
-from finslerkit.frame import point_frame
+from finslerkit.frame import PointFrame, point_frame
+from finslerkit.jets import sqrt
 from finslerkit.structures import (
     by_name,
     conformal_change,
@@ -15,7 +18,12 @@ from finslerkit.structures import (
     minkowski_quartic,
     randers_change,
     sphere2,
+    structure_from_spec,
 )
+
+from conftest import CATALOG_NAMES
+
+ALL_NAMES = CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"]
 
 B = (0.2, 0.0)
 
@@ -63,55 +71,86 @@ class TestDriftTransfer:
 
 
 class TestDriftPrecondition:
-    def test_constant_covector_is_closed(self):
+    """db from the drift's order-1 jets: exact, one value per frame point."""
+
+    @staticmethod
+    def _frame():
         e = euclidean(2)
-        pts = e.sample(4, seed=131)
-        assert pc.drift_precondition_defect(lambda x: B, pts, 2) < 1e-9
+        return PointFrame(e, tuple(e.sample(30, seed=131)))
+
+    def test_constant_covector_is_closed(self):
+        defect = pc.drift_precondition_defect(self._frame(), lambda x: B)
+        assert defect.shape == (30,) and np.all(defect == 0.0)
 
     def test_gradient_covector_is_closed(self):
-        e = euclidean(2)
-        pts = e.sample(4, seed=131)
-        b_fn = lambda x: (0.1 * 2 * x[0], 0.1 * 2 * x[1])
-        assert pc.drift_precondition_defect(b_fn, pts, 2) < 1e-8
+        b_fn = lambda x: (0.1 * x[1], 0.1 * x[0])  # the gradient of 0.1 x1 x2
+        defect = pc.drift_precondition_defect(self._frame(), b_fn)
+        assert defect.shape == (30,) and np.all(defect == 0.0)
 
     def test_shear_covector_is_detected(self):
-        e = euclidean(2)
-        pts = e.sample(4, seed=131)
-        b_fn = lambda x: (0.2 * x[1], 0.0)
-        defect = pc.drift_precondition_defect(b_fn, pts, 2)
-        assert defect == pytest.approx(0.2, rel=1e-6)
+        defect = pc.drift_precondition_defect(self._frame(), lambda x: (0.2 * x[1], 0.0))
+        assert defect.shape == (30,) and np.all(defect == 0.2)
 
-    @pytest.mark.parametrize("b_fn", [
-        lambda x: B,
-        lambda x: (0.2 * x[1] * x[0], x[0] ** 3 - x[1]),
-        lambda x: (math.sqrt(x[0]) if x[0] > 0.0 else float("nan"), 0.3 * x[0]),
-        lambda x: (float("nan"), 0.0),
-    ], ids=["constant", "polynomial", "nan-somewhere", "nan-everywhere"])
-    def test_equals_the_per_point_loop(self, b_fn):
-        pts = euclidean(2).sample(30, seed=5)
-        got = pc.drift_precondition_defect(b_fn, pts, 2)
-        want = _reference_precondition(b_fn, pts, 2)
-        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    @pytest.mark.parametrize("b_fn,first", [
+        (lambda x: (float("nan") * x[0], 0.0), lambda p: True),
+        (lambda x: (sqrt(x[0]), 0.3 * x[0]), lambda p: p.x[0] <= 0.0),
+    ], ids=["nan", "sqrt-domain"])
+    def test_a_bad_covector_names_its_first_point(self, b_fn, first):
+        fr = self._frame()
+        at = next(p for p in fr.point if first(p))
+        with pytest.raises(NumericalError, match=re.escape(f" at {at}")):
+            pc.drift_precondition_defect(fr, b_fn)
 
 
-def _reference_precondition(b_fn, points, n):
-    """One Jacobian per point and the builtin max over the points, so a point
-    whose asymmetry is NaN never replaces the running maximum."""
-    worst = 0.0
-    h = 1e-5
-    for p in points:
-        x = list(p.x)
-        jac = np.empty((n, n))
-        for i in range(n):
-            xp = list(x)
-            xm = list(x)
-            xp[i] += h
-            xm[i] -= h
-            bp = np.array([float(v) for v in b_fn(xp)])
-            bm = np.array([float(v) for v in b_fn(xm)])
-            jac[:, i] = (bp - bm) / (2 * h)
-        worst = max(worst, float(np.max(np.abs(jac - jac.T))))
-    return worst
+def _spec_result(spec, points, seed):
+    (res,) = run_checks(structure_from_spec(spec), ["prop.randers"], points, seed, 1e-7, 1e-3)
+    return res
+
+
+# a closed drift b = d(0.1 x1 x2) over sphere2, and the shear b = (0.2 x2, 0),
+# which is not closed, over euclidean2
+GRADIENT_DRIFT = {"family": "randers", "base": {"family": "riemannian", "preset": "sphere2"},
+                  "b": [{"terms": [{"coef": 0.1, "powers": [0, 1]}]},
+                        {"terms": [{"coef": 0.1, "powers": [1, 0]}]}]}
+SHEAR_DRIFT = {"family": "randers", "base": {"family": "euclidean", "dim": 2},
+               "b": [{"terms": [{"coef": 0.2, "powers": [0, 1]}]}, 0]}
+
+
+class TestRandersVerdict:
+    """prop.randers gives one verdict for the whole sample: the shared form is
+    closed for both structures at every point, or not closed for both."""
+
+    @pytest.mark.parametrize("points", [20, 200])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_every_catalog_metric_passes_on_every_seed(self, name, points):
+        for seed in range(10):
+            (res,) = run_checks(by_name(name), ["prop.randers"], points, seed, 1e-7, 1e-3)
+            assert res.verdict == PASS, (seed, res)
+            assert res.details["verdict_agreement"] == "yes"
+            assert res.details["precondition_db"] == 0.0
+
+    def test_a_closed_gradient_drift_passes(self):
+        res = _spec_result(GRADIENT_DRIFT, 200, 0)
+        assert res.verdict == PASS and res.details["precondition_db"] == 0.0
+        # the shared form is not closed, and both structures say so
+        assert res.details["base_closedness_max"] > 1e-3
+        assert res.details["star_closedness_max"] > 1e-3
+
+    def test_a_shear_drift_is_not_applicable(self):
+        res = _spec_result(SHEAR_DRIFT, 200, 0)
+        assert res.verdict == REPORT_ONLY
+        assert res.details == {"note": "not applicable: drift is not closed",
+                               "precondition_db": 0.2}
+
+    def test_defects_between_tol_and_floor_fail_at_the_largest(self):
+        # at floor 1e3 the non-closed form of sphere2 stays below the floor on
+        # both structures: neither outcome holds, and the FAIL witnesses the
+        # first point of the largest defect
+        s = by_name("sphere2")
+        (res,) = run_checks(s, ["prop.randers"], 20, 0, 1e-7, 1e3)
+        assert res.verdict == FAIL and res.details["verdict_agreement"] == "no"
+        largest = max(res.details["base_closedness_max"], res.details["star_closedness_max"])
+        assert res.witness["value"] == largest
 
 
 class TestConformalTransfer:
