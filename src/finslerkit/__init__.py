@@ -19,7 +19,6 @@ from .errors import (
 )
 from .fields import (
     ComponentField,
-    DriftCompanionField,
     GradientField,
     PiForm,
     PiVectorField,

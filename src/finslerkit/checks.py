@@ -6,10 +6,11 @@ and formula anchor are stated; run_check stamps both on the result.
 A check is a reduction over the point axis. run_checks builds one batch
 frame over its sample and runs each distinct check id once, handing the
 frame to it as `fn(fr, tol, floor, seed)`; the check reads the structure and
-the points off `fr` and passes the frame to the calculus, which runs once on
-it (and on each probe field): every identity it tests gives one array of
-residuals and one of scales, with an entry per point, and the check reduces
-those arrays over the whole sample to a CheckResult. The frames a check
+the points off `fr`, evaluates the jets of each probe field once, and passes
+the frame and those jets to the calculus, which runs once on them: every
+identity it tests gives one array of residuals and one of scales, with an
+entry per point, and the check reduces those arrays over the whole sample to
+a CheckResult. The frames a check
 builds for itself (scaled points, a Randers or conformal change of the
 structure) are freed when the check returns, and the sample's frame when
 the run does. The reductions pick the maximum and the witness point that
@@ -37,7 +38,7 @@ import numpy as np
 from . import connections, curvature, picalc
 from .chart import ChartPoint
 from .errors import FinslerError
-from .fields import ComponentField, GradientField, constant_field
+from .fields import ComponentField, GradientField, constant_field, covector_jets
 from .frame import PointFrame, antisymmetric, dot, located_jet_eval, matvec, max_abs, pymax
 from .jets import fd_partial, index_table
 from .structures import FinslerStructure, conformal_change, randers_change
@@ -362,7 +363,7 @@ def _check_thm28_curved(fr, tol, floor, seed):
         return _report_only(fr, rhat, floor,
                             {"note": "not applicable: structure is flat on the sample",
                              "max_vh_torsion": rhat})
-    best, k = _first_max(picalc.closedness_defect(fr, GradientField(_doc_scalar)))
+    best, k = _first_max(picalc.closedness_defect(fr, GradientField(_doc_scalar).jets(fr)))
     verdict = PASS if best > floor else FAIL
     return CheckResult(
         n_points=len(fr.point), max_residual=best, threshold=floor, verdict=verdict,
@@ -392,7 +393,7 @@ def _check_eq213(fr, tol, floor, seed):
 def _check_thm26(fr, tol, floor, seed):
     sweep = _Sweep(fr.point)
     for X in _probe_fields(fr.structure, seed, 26):
-        M, B = picalc.flat_form_and_selfadjoint_matrix(fr, X)
+        M, B = picalc.flat_form_and_selfadjoint_matrix(fr, X.jets(fr))
         BT = np.swapaxes(B, -1, -2)
         sweep.add(max_abs(M - (BT - B), 2), pymax(max_abs(M, 2), max_abs(B - BT, 2)))
     return sweep.result(tol)
@@ -448,8 +449,8 @@ def _check_involutive(fr, tol, floor, seed):
     closed = GradientField(_quadratic_scalar(fr.n, rng, False), name="gradpos")
     other = _affine_field(fr.n, rng, True)
     sweep = _Sweep(fr.point)
-    rep = picalc.involutivity_report(fr, closed)
-    rep2 = picalc.involutivity_report(fr, other)
+    rep = picalc.involutivity_report(fr, closed.jets(fr))
+    rep2 = picalc.involutivity_report(fr, other.jets(fr))
     sweep.add(rep.defect, rep.scale)
     sweep.add(rep.identity_defect, rep.scale)
     sweep.add(rep2.identity_defect, rep2.scale)
@@ -480,7 +481,7 @@ def _check_lie(fr, tol, floor, seed):
         ),
     ]
 
-    reports = [picalc.lie_metric_report(fr, X) for X in fields]
+    reports = [picalc.lie_metric_report(fr, X.jets(fr)) for X in fields]
     worst_diff = _first_max([rep.difference for rep in reports])[0]
     details = {"max_lie_minus_contraction": worst_diff}
     for X, rep in zip(fields, reports):
@@ -499,12 +500,13 @@ def _check_randers(fr, tol, floor, seed):
         const = tuple([0.2] + [0.0] * (fr.n - 1))
         b_fn = lambda x: const
         frb, frs = fr, fr.derived(randers_change(fr.structure, b_fn, validate=False))
-    pre = _first_max(picalc.drift_precondition_defect(fr, b_fn))[0]
+    bj = covector_jets(fr, b_fn)  # b is positional: its jets serve both frames
+    pre = _first_max(picalc.drift_precondition_defect(bj))[0]
     if pre > floor:
         return _report_only(fr, pre, tol, {"note": "not applicable: drift is not closed",
                                            "precondition_db": pre})
     sweep = _Sweep(fr.point)
-    rep = picalc.drift_closedness_transfer(frb, frs)
+    rep = picalc.drift_closedness_transfer(frb, frs, bj)
     sweep.add(rep.identity_residual, rep.base_form_scale)
     sweep.add(rep.dual_path_residual, rep.base_form_scale)
     sweep.add(abs(rep.ell_pairing))
@@ -532,8 +534,8 @@ def _check_randers(fr, tol, floor, seed):
 
 @check("thm2.16.conformal", "dbar~ i_X g~ = e^{2s}(2 ds wedge i_X g + dbar~ i_X g)")
 def _check_conformal(fr, tol, floor, seed):
-    X = constant_field([0.0, 1.0] + [0.0] * (fr.n - 2))
-    rep_c, rep_l = (picalc.conformal_closedness_transfer(fr, fr.derived(tilde), X)
+    Xj = constant_field([0.0, 1.0] + [0.0] * (fr.n - 2)).jets(fr)
+    rep_c, rep_l = (picalc.conformal_closedness_transfer(fr, fr.derived(tilde), Xj)
                     for tilde in (conformal_change(fr.structure, 0.25),
                                   conformal_change(fr.structure, lambda x: x[0])))
     # the wedge prediction applies where dbar~ of the base form vanishes

@@ -17,7 +17,7 @@ import numpy as np
 from .frame import PointFrame, dot, max_abs, pymax
 
 
-def spray_defect(fr: PointFrame, G=None) -> np.ndarray:
+def spray_defect(fr: PointFrame) -> np.ndarray:
     """Residual of the unreduced geodesic equation at each frame point.
 
     Checks both chart components of i_S(d d_J E) + d E = 0:
@@ -25,12 +25,11 @@ def spray_defect(fr: PointFrame, G=None) -> np.ndarray:
         res_x[m] = y^j d_j(dy_m E) - y^i d_m(dy_i E) - 2 g_mj G^j + d_m E
         res_y[m] = dy_m E - g_mi y^i
 
-    With the frame's own spray both residuals vanish to rounding; an
-    externally supplied G is certified instead of trusted.
+    Both residuals vanish to rounding: the frame's spray is certified
+    instead of trusted.
     """
     n = fr.n
     y = fr.y
-    Gv = fr.G if G is None else np.asarray(G, dtype=float)
     mixed = fr._E_dy.dx  # [..., m, j] = d_j dy_m E
     res = 0.0
     for m in range(n):
@@ -38,7 +37,7 @@ def spray_defect(fr: PointFrame, G=None) -> np.ndarray:
         for j in range(n):
             acc = acc + y[..., j] * mixed[..., m, j]
             acc = acc - y[..., j] * mixed[..., j, m]
-            acc = acc - 2.0 * fr.g[..., m, j] * Gv[..., j]
+            acc = acc - 2.0 * fr.g[..., m, j] * fr.G[..., j]
         res = pymax(res, abs(acc))
         fib = fr.E_jet.dy[..., m] - dot(fr.g[..., m, :], y)
         res = pymax(res, abs(fib))

@@ -1,13 +1,13 @@
 """Vector fields and forms along the projection, plus probe-field builders.
 
 A pi-vector field is given by its chart components X^i(x, y), and a form
-by its components on increasing index tuples. The classes here only know
-how to produce the stacked order-1 jet of those components on a PointFrame
-(`PiVectorField.jets`, `PiForm.jets`): closedness and every other identity
-of `picalc` reads the first derivatives of a field only. The musical
-isomorphisms on those jets are the frame's (`PointFrame.flat_jets`,
-`PointFrame.sharp_jets`), as the frame owns g and its inverse; all other
-calculus on them lives in `picalc`.
+by its components on increasing index tuples. The classes here only produce
+the stacked order-1 jet of those components on a PointFrame
+(`PiVectorField.jets`, `PiForm.jets`), and the functions the jets of a drift
+covector and of its companion field: closedness and every other identity of
+`picalc` reads those jets alone. The musical isomorphisms on them are the
+frame's (`PointFrame.flat_jets`, `PointFrame.sharp_jets`), as the frame owns
+g and its inverse; all other calculus on them lives in `picalc`.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ class PiVectorField:
         component axis is the last tensor axis, after the frame's point
         axis."""
         raise NotImplementedError
-
-    def values(self, frame) -> np.ndarray:
-        return self.jets(frame).value.copy()
 
 
 class ComponentField(PiVectorField):
@@ -75,27 +72,21 @@ class GradientField(PiVectorField):
         return f"GradientField({self.name or self.f!r})"
 
 
-class DriftCompanionField(PiVectorField):
-    """The transverse companion of a drift covector b on a structure:
+def drift_companion_jets(frame, bj: Jet) -> Jet:
+    """The order-1 jets of the transverse companion of a drift covector b on
+    a frame's structure, from the jets `bj` of b (`covector_jets`):
 
         m^i = g^ij b_j - (alpha / L^2) y^i,   alpha = b_i y^i.
 
-    It is g-orthogonal to the canonical field eta by construction. The
-    components are read through whatever frame evaluates them, so the same
-    object serves a base structure and its Randers change.
+    It is g-orthogonal to the canonical field eta by construction. b is
+    positional, so one `bj` serves a base frame and the frame of its Randers
+    change at the same points.
     """
-
-    def __init__(self, b_fn, name: str = None):
-        self.b_fn = b_fn
-        self.name = name or "m"
-
-    def jets(self, frame) -> Jet:
-        n = frame.n
-        b = covector_jets(frame, self.b_fn)
-        yj = Jet.variable(2 * n, 1, range(n, 2 * n), frame.y)
-        alpha = (b * yj).sum_last()
-        scale = alpha / (2.0 * frame.E_jet.truncated(1))  # L^2 = 2E
-        return frame.sharp_jets(b) - scale[..., None, :] * yj
+    n = frame.n
+    yj = Jet.variable(2 * n, 1, range(n, 2 * n), frame.y)
+    alpha = (bj * yj).sum_last()
+    scale = alpha / (2.0 * frame.E_jet.truncated(1))  # L^2 = 2E
+    return frame.sharp_jets(bj) - scale[..., None, :] * yj
 
 
 def covector_jets(frame, b_fn) -> Jet:

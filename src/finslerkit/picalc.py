@@ -1,15 +1,15 @@
 """Calculus of fields and forms along the projection.
 
 Implements the horizontal exterior derivative, the covariant operator
-A_X, musical isomorphisms, and the composite closedness diagnostics
-(Lie comparison, involutivity, drift and conformal transfer reports).
-Each operator is written once, on order-1 jets: `dbar_p` (of any degree),
-`a_operator` and `closedness_defect` take a form or field or its jets, every
-closedness diagnostic applies `dbar_p` to `fr.flat_jets` of X, the jets of
-i_X g, and `flat`, `sharp` and `gradient` read the value parts of the frame's
-jets. A frame keeps no field jets, so a function that reads a field's jets
-twice evaluates them once; every derivative, the drift's db = 0 included,
-is read from jets.
+A_X, and the composite closedness diagnostics (Lie comparison,
+involutivity, drift and conformal transfer reports). Whether X is closed
+depends on dbar(i_X g) alone, so every entry point that reads a pi-vector
+field or a form takes its order-1 jets (`X.jets(fr)`, `form.jets(fr)`),
+evaluated once by the caller; each operator is written once, on those jets,
+and the musical isomorphisms are the frame's (`PointFrame.flat_jets`,
+`PointFrame.sharp_jets`). Scalar probes stay callables, since each
+diagnostic of a scalar reads the jet order it needs. Every derivative, the
+drift's db = 0 included, is read from jets.
 
 Every entry point takes the frame it computes on, a PointFrame over a
 tuple of chart points. Each array and report field carries the frame's
@@ -26,50 +26,19 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import CapabilityError, DegenerateFieldError
-from .fields import (
-    DriftCompanionField,
-    GradientField,
-    PiForm,
-    PiVectorField,
-    _perm_sign,
-    covector_jets,
-    project_away,
-)
+from .fields import PiForm, _perm_sign, drift_companion_jets, project_away
 from .frame import PointFrame, antisymmetric, dot, matvec, max_abs, pymax, quad
 from .jets import Jet
-
-
-# -- musical isomorphisms ---------------------------------------------------
-
-
-def flat(fr: PointFrame, X: PiVectorField) -> np.ndarray:
-    """Lower the index: (X^flat)_k = g_km X^m, the value of `fr.flat_jets`."""
-    return fr.flat_jets(X.jets(fr)).value.copy()
-
-
-def sharp(fr: PointFrame, omega) -> np.ndarray:
-    """Raise the index of a 1-form given as a PiForm or a component array:
-    the value of `fr.sharp_jets`, X^i = g^ik w_k."""
-    if isinstance(omega, PiForm) and omega.degree != 1:
-        raise ValueError("sharp expects a 1-form")
-    wj = (omega.jets(fr) if isinstance(omega, PiForm)
-          else Jet.constant(2 * fr.n, 1, np.asarray(omega, dtype=float)))
-    return fr.sharp_jets(wj).value.copy()
-
-
-def gradient(fr: PointFrame, f) -> np.ndarray:
-    """grad f = (dbar f)^sharp, components g^ij delta_j f."""
-    return GradientField(f).values(fr)
 
 
 # -- horizontal exterior derivative ------------------------------------------
 
 
-def dbar_p(fr: PointFrame, omega) -> np.ndarray:
-    """Horizontal exterior derivative of a p-form, given as a PiForm or as
-    the stacked jet of its components (one (n,) axis per degree after the
-    frame's point axis, as `PiForm.jets` gives it; degree 0 is the jet of a
-    scalar f, say `fr.field_jet(f, 1)`, and gives delta_k f):
+def dbar_p(fr: PointFrame, w: Jet) -> np.ndarray:
+    """Horizontal exterior derivative of a p-form from the stacked jet of its
+    components (one (n,) axis per degree after the frame's point axis, as
+    `PiForm.jets` gives it; degree 0 is the jet of a scalar f, say
+    `fr.field_jet(f, 1)`, and gives delta_k f):
 
         (dbar w)_{k0..kp} = sum_q (-1)^q delta_{kq} w_{k0..^kq..kp}
 
@@ -78,7 +47,6 @@ def dbar_p(fr: PointFrame, omega) -> np.ndarray:
     the tuple takes that value with its sign; entries with a repeated index
     are +0.0.
     """
-    w = omega.jets(fr) if isinstance(omega, PiForm) else omega
     n = fr.n
     deg = w.coeffs.ndim - 2  # after the point axis, before the table axis
     if deg + 1 > PiForm.MAX_DEGREE:
@@ -98,20 +66,17 @@ def dbar_p(fr: PointFrame, omega) -> np.ndarray:
     return out
 
 
-def dbar_1_on_fields(fr: PointFrame, omega: PiForm, X: PiVectorField,
-                     Y: PiVectorField) -> np.ndarray:
+def dbar_1_on_fields(fr: PointFrame, w: Jet, Xj: Jet, Yj: Jet) -> np.ndarray:
     """(dbar omega)(X, Y) through the field formula
 
         bX(omega(Y)) - bY(omega(X)) - omega(rho[bX, bY]),
 
-    where b marks the horizontal lift. Used to certify that the component
-    formula of dbar_p is the coordinate expression of this invariant one.
+    where b marks the horizontal lift, from the order-1 jets of the 1-form
+    omega and of X and Y. Used to certify that the component formula of
+    dbar_p is the coordinate expression of this invariant one.
     """
-    if omega.degree != 1:
+    if w.coeffs.ndim != 3:  # point, component and table axes
         raise ValueError("dbar_1_on_fields expects a 1-form")
-    Xj = X.jets(fr)
-    Yj = Y.jets(fr)
-    w = omega.jets(fr)
     # X^k delta_k (omega(Y)) and Y^k delta_k (omega(X)), summed over k in index order
     first = sum(np.moveaxis(Xj.value * fr.delta_values((w * Yj).sum_last()), -1, 0))
     second = sum(np.moveaxis(Yj.value * fr.delta_values((w * Xj).sum_last()), -1, 0))
@@ -129,29 +94,25 @@ def _bracket(frame: PointFrame, Xj: Jet, Yj: Jet) -> np.ndarray:
 # -- the operator A_X ----------------------------------------------------------
 
 
-def a_operator(fr: PointFrame, X) -> np.ndarray:
+def a_operator(fr: PointFrame, Xj: Jet) -> np.ndarray:
     """(A_X)^i_j = delta_j X^i + F^i_kj X^k, the horizontal covariant
-    derivative of X packaged as an endomorphism, of a field or of its
-    order-1 jets (as `X.jets` gives them)."""
-    Xj = X.jets(fr) if isinstance(X, PiVectorField) else X
+    derivative of X packaged as an endomorphism, from the order-1 jets of X."""
     out = fr.delta_values(Xj)
     out += np.einsum("...ikj,...k->...ij", fr.F, Xj.value)
     return out
 
 
-def closedness_defect(fr: PointFrame, X) -> np.ndarray:
-    """max |dbar_p(i_X g)_jk|, from the jets of g_km X^m, of a field or of
-    its order-1 jets: zero exactly when X is closed at a frame point."""
-    Xj = X.jets(fr) if isinstance(X, PiVectorField) else X
+def closedness_defect(fr: PointFrame, Xj: Jet) -> np.ndarray:
+    """max |dbar_p(i_X g)_jk|, from the jets of g_km X^m, of the order-1 jets
+    of X: zero exactly when X is closed at a frame point."""
     return max_abs(dbar_p(fr, fr.flat_jets(Xj)), 2)
 
 
-def flat_form_and_selfadjoint_matrix(fr: PointFrame, X: PiVectorField):
-    """(M, B) from one evaluation of the jets of X: M = dbar X^flat, and
+def flat_form_and_selfadjoint_matrix(fr: PointFrame, Xj: Jet):
+    """(M, B) from the order-1 jets of X: M = dbar X^flat, and
     B_jk = g_js (A_X)^s_k, the lowered operator, whose symmetry is
     g-self-adjointness of A_X. M_jk = B_kj - B_jk holds for every field,
     closed or not, which bridges the two."""
-    Xj = X.jets(fr)
     return dbar_p(fr, fr.flat_jets(Xj)), fr.g @ a_operator(fr, Xj)
 
 
@@ -226,7 +187,7 @@ class LieReport:
     closedness: np.ndarray
 
 
-def lie_metric_report(fr: PointFrame, X: PiVectorField) -> LieReport:
+def lie_metric_report(fr: PointFrame, Xj: Jet) -> LieReport:
     """Horizontal Lie derivative of g along X next to the contraction
     i_X(dbar g) built from the alternated horizontal derivative of g.
 
@@ -237,7 +198,6 @@ def lie_metric_report(fr: PointFrame, X: PiVectorField) -> LieReport:
     contraction are reported; no identity between them is asserted.
     """
     n = fr.n
-    Xj = X.jets(fr)
     xv = Xj.value.copy()
     # [k, i, j] = delta_k g_ij
     dg = np.ascontiguousarray(np.moveaxis(fr._dg_jets.value, -1, -3))
@@ -273,7 +233,7 @@ class InvolutivityReport:
     scale: np.ndarray
 
 
-def involutivity_report(fr: PointFrame, X: PiVectorField) -> InvolutivityReport:
+def involutivity_report(fr: PointFrame, Xj: Jet) -> InvolutivityReport:
     """Probe the g-orthogonal complement of X for involutivity.
 
     Builds n-1 fields Y_a by g-projecting coordinate directions away from
@@ -286,7 +246,6 @@ def involutivity_report(fr: PointFrame, X: PiVectorField) -> InvolutivityReport:
     """
     n = fr.n
     g = fr.g
-    Xj = X.jets(fr)
     xv = Xj.value.copy()
     xnorm2 = quad(xv, g, xv)
     bad = xnorm2 < 1e-18
@@ -345,10 +304,12 @@ class DriftTransferReport:
     base_form_scale: np.ndarray
 
 
-def drift_closedness_transfer(fr: PointFrame, frs: PointFrame) -> DriftTransferReport:
+def drift_closedness_transfer(fr: PointFrame, frs: PointFrame,
+                              bj: Jet) -> DriftTransferReport:
     """Compare the drift companion form across a Randers change L* = L + b,
-    from a frame `fr` of the base structure and a frame `frs` of the changed
-    one at the same points; b is read from `frs.structure.meta["b_fn"]`.
+    from a frame `fr` of the base structure, a frame `frs` of the changed
+    one at the same points, and the order-1 jets `bj` of the drift b
+    (`fields.covector_jets`), which serve both frames.
 
     With tau = L*/L and m, m* the drift companions of b in the base and
     changed structures, the form identity
@@ -361,9 +322,8 @@ def drift_closedness_transfer(fr: PointFrame, frs: PointFrame) -> DriftTransferR
     is generically nonzero), both eta-pairings, and the closedness defects
     of the shared form under both horizontal derivatives.
     """
-    m_field = DriftCompanionField(frs.structure.meta["b_fn"])
-    mj = m_field.jets(fr)
-    msj = m_field.jets(frs)
+    mj = drift_companion_jets(fr, bj)
+    msj = drift_companion_jets(frs, bj)
     mv = mj.value.copy()
     msv = msj.value.copy()
 
@@ -401,10 +361,10 @@ def drift_closedness_transfer(fr: PointFrame, frs: PointFrame) -> DriftTransferR
     )
 
 
-def drift_precondition_defect(fr: PointFrame, b_fn) -> np.ndarray:
-    """max |d_i b_j - d_j b_i| at each frame point, the hypothesis db = 0 of
-    the drift transfer, from the order-1 jets of the covector x -> b(x)."""
-    return max_abs(antisymmetric(covector_jets(fr, b_fn).dx), 2)
+def drift_precondition_defect(bj: Jet) -> np.ndarray:
+    """max |d_i b_j - d_j b_i| at each point, the hypothesis db = 0 of the
+    drift transfer, from the order-1 jets `bj` of the drift b."""
+    return max_abs(antisymmetric(bj.dx), 2)
 
 
 # -- conformal transfer ------------------------------------------------------------
@@ -424,10 +384,11 @@ class ConformalTransferReport:
 
 
 def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
-                                  X: PiVectorField) -> ConformalTransferReport:
+                                  Xj: Jet) -> ConformalTransferReport:
     """Track the lowered form of X across the rescaling L~ = e^sigma L, from
-    a frame `fr` of the base structure and a frame `frt` of the rescaled one
-    at the same points; sigma is read from `frt.structure.meta["sigma_fn"]`.
+    a frame `fr` of the base structure, a frame `frt` of the rescaled one at
+    the same points, and the order-1 jets `Xj` of X's components, which
+    serve both frames; sigma is read from `frt.structure.meta["sigma_fn"]`.
 
     omega~ = i_X g~ equals e^(2 sigma) omega, and its tilde-horizontal
     derivative obeys the exact shape
@@ -438,11 +399,8 @@ def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
     residual and the residual against the pure wedge term (the prediction
     applicable when dbar~ omega itself vanishes).
     """
-    Xj = X.jets(fr)
-    Xjt = X.jets(frt)
-
     w = fr.flat_jets(Xj)
-    wt = frt.flat_jets(Xjt)
+    wt = frt.flat_jets(Xj)
     wv = w.value.copy()
 
     actual = dbar_p(frt, wt)

@@ -15,7 +15,7 @@ from finslerkit import curvature as curv
 from finslerkit import jets
 from finslerkit import picalc as pc
 from finslerkit.cli import main as cli_main
-from finslerkit.fields import ComponentField, GradientField, constant_field
+from finslerkit.fields import ComponentField, GradientField, constant_field, covector_jets
 from finslerkit.frame import point_frame
 from finslerkit.structures import by_name, conformal_change, euclidean, randers_change
 
@@ -86,7 +86,7 @@ def test_criterion_02_lowered_form_derivative_identity(capsys):
         for p in s.sample(NPTS, seed=SEED):
             fr = point_frame(s, p)
             for X in probes:
-                M, B = (a[0] for a in pc.flat_form_and_selfadjoint_matrix(fr, X))
+                M, B = (a[0] for a in pc.flat_form_and_selfadjoint_matrix(fr, X.jets(fr)))
                 anti = B.T - B
                 scale = max(1.0, np.abs(M).max(), np.abs(anti).max())
                 worst = max(worst, np.abs(M - anti).max() / scale)
@@ -112,14 +112,15 @@ def test_criterion_03_flatness_and_closedness_dichotomy(capsys):
             flat_torsion = max(flat_torsion, np.abs(fr.Rhat).max())
             for f in scalar_probes:
                 flat_closed = max(
-                    flat_closed, pc.closedness_defect(fr, GradientField(f))[0]
+                    flat_closed, pc.closedness_defect(fr, GradientField(f).jets(fr))[0]
                 )
                 flat_dsq = max(flat_dsq, np.abs(pc.dbar_sq(fr, f).nested).max())
     s = by_name("sphere2")
     pts = s.sample(NPTS, seed=SEED)
     sphere_torsion = max(np.abs(point_frame(s, p).Rhat).max() for p in pts)
     documented = GradientField(lambda x, y: 0.5 * y[0] * y[0], name="fiber-square")
-    sphere_closed = max(pc.closedness_defect(point_frame(s, p), documented)[0] for p in pts)
+    frames = [point_frame(s, p) for p in pts]
+    sphere_closed = max(pc.closedness_defect(fr, documented.jets(fr))[0] for fr in frames)
 
     ok = (
         flat_torsion < 1e-8
@@ -235,7 +236,9 @@ def test_criterion_07_randers_drift_transfer(capsys):
         base = by_name(base_name)
         star = randers_change(base, b, validate=True)
         for p in base.sample(NPTS, seed=SEED):
-            rep = pc.drift_closedness_transfer(point_frame(base, p), point_frame(star, p))
+            fr = point_frame(base, p)
+            bj = covector_jets(fr, star.meta["b_fn"])
+            rep = pc.drift_closedness_transfer(fr, point_frame(star, p), bj)
             worst_ell = max(
                 worst_ell, abs(rep.ell_pairing[0]), abs(rep.star_ell_pairing[0])
             )
@@ -265,13 +268,15 @@ def test_criterion_08_conformal_transfer(capsys):
     worst_const = 0.0
     tilde = conformal_change(e, 0.25)
     for p in pts:
-        rep = pc.conformal_closedness_transfer(point_frame(e, p), point_frame(tilde, p), X)
+        fr = point_frame(e, p)
+        rep = pc.conformal_closedness_transfer(fr, point_frame(tilde, p), X.jets(fr))
         worst_const = max(worst_const, rep.actual_defect[0], rep.scaling_residual[0])
     worst_pred = 0.0
     best_defect = 0.0
     tilde = conformal_change(e, lambda x: x[0])
     for p in pts:
-        rep = pc.conformal_closedness_transfer(point_frame(e, p), point_frame(tilde, p), X)
+        fr = point_frame(e, p)
+        rep = pc.conformal_closedness_transfer(fr, point_frame(tilde, p), X.jets(fr))
         worst_pred = max(worst_pred, rep.prediction_residual[0] / rep.scale[0])
         best_defect = max(best_defect, rep.actual_defect[0])
     ok = worst_const < 1e-7 and worst_pred < 1e-7 and best_defect > 1e-3

@@ -11,7 +11,7 @@ from finslerkit import connections as cn
 from finslerkit import picalc as pc
 from finslerkit.chart import ChartPoint
 from finslerkit.fields import tautological_field
-from finslerkit.frame import point_frame
+from finslerkit.frame import PointFrame, point_frame
 from finslerkit.structures import by_name, sphere2
 
 from conftest import CATALOG_NAMES
@@ -56,12 +56,14 @@ class TestStructuralCertificates:
         for p in s.sample(4, seed=13):
             assert cn.spray_defect(point_frame(s, p)) < 1e-10
 
-    def test_spray_certificate_flags_wrong_spray(self):
+    def test_spray_certificate_flags_wrong_spray(self, monkeypatch):
+        # a fault injected into the frame's G rung: the certificate reads G
+        # from the frame, and G's descriptor looks its func up at call time
         s = sphere2()
         p = SPHERE_POINTS[2]
-        fr = point_frame(s, p)
-        assert cn.spray_defect(fr, G=fr.G) < 1e-10
-        assert cn.spray_defect(fr, G=fr.G + 0.05) > 1e-3
+        assert cn.spray_defect(point_frame(s, p)) < 1e-10
+        monkeypatch.setattr(PointFrame.__dict__["G"], "func", lambda fr: fr.G_jets.value + 0.05)
+        assert cn.spray_defect(point_frame(s, p)) > 1e-3
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_conservativity(self, name):
@@ -138,7 +140,8 @@ class TestCovariantDerivative:
         # nabla_h of eta vanishes: delta_j y^i = -N^i_j cancels F^i_kj y^k
         s = sphere2()
         for p in SPHERE_POINTS[:3]:
-            A = pc.a_operator(point_frame(s, p), tautological_field(2))
+            fr = point_frame(s, p)
+            A = pc.a_operator(fr, tautological_field(2).jets(fr))
             assert np.abs(A).max() < 1e-12
 
     def test_cartan_pair_shapes(self):
@@ -159,7 +162,7 @@ class TestCovariantDerivative:
                                       "G_jets.coeffs", "N_jets.coeffs",
                                       "_dg_jets.coeffs", "F_jets.coeffs"])
     def test_frame_arrays_are_read_only(self, attr):
-        # frames are shared through the point_frame cache
+        # one frame is shared by every check of a run
         s = sphere2()
         p = SPHERE_POINTS[4]
         arr = attrgetter(attr)(point_frame(s, p))

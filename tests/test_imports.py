@@ -1,6 +1,7 @@
-"""Import hygiene of the package: every imported name is used, and no
-module but `jets` reads a private name of `jets`, whose coefficient layout
-stays behind its public readouts."""
+"""Import hygiene of the package: every imported name is used, no module
+but `jets` reads a private name of `jets`, whose coefficient layout stays
+behind its public readouts, and `picalc` reads the jets of fields, never a
+field itself."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,33 @@ def test_scan_finds_a_private_jets_name():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "jets.py"])
 def test_no_private_jets_names_outside_jets(module):
     assert private_jets_names((PACKAGE / module).read_text()) == []
+
+
+FIELD_CLASSES = ("PiVectorField", "ComponentField", "GradientField")
+
+
+def field_reads(source: str) -> list:
+    """(line, name) of each place `source` reads a field rather than its
+    jets: a call of an attribute named `jets`, or an import of a pi-vector
+    field class."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in FIELD_CLASSES]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "jets"):
+            found.append((node.lineno, "jets"))
+    return sorted(found)
+
+
+def test_scan_finds_a_field_read():
+    source = ("from .fields import GradientField, PiForm, project_away\n"
+              "from finslerkit.fields import PiVectorField as Field\n"
+              "def f(fr, X, Xj):\n"
+              "    return X.jets(fr), fr.flat_jets(Xj), Xj.jets\n")
+    assert field_reads(source) == [(1, "GradientField"), (2, "PiVectorField"), (4, "jets")]
+
+
+def test_the_calculus_takes_jets():
+    assert field_reads((PACKAGE / "picalc.py").read_text()) == []

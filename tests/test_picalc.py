@@ -1,5 +1,6 @@
 """Musical isomorphisms, the horizontal exterior derivative, the operator
-A_X, and the identity suite built on them."""
+A_X, and the identity suite built on them, each on the order-1 jets of its
+fields and forms."""
 
 from itertools import combinations, permutations
 
@@ -18,7 +19,7 @@ from finslerkit.fields import (
     project_away,
     tautological_field,
 )
-from finslerkit.frame import PointFrame, point_frame
+from finslerkit.frame import PointFrame, matvec, point_frame
 from finslerkit.jets import Jet
 from finslerkit.structures import by_name, conformal_change, euclidean, minkowski_quartic, sphere2
 
@@ -41,6 +42,11 @@ def mixed_probe(n, seed=0):
     return ComponentField(comps, name=f"mixed{seed}")
 
 
+def const_jets(fr, vec):
+    """The order-1 jets of constant components on a frame's points."""
+    return Jet.constant(2 * fr.n, 1, np.broadcast_to(vec, (len(fr.point), fr.n)))
+
+
 class TestMusicals:
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_flat_sharp_roundtrip(self, name):
@@ -48,54 +54,46 @@ class TestMusicals:
         p = s.sample(1, seed=73)[0]
         w = np.array([0.7, -0.4])
         fr = point_frame(s, p)
-        X = pc.sharp(fr, w)[0]
-        back = pc.flat(fr, constant_field(X))
+        X = fr.sharp_jets(const_jets(fr, w)).value[0]
+        back = fr.flat_jets(const_jets(fr, X)).value[0]
         assert np.abs(back - w).max() < 1e-12
 
     def test_gradient_is_sharp_of_dbar(self):
         f = lambda x, y: x[0] * x[1] + 0.2 * y[0]
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            grad = pc.gradient(fr, f)[0]
+            grad = GradientField(f).jets(fr).value
             df = pc.dbar_p(fr, fr.field_jet(f, 1))
-            assert np.abs(pc.flat(fr, constant_field(grad)) - df).max() < 1e-12
+            assert np.abs(fr.flat_jets(const_jets(fr, grad)).value - df).max() < 1e-12
 
     @pytest.mark.parametrize("name", CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"])
     def test_value_forms_read_the_frame_jets(self, name):
-        # flat, sharp and gradient return the value parts of the jet operators,
-        # byte for byte, as fresh arrays, on a batch of one and of 20 points
+        # the value parts of the frame's musical jets are the value forms
+        # g X, g^-1 w and g^-1 dbar f, on a batch of one and of 20 points
         s = by_name(name)
         pts = s.sample(20, seed=5)
         X = mixed_probe(s.n, seed=3)
         form = PiForm.one_form(s.n, [(lambda i: lambda x, y: x[i] * y[0] + 0.5)(i)
                                      for i in range(s.n)])
         f = lambda x, y: x[0] * y[-1] + x[-1] ** 2
-        vec = np.linspace(0.5, -0.5, s.n)
         for fr in (PointFrame(s, pts[0]), PointFrame(s, tuple(pts))):
+            df = pc.dbar_p(fr, fr.field_jet(f, 1))
             cases = [
-                (pc.flat(fr, X), fr.flat_jets(X.jets(fr))),
-                (pc.sharp(fr, form), fr.sharp_jets(form.jets(fr))),
-                (pc.sharp(fr, vec), fr.sharp_jets(Jet.constant(2 * s.n, 1, vec))),
-                (pc.gradient(fr, f), GradientField(f).jets(fr)),
+                (fr.flat_jets(X.jets(fr)), matvec(fr.g, X.jets(fr).value)),
+                (fr.sharp_jets(form.jets(fr)), matvec(fr.g_inv, form.jets(fr).value)),
+                (GradientField(f).jets(fr), matvec(fr.g_inv, df)),
             ]
-            for got, jet in cases:
-                assert got.shape == jet.value.shape == (len(fr.point), s.n)
-                assert got.tobytes() == jet.value.tobytes()
-                assert got.flags.writeable and got.base is None
+            for jet, value in cases:
+                assert jet.value.shape == value.shape == (len(fr.point), s.n)
+                assert np.abs(jet.value - value).max() <= 1e-14 * max(1.0, np.abs(value).max())
 
     def test_sharp_accepts_one_form_objects(self):
         p = SPHERE_POINTS[0]
         form = PiForm.one_form(2, [lambda x, y: 1.0, lambda x, y: x[0]])
         fr = point_frame(SPHERE, p)
-        arr = pc.sharp(fr, form)
-        direct = pc.sharp(fr, np.array([1.0, p.x[0]]))
+        arr = fr.sharp_jets(form.jets(fr)).value
+        direct = fr.sharp_jets(const_jets(fr, np.array([1.0, p.x[0]]))).value
         assert np.abs(arr - direct).max() < 1e-14
-
-    def test_sharp_rejects_higher_degree(self):
-        p = SPHERE_POINTS[0]
-        two = PiForm(2, 2, {(0, 1): lambda x, y: 1.0})
-        with pytest.raises(ValueError):
-            pc.sharp(point_frame(SPHERE, p), two)
 
 
 class TestDbarDegreeZero:
@@ -129,7 +127,8 @@ class TestDbarHigherDegree:
                 lambda x, y: x[2] ** 2,
             ],
         )
-        D = pc.dbar_p(point_frame(e3, p), w)[0]
+        fr = point_frame(e3, p)
+        D = pc.dbar_p(fr, w.jets(fr))[0]
         x = p.x
         assert D[0, 1] == pytest.approx(x[2] - 1.0, rel=1e-12, abs=1e-13)
         assert D[0, 2] == pytest.approx(0.0, abs=1e-13)
@@ -140,18 +139,12 @@ class TestDbarHigherDegree:
         e3 = euclidean(3)
         p = e3.sample(1, seed=83)[0]
         two = PiForm(3, 2, {(0, 1): lambda x, y: x[2]})
-        D = pc.dbar_p(point_frame(e3, p), two)[0]
+        fr = point_frame(e3, p)
+        D = pc.dbar_p(fr, two.jets(fr))[0]
         assert D[0, 1, 2] == pytest.approx(1.0, abs=1e-13)
         assert D[1, 0, 2] == pytest.approx(-1.0, abs=1e-13)
         assert D[2, 0, 1] == pytest.approx(1.0, abs=1e-13)
         assert D[0, 0, 1] == 0.0
-
-    def test_a_form_and_its_component_jets_give_one_dbar(self):
-        s = conformal_change(euclidean(3), lambda x: 0.3 * x[0])
-        fr = point_frame(s, tuple(s.sample(4, seed=83)))
-        for form in (PiForm.one_form(3, [lambda x, y: x[1] * y[2], lambda x, y: y[0]]),
-                     PiForm(3, 2, {(0, 2): lambda x, y: x[1] * y[0]})):
-            assert pc.dbar_p(fr, form).tobytes() == pc.dbar_p(fr, form.jets(fr)).tobytes()
 
     def test_two_form_on_a_batch_equals_each_point_and_the_per_key_sum(self):
         s = conformal_change(euclidean(3), lambda x: 0.3 * x[0])
@@ -159,18 +152,20 @@ class TestDbarHigherDegree:
         two = PiForm(3, 2, {(0, 1): lambda x, y: x[2] * y[1],
                             (1, 2): lambda x, y: x[0] * y[0] + y[2]})
         batch = point_frame(s, tuple(pts))
-        whole = pc.dbar_p(batch, two)
+        whole = pc.dbar_p(batch, two.jets(batch))
         assert np.abs(whole).max() > 1e-3
         assert np.array_equal(whole, _per_key_dbar(batch, two))
         for i, p in enumerate(pts):
-            assert whole[i].tobytes() == pc.dbar_p(point_frame(s, p), two)[0].tobytes(), p
+            fr = point_frame(s, p)
+            assert whole[i].tobytes() == pc.dbar_p(fr, two.jets(fr))[0].tobytes(), p
 
     def test_degree_cap(self):
         e3 = euclidean(3)
         p = e3.sample(1, seed=83)[0]
         three = PiForm(3, 3, {(0, 1, 2): lambda x, y: x[0]})
+        fr = point_frame(e3, p)
         with pytest.raises(CapabilityError):
-            pc.dbar_p(point_frame(e3, p), three)
+            pc.dbar_p(fr, three.jets(fr))
 
     def test_component_formula_is_the_invariant_formula(self):
         # (dbar w)(X, Y) via components against the lift/bracket expression
@@ -179,10 +174,10 @@ class TestDbarHigherDegree:
         Y = mixed_probe(2, seed=6)
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            D = pc.dbar_p(fr, w)[0]
-            xv = X.values(fr)[0]
-            yv = Y.values(fr)[0]
-            via_fields = pc.dbar_1_on_fields(fr, w, X, Y)[0]
+            wj, Xj, Yj = w.jets(fr), X.jets(fr), Y.jets(fr)
+            D = pc.dbar_p(fr, wj)[0]
+            via_fields = pc.dbar_1_on_fields(fr, wj, Xj, Yj)[0]
+            xv, yv = Xj.value[0], Yj.value[0]
             assert float(xv @ D @ yv) == pytest.approx(via_fields, rel=1e-10, abs=1e-11)
 
     def test_invariant_formula_with_a_missing_component(self):
@@ -192,10 +187,11 @@ class TestDbarHigherDegree:
         Y = mixed_probe(2, seed=6)
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            D = pc.dbar_p(fr, w)[0]
+            wj, Xj, Yj = w.jets(fr), X.jets(fr), Y.jets(fr)
+            D = pc.dbar_p(fr, wj)[0]
             assert np.abs(D).max() > 1e-3
-            via_fields = pc.dbar_1_on_fields(fr, w, X, Y)[0]
-            assert float(X.values(fr)[0] @ D @ Y.values(fr)[0]) == pytest.approx(
+            via_fields = pc.dbar_1_on_fields(fr, wj, Xj, Yj)[0]
+            assert float(Xj.value[0] @ D @ Yj.value[0]) == pytest.approx(
                 via_fields, rel=1e-10, abs=1e-11
             )
 
@@ -230,7 +226,8 @@ class TestAOperator:
     def test_tautological_field_is_parallel(self, name):
         s = by_name(name)
         for p in s.sample(3, seed=89):
-            assert np.abs(pc.a_operator(point_frame(s, p), tautological_field(s.n))).max() < 1e-12
+            fr = point_frame(s, p)
+            assert np.abs(pc.a_operator(fr, tautological_field(s.n).jets(fr))).max() < 1e-12
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_adjoint_identity_for_probe_fields(self, name):
@@ -243,15 +240,15 @@ class TestAOperator:
         for p in s.sample(3, seed=89):
             fr = point_frame(s, p)
             for X in probes:
-                M, B = (a[0] for a in pc.flat_form_and_selfadjoint_matrix(fr, X))
+                M, B = (a[0] for a in pc.flat_form_and_selfadjoint_matrix(fr, X.jets(fr)))
                 assert float(np.max(np.abs(M - (B.T - B)))) < 1e-10
 
     def test_closedness_equals_selfadjointness(self):
         X = mixed_probe(2, seed=11)
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            B = pc.flat_form_and_selfadjoint_matrix(fr, X)[1][0]
-            assert pc.closedness_defect(fr, X)[0] == pytest.approx(
+            B = pc.flat_form_and_selfadjoint_matrix(fr, X.jets(fr))[1][0]
+            assert pc.closedness_defect(fr, X.jets(fr))[0] == pytest.approx(
                 float(np.max(np.abs(B - B.T))), rel=1e-9, abs=1e-12
             )
 
@@ -259,7 +256,8 @@ class TestAOperator:
     def test_tautological_field_is_closed(self, name):
         s = by_name(name)
         for p in s.sample(3, seed=89):
-            assert pc.closedness_defect(point_frame(s, p), tautological_field(s.n)) < 1e-12
+            fr = point_frame(s, p)
+            assert pc.closedness_defect(fr, tautological_field(s.n).jets(fr)) < 1e-12
 
 
 class TestSecondDerivative:
@@ -297,12 +295,13 @@ class TestGradientIdentity:
     def test_positional_gradients_are_closed_even_when_curved(self):
         f = lambda x, y: x[0] ** 2 - x[1]
         for p in SPHERE_POINTS[:3]:
-            assert pc.closedness_defect(point_frame(SPHERE, p), GradientField(f)) < 1e-11
+            fr = point_frame(SPHERE, p)
+            assert pc.closedness_defect(fr, GradientField(f).jets(fr)) < 1e-11
 
     def test_fiber_dependent_gradient_not_closed_on_sphere(self):
         f = lambda x, y: 0.5 * y[0] * y[0]
-        worst = max(pc.closedness_defect(point_frame(SPHERE, p), GradientField(f))
-                    for p in SPHERE_POINTS)
+        frames = [point_frame(SPHERE, p) for p in SPHERE_POINTS]
+        worst = max(pc.closedness_defect(fr, GradientField(f).jets(fr)) for fr in frames)
         assert worst > 1e-3
 
     def test_sides_are_nontrivial_on_sphere(self):
@@ -345,7 +344,8 @@ class TestLieComparison:
         e = euclidean(2)
         p = e.sample(1, seed=107)[0]
         X = ComponentField([lambda x, y: x[0], lambda x, y: 0.0], name="stretch")
-        rep = pc.lie_metric_report(point_frame(e, p), X)
+        fr = point_frame(e, p)
+        rep = pc.lie_metric_report(fr, X.jets(fr))
         assert rep.lie_defect == pytest.approx(2.0, abs=1e-12)
         assert rep.closedness < 1e-12
         assert rep.difference == pytest.approx(2.0, abs=1e-12)
@@ -354,14 +354,16 @@ class TestLieComparison:
         e = euclidean(2)
         p = e.sample(1, seed=107)[0]
         X = ComponentField([lambda x, y: -x[1], lambda x, y: x[0]], name="rotation")
-        rep = pc.lie_metric_report(point_frame(e, p), X)
+        fr = point_frame(e, p)
+        rep = pc.lie_metric_report(fr, X.jets(fr))
         assert rep.lie_defect < 1e-12
         assert rep.closedness == pytest.approx(2.0, abs=1e-12)
 
     def test_rotation_is_a_sphere_isometry(self):
         X = ComponentField([lambda x, y: -x[1], lambda x, y: x[0]], name="rotation")
         for p in SPHERE_POINTS[:3]:
-            rep = pc.lie_metric_report(point_frame(SPHERE, p), X)
+            fr = point_frame(SPHERE, p)
+            rep = pc.lie_metric_report(fr, X.jets(fr))
             assert rep.lie_defect < 1e-11
 
 
@@ -370,7 +372,8 @@ class TestInvolutivity:
         e3 = euclidean(3)
         p = e3.sample(1, seed=109)[0]
         X = GradientField(lambda x, y: x[0] * x[1] + x[2] ** 2, name="gradpos")
-        rep = pc.involutivity_report(point_frame(e3, p), X)
+        fr = point_frame(e3, p)
+        rep = pc.involutivity_report(fr, X.jets(fr))
         assert rep.identity_defect < 1e-10
         assert rep.defect < 1e-10
 
@@ -382,7 +385,8 @@ class TestInvolutivity:
         )
         worst = 0.0
         for p in e3.sample(4, seed=109):
-            rep = pc.involutivity_report(point_frame(e3, p), X)
+            fr = point_frame(e3, p)
+            rep = pc.involutivity_report(fr, X.jets(fr))
             assert rep.identity_defect < 1e-10  # exchange identity always holds
             worst = max(worst, rep.defect)
         assert worst > 1e-3
@@ -391,12 +395,14 @@ class TestInvolutivity:
         m3 = by_name("minkowski_quartic3")
         X = mixed_probe(3, seed=7)
         for p in m3.sample(3, seed=109):
-            rep = pc.involutivity_report(point_frame(m3, p), X)
+            fr = point_frame(m3, p)
+            rep = pc.involutivity_report(fr, X.jets(fr))
             assert rep.identity_defect < 1e-9 * rep.scale
 
     def test_two_dimensional_complement_has_no_pairs(self):
         p = SPHERE_POINTS[0]
-        rep = pc.involutivity_report(point_frame(SPHERE, p), tautological_field(2))
+        fr = point_frame(SPHERE, p)
+        rep = pc.involutivity_report(fr, tautological_field(2).jets(fr))
         assert rep.bracket_pairings.size == 0
         assert rep.defect == 0.0
 
@@ -404,7 +410,7 @@ class TestInvolutivity:
         p = SPHERE_POINTS[1]
         fr = point_frame(SPHERE, p)
         X = mixed_probe(2, seed=9)
-        xv = X.values(fr)[0]
+        xv = X.jets(fr).value[0]
         yv = project_away(fr, np.array([1.0, 0.0]), X.jets(fr)).value[0]
         assert abs(yv @ fr.g[0] @ xv) < 1e-14
 

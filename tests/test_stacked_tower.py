@@ -18,8 +18,8 @@ from finslerkit import frame as frame_module
 from finslerkit.checks import _probe_fields, _probe_scalars, check_ids, run_checks
 from finslerkit.chart import ChartPoint
 from finslerkit.errors import FinslerError, SingularMetricError
-from finslerkit.fields import (ComponentField, DriftCompanionField, GradientField, PiForm,
-                               PiVectorField, project_away)
+from finslerkit.fields import (GradientField, PiForm, PiVectorField, covector_jets,
+                               drift_companion_jets, project_away)
 from finslerkit.frame import PointFrame, point_frame
 from finslerkit.jets import Jet, jet_solve
 from finslerkit.structures import by_name, conformal_change, randers_change, structure_from_spec
@@ -67,12 +67,27 @@ class _Projection(PiVectorField):
         return project_away(frame, self.vec, self.X.jets(frame))
 
 
+class _Companion(PiVectorField):
+    """The drift companion of a positional covector b, as prop.randers builds it."""
+
+    def __init__(self, b_fn):
+        self.b_fn = b_fn
+
+    def jets(self, frame):
+        return drift_companion_jets(frame, covector_jets(frame, self.b_fn))
+
+
+def _drift(s):
+    """A positional drift covector on s, not closed (d_1 b_2 = 0.1)."""
+    return lambda x: [0.2] + [0.1 * x[0]] * (s.n - 1)
+
+
 def _fields(s):
     """Every field the checks use: the thm2.6 probes (component fields and
     gradients), a drift companion, and g-projections of the coordinate
     directions away from two of the probes."""
     probes = _probe_fields(s, 0, 26)
-    companion = DriftCompanionField(lambda x: [0.2] + [0.1 * x[0]] * (s.n - 1))
+    companion = _Companion(_drift(s))
     projected = [_Projection(np.eye(s.n)[a], X) for X in (probes[2], probes[5])
                  for a in range(s.n)]
     return probes + [companion] + projected
@@ -82,6 +97,8 @@ def _reference_jets(X, frame):
     """tower_oracle's component jets of a field of `_fields`."""
     if isinstance(X, _Projection):
         return oracle.projected_jets(X.vec, X.X, frame, 1)
+    if isinstance(X, _Companion):
+        return oracle.drift_companion_jets(X.b_fn, frame, 1)
     return oracle.field_jets(X, frame, 1)
 
 
@@ -137,21 +154,6 @@ def test_stacked_projections_equal_component_reference(name):
                 assert one[a].tobytes() == stack(ref).tobytes(), (X, a, p)
 
 
-class _Counted(ComponentField):
-    def jets(self, frame):
-        self.calls += 1
-        return super().jets(frame)
-
-
-@pytest.mark.parametrize("name", ["sphere2", "euclidean3"])
-def test_involutivity_evaluates_the_probe_jets_once(name):
-    s = by_name(name)
-    X = _Counted(_probe_fields(s, 0, 26)[2].components)
-    X.calls = 0
-    pc.involutivity_report(PointFrame(s, tuple(s.sample(10, seed=1))), X)
-    assert X.calls == 1
-
-
 def _entry_point_calls(s):
     """Every picalc, connections and curvature entry point, as (label, call)
     of a frame of s; the transfer reports also build a frame of the changed
@@ -161,28 +163,30 @@ def _entry_point_calls(s):
     scalars = _probe_scalars(s, 0, 88)
     closed = GradientField(scalars[1])
     form = PiForm.one_form(n, [(lambda i: (lambda x, y: x[i] * y[0]))(i) for i in range(n)])
-    star = randers_change(s, lambda x: [0.2] + [0.1 * x[0]] * (n - 1), validate=False)
+    drift = _drift(s)
+    star = randers_change(s, drift, validate=False)
     tilde = conformal_change(s, lambda x: 0.3 * x[0] * x[-1])
     return [
-        ("flat", lambda fr: pc.flat(fr, probes[2])),
-        ("sharp", lambda fr: pc.sharp(fr, form)),
-        ("gradient", lambda fr: pc.gradient(fr, scalars[0])),
-        ("dbar_p", lambda fr: pc.dbar_p(fr, form)),
-        ("dbar_1_on_fields", lambda fr: pc.dbar_1_on_fields(fr, form, probes[0], probes[3])),
-        ("a_operator", lambda fr: pc.a_operator(fr, probes[4])),
-        ("closedness_defect", lambda fr: pc.closedness_defect(fr, probes[5])),
+        ("dbar_p", lambda fr: pc.dbar_p(fr, form.jets(fr))),
+        ("dbar_1_on_fields", lambda fr: pc.dbar_1_on_fields(
+            fr, form.jets(fr), probes[0].jets(fr), probes[3].jets(fr))),
+        ("a_operator", lambda fr: pc.a_operator(fr, probes[4].jets(fr))),
+        ("closedness_defect", lambda fr: pc.closedness_defect(fr, probes[5].jets(fr))),
         ("flat_form_and_selfadjoint_matrix",
-         lambda fr: pc.flat_form_and_selfadjoint_matrix(fr, probes[2])),
+         lambda fr: pc.flat_form_and_selfadjoint_matrix(fr, probes[2].jets(fr))),
         ("dbar_sq", lambda fr: pc.dbar_sq(fr, scalars[1])),
         ("gradient_torsion_identity", lambda fr: pc.gradient_torsion_identity(fr, scalars[0])),
         ("isotropy_residual", lambda fr: pc.isotropy_residual(fr, scalars[2])),
-        ("lie_metric_report", lambda fr: pc.lie_metric_report(fr, probes[1])),
-        ("involutivity_report[closed]", lambda fr: pc.involutivity_report(fr, closed)),
-        ("involutivity_report[open]", lambda fr: pc.involutivity_report(fr, probes[3])),
-        ("drift_closedness_transfer",
-         lambda fr: pc.drift_closedness_transfer(fr, PointFrame(star, fr.point))),
-        ("conformal_closedness_transfer",
-         lambda fr: pc.conformal_closedness_transfer(fr, PointFrame(tilde, fr.point), probes[0])),
+        ("lie_metric_report", lambda fr: pc.lie_metric_report(fr, probes[1].jets(fr))),
+        ("involutivity_report[closed]", lambda fr: pc.involutivity_report(fr, closed.jets(fr))),
+        ("involutivity_report[open]",
+         lambda fr: pc.involutivity_report(fr, probes[3].jets(fr))),
+        ("drift_closedness_transfer", lambda fr: pc.drift_closedness_transfer(
+            fr, PointFrame(star, fr.point), covector_jets(fr, drift))),
+        ("drift_precondition_defect",
+         lambda fr: pc.drift_precondition_defect(covector_jets(fr, drift))),
+        ("conformal_closedness_transfer", lambda fr: pc.conformal_closedness_transfer(
+            fr, PointFrame(tilde, fr.point), probes[0].jets(fr))),
         ("spray_defect", lambda fr: connections.spray_defect(fr)),
         ("deflection_defect", lambda fr: connections.deflection_defect(fr)),
         ("conservativity_defect", lambda fr: connections.conservativity_defect(fr)),
@@ -273,7 +277,7 @@ def _requested_field_jets(s, frame):
                 for order in (1, 2)]
     for X in _probe_fields(s, 0, 26):
         out.append(X.jets(frame))
-    out.append(DriftCompanionField(lambda x: [0.2] + [0.1 * x[0]] * (s.n - 1)).jets(frame))
+    out.append(drift_companion_jets(frame, covector_jets(frame, _drift(s))))
     out.append(frame.field_jet(lambda x, y: x[0], 1))
     return out
 
@@ -591,10 +595,22 @@ def test_field_jet_evaluations_do_not_grow_with_the_sample(monkeypatch):
     ("euclidean3", "eq2.12", 3),
     ("euclidean3", "thm2.8.flat", 3),
     ("sphere2", "prop2.14.lie", 6),  # two components of each of three fields
+    # a scalar for the closed gradient, and the components of the open field
+    ("sphere2", "thm2.13.involutive", 3),
+    ("euclidean3", "thm2.13.involutive", 4),
+    # the drift's components, read by the precondition and both companions,
+    # and the Randers star's lifted Lagrangian
+    ("sphere2", "prop.randers", 3),
+    ("euclidean3", "prop.randers", 4),
+    # the constant field's components, read on the sample frame and both
+    # tildes, and the sigma and lifted Lagrangian of each tilde
+    ("sphere2", "thm2.16.conformal", 6),
+    ("euclidean3", "thm2.16.conformal", 7),
 ])
 def test_a_check_evaluates_each_probe_once(monkeypatch, name, check_id, probes):
-    # a frame keeps no field jets, so a check that reads a probe's jets twice
-    # must evaluate them once and pass them on
+    # a frame keeps no field jets, and the calculus takes a field's jets, so a
+    # check that reads a probe's jets twice evaluates them once and passes them
+    # on: each function a check evaluates reaches jet_eval once
     s = by_name(name)
     fr = PointFrame(s, tuple(s.sample(10, 0)))
     fr.L_jet  # the Lagrangian's evaluation is the frame's, not the check's

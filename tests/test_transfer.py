@@ -8,7 +8,7 @@ import pytest
 from finslerkit import picalc as pc
 from finslerkit.checks import FAIL, PASS, REPORT_ONLY, run_checks
 from finslerkit.errors import NumericalError
-from finslerkit.fields import ComponentField, constant_field
+from finslerkit.fields import ComponentField, constant_field, covector_jets
 from finslerkit.frame import PointFrame, point_frame
 from finslerkit.jets import sqrt
 from finslerkit.structures import (
@@ -28,6 +28,11 @@ ALL_NAMES = CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"]
 B = (0.2, 0.0)
 
 
+def drift_transfer(fr, frs):
+    """The drift transfer of the Randers change `frs.structure` of fr's structure."""
+    return pc.drift_closedness_transfer(fr, frs, covector_jets(fr, frs.structure.meta["b_fn"]))
+
+
 class TestDriftTransfer:
     def test_flat_base_identity_and_literal_gap(self):
         e = euclidean(2)
@@ -35,7 +40,7 @@ class TestDriftTransfer:
         pts = e.sample(5, seed=113)
         literal_worst = 0.0
         for p in pts:
-            rep = pc.drift_closedness_transfer(point_frame(e, p), point_frame(star, p))
+            rep = drift_transfer(point_frame(e, p), point_frame(star, p))
             assert rep.identity_residual < 1e-12
             assert rep.dual_path_residual < 1e-10
             assert abs(rep.ell_pairing) < 1e-12
@@ -52,7 +57,7 @@ class TestDriftTransfer:
         base_seen = 0.0
         star_seen = 0.0
         for p in s.sample(5, seed=113):
-            rep = pc.drift_closedness_transfer(point_frame(s, p), point_frame(star, p))
+            rep = drift_transfer(point_frame(s, p), point_frame(star, p))
             assert rep.identity_residual < 1e-10 * rep.base_form_scale
             assert rep.dual_path_residual < 1e-9 * rep.base_form_scale
             base_seen = max(base_seen, rep.base_defect)
@@ -65,7 +70,7 @@ class TestDriftTransfer:
         s = sphere2()
         star = randers_change(s, B, validate=False)
         for p in s.sample(3, seed=127):
-            rep = pc.drift_closedness_transfer(point_frame(s, p), point_frame(star, p))
+            rep = drift_transfer(point_frame(s, p), point_frame(star, p))
             assert abs(rep.ell_pairing) < 1e-11
             assert abs(rep.star_ell_pairing) < 1e-11
 
@@ -79,16 +84,17 @@ class TestDriftPrecondition:
         return PointFrame(e, tuple(e.sample(30, seed=131)))
 
     def test_constant_covector_is_closed(self):
-        defect = pc.drift_precondition_defect(self._frame(), lambda x: B)
+        defect = pc.drift_precondition_defect(covector_jets(self._frame(), lambda x: B))
         assert defect.shape == (30,) and np.all(defect == 0.0)
 
     def test_gradient_covector_is_closed(self):
         b_fn = lambda x: (0.1 * x[1], 0.1 * x[0])  # the gradient of 0.1 x1 x2
-        defect = pc.drift_precondition_defect(self._frame(), b_fn)
+        defect = pc.drift_precondition_defect(covector_jets(self._frame(), b_fn))
         assert defect.shape == (30,) and np.all(defect == 0.0)
 
     def test_shear_covector_is_detected(self):
-        defect = pc.drift_precondition_defect(self._frame(), lambda x: (0.2 * x[1], 0.0))
+        defect = pc.drift_precondition_defect(covector_jets(self._frame(),
+                                                              lambda x: (0.2 * x[1], 0.0)))
         assert defect.shape == (30,) and np.all(defect == 0.2)
 
     @pytest.mark.parametrize("b_fn,first", [
@@ -99,7 +105,7 @@ class TestDriftPrecondition:
         fr = self._frame()
         at = next(p for p in fr.point if first(p))
         with pytest.raises(NumericalError, match=re.escape(f" at {at}")):
-            pc.drift_precondition_defect(fr, b_fn)
+            pc.drift_precondition_defect(covector_jets(fr, b_fn))
 
 
 def _spec_result(spec, points, seed):
@@ -161,7 +167,8 @@ class TestConformalTransfer:
         )
         tilde = conformal_change(s, 0.25)
         for p in s.sample(4, seed=137):
-            rep = pc.conformal_closedness_transfer(point_frame(s, p), point_frame(tilde, p), X)
+            fr = point_frame(s, p)
+            rep = pc.conformal_closedness_transfer(fr, point_frame(tilde, p), X.jets(fr))
             assert rep.scaling_residual < 1e-10 * rep.scale
             assert rep.leibniz_residual < 1e-10 * rep.scale
             assert rep.sigma_value == 0.25
@@ -171,7 +178,8 @@ class TestConformalTransfer:
         X = constant_field([0.0, 1.0])
         tilde = conformal_change(e, lambda x: x[0])
         for p in e.sample(3, seed=137):
-            rep = pc.conformal_closedness_transfer(point_frame(e, p), point_frame(tilde, p), X)
+            fr = point_frame(e, p)
+            rep = pc.conformal_closedness_transfer(fr, point_frame(tilde, p), X.jets(fr))
             assert rep.leibniz_residual < 1e-10 * rep.scale
             # base form is closed, so the wedge term is the whole derivative
             assert rep.tilde_base_defect < 1e-10
@@ -188,7 +196,8 @@ class TestConformalTransfer:
         tilde = conformal_change(q, lambda x: 0.3 * x[0])
         actual_seen = 0.0
         for p in q.sample(4, seed=139):
-            rep = pc.conformal_closedness_transfer(point_frame(q, p), point_frame(tilde, p), X)
+            fr = point_frame(q, p)
+            rep = pc.conformal_closedness_transfer(fr, point_frame(tilde, p), X.jets(fr))
             assert rep.leibniz_residual < 1e-9 * rep.scale
             actual_seen = max(actual_seen, rep.actual_defect)
         assert actual_seen > 1e-3
@@ -198,5 +207,6 @@ class TestConformalTransfer:
         tilde = by_name("conformal_quartic2")
         X = constant_field([0.7, -0.2])
         p = tilde.sample(1, seed=149)[0]
-        rep = pc.conformal_closedness_transfer(point_frame(q, p), point_frame(tilde, p), X)
+        fr = point_frame(q, p)
+        rep = pc.conformal_closedness_transfer(fr, point_frame(tilde, p), X.jets(fr))
         assert rep.leibniz_residual < 1e-9 * rep.scale

@@ -5,11 +5,12 @@ same rungs one component at a time from scalar jets, with the jet-linear
 solves written as the same degree recursion on the value inverse and the
 per-component loops, in the same floating-point operation order. A stacked
 rung must equal its reference here exactly, not merely to round-off. The
-same holds for the jets of pi-vector fields and
-for the `picalc` helpers built on them (`field_jets`, `lowered_jets`,
-`projected_jets`, `dbar_matrix`, `bracket`, `nabla_h_matrix` below), which take lists of
-scalar component jets and a frame on one point, whose point 0 they read. `gauss_jordan_solve` is an independent algorithm
-for the same solves, which the recursion is compared with to round-off.
+same holds for the jets of pi-vector fields and for the `picalc` helpers
+built on them (`field_jets`, `drift_companion_jets`, `lowered_jets`,
+`projected_jets`, `dbar_matrix`, `bracket`, `nabla_h_matrix` below), which
+take lists of scalar component jets and a frame on one point, whose point 0
+they read. `gauss_jordan_solve` is an independent algorithm for the same
+solves, which the recursion is compared with to round-off.
 Index conventions match the frame:
 
     g_jets[i][j]        g_ij, order 2
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from finslerkit.errors import CapabilityError, DegenerateFieldError, SingularMetricError
-from finslerkit.fields import ComponentField, DriftCompanionField, GradientField
+from finslerkit.fields import ComponentField, GradientField
 from finslerkit.jets import MAX_ORDER, Jet, jet_eval
 
 _PIVOT_FLOOR = 1e-120
@@ -276,26 +277,32 @@ def field_jets(X, frame, order):
                 acc = acc + frame.ginv_jets[0, i, k] * df[k]
             out.append(acc.truncated(order))
         return out
-    if isinstance(X, DriftCompanionField):
-        if order > 1:
-            raise CapabilityError("drift companion components carry jets up to order 1")
-        b = [frame.field_jet((lambda i: lambda x, y: X.b_fn(x)[i])(i), order)[0]
-             for i in range(n)]
-        yj = [jet_eval((lambda k: lambda x, y: y[k])(i), frame.point[0], order)
-              for i in range(n)]
-        alpha = b[0] * yj[0]
-        for i in range(1, n):
-            alpha = alpha + b[i] * yj[i]
-        Lj = frame.L_jet[0].truncated(order)
-        scale = alpha / (Lj * Lj)
-        out = []
-        for i in range(n):
-            acc = frame.ginv_jets[0, i, 0].truncated(order) * b[0]
-            for k in range(1, n):
-                acc = acc + frame.ginv_jets[0, i, k].truncated(order) * b[k]
-            out.append(acc - scale * yj[i])
-        return out
     raise TypeError(f"no reference for {type(X).__name__}")
+
+
+def drift_companion_jets(b_fn, frame, order):
+    """The order-`order` jets of the transverse companion m^i = g^ij b_j -
+    (b_k y^k / L^2) y^i of a positional drift covector b, as a list of scalar
+    jets at a frame on one point."""
+    if order > 1:
+        raise CapabilityError("drift companion components carry jets up to order 1")
+    n = frame.n
+    b = [frame.field_jet((lambda i: lambda x, y: b_fn(x)[i])(i), order)[0]
+         for i in range(n)]
+    yj = [jet_eval((lambda k: lambda x, y: y[k])(i), frame.point[0], order)
+          for i in range(n)]
+    alpha = b[0] * yj[0]
+    for i in range(1, n):
+        alpha = alpha + b[i] * yj[i]
+    Lj = frame.L_jet[0].truncated(order)
+    scale = alpha / (Lj * Lj)
+    out = []
+    for i in range(n):
+        acc = frame.ginv_jets[0, i, 0].truncated(order) * b[0]
+        for k in range(1, n):
+            acc = acc + frame.ginv_jets[0, i, k].truncated(order) * b[k]
+        out.append(acc - scale * yj[i])
+    return out
 
 
 def projected_jets(vec, X, frame, order):
