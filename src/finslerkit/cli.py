@@ -115,7 +115,10 @@ def _parse_at(text: str, n: int) -> ChartPoint:
         if not chunk:
             continue
         key, _, rest = chunk.partition("=")
-        parts[key.strip()] = [float(v) for v in rest.split(",") if v.strip()]
+        key = key.strip()
+        if key in parts:
+            raise ValueError(f"--at gives {key!r} twice")
+        parts[key] = [float(v) for v in rest.split(",") if v.strip()]
     if set(parts) != {"x", "y"}:
         raise ValueError('--at must look like "x=0.1,0.2;y=1.0,0.5"')
     if len(parts["x"]) != n or len(parts["y"]) != n:

@@ -11,6 +11,18 @@ Conventions, fixed once for the whole package:
 With these signs the round unit sphere carries scalar value +2 in
 dimension two.
 
+The scalar-curvature shape (eq2.13) is R^i_jk = omega_j phi^i_k - omega_k phi^i_j.
+Its kappa and omega are read off the trace T_j = R^i_ji of the vh-torsion.
+Contracting the shape with y^j (phi y = 0, tr phi = n - 1) and tracing it give
+
+  * kappa           kappa = T_j y^j / ((n-1) L^2) = Ric_jh y^j y^h / ((n-1) L^2)
+  * omega           (n-2) omega_j = T_j - kappa L ell_j, with omega_j y^j = kappa L^2
+
+kappa is the flag curvature K of R^i_jk y^j = K L^2 phi^i_k, +1 on the
+round unit sphere. In 2D phi has rank one and annihilates y, so a covector
+that annihilates y lies in the shape's kernel: only omega's ell part,
+kappa L ell, is determined, and T supplies it.
+
 Both entry points take the frame they compute on, over a tuple of chart
 points: every result carries the frame's leading point axis, equal point by
 point to the result on a frame at that point alone.
@@ -22,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import PointFrame, max_abs, pymax
+from .frame import PointFrame, dot, max_abs, pymax
 
 
 def curvature_contraction_defect(fr: PointFrame) -> np.ndarray:
@@ -34,78 +46,29 @@ def curvature_contraction_defect(fr: PointFrame) -> np.ndarray:
 
 @dataclass
 class ScalarFormResult:
-    """Outcome of fitting the vh-torsion to the rank-two scalar form shape
-
-        R^i_jk = omega_j phi^i_k - omega_k phi^i_j,
-        omega_i = (L^2/3) u_i + kappa L ell_i,
-
-    with unknowns kappa (a scalar) and u_i (standing for dy_i kappa).
-    """
+    """The vh-torsion against the scalar-curvature shape
+    R^i_jk = omega_j phi^i_k - omega_k phi^i_j, with kappa and omega read
+    off the torsion's traces (see the module docstring)."""
 
     kappa: np.ndarray
-    omega: np.ndarray
     residual: np.ndarray
     scale: np.ndarray
-    torsion_norm: np.ndarray
-    supplied: bool
-
-    @property
-    def relative_residual(self) -> np.ndarray:
-        return self.residual / self.scale
 
 
-def scalar_form_check(fr: PointFrame, kappa=None) -> ScalarFormResult:
-    """Test whether the vh-torsion has the isotropic (scalar) shape at each
-    of the frame's points.
-
-    When `kappa` is a scalar field callable it is differentiated and the
-    claimed identity is evaluated directly; otherwise the best (kappa, u)
-    pair is fitted per point by least squares and the fit residual reported.
-    A genuinely anisotropic structure leaves a large residual.
-    """
+def scalar_form_check(fr: PointFrame) -> ScalarFormResult:
+    """kappa at each of the frame's points, and the distance of the
+    vh-torsion from the shape that kappa and omega build; a structure not
+    of scalar flag curvature leaves a large residual."""
     n = fr.n
-    L = fr.L
-    ell = fr.ell
+    R = fr.Rhat
+    T = np.einsum("...iji->...j", R)
+    kappa = dot(T, fr.y) / ((n - 1) * fr.L * fr.L)
+    kLell = (kappa * fr.L)[:, None] * fr.ell
+    # in 2D this is omega = T, whose ell part is kappa L ell: the rest of T
+    # lies in the kernel of the shape there
+    omega = kLell + (T - (n - 1) * kLell) / max(n - 2, 1)
     phi = fr.phi
-    target = fr.Rhat
-
-    if kappa is not None:
-        kj = fr.field_jet(kappa, 1)
-        kval = kj.value
-        u = np.array(kj.dy)
-        supplied = True
-    else:
-        rows = []
-        rhs = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(j + 1, n):
-                    kcol = L * (ell[..., j] * phi[..., i, k] - ell[..., k] * phi[..., i, j])
-                    ucols = [
-                        (L * L / 3.0) * ((1.0 if m == j else 0.0) * phi[..., i, k]
-                                         - (1.0 if m == k else 0.0) * phi[..., i, j])
-                        for m in range(n)
-                    ]
-                    rows.append(np.stack([kcol] + ucols, axis=-1))
-                    rhs.append(target[..., i, j, k])
-        A = np.stack(rows, axis=-2)
-        b = np.stack(rhs, axis=-1)
-        # one least-squares fit per point
-        fits = [np.linalg.lstsq(a, r, rcond=None)[0]
-                for a, r in zip(A.reshape((-1,) + A.shape[-2:]), b.reshape(-1, b.shape[-1]))]
-        sol = np.reshape(fits, A.shape[:-2] + (n + 1,))
-        kval = sol[..., 0]
-        u = sol[..., 1:]
-        supplied = False
-
-    omega = (L * L / 3.0)[..., None] * u + (kval * L)[..., None] * ell
     model = np.einsum("...j,...ik->...ijk", omega, phi) \
         - np.einsum("...k,...ij->...ijk", omega, phi)
-    return ScalarFormResult(
-        kappa=kval,
-        omega=omega,
-        residual=max_abs(target - model, 3),
-        scale=pymax(1.0, max_abs(target, 3), max_abs(model, 3)),
-        torsion_norm=max_abs(target, 3),
-        supplied=supplied,
-    )
+    return ScalarFormResult(kappa, max_abs(R - model, 3),
+                            pymax(1.0, max_abs(R, 3), max_abs(model, 3)))

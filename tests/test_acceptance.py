@@ -204,7 +204,8 @@ def test_criterion_06_scalar_curvature_shape(capsys):
     s = by_name("sphere2")
     pts = s.sample(NPTS, seed=SEED)
     frames = [point_frame(s, p) for p in pts]
-    worst_fit = max(curv.scalar_form_check(fr).relative_residual[0] for fr in frames)
+    worst_fit = max((res.residual / res.scale)[0]
+                    for res in map(curv.scalar_form_check, frames))
     iso = lambda x, y: (1.0 + 0.3 * x[0]) * s.L(x, y) ** 2
     aniso = lambda x, y: y[0] ** 2
     positional = lambda x, y: x[0] ** 3 - x[1]

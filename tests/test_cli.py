@@ -363,6 +363,13 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    def test_a_repeated_point_key_is_rejected(self, capsys):
+        # the last of a repeated key must not silently win
+        code = main(["eval", "--metric", "sphere2", "--at", "x=0.1,0.2;x=0.3,0.4;y=1.0,0.5",
+                     "--object", "Sc"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --at gives 'x' twice\n"
+
     @pytest.mark.parametrize("command", ["verify", "eval"])
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_malformed_spec_is_a_configuration_error(self, tmp_path, capsys, command, case):

@@ -7,8 +7,9 @@ import pytest
 import riemann_oracle as oracle
 from finslerkit import curvature as cv
 from finslerkit.chart import ChartPoint
-from finslerkit.frame import point_frame
-from finslerkit.structures import by_name, sphere2
+from finslerkit.checks import FAIL, PASS, run_checks
+from finslerkit.frame import PointFrame, point_frame
+from finslerkit.structures import FinslerStructure, by_name, sphere2, structure_from_spec
 
 from conftest import CATALOG_NAMES, CURVED_NAMES, FLAT_NAMES
 
@@ -88,37 +89,105 @@ class TestHomogeneity:
         assert np.abs(b - 1.6 * a).max() < 1e-9
 
 
+def _ricci_kappa(fr):
+    """The flag curvature of the frame's flags from the Ricci rung,
+    Ric_jh y^j y^h / ((n-1) L^2): the oracle of eq2.13's kappa."""
+    ric = np.einsum("...jh,...j,...h->...", fr.ricci, fr.y, fr.y)
+    return ric / ((fr.n - 1) * fr.L * fr.L)
+
+
+def _phi(x):
+    """phi = psi2 o psi1, psi1(a, b) = (a, b + 0.2 a^2), psi2(a, b) = (a + 0.15 b^2, b),
+    and its Jacobian; x may hold floats or jets."""
+    a, b = x
+    c = b + 0.2 * (a * a)
+    return (a + 0.15 * (c * c), c), ((1.0 + 0.12 * (a * c), 0.3 * c), (0.4 * a, 1.0))
+
+
+def _phi_inverse(x):
+    a = x[0] - 0.15 * x[1] ** 2
+    return (a, x[1] - 0.2 * a * a)
+
+
+def _pullback(s):
+    """s in the chart x = phi(x~): L~(x~, y~) = L(phi(x~), Dphi(x~) y~)."""
+    def L(x, y):
+        px, J = _phi(x)
+        return s.L(px, tuple(J[i][0] * y[0] + J[i][1] * y[1] for i in range(2)))
+
+    return FinslerStructure(n=2, L=L, name=f"pullback({s.name})")
+
+
+def _poly(coef, powers):
+    return {"terms": [{"coef": coef, "powers": powers}]}
+
+
+# eq2.13 on 3D structures, where omega has a part transverse to ell: a
+# gradient drift b = d(0.1 x1 x2) is projectively flat, so of scalar flag
+# curvature; a shear drift and a conformal factor are not
+EUCLIDEAN3 = {"family": "euclidean", "dim": 3}
+EQ213_CONTROLS = {
+    "gradient_drift3": ({"family": "randers", "base": EUCLIDEAN3,
+                         "b": [_poly(0.1, [0, 1, 0]), _poly(0.1, [1, 0, 0]), 0]}, PASS),
+    "shear_drift3": ({"family": "randers", "base": EUCLIDEAN3,
+                      "b": [_poly(0.2, [0, 1, 0]), 0, 0]}, FAIL),
+    "conformal3": ({"family": "conformal", "base": EUCLIDEAN3,
+                    "sigma": _poly(0.3, [1, 0, 0])}, FAIL),
+}
+
+
+def _same_kappa(a, kappa):
+    return (np.abs(a - kappa) <= 1e-12 * np.maximum(1.0, np.abs(kappa))).all()
+
+
 class TestScalarFormShape:
-    def test_sphere_fits_with_unit_kappa(self):
+    def test_sphere_kappa_is_one(self):
         s = sphere2()
-        for p in SPHERE_POINTS[:4]:
-            res = cv.scalar_form_check(point_frame(s, p), kappa=lambda x, y: 1.0)
-            assert res.relative_residual < 1e-10
-            assert res.supplied
+        res = cv.scalar_form_check(PointFrame(s, tuple(s.sample(200, seed=0))))
+        assert np.abs(res.kappa - 1.0).max() < 1e-12
+        assert (res.residual / res.scale).max() < 1e-12
 
     def test_sphere_free_fit_is_exact(self):
         s = sphere2()
-        res = cv.scalar_form_check(point_frame(s, SPHERE_POINTS[0]))
-        assert res.relative_residual < 1e-10
-        assert not res.supplied
-        assert res.torsion_norm > 0.1
-
-    def test_wrong_kappa_leaves_residual(self):
-        s = sphere2()
-        res = cv.scalar_form_check(point_frame(s, SPHERE_POINTS[0]), kappa=lambda x, y: 0.0)
-        assert res.relative_residual > 0.1
+        fr = point_frame(s, SPHERE_POINTS[0])
+        res = cv.scalar_form_check(fr)
+        assert res.residual / res.scale < 1e-10
+        assert np.abs(fr.Rhat).max() > 0.1
 
     def test_flat_structure_fits_trivially(self):
         s = by_name("minkowski_quartic2")
         p = s.sample(1, seed=61)[0]
-        res = cv.scalar_form_check(point_frame(s, p))
-        assert res.torsion_norm < 1e-12
-        assert res.relative_residual < 1e-12
-
-    def test_omega_combines_kappa_and_its_fiber_slope(self):
-        # omega = (L^2/3) u + kappa L ell; with constant kappa the u part drops
-        s = sphere2()
-        p = SPHERE_POINTS[2]
         fr = point_frame(s, p)
-        res = cv.scalar_form_check(fr, kappa=lambda x, y: 1.0)
-        assert np.abs(res.omega - fr.L * fr.ell).max() < 1e-10
+        res = cv.scalar_form_check(fr)
+        assert np.abs(fr.Rhat).max() < 1e-12
+        assert res.residual / res.scale < 1e-12
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"])
+    def test_kappa_is_the_ricci_trace(self, name):
+        s = by_name(name)
+        fr = PointFrame(s, tuple(s.sample(200, seed=0)))
+        kappa = cv.scalar_form_check(fr).kappa
+        assert _same_kappa(_ricci_kappa(fr), kappa)
+
+    @pytest.mark.parametrize("name", CURVED_NAMES)
+    def test_kappa_is_chart_invariant(self, name):
+        s = by_name(name)
+        pts = s.sample(200, seed=0)
+        pulled = []
+        for p in pts:
+            x = _phi_inverse(p.x)
+            pulled.append(ChartPoint(x, tuple(np.linalg.solve(_phi(x)[1], p.y))))
+        kappa = cv.scalar_form_check(PointFrame(s, tuple(pts))).kappa
+        pulled_kappa = cv.scalar_form_check(PointFrame(_pullback(s), tuple(pulled))).kappa
+        assert _same_kappa(pulled_kappa, kappa)
+
+    @pytest.mark.parametrize("name", sorted(EQ213_CONTROLS))
+    def test_3d_controls(self, name):
+        spec, verdict = EQ213_CONTROLS[name]
+        s = structure_from_spec(spec)
+        (res,) = run_checks(s, ["eq2.13"], 200, 0, 1e-7, 1e-3)
+        assert res.verdict == verdict, res
+        fr = PointFrame(s, tuple(s.sample(200, seed=0)))
+        kappa = cv.scalar_form_check(fr).kappa
+        assert _same_kappa(_ricci_kappa(fr), kappa)
+        assert np.ptp(kappa) > 1e-3  # kappa is not constant on any of them

@@ -20,16 +20,16 @@ from finslerkit.cli import main
 from finslerkit.structures import by_name
 
 REPORTS = {
-    ("conformal_quartic2", 20): "bde91091df40c5d6c482f2368e39c4e0112ff8868ea21a13703ce89c3bedcaa7",
+    ("conformal_quartic2", 20): "9b33d301d246e482f8bb6c58387dfb7dbea62ef816fe5eebcab51a98c70dbe6e",
     ("euclidean2", 20): "b22100739fc09bee2932eea48567a44b310af9bac4bb7e4874afc0118d330f4f",
     ("euclidean3", 20): "e2b21f1ce297f32446cfbe5c55fa500afe02f29a86ae0ea05705195e00615209",
     ("minkowski_quartic2", 20): "7e61539785a0b6b8bc4b73bf9b728a93c27d2bff7166680ea626e3f801f7b431",
     ("minkowski_quartic3", 20): "8948158ce6b88a3e409b3b360fc5c612f4e0163e8c4303537ff37ff6efad22a9",
-    ("randers_sphere2", 20): "255761631f37b50decb3c18319b9d4bcd9b6b0845bffb929ead0d7d0306f438a",
-    ("sphere2", 20): "db2ad6f344b0084d1709bbd7b42ae6b91720ce40d96b4d5817da785d3160f3be",
+    ("randers_sphere2", 20): "d277241563d2ea2338d1216e5a4f7a5ebd46f05bc504529b4d6318fca64db956",
+    ("sphere2", 20): "d10fbe17d649aceab0ff90da9a7d27314e9a24ef9b21a5648131ec689754064b",
     ("euclidean3", 200): "e832417dfd3d8c10603d754c8890166231a1395e410666d42c08cf26e11e727a",
-    ("sphere2", 200): "fa4e902342f74e7f126c8f611723b34e7485a659a8782aad7f6965b8b89cc2aa",
-    ("sphere2", 1000): "7bc6cce9054a30577b349d657ab72555c50ad922c49cdfb03836946c0081de24",
+    ("sphere2", 200): "1e209769b978dd7ed4206f838fefd85dbee18bf0f715d997b23380a3232ff6d2",
+    ("sphere2", 1000): "ca7e9dfdf669e3e3ef992a3dbba4c066b134d6345dae22bb61529f5016ddd0ac",
 }
 
 # an indefinite form: every point of the sample fails, some at L (NumericalError)
@@ -58,8 +58,8 @@ LATE_SHA256 = {
 # thm2.8.curved reads the curved sample as flat (REPORT-ONLY), and prop.randers
 # FAILs, since its non-closed form stays below the floor on both structures
 FLOOR_1E3_SHA256 = {
-    "sphere2": "1e5620120668308bdcc9baa9bc01afb9b861ffefe3450527fb63f4ade2ddcc16",
-    "conformal_quartic2": "41c22b0fb44a294063621fda8a619fdc3e0859a9b78a840c60046e91d4c58562",
+    "sphere2": "2bef0826129ee7d53e2c7859a6878868911f73941f5634f4840bc391fd2e763c",
+    "conformal_quartic2": "9274d345681a01115de057efa612b700f729ea277e01dabe69931e969af7b6de",
 }
 
 LIST_CHECKS_SHA256 = "b43d4a60a46758d38e1f3137e438b9eaa99a3f20439b2027cc525529a25e73a5"

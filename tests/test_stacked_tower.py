@@ -196,8 +196,8 @@ def _entry_point_calls(s):
         ("curvature_contraction_defect",
          lambda fr: curvature.curvature_contraction_defect(fr)),
         ("scalar_form_check", lambda fr: curvature.scalar_form_check(fr)),
-        ("scalar_form_check[kappa]",
-         lambda fr: curvature.scalar_form_check(fr, kappa=lambda x, y: 1.0 + x[0] * y[0])),
+        ("scalar_form_check[conformal]",
+         lambda fr: curvature.scalar_form_check(PointFrame(tilde, fr.point))),
     ]
 
 
