@@ -20,10 +20,8 @@ from .errors import (
 from .fields import (
     ComponentField,
     GradientField,
-    PiForm,
     PiVectorField,
     constant_field,
-    tautological_field,
 )
 from .frame import PointFrame, point_frame
 from .jets import Jet, fd_partial, field_value, jet_eval

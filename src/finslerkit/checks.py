@@ -373,7 +373,8 @@ def _check_thm28_curved(fr, tol, floor, seed):
     )
 
 
-@check("eq2.13", "R^i_jk = omega_j phi^i_k - omega_k phi^i_j, omega from fitted kappa")
+@check("eq2.13",
+       "R^i_jk = omega_j phi^i_k - omega_k phi^i_j, kappa and omega from the traces of R")
 def _check_eq213(fr, tol, floor, seed):
     sweep = _Sweep(fr.point)
     res = curvature.scalar_form_check(fr)

@@ -1,22 +1,20 @@
-"""Vector fields and forms along the projection, plus probe-field builders.
+"""Vector fields along the projection, plus probe-field builders.
 
-A pi-vector field is given by its chart components X^i(x, y), and a form
-by its components on increasing index tuples. The classes here only produce
-the stacked order-1 jet of those components on a PointFrame
-(`PiVectorField.jets`, `PiForm.jets`), and the functions the jets of a drift
-covector and of its companion field: closedness and every other identity of
-`picalc` reads those jets alone. The musical isomorphisms on them are the
-frame's (`PointFrame.flat_jets`, `PointFrame.sharp_jets`), as the frame owns
-g and its inverse; all other calculus on them lives in `picalc`.
+A pi-vector field is given by its chart components X^i(x, y). The classes
+here only produce the stacked order-1 jet of those components on a
+PointFrame (`PiVectorField.jets`), and the functions the jets of a drift
+covector, of its companion field and of a g-projection: closedness and
+every other identity of `picalc` reads those jets alone. The musical
+isomorphisms on them are the frame's (`PointFrame.flat_jets`,
+`PointFrame.sharp_jets`), as the frame owns g and its inverse; all other
+calculus on them lives in `picalc`.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 
-from .errors import CapabilityError, DegenerateFieldError
+from .errors import DegenerateFieldError
 from .jets import Jet
 
 
@@ -50,12 +48,6 @@ def constant_field(vec) -> ComponentField:
     for v in vec:
         comps.append((lambda c: (lambda x, y: c))(float(v)))
     return ComponentField(comps, name=f"const{tuple(float(v) for v in vec)}")
-
-
-def tautological_field(n: int) -> ComponentField:
-    """The canonical field eta with components y^i."""
-    comps = [(lambda i: (lambda x, y: y[i]))(i) for i in range(n)]
-    return ComponentField(comps, name="eta")
 
 
 class GradientField(PiVectorField):
@@ -116,49 +108,3 @@ def project_away(frame, vecs, Xj: Jet) -> Jet:
             f"cannot project: X has vanishing g-norm at {frame._first(bad)[1]}")
     lam = gvx / gxx
     return vj - lam[..., None, :] * Xj
-
-
-class PiForm:
-    """Alternating form along the projection, stored on increasing index
-    tuples. Degree 0 wraps a scalar field; degrees above 3 are out of scope.
-    """
-
-    MAX_DEGREE = 3
-
-    def __init__(self, n: int, degree: int, components: dict):
-        if degree < 0 or degree > self.MAX_DEGREE:
-            raise CapabilityError(
-                f"forms of degree {degree} are not supported (max {self.MAX_DEGREE})"
-            )
-        self.n = n
-        self.degree = degree
-        self.components = dict(components)
-        for key in self.components:
-            if len(key) != degree or list(key) != sorted(set(key)):
-                raise ValueError(f"component key {key} is not a strict increasing tuple")
-
-    @classmethod
-    def one_form(cls, n: int, comps) -> "PiForm":
-        return cls(n, 1, {(i,): c for i, c in enumerate(comps)})
-
-    def jets(self, frame) -> Jet:
-        """The components as one stacked order-1 jet on a frame, one (n,)
-        axis per degree after the frame's point axis: w[..., K, :] is the jet
-        of w_K for every index tuple K, antisymmetric in K, and zero where a
-        component is absent."""
-        out = Jet.constant(2 * self.n, 1, np.zeros((len(frame.point),) + (self.n,) * self.degree))
-        for key, fn in self.components.items():
-            jet = frame.field_jet(fn, 1).coeffs
-            for perm in permutations(key):
-                out.coeffs[(...,) + perm + (slice(None),)] = _perm_sign(perm) * jet
-        return out
-
-
-def _perm_sign(key) -> float:
-    key = list(key)
-    sign = 1.0
-    for i in range(len(key)):
-        for j in range(i + 1, len(key)):
-            if key[i] > key[j]:
-                sign = -sign
-    return sign

@@ -4,9 +4,10 @@ Implements the horizontal exterior derivative, the covariant operator
 A_X, and the composite closedness diagnostics (Lie comparison,
 involutivity, drift and conformal transfer reports). Whether X is closed
 depends on dbar(i_X g) alone, so every entry point that reads a pi-vector
-field or a form takes its order-1 jets (`X.jets(fr)`, `form.jets(fr)`),
-evaluated once by the caller; each operator is written once, on those jets,
-and the musical isomorphisms are the frame's (`PointFrame.flat_jets`,
+field or a form takes its order-1 jets (`X.jets(fr)`, or the stacked jet of
+a form's components, such as `fr.flat_jets(Xj)`), evaluated once by the
+caller; each operator is written once, on those jets, and the musical
+isomorphisms are the frame's (`PointFrame.flat_jets`,
 `PointFrame.sharp_jets`). Scalar probes stay callables, since each
 diagnostic of a scalar reads the jet order it needs. Every derivative, the
 drift's db = 0 included, is read from jets.
@@ -26,9 +27,11 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import CapabilityError, DegenerateFieldError
-from .fields import PiForm, _perm_sign, drift_companion_jets, project_away
+from .fields import drift_companion_jets, project_away
 from .frame import PointFrame, antisymmetric, dot, matvec, max_abs, pymax, quad
 from .jets import Jet
+
+MAX_DEGREE = 3  # the highest form degree dbar_p returns
 
 
 # -- horizontal exterior derivative ------------------------------------------
@@ -36,9 +39,10 @@ from .jets import Jet
 
 def dbar_p(fr: PointFrame, w: Jet) -> np.ndarray:
     """Horizontal exterior derivative of a p-form from the stacked jet of its
-    components (one (n,) axis per degree after the frame's point axis, as
-    `PiForm.jets` gives it; degree 0 is the jet of a scalar f, say
-    `fr.field_jet(f, 1)`, and gives delta_k f):
+    components: one (n,) axis per degree after the frame's point axis,
+    antisymmetric in its index tuple (a 1-form i_X g is `fr.flat_jets(Xj)`;
+    degree 0 is the jet of a scalar f, say `fr.field_jet(f, 1)`, and gives
+    delta_k f):
 
         (dbar w)_{k0..kp} = sum_q (-1)^q delta_{kq} w_{k0..^kq..kp}
 
@@ -49,11 +53,9 @@ def dbar_p(fr: PointFrame, w: Jet) -> np.ndarray:
     """
     n = fr.n
     deg = w.coeffs.ndim - 2  # after the point axis, before the table axis
-    if deg + 1 > PiForm.MAX_DEGREE:
+    if deg + 1 > MAX_DEGREE:
         raise CapabilityError(
-            f"dbar of a degree-{deg} form exceeds the supported degree "
-            f"{PiForm.MAX_DEGREE}"
-        )
+            f"dbar of a degree-{deg} form exceeds the supported degree {MAX_DEGREE}")
     d = fr.delta_values(w)  # [..., K, k] = delta_k w_K
     out = np.zeros(d.shape[:1] + (n,) * (deg + 1))
     for K in combinations(range(n), deg + 1):
@@ -66,21 +68,14 @@ def dbar_p(fr: PointFrame, w: Jet) -> np.ndarray:
     return out
 
 
-def dbar_1_on_fields(fr: PointFrame, w: Jet, Xj: Jet, Yj: Jet) -> np.ndarray:
-    """(dbar omega)(X, Y) through the field formula
-
-        bX(omega(Y)) - bY(omega(X)) - omega(rho[bX, bY]),
-
-    where b marks the horizontal lift, from the order-1 jets of the 1-form
-    omega and of X and Y. Used to certify that the component formula of
-    dbar_p is the coordinate expression of this invariant one.
-    """
-    if w.coeffs.ndim != 3:  # point, component and table axes
-        raise ValueError("dbar_1_on_fields expects a 1-form")
-    # X^k delta_k (omega(Y)) and Y^k delta_k (omega(X)), summed over k in index order
-    first = sum(np.moveaxis(Xj.value * fr.delta_values((w * Yj).sum_last()), -1, 0))
-    second = sum(np.moveaxis(Yj.value * fr.delta_values((w * Xj).sum_last()), -1, 0))
-    return first - second - dot(w.value, _bracket(fr, Xj, Yj))
+def _perm_sign(key) -> float:
+    key = list(key)
+    sign = 1.0
+    for i in range(len(key)):
+        for j in range(i + 1, len(key)):
+            if key[i] > key[j]:
+                sign = -sign
+    return sign
 
 
 def _bracket(frame: PointFrame, Xj: Jet, Yj: Jet) -> np.ndarray:
@@ -121,8 +116,6 @@ def flat_form_and_selfadjoint_matrix(fr: PointFrame, Xj: Jet):
 
 @dataclass
 class DbarSqResult:
-    nested: np.ndarray
-    contracted: np.ndarray
     defect: np.ndarray
     scale: np.ndarray
 
@@ -143,7 +136,7 @@ def dbar_sq(fr: PointFrame, f) -> DbarSqResult:
     contracted = _torsion_contraction(fr, fj)
     defect = max_abs(nested - contracted, 2)
     scale = pymax(1.0, max_abs(nested, 2), max_abs(contracted, 2))
-    return DbarSqResult(nested=nested, contracted=contracted, defect=defect, scale=scale)
+    return DbarSqResult(defect=defect, scale=scale)
 
 
 @dataclass
@@ -181,7 +174,6 @@ def isotropy_residual(fr: PointFrame, f) -> np.ndarray:
 
 @dataclass
 class LieReport:
-    lie: np.ndarray
     difference: np.ndarray
     lie_defect: np.ndarray
     closedness: np.ndarray
@@ -194,7 +186,7 @@ def lie_metric_report(fr: PointFrame, Xj: Jet) -> LieReport:
         lie_ij  = X^k delta_k g_ij + g_mj delta_i X^m + g_im delta_j X^m
         con_jk  = X^i (delta_i g_jk - delta_j g_ik + delta_k g_ij)
 
-    The Lie matrix and the largest entry of its difference from the
+    The largest entries of the Lie matrix and of its difference from the
     contraction are reported; no identity between them is asserted.
     """
     n = fr.n
@@ -215,7 +207,6 @@ def lie_metric_report(fr: PointFrame, Xj: Jet) -> LieReport:
                 for i in range(n)
             )
     return LieReport(
-        lie=lie,
         difference=max_abs(lie - con, 2),
         lie_defect=max_abs(lie, 2),
         closedness=closedness_defect(fr, Xj),
@@ -227,7 +218,6 @@ def lie_metric_report(fr: PointFrame, Xj: Jet) -> LieReport:
 
 @dataclass
 class InvolutivityReport:
-    bracket_pairings: np.ndarray
     defect: np.ndarray
     identity_defect: np.ndarray
     scale: np.ndarray
@@ -237,8 +227,8 @@ def involutivity_report(fr: PointFrame, Xj: Jet) -> InvolutivityReport:
     """Probe the g-orthogonal complement of X for involutivity.
 
     Builds n-1 fields Y_a by g-projecting coordinate directions away from
-    X, then for every pair reports g(rho[bY_a, bY_b], X) together with the
-    largest residual of the exchange identity
+    X, then reports the largest g(rho[bY_a, bY_b], X) over the pairs
+    together with the largest residual of the exchange identity
 
         g(rho[bY_a, bY_b], X) = g(A_X Y_b, Y_a) - g(A_X Y_a, Y_b),
 
@@ -282,7 +272,6 @@ def involutivity_report(fr: PointFrame, Xj: Jet) -> InvolutivityReport:
     pairs = np.stack(pairs, axis=-1) if pairs else np.zeros(lead + (0,))
     residuals = np.stack(residuals, axis=-1) if residuals else np.zeros(lead + (0,))
     return InvolutivityReport(
-        bracket_pairings=pairs,
         defect=max_abs(pairs, 1) if pairs.size else np.zeros(lead),
         identity_defect=max_abs(residuals, 1) if residuals.size else np.zeros(lead),
         scale=np.broadcast_to(scale, lead),
@@ -372,14 +361,11 @@ def drift_precondition_defect(bj: Jet) -> np.ndarray:
 
 @dataclass
 class ConformalTransferReport:
-    actual: np.ndarray
     leibniz_residual: np.ndarray
     scaling_residual: np.ndarray
     prediction_residual: np.ndarray
     actual_defect: np.ndarray
-    base_defect: np.ndarray
     tilde_base_defect: np.ndarray
-    sigma_value: np.ndarray
     scale: np.ndarray
 
 
@@ -422,13 +408,10 @@ def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
 
     scale = pymax(1.0, max_abs(actual, 2), max_abs(leibniz, 2))
     return ConformalTransferReport(
-        actual=actual,
         leibniz_residual=max_abs(actual - leibniz, 2),
         scaling_residual=max_abs(actual - scaling, 2),
         prediction_residual=max_abs(actual - wedge, 2),
         actual_defect=max_abs(actual, 2),
-        base_defect=max_abs(base_matrix, 2),
         tilde_base_defect=max_abs(tilde_of_base, 2),
-        sigma_value=sig,
         scale=scale,
     )

@@ -332,6 +332,8 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
         _only(spec, ("family", "preset"), "a riemannian preset")
         return sphere2()
     _only(spec, ("family",) + _FIELDS[family], f"the {family} family")
+    if not isinstance(spec.get("name", ""), str):
+        raise ValueError(f"metric field 'name' must be a string, got {spec['name']!r}")
     if family == "euclidean":
         return euclidean(_field(spec, "dim", lambda d: _whole(d, "dim")))
     if family == "minkowski_quartic":

@@ -114,7 +114,8 @@ def test_criterion_03_flatness_and_closedness_dichotomy(capsys):
                 flat_closed = max(
                     flat_closed, pc.closedness_defect(fr, GradientField(f).jets(fr))[0]
                 )
-                flat_dsq = max(flat_dsq, np.abs(pc.dbar_sq(fr, f).nested).max())
+                nested = pc.dbar_p(fr, fr.delta_jets(fr.field_jet(f, 2)))
+                flat_dsq = max(flat_dsq, np.abs(nested).max())
     s = by_name("sphere2")
     pts = s.sample(NPTS, seed=SEED)
     sphere_torsion = max(np.abs(point_frame(s, p).Rhat).max() for p in pts)

@@ -52,6 +52,7 @@ MALFORMED = {
     "preset-euclidean": ("preset", {"family": "euclidean", "dim": 2, "preset": "sphere2"}),
     "preset-dim": ("dim", {"family": "riemannian", "preset": "sphere2", "dim": 3, "a": 5}),
     "sigam": ("sigam", {"family": "conformal", "base": SPHERE, "sigma": 0.3, "sigam": 0.3}),
+    "name": ("name", {"family": "riemannian", "dim": 2, "a": [[1, 0], [0, 1]], "name": ["x"]}),
     "term-key": ("coef2", {"family": "conformal", "base": SPHERE, "sigma": {
         "terms": [{"coef": 0.3, "powers": [1, 0], "coef2": 1.0}]}}),
     "poly-key": ("term", {"family": "randers", "base": SPHERE, "b": [

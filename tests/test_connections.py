@@ -10,7 +10,7 @@ import riemann_oracle as oracle
 from finslerkit import connections as cn
 from finslerkit import picalc as pc
 from finslerkit.chart import ChartPoint
-from finslerkit.fields import tautological_field
+from finslerkit.fields import ComponentField
 from finslerkit.frame import PointFrame, point_frame
 from finslerkit.structures import by_name, sphere2
 
@@ -139,9 +139,10 @@ class TestCovariantDerivative:
     def test_tautological_field_is_parallel(self):
         # nabla_h of eta vanishes: delta_j y^i = -N^i_j cancels F^i_kj y^k
         s = sphere2()
+        eta = ComponentField([lambda x, y: y[0], lambda x, y: y[1]], name="eta")
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(s, p)
-            A = pc.a_operator(fr, tautological_field(2).jets(fr))
+            A = pc.a_operator(fr, eta.jets(fr))
             assert np.abs(A).max() < 1e-12
 
     def test_cartan_pair_shapes(self):

@@ -1,7 +1,8 @@
 """Import hygiene of the package: every imported name is used, no module
 but `jets` reads a private name of `jets`, whose coefficient layout stays
-behind its public readouts, and `picalc` reads the jets of fields, never a
-field itself."""
+behind its public readouts, `picalc` reads the jets of fields, never a
+field itself, and every public function and class is read by the package,
+apart from a named few."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ import finslerkit
 
 PACKAGE = Path(finslerkit.__file__).parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list:
@@ -87,7 +89,7 @@ def field_reads(source: str) -> list:
 
 
 def test_scan_finds_a_field_read():
-    source = ("from .fields import GradientField, PiForm, project_away\n"
+    source = ("from .fields import GradientField, covector_jets, project_away\n"
               "from finslerkit.fields import PiVectorField as Field\n"
               "def f(fr, X, Xj):\n"
               "    return X.jets(fr), fr.flat_jets(Xj), Xj.jets\n")
@@ -96,3 +98,55 @@ def test_scan_finds_a_field_read():
 
 def test_the_calculus_takes_jets():
     assert field_reads((PACKAGE / "picalc.py").read_text()) == []
+
+
+def unread_public_names(package: dict, readers=()) -> list:
+    """"module.name" of each public module-level function and class of
+    `package` (module stem -> source) that no source reads: its own module
+    reads it as a name, another module imports it or reads it as
+    `module.name`, and so may each of the sources `readers`."""
+    trees = {stem: ast.parse(source) for stem, source in package.items()}
+    defined = {(stem, node.name) for stem, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    read = set()
+    for owner, tree in [*trees.items(), *((None, ast.parse(s)) for s in readers)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                stem = (node.module or "").split(".")[-1]
+                read |= {(stem, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                read.add((node.value.id, node.attr))
+            elif isinstance(node, ast.Name) and owner is not None:
+                read.add((owner, node.id))
+    return sorted(f"{stem}.{name}" for stem, name in defined - read)
+
+
+def test_scan_finds_an_unread_public_name():
+    package = {
+        "jets": "def sqrt(x): pass\ndef sin(x): pass\ndef _table(): pass\n"
+                "def fd(f): return _table()\ndef helper(): pass\nhelper()\n",
+        "frame": "from . import jets\nfrom .jets import sqrt\nclass Frame: pass\n"
+                 "def point_frame(s, p): return jets.fd(sqrt)\n",
+    }
+    assert unread_public_names(package) == ["frame.Frame", "frame.point_frame", "jets.sin"]
+    bench = "from finslerkit import frame\nframe.point_frame(None, None)\n"
+    assert unread_public_names(package, [bench]) == ["frame.Frame", "jets.sin"]
+
+
+# public names that no other module of the package reads, and why each stays:
+# the rest is read by the package itself, so nothing in it exists for tests only
+UNREAD_BY_THE_PACKAGE = {
+    "jets.sin": "Lagrangian vocabulary",
+    "jets.cos": "Lagrangian vocabulary",
+    "jets.log": "Lagrangian vocabulary",
+    "frame.point_frame": "read by perfbench (ROADMAP item 15)",
+}
+
+
+def test_no_public_name_exists_for_tests_only():
+    package = {stem[:-3]: (PACKAGE / stem).read_text() for stem in MODULES}
+    bench = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    assert unread_public_names(package) == sorted(UNREAD_BY_THE_PACKAGE)
+    assert unread_public_names(package, bench) == sorted(
+        name for name, why in UNREAD_BY_THE_PACKAGE.items() if "perfbench" not in why)

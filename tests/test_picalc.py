@@ -10,20 +10,13 @@ import pytest
 from finslerkit import picalc as pc
 from finslerkit.chart import ChartPoint
 from finslerkit.errors import CapabilityError, DegenerateFieldError
-from finslerkit.fields import (
-    ComponentField,
-    GradientField,
-    PiForm,
-    _perm_sign,
-    constant_field,
-    project_away,
-    tautological_field,
-)
+from finslerkit.fields import ComponentField, GradientField, constant_field, project_away
 from finslerkit.frame import PointFrame, matvec, point_frame
 from finslerkit.jets import Jet
 from finslerkit.structures import by_name, conformal_change, euclidean, minkowski_quartic, sphere2
 
 from conftest import CATALOG_NAMES, FLAT_NAMES
+from tower_oracle import dbar_1_on_fields, form_jets, perm_sign
 
 SPHERE = sphere2()
 SPHERE_POINTS = SPHERE.sample(5, seed=71)
@@ -40,6 +33,16 @@ def mixed_probe(n, seed=0):
             return sum(cx[i][j] * x[j] + cy[i][j] * y[j] for j in range(n))
         comps.append(c)
     return ComponentField(comps, name=f"mixed{seed}")
+
+
+def eta(n):
+    """The canonical field eta, with components y^i."""
+    return ComponentField([(lambda i: lambda x, y: y[i])(i) for i in range(n)], name="eta")
+
+
+def one_form(comps):
+    """The components of a 1-form, keyed by index tuple, from a list."""
+    return {(i,): c for i, c in enumerate(comps)}
 
 
 def const_jets(fr, vec):
@@ -73,14 +76,13 @@ class TestMusicals:
         s = by_name(name)
         pts = s.sample(20, seed=5)
         X = mixed_probe(s.n, seed=3)
-        form = PiForm.one_form(s.n, [(lambda i: lambda x, y: x[i] * y[0] + 0.5)(i)
-                                     for i in range(s.n)])
+        form = one_form([(lambda i: lambda x, y: x[i] * y[0] + 0.5)(i) for i in range(s.n)])
         f = lambda x, y: x[0] * y[-1] + x[-1] ** 2
         for fr in (PointFrame(s, pts[0]), PointFrame(s, tuple(pts))):
             df = pc.dbar_p(fr, fr.field_jet(f, 1))
             cases = [
                 (fr.flat_jets(X.jets(fr)), matvec(fr.g, X.jets(fr).value)),
-                (fr.sharp_jets(form.jets(fr)), matvec(fr.g_inv, form.jets(fr).value)),
+                (fr.sharp_jets(form_jets(fr, form)), matvec(fr.g_inv, form_jets(fr, form).value)),
                 (GradientField(f).jets(fr), matvec(fr.g_inv, df)),
             ]
             for jet, value in cases:
@@ -89,9 +91,9 @@ class TestMusicals:
 
     def test_sharp_accepts_one_form_objects(self):
         p = SPHERE_POINTS[0]
-        form = PiForm.one_form(2, [lambda x, y: 1.0, lambda x, y: x[0]])
+        form = one_form([lambda x, y: 1.0, lambda x, y: x[0]])
         fr = point_frame(SPHERE, p)
-        arr = fr.sharp_jets(form.jets(fr)).value
+        arr = fr.sharp_jets(form_jets(fr, form)).value
         direct = fr.sharp_jets(const_jets(fr, np.array([1.0, p.x[0]]))).value
         assert np.abs(arr - direct).max() < 1e-14
 
@@ -119,16 +121,13 @@ class TestDbarHigherDegree:
     def test_one_form_matches_classical_on_flat_base(self):
         e3 = euclidean(3)
         p = e3.sample(1, seed=83)[0]
-        w = PiForm.one_form(
-            3,
-            [
-                lambda x, y: x[1],
-                lambda x, y: x[0] * x[2],
-                lambda x, y: x[2] ** 2,
-            ],
-        )
+        w = one_form([
+            lambda x, y: x[1],
+            lambda x, y: x[0] * x[2],
+            lambda x, y: x[2] ** 2,
+        ])
         fr = point_frame(e3, p)
-        D = pc.dbar_p(fr, w.jets(fr))[0]
+        D = pc.dbar_p(fr, form_jets(fr, w))[0]
         x = p.x
         assert D[0, 1] == pytest.approx(x[2] - 1.0, rel=1e-12, abs=1e-13)
         assert D[0, 2] == pytest.approx(0.0, abs=1e-13)
@@ -138,9 +137,9 @@ class TestDbarHigherDegree:
     def test_two_form_derivative_alternating_sum(self):
         e3 = euclidean(3)
         p = e3.sample(1, seed=83)[0]
-        two = PiForm(3, 2, {(0, 1): lambda x, y: x[2]})
+        two = {(0, 1): lambda x, y: x[2]}
         fr = point_frame(e3, p)
-        D = pc.dbar_p(fr, two.jets(fr))[0]
+        D = pc.dbar_p(fr, form_jets(fr, two))[0]
         assert D[0, 1, 2] == pytest.approx(1.0, abs=1e-13)
         assert D[1, 0, 2] == pytest.approx(-1.0, abs=1e-13)
         assert D[2, 0, 1] == pytest.approx(1.0, abs=1e-13)
@@ -149,60 +148,59 @@ class TestDbarHigherDegree:
     def test_two_form_on_a_batch_equals_each_point_and_the_per_key_sum(self):
         s = conformal_change(euclidean(3), lambda x: 0.3 * x[0])
         pts = s.sample(6, seed=83)
-        two = PiForm(3, 2, {(0, 1): lambda x, y: x[2] * y[1],
-                            (1, 2): lambda x, y: x[0] * y[0] + y[2]})
+        two = {(0, 1): lambda x, y: x[2] * y[1],
+               (1, 2): lambda x, y: x[0] * y[0] + y[2]}
         batch = point_frame(s, tuple(pts))
-        whole = pc.dbar_p(batch, two.jets(batch))
+        whole = pc.dbar_p(batch, form_jets(batch, two))
         assert np.abs(whole).max() > 1e-3
         assert np.array_equal(whole, _per_key_dbar(batch, two))
         for i, p in enumerate(pts):
             fr = point_frame(s, p)
-            assert whole[i].tobytes() == pc.dbar_p(fr, two.jets(fr))[0].tobytes(), p
+            assert whole[i].tobytes() == pc.dbar_p(fr, form_jets(fr, two))[0].tobytes(), p
 
     def test_degree_cap(self):
         e3 = euclidean(3)
         p = e3.sample(1, seed=83)[0]
-        three = PiForm(3, 3, {(0, 1, 2): lambda x, y: x[0]})
+        three = {(0, 1, 2): lambda x, y: x[0]}
         fr = point_frame(e3, p)
         with pytest.raises(CapabilityError):
-            pc.dbar_p(fr, three.jets(fr))
+            pc.dbar_p(fr, form_jets(fr, three))
 
     def test_component_formula_is_the_invariant_formula(self):
         # (dbar w)(X, Y) via components against the lift/bracket expression
-        w = PiForm.one_form(2, [lambda x, y: y[0] * x[1], lambda x, y: x[0] + y[1]])
+        w = one_form([lambda x, y: y[0] * x[1], lambda x, y: x[0] + y[1]])
         X = mixed_probe(2, seed=5)
         Y = mixed_probe(2, seed=6)
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            wj, Xj, Yj = w.jets(fr), X.jets(fr), Y.jets(fr)
+            wj, Xj, Yj = form_jets(fr, w), X.jets(fr), Y.jets(fr)
             D = pc.dbar_p(fr, wj)[0]
-            via_fields = pc.dbar_1_on_fields(fr, wj, Xj, Yj)[0]
+            via_fields = dbar_1_on_fields(fr, wj, Xj, Yj)[0]
             xv, yv = Xj.value[0], Yj.value[0]
             assert float(xv @ D @ yv) == pytest.approx(via_fields, rel=1e-10, abs=1e-11)
 
     def test_invariant_formula_with_a_missing_component(self):
         # omega_0 is absent: it counts as zero in both formulas
-        w = PiForm(2, 1, {(1,): lambda x, y: x[0] * y[1] + y[0]})
+        w = {(1,): lambda x, y: x[0] * y[1] + y[0]}
         X = mixed_probe(2, seed=5)
         Y = mixed_probe(2, seed=6)
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            wj, Xj, Yj = w.jets(fr), X.jets(fr), Y.jets(fr)
+            wj, Xj, Yj = form_jets(fr, w), X.jets(fr), Y.jets(fr)
             D = pc.dbar_p(fr, wj)[0]
             assert np.abs(D).max() > 1e-3
-            via_fields = pc.dbar_1_on_fields(fr, wj, Xj, Yj)[0]
+            via_fields = dbar_1_on_fields(fr, wj, Xj, Yj)[0]
             assert float(Xj.value[0] @ D @ Yj.value[0]) == pytest.approx(
                 via_fields, rel=1e-10, abs=1e-11
             )
 
 
-def _per_key_dbar(fr, omega):
+def _per_key_dbar(fr, components):
     """The alternating sum of dbar over the components a form has, key by
     key from 0.0, each from the horizontal derivatives of its own field jet:
     the reference for dbar_p's sum over the form's stacked jet."""
-    n, deg = fr.n, omega.degree
-    deltas = {key: fr.delta_values(fr.field_jet(fn, 1))
-              for key, fn in omega.components.items()}
+    n, deg = fr.n, len(next(iter(components)))
+    deltas = {key: fr.delta_values(fr.field_jet(fn, 1)) for key, fn in components.items()}
     out = np.zeros((len(fr.point),) + (n,) * (deg + 1))
     for K in combinations(range(n), deg + 1):
         val = 0.0
@@ -211,14 +209,8 @@ def _per_key_dbar(fr, omega):
             if d is not None:
                 val = val + (-1.0) ** q * d[..., K[q]]
         for perm in permutations(K):
-            out[(...,) + perm] = _perm_sign(perm) * val
+            out[(...,) + perm] = perm_sign(perm) * val
     return out
-
-
-class TestPiFormComponents:
-    def test_keys_must_increase(self):
-        with pytest.raises(ValueError):
-            PiForm(2, 2, {(1, 0): lambda x, y: 1.0})
 
 
 class TestAOperator:
@@ -227,7 +219,7 @@ class TestAOperator:
         s = by_name(name)
         for p in s.sample(3, seed=89):
             fr = point_frame(s, p)
-            assert np.abs(pc.a_operator(fr, tautological_field(s.n).jets(fr))).max() < 1e-12
+            assert np.abs(pc.a_operator(fr, eta(s.n).jets(fr))).max() < 1e-12
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_adjoint_identity_for_probe_fields(self, name):
@@ -257,7 +249,7 @@ class TestAOperator:
         s = by_name(name)
         for p in s.sample(3, seed=89):
             fr = point_frame(s, p)
-            assert pc.closedness_defect(fr, tautological_field(s.n).jets(fr)) < 1e-12
+            assert pc.closedness_defect(fr, eta(s.n).jets(fr)) < 1e-12
 
 
 class TestSecondDerivative:
@@ -273,14 +265,20 @@ class TestSecondDerivative:
         e = euclidean(2)
         f = lambda x, y: x[0] * y[1] ** 2
         p = e.sample(1, seed=97)[0]
-        res = pc.dbar_sq(point_frame(e, p), f)
-        assert np.abs(res.nested).max() < 1e-12
-        assert np.abs(res.contracted).max() == 0.0
+        fr = point_frame(e, p)
+        fj = fr.field_jet(f, 2)
+        nested = pc.dbar_p(fr, fr.delta_jets(fj))
+        contracted = np.einsum("...mjk,...m->...jk", fr.Rhat, np.array(fj.dy))
+        assert np.abs(nested).max() < 1e-12
+        assert np.abs(contracted).max() == 0.0
+        # dbar_sq compares the same two arrays
+        assert pc.dbar_sq(fr, f).defect[0] == np.abs(nested).max()
 
     def test_nested_derivative_nonzero_on_sphere(self):
         f = lambda x, y: 0.5 * y[0] * y[0]
-        res = pc.dbar_sq(point_frame(SPHERE, SPHERE_POINTS[0]), f)
-        assert np.abs(res.nested).max() > 1e-3
+        fr = point_frame(SPHERE, SPHERE_POINTS[0])
+        nested = pc.dbar_p(fr, fr.delta_jets(fr.field_jet(f, 2)))
+        assert np.abs(nested).max() > 1e-3
 
 
 class TestGradientIdentity:
@@ -402,9 +400,10 @@ class TestInvolutivity:
     def test_two_dimensional_complement_has_no_pairs(self):
         p = SPHERE_POINTS[0]
         fr = point_frame(SPHERE, p)
-        rep = pc.involutivity_report(fr, tautological_field(2).jets(fr))
-        assert rep.bracket_pairings.size == 0
-        assert rep.defect == 0.0
+        rep = pc.involutivity_report(fr, eta(2).jets(fr))
+        # one complement field: no bracket is taken, so nothing raises the scale
+        assert rep.defect == 0.0 and rep.identity_defect == 0.0
+        assert rep.scale == 1.0
 
     def test_projection_is_orthogonal(self):
         p = SPHERE_POINTS[1]

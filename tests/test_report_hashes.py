@@ -20,23 +20,23 @@ from finslerkit.cli import main
 from finslerkit.structures import by_name
 
 REPORTS = {
-    ("conformal_quartic2", 20): "9b33d301d246e482f8bb6c58387dfb7dbea62ef816fe5eebcab51a98c70dbe6e",
-    ("euclidean2", 20): "b22100739fc09bee2932eea48567a44b310af9bac4bb7e4874afc0118d330f4f",
-    ("euclidean3", 20): "e2b21f1ce297f32446cfbe5c55fa500afe02f29a86ae0ea05705195e00615209",
-    ("minkowski_quartic2", 20): "7e61539785a0b6b8bc4b73bf9b728a93c27d2bff7166680ea626e3f801f7b431",
-    ("minkowski_quartic3", 20): "8948158ce6b88a3e409b3b360fc5c612f4e0163e8c4303537ff37ff6efad22a9",
-    ("randers_sphere2", 20): "d277241563d2ea2338d1216e5a4f7a5ebd46f05bc504529b4d6318fca64db956",
-    ("sphere2", 20): "d10fbe17d649aceab0ff90da9a7d27314e9a24ef9b21a5648131ec689754064b",
-    ("euclidean3", 200): "e832417dfd3d8c10603d754c8890166231a1395e410666d42c08cf26e11e727a",
-    ("sphere2", 200): "1e209769b978dd7ed4206f838fefd85dbee18bf0f715d997b23380a3232ff6d2",
-    ("sphere2", 1000): "ca7e9dfdf669e3e3ef992a3dbba4c066b134d6345dae22bb61529f5016ddd0ac",
+    ("conformal_quartic2", 20): "ac20a7ea6c44d7d9924a46877c51cdf3d86106572f489df00b5a50c75e25f51d",
+    ("euclidean2", 20): "cf6f800fd38859582b8fde25a32a15bdcb9668f0596b60e8e1b1e11a930ac2a2",
+    ("euclidean3", 20): "6d86e68ab58c420b8ec2b83a15e786a87945fb7a9a6b21a56595378cbbb3bcfd",
+    ("minkowski_quartic2", 20): "53cd3e50d39b42ef5d199fc228fefffece63d3570f6a3c54161e3ebf3e4a9b9c",
+    ("minkowski_quartic3", 20): "9dfaafaec9036f13e0fd5d3683b488f5069d2e067edf7db9fad069c20c81d3d1",
+    ("randers_sphere2", 20): "4175dbf06d0e2bdd47d1377e8987ff0d0af4bfc91d070ceaaaf5efd6c682b1d1",
+    ("sphere2", 20): "5423bb361d44235141fffafdab585baaaa0a9564c8f496a41f5b939399c78e9e",
+    ("euclidean3", 200): "588fdd60f793da31045e66195a36e3da71ae0b266f9322de60ba20e7bacfb8d0",
+    ("sphere2", 200): "51667556dfdfb9e1edb50266dd65b72437a66cbaa4e1473c1335b681da74ed99",
+    ("sphere2", 1000): "7b8da834aa83b916aa6a1e039335e58400d6a7e0d5520581957833b472c41b8b",
 }
 
 # an indefinite form: every point of the sample fails, some at L (NumericalError)
 # and some at g (SingularMetricError); a batch meets L's error first, so every
 # failing check reports it, naming the first point outside the positivity cone
 INDEFINITE = {"family": "riemannian", "dim": 2, "a": [[1, 0], [0, -1]]}
-INDEFINITE_SHA256 = "b0dddae35d1247b1f95e82d2a81f4f95f0d54eee8048caa81f5c003e38a599d1"
+INDEFINITE_SHA256 = "e45d65703e1de537196088ad0ba3eb3ebe69bad6b268fdf86dc9857c45e7dffc"
 
 # g is indefinite only near the origin, where a_11 = |x|^2 - 0.1 < 0: the first
 # failing point of these samples comes late (index 15 at seed 0, 12 at seed 30),
@@ -49,8 +49,8 @@ LATE = {"family": "riemannian", "dim": 2,
                                      {"coef": 1, "powers": [0, 2]},
                                      {"coef": -0.1, "powers": [0, 0]}]}]]}
 LATE_SHA256 = {
-    0: "1648670d5dca41894d88bb7e8e8088195d0e58bac596e454c6d0f626e569eb95",
-    30: "d852247f4898584b1e73089c3be2e9783e32766f36585c7f82dce5685d5d808b",
+    0: "d1fa24c2a7629cf35c3e0cf634864c97f15dd649f0a58d3b2a94db766eb9f0e1",
+    30: "fcd8751fcb52ebc32ae4687da314936f378de3c381daf3f0c1f587d50dfbb320",
 }
 
 # --floor 1e3 (20 points, seed 0): no negative control clears the floor, so
@@ -58,11 +58,11 @@ LATE_SHA256 = {
 # thm2.8.curved reads the curved sample as flat (REPORT-ONLY), and prop.randers
 # FAILs, since its non-closed form stays below the floor on both structures
 FLOOR_1E3_SHA256 = {
-    "sphere2": "2bef0826129ee7d53e2c7859a6878868911f73941f5634f4840bc391fd2e763c",
-    "conformal_quartic2": "9274d345681a01115de057efa612b700f729ea277e01dabe69931e969af7b6de",
+    "sphere2": "271df1e9699f1b6cfd480c521779dbca11e5417f4218fca9ce634a467f5c1064",
+    "conformal_quartic2": "c7b6fab1396e4c7b78a8a72319fd1e81f9c1bf2e4c550bbb3bd7932f666c3f13",
 }
 
-LIST_CHECKS_SHA256 = "b43d4a60a46758d38e1f3137e438b9eaa99a3f20439b2027cc525529a25e73a5"
+LIST_CHECKS_SHA256 = "51e996201e4fc1ef8b1b26bf8884bbe3d616c618805daa907812fe7c97510277"
 
 
 def _verify_sha256(tmp_path, metric, points, seed=0, floor="1e-3"):

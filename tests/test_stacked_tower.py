@@ -18,7 +18,7 @@ from finslerkit import frame as frame_module
 from finslerkit.checks import _probe_fields, _probe_scalars, check_ids, run_checks
 from finslerkit.chart import ChartPoint
 from finslerkit.errors import FinslerError, SingularMetricError
-from finslerkit.fields import (GradientField, PiForm, PiVectorField, covector_jets,
+from finslerkit.fields import (GradientField, PiVectorField, covector_jets,
                                drift_companion_jets, project_away)
 from finslerkit.frame import PointFrame, point_frame
 from finslerkit.jets import Jet, jet_solve
@@ -162,14 +162,14 @@ def _entry_point_calls(s):
     probes = _probe_fields(s, 0, 26)
     scalars = _probe_scalars(s, 0, 88)
     closed = GradientField(scalars[1])
-    form = PiForm.one_form(n, [(lambda i: (lambda x, y: x[i] * y[0]))(i) for i in range(n)])
+    form = {(i,): (lambda i: (lambda x, y: x[i] * y[0]))(i) for i in range(n)}
     drift = _drift(s)
     star = randers_change(s, drift, validate=False)
     tilde = conformal_change(s, lambda x: 0.3 * x[0] * x[-1])
     return [
-        ("dbar_p", lambda fr: pc.dbar_p(fr, form.jets(fr))),
-        ("dbar_1_on_fields", lambda fr: pc.dbar_1_on_fields(
-            fr, form.jets(fr), probes[0].jets(fr), probes[3].jets(fr))),
+        ("dbar_p", lambda fr: pc.dbar_p(fr, oracle.form_jets(fr, form))),
+        ("dbar_1_on_fields", lambda fr: oracle.dbar_1_on_fields(
+            fr, oracle.form_jets(fr, form), probes[0].jets(fr), probes[3].jets(fr))),
         ("a_operator", lambda fr: pc.a_operator(fr, probes[4].jets(fr))),
         ("closedness_defect", lambda fr: pc.closedness_defect(fr, probes[5].jets(fr))),
         ("flat_form_and_selfadjoint_matrix",

@@ -191,6 +191,19 @@ class TestSpecLoader:
         with pytest.raises(ValueError, match="unknown metric family"):
             structure_from_spec({"family": ["euclidean"], "dim": 2})  # unhashable
 
+    @pytest.mark.parametrize("name", [["x"], {"x": 1}, 3, None])
+    @pytest.mark.parametrize("spec", [
+        {"family": "riemannian", "dim": 2, "a": [[1, 0], [0, 1]]},
+        {"family": "randers", "base": {"family": "riemannian", "preset": "sphere2"},
+         "b": [0.1, 0.0]},
+        {"family": "conformal", "base": {"family": "euclidean", "dim": 2}, "sigma": 0.3},
+    ], ids=["riemannian", "randers", "conformal"])
+    def test_a_name_must_be_a_string(self, spec, name):
+        # the name is printed by `finsler eval` and written as a report's metric_name
+        with pytest.raises(ValueError, match="metric field 'name' must be a string"):
+            structure_from_spec(dict(spec, name=name))
+        assert structure_from_spec(dict(spec, name="mine")).name == "mine"
+
 
 class TestFrameGuards:
     def test_riemannian_metric_callable_recorded(self):

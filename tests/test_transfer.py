@@ -168,10 +168,12 @@ class TestConformalTransfer:
         tilde = conformal_change(s, 0.25)
         for p in s.sample(4, seed=137):
             fr = point_frame(s, p)
-            rep = pc.conformal_closedness_transfer(fr, point_frame(tilde, p), X.jets(fr))
+            frt = point_frame(tilde, p)
+            rep = pc.conformal_closedness_transfer(fr, frt, X.jets(fr))
             assert rep.scaling_residual < 1e-10 * rep.scale
             assert rep.leibniz_residual < 1e-10 * rep.scale
-            assert rep.sigma_value == 0.25
+            sigma = frt.structure.meta["sigma_fn"]
+            assert fr.field_jet(lambda x, y: sigma(x), 1).value == 0.25
 
     def test_linear_sigma_on_flat_base_frozen_value(self):
         e = euclidean(2)
@@ -179,13 +181,16 @@ class TestConformalTransfer:
         tilde = conformal_change(e, lambda x: x[0])
         for p in e.sample(3, seed=137):
             fr = point_frame(e, p)
-            rep = pc.conformal_closedness_transfer(fr, point_frame(tilde, p), X.jets(fr))
+            frt = point_frame(tilde, p)
+            rep = pc.conformal_closedness_transfer(fr, frt, X.jets(fr))
             assert rep.leibniz_residual < 1e-10 * rep.scale
             # base form is closed, so the wedge term is the whole derivative
             assert rep.tilde_base_defect < 1e-10
             assert rep.prediction_residual < 1e-10 * rep.scale
             expected = 2.0 * np.exp(2.0 * p.x[0])
-            assert rep.actual[0, 0, 1] == pytest.approx(expected, rel=1e-11)
+            actual = pc.dbar_p(frt, frt.flat_jets(X.jets(fr)))  # dbar~ i_X g~
+            assert actual[0, 0, 1] == pytest.approx(expected, rel=1e-11)
+            assert rep.actual_defect == np.abs(actual).max()
             assert rep.actual_defect > 1e-3
 
     def test_leibniz_shape_on_quartic_base(self):

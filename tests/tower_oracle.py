@@ -10,7 +10,10 @@ built on them (`field_jets`, `drift_companion_jets`, `lowered_jets`,
 `projected_jets`, `dbar_matrix`, `bracket`, `nabla_h_matrix` below), which
 take lists of scalar component jets and a frame on one point, whose point 0
 they read. `gauss_jordan_solve` is an independent algorithm for the same
-solves, which the recursion is compared with to round-off.
+solves, which the recursion is compared with to round-off. `form_jets`
+builds the stacked jet of a form's components that `picalc.dbar_p` takes,
+and `dbar_1_on_fields` is the invariant formula its components are checked
+against.
 Index conventions match the frame:
 
     g_jets[i][j]        g_ij, order 2
@@ -23,12 +26,15 @@ Index conventions match the frame:
 
 import math
 from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
 from finslerkit.errors import CapabilityError, DegenerateFieldError, SingularMetricError
 from finslerkit.fields import ComponentField, GradientField
+from finslerkit.frame import dot
 from finslerkit.jets import MAX_ORDER, Jet, jet_eval
+from finslerkit.picalc import _bracket
 
 _PIVOT_FLOOR = 1e-120
 
@@ -367,3 +373,46 @@ def nabla_h_matrix(frame, Xjets):
     out = np.array([frame.delta_values(jet)[0] for jet in Xjets])
     out += np.einsum("ikj,k->ij", frame.F[0], vals)
     return out
+
+
+# -- forms -----------------------------------------------------------------------
+
+
+def perm_sign(key) -> float:
+    """The sign of the permutation that sorts `key`: -1.0 to the number of
+    its inversions."""
+    inversions = sum(a > b for i, a in enumerate(key) for b in key[i + 1:])
+    return -1.0 if inversions % 2 else 1.0
+
+
+def form_jets(frame, components):
+    """The stacked order-1 jet of a form's components on a frame, the input
+    of `picalc.dbar_p`: `components` maps increasing index tuples K, all of
+    one length (the degree), to callables (x, y) -> w_K. After the frame's
+    point axis comes one (n,) axis per degree: w[..., K, :] is the jet of
+    w_K, antisymmetric in K, and zero where a component is absent."""
+    n = frame.n
+    degree = len(next(iter(components)))
+    out = Jet.constant(2 * n, 1, np.zeros((len(frame.point),) + (n,) * degree))
+    for key, fn in components.items():
+        jet = frame.field_jet(fn, 1).coeffs
+        for perm in permutations(key):
+            out.coeffs[(...,) + perm + (slice(None),)] = perm_sign(perm) * jet
+    return out
+
+
+def dbar_1_on_fields(fr, w, Xj, Yj):
+    """(dbar omega)(X, Y) through the field formula
+
+        bX(omega(Y)) - bY(omega(X)) - omega(rho[bX, bY]),
+
+    where b marks the horizontal lift, from the order-1 jets of the 1-form
+    omega and of X and Y. Used to certify that the component formula of
+    dbar_p is the coordinate expression of this invariant one.
+    """
+    if w.coeffs.ndim != 3:  # point, component and table axes
+        raise ValueError("dbar_1_on_fields expects a 1-form")
+    # X^k delta_k (omega(Y)) and Y^k delta_k (omega(X)), summed over k in index order
+    first = sum(np.moveaxis(Xj.value * fr.delta_values((w * Yj).sum_last()), -1, 0))
+    second = sum(np.moveaxis(Yj.value * fr.delta_values((w * Xj).sum_last()), -1, 0))
+    return first - second - dot(w.value, _bracket(fr, Xj, Yj))
