@@ -39,8 +39,8 @@ from . import connections, curvature, picalc
 from .chart import ChartPoint
 from .errors import FinslerError
 from .fields import ComponentField, GradientField, constant_field, covector_jets
-from .frame import PointFrame, antisymmetric, dot, located_jet_eval, matvec, max_abs, pymax
-from .jets import fd_partial, index_table
+from .frame import PointFrame, antisymmetric, dot, matvec, max_abs, pymax
+from .jets import fd_partial, index_table, jet_eval
 from .structures import FinslerStructure, conformal_change, randers_change
 
 PASS = "PASS"
@@ -536,9 +536,9 @@ def _check_randers(fr, tol, floor, seed):
 @check("thm2.16.conformal", "dbar~ i_X g~ = e^{2s}(2 ds wedge i_X g + dbar~ i_X g)")
 def _check_conformal(fr, tol, floor, seed):
     Xj = constant_field([0.0, 1.0] + [0.0] * (fr.n - 2)).jets(fr)
-    rep_c, rep_l = (picalc.conformal_closedness_transfer(fr, fr.derived(tilde), Xj)
-                    for tilde in (conformal_change(fr.structure, 0.25),
-                                  conformal_change(fr.structure, lambda x: x[0])))
+    # a generator, so each tilde frame is freed once its report is made
+    tildes = (fr.derived(conformal_change(fr.structure, s)) for s in (0.25, lambda x: x[0]))
+    rep_c, rep_l = picalc.conformal_closedness_transfer(fr, tildes, Xj)
     # the wedge prediction applies where dbar~ of the base form vanishes
     applicable = rep_l.tilde_base_defect < tol * rep_l.scale
     sweep = _Sweep(fr.point)
@@ -566,7 +566,7 @@ def _check_jets_fd(fr, tol, floor, seed):
     multis = index_table(2 * fr.n, 3)[0][1:]  # every multi-index of degree 1 to 3
     sub = fr.point[:3]
     # [point, (field, multi)]: one stacked jet per field, one difference scheme per entry
-    stacked = [located_jet_eval(f, sub, 3) for f in fields]
+    stacked = [jet_eval(f, sub, 3) for f in fields]
     exact = np.stack([jet.partial(multi) for jet in stacked for multi in multis], axis=-1)
     approx = np.array([[fd_partial(f, p, multi) for f in fields for multi in multis]
                        for p in sub])

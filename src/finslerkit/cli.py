@@ -118,7 +118,10 @@ def _parse_at(text: str, n: int) -> ChartPoint:
         key = key.strip()
         if key in parts:
             raise ValueError(f"--at gives {key!r} twice")
-        parts[key] = [float(v) for v in rest.split(",") if v.strip()]
+        values = rest.split(",")
+        if not all(v.strip() for v in values):
+            raise ValueError(f"--at gives an empty component of {key!r}")
+        parts[key] = [float(v) for v in values]
     if set(parts) != {"x", "y"}:
         raise ValueError('--at must look like "x=0.1,0.2;y=1.0,0.5"')
     if len(parts["x"]) != n or len(parts["y"]) != n:

@@ -29,8 +29,8 @@ to every check. The calculus modules (`picalc`, `connections`, `curvature`)
 take the frame they compute on. Where a batch cannot compute a quantity at
 every point (a point outside the positivity cone, a singular metric), the
 quantity raises for the whole batch, with an error that names the point it
-failed at (through `located_jet_eval` for a field, and in `E_jet` for a
-numpy overflow of L^2).
+failed at (`jets.jet_eval` locates a field's error, and `E_jet` a numpy
+overflow of L^2).
 
 A frame may stand on a base frame: `frame.derived(structure)` is the frame
 of a Randers or conformal change of `frame.structure` at the same points.
@@ -46,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chart import ChartPoint
-from .errors import DomainError, NumericalError, SingularMetricError
+from .errors import DomainError, SingularMetricError
 from . import jets
 from .jets import MAX_ORDER, Jet, jet_eval
 
@@ -145,7 +145,7 @@ class PointFrame:
         else:  # the float pass still runs the change's own Lagrangian
             lift, base = self.structure.meta["lift"], self._base.L_jet
             fn = lambda x, y: lift(x, y, base)
-        jet = located_jet_eval(fn, self.point, MAX_ORDER, in_cone)
+        jet = jet_eval(fn, self.point, MAX_ORDER, in_cone)
         value = jet.coeffs.T[0]
         bad = value <= 0.0
         if bad.any():
@@ -371,7 +371,7 @@ class PointFrame:
     def field_jet(self, fn, order: int) -> Jet:
         """Jet of a scalar field (x, y) -> value, one stacked jet over the
         frame's points, read-only and evaluated at each call (not kept)."""
-        jet = located_jet_eval(fn, self.point, order)
+        jet = jet_eval(fn, self.point, order)
         _freeze(jet)
         return jet
 
@@ -380,24 +380,6 @@ def _outside_cone(value, at) -> DomainError:
     """L_jet's error at the chart point `at`, where L takes `value` <= 0."""
     return DomainError(f"Lagrangian is {value:.3g} <= 0 at {at}; "
                        "point lies outside the positivity cone")
-
-
-def located_jet_eval(fn, points, order: int, float_fn=None) -> Jet:
-    """jet_eval(fn, points, order) at a tuple of chart points. If it
-    raises a NumericalError or an ArithmeticError, `float_fn` (default `fn`)
-    runs on floats point by point, and the first point that raises re-raises
-    its own error, naming the point; if none does, the stacked error stands.
-    Any other error of `float_fn` (L_jet's cone error, which names its point
-    itself) passes through. `jet_eval` is read from this module at each call."""
-    try:
-        return jet_eval(fn, points, order)
-    except (NumericalError, ArithmeticError) as exc:
-        for p in points:
-            try:
-                (float_fn or fn)(p.x, p.y)  # a non-finite value is jet_eval's error
-            except (NumericalError, ArithmeticError) as alone:
-                raise type(alone)(f"{alone} at {p}") from exc
-        raise
 
 
 def point_frame(structure, point) -> PointFrame:

@@ -1,19 +1,20 @@
 """Truncated multivariate jet arithmetic over the 2n chart variables.
 
-A Jet holds the raw partial derivatives (not Taylor coefficients) of a
-smooth function at one point, for every multi-index of total degree up to
+A jet table holds the raw partial derivatives (not Taylor coefficients) of
+a smooth function at one point, for every multi-index of total degree up to
 `order`. The multi-index table is graded by degree, so the table of a
 lower order is always a prefix of a higher one; truncation is a slice and
 mixed-partial symmetry is structural (one slot per sorted multi-index).
 Slot 0 is the value, then the first partials, x first (`Jet.dx`, `Jet.dy`).
 
-A Jet may also hold a stack of such tables: `coeffs` has shape (..., T),
-leading axes and the graded table of length T last. Ring operations
-broadcast over the leading axes and `jet[i]` is the sub-jet as a view, so
-one operation serves every component of a tensor, and every point of a
-sample when the leading axis runs over points (vector Taylor propagation,
-Griewank & Walther, *Evaluating Derivatives*, ch. 13). `jet_eval` at a
-sequence of points evaluates a field once on stacked coordinate jets.
+A Jet holds a stack of such tables: `coeffs` has shape (..., T), leading
+axes and the graded table of length T last. Ring operations broadcast over
+the leading axes and `jet[i]` is the sub-jet as a view, so one operation
+serves every component of a tensor, and every point of a sample when the
+leading axis runs over points (vector Taylor propagation, Griewank &
+Walther, *Evaluating Derivatives*, ch. 13). `jet_eval` evaluates a field
+once on stacked coordinate jets at a sequence of chart points, one point
+being a sequence of one, and names the point where the evaluation fails.
 
 Products use the Leibniz rule in raw-derivative form,
 
@@ -21,12 +22,12 @@ Products use the Leibniz rule in raw-derivative form,
 
 with the binomial weights precomputed per (nvars, order). Each output slot
 sums its terms in one fixed order whatever the stack shape, so a stacked
-product equals the component-wise scalar products bit for bit. The terms
-are summed in one of two ways. A single jet and a small stack add them
-with one `np.bincount` over the output slots. A large stack is multiplied
+product equals the component-wise products bit for bit. The terms are
+summed in one of two ways. One output row and a small stack add them with
+one `np.bincount` over the output slots. A large stack is multiplied
 coefficient-major, as vector Taylor propagation keeps its direction axis:
 the table axis goes first and each term of a slot program is one
-contiguous row over all points and components. A single jet and a large
+contiguous row over all points and components. One output row and a large
 stack are also support-aware, as vector Taylor propagation carries the
 sparsity of its seeds: a term runs only when both of its operand columns
 are nonzero (somewhere in the stack, for a large one), which drops most of
@@ -35,9 +36,9 @@ constants.
 Transcendental functions go through Taylor composition in the jet ring, so
 everything is exact to round-off for the smooth closed-form fields used
 here; a stack's Taylor coefficients are built per degree over all its value
-parts, from the same Python float seeds and IEEE operations as a scalar
-jet's, so a stacked function equals the component-wise scalar results bit
-for bit too.
+parts, from the same Python float seeds and IEEE operations for every
+value part, so a stacked function equals the component-wise results bit for
+bit too.
 
 The module also carries the jet linear solve (`jet_solve`) and the
 finite-difference oracle (`fd_partial`) that certifies jet output in tests.
@@ -160,10 +161,10 @@ def _leibniz(nvars: int, order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray
     +0.0 start, as `np.bincount` does, so a stacked product equals the
     scalar products bit for bit, down to the sign of a zero. Order 1 has the
     closed form (0 + a0 b_k) + a_k b0. Above it the terms are summed one of
-    two ways. By bincount: one output row, from (T,), (1, T) or (1, 1, T)
-    tables, runs the `_point_program` of the nonzero masks on the flat
-    tables, and a small stack runs every term of every row in one bincount
-    over the row-offset slots io + T row. Coefficient-major, for a large
+    two ways. By bincount: one output row (a product at one point, whatever
+    its operands' leading ones) runs the `_point_program` of the nonzero
+    masks on the flat tables, and a small stack runs every term of every row
+    in one bincount over the row-offset slots io + T row. Coefficient-major, for a large
     stack: both operands become (T, S) arrays over the S output rows, their
     supports (`any` along the rows) pick the `_live_program`, and its column
     c adds the contiguous rows (w_c A[ia_c]) B[ib_c] onto the first k_c
@@ -258,8 +259,8 @@ class Jet:
     """Raw-derivative jet of a scalar function at a point, or a stack of them.
 
     `coeffs` has shape (..., T): any leading axes (points, then tensor
-    components), then the graded table. Readouts of a stack (`value`, `dx`,
-    `dy`, `partial`) are arrays over the leading axes.
+    components), then the graded table. Readouts (`value`, `dx`, `dy`,
+    `partial`) are arrays over the leading axes.
     """
 
     __slots__ = ("nvars", "order", "coeffs")
@@ -300,11 +301,7 @@ class Jet:
         return cls(first.nvars, first.order, np.stack([j.coeffs for j in jets], axis=-2))
 
     def __getitem__(self, key):
-        """Sub-jet of a stack over its leading axes, sharing coefficients. A
-        scalar jet takes only keys that begin with `...`, such as
-        `jet[..., None, :]`, which stands it against a stack."""
-        if self.coeffs.ndim == 1 and not (type(key) is tuple and key and key[0] is Ellipsis):
-            raise TypeError("a scalar jet has no tensor axes to index")
+        """Sub-jet of a stack over its leading axes, sharing coefficients."""
         return Jet(self.nvars, self.order, self.coeffs[key])
 
     def sum_last(self) -> "Jet":
@@ -318,13 +315,9 @@ class Jet:
 
     # -- readout ---------------------------------------------------------
 
-    def _slot(self, i):
-        c = self.coeffs
-        return float(c[i]) if c.ndim == 1 else c[..., i]
-
     @property
-    def value(self):
-        return self._slot(0)
+    def value(self) -> np.ndarray:
+        return self.coeffs[..., 0]
 
     @property
     def dx(self) -> np.ndarray:
@@ -347,7 +340,7 @@ class Jet:
                 f"degree {sum(multi)} exceeds stored jet order {self.order}"
             )
         _, pos = index_table(self.nvars, self.order)
-        return self._slot(pos[multi])
+        return self.coeffs[..., pos[multi]]
 
     def truncated(self, order: int) -> "Jet":
         if order > self.order:
@@ -483,9 +476,9 @@ def _taylor(u: Jet, series) -> Jet:
 # the stack. The transcendental seed stays a Python float operation per
 # value part: numpy's power and exp may differ from float ** and `math` by
 # an ulp. A seed's power keeps its float division or product in the same
-# expression: that raises ZeroDivisionError on an underflowed power, as a
-# scalar jet always did, and keeps the reciprocal, power and log of a
-# single jet free of numpy calls.
+# expression: that raises ZeroDivisionError on an underflowed power, as
+# float arithmetic does, and keeps the reciprocal, power and log seeds free
+# of numpy calls.
 
 
 def _binom_real(r: float, m: int) -> float:
@@ -599,45 +592,51 @@ def cos(u):
 # -- evaluation of scalar fields ------------------------------------------
 
 
-def coordinate_jets(point, order: int):
-    """Coordinate jets (x-list, y-list) seeding jet evaluation at `point`.
-
-    A chart point seeds as its (2n,) coordinate row, a sequence of them as
-    (P, 2n) rows, into one `Jet.variable` stack z over the 2n slots; its row
-    `z[..., s, :]` is coordinate s, with a leading point axis for a sequence
-    (vector Taylor propagation seeds one point as a stack of one)."""
-    rows = np.asarray(point.coords() if isinstance(point, ChartPoint)
-                      else [p.x + p.y for p in point])
+def coordinate_jets(points, order: int):
+    """Coordinate jets (x-list, y-list) seeding jet evaluation at a sequence
+    of chart points: their (P, 2n) coordinate rows seed one `Jet.variable`
+    stack z, whose row `z[:, s, :]` is coordinate s."""
+    rows = np.asarray([p.x + p.y for p in points])
     nvars = rows.shape[-1]
     z = Jet.variable(nvars, order, range(nvars), rows)
-    jets = [z[..., s, :] for s in range(nvars)]
+    jets = [z[:, s, :] for s in range(nvars)]
     return jets[:nvars // 2], jets[nvars // 2:]
 
 
-def jet_eval(field, point, order: int) -> Jet:
-    """Evaluate `field(x, y)` in jet arithmetic at a chart point.
+def jet_eval(field, points, order: int, float_fn=None) -> Jet:
+    """Evaluate `field(x, y)` in jet arithmetic at a sequence of chart points.
 
     `field` must be written against the generic math functions of this
-    module so the same callable also works on plain floats. At a sequence
-    of chart points the field runs once on stacked coordinate jets and the
-    result has a leading point axis; each point's slice equals `jet_eval` at
-    that point alone, bit for bit. An error at any point raises for all.
+    module so the same callable also works on plain floats. It runs once on
+    stacked coordinate jets, so the result has a leading point axis, and
+    each point's slice equals `jet_eval` at `(point,)` alone, bit for bit.
     Whether a point is admissible is for the caller to ask (`PointFrame`
-    asks its structure).
+    asks its structure). An error at any point raises for all. For a
+    NumericalError or an ArithmeticError, `float_fn` (default `field`) runs
+    on floats point by point, and the first point that raises re-raises its
+    own error with ` at ChartPoint(...)` appended; if none does, the stacked
+    error stands. Any other error of `float_fn` (`PointFrame.L_jet`'s cone
+    error, which names its point itself) passes through.
     """
     if order > MAX_ORDER:
         raise CapabilityError(f"jet order {order} exceeds the supported maximum {MAX_ORDER}")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    single = isinstance(point, ChartPoint)
-    xj, yj = coordinate_jets(point, max(order, 1))
-    out = field(xj, yj)
-    if not isinstance(out, Jet):
-        value = float(out) if single else np.full(len(point), float(out))
-        out = Jet.constant(xj[0].nvars, max(order, 1), value)
-    if not np.isfinite(out.coeffs).all():
-        bad = point if single else point[int(np.argmin(np.isfinite(out.coeffs).all(-1)))]
-        raise NumericalError(f"field produced non-finite jet coefficients at {bad}")
+    xj, yj = coordinate_jets(points, max(order, 1))
+    try:
+        out = field(xj, yj)
+        if not isinstance(out, Jet):
+            out = Jet.constant(xj[0].nvars, max(order, 1), np.full(len(points), float(out)))
+        if not np.isfinite(out.coeffs).all():
+            bad = points[int(np.argmin(np.isfinite(out.coeffs).all(-1)))]
+            raise NumericalError(f"field produced non-finite jet coefficients at {bad}")
+    except (NumericalError, ArithmeticError) as exc:
+        for p in points:
+            try:
+                (float_fn or field)(p.x, p.y)  # a non-finite value is the stacked error
+            except (NumericalError, ArithmeticError) as alone:
+                raise type(alone)(f"{alone} at {p}") from exc
+        raise
     return out.truncated(order) if out.order > order else out
 
 

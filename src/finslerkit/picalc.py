@@ -369,12 +369,14 @@ class ConformalTransferReport:
     scale: np.ndarray
 
 
-def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
-                                  Xj: Jet) -> ConformalTransferReport:
-    """Track the lowered form of X across the rescaling L~ = e^sigma L, from
-    a frame `fr` of the base structure, a frame `frt` of the rescaled one at
-    the same points, and the order-1 jets `Xj` of X's components, which
-    serve both frames; sigma is read from `frt.structure.meta["sigma_fn"]`.
+def conformal_closedness_transfer(fr: PointFrame, frts, Xj: Jet) -> tuple:
+    """Track the lowered form omega = i_X g of X across rescalings
+    L~ = e^sigma L, from a frame `fr` of the base structure, an iterable
+    `frts` of frames of rescaled ones at the same points, and the order-1
+    jets `Xj` of X's components, which serve every frame; each sigma is read
+    from `frt.structure.meta["sigma_fn"]`. Returns one report per frame of
+    `frts`, which keeps no frame; omega and dbar omega are computed once for
+    all of them.
 
     omega~ = i_X g~ equals e^(2 sigma) omega, and its tilde-horizontal
     derivative obeys the exact shape
@@ -386,11 +388,16 @@ def conformal_closedness_transfer(fr: PointFrame, frt: PointFrame,
     applicable when dbar~ omega itself vanishes).
     """
     w = fr.flat_jets(Xj)
-    wt = frt.flat_jets(Xj)
-    wv = w.value.copy()
-
-    actual = dbar_p(frt, wt)
     base_matrix = dbar_p(fr, w)
+    return tuple(_rescaled_report(fr, frt, Xj, w, base_matrix) for frt in frts)
+
+
+def _rescaled_report(fr, frt, Xj, w, base_matrix) -> ConformalTransferReport:
+    """The report of one rescaled frame `frt`, from the jets `w` of omega on
+    `fr` and `base_matrix = dbar_p(fr, w)`; its (P, n, n) arrays are freed
+    on return, before the next frame is built."""
+    wv = w.value.copy()
+    actual = dbar_p(frt, frt.flat_jets(Xj))
     tilde_of_base = dbar_p(frt, w)
 
     sigma = frt.structure.meta["sigma_fn"]

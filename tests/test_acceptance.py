@@ -271,14 +271,14 @@ def test_criterion_08_conformal_transfer(capsys):
     tilde = conformal_change(e, 0.25)
     for p in pts:
         fr = point_frame(e, p)
-        rep = pc.conformal_closedness_transfer(fr, point_frame(tilde, p), X.jets(fr))
+        rep = pc.conformal_closedness_transfer(fr, (point_frame(tilde, p),), X.jets(fr))[0]
         worst_const = max(worst_const, rep.actual_defect[0], rep.scaling_residual[0])
     worst_pred = 0.0
     best_defect = 0.0
     tilde = conformal_change(e, lambda x: x[0])
     for p in pts:
         fr = point_frame(e, p)
-        rep = pc.conformal_closedness_transfer(fr, point_frame(tilde, p), X.jets(fr))
+        rep = pc.conformal_closedness_transfer(fr, (point_frame(tilde, p),), X.jets(fr))[0]
         worst_pred = max(worst_pred, rep.prediction_residual[0] / rep.scale[0])
         best_defect = max(best_defect, rep.actual_defect[0])
     ok = worst_const < 1e-7 and worst_pred < 1e-7 and best_defect > 1e-3
@@ -304,7 +304,7 @@ def test_criterion_09_derivatives_match_finite_differences(capsys):
         ]
         for p in s.sample(3, seed=SEED):
             for f in fields:
-                jet = jets.jet_eval(f, p, 3)
+                jet = jets.jet_eval(f, (p,), 3)[0]
                 for m in multis:
                     ad = jet.partial(m)
                     fd = jets.fd_partial(f, p, m)

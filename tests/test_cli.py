@@ -364,6 +364,13 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("at", ["x=0.1,,0.2;y=1.0,0.5", "x=0.1,0.2,;y=1.0,0.5"])
+    def test_an_empty_point_component_is_rejected(self, capsys, at):
+        # an empty component must not be dropped, leaving x = (0.1, 0.2)
+        code = main(["eval", "--metric", "sphere2", "--at", at, "--object", "Sc"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --at gives an empty component of 'x'\n"
+
     def test_a_repeated_point_key_is_rejected(self, capsys):
         # the last of a repeated key must not silently win
         code = main(["eval", "--metric", "sphere2", "--at", "x=0.1,0.2;x=0.3,0.4;y=1.0,0.5",

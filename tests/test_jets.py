@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from finslerkit.chart import ChartPoint
 from finslerkit.checks import _quadratic_scalar
-from finslerkit.errors import CapabilityError, NumericalError
+from finslerkit.errors import CapabilityError, DomainError, NumericalError
 from finslerkit.jets import (
     MAX_ORDER,
     _COEFFICIENT_MAJOR_WORK,
@@ -57,7 +57,7 @@ def multi(nvars, **kw):
 class TestPolynomialExactness:
     def test_quadratic_partials(self):
         f = lambda x, y: x[0] ** 2 * y[1] + 3.0 * x[1] * y[0]
-        jet = jet_eval(f, P, 3)
+        jet = jet_eval(f, (P,), 3)[0]
         x0, x1 = P.x
         y0, y1 = P.y
         assert jet.value == pytest.approx(x0 ** 2 * y1 + 3 * x1 * y0, abs=1e-15)
@@ -72,7 +72,7 @@ class TestPolynomialExactness:
 
     def test_quartic_pure_power(self):
         f = lambda x, y: y[0] ** 4
-        jet = jet_eval(f, P, 4)
+        jet = jet_eval(f, (P,), 4)[0]
         y0 = P.y[0]
         assert jet.partial(multi(4, s2=2)) == pytest.approx(12 * y0 ** 2, rel=1e-14)
         assert jet.partial(multi(4, s2=3)) == pytest.approx(24 * y0, rel=1e-14)
@@ -80,7 +80,7 @@ class TestPolynomialExactness:
 
     def test_mixed_partial_symmetry_is_structural(self):
         f = lambda x, y: sin(x[0] * y[1]) * exp(x[1])
-        jet = jet_eval(f, P, 3)
+        jet = jet_eval(f, (P,), 3)[0]
         a = jet.partial(multi(4, s0=1, s1=1, s3=1))
         # one storage slot per sorted multi-index, so the "other order"
         # reads the same table entry
@@ -93,7 +93,7 @@ class TestFrozenValues:
     def test_quartic_norm_first_fiber_partial(self):
         f = lambda x, y: sqrt(y[0] ** 4 + y[1] ** 4)
         p = ChartPoint(x=(0.0, 0.0), y=(1.0, 1.0))
-        jet = jet_eval(f, p, 2)
+        jet = jet_eval(f, (p,), 2)[0]
         # d/dy0 (y0^4 + y1^4)^(1/2) = 2 y0^3 / sqrt(y0^4 + y1^4) = sqrt(2)
         assert jet.dy[0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
         # d2/dy0^2 = 6 y0^2/sqrt(u) - 4 y0^6 u^(-3/2) = 2 sqrt(2)
@@ -101,7 +101,7 @@ class TestFrozenValues:
 
     def test_homogeneous_norm_euler_identity(self):
         f = lambda x, y: sqrt(y[0] ** 2 + y[1] ** 2)
-        jet = jet_eval(f, P, 1)
+        jet = jet_eval(f, (P,), 1)[0]
         val = jet.value
         euler = P.y[0] * jet.dy[0] + P.y[1] * jet.dy[1]
         assert euler == pytest.approx(val, rel=1e-14)
@@ -109,26 +109,26 @@ class TestFrozenValues:
 
 class TestTranscendentals:
     def test_exp_log_roundtrip(self):
-        xj, yj = coordinate_jets(P, 4)
+        xj, yj = coordinate_jets((P,), 4)
         u = 1.5 + xj[0] * xj[0] + yj[1]
         back = exp(log(u))
         assert np.allclose(back.coeffs, u.coeffs, atol=1e-12)
 
     def test_sqrt_squares_back(self):
-        xj, yj = coordinate_jets(P, 4)
+        xj, yj = coordinate_jets((P,), 4)
         u = 2.0 + xj[1] + yj[0] * yj[0]
         s = sqrt(u)
         assert np.allclose((s * s).coeffs, u.coeffs, atol=1e-12)
 
     def test_pythagorean_identity(self):
-        xj, yj = coordinate_jets(P, 4)
+        xj, yj = coordinate_jets((P,), 4)
         u = xj[0] * yj[1] + 0.3
         one = sin(u) * sin(u) + cos(u) * cos(u)
         expect = Jet.constant(4, 4, 1.0)
         assert np.allclose(one.coeffs, expect.coeffs, atol=1e-12)
 
     def test_powr_matches_integer_power(self):
-        xj, yj = coordinate_jets(P, 3)
+        xj, yj = coordinate_jets((P,), 3)
         u = 1.2 + yj[0]
         assert np.allclose(powr(u, 3.0).coeffs, (u ** 3).coeffs, atol=1e-12)
 
@@ -532,7 +532,7 @@ class TestStackedJets:
         assert np.shares_memory(row.coeffs, stack.coeffs)
         assert row.value == 5.0 and row.dx[0] == 6.0
         assert np.array_equal(stack.value, [0.0, 5.0])
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):  # a key into the table axis leaves no table
             row[0]
 
     def test_stack_and_sum_last_keep_index_order(self):
@@ -548,7 +548,7 @@ class TestStackedJets:
         assert scalar[..., None, :].coeffs.shape == (1, 15)
 
     def test_partial_jet_over_slots_stacks_the_partials(self):
-        jet = jet_eval(lambda x, y: exp(x[0]) * y[1] ** 3, P, 3)
+        jet = jet_eval(lambda x, y: exp(x[0]) * y[1] ** 3, (P,), 3)[0]
         stacked = jet.partial_jet(range(2, 4))
         for s, slot in enumerate(range(2, 4)):
             assert np.array_equal(stacked[s].coeffs, jet.partial_jet(slot).coeffs)
@@ -663,7 +663,7 @@ class TestStackedEvaluation:
         stack = jet_eval(_probe_polynomial, pts, order)
         assert stack.order == order
         for i, p in enumerate(pts):
-            assert jet_eval(_probe_polynomial, p, order).coeffs.tobytes() \
+            assert jet_eval(_probe_polynomial, (p,), order)[0].coeffs.tobytes() \
                 == stack.coeffs[i].tobytes()
 
     @pytest.mark.parametrize("name", CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"])
@@ -672,7 +672,7 @@ class TestStackedEvaluation:
         pts = s.sample(12, seed=4)
         stack = jet_eval(s.L, pts, MAX_ORDER)
         for i, p in enumerate(pts):
-            assert jet_eval(s.L, p, MAX_ORDER).coeffs.tobytes() == stack.coeffs[i].tobytes()
+            assert jet_eval(s.L, (p,), MAX_ORDER)[0].coeffs.tobytes() == stack.coeffs[i].tobytes()
 
     def test_constant_field_is_a_stack_of_constants(self):
         pts = by_name("euclidean2").sample(3, seed=4)
@@ -686,6 +686,53 @@ class TestStackedEvaluation:
             jet_eval(lambda x, y: sqrt(y[0] * y[0] - y[1] * y[1]), pts, 1)
 
 
+class TestLocatedErrors:
+    """An error of the stacked evaluation is located by a float pass over the
+    points."""
+
+    PTS = [ChartPoint((0.1, 0.2), (1.0, 0.5)), ChartPoint((0.3, 0.4), (0.9, 0.6)),
+           ChartPoint((0.5, 0.6), (0.8, 0.7)), ChartPoint((0.7, 0.8), (0.7, 0.8))]
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_a_field_that_raises_only_at_point_k_names_point_k(self, k):
+        # u = y0 - y1 - (y0 - y1 at point k) is 0 at point k and at least 0.2
+        # in size elsewhere, so u^2 - 0.01 is negative at point k alone
+        shift = self.PTS[k].y[1] - self.PTS[k].y[0]
+
+        def f(x, y):
+            u = y[0] - y[1] + shift
+            return sqrt(u * u - 0.01)
+
+        with pytest.raises(NumericalError) as err:
+            jet_eval(f, self.PTS, 2)
+        assert str(err.value) == (
+            f"fractional power needs a positive value part, got -0.01 at {self.PTS[k]}")
+
+    def test_the_float_error_keeps_its_own_type(self):
+        # the stacked reciprocal raises a NumericalError, floats divide by zero
+        with pytest.raises(ZeroDivisionError) as err:
+            jet_eval(lambda x, y: 1.0 / (x[0] - 0.5), self.PTS, 1)
+        assert str(err.value) == f"float division by zero at {self.PTS[2]}"
+        assert isinstance(err.value.__cause__, NumericalError)
+
+    def test_a_stacked_error_with_no_float_error_stands(self):
+        # at a subnormal value part, sqrt's second Taylor coefficient overflows
+        # (a Python float OverflowError), while sqrt itself is finite
+        pts = [ChartPoint((0.0, 0.0), (1.0, 1.0)), ChartPoint((0.0, 0.0), (5e-324, 1.0))]
+        assert sqrt(5e-324) > 0.0
+        with pytest.raises(OverflowError) as err:
+            jet_eval(lambda x, y: sqrt(y[0]), pts, 2)
+        assert "ChartPoint" not in str(err.value) and err.value.__cause__ is None
+
+    def test_a_float_fn_error_that_is_not_numerical_passes_through(self):
+        def refuse(x, y):
+            raise DomainError(f"refused at {ChartPoint(x, y)}")
+
+        with pytest.raises(DomainError) as err:
+            jet_eval(lambda x, y: sqrt(x[0] - 0.5), self.PTS, 1, refuse)
+        assert str(err.value) == f"refused at {self.PTS[0]}"
+
+
 def _unit(nvars, slot):
     return tuple(int(s == slot) for s in range(nvars))
 
@@ -696,14 +743,14 @@ class TestFirstPartials:
 
     @staticmethod
     def _jets():
-        """One field's jet at a point, its stack over two points, and a frame's
-        (P, n, n) stack of g_ij jets."""
+        """One field's jet at a point (a batch of one), its stack over two
+        points, and a frame's (P, n, n) stack of g_ij jets."""
         f = lambda x, y: exp(x[0] * y[2]) * (x[1] + y[0] * y[1]) + x[2] ** 2 * y[1]
         pts = [ChartPoint((0.3, -0.7, 0.2), (1.1, 0.4, -0.5)),
                ChartPoint((-0.1, 0.5, 0.9), (0.2, 1.3, 0.6))]
         s = by_name("minkowski_quartic3")
         g_jets = point_frame(s, tuple(s.sample(2, seed=4))).g_jets
-        return jet_eval(f, pts[0], 2), jet_eval(f, pts, 2), g_jets
+        return jet_eval(f, pts[:1], 2), jet_eval(f, pts, 2), g_jets
 
     def test_dx_and_dy_are_the_unit_partials_bit_for_bit(self):
         for jet in self._jets():
@@ -744,22 +791,22 @@ class TestOrderSemantics:
 
     def test_partial_jet_drops_order(self):
         f = lambda x, y: x[0] ** 2 * y[0]
-        jet = jet_eval(f, P, 3)
+        jet = jet_eval(f, (P,), 3)[0]
         d = jet.partial_jet(0)
         assert d.order == 2
         assert d.value == pytest.approx(2 * P.x[0] * P.y[0], rel=1e-14)
 
     def test_partial_beyond_order_raises(self):
-        jet = jet_eval(lambda x, y: y[0] ** 4, P, 2)
+        jet = jet_eval(lambda x, y: y[0] ** 4, (P,), 2)[0]
         with pytest.raises(CapabilityError):
             jet.partial(multi(4, s2=3))
 
     def test_jet_eval_rejects_excessive_order(self):
         with pytest.raises(CapabilityError):
-            jet_eval(lambda x, y: y[0], P, MAX_ORDER + 1)
+            jet_eval(lambda x, y: y[0], (P,), MAX_ORDER + 1)
 
     def test_truncation_is_prefix_slice(self):
-        jet = jet_eval(lambda x, y: exp(x[0]) * y[1], P, 4)
+        jet = jet_eval(lambda x, y: exp(x[0]) * y[1], (P,), 4)[0]
         t = jet.truncated(2)
         assert np.array_equal(t.coeffs, jet.coeffs[: t.coeffs.size])
 
@@ -774,7 +821,7 @@ FD_CASES = [
 class TestFiniteDifferenceOracle:
     @pytest.mark.parametrize("name,f", FD_CASES, ids=[c[0] for c in FD_CASES])
     def test_jet_matches_fd_to_degree_three(self, name, f):
-        jet = jet_eval(f, P, 3)
+        jet = jet_eval(f, (P,), 3)[0]
         for m in _all_multis(4, 3):
             exact = jet.partial(m)
             approx = fd_partial(f, P, m)

@@ -186,7 +186,7 @@ def _entry_point_calls(s):
         ("drift_precondition_defect",
          lambda fr: pc.drift_precondition_defect(covector_jets(fr, drift))),
         ("conformal_closedness_transfer", lambda fr: pc.conformal_closedness_transfer(
-            fr, PointFrame(tilde, fr.point), probes[0].jets(fr))),
+            fr, (PointFrame(tilde, fr.point),), probes[0].jets(fr))[0]),
         ("spray_defect", lambda fr: connections.spray_defect(fr)),
         ("deflection_defect", lambda fr: connections.deflection_defect(fr)),
         ("conservativity_defect", lambda fr: connections.conservativity_defect(fr)),
@@ -572,17 +572,25 @@ def test_a_repeated_check_id_runs_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _count_jet_evals(monkeypatch):
+    """A Counter of the functions `jet_eval` evaluates from now on: in the
+    frame (`L_jet`, `field_jet`) and in the checks (`jets.fd`)."""
+    calls = collections.Counter()
+
+    def counted(fn, *args, **kwargs):
+        calls[fn] += 1
+        return jets.jet_eval(fn, *args, **kwargs)
+
+    for module in (frame_module, checks):
+        monkeypatch.setattr(module, "jet_eval", counted)
+    return calls
+
+
 def _jet_eval_calls(monkeypatch, points):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return jets.jet_eval(*args, **kwargs)
-
-    monkeypatch.setattr(frame_module, "jet_eval", counted)  # jets.fd's evaluations too
+    calls = _count_jet_evals(monkeypatch)
     run_checks(by_name("sphere2"), check_ids(), points, 0, 1e-7, 1e-3)
     monkeypatch.undo()
-    return len(calls)
+    return sum(calls.values())
 
 
 def test_field_jet_evaluations_do_not_grow_with_the_sample(monkeypatch):
@@ -614,12 +622,36 @@ def test_a_check_evaluates_each_probe_once(monkeypatch, name, check_id, probes):
     s = by_name(name)
     fr = PointFrame(s, tuple(s.sample(10, 0)))
     fr.L_jet  # the Lagrangian's evaluation is the frame's, not the check's
-    calls = collections.Counter()
-
-    def counted(fn, *args, **kwargs):
-        calls[fn] += 1
-        return jets.jet_eval(fn, *args, **kwargs)
-
-    monkeypatch.setattr(frame_module, "jet_eval", counted)
+    calls = _count_jet_evals(monkeypatch)
     assert checks.run_check(check_id, fr, 1e-7, 1e-3, 0).verdict != checks.FAIL
     assert len(calls) == probes and set(calls.values()) == {1}, calls
+
+
+@pytest.mark.parametrize("name", ["sphere2", "euclidean3"])
+def test_the_conformal_check_lowers_and_differentiates_the_base_form_once(monkeypatch, name):
+    # omega = i_X g and dbar omega once on the sample frame, and dbar~ omega~
+    # and dbar~ omega on each of the two tildes: 5 dbar_p calls in all; the
+    # first tilde frame is freed before the second is built
+    s = by_name(name)
+    fr = PointFrame(s, tuple(s.sample(50, 0)))
+    want = checks.run_check("thm2.16.conformal", fr, 1e-7, 1e-3, 0)
+    dbar_on, flat_on, tildes, live = [], [], [], []  # on fr or not, weak tildes, live tildes
+    dbar_p, flat_jets = pc.dbar_p, PointFrame.flat_jets
+
+    def dbar(frame, w):
+        dbar_on.append(frame is fr)
+        if frame is not fr and not any(t() is frame for t in tildes):
+            tildes.append(weakref.ref(frame))
+        gc.collect()
+        live.append(sum(t() is not None for t in tildes))
+        return dbar_p(frame, w)
+
+    monkeypatch.setattr(pc, "dbar_p", dbar)
+    monkeypatch.setattr(PointFrame, "flat_jets",
+                        lambda frame, Xj: flat_on.append(frame is fr) or flat_jets(frame, Xj))
+    got = checks.run_check("thm2.16.conformal", fr, 1e-7, 1e-3, 0)
+    assert (got.verdict, got.max_residual, got.details) == (want.verdict, want.max_residual,
+                                                           want.details)
+    assert len(dbar_on) == 5 and sum(dbar_on) == 1
+    assert len(flat_on) == 3 and sum(flat_on) == 1
+    assert len(tildes) == 2 and max(live) == 1

@@ -169,7 +169,7 @@ class TestConformalTransfer:
         for p in s.sample(4, seed=137):
             fr = point_frame(s, p)
             frt = point_frame(tilde, p)
-            rep = pc.conformal_closedness_transfer(fr, frt, X.jets(fr))
+            rep = pc.conformal_closedness_transfer(fr, (frt,), X.jets(fr))[0]
             assert rep.scaling_residual < 1e-10 * rep.scale
             assert rep.leibniz_residual < 1e-10 * rep.scale
             sigma = frt.structure.meta["sigma_fn"]
@@ -182,7 +182,7 @@ class TestConformalTransfer:
         for p in e.sample(3, seed=137):
             fr = point_frame(e, p)
             frt = point_frame(tilde, p)
-            rep = pc.conformal_closedness_transfer(fr, frt, X.jets(fr))
+            rep = pc.conformal_closedness_transfer(fr, (frt,), X.jets(fr))[0]
             assert rep.leibniz_residual < 1e-10 * rep.scale
             # base form is closed, so the wedge term is the whole derivative
             assert rep.tilde_base_defect < 1e-10
@@ -202,7 +202,7 @@ class TestConformalTransfer:
         actual_seen = 0.0
         for p in q.sample(4, seed=139):
             fr = point_frame(q, p)
-            rep = pc.conformal_closedness_transfer(fr, point_frame(tilde, p), X.jets(fr))
+            rep = pc.conformal_closedness_transfer(fr, (point_frame(tilde, p),), X.jets(fr))[0]
             assert rep.leibniz_residual < 1e-9 * rep.scale
             actual_seen = max(actual_seen, rep.actual_defect)
         assert actual_seen > 1e-3
@@ -213,5 +213,5 @@ class TestConformalTransfer:
         X = constant_field([0.7, -0.2])
         p = tilde.sample(1, seed=149)[0]
         fr = point_frame(q, p)
-        rep = pc.conformal_closedness_transfer(fr, point_frame(tilde, p), X.jets(fr))
+        rep = pc.conformal_closedness_transfer(fr, (point_frame(tilde, p),), X.jets(fr))[0]
         assert rep.leibniz_residual < 1e-9 * rep.scale

@@ -96,7 +96,7 @@ class ScalarTower:
     def __init__(self, structure, point):
         self.point = point
         self.n = structure.n
-        L = jet_eval(structure.L, point, MAX_ORDER)
+        L = jet_eval(structure.L, (point,), MAX_ORDER)[0]
         self.E_jet = 0.5 * (L * L)
 
     @cached_property
@@ -295,7 +295,7 @@ def drift_companion_jets(b_fn, frame, order):
     n = frame.n
     b = [frame.field_jet((lambda i: lambda x, y: b_fn(x)[i])(i), order)[0]
          for i in range(n)]
-    yj = [jet_eval((lambda k: lambda x, y: y[k])(i), frame.point[0], order)
+    yj = [jet_eval((lambda k: lambda x, y: y[k])(i), frame.point, order)[0]
           for i in range(n)]
     alpha = b[0] * yj[0]
     for i in range(1, n):
