@@ -191,16 +191,18 @@ def _affine_field(n: int, rng, fiber: bool) -> ComponentField:
     X^i = c_i + sum_j a_ij x^j, a lift of a base field, without."""
     c0 = rng.uniform(-1.0, 1.0, size=n)
     lin = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(1 + fiber)]
-    comps = []
-    for i in range(n):
-        def comp(x, y, i=i):
+
+    def fn(x, y):
+        out = []
+        for i in range(n):
             acc = c0[i]
             for j in range(n):
                 for c, z in zip(lin, (x, y)):
                     acc = acc + c[i][j] * z[j]
-            return acc
-        comps.append(comp)
-    return ComponentField(comps, name="mixedpoly" if fiber else f"lift{c0.round(2)}")
+            out.append(acc)
+        return out
+
+    return ComponentField(fn, name="mixedpoly" if fiber else f"lift{c0.round(2)}")
 
 
 def _probe_fields(F: FinslerStructure, seed: int, tag: int):
@@ -468,18 +470,11 @@ def _check_involutive(fr, tol, floor, seed):
     "Lie_X g vs i_X dbar-g contraction, hypothesis measured not asserted",
 )
 def _check_lie(fr, tol, floor, seed):
+    zeros = [0.0] * (fr.n - 2)
     fields = [
-        constant_field([1.0] + [0.0] * (fr.n - 1)),
-        ComponentField(
-            [lambda x, y: -x[1], lambda x, y: x[0]]
-            + [(lambda k: (lambda x, y: 0.0))(k) for k in range(fr.n - 2)],
-            name="rotation",
-        ),
-        ComponentField(
-            [lambda x, y: x[0]] + [(lambda k: (lambda x, y: 0.0))(k)
-                                   for k in range(fr.n - 1)],
-            name="stretch",
-        ),
+        constant_field([1.0, 0.0] + zeros),
+        ComponentField(lambda x, y: [-x[1], x[0]] + zeros, name="rotation"),
+        ComponentField(lambda x, y: [x[0], 0.0] + zeros, name="stretch"),
     ]
 
     reports = [picalc.lie_metric_report(fr, X.jets(fr)) for X in fields]
@@ -565,9 +560,9 @@ def _check_jets_fd(fr, tol, floor, seed):
     threshold = max(tol, 1e-5)
     multis = index_table(2 * fr.n, 3)[0][1:]  # every multi-index of degree 1 to 3
     sub = fr.point[:3]
-    # [point, (field, multi)]: one stacked jet per field, one difference scheme per entry
-    stacked = [jet_eval(f, sub, 3) for f in fields]
-    exact = np.stack([jet.partial(multi) for jet in stacked for multi in multis], axis=-1)
+    # [point, (field, multi)]: one stacked jet of both fields, one difference scheme per entry
+    stacked = jet_eval(lambda x, y: [f(x, y) for f in fields], sub, 3)
+    exact = np.stack([stacked.partial(multi) for multi in multis], axis=-1).reshape(len(sub), -1)
     approx = np.array([[fd_partial(f, p, multi) for f in fields for multi in multis]
                        for p in sub])
     sweep = _Sweep(sub)

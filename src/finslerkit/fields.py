@@ -1,8 +1,8 @@
 """Vector fields along the projection, plus probe-field builders.
 
-A pi-vector field is given by its chart components X^i(x, y). The classes
-here only produce the stacked order-1 jet of those components on a
-PointFrame (`PiVectorField.jets`), and the functions the jets of a drift
+A pi-vector field is given by its chart components X^i(x, y), one callable
+returning all n. The classes here only produce their stacked order-1 jet on
+a PointFrame (`PiVectorField.jets`), and the functions the jets of a drift
 covector, of its companion field and of a g-projection: closedness and
 every other identity of `picalc` reads those jets alone. The musical
 isomorphisms on them are the frame's (`PointFrame.flat_jets`,
@@ -29,25 +29,24 @@ class PiVectorField:
 
 
 class ComponentField(PiVectorField):
-    """Field from explicit component callables (x, y) -> X^i."""
+    """Field from one callable (x, y) -> [X^1, ..., X^n], evaluated once for
+    all its components."""
 
-    def __init__(self, components, name: str = None):
-        self.components = tuple(components)
+    def __init__(self, fn, name: str = None):
+        self.fn = fn
         self.name = name
 
     def jets(self, frame) -> Jet:
-        return Jet.stack([frame.field_jet(c, 1) for c in self.components])
+        return frame.field_jet(self.fn, 1)
 
     def __repr__(self):
-        return f"ComponentField({self.name or len(self.components)})"
+        return f"ComponentField({self.name or self.fn!r})"
 
 
 def constant_field(vec) -> ComponentField:
     """The pi-lift of a constant chart vector."""
-    comps = []
-    for v in vec:
-        comps.append((lambda c: (lambda x, y: c))(float(v)))
-    return ComponentField(comps, name=f"const{tuple(float(v) for v in vec)}")
+    const = tuple(float(v) for v in vec)
+    return ComponentField(lambda x, y: const, name=f"const{const}")
 
 
 class GradientField(PiVectorField):
@@ -83,9 +82,8 @@ def drift_companion_jets(frame, bj: Jet) -> Jet:
 
 def covector_jets(frame, b_fn) -> Jet:
     """The components b_i of a positional covector x -> b(x) as one (..., n)
-    stack of order-1 jets on a frame, one evaluation of b per component."""
-    return Jet.stack([frame.field_jet((lambda i: lambda x, y: b_fn(x)[i])(i), 1)
-                      for i in range(frame.n)])
+    stack of order-1 jets on a frame, from one evaluation of b."""
+    return frame.field_jet(lambda x, y: b_fn(x), 1)
 
 
 def project_away(frame, vecs, Xj: Jet) -> Jet:

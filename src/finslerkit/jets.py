@@ -603,13 +603,24 @@ def coordinate_jets(points, order: int):
     return jets[:nvars // 2], jets[nvars // 2:]
 
 
+def _stacked(value, nvars: int, order: int, count: int) -> Jet:
+    """A field's value at `count` points as one jet: a number is the constant
+    jet, and a list or tuple stacks its components, each a jet or a number."""
+    if isinstance(value, (list, tuple)):
+        return Jet.stack([v if isinstance(v, Jet) else _stacked(v, nvars, order, count)
+                          for v in value])
+    return Jet.constant(nvars, order, np.full(count, float(value)))
+
+
 def jet_eval(field, points, order: int, float_fn=None) -> Jet:
     """Evaluate `field(x, y)` in jet arithmetic at a sequence of chart points.
 
     `field` must be written against the generic math functions of this
-    module so the same callable also works on plain floats. It runs once on
-    stacked coordinate jets, so the result has a leading point axis, and
-    each point's slice equals `jet_eval` at `(point,)` alone, bit for bit.
+    module so the same callable also works on plain floats. It returns a
+    value, or a list or tuple of n components, each a jet or a number. It
+    runs once on stacked coordinate jets, so the result is a (P, T) stack or,
+    as `Jet.stack` of the components, a (P, n, T) one, and each point's
+    slice equals `jet_eval` at `(point,)` alone, bit for bit.
     Whether a point is admissible is for the caller to ask (`PointFrame`
     asks its structure). An error at any point raises for all. For a
     NumericalError or an ArithmeticError, `float_fn` (default `field`) runs
@@ -626,9 +637,9 @@ def jet_eval(field, points, order: int, float_fn=None) -> Jet:
     try:
         out = field(xj, yj)
         if not isinstance(out, Jet):
-            out = Jet.constant(xj[0].nvars, max(order, 1), np.full(len(points), float(out)))
+            out = _stacked(out, xj[0].nvars, max(order, 1), len(points))
         if not np.isfinite(out.coeffs).all():
-            bad = points[int(np.argmin(np.isfinite(out.coeffs).all(-1)))]
+            bad = points[int(np.argmin(np.isfinite(out.coeffs).reshape(len(points), -1).all(-1)))]
             raise NumericalError(f"field produced non-finite jet coefficients at {bad}")
     except (NumericalError, ArithmeticError) as exc:
         for p in points:

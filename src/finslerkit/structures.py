@@ -344,16 +344,11 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("'a' must be an n x n table of polynomial specs")
         polys = [[_poly_callable(rows[i][j], n, "a") for j in range(n)] for i in range(n)]
-
-        def a_fn(x):
-            vals = [[polys[i][j](x) for j in range(n)] for i in range(n)]
-            # symmetrize so mildly asymmetric input tables cannot sneak in
-            return [
-                [vals[i][j] if i <= j else vals[j][i] for j in range(n)]
-                for i in range(n)
-            ]
-
-        return riemannian(a_fn, n, name=spec.get("name", "riemannian"))
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            # L reads the upper triangle alone, so an asymmetric table is misread
+            raise ValueError("metric field 'a' must be symmetric, a[i][j] == a[j][i] as written")
+        return riemannian(lambda x: [[p(x) for p in row] for row in polys], n,
+                          name=spec.get("name", "riemannian"))
     if family == "randers":
         base = _field(spec, "base", structure_from_spec)
         comps = _field(spec, "b", list)

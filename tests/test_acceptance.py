@@ -48,10 +48,10 @@ def _probe_fields(n):
     cx = rng.uniform(-1, 1, size=(n, n))
     cy = rng.uniform(-1, 1, size=(n, n))
 
-    def comp(i):
-        return lambda x, y: sum(cx[i][j] * x[j] + cy[i][j] * y[j] for j in range(n))
+    def mixed_fn(x, y):
+        return [sum(cx[i][j] * x[j] + cy[i][j] * y[j] for j in range(n)) for i in range(n)]
 
-    mixed = ComponentField([comp(i) for i in range(n)], name="mixed")
+    mixed = ComponentField(mixed_fn, name="mixed")
     grad = GradientField(lambda x, y: x[0] * x[1 % n] + 0.3 * y[0], name="grad")
     const = constant_field([1.0] + [-0.5] * (n - 1))
     return [mixed, grad, const]

@@ -40,6 +40,8 @@ SPHERE = {"family": "riemannian", "preset": "sphere2"}
 # one field of the wrong type, left out, or not read by its family, in each spec
 MALFORMED = {
     "a": ("a", {"family": "riemannian", "dim": 2, "a": 5}),
+    # L reads the upper triangle alone, so a lower-triangular table would lose a[1][0]
+    "a-lower": ("a", {"family": "riemannian", "dim": 2, "a": [[1, 0], [0.5, 1]]}),
     "b": ("b", {"family": "randers", "b": 3, "base": SPHERE}),
     "powers": ("powers", {"family": "conformal", "base": SPHERE,
                           "sigma": {"terms": [{"coef": 1.0, "powers": 5}]}}),

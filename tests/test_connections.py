@@ -139,7 +139,7 @@ class TestCovariantDerivative:
     def test_tautological_field_is_parallel(self):
         # nabla_h of eta vanishes: delta_j y^i = -N^i_j cancels F^i_kj y^k
         s = sphere2()
-        eta = ComponentField([lambda x, y: y[0], lambda x, y: y[1]], name="eta")
+        eta = ComponentField(lambda x, y: [y[0], y[1]], name="eta")
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(s, p)
             A = pc.a_operator(fr, eta.jets(fr))

@@ -656,6 +656,26 @@ def _probe_polynomial(x, y):
     return 0.3 * x[0] + x[1] * y[0] - 0.7 * (y[1] * y[1]) * x[0] + 1.5
 
 
+# A component of a random field: a constant, or c + sum_s a_s z_s over the
+# four coordinates z of a point of euclidean2
+_COMPONENTS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.tuples(st.floats(-2.0, 2.0), st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)))
+
+
+def _component(spec):
+    if isinstance(spec, float):
+        return lambda x, y: spec
+
+    def affine(x, y):
+        acc, weights = spec
+        for a, z in zip(weights, list(x) + list(y)):
+            acc = acc + a * z
+        return acc
+
+    return affine
+
+
 class TestStackedEvaluation:
     @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
     def test_probe_polynomial_stack_equals_each_point(self, order):
@@ -679,6 +699,18 @@ class TestStackedEvaluation:
         stack = jet_eval(lambda x, y: 2.5, pts, 2)
         for i in range(3):
             assert stack.coeffs[i].tobytes() == Jet.constant(4, 2, 2.5).coeffs.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_COMPONENTS, min_size=1, max_size=4), st.integers(0, MAX_ORDER),
+           st.integers(0, 2 ** 32 - 1))
+    def test_a_field_of_components_equals_the_stack_of_each(self, specs, order, seed):
+        pts = by_name("euclidean2").sample(5, seed=seed)
+        comps = [_component(spec) for spec in specs]
+        whole = jet_eval(lambda x, y: [f(x, y) for f in comps], pts, order)
+        each = Jet.stack([jet_eval(f, pts, order) for f in comps])
+        assert whole.order == order
+        assert whole.coeffs.shape == (5, len(comps), math.comb(4 + order, order))
+        assert whole.coeffs.tobytes() == each.coeffs.tobytes()
 
     def test_a_bad_point_raises_for_the_stack(self):
         pts = [ChartPoint((0.0, 0.0), (1.0, 0.5)), ChartPoint((0.0, 0.0), (0.5, 1.0))]
@@ -714,6 +746,34 @@ class TestLocatedErrors:
             jet_eval(lambda x, y: 1.0 / (x[0] - 0.5), self.PTS, 1)
         assert str(err.value) == f"float division by zero at {self.PTS[2]}"
         assert isinstance(err.value.__cause__, NumericalError)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_a_component_non_finite_only_at_point_k_names_point_k(self, k):
+        # 4e308 / (1 + 1000 u^2) overflows at point k alone, where u = 0, and
+        # only in its value slot; floats overflow to inf without an error, so
+        # the point comes from the stacked jet's (point, component) entries
+        shift = self.PTS[k].y[1] - self.PTS[k].y[0]
+
+        def f(x, y):
+            u = y[0] - y[1] + shift
+            return [u, 1e308 / (1.0 + 1000.0 * (u * u)) * 4.0]
+
+        with np.errstate(over="ignore"), pytest.raises(NumericalError) as err:
+            jet_eval(f, self.PTS, 1)
+        assert str(err.value) == (
+            f"field produced non-finite jet coefficients at {self.PTS[k]}")
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_a_component_that_divides_by_zero_only_at_point_k_names_point_k(self, k):
+        shift = self.PTS[k].y[1] - self.PTS[k].y[0]
+
+        def f(x, y):
+            u = y[0] - y[1] + shift
+            return (x[0], 1.0 / u)
+
+        with pytest.raises(ZeroDivisionError) as err:
+            jet_eval(f, self.PTS, 1)
+        assert str(err.value) == f"float division by zero at {self.PTS[k]}"
 
     def test_a_stacked_error_with_no_float_error_stands(self):
         # at a subnormal value part, sqrt's second Taylor coefficient overflows

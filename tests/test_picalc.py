@@ -27,17 +27,16 @@ def mixed_probe(n, seed=0):
     rng = np.random.default_rng([seed, n])
     cx = rng.uniform(-1, 1, size=(n, n))
     cy = rng.uniform(-1, 1, size=(n, n))
-    comps = []
-    for i in range(n):
-        def c(x, y, i=i):
-            return sum(cx[i][j] * x[j] + cy[i][j] * y[j] for j in range(n))
-        comps.append(c)
-    return ComponentField(comps, name=f"mixed{seed}")
+
+    def fn(x, y):
+        return [sum(cx[i][j] * x[j] + cy[i][j] * y[j] for j in range(n)) for i in range(n)]
+
+    return ComponentField(fn, name=f"mixed{seed}")
 
 
 def eta(n):
     """The canonical field eta, with components y^i."""
-    return ComponentField([(lambda i: lambda x, y: y[i])(i) for i in range(n)], name="eta")
+    return ComponentField(lambda x, y: list(y), name="eta")
 
 
 def one_form(comps):
@@ -341,7 +340,7 @@ class TestLieComparison:
     def test_stretch_on_flat_plane(self):
         e = euclidean(2)
         p = e.sample(1, seed=107)[0]
-        X = ComponentField([lambda x, y: x[0], lambda x, y: 0.0], name="stretch")
+        X = ComponentField(lambda x, y: [x[0], 0.0], name="stretch")
         fr = point_frame(e, p)
         rep = pc.lie_metric_report(fr, X.jets(fr))
         assert rep.lie_defect == pytest.approx(2.0, abs=1e-12)
@@ -351,14 +350,14 @@ class TestLieComparison:
     def test_rotation_on_flat_plane(self):
         e = euclidean(2)
         p = e.sample(1, seed=107)[0]
-        X = ComponentField([lambda x, y: -x[1], lambda x, y: x[0]], name="rotation")
+        X = ComponentField(lambda x, y: [-x[1], x[0]], name="rotation")
         fr = point_frame(e, p)
         rep = pc.lie_metric_report(fr, X.jets(fr))
         assert rep.lie_defect < 1e-12
         assert rep.closedness == pytest.approx(2.0, abs=1e-12)
 
     def test_rotation_is_a_sphere_isometry(self):
-        X = ComponentField([lambda x, y: -x[1], lambda x, y: x[0]], name="rotation")
+        X = ComponentField(lambda x, y: [-x[1], x[0]], name="rotation")
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
             rep = pc.lie_metric_report(fr, X.jets(fr))
@@ -377,10 +376,7 @@ class TestInvolutivity:
 
     def test_open_field_complement_is_not(self):
         e3 = euclidean(3)
-        X = ComponentField(
-            [lambda x, y: 1.0 + x[1] ** 2, lambda x, y: x[0], lambda x, y: 0.4],
-            name="open",
-        )
+        X = ComponentField(lambda x, y: [1.0 + x[1] ** 2, x[0], 0.4], name="open")
         worst = 0.0
         for p in e3.sample(4, seed=109):
             fr = point_frame(e3, p)

@@ -599,22 +599,29 @@ def test_field_jet_evaluations_do_not_grow_with_the_sample(monkeypatch):
     assert _jet_eval_calls(monkeypatch, 20) == _jet_eval_calls(monkeypatch, 40)
 
 
+# The fields a check evaluates. A field is one callable for all its
+# components, evaluated once whatever n is, so each count holds on sphere2
+# (n = 2) and on euclidean3 (n = 3) alike.
+_PROBES = {
+    "eq2.12": 3,
+    "thm2.6": 6,  # four affine fields and the scalars of two gradients
+    "prop2.14.lie": 3,  # the constant field, the rotation and the stretch
+    # a scalar for the closed gradient, and the open field
+    "thm2.13.involutive": 2,
+    # the drift, read by the precondition and both companions, and the
+    # Randers star's lifted Lagrangian
+    "prop.randers": 2,
+    # the constant field, read on the sample frame and both tildes, and the
+    # sigma and lifted Lagrangian of each tilde
+    "thm2.16.conformal": 5,
+    "jets.fd": 1,  # L and poly L as one field
+}
+
+
 @pytest.mark.parametrize("name,check_id,probes", [
-    ("euclidean3", "eq2.12", 3),
-    ("euclidean3", "thm2.8.flat", 3),
-    ("sphere2", "prop2.14.lie", 6),  # two components of each of three fields
-    # a scalar for the closed gradient, and the components of the open field
-    ("sphere2", "thm2.13.involutive", 3),
-    ("euclidean3", "thm2.13.involutive", 4),
-    # the drift's components, read by the precondition and both companions,
-    # and the Randers star's lifted Lagrangian
-    ("sphere2", "prop.randers", 3),
-    ("euclidean3", "prop.randers", 4),
-    # the constant field's components, read on the sample frame and both
-    # tildes, and the sigma and lifted Lagrangian of each tilde
-    ("sphere2", "thm2.16.conformal", 6),
-    ("euclidean3", "thm2.16.conformal", 7),
-])
+    ("euclidean3", "thm2.8.flat", 3),  # on sphere2, not flat, it evaluates none
+] + [(name, check_id, probes) for check_id, probes in _PROBES.items()
+     for name in ("euclidean3", "sphere2")])
 def test_a_check_evaluates_each_probe_once(monkeypatch, name, check_id, probes):
     # a frame keeps no field jets, and the calculus takes a field's jets, so a
     # check that reads a probe's jets twice evaluates them once and passes them

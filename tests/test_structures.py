@@ -159,6 +159,25 @@ class TestSpecLoader:
         val = s.L((0.5, 0.0), (1.0, 1.0))
         assert val == pytest.approx(np.sqrt(1.25 + 2.0), rel=1e-13)
 
+    @pytest.mark.parametrize("a", [
+        [[1, 0], [0.5, 1]],
+        [[1, 0.5], [0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, {"terms": [{"coef": 0.1, "powers": [1, 0, 0]}]}, 1]],
+    ])
+    def test_an_asymmetric_coefficient_table_is_rejected(self, a):
+        with pytest.raises(ValueError, match="metric field 'a' must be symmetric"):
+            structure_from_spec({"family": "riemannian", "dim": len(a), "a": a})
+
+    def test_a_symmetric_table_is_compared_as_written(self):
+        # 0.5 and 0.5, and one term spec with its keys in either order, are
+        # equal as written; a_12 = a_21 = 0.1 x1
+        term = {"terms": [{"coef": 0.1, "powers": [1, 0]}]}
+        flipped = {"terms": [{"powers": [1, 0], "coef": 0.1}]}
+        s = structure_from_spec({"family": "riemannian", "dim": 2,
+                                 "a": [[1, term], [flipped, 1]]})
+        assert s.meta["a_fn"]((0.5, 0.0)) == [[1.0, 0.05], [0.05, 1.0]]
+        assert s.L((0.5, 0.0), (1.0, 1.0)) == pytest.approx(np.sqrt(2.1), rel=1e-13)
+
     def test_randers_over_base(self):
         spec = {
             "family": "randers",

@@ -162,9 +162,7 @@ class TestRandersVerdict:
 class TestConformalTransfer:
     def test_constant_rescale_is_pure_scaling(self):
         s = sphere2()
-        X = ComponentField(
-            [lambda x, y: 1.0 + 0.3 * y[1], lambda x, y: x[0]], name="probe"
-        )
+        X = ComponentField(lambda x, y: [1.0 + 0.3 * y[1], x[0]], name="probe")
         tilde = conformal_change(s, 0.25)
         for p in s.sample(4, seed=137):
             fr = point_frame(s, p)
@@ -195,9 +193,7 @@ class TestConformalTransfer:
 
     def test_leibniz_shape_on_quartic_base(self):
         q = minkowski_quartic(2)
-        X = ComponentField(
-            [lambda x, y: y[0], lambda x, y: 0.5 - x[1]], name="probe"
-        )
+        X = ComponentField(lambda x, y: [y[0], 0.5 - x[1]], name="probe")
         tilde = conformal_change(q, lambda x: 0.3 * x[0])
         actual_seen = 0.0
         for p in q.sample(4, seed=139):

@@ -271,7 +271,7 @@ def field_jets(X, frame, order):
     jets at a frame on one point."""
     n = frame.n
     if isinstance(X, ComponentField):
-        return [frame.field_jet(c, order)[0] for c in X.components]
+        return [frame.field_jet(lambda x, y, i=i: X.fn(x, y)[i], order)[0] for i in range(n)]
     if isinstance(X, GradientField):
         if order > 1:
             raise CapabilityError("gradient components carry jets up to order 1")
