@@ -495,7 +495,7 @@ def _check_randers(fr, tol, floor, seed):
     else:
         const = tuple([0.2] + [0.0] * (fr.n - 1))
         b_fn = lambda x: const
-        frb, frs = fr, fr.derived(randers_change(fr.structure, b_fn, validate=False))
+        frb, frs = fr, fr.derived(randers_change(fr.structure, b_fn))
     bj = covector_jets(fr, b_fn)  # b is positional: its jets serve both frames
     pre = _first_max(picalc.drift_precondition_defect(bj))[0]
     if pre > floor:

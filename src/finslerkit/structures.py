@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .chart import SampleDomain, sample_points
-from .errors import SingularMetricError
 from .jets import powr, sqrt, exp
 
 
@@ -93,7 +92,9 @@ def riemannian(a_fn: Callable, n: int, name: str = "riemannian",
     """L = sqrt(a_ij(x) y^i y^j) from a symmetric matrix callback.
 
     `a_fn(x)` must return an n x n nested list whose entries are numbers
-    or jets, depending on what the x coordinates are.
+    or jets, depending on what the x coordinates are. L reads only its
+    upper triangle (i <= j); `structure_from_spec` is where an asymmetric
+    table is rejected.
     """
 
     def L(x, y):
@@ -144,17 +145,26 @@ def _covector_callable(b, n: int) -> Callable:
     return lambda x: const
 
 
-def randers_change(base: FinslerStructure, b, name: str = None,
-                   validate: bool = True) -> FinslerStructure:
+def _change(base: FinslerStructure, lift: Callable, name: str, **meta) -> FinslerStructure:
+    """The structure whose Lagrangian is lift(x, y, base.L(x, y)), on base's chart.
+
+    `meta` keeps `base` and `lift` (so `PointFrame.derived` can lift a base
+    frame's Lagrangian jet) and the change's own data. Nothing is evaluated
+    here: where the changed Lagrangian is not Finsler, the frames that read
+    it name the first such point (`L_jet`'s cone check, `g_jets`' guard).
+    """
+    return FinslerStructure(
+        n=base.n, L=lambda x, y: lift(x, y, base.L(x, y)), name=name,
+        domain=base.domain, sample_domain=base.sample_domain,
+        meta={"base": base, "lift": lift, **meta},
+    )
+
+
+def randers_change(base: FinslerStructure, b, name: str = None) -> FinslerStructure:
     """L* = L + b_i(x) y^i for a covector field b on the base chart.
 
-    The change is written once, as the lift (x, y, Lb) -> Lb + sum_i b_i(x) y^i
-    of a base Lagrangian value or jet Lb, kept in `meta["lift"]`: L* lifts
-    base.L, and `PointFrame.derived` lifts a base frame's Lagrangian jet.
-
-    When `validate` is set, |b|_g < 1 is checked on a deterministic sample
-    of the base domain; a violation raises SingularMetricError since the
-    changed metric stops being positive definite there.
+    The change is the lift (x, y, Lb) -> Lb + sum_i b_i(x) y^i of a base
+    Lagrangian value or jet Lb. L* is Finsler exactly where |b|_g < 1.
     """
     n = base.n
     b_fn = _covector_callable(b, n)
@@ -166,34 +176,14 @@ def randers_change(base: FinslerStructure, b, name: str = None,
             out = out + bv[i] * y[i]
         return out
 
-    changed = FinslerStructure(
-        n=n, L=lambda x, y: lift(x, y, base.L(x, y)), name=name or f"randers({base.name})",
-        domain=base.domain, sample_domain=base.sample_domain,
-        meta={"base": base, "lift": lift, "b_fn": b_fn},
-    )
-    if validate:
-        from .frame import PointFrame, quad
-        import numpy as np
-
-        fr = PointFrame(base, tuple(base.sample(12, seed=0)))
-        bv = np.array([[float(v) for v in b_fn(p.x)] for p in fr.point])
-        norm2 = quad(bv, fr.g_inv, bv)
-        bad = norm2 >= 1.0
-        if bad.any():
-            k, p = fr._first(bad)
-            raise SingularMetricError(
-                f"|b|_g = {math.sqrt(norm2[k]):.3f} >= 1 at {p}; "
-                "the changed metric degenerates"
-            )
-    return changed
+    return _change(base, lift, name or f"randers({base.name})", b_fn=b_fn)
 
 
 def conformal_change(base: FinslerStructure, sigma, name: str = None) -> FinslerStructure:
     """L~ = e^(sigma(x)) L for a positional factor sigma.
 
-    The change is written once, as the lift (x, y, Lb) -> e^(sigma(x)) Lb of
-    a base Lagrangian value or jet Lb, kept in `meta["lift"]`: L~ lifts
-    base.L, and `PointFrame.derived` lifts a base frame's Lagrangian jet.
+    The change is the lift (x, y, Lb) -> e^(sigma(x)) Lb of a base
+    Lagrangian value or jet Lb.
     """
     if callable(sigma):
         sig_fn = sigma
@@ -204,12 +194,7 @@ def conformal_change(base: FinslerStructure, sigma, name: str = None) -> Finsler
     def lift(x, y, Lb):
         return exp(sig_fn(x)) * Lb
 
-    return FinslerStructure(
-        n=base.n, L=lambda x, y: lift(x, y, base.L(x, y)),
-        name=name or f"conformal({base.name})",
-        domain=base.domain, sample_domain=base.sample_domain,
-        meta={"base": base, "lift": lift, "sigma_fn": sig_fn},
-    )
+    return _change(base, lift, name or f"conformal({base.name})", sigma_fn=sig_fn)
 
 
 def randers_sphere2() -> FinslerStructure:

@@ -236,7 +236,7 @@ def test_criterion_07_randers_drift_transfer(capsys):
     agree = True
     for base_name in ("euclidean2", "sphere2"):
         base = by_name(base_name)
-        star = randers_change(base, b, validate=True)
+        star = randers_change(base, b)
         for p in base.sample(NPTS, seed=SEED):
             fr = point_frame(base, p)
             bj = covector_jets(fr, star.meta["b_fn"])

@@ -36,7 +36,7 @@ def _changes():
     return {
         "conformal[const]": conformal_change(s, 0.25),
         "conformal[x]": conformal_change(q, lambda x: 0.3 * x[0] - 0.2 * x[0] * x[1]),
-        "randers[const]": randers_change(s, (0.2, 0.0), validate=False),
+        "randers[const]": randers_change(s, (0.2, 0.0)),
         "randers[x]": randers_change(s, lambda x: [0.1 * x[1], 0.2 - 0.05 * x[0]]),
         "nested": structure_from_spec(NESTED),
     }
@@ -81,7 +81,7 @@ def test_a_derived_frame_keeps_the_positivity_check():
     # at x = 0 sphere2 has a_ij = 4 delta_ij, so b_1 = -3 takes
     # L* = 2 |y| - 3 y^1 below zero at y = (1, 0.1)
     s = sphere2()
-    star = randers_change(s, (-3.0, 0.0), validate=False)
+    star = randers_change(s, (-3.0, 0.0))
     p = ChartPoint((0.0, 0.0), (1.0, 0.1))
     with pytest.raises(DomainError) as alone:
         PointFrame(star, p).L_jet

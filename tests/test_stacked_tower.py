@@ -164,7 +164,7 @@ def _entry_point_calls(s):
     closed = GradientField(scalars[1])
     form = {(i,): (lambda i: (lambda x, y: x[i] * y[0]))(i) for i in range(n)}
     drift = _drift(s)
-    star = randers_change(s, drift, validate=False)
+    star = randers_change(s, drift)
     tilde = conformal_change(s, lambda x: 0.3 * x[0] * x[-1])
     return [
         ("dbar_p", lambda fr: pc.dbar_p(fr, oracle.form_jets(fr, form))),

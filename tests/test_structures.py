@@ -1,12 +1,15 @@
 """Catalog structures: values, homogeneity, domains, and the JSON spec loader."""
 
-import math
+import json
+import warnings
 
 import numpy as np
 import pytest
 
-from finslerkit.errors import DomainError, FinslerError, SingularMetricError
-from finslerkit.frame import point_frame
+from finslerkit.checks import check_ids, run_checks
+from finslerkit.cli import main
+from finslerkit.errors import DomainError, FinslerError
+from finslerkit.frame import PointFrame, point_frame, quad
 from finslerkit.structures import (
     by_name,
     conformal_change,
@@ -101,35 +104,85 @@ class TestSpecificValues:
             point_frame(s, __import__("finslerkit").ChartPoint((0.0, 0.0), (1.0, 0.001)))
 
 
+STRONG_DRIFT = {"family": "randers", "base": {"family": "euclidean", "dim": 2}, "b": [1.2, 0]}
+
+
 class TestRandersValidation:
-    def test_strong_drift_rejected(self):
-        with pytest.raises(SingularMetricError):
-            randers_change(euclidean(2), lambda x: (1.2, 0.0))
+    # |b| = 1.2 >= 1: L* = |y| + 1.2 y^1 is negative where y leans against b,
+    # and the frames that read L* say so at the first such point of their batch
 
-    def test_strong_drift_names_the_first_point_past_the_unit_ball(self):
-        # |b|_g >= 1 first at the second sample point; the message gives the
-        # value a frame at that point alone computes
-        base = sphere2()
-        b = lambda x: (x[0], 0.0)
-        for p in base.sample(12, seed=0):
-            bv = np.array(b(p.x), dtype=float)
-            norm2 = float(bv @ point_frame(base, p).g_inv[0] @ bv)
-            if norm2 >= 1.0:
-                break
-        assert p == base.sample(12, seed=0)[1]
-        with pytest.raises(SingularMetricError) as err:
-            randers_change(base, b)
-        assert str(err.value) == (f"|b|_g = {math.sqrt(norm2):.3f} >= 1 at {p}; "
-                                  "the changed metric degenerates")
+    def test_strong_drift_fails_each_check_at_its_first_point_outside_the_cone(self):
+        F = structure_from_spec(STRONG_DRIFT)
+        first = next(p for p in F.sample(200, seed=0) if F.L(p.x, p.y) <= 0.0)
+        with pytest.raises(DomainError) as err:
+            PointFrame(F, (first,)).L_jet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = run_checks(F, check_ids(), 200, 0, 1e-7, 1e-3)
+        outcome = {r.check_id: (r.verdict, r.details.get("error")) for r in results}
+        assert outcome.pop("jets.fd") == ("PASS", None)  # its three points are in the cone
+        assert set(outcome.values()) == {("FAIL", f"DomainError: {err.value}")}
 
-    def test_validation_can_be_skipped(self):
-        s = randers_change(euclidean(2), lambda x: (1.2, 0.0), validate=False)
-        assert s.n == 2
+    def test_strong_drift_verify_writes_its_report(self, tmp_path):
+        spec, out = tmp_path / "strong.json", tmp_path / "report.json"
+        spec.write_text(json.dumps(STRONG_DRIFT))
+        code = main(["verify", "--metric", str(spec), "--checks", "all",
+                     "--points", "200", "--out", str(out)])
+        assert code == 1
+        verdicts = [c["verdict"] for c in json.loads(out.read_text())["checks"]]
+        assert verdicts.count("FAIL") == len(check_ids()) - 1
+
+    def test_strong_drift_eval_is_refused_only_outside_the_cone(self, tmp_path, capsys):
+        spec = tmp_path / "strong.json"
+        spec.write_text(json.dumps(STRONG_DRIFT))
+        eval_at = lambda at: main(["eval", "--metric", str(spec), "--at", at, "--object", "Sc"])
+        assert eval_at("x=0.1,0.2;y=1.0,0.5") == 0
+        assert capsys.readouterr().out == (
+            "randers(euclidean2) at x=[0.1, 0.2] y=[1.0, 0.5]: Sc =\n0\n")
+        assert eval_at("x=0.1,0.2;y=-1.0,0.5") == 1
+        assert capsys.readouterr().err == (
+            "error: Lagrangian is -0.082 <= 0 at ChartPoint(x=(0.1, 0.2), y=(-1.0, 0.5)); "
+            "point lies outside the positivity cone\n")
 
     def test_metadata_links_base(self):
         s = randers_sphere2()
         assert s.meta["base"].name == "sphere2"
         assert tuple(s.meta["b_fn"]((0.0, 0.0))) == (0.2, 0.0)
+
+
+class TestBuildingReadsNoFrame:
+    @pytest.fixture(autouse=True)
+    def refuse_frames(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("building a structure built a PointFrame")
+        monkeypatch.setattr(PointFrame, "__init__", refuse)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"])
+    def test_by_name(self, name):
+        assert by_name(name).name == name
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "euclidean", "dim": 2},
+        {"family": "minkowski_quartic", "dim": 3},
+        {"family": "riemannian", "dim": 2, "a": [[1, 0], [0, 1]]},
+        {"family": "riemannian", "preset": "sphere2"},
+        {"family": "randers", "base": {"family": "riemannian", "preset": "sphere2"},
+         "b": [0.1, 0.0]},
+        STRONG_DRIFT,
+        {"family": "conformal", "base": {"family": "euclidean", "dim": 2}, "sigma": 0.3},
+    ], ids=["euclidean", "minkowski_quartic", "riemannian", "preset", "randers",
+            "strong-drift", "conformal"])
+    def test_structure_from_spec(self, spec):
+        assert structure_from_spec(spec).n >= 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_catalog_drift_stays_inside_the_unit_ball(seed):
+    # |b|_g = 0.1 (1 + |x|^2) on randers_sphere2, below 1 wherever it samples
+    F = randers_sphere2()
+    fr = PointFrame(F.meta["base"], tuple(F.sample(1000, seed)))
+    b = np.array([F.meta["b_fn"](p.x) for p in fr.point], dtype=float)
+    assert quad(b, fr.g_inv, b).max() < 1.0
 
 
 class TestSpecLoader:
@@ -229,6 +282,16 @@ class TestFrameGuards:
         s = sphere2()
         a = s.meta["a_fn"]((0.0, 0.0))
         assert np.allclose(a, 4.0 * np.eye(2))
+
+    def test_riemannian_reads_the_upper_triangle(self):
+        # a_fn's entries below the diagonal are not read: the 0.5 is dropped,
+        # and g is the identity table's, bit for bit
+        lower = riemannian(lambda x: [[1.0, 0.0], [0.5, 1.0]], 2)
+        unit = riemannian(lambda x: [[1.0, 0.0], [0.0, 1.0]], 2)
+        points = tuple(lower.sample(20, seed=0))
+        g = PointFrame(lower, points).g
+        assert g.tobytes() == PointFrame(unit, points).g.tobytes()
+        assert np.allclose(g, np.eye(2), rtol=0.0, atol=1e-15)
 
     def test_custom_riemannian_positive_definite_guard(self):
         # a degenerate coefficient matrix must surface once the frame is used

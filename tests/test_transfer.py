@@ -68,7 +68,7 @@ class TestDriftTransfer:
 
     def test_drift_companion_is_vertical_to_ell(self):
         s = sphere2()
-        star = randers_change(s, B, validate=False)
+        star = randers_change(s, B)
         for p in s.sample(3, seed=127):
             rep = drift_transfer(point_frame(s, p), point_frame(star, p))
             assert abs(rep.ell_pairing) < 1e-11
