@@ -8,7 +8,7 @@ the governing identities on a catalog of concrete structures.
 
 __version__ = "0.1.0"
 
-from .chart import ChartPoint, SampleDomain, sample_points
+from .chart import ChartPoint, sample_points
 from .errors import (
     CapabilityError,
     DegenerateFieldError,

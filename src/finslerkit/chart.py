@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -44,32 +44,17 @@ class ChartPoint:
         return f"ChartPoint(x={self.x}, y={self.y})"
 
 
-@dataclass(frozen=True, eq=False)
-class SampleDomain:
-    """Sampling recipe for a structure's chart.
+def sample_points(n: int, box: float, domain: Callable, count: int, seed: int) -> list:
+    """Deterministic chart points for test sweeps, each inside `domain`.
 
-    x is drawn uniformly from the box [x_low, x_high]^n, y from a uniform
-    direction scaled to |y| in y_norm. `predicate`, when given, is a final
-    accept/reject filter (used e.g. to keep y away from degenerate axes).
-    """
-
-    n: int
-    x_low: float = -1.0
-    x_high: float = 1.0
-    y_norm: tuple = (0.5, 2.0)
-    predicate: Optional[Callable] = None
-
-
-def sample_points(domain: SampleDomain, count: int, seed: int) -> list:
-    """Deterministic chart points for test sweeps.
-
-    Same (domain, count, seed) always yields the same list. Raises
-    DomainError when rejection sampling cannot find acceptable points.
+    x is drawn uniformly from the box [-box, box]^n, y from a uniform
+    direction scaled to |y| in [0.5, 2]; a draw with domain(x, y) false is
+    rejected. Same arguments always yield the same list. Raises DomainError
+    when rejection sampling cannot find acceptable points.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    lo, hi = domain.y_norm
     out = []
     attempts = 0
     max_attempts = 1000 * count
@@ -80,14 +65,14 @@ def sample_points(domain: SampleDomain, count: int, seed: int) -> list:
                 f"sampling domain looks empty: {len(out)}/{count} points "
                 f"after {attempts} draws"
             )
-        x = rng.uniform(domain.x_low, domain.x_high, size=domain.n)
-        d = rng.normal(size=domain.n)
+        x = rng.uniform(-box, box, size=n)
+        d = rng.normal(size=n)
         nd = math.sqrt(d.dot(d))  # the bits of np.linalg.norm(d)
         if nd < 1e-12:
             continue
-        r = rng.uniform(lo, hi)
+        r = rng.uniform(0.5, 2.0)
         x, y = tuple(x.tolist()), tuple((d * (r / nd)).tolist())
-        if domain.predicate is not None and not domain.predicate(x, y):
+        if not domain(x, y):
             continue
         out.append(ChartPoint(x, y))
     return out

@@ -532,7 +532,8 @@ def _check_randers(fr, tol, floor, seed):
 def _check_conformal(fr, tol, floor, seed):
     Xj = constant_field([0.0, 1.0] + [0.0] * (fr.n - 2)).jets(fr)
     # a generator, so each tilde frame is freed once its report is made
-    tildes = (fr.derived(conformal_change(fr.structure, s)) for s in (0.25, lambda x: x[0]))
+    tildes = (fr.derived(conformal_change(fr.structure, s))
+              for s in (lambda x: 0.25, lambda x: x[0]))
     rep_c, rep_l = picalc.conformal_closedness_transfer(fr, tildes, Xj)
     # the wedge prediction applies where dbar~ of the base form vanishes
     applicable = rep_l.tilde_base_defect < tol * rep_l.scale

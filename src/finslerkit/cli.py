@@ -30,11 +30,9 @@ def _load_metric(arg: str):
 
 
 def _canonical_detail(value):
-    if isinstance(value, bool):
+    if isinstance(value, int):  # a bool too
         return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return _fmt(value)
     return str(value)
 

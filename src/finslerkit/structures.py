@@ -3,28 +3,30 @@
 A structure is its Lagrangian. Every Lagrangian here is written against
 the generic math functions in `jets`, so one callable serves float
 evaluation (finite differences), jet evaluation (the derivative tower),
-and any composition such as the Randers or conformal change.
+and any composition such as the Randers or conformal change; a change's
+positional data (a drift, a conformal factor) is a callable of x.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .chart import SampleDomain, sample_points
+from .chart import sample_points
 from .jets import powr, sqrt, exp
 
 
 @dataclass(frozen=True, eq=False)
 class FinslerStructure:
-    """A Finsler Lagrangian on one chart, with its sampling recipe."""
+    """A Finsler Lagrangian on one chart. Every frame and every sample point
+    lies inside `domain(x, y)`; a sample draws x from [-box, box]^n."""
 
     n: int
     L: Callable
     name: str
     domain: Callable = None
-    sample_domain: SampleDomain = None
+    box: float = 1.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -34,13 +36,9 @@ class FinslerStructure:
             )
         if self.domain is None:
             object.__setattr__(self, "domain", lambda x, y: True)
-        if self.sample_domain is None:
-            object.__setattr__(
-                self, "sample_domain", SampleDomain(n=self.n, predicate=self.domain)
-            )
 
     def sample(self, count: int, seed: int):
-        return sample_points(self.sample_domain, count, seed)
+        return sample_points(self.n, self.box, self.domain, count, seed)
 
     def __repr__(self):
         return f"FinslerStructure({self.name!r}, n={self.n})"
@@ -65,7 +63,7 @@ def minkowski_quartic(n: int) -> FinslerStructure:
     """L = (sum_i (y^i)^4)^(1/4): flat, y-anisotropic, not Riemannian.
 
     The fundamental tensor degenerates on the coordinate axes, so the
-    sampling domain keeps every y-component away from zero.
+    domain keeps every y-component away from zero.
     """
 
     def L(x, y):
@@ -87,8 +85,7 @@ def minkowski_quartic(n: int) -> FinslerStructure:
 
 
 def riemannian(a_fn: Callable, n: int, name: str = "riemannian",
-               domain: Callable = None,
-               sample_domain: SampleDomain = None) -> FinslerStructure:
+               domain: Callable = None, box: float = 1.0) -> FinslerStructure:
     """L = sqrt(a_ij(x) y^i y^j) from a symmetric matrix callback.
 
     `a_fn(x)` must return an n x n nested list whose entries are numbers
@@ -106,17 +103,14 @@ def riemannian(a_fn: Callable, n: int, name: str = "riemannian",
                 q = q + 2.0 * (a[i][j] * y[i] * y[j])
         return sqrt(q)
 
-    return FinslerStructure(
-        n=n, L=L, name=name, domain=domain, sample_domain=sample_domain,
-        meta={"a_fn": a_fn},
-    )
+    return FinslerStructure(n=n, L=L, name=name, domain=domain, box=box)
 
 
 def sphere2() -> FinslerStructure:
     """Round unit 2-sphere in the stereographic chart, a_ij = 4 delta_ij / (1+|x|^2)^2.
 
-    Constant curvature one; the chart domain stays well inside the
-    projection's reach so the metric remains well-conditioned.
+    Constant curvature one; the chart domain |x|^2 <= 9 keeps the metric
+    well-conditioned, and samples are drawn from |x_i| <= 1.2.
     """
 
     def a_fn(x):
@@ -127,26 +121,15 @@ def sphere2() -> FinslerStructure:
     def in_chart(x, y):
         return x[0] * x[0] + x[1] * x[1] <= 9.0
 
-    return riemannian(
-        a_fn, 2, name="sphere2", domain=in_chart,
-        sample_domain=SampleDomain(n=2, x_low=-1.2, x_high=1.2, predicate=in_chart),
-    )
+    return riemannian(a_fn, 2, name="sphere2", domain=in_chart, box=1.2)
 
 
 # -- transforms ---------------------------------------------------------------
 
 
-def _covector_callable(b, n: int) -> Callable:
-    if callable(b):
-        return b
-    const = tuple(float(v) for v in b)
-    if len(const) != n:
-        raise ValueError(f"covector needs {n} components, got {len(const)}")
-    return lambda x: const
-
-
 def _change(base: FinslerStructure, lift: Callable, name: str, **meta) -> FinslerStructure:
-    """The structure whose Lagrangian is lift(x, y, base.L(x, y)), on base's chart.
+    """The structure whose Lagrangian is lift(x, y, base.L(x, y)), on base's
+    domain and box.
 
     `meta` keeps `base` and `lift` (so `PointFrame.derived` can lift a base
     frame's Lagrangian jet) and the change's own data. Nothing is evaluated
@@ -155,51 +138,52 @@ def _change(base: FinslerStructure, lift: Callable, name: str, **meta) -> Finsle
     """
     return FinslerStructure(
         n=base.n, L=lambda x, y: lift(x, y, base.L(x, y)), name=name,
-        domain=base.domain, sample_domain=base.sample_domain,
+        domain=base.domain, box=base.box,
         meta={"base": base, "lift": lift, **meta},
     )
 
 
-def randers_change(base: FinslerStructure, b, name: str = None) -> FinslerStructure:
+def randers_change(base: FinslerStructure, b: Callable, name: str = None) -> FinslerStructure:
     """L* = L + b_i(x) y^i for a covector field b on the base chart.
 
-    The change is the lift (x, y, Lb) -> Lb + sum_i b_i(x) y^i of a base
-    Lagrangian value or jet Lb. L* is Finsler exactly where |b|_g < 1.
+    `b(x)` returns the n components b_i. The change is the lift
+    (x, y, Lb) -> Lb + sum_i b_i(x) y^i of a base Lagrangian value or jet
+    Lb. L* is Finsler exactly where |b|_g < 1.
     """
     n = base.n
-    b_fn = _covector_callable(b, n)
 
     def lift(x, y, Lb):
         out = Lb
-        bv = b_fn(x)
+        bv = b(x)
         for i in range(n):
             out = out + bv[i] * y[i]
         return out
 
-    return _change(base, lift, name or f"randers({base.name})", b_fn=b_fn)
+    return _change(base, lift, name or f"randers({base.name})", b_fn=b)
 
 
-def conformal_change(base: FinslerStructure, sigma, name: str = None) -> FinslerStructure:
-    """L~ = e^(sigma(x)) L for a positional factor sigma.
+def conformal_change(base: FinslerStructure, sigma: Callable,
+                     name: str = None) -> FinslerStructure:
+    """L~ = e^(sigma(x)) L for a positional factor sigma, a callable of x.
 
     The change is the lift (x, y, Lb) -> e^(sigma(x)) Lb of a base
     Lagrangian value or jet Lb.
     """
-    if callable(sigma):
-        sig_fn = sigma
-    else:
-        const = float(sigma)
-        sig_fn = lambda x: const
 
     def lift(x, y, Lb):
-        return exp(sig_fn(x)) * Lb
+        return exp(sigma(x)) * Lb
 
-    return _change(base, lift, name or f"conformal({base.name})", sigma_fn=sig_fn)
+    return _change(base, lift, name or f"conformal({base.name})", sigma_fn=sigma)
 
 
 def randers_sphere2() -> FinslerStructure:
-    """Sphere chart with a constant (hence closed) drift covector."""
-    return randers_change(sphere2(), (0.2, 0.0), name="randers_sphere2")
+    """Sphere chart with the constant (hence closed) drift covector b = (0.2, 0).
+
+    L* is Finsler where |b|_g = 0.1 (1 + |x|^2) < 1, so its domain is the
+    open disc |x|^2 < 9, inside sphere2's closed one.
+    """
+    star = randers_change(sphere2(), lambda x: (0.2, 0.0), name="randers_sphere2")
+    return replace(star, domain=lambda x, y: x[0] * x[0] + x[1] * x[1] < 9.0)
 
 
 def conformal_quartic2() -> FinslerStructure:

@@ -231,7 +231,7 @@ def test_criterion_06_scalar_curvature_shape(capsys):
 
 
 def test_criterion_07_randers_drift_transfer(capsys):
-    b = (0.2, 0.0)
+    b = lambda x: (0.2, 0.0)
     worst_ell = worst_identity = worst_literal = 0.0
     agree = True
     for base_name in ("euclidean2", "sphere2"):
@@ -268,7 +268,7 @@ def test_criterion_08_conformal_transfer(capsys):
     X = constant_field([0.0, 1.0])
     pts = e.sample(NPTS, seed=SEED)
     worst_const = 0.0
-    tilde = conformal_change(e, 0.25)
+    tilde = conformal_change(e, lambda x: 0.25)
     for p in pts:
         fr = point_frame(e, p)
         rep = pc.conformal_closedness_transfer(fr, (point_frame(tilde, p),), X.jets(fr))[0]

@@ -34,9 +34,9 @@ NESTED = {
 def _changes():
     s, q = sphere2(), minkowski_quartic(2)
     return {
-        "conformal[const]": conformal_change(s, 0.25),
+        "conformal[const]": conformal_change(s, lambda x: 0.25),
         "conformal[x]": conformal_change(q, lambda x: 0.3 * x[0] - 0.2 * x[0] * x[1]),
-        "randers[const]": randers_change(s, (0.2, 0.0)),
+        "randers[const]": randers_change(s, lambda x: (0.2, 0.0)),
         "randers[x]": randers_change(s, lambda x: [0.1 * x[1], 0.2 - 0.05 * x[0]]),
         "nested": structure_from_spec(NESTED),
     }
@@ -70,18 +70,18 @@ def test_derived_rejects_a_structure_of_another_base():
     s = sphere2()
     p = s.sample(1, seed=0)[0]
     fr = PointFrame(s, p)
-    for foreign in (conformal_change(sphere2(), 0.25), sphere2(),
-                    conformal_change(conformal_change(s, 0.25), 0.5)):
+    for foreign in (conformal_change(sphere2(), lambda x: 0.25), sphere2(),
+                    conformal_change(conformal_change(s, lambda x: 0.25), lambda x: 0.5)):
         with pytest.raises(ValueError, match="is not a change of"):
             fr.derived(foreign)
-    assert fr.derived(conformal_change(s, 0.25)).L_jet.value > 0.0
+    assert fr.derived(conformal_change(s, lambda x: 0.25)).L_jet.value > 0.0
 
 
 def test_a_derived_frame_keeps_the_positivity_check():
     # at x = 0 sphere2 has a_ij = 4 delta_ij, so b_1 = -3 takes
     # L* = 2 |y| - 3 y^1 below zero at y = (1, 0.1)
     s = sphere2()
-    star = randers_change(s, (-3.0, 0.0))
+    star = randers_change(s, lambda x: (-3.0, 0.0))
     p = ChartPoint((0.0, 0.0), (1.0, 0.1))
     with pytest.raises(DomainError) as alone:
         PointFrame(star, p).L_jet
@@ -99,7 +99,7 @@ def test_a_derived_frame_names_the_point_its_lagrangian_fails_at():
     s = sphere2()
     lift = lambda x, y, Lb: sqrt(Lb - 1.0)
     change = FinslerStructure(n=2, L=lambda x, y: lift(x, y, s.L(x, y)), name="shifted",
-                              domain=s.domain, sample_domain=s.sample_domain,
+                              domain=s.domain, box=s.box,
                               meta={"base": s, "lift": lift})
     pts = tuple(s.sample(20, seed=0))
     with pytest.raises(NumericalError) as alone:
@@ -116,16 +116,16 @@ def test_a_sphere2_run_evaluates_the_base_lagrangian_twice_on_order_4_jets():
     # star and the two conformal tildes lift the sample frame's jet, where
     # each evaluated the base Lagrangian again
     s = sphere2()
-    a_fn = s.meta["a_fn"]
     orders = []
 
-    def counted(x):
+    def counted(x):  # sphere2's coefficient table
         if isinstance(x[0], Jet):
             orders.append(x[0].order)
-        return a_fn(x)
+        q = 1.0 + x[0] * x[0] + x[1] * x[1]
+        c = 4.0 / (q * q)
+        return [[c, 0.0], [0.0, c]]
 
-    counting = riemannian(counted, 2, name="sphere2", domain=s.domain,
-                          sample_domain=s.sample_domain)
+    counting = riemannian(counted, 2, name="sphere2", domain=s.domain, box=s.box)
     results = run_checks(counting, check_ids(), 20, 0, 1e-7, 1e-3)
     assert orders.count(MAX_ORDER) == 2
     want = run_checks(s, check_ids(), 20, 0, 1e-7, 1e-3)

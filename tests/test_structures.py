@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from finslerkit.chart import ChartPoint
 from finslerkit.checks import check_ids, run_checks
 from finslerkit.cli import main
 from finslerkit.errors import DomainError, FinslerError
@@ -101,10 +102,27 @@ class TestSpecificValues:
         assert not s.domain((0.0, 0.0), (1.0, 0.0))
         assert s.domain((0.0, 0.0), (1.0, 1.0))
         with pytest.raises(DomainError):
-            point_frame(s, __import__("finslerkit").ChartPoint((0.0, 0.0), (1.0, 0.001)))
+            point_frame(s, ChartPoint((0.0, 0.0), (1.0, 0.001)))
 
 
 STRONG_DRIFT = {"family": "randers", "base": {"family": "euclidean", "dim": 2}, "b": [1.2, 0]}
+
+# one spec of each family, and changes over a base with a domain
+SPECS = {
+    "euclidean": {"family": "euclidean", "dim": 2},
+    "minkowski_quartic": {"family": "minkowski_quartic", "dim": 3},
+    "riemannian": {"family": "riemannian", "dim": 2, "a": [[1, 0], [0, 1]]},
+    "preset": {"family": "riemannian", "preset": "sphere2"},
+    "randers": {"family": "randers", "base": {"family": "riemannian", "preset": "sphere2"},
+                "b": [0.1, 0.0]},
+    "strong-drift": STRONG_DRIFT,
+    "conformal": {"family": "conformal", "base": {"family": "euclidean", "dim": 2},
+                  "sigma": 0.3},
+    "conformal-quartic": {"family": "conformal", "base": {"family": "minkowski_quartic", "dim": 3},
+                          "sigma": {"terms": [{"coef": 0.3, "powers": [1, 0, 0]}]}},
+    "randers-quartic": {"family": "randers", "base": {"family": "minkowski_quartic", "dim": 2},
+                        "b": [0.1, {"terms": [{"coef": 0.1, "powers": [1, 0]}]}]},
+}
 
 
 class TestRandersValidation:
@@ -161,19 +179,59 @@ class TestBuildingReadsNoFrame:
     def test_by_name(self, name):
         assert by_name(name).name == name
 
-    @pytest.mark.parametrize("spec", [
-        {"family": "euclidean", "dim": 2},
-        {"family": "minkowski_quartic", "dim": 3},
-        {"family": "riemannian", "dim": 2, "a": [[1, 0], [0, 1]]},
-        {"family": "riemannian", "preset": "sphere2"},
-        {"family": "randers", "base": {"family": "riemannian", "preset": "sphere2"},
-         "b": [0.1, 0.0]},
-        STRONG_DRIFT,
-        {"family": "conformal", "base": {"family": "euclidean", "dim": 2}, "sigma": 0.3},
-    ], ids=["euclidean", "minkowski_quartic", "riemannian", "preset", "randers",
-            "strong-drift", "conformal"])
-    def test_structure_from_spec(self, spec):
-        assert structure_from_spec(spec).n >= 2
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_structure_from_spec(self, name):
+        assert structure_from_spec(SPECS[name]).n >= 2
+
+
+class TestSamplesStayInTheirDomain:
+    # a sample draws x from [-box, box]^n and |y| from [0.5, 2], and keeps a
+    # point only inside the structure's domain, which a change inherits
+
+    def _assert_inside(self, F):
+        points, s = F.sample(300, seed=5), F
+        while s is not None:  # the structure and each base it is a change of
+            assert all(s.domain(p.x, p.y) for p in points), s.name
+            assert s.box == F.box
+            s = s.meta.get("base")
+        assert max(abs(v) for p in points for v in p.x) <= F.box
+        norms = [np.hypot.reduce(p.y) for p in points]
+        assert 0.5 - 1e-12 <= min(norms) and max(norms) <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES + ["euclidean3", "minkowski_quartic3"])
+    def test_catalog(self, name):
+        self._assert_inside(by_name(name))
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_spec_family(self, name):
+        self._assert_inside(structure_from_spec(SPECS[name]))
+
+
+class TestRandersSphere2Domain:
+    # L* is Finsler where |b|_g = 0.1 (1 + |x|^2) < 1: the open disc |x|^2 < 9
+
+    def test_the_domain_is_the_open_disc(self):
+        F, y = randers_sphere2(), (-1.0, 0.001)
+        assert F.domain((2.9, 0.0), y) and F.domain((2.12, 2.12), y)
+        assert not F.domain((3.0, 0.0), y) and not F.domain((0.0, -3.0), y)
+        assert not F.domain((2.13, 2.13), y)
+        assert sphere2().domain((3.0, 0.0), y)  # the base's chart is the closed disc
+
+    @pytest.mark.parametrize("y", ["-1,0.001", "-1,0"])
+    def test_eval_on_the_circle_names_the_domain(self, y, capsys):
+        code = main(["eval", "--metric", "randers_sphere2", "--at", f"x=3,0;y={y}",
+                     "--object", "g"])
+        assert code == 1
+        yv = tuple(float(v) for v in y.split(","))
+        assert capsys.readouterr().err == (
+            f"error: ChartPoint(x=(3.0, 0.0), y={yv}) is outside the domain "
+            "of randers_sphere2\n")
+
+    def test_eval_inside_the_disc_is_answered(self, capsys):
+        assert main(["eval", "--metric", "randers_sphere2", "--at", "x=2.9,0;y=-1,0.001",
+                     "--object", "g"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "randers_sphere2 at x=[2.9, 0.0] y=[-1.0, 0.001]: g =\n")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -228,7 +286,8 @@ class TestSpecLoader:
         flipped = {"terms": [{"powers": [1, 0], "coef": 0.1}]}
         s = structure_from_spec({"family": "riemannian", "dim": 2,
                                  "a": [[1, term], [flipped, 1]]})
-        assert s.meta["a_fn"]((0.5, 0.0)) == [[1.0, 0.05], [0.05, 1.0]]
+        g = PointFrame(s, ChartPoint((0.5, 0.0), (1.0, 1.0))).g[0]
+        assert np.allclose(g, [[1.0, 0.05], [0.05, 1.0]], rtol=0.0, atol=1e-16)
         assert s.L((0.5, 0.0), (1.0, 1.0)) == pytest.approx(np.sqrt(2.1), rel=1e-13)
 
     def test_randers_over_base(self):
@@ -278,10 +337,14 @@ class TestSpecLoader:
 
 
 class TestFrameGuards:
-    def test_riemannian_metric_callable_recorded(self):
+    def test_sphere2_g_is_its_coefficient_table(self):
+        # g_ij = a_ij(x) = 4 delta_ij / (1 + |x|^2)^2; 4 delta_ij at x = 0
         s = sphere2()
-        a = s.meta["a_fn"]((0.0, 0.0))
-        assert np.allclose(a, 4.0 * np.eye(2))
+        points = tuple(s.sample(50, seed=0)) + (ChartPoint((0.0, 0.0), (1.0, 0.3)),)
+        c = np.array([4.0 / (1.0 + p.x[0] ** 2 + p.x[1] ** 2) ** 2 for p in points])
+        g = PointFrame(s, points).g
+        assert np.allclose(g, c[:, None, None] * np.eye(2), rtol=0.0, atol=1e-14)
+        assert np.allclose(g[-1], 4.0 * np.eye(2))
 
     def test_riemannian_reads_the_upper_triangle(self):
         # a_fn's entries below the diagonal are not read: the 0.5 is dropped,

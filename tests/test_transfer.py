@@ -36,7 +36,7 @@ def drift_transfer(fr, frs):
 class TestDriftTransfer:
     def test_flat_base_identity_and_literal_gap(self):
         e = euclidean(2)
-        star = randers_change(e, B)
+        star = randers_change(e, lambda x: B)
         pts = e.sample(5, seed=113)
         literal_worst = 0.0
         for p in pts:
@@ -68,7 +68,7 @@ class TestDriftTransfer:
 
     def test_drift_companion_is_vertical_to_ell(self):
         s = sphere2()
-        star = randers_change(s, B)
+        star = randers_change(s, lambda x: B)
         for p in s.sample(3, seed=127):
             rep = drift_transfer(point_frame(s, p), point_frame(star, p))
             assert abs(rep.ell_pairing) < 1e-11
@@ -163,7 +163,7 @@ class TestConformalTransfer:
     def test_constant_rescale_is_pure_scaling(self):
         s = sphere2()
         X = ComponentField(lambda x, y: [1.0 + 0.3 * y[1], x[0]], name="probe")
-        tilde = conformal_change(s, 0.25)
+        tilde = conformal_change(s, lambda x: 0.25)
         for p in s.sample(4, seed=137):
             fr = point_frame(s, p)
             frt = point_frame(tilde, p)
