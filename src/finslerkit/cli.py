@@ -120,6 +120,8 @@ def _parse_at(text: str, n: int) -> ChartPoint:
         if not all(v.strip() for v in values):
             raise ValueError(f"--at gives an empty component of {key!r}")
         parts[key] = [float(v) for v in values]
+        if not np.isfinite(parts[key]).all():
+            raise ValueError(f"--at gives a non-finite component of {key!r}")
     if set(parts) != {"x", "y"}:
         raise ValueError('--at must look like "x=0.1,0.2;y=1.0,0.5"')
     if len(parts["x"]) != n or len(parts["y"]) != n:

@@ -229,30 +229,18 @@ def jet_solve(A: Jet, B: Jet, inv: np.ndarray) -> Jet:
 
 
 @lru_cache(maxsize=None)
-def _shift_map(nvars: int, order: int, slot):
-    """Positions in the order-`order` table of alpha + e_slot, alpha over the
-    (order-1) table; a tuple of slots stacks one row per slot."""
-    if isinstance(slot, tuple):
-        return np.stack([_shift_map(nvars, order, s) for s in slot])
+def _shift_map(nvars: int, order: int, slots: tuple):
+    """(len(slots), T') table: row r holds the positions in the order-`order`
+    table of alpha + e_v for v = slots[r], alpha over the (order-1) table."""
     lo, _ = index_table(nvars, order - 1)
     _, pos_hi = index_table(nvars, order)
-    out = []
-    for alpha in lo:
-        shifted = list(alpha)
-        shifted[slot] += 1
-        out.append(pos_hi[tuple(shifted)])
-    return np.asarray(out, dtype=np.intp)
+    return np.array([[pos_hi[alpha[:v] + (alpha[v] + 1,) + alpha[v + 1:]] for alpha in lo]
+                     for v in slots], dtype=np.intp)
 
 
 @lru_cache(maxsize=None)
 def _table_size(nvars: int, order: int) -> int:
     return math.comb(nvars + order, order)
-
-
-def _value_part(other):
-    """A number, or an array over a stack's leading axes, to add to or
-    subtract from value parts."""
-    return other if isinstance(other, np.ndarray) else float(other)
 
 
 class Jet:
@@ -349,17 +337,13 @@ class Jet:
             return self
         return Jet(self.nvars, order, self.coeffs[..., : _table_size(self.nvars, order)])
 
-    def partial_jet(self, slot) -> "Jet":
-        """Jet of the partial derivative w.r.t. variable `slot`, one order lower.
-
-        A sequence of slots appends a tensor axis: `out[..., s, :]` is the
-        partial along `slot[s]`.
-        """
+    def partial_jet(self, slots) -> "Jet":
+        """Jets of the partial derivatives along a sequence of variable slots,
+        one order lower, on a new last tensor axis: `out[..., s, :]` is the
+        partial along `slots[s]`."""
         if self.order < 1:
             raise CapabilityError("order-0 jet has no derivatives")
-        if not isinstance(slot, (int, np.integer)):
-            slot = tuple(slot)
-        sm = _shift_map(self.nvars, self.order, slot)
+        sm = _shift_map(self.nvars, self.order, tuple(slots))
         return Jet(self.nvars, self.order - 1, self.coeffs.take(sm, -1))
 
     # -- ring operations -------------------------------------------------
@@ -378,7 +362,7 @@ class Jet:
             k, a, b = self._mat(other)
             return Jet(self.nvars, k, a + b)
         c = self.coeffs.copy()
-        c[..., 0] += _value_part(other)
+        c[..., 0] += other  # a number, or an array over the leading axes
         return Jet(self.nvars, self.order, c)
 
     __radd__ = __add__
@@ -391,12 +375,12 @@ class Jet:
             k, a, b = self._mat(other)
             return Jet(self.nvars, k, a - b)
         c = self.coeffs.copy()
-        c[..., 0] -= _value_part(other)
+        c[..., 0] -= other
         return Jet(self.nvars, self.order, c)
 
     def __rsub__(self, other):
         c = -self.coeffs
-        c[..., 0] += _value_part(other)
+        c[..., 0] += other
         return Jet(self.nvars, self.order, c)
 
     def __mul__(self, other):
@@ -413,8 +397,7 @@ class Jet:
         return Jet(self.nvars, self.order, self.coeffs / float(other))
 
     def __rtruediv__(self, other):
-        inv = self._reciprocal()
-        return inv if other == 1.0 else inv * float(other)  # x * 1.0 == x exactly
+        return self._reciprocal() * float(other)
 
     def __pow__(self, p):
         if isinstance(p, int) or (isinstance(p, float) and p.is_integer()):
@@ -436,16 +419,13 @@ class Jet:
         The first step is constant(c_M) * v as a scalar multiple: every other
         Leibniz term of that product is a signed zero, and `+ 0.0` is its
         +0.0 start. Each step adds c_m in place on the fresh product. On a
-        stack each c_m may be an array over the leading axes, one series per
-        jet.
+        stack each c_m is an array over the leading axes, one series per jet:
+        `taylor_coeffs` is the (order + 1, ...) array that `_taylor` builds.
         """
         if len(taylor_coeffs) == 1:
             return Jet.constant(self.nvars, self.order, taylor_coeffs[0])
         v = self - self.value
-        top = taylor_coeffs[-1]
-        if isinstance(top, np.ndarray):
-            top = top[..., None]
-        out = Jet(self.nvars, self.order, top * v.coeffs + 0.0)
+        out = Jet(self.nvars, self.order, taylor_coeffs[-1][..., None] * v.coeffs + 0.0)
         out.coeffs[..., 0] += taylor_coeffs[-2]
         for c in reversed(taylor_coeffs[:-2]):
             out = out * v
@@ -613,7 +593,8 @@ def _stacked(value, nvars: int, order: int, count: int) -> Jet:
 
 
 def jet_eval(field, points, order: int, float_fn=None) -> Jet:
-    """Evaluate `field(x, y)` in jet arithmetic at a sequence of chart points.
+    """Evaluate `field(x, y)` in jet arithmetic at a sequence of chart points,
+    to an `order` from 1 to `MAX_ORDER`.
 
     `field` must be written against the generic math functions of this
     module so the same callable also works on plain floats. It returns a
@@ -631,13 +612,11 @@ def jet_eval(field, points, order: int, float_fn=None) -> Jet:
     """
     if order > MAX_ORDER:
         raise CapabilityError(f"jet order {order} exceeds the supported maximum {MAX_ORDER}")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    xj, yj = coordinate_jets(points, max(order, 1))
+    xj, yj = coordinate_jets(points, order)  # an order below 1 is a ValueError
     try:
         out = field(xj, yj)
         if not isinstance(out, Jet):
-            out = _stacked(out, xj[0].nvars, max(order, 1), len(points))
+            out = _stacked(out, xj[0].nvars, order, len(points))
         if not np.isfinite(out.coeffs).all():
             bad = points[int(np.argmin(np.isfinite(out.coeffs).reshape(len(points), -1).all(-1)))]
             raise NumericalError(f"field produced non-finite jet coefficients at {bad}")
@@ -648,7 +627,7 @@ def jet_eval(field, points, order: int, float_fn=None) -> Jet:
             except (NumericalError, ArithmeticError) as alone:
                 raise type(alone)(f"{alone} at {p}") from exc
         raise
-    return out.truncated(order) if out.order > order else out
+    return out
 
 
 def field_value(field, point: ChartPoint) -> float:

@@ -373,6 +373,16 @@ class TestUsageErrors:
         assert code == 2
         assert capsys.readouterr().err == "error: --at gives an empty component of 'x'\n"
 
+    @pytest.mark.parametrize("at, key", [("x=nan,0.2;y=1.0,0.5", "x"),
+                                         ("x=1e400,0.2;y=1.0,0.5", "x"),
+                                         ("x=0.1,0.2;y=1.0,-inf", "y")])
+    def test_a_non_finite_point_component_is_rejected(self, capsys, at, key):
+        # a coordinate that is not a finite number is a malformed point, not
+        # a failed evaluation (exit 1)
+        code = main(["eval", "--metric", "sphere2", "--at", at, "--object", "Sc"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --at gives a non-finite component of {key!r}\n"
+
     def test_a_repeated_point_key_is_rejected(self, capsys):
         # the last of a repeated key must not silently win
         code = main(["eval", "--metric", "sphere2", "--at", "x=0.1,0.2;x=0.3,0.4;y=1.0,0.5",

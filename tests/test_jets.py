@@ -204,10 +204,10 @@ class TestRingLaws:
     def test_leibniz_on_partial_jets(self, a):
         b = a + 0.5
         prod = a * b
-        lhs = prod.partial_jet(1)
-        rhs = a.partial_jet(1) * b.truncated(a.order - 1) + a.truncated(
+        lhs = prod.partial_jet([1])
+        rhs = a.partial_jet([1]) * b.truncated(a.order - 1) + a.truncated(
             a.order - 1
-        ) * b.partial_jet(1)
+        ) * b.partial_jet([1])
         assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-8)
 
 
@@ -550,8 +550,12 @@ class TestStackedJets:
     def test_partial_jet_over_slots_stacks_the_partials(self):
         jet = jet_eval(lambda x, y: exp(x[0]) * y[1] ** 3, (P,), 3)[0]
         stacked = jet.partial_jet(range(2, 4))
+        assert stacked.order == 2 and stacked.coeffs.shape == (2, 15)
         for s, slot in enumerate(range(2, 4)):
-            assert np.array_equal(stacked[s].coeffs, jet.partial_jet(slot).coeffs)
+            assert np.array_equal(stacked[s].coeffs, jet.partial_jet([slot])[0].coeffs)
+            for beta in index_table(4, 2)[0]:
+                shifted = beta[:slot] + (beta[slot] + 1,) + beta[slot + 1:]
+                assert stacked[s].partial(beta) == jet.partial(shifted)
 
 
 STACKED_FUNCTIONS = {
@@ -677,7 +681,7 @@ def _component(spec):
 
 
 class TestStackedEvaluation:
-    @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+    @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
     def test_probe_polynomial_stack_equals_each_point(self, order):
         pts = by_name("sphere2").sample(12, seed=4)
         stack = jet_eval(_probe_polynomial, pts, order)
@@ -701,7 +705,7 @@ class TestStackedEvaluation:
             assert stack.coeffs[i].tobytes() == Jet.constant(4, 2, 2.5).coeffs.tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(_COMPONENTS, min_size=1, max_size=4), st.integers(0, MAX_ORDER),
+    @given(st.lists(_COMPONENTS, min_size=1, max_size=4), st.integers(1, MAX_ORDER),
            st.integers(0, 2 ** 32 - 1))
     def test_a_field_of_components_equals_the_stack_of_each(self, specs, order, seed):
         pts = by_name("euclidean2").sample(5, seed=seed)
@@ -852,7 +856,7 @@ class TestOrderSemantics:
     def test_partial_jet_drops_order(self):
         f = lambda x, y: x[0] ** 2 * y[0]
         jet = jet_eval(f, (P,), 3)[0]
-        d = jet.partial_jet(0)
+        d = jet.partial_jet([0])[0]
         assert d.order == 2
         assert d.value == pytest.approx(2 * P.x[0] * P.y[0], rel=1e-14)
 
@@ -864,6 +868,11 @@ class TestOrderSemantics:
     def test_jet_eval_rejects_excessive_order(self):
         with pytest.raises(CapabilityError):
             jet_eval(lambda x, y: y[0], (P,), MAX_ORDER + 1)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_jet_eval_rejects_an_order_below_one(self, order):
+        with pytest.raises(ValueError, match="order >= 1"):
+            jet_eval(lambda x, y: y[0], (P,), order)
 
     def test_truncation_is_prefix_slice(self):
         jet = jet_eval(lambda x, y: exp(x[0]) * y[1], (P,), 4)[0]

@@ -101,7 +101,7 @@ class ScalarTower:
 
     @cached_property
     def _E_dy(self):
-        return [self.E_jet.partial_jet(self.n + i) for i in range(self.n)]
+        return [self.E_jet.partial_jet([self.n + i])[..., 0, :] for i in range(self.n)]
 
     @cached_property
     def g_jets(self):
@@ -109,7 +109,7 @@ class ScalarTower:
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                jet = self._E_dy[i].partial_jet(n + j)
+                jet = self._E_dy[i].partial_jet([n + j])[..., 0, :]
                 rows[i][j] = jet
                 rows[j][i] = jet
         return rows
@@ -136,10 +136,10 @@ class ScalarTower:
         y_jets = Jet.variable(2 * n, 2, range(n, 2 * n), self.point.y)
         rhs = []
         for m_idx in range(n):
-            acc = -1.0 * self.E_jet.partial_jet(m_idx).truncated(2)
+            acc = -1.0 * self.E_jet.partial_jet([m_idx])[..., 0, :].truncated(2)
             dym = self._E_dy[m_idx]
             for k in range(n):
-                acc = acc + y_jets[k] * dym.partial_jet(k).truncated(2)
+                acc = acc + y_jets[k] * dym.partial_jet([k])[..., 0, :].truncated(2)
             rhs.append([0.5 * acc])
         return rhs
 
@@ -151,7 +151,8 @@ class ScalarTower:
     @cached_property
     def N_jets(self):
         n = self.n
-        return [[self.G_jets[i].partial_jet(n + j) for j in range(n)] for i in range(n)]
+        return [[self.G_jets[i].partial_jet([n + j])[..., 0, :] for j in range(n)]
+                for i in range(n)]
 
     @cached_property
     def N(self):
@@ -165,9 +166,9 @@ class ScalarTower:
         return out
 
     def delta_jet(self, jet, k):
-        out = jet.partial_jet(k)
+        out = jet.partial_jet([k])[..., 0, :]
         for m in range(self.n):
-            out = out - self.N_jets[m][k] * jet.partial_jet(self.n + m)
+            out = out - self.N_jets[m][k] * jet.partial_jet([self.n + m])[..., 0, :]
         return out
 
     @cached_property
