@@ -354,7 +354,7 @@ def _check_thm28_flat(fr, tol, floor, seed):
     for f in _probe_scalars(fr.structure, seed, 28):
         df = fr.delta_jets(fr.field_jet(f, 2))  # the jets of dbar f, read twice
         sweep.add(picalc.closedness_defect(fr, fr.sharp_jets(df)))  # of grad f
-        sweep.add(max_abs(picalc.dbar_p(fr, df), 2))
+        sweep.add(max_abs(picalc.dbar(fr, df), 2))
     return sweep.result(tol, details={"max_vh_torsion": rhat})
 
 

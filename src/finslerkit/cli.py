@@ -60,8 +60,8 @@ def _result_record(res) -> dict:
 def cmd_verify(args) -> int:
     if args.points < 1:
         raise ValueError("--points must be at least 1")
-    if not (0.0 < args.tol < args.floor):
-        raise ValueError("require 0 < tol < floor")
+    if not (0.0 < args.tol < args.floor < np.inf):
+        raise ValueError("require 0 < tol < floor, with a finite floor")
     metric = _load_metric(args.metric)
     if args.checks.strip() == "all":
         ids = check_ids()

@@ -22,7 +22,6 @@ numpy operations, over the whole batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 import numpy as np
 
@@ -31,51 +30,19 @@ from .fields import drift_companion_jets, project_away
 from .frame import PointFrame, antisymmetric, dot, matvec, max_abs, pymax, quad
 from .jets import Jet
 
-MAX_DEGREE = 3  # the highest form degree dbar_p returns
-
 
 # -- horizontal exterior derivative ------------------------------------------
 
 
-def dbar_p(fr: PointFrame, w: Jet) -> np.ndarray:
-    """Horizontal exterior derivative of a p-form from the stacked jet of its
-    components: one (n,) axis per degree after the frame's point axis,
-    antisymmetric in its index tuple (a 1-form i_X g is `fr.flat_jets(Xj)`;
-    degree 0 is the jet of a scalar f, say `fr.field_jet(f, 1)`, and gives
-    delta_k f):
-
-        (dbar w)_{k0..kp} = sum_q (-1)^q delta_{kq} w_{k0..^kq..kp}
-
-    returned as the full antisymmetric component array. The sum runs once
-    per increasing index tuple, from its q = 0 term, and each permutation of
-    the tuple takes that value with its sign; entries with a repeated index
-    are +0.0.
-    """
-    n = fr.n
-    deg = w.coeffs.ndim - 2  # after the point axis, before the table axis
-    if deg + 1 > MAX_DEGREE:
-        raise CapabilityError(
-            f"dbar of a degree-{deg} form exceeds the supported degree {MAX_DEGREE}")
-    d = fr.delta_values(w)  # [..., K, k] = delta_k w_K
-    out = np.zeros(d.shape[:1] + (n,) * (deg + 1))
-    for K in combinations(range(n), deg + 1):
-        val = d[(...,) + K[1:] + K[:1]]
-        for q in range(1, deg + 1):
-            term = d[(...,) + K[:q] + K[q + 1:] + K[q:q + 1]]
-            val = val - term if q % 2 else val + term
-        for perm in permutations(K):
-            out[(...,) + perm] = val if _perm_sign(perm) > 0 else -val
-    return out
-
-
-def _perm_sign(key) -> float:
-    key = list(key)
-    sign = 1.0
-    for i in range(len(key)):
-        for j in range(i + 1, len(key)):
-            if key[i] > key[j]:
-                sign = -sign
-    return sign
+def dbar(fr: PointFrame, w: Jet) -> np.ndarray:
+    """(dbar w)_jk = delta_j w_k - delta_k w_j, the horizontal exterior
+    derivative of a 1-form w from the stacked order-1 jet of its components,
+    of shape (P, n, T) (i_X g is `fr.flat_jets(Xj)`), as `antisymmetric`
+    computes it. dbar of a scalar is the frame's `delta_values` or
+    `delta_jets` of its jet; a jet of any other shape is a CapabilityError."""
+    if w.coeffs.shape[1:-1] != (fr.n,):
+        raise CapabilityError(f"dbar takes the (P, n, T) jet of a 1-form, not {w.coeffs.shape}")
+    return antisymmetric(np.swapaxes(fr.delta_values(w), -1, -2))  # [j, k] = delta_j w_k
 
 
 def _bracket(frame: PointFrame, Xj: Jet, Yj: Jet) -> np.ndarray:
@@ -98,9 +65,9 @@ def a_operator(fr: PointFrame, Xj: Jet) -> np.ndarray:
 
 
 def closedness_defect(fr: PointFrame, Xj: Jet) -> np.ndarray:
-    """max |dbar_p(i_X g)_jk|, from the jets of g_km X^m, of the order-1 jets
+    """max |dbar(i_X g)_jk|, from the jets of g_km X^m, of the order-1 jets
     of X: zero exactly when X is closed at a frame point."""
-    return max_abs(dbar_p(fr, fr.flat_jets(Xj)), 2)
+    return max_abs(dbar(fr, fr.flat_jets(Xj)), 2)
 
 
 def flat_form_and_selfadjoint_matrix(fr: PointFrame, Xj: Jet):
@@ -108,7 +75,7 @@ def flat_form_and_selfadjoint_matrix(fr: PointFrame, Xj: Jet):
     B_jk = g_js (A_X)^s_k, the lowered operator, whose symmetry is
     g-self-adjointness of A_X. M_jk = B_kj - B_jk holds for every field,
     closed or not, which bridges the two."""
-    return dbar_p(fr, fr.flat_jets(Xj)), fr.g @ a_operator(fr, Xj)
+    return dbar(fr, fr.flat_jets(Xj)), fr.g @ a_operator(fr, Xj)
 
 
 # -- second derivative and gradient identities ---------------------------------
@@ -132,7 +99,7 @@ def dbar_sq(fr: PointFrame, f) -> DbarSqResult:
     vh-torsion contraction R^m_jk dy_m f. Their agreement is the numerical
     form of the commutation rule [delta_j, delta_k] = R^m_jk dy_m."""
     fj = fr.field_jet(f, 2)
-    nested = dbar_p(fr, fr.delta_jets(fj))
+    nested = dbar(fr, fr.delta_jets(fj))
     contracted = _torsion_contraction(fr, fj)
     defect = max_abs(nested - contracted, 2)
     scale = pymax(1.0, max_abs(nested, 2), max_abs(contracted, 2))
@@ -332,11 +299,11 @@ def drift_closedness_transfer(fr: PointFrame, frs: PointFrame,
     tau_jet = frs.L_jet.truncated(1) / fr.L_jet.truncated(1)
     w_star_scaled = tau_jet[..., None, :] * frs.flat_jets(msj)
 
-    star_of_scaled = dbar_p(frs, w_star_scaled)
-    star_of_base = dbar_p(frs, w_base)
+    star_of_scaled = dbar(frs, w_star_scaled)
+    star_of_base = dbar(frs, w_base)
     dual_path_residual = max_abs(star_of_scaled - star_of_base, 2)
 
-    base_defect = max_abs(dbar_p(fr, w_base), 2)
+    base_defect = max_abs(dbar(fr, w_base), 2)
     star_defect = max_abs(star_of_base, 2)
     return DriftTransferReport(
         identity_residual=identity_residual,
@@ -388,17 +355,17 @@ def conformal_closedness_transfer(fr: PointFrame, frts, Xj: Jet) -> tuple:
     applicable when dbar~ omega itself vanishes).
     """
     w = fr.flat_jets(Xj)
-    base_matrix = dbar_p(fr, w)
+    base_matrix = dbar(fr, w)
     return tuple(_rescaled_report(fr, frt, Xj, w, base_matrix) for frt in frts)
 
 
 def _rescaled_report(fr, frt, Xj, w, base_matrix) -> ConformalTransferReport:
     """The report of one rescaled frame `frt`, from the jets `w` of omega on
-    `fr` and `base_matrix = dbar_p(fr, w)`; its (P, n, n) arrays are freed
+    `fr` and `base_matrix = dbar(fr, w)`; its (P, n, n) arrays are freed
     on return, before the next frame is built."""
     wv = w.value.copy()
-    actual = dbar_p(frt, frt.flat_jets(Xj))
-    tilde_of_base = dbar_p(frt, w)
+    actual = dbar(frt, frt.flat_jets(Xj))
+    tilde_of_base = dbar(frt, w)
 
     sigma = frt.structure.meta["sigma_fn"]
     sig_jet = fr.field_jet(lambda x, y: sigma(x), 1)

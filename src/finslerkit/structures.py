@@ -226,6 +226,11 @@ def _field(spec, key: str, convert):
         raise ValueError(f"metric field {key!r} has the wrong type") from None
 
 
+# The largest exponent of a spec's polynomial term: Jet.__pow__ runs one jet
+# product per unit of an exponent, so an unbounded one could stall a run.
+_MAX_POWER = 64
+
+
 def _whole(value, key: str) -> int:
     """An int, or a float with no fractional part, as an int; a fractional
     number, a string or a bool is a ValueError naming the field `key`."""
@@ -257,8 +262,8 @@ def _poly_callable(spec, n: int, key: str) -> Callable:
     for t in _field(spec, "terms", list):
         coef = _field(t, "coef", lambda c: _real(c, "coef"))
         powers = _field(t, "powers", lambda p: tuple(_whole(e, "powers") for e in p))
-        if len(powers) != n or any(e < 0 for e in powers):
-            raise ValueError(f"term powers must be {n} nonnegative integers")
+        if len(powers) != n or any(not 0 <= e <= _MAX_POWER for e in powers):
+            raise ValueError(f"metric field 'powers' must hold {n} integers from 0 to {_MAX_POWER}")
         _only(t, ("coef", "powers"), "a polynomial term")
         terms.append((coef, powers))
     _only(spec, ("terms",), "a polynomial")

@@ -45,6 +45,9 @@ MALFORMED = {
     "b": ("b", {"family": "randers", "b": 3, "base": SPHERE}),
     "powers": ("powers", {"family": "conformal", "base": SPHERE,
                           "sigma": {"terms": [{"coef": 1.0, "powers": 5}]}}),
+    # Jet.__pow__ runs one product per unit of an exponent, so a large one stalls a run
+    "powers-65": ("powers", {"family": "conformal", "base": SPHERE,
+                             "sigma": {"terms": [{"coef": 0.3, "powers": [65, 0]}]}}),
     "dim": ("dim", {"family": "riemannian", "dim": [2], "a": [[1, 0], [0, 1]]}),
     "b-missing": ("b", {"family": "randers", "base": SPHERE}),
     "dim-missing": ("dim", {"family": "euclidean"}),
@@ -349,6 +352,14 @@ class TestUsageErrors:
     def test_tolerance_must_be_below_floor(self, tmp_path):
         code, _ = run_verify(tmp_path, "--tol", "1e-2", "--floor", "1e-3")
         assert code == 2
+
+    @pytest.mark.parametrize("floor", ["inf", "nan"])
+    def test_floor_must_be_finite(self, tmp_path, capsys, floor):
+        # an infinite floor would fail every negative control (exit 1)
+        code, out = run_verify(tmp_path, "--floor", floor)
+        assert code == 2
+        assert capsys.readouterr().err == "error: require 0 < tol < floor, with a finite floor\n"
+        assert not out.exists()
 
     def test_dimension_below_two_is_rejected(self, tmp_path, capsys):
         spec = {"family": "euclidean", "dim": 1}

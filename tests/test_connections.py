@@ -111,7 +111,7 @@ class TestHorizontalDerivative:
         s = sphere2()
         p = SPHERE_POINTS[3]
         fr = point_frame(s, p)
-        dE = pc.dbar_p(fr, fr.field_jet(lambda x, y: 0.5 * s.L(x, y) ** 2, 1))
+        dE = fr.delta_values(fr.field_jet(lambda x, y: 0.5 * s.L(x, y) ** 2, 1))
         assert np.abs(dE).max() < 1e-12
 
     def test_positional_scalar_reduces_to_base_gradient(self):
@@ -119,7 +119,7 @@ class TestHorizontalDerivative:
         p = SPHERE_POINTS[0]
         f = lambda x, y: x[0] ** 2 - 2.0 * x[1]
         fr = point_frame(s, p)
-        df = pc.dbar_p(fr, fr.field_jet(f, 1))[0]
+        df = fr.delta_values(fr.field_jet(f, 1))[0]
         assert df[0] == pytest.approx(2 * p.x[0], rel=1e-12)
         assert df[1] == pytest.approx(-2.0, rel=1e-12)
 
@@ -128,7 +128,7 @@ class TestHorizontalDerivative:
         p = SPHERE_POINTS[0]
         f = lambda x, y: x[0] * y[1]
         fr = point_frame(s, p)
-        df = pc.dbar_p(fr, fr.field_jet(f, 1))[0]
+        df = fr.delta_values(fr.field_jet(f, 1))[0]
         # delta_k f = d_k f - N^m_k dy_m f with dy_m f = x^0 for m = 1 only
         N = fr.N[0]
         assert df[0] == pytest.approx(p.y[1] - N[1, 0] * p.x[0], rel=1e-12)

@@ -114,7 +114,7 @@ def test_stacked_field_calculus_equals_component_reference(name):
             assert Xj.coeffs[0].tobytes() == stack(ref).tobytes(), (X, p)
             w, w_ref = fr.flat_jets(Xj), oracle.lowered_jets(fr, ref)
             assert w.coeffs[0].tobytes() == stack(w_ref).tobytes(), (X, p)
-            assert pc.dbar_p(fr, w)[0].tobytes() == oracle.dbar_matrix(fr, w_ref).tobytes()
+            assert pc.dbar(fr, w)[0].tobytes() == oracle.dbar_matrix(fr, w_ref).tobytes()
             assert (pc.a_operator(fr, Xj)[0].tobytes()
                     == oracle.nabla_h_matrix(fr, ref).tobytes()), (X, p)
         for a in range(len(fields)):
@@ -167,7 +167,7 @@ def _entry_point_calls(s):
     star = randers_change(s, drift)
     tilde = conformal_change(s, lambda x: 0.3 * x[0] * x[-1])
     return [
-        ("dbar_p", lambda fr: pc.dbar_p(fr, oracle.form_jets(fr, form))),
+        ("dbar", lambda fr: pc.dbar(fr, oracle.form_jets(fr, form))),
         ("dbar_1_on_fields", lambda fr: oracle.dbar_1_on_fields(
             fr, oracle.form_jets(fr, form), probes[0].jets(fr), probes[3].jets(fr))),
         ("a_operator", lambda fr: pc.a_operator(fr, probes[4].jets(fr))),
@@ -426,6 +426,30 @@ def test_ginv_jets_value_is_g_inv(name):
         assert fr.ginv_jets.value.tobytes() == fr.g_inv.tobytes()
 
 
+# jet quantities of a frame that delta_values differentiates: a scalar's jets
+# of orders 1 and 2, and the frame's rungs
+_DELTA_INPUTS = {
+    "scalar-o1": lambda fr: fr.field_jet(lambda x, y: x[0] * y[-1] + x[-1] ** 2, 1),
+    "scalar-o2": lambda fr: fr.field_jet(lambda x, y: x[0] * y[-1] + x[-1] ** 2, 2),
+    "E_jet": lambda fr: fr.E_jet,
+    "g_jets": lambda fr: fr.g_jets,
+    "N_jets": lambda fr: fr.N_jets,
+    "F_jets": lambda fr: fr.F_jets,
+}
+
+
+@pytest.mark.parametrize("quantity", list(_DELTA_INPUTS))
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_delta_values_are_the_values_of_delta_jets(name, quantity):
+    # delta_values, which dbar, A_X and the bracket read, is a faster path to
+    # the value part of delta_jets of the order-1 truncation: the same bits
+    s = by_name(name)
+    fr = PointFrame(s, tuple(s.sample(20, seed=5)))
+    jet = _DELTA_INPUTS[quantity](fr)
+    got, want = fr.delta_values(jet), fr.delta_jets(jet.truncated(1)).value
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("a22, words", [(0, "not positive definite"),
                                         (1e-13, "numerically singular")])
 def test_a_singular_metric_raises_from_the_guard_at_the_solves(a22, words):
@@ -637,23 +661,23 @@ def test_a_check_evaluates_each_probe_once(monkeypatch, name, check_id, probes):
 @pytest.mark.parametrize("name", ["sphere2", "euclidean3"])
 def test_the_conformal_check_lowers_and_differentiates_the_base_form_once(monkeypatch, name):
     # omega = i_X g and dbar omega once on the sample frame, and dbar~ omega~
-    # and dbar~ omega on each of the two tildes: 5 dbar_p calls in all; the
+    # and dbar~ omega on each of the two tildes: 5 dbar calls in all; the
     # first tilde frame is freed before the second is built
     s = by_name(name)
     fr = PointFrame(s, tuple(s.sample(50, 0)))
     want = checks.run_check("thm2.16.conformal", fr, 1e-7, 1e-3, 0)
     dbar_on, flat_on, tildes, live = [], [], [], []  # on fr or not, weak tildes, live tildes
-    dbar_p, flat_jets = pc.dbar_p, PointFrame.flat_jets
+    dbar, flat_jets = pc.dbar, PointFrame.flat_jets
 
-    def dbar(frame, w):
+    def counted_dbar(frame, w):
         dbar_on.append(frame is fr)
         if frame is not fr and not any(t() is frame for t in tildes):
             tildes.append(weakref.ref(frame))
         gc.collect()
         live.append(sum(t() is not None for t in tildes))
-        return dbar_p(frame, w)
+        return dbar(frame, w)
 
-    monkeypatch.setattr(pc, "dbar_p", dbar)
+    monkeypatch.setattr(pc, "dbar", counted_dbar)
     monkeypatch.setattr(PointFrame, "flat_jets",
                         lambda frame, Xj: flat_on.append(frame is fr) or flat_jets(frame, Xj))
     got = checks.run_check("thm2.16.conformal", fr, 1e-7, 1e-3, 0)

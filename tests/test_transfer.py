@@ -186,7 +186,7 @@ class TestConformalTransfer:
             assert rep.tilde_base_defect < 1e-10
             assert rep.prediction_residual < 1e-10 * rep.scale
             expected = 2.0 * np.exp(2.0 * p.x[0])
-            actual = pc.dbar_p(frt, frt.flat_jets(X.jets(fr)))  # dbar~ i_X g~
+            actual = pc.dbar(frt, frt.flat_jets(X.jets(fr)))  # dbar~ i_X g~
             assert actual[0, 0, 1] == pytest.approx(expected, rel=1e-11)
             assert rep.actual_defect == np.abs(actual).max()
             assert rep.actual_defect > 1e-3

@@ -11,8 +11,8 @@ built on them (`field_jets`, `drift_companion_jets`, `lowered_jets`,
 take lists of scalar component jets and a frame on one point, whose point 0
 they read. `gauss_jordan_solve` is an independent algorithm for the same
 solves, which the recursion is compared with to round-off. `form_jets`
-builds the stacked jet of a form's components that `picalc.dbar_p` takes,
-and `dbar_1_on_fields` is the invariant formula its components are checked
+builds the stacked jet of a form's components (a 1-form's is what
+`picalc.dbar` takes, a 2-form's what it refuses), and `dbar_1_on_fields` is the invariant formula its components are checked
 against.
 Index conventions match the frame:
 
@@ -387,8 +387,8 @@ def perm_sign(key) -> float:
 
 
 def form_jets(frame, components):
-    """The stacked order-1 jet of a form's components on a frame, the input
-    of `picalc.dbar_p`: `components` maps increasing index tuples K, all of
+    """The stacked order-1 jet of a form's components on a frame (of a
+    1-form, the input of `picalc.dbar`): `components` maps increasing index tuples K, all of
     one length (the degree), to callables (x, y) -> w_K. After the frame's
     point axis comes one (n,) axis per degree: w[..., K, :] is the jet of
     w_K, antisymmetric in K, and zero where a component is absent."""
@@ -409,7 +409,7 @@ def dbar_1_on_fields(fr, w, Xj, Yj):
 
     where b marks the horizontal lift, from the order-1 jets of the 1-form
     omega and of X and Y. Used to certify that the component formula of
-    dbar_p is the coordinate expression of this invariant one.
+    dbar is the coordinate expression of this invariant one.
     """
     if w.coeffs.ndim != 3:  # point, component and table axes
         raise ValueError("dbar_1_on_fields expects a 1-form")
