@@ -40,9 +40,6 @@ class ChartPoint:
         """All 2n coordinates, x-block first."""
         return self.x + self.y
 
-    def __repr__(self):
-        return f"ChartPoint(x={self.x}, y={self.y})"
-
 
 def sample_points(n: int, box: float, domain: Callable, count: int, seed: int) -> list:
     """Deterministic chart points for test sweeps, each inside `domain`.

@@ -38,7 +38,7 @@ import numpy as np
 from . import connections, curvature, picalc
 from .chart import ChartPoint
 from .errors import FinslerError
-from .fields import ComponentField, GradientField, constant_field, covector_jets
+from .fields import ComponentField, GradientField, constant_field
 from .frame import PointFrame, antisymmetric, dot, matvec, max_abs, pymax
 from .jets import fd_partial, index_table, jet_eval
 from .structures import FinslerStructure, conformal_change, randers_change
@@ -365,14 +365,12 @@ def _check_thm28_curved(fr, tol, floor, seed):
         return _report_only(fr, rhat, floor,
                             {"note": "not applicable: structure is flat on the sample",
                              "max_vh_torsion": rhat})
-    best, k = _first_max(picalc.closedness_defect(fr, GradientField(_doc_scalar).jets(fr)))
-    verdict = PASS if best > floor else FAIL
-    return CheckResult(
-        n_points=len(fr.point), max_residual=best, threshold=floor, verdict=verdict,
-        witness=None if k is None else _witness(fr.point[k], best),
-        details={"max_vh_torsion": rhat,
-                 "probe": "f = (y1)^2/2, X = grad f"},
-    )
+    out = CheckResult(n_points=len(fr.point), max_residual=0.0, threshold=floor, verdict=PASS,
+                      details={"max_vh_torsion": rhat, "probe": "f = (y1)^2/2, X = grad f"})
+    out.max_residual = _negative_control(
+        out, fr.point, picalc.closedness_defect(fr, GradientField(_doc_scalar).jets(fr)),
+        floor, "the gradient probe is closed on the curved sample")
+    return out
 
 
 @check("eq2.13",
@@ -496,7 +494,7 @@ def _check_randers(fr, tol, floor, seed):
         const = tuple([0.2] + [0.0] * (fr.n - 1))
         b_fn = lambda x: const
         frb, frs = fr, fr.derived(randers_change(fr.structure, b_fn))
-    bj = covector_jets(fr, b_fn)  # b is positional: its jets serve both frames
+    bj = fr.field_jet(lambda x, y: b_fn(x), 1)  # b is positional: its jets serve both frames
     pre = _first_max(picalc.drift_precondition_defect(bj))[0]
     if pre > floor:
         return _report_only(fr, pre, tol, {"note": "not applicable: drift is not closed",

@@ -1,20 +1,16 @@
-"""Vector fields along the projection, plus probe-field builders.
+"""Vector fields along the projection.
 
 A pi-vector field is given by its chart components X^i(x, y), one callable
-returning all n. The classes here only produce their stacked order-1 jet on
-a PointFrame (`PiVectorField.jets`), and the functions the jets of a drift
-covector, of its companion field and of a g-projection: closedness and
-every other identity of `picalc` reads those jets alone. The musical
-isomorphisms on them are the frame's (`PointFrame.flat_jets`,
-`PointFrame.sharp_jets`), as the frame owns g and its inverse; all other
-calculus on them lives in `picalc`.
+returning all n. The classes here define fields and only produce their
+stacked order-1 jet on a PointFrame (`PiVectorField.jets`): closedness and
+every other identity reads those jets alone. The musical isomorphisms on
+them are the frame's (`PointFrame.flat_jets`, `PointFrame.sharp_jets`), as
+the frame owns g and its inverse; all other calculus on them lives in
+`picalc`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import DegenerateFieldError
 from .jets import Jet
 
 
@@ -62,47 +58,3 @@ class GradientField(PiVectorField):
     def __repr__(self):
         return f"GradientField({self.name or self.f!r})"
 
-
-def drift_companion_jets(frame, bj: Jet) -> Jet:
-    """The order-1 jets of the transverse companion of a drift covector b on
-    a frame's structure, from the jets `bj` of b (`covector_jets`):
-
-        m^i = g^ij b_j - (alpha / L^2) y^i,   alpha = b_i y^i.
-
-    It is g-orthogonal to the canonical field eta by construction. b is
-    positional, so one `bj` serves a base frame and the frame of its Randers
-    change at the same points.
-    """
-    n = frame.n
-    yj = Jet.variable(2 * n, 1, range(n, 2 * n), frame.y)
-    alpha = (bj * yj).sum_last()
-    scale = alpha / (2.0 * frame.E_jet.truncated(1))  # L^2 = 2E
-    return frame.sharp_jets(bj) - scale[..., None, :] * yj
-
-
-def covector_jets(frame, b_fn) -> Jet:
-    """The components b_i of a positional covector x -> b(x) as one (..., n)
-    stack of order-1 jets on a frame, from one evaluation of b."""
-    return frame.field_jet(lambda x, y: b_fn(x), 1)
-
-
-def project_away(frame, vecs, Xj: Jet) -> Jet:
-    """Jets of v - (g(v, X) / g(X, X)) X for constant vectors v, from the jets
-    Xj of X. `vecs` is one vector (n,) or a stack of them (k, n); Xj then
-    carries one axis for the stack between its point axis and its component
-    axis, as `Xj[..., None, :, :]` does. A stack gives the projections of
-    every vector, each byte-equal to projecting that vector alone."""
-    n = frame.n
-    vj = Jet.constant(2 * n, Xj.order, vecs)
-    # g(v, X) and g(X, X) as jets, adding the terms in row-major (i, j) order
-    i, j = np.divmod(np.arange(n * n), n)
-    gij = frame.g_jets.truncated(Xj.order)[..., i, j, :]
-    gij = Jet(gij.nvars, gij.order, frame._against(gij.coeffs, Xj.coeffs.ndim))
-    gvx = (gij * (vj[..., i, :] * Xj[..., j, :])).sum_last()
-    gxx = (gij * (Xj[..., i, :] * Xj[..., j, :])).sum_last()
-    bad = np.abs(gxx.value) < 1e-18
-    if bad.any():
-        raise DegenerateFieldError(
-            f"cannot project: X has vanishing g-norm at {frame._first(bad)[1]}")
-    lam = gvx / gxx
-    return vj - lam[..., None, :] * Xj

@@ -1,8 +1,10 @@
 """Calculus of fields and forms along the projection.
 
-Implements the horizontal exterior derivative, the covariant operator
-A_X, and the composite closedness diagnostics (Lie comparison,
-involutivity, drift and conformal transfer reports). Whether X is closed
+All calculus on the jets of the fields of `fields` lives here: the
+horizontal exterior derivative, the covariant operator A_X, the companion
+of a drift covector, the g-projection away from a field, and the composite
+closedness diagnostics (Lie comparison, involutivity, drift and conformal
+transfer reports). Whether X is closed
 depends on dbar(i_X g) alone, so every entry point that reads a pi-vector
 field or a form takes its order-1 jets (`X.jets(fr)`, or the stacked jet of
 a form's components, such as `fr.flat_jets(Xj)`), evaluated once by the
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DegenerateFieldError
-from .fields import drift_companion_jets, project_away
 from .frame import PointFrame, antisymmetric, dot, matvec, max_abs, pymax, quad
 from .jets import Jet
 
@@ -190,6 +191,28 @@ class InvolutivityReport:
     scale: np.ndarray
 
 
+def project_away(frame, vecs, Xj: Jet) -> Jet:
+    """Jets of v - (g(v, X) / g(X, X)) X for constant vectors v, from the jets
+    Xj of X. `vecs` is one vector (n,) or a stack of them (k, n); Xj then
+    carries one axis for the stack between its point axis and its component
+    axis, as `Xj[..., None, :, :]` does. A stack gives the projections of
+    every vector, each byte-equal to projecting that vector alone."""
+    n = frame.n
+    vj = Jet.constant(2 * n, Xj.order, vecs)
+    # g(v, X) and g(X, X) as jets, adding the terms in row-major (i, j) order
+    i, j = np.divmod(np.arange(n * n), n)
+    gij = frame.g_jets.truncated(Xj.order)[..., i, j, :]
+    gij = Jet(gij.nvars, gij.order, frame._against(gij.coeffs, Xj.coeffs.ndim))
+    gvx = (gij * (vj[..., i, :] * Xj[..., j, :])).sum_last()
+    gxx = (gij * (Xj[..., i, :] * Xj[..., j, :])).sum_last()
+    bad = np.abs(gxx.value) < 1e-18
+    if bad.any():
+        raise DegenerateFieldError(
+            f"cannot project: X has vanishing g-norm at {frame._first(bad)[1]}")
+    lam = gvx / gxx
+    return vj - lam[..., None, :] * Xj
+
+
 def involutivity_report(fr: PointFrame, Xj: Jet) -> InvolutivityReport:
     """Probe the g-orthogonal complement of X for involutivity.
 
@@ -221,8 +244,8 @@ def involutivity_report(fr: PointFrame, Xj: Jet) -> InvolutivityReport:
     yv = np.take_along_axis(yv, keep[..., None], axis=-2)
 
     A = a_operator(fr, Xj)
-    pairs = []
-    residuals = []
+    lead = np.shape(xnorm2)
+    defect = identity_defect = np.zeros(lead)
     scale = 1.0
     for a in range(n - 1):
         for b in range(a + 1, n - 1):
@@ -231,18 +254,12 @@ def involutivity_report(fr: PointFrame, Xj: Jet) -> InvolutivityReport:
             bracket = _bracket(fr, Yj[..., a, :, :], Yj[..., b, :, :])
             lhs = quad(bracket, g, xv)
             rhs = quad(matvec(A, bv), g, av) - quad(matvec(A, av), g, bv)
-            pairs.append(lhs)
-            residuals.append(abs(lhs - rhs))
+            defect = pymax(defect, abs(lhs))
+            identity_defect = pymax(identity_defect, abs(lhs - rhs))
             br_norm = np.sqrt(pymax(quad(bracket, g, bracket), 0.0))
             scale = pymax(scale, br_norm * np.sqrt(xnorm2))
-    lead = np.shape(xnorm2)
-    pairs = np.stack(pairs, axis=-1) if pairs else np.zeros(lead + (0,))
-    residuals = np.stack(residuals, axis=-1) if residuals else np.zeros(lead + (0,))
-    return InvolutivityReport(
-        defect=max_abs(pairs, 1) if pairs.size else np.zeros(lead),
-        identity_defect=max_abs(residuals, 1) if residuals.size else np.zeros(lead),
-        scale=np.broadcast_to(scale, lead),
-    )
+    return InvolutivityReport(defect=defect, identity_defect=identity_defect,
+                              scale=np.broadcast_to(scale, lead))
 
 
 # -- drift (Randers) transfer ----------------------------------------------------
@@ -260,12 +277,30 @@ class DriftTransferReport:
     base_form_scale: np.ndarray
 
 
+def drift_companion_jets(frame, bj: Jet) -> Jet:
+    """The order-1 jets of the transverse companion of a drift covector b on
+    a frame's structure, from the jets `bj` of b
+    (`frame.field_jet(lambda x, y: b(x), 1)`):
+
+        m^i = g^ij b_j - (alpha / L^2) y^i,   alpha = b_i y^i.
+
+    It is g-orthogonal to the canonical field eta by construction. b is
+    positional, so one `bj` serves a base frame and the frame of its Randers
+    change at the same points.
+    """
+    n = frame.n
+    yj = Jet.variable(2 * n, 1, range(n, 2 * n), frame.y)
+    alpha = (bj * yj).sum_last()
+    scale = alpha / (2.0 * frame.E_jet.truncated(1))  # L^2 = 2E
+    return frame.sharp_jets(bj) - scale[..., None, :] * yj
+
+
 def drift_closedness_transfer(fr: PointFrame, frs: PointFrame,
                               bj: Jet) -> DriftTransferReport:
     """Compare the drift companion form across a Randers change L* = L + b,
     from a frame `fr` of the base structure, a frame `frs` of the changed
     one at the same points, and the order-1 jets `bj` of the drift b
-    (`fields.covector_jets`), which serve both frames.
+    (`fr.field_jet(lambda x, y: b(x), 1)`), which serve both frames.
 
     With tau = L*/L and m, m* the drift companions of b in the base and
     changed structures, the form identity

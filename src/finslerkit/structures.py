@@ -229,6 +229,9 @@ def _field(spec, key: str, convert):
 # The largest exponent of a spec's polynomial term: Jet.__pow__ runs one jet
 # product per unit of an exponent, so an unbounded one could stall a run.
 _MAX_POWER = 64
+# The largest spec dimension: an order-4 product over 2n variables runs
+# binom(4n + 4, 4) Leibniz terms, so time and memory grow as n^4.
+_MAX_DIM = 8
 
 
 def _whole(value, key: str) -> int:
@@ -237,6 +240,14 @@ def _whole(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
         raise ValueError(f"metric field {key!r} must hold integers, got {value!r}")
     return int(value)
+
+
+def _dim(spec) -> int:
+    """The spec's "dim", at most _MAX_DIM; FinslerStructure rejects one below 2."""
+    n = _field(spec, "dim", lambda d: _whole(d, "dim"))
+    if n > _MAX_DIM:
+        raise ValueError(f"metric field 'dim' must be at most {_MAX_DIM}, got {n}")
+    return n
 
 
 def _real(value, key: str) -> float:
@@ -309,11 +320,11 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
     if not isinstance(spec.get("name", ""), str):
         raise ValueError(f"metric field 'name' must be a string, got {spec['name']!r}")
     if family == "euclidean":
-        return euclidean(_field(spec, "dim", lambda d: _whole(d, "dim")))
+        return euclidean(_dim(spec))
     if family == "minkowski_quartic":
-        return minkowski_quartic(_field(spec, "dim", lambda d: _whole(d, "dim")))
+        return minkowski_quartic(_dim(spec))
     if family == "riemannian":
-        n = _field(spec, "dim", lambda d: _whole(d, "dim"))
+        n = _dim(spec)
         rows = _field(spec, "a", lambda a: [list(r) for r in a])
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("'a' must be an n x n table of polynomial specs")

@@ -15,7 +15,7 @@ from finslerkit import curvature as curv
 from finslerkit import jets
 from finslerkit import picalc as pc
 from finslerkit.cli import main as cli_main
-from finslerkit.fields import ComponentField, GradientField, constant_field, covector_jets
+from finslerkit.fields import ComponentField, GradientField, constant_field
 from finslerkit.frame import point_frame
 from finslerkit.structures import by_name, conformal_change, euclidean, randers_change
 
@@ -239,7 +239,7 @@ def test_criterion_07_randers_drift_transfer(capsys):
         star = randers_change(base, b)
         for p in base.sample(NPTS, seed=SEED):
             fr = point_frame(base, p)
-            bj = covector_jets(fr, star.meta["b_fn"])
+            bj = fr.field_jet(lambda x, y: b(x), 1)
             rep = pc.drift_closedness_transfer(fr, point_frame(star, p), bj)
             worst_ell = max(
                 worst_ell, abs(rep.ell_pairing[0]), abs(rep.star_ell_pairing[0])

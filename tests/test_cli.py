@@ -49,6 +49,11 @@ MALFORMED = {
     "powers-65": ("powers", {"family": "conformal", "base": SPHERE,
                              "sigma": {"terms": [{"coef": 0.3, "powers": [65, 0]}]}}),
     "dim": ("dim", {"family": "riemannian", "dim": [2], "a": [[1, 0], [0, 1]]}),
+    # an order-4 jet product over 2n variables runs binom(4n + 4, 4) terms
+    "dim-9": ("dim", {"family": "euclidean", "dim": 9}),
+    "dim-9-quartic": ("dim", {"family": "minkowski_quartic", "dim": 9}),
+    "dim-9-riemannian": ("dim", {"family": "riemannian", "dim": 9,
+                                 "a": [[float(i == j) for j in range(9)] for i in range(9)]}),
     "b-missing": ("b", {"family": "randers", "base": SPHERE}),
     "dim-missing": ("dim", {"family": "euclidean"}),
     "preset": ("preset", {"family": "riemannian", "preset": "sphere3", "dim": 2,

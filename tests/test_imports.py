@@ -89,7 +89,7 @@ def field_reads(source: str) -> list:
 
 
 def test_scan_finds_a_field_read():
-    source = ("from .fields import GradientField, covector_jets, project_away\n"
+    source = ("from .fields import GradientField, constant_field\n"
               "from finslerkit.fields import PiVectorField as Field\n"
               "def f(fr, X, Xj):\n"
               "    return X.jets(fr), fr.flat_jets(Xj), Xj.jets\n")

@@ -8,9 +8,10 @@ import pytest
 from finslerkit import picalc as pc
 from finslerkit.chart import ChartPoint
 from finslerkit.errors import CapabilityError, DegenerateFieldError
-from finslerkit.fields import ComponentField, GradientField, constant_field, project_away
+from finslerkit.fields import ComponentField, GradientField, constant_field
 from finslerkit.frame import PointFrame, matvec, point_frame
 from finslerkit.jets import Jet
+from finslerkit.picalc import project_away
 from finslerkit.structures import by_name, euclidean, minkowski_quartic, sphere2
 
 from conftest import CATALOG_NAMES, FLAT_NAMES

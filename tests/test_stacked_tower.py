@@ -18,10 +18,10 @@ from finslerkit import frame as frame_module
 from finslerkit.checks import _probe_fields, _probe_scalars, check_ids, run_checks
 from finslerkit.chart import ChartPoint
 from finslerkit.errors import FinslerError, SingularMetricError
-from finslerkit.fields import (GradientField, PiVectorField, covector_jets,
-                               drift_companion_jets, project_away)
+from finslerkit.fields import GradientField, PiVectorField
 from finslerkit.frame import PointFrame, point_frame
 from finslerkit.jets import Jet, jet_solve
+from finslerkit.picalc import drift_companion_jets, project_away
 from finslerkit.structures import by_name, conformal_change, randers_change, structure_from_spec
 
 from conftest import CATALOG_NAMES
@@ -74,7 +74,7 @@ class _Companion(PiVectorField):
         self.b_fn = b_fn
 
     def jets(self, frame):
-        return drift_companion_jets(frame, covector_jets(frame, self.b_fn))
+        return drift_companion_jets(frame, frame.field_jet(lambda x, y: self.b_fn(x), 1))
 
 
 def _drift(s):
@@ -182,9 +182,9 @@ def _entry_point_calls(s):
         ("involutivity_report[open]",
          lambda fr: pc.involutivity_report(fr, probes[3].jets(fr))),
         ("drift_closedness_transfer", lambda fr: pc.drift_closedness_transfer(
-            fr, PointFrame(star, fr.point), covector_jets(fr, drift))),
+            fr, PointFrame(star, fr.point), fr.field_jet(lambda x, y: drift(x), 1))),
         ("drift_precondition_defect",
-         lambda fr: pc.drift_precondition_defect(covector_jets(fr, drift))),
+         lambda fr: pc.drift_precondition_defect(fr.field_jet(lambda x, y: drift(x), 1))),
         ("conformal_closedness_transfer", lambda fr: pc.conformal_closedness_transfer(
             fr, (PointFrame(tilde, fr.point),), probes[0].jets(fr))[0]),
         ("spray_defect", lambda fr: connections.spray_defect(fr)),
@@ -277,7 +277,8 @@ def _requested_field_jets(s, frame):
                 for order in (1, 2)]
     for X in _probe_fields(s, 0, 26):
         out.append(X.jets(frame))
-    out.append(drift_companion_jets(frame, covector_jets(frame, _drift(s))))
+    b_fn = _drift(s)
+    out.append(drift_companion_jets(frame, frame.field_jet(lambda x, y: b_fn(x), 1)))
     out.append(frame.field_jet(lambda x, y: x[0], 1))
     return out
 

@@ -8,7 +8,7 @@ import pytest
 from finslerkit import picalc as pc
 from finslerkit.checks import FAIL, PASS, REPORT_ONLY, run_checks
 from finslerkit.errors import NumericalError
-from finslerkit.fields import ComponentField, constant_field, covector_jets
+from finslerkit.fields import ComponentField, constant_field
 from finslerkit.frame import PointFrame, point_frame
 from finslerkit.jets import sqrt
 from finslerkit.structures import (
@@ -30,7 +30,8 @@ B = (0.2, 0.0)
 
 def drift_transfer(fr, frs):
     """The drift transfer of the Randers change `frs.structure` of fr's structure."""
-    return pc.drift_closedness_transfer(fr, frs, covector_jets(fr, frs.structure.meta["b_fn"]))
+    b_fn = frs.structure.meta["b_fn"]
+    return pc.drift_closedness_transfer(fr, frs, fr.field_jet(lambda x, y: b_fn(x), 1))
 
 
 class TestDriftTransfer:
@@ -84,17 +85,17 @@ class TestDriftPrecondition:
         return PointFrame(e, tuple(e.sample(30, seed=131)))
 
     def test_constant_covector_is_closed(self):
-        defect = pc.drift_precondition_defect(covector_jets(self._frame(), lambda x: B))
+        defect = pc.drift_precondition_defect(self._frame().field_jet(lambda x, y: B, 1))
         assert defect.shape == (30,) and np.all(defect == 0.0)
 
     def test_gradient_covector_is_closed(self):
         b_fn = lambda x: (0.1 * x[1], 0.1 * x[0])  # the gradient of 0.1 x1 x2
-        defect = pc.drift_precondition_defect(covector_jets(self._frame(), b_fn))
+        defect = pc.drift_precondition_defect(self._frame().field_jet(lambda x, y: b_fn(x), 1))
         assert defect.shape == (30,) and np.all(defect == 0.0)
 
     def test_shear_covector_is_detected(self):
-        defect = pc.drift_precondition_defect(covector_jets(self._frame(),
-                                                              lambda x: (0.2 * x[1], 0.0)))
+        defect = pc.drift_precondition_defect(
+            self._frame().field_jet(lambda x, y: (0.2 * x[1], 0.0), 1))
         assert defect.shape == (30,) and np.all(defect == 0.2)
 
     @pytest.mark.parametrize("b_fn,first", [
@@ -105,7 +106,7 @@ class TestDriftPrecondition:
         fr = self._frame()
         at = next(p for p in fr.point if first(p))
         with pytest.raises(NumericalError, match=re.escape(f" at {at}")):
-            pc.drift_precondition_defect(covector_jets(fr, b_fn))
+            pc.drift_precondition_defect(fr.field_jet(lambda x, y: b_fn(x), 1))
 
 
 def _spec_result(spec, points, seed):
