@@ -17,12 +17,6 @@ from .errors import (
     NumericalError,
     SingularMetricError,
 )
-from .fields import (
-    ComponentField,
-    GradientField,
-    PiVectorField,
-    constant_field,
-)
 from .frame import PointFrame, point_frame
 from .jets import Jet, fd_partial, field_value, jet_eval
 from .structures import (

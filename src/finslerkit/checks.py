@@ -1,4 +1,4 @@
-"""The verification check registry.
+"""The verification check registry, its verdict rules and the check bodies.
 
 Each check registers itself with @check(id, anchor), the one place its id
 and formula anchor are stated; run_check stamps both on the result.
@@ -31,14 +31,15 @@ Three verdict rules, each written once:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import chain
+from typing import Optional
 
 import numpy as np
 
 from . import connections, curvature, picalc
 from .chart import ChartPoint
 from .errors import FinslerError
-from .fields import ComponentField, GradientField, constant_field
+from .fields import affine_field, doc_scalar, probe_fields, probe_scalars, quadratic_scalar
 from .frame import PointFrame, antisymmetric, dot, matvec, max_abs, pymax
 from .jets import fd_partial, index_table, jet_eval
 from .structures import FinslerStructure, conformal_change, randers_change
@@ -164,71 +165,6 @@ def check(check_id: str, anchor: str):
     return register
 
 
-# -- probe builders -----------------------------------------------------------
-
-
-def _quadratic_scalar(n: int, rng, fiber: bool) -> Callable:
-    """f = sum_i (a_i x^i + b_i y^i + sum_j c_ij x^i y^j) with `fiber`, and
-    f = sum_i (a_i x^i + sum_j c_ij x^i x^j) without: a positional scalar."""
-    lin = [rng.uniform(-1.0, 1.0, size=n) for _ in range(1 + fiber)]
-    cq = rng.uniform(-0.5, 0.5, size=(n, n))
-
-    def f(x, y):
-        v = y if fiber else x
-        acc = 0.0
-        for i in range(n):
-            for c, z in zip(lin, (x, y)):
-                acc = acc + c[i] * z[i]
-            for j in range(n):
-                acc = acc + cq[i][j] * (x[i] * v[j])
-        return acc
-
-    return f
-
-
-def _affine_field(n: int, rng, fiber: bool) -> ComponentField:
-    """X^i = c_i + sum_j (a_ij x^j + b_ij y^j) with `fiber`, and
-    X^i = c_i + sum_j a_ij x^j, a lift of a base field, without."""
-    c0 = rng.uniform(-1.0, 1.0, size=n)
-    lin = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(1 + fiber)]
-
-    def fn(x, y):
-        out = []
-        for i in range(n):
-            acc = c0[i]
-            for j in range(n):
-                for c, z in zip(lin, (x, y)):
-                    acc = acc + c[i][j] * z[j]
-            out.append(acc)
-        return out
-
-    return ComponentField(fn, name="mixedpoly" if fiber else f"lift{c0.round(2)}")
-
-
-def _probe_fields(F: FinslerStructure, seed: int, tag: int):
-    """Three probe families: lifts, y-dependent polynomials, gradients."""
-    rng = np.random.default_rng([seed, tag])
-    n = F.n
-    return [
-        _affine_field(n, rng, False),
-        _affine_field(n, rng, False),
-        _affine_field(n, rng, True),
-        _affine_field(n, rng, True),
-        GradientField(_quadratic_scalar(n, rng, True), name="gradpoly"),
-        GradientField(_quadratic_scalar(n, rng, False), name="gradpos"),
-    ]
-
-
-def _doc_scalar(x, y):
-    """The documented probe f = (y1)^2/2."""
-    return 0.5 * (y[0] * y[0])
-
-
-def _probe_scalars(F: FinslerStructure, seed: int, tag: int):
-    rng = np.random.default_rng([seed, tag])
-    return [_quadratic_scalar(F.n, rng, True), _quadratic_scalar(F.n, rng, False), _doc_scalar]
-
-
 # -- structural checks ----------------------------------------------------------
 
 
@@ -351,7 +287,7 @@ def _check_thm28_flat(fr, tol, floor, seed):
                                             "max_vh_torsion": rhat})
     sweep = _Sweep(fr.point)
     sweep.add(max_abs(fr.Rhat, 3))
-    for f in _probe_scalars(fr.structure, seed, 28):
+    for f in probe_scalars(fr.structure, seed, 28):
         df = fr.delta_jets(fr.field_jet(f, 2))  # the jets of dbar f, read twice
         sweep.add(picalc.closedness_defect(fr, fr.sharp_jets(df)))  # of grad f
         sweep.add(max_abs(picalc.dbar(fr, df), 2))
@@ -367,9 +303,9 @@ def _check_thm28_curved(fr, tol, floor, seed):
                              "max_vh_torsion": rhat})
     out = CheckResult(n_points=len(fr.point), max_residual=0.0, threshold=floor, verdict=PASS,
                       details={"max_vh_torsion": rhat, "probe": "f = (y1)^2/2, X = grad f"})
-    out.max_residual = _negative_control(
-        out, fr.point, picalc.closedness_defect(fr, GradientField(_doc_scalar).jets(fr)),
-        floor, "the gradient probe is closed on the curved sample")
+    Xj = picalc.gradient_jets(fr, fr.field_jet(doc_scalar, 2))
+    out.max_residual = _negative_control(out, fr.point, picalc.closedness_defect(fr, Xj),
+                                         floor, "the gradient probe is closed on the curved sample")
     return out
 
 
@@ -393,8 +329,10 @@ def _check_eq213(fr, tol, floor, seed):
 @check("thm2.6", "(dbar i_X g)_jk = g_ks (A_X)^s_j - g_js (A_X)^s_k for every field X")
 def _check_thm26(fr, tol, floor, seed):
     sweep = _Sweep(fr.point)
-    for X in _probe_fields(fr.structure, seed, 26):
-        M, B = picalc.flat_form_and_selfadjoint_matrix(fr, X.jets(fr))
+    fields, scalars = probe_fields(fr.structure, seed, 26)
+    gradients = (picalc.gradient_jets(fr, fr.field_jet(f, 2)) for f in scalars)
+    for Xj in chain((fr.field_jet(X, 1) for X in fields), gradients):
+        M, B = picalc.flat_form_and_selfadjoint_matrix(fr, Xj)
         BT = np.swapaxes(B, -1, -2)
         sweep.add(max_abs(M - (BT - B), 2), pymax(max_abs(M, 2), max_abs(B - BT, 2)))
     return sweep.result(tol)
@@ -403,7 +341,7 @@ def _check_thm26(fr, tol, floor, seed):
 @check("dbar.sq", "(dbar dbar f)_jk = R^m_jk dy_m f (nested vs contracted)")
 def _check_dbar_sq(fr, tol, floor, seed):
     sweep = _Sweep(fr.point)
-    for f in _probe_scalars(fr.structure, seed, 88):
+    for f in probe_scalars(fr.structure, seed, 88):
         res = picalc.dbar_sq(fr, f)
         sweep.add(res.defect, res.scale)
     return sweep.result(tol)
@@ -412,7 +350,7 @@ def _check_dbar_sq(fr, tol, floor, seed):
 @check("eq2.12", "g_lk (A_gradf)^l_j - g_lj (A_gradf)^l_k = R^m_jk dy_m f")
 def _check_eq212(fr, tol, floor, seed):
     sweep = _Sweep(fr.point)
-    scalars = _probe_scalars(fr.structure, seed, 212)
+    scalars = probe_scalars(fr.structure, seed, 212)
     sides = []
     for f in scalars:
         res = picalc.gradient_torsion_identity(fr, f)
@@ -447,11 +385,11 @@ def _check_eq214(fr, tol, floor, seed):
 )
 def _check_involutive(fr, tol, floor, seed):
     rng = np.random.default_rng([seed, 213])
-    closed = GradientField(_quadratic_scalar(fr.n, rng, False), name="gradpos")
-    other = _affine_field(fr.n, rng, True)
+    closed = quadratic_scalar(fr.n, rng, False)  # positional, so its gradient is closed
+    other = affine_field(fr.n, rng, True)
     sweep = _Sweep(fr.point)
-    rep = picalc.involutivity_report(fr, closed.jets(fr))
-    rep2 = picalc.involutivity_report(fr, other.jets(fr))
+    rep = picalc.involutivity_report(fr, picalc.gradient_jets(fr, fr.field_jet(closed, 2)))
+    rep2 = picalc.involutivity_report(fr, fr.field_jet(other, 1))
     sweep.add(rep.defect, rep.scale)
     sweep.add(rep.identity_defect, rep.scale)
     sweep.add(rep2.identity_defect, rep2.scale)
@@ -469,18 +407,18 @@ def _check_involutive(fr, tol, floor, seed):
 )
 def _check_lie(fr, tol, floor, seed):
     zeros = [0.0] * (fr.n - 2)
-    fields = [
-        constant_field([1.0, 0.0] + zeros),
-        ComponentField(lambda x, y: [-x[1], x[0]] + zeros, name="rotation"),
-        ComponentField(lambda x, y: [x[0], 0.0] + zeros, name="stretch"),
-    ]
-
-    reports = [picalc.lie_metric_report(fr, X.jets(fr)) for X in fields]
-    worst_diff = _first_max([rep.difference for rep in reports])[0]
+    const = tuple([1.0, 0.0] + zeros)
+    fields = {
+        f"const{const}": lambda x, y: const,
+        "rotation": lambda x, y: [-x[1], x[0]] + zeros,
+        "stretch": lambda x, y: [x[0], 0.0] + zeros,
+    }
+    reports = {name: picalc.lie_metric_report(fr, fr.field_jet(X, 1)) for name, X in fields.items()}
+    worst_diff = _first_max([rep.difference for rep in reports.values()])[0]
     details = {"max_lie_minus_contraction": worst_diff}
-    for X, rep in zip(fields, reports):
-        details[f"lie_defect[{X.name}]"] = _first_max(rep.lie_defect)[0]
-        details[f"closedness[{X.name}]"] = _first_max(rep.closedness)[0]
+    for name, rep in reports.items():
+        details[f"lie_defect[{name}]"] = _first_max(rep.lie_defect)[0]
+        details[f"closedness[{name}]"] = _first_max(rep.closedness)[0]
     return _report_only(fr, worst_diff, tol, details)
 
 
@@ -528,7 +466,7 @@ def _check_randers(fr, tol, floor, seed):
 
 @check("thm2.16.conformal", "dbar~ i_X g~ = e^{2s}(2 ds wedge i_X g + dbar~ i_X g)")
 def _check_conformal(fr, tol, floor, seed):
-    Xj = constant_field([0.0, 1.0] + [0.0] * (fr.n - 2)).jets(fr)
+    Xj = fr.field_jet(lambda x, y: (0.0, 1.0, *[0.0] * (fr.n - 2)), 1)
     # a generator, so each tilde frame is freed once its report is made
     tildes = (fr.derived(conformal_change(fr.structure, s))
               for s in (lambda x: 0.25, lambda x: x[0]))
@@ -554,7 +492,7 @@ def _check_conformal(fr, tol, floor, seed):
 @check("jets.fd", "all jet partials of degree <= 3 match central differences")
 def _check_jets_fd(fr, tol, floor, seed):
     rng = np.random.default_rng([seed, 99])
-    poly = _quadratic_scalar(fr.n, rng, True)
+    poly = quadratic_scalar(fr.n, rng, True)
     fields = [fr.structure.L, lambda x, y: poly(x, y) * fr.structure.L(x, y)]
     threshold = max(tol, 1e-5)
     multis = index_table(2 * fr.n, 3)[0][1:]  # every multi-index of degree 1 to 3

@@ -22,9 +22,12 @@ def _fmt(x) -> str:
 
 
 def _load_metric(arg: str):
-    if arg.endswith(".json") or os.path.sep in arg or os.path.exists(arg):
+    if arg.endswith(".json") or os.path.sep in arg:
         with open(arg, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+            try:
+                spec = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"metric spec {arg!r} nests too deep to parse") from None
         return structure_from_spec(spec)
     return by_name(arg)
 

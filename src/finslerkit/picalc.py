@@ -1,13 +1,14 @@
 """Calculus of fields and forms along the projection.
 
-All calculus on the jets of the fields of `fields` lives here: the
-horizontal exterior derivative, the covariant operator A_X, the companion
-of a drift covector, the g-projection away from a field, and the composite
+All calculus on the jets of pi-vector fields, each a callable (x, y) ->
+[X^1, ..., X^n] (`fields`), lives here: the horizontal exterior derivative,
+the covariant operator A_X, the gradient of a scalar, the companion of a
+drift covector, the g-projection away from a field, and the composite
 closedness diagnostics (Lie comparison, involutivity, drift and conformal
-transfer reports). Whether X is closed
-depends on dbar(i_X g) alone, so every entry point that reads a pi-vector
-field or a form takes its order-1 jets (`X.jets(fr)`, or the stacked jet of
-a form's components, such as `fr.flat_jets(Xj)`), evaluated once by the
+transfer reports). Whether X is closed depends on dbar(i_X g) alone, so
+every entry point that reads a field or a form takes its order-1 jets
+(`fr.field_jet(X, 1)`, `gradient_jets` of a scalar, or the stacked jet of a
+form's components, such as `fr.flat_jets(Xj)`), evaluated once by the
 caller; each operator is written once, on those jets, and the musical
 isomorphisms are the frame's (`PointFrame.flat_jets`,
 `PointFrame.sharp_jets`). Scalar probes stay callables, since each
@@ -115,10 +116,15 @@ class GradientIdentityResult:
     scale: np.ndarray
 
 
+def gradient_jets(fr: PointFrame, fj: Jet) -> Jet:
+    """The order-1 jets of grad f = (dbar f)^sharp from the order-2 jet `fj` of a scalar f."""
+    return fr.sharp_jets(fr.delta_jets(fj))
+
+
 def gradient_torsion_identity(fr: PointFrame, f) -> GradientIdentityResult:
     """For X = grad f: g_lk (A_X)^l_j - g_lj (A_X)^l_k = R^m_jk dy_m f."""
     fj = fr.field_jet(f, 2)
-    B = fr.g @ a_operator(fr, fr.sharp_jets(fr.delta_jets(fj)))
+    B = fr.g @ a_operator(fr, gradient_jets(fr, fj))
     lhs = np.swapaxes(B, -1, -2) - B
     rhs = _torsion_contraction(fr, fj)
     residual = max_abs(lhs - rhs, 2)

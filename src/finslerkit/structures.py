@@ -232,6 +232,8 @@ _MAX_POWER = 64
 # The largest spec dimension: an order-4 product over 2n variables runs
 # binom(4n + 4, 4) Leibniz terms, so time and memory grow as n^4.
 _MAX_DIM = 8
+# The most `base` specs one spec may nest, each one level of recursion.
+_MAX_DEPTH = 8
 
 
 def _whole(value, key: str) -> int:
@@ -307,6 +309,11 @@ def structure_from_spec(spec: dict) -> FinslerStructure:
     that its family does not read is a ValueError naming the key."""
     if not isinstance(spec, dict) or "family" not in spec:
         raise ValueError("metric spec must be an object with a 'family' key")
+    nested = spec  # the spec _MAX_DEPTH + 1 levels down its chain of bases, if any
+    for _ in range(_MAX_DEPTH + 1):
+        nested = nested.get("base") if isinstance(nested, dict) else None
+    if nested is not None:
+        raise ValueError(f"metric field 'base' nests more than {_MAX_DEPTH} specs deep")
     family = spec["family"]
     if not isinstance(family, str) or family not in _FIELDS:
         raise ValueError(f"unknown metric family {family!r}")

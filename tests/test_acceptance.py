@@ -15,7 +15,6 @@ from finslerkit import curvature as curv
 from finslerkit import jets
 from finslerkit import picalc as pc
 from finslerkit.cli import main as cli_main
-from finslerkit.fields import ComponentField, GradientField, constant_field
 from finslerkit.frame import point_frame
 from finslerkit.structures import by_name, conformal_change, euclidean, randers_change
 
@@ -44,6 +43,7 @@ def _catalog():
 
 
 def _probe_fields(n):
+    """A mixed field, the scalar of a gradient and a constant field."""
     rng = np.random.default_rng([SEED, n])
     cx = rng.uniform(-1, 1, size=(n, n))
     cy = rng.uniform(-1, 1, size=(n, n))
@@ -51,10 +51,9 @@ def _probe_fields(n):
     def mixed_fn(x, y):
         return [sum(cx[i][j] * x[j] + cy[i][j] * y[j] for j in range(n)) for i in range(n)]
 
-    mixed = ComponentField(mixed_fn, name="mixed")
-    grad = GradientField(lambda x, y: x[0] * x[1 % n] + 0.3 * y[0], name="grad")
-    const = constant_field([1.0] + [-0.5] * (n - 1))
-    return [mixed, grad, const]
+    grad = lambda x, y: x[0] * x[1 % n] + 0.3 * y[0]
+    const = tuple([1.0] + [-0.5] * (n - 1))
+    return mixed_fn, grad, lambda x, y: const
 
 
 def test_criterion_01_structural_certificates(capsys):
@@ -82,11 +81,13 @@ def test_criterion_01_structural_certificates(capsys):
 def test_criterion_02_lowered_form_derivative_identity(capsys):
     worst = 0.0
     for name, s in _catalog():
-        probes = _probe_fields(s.n)
+        mixed, grad, const = _probe_fields(s.n)
         for p in s.sample(NPTS, seed=SEED):
             fr = point_frame(s, p)
-            for X in probes:
-                M, B = (a[0] for a in pc.flat_form_and_selfadjoint_matrix(fr, X.jets(fr)))
+            probes = (fr.field_jet(mixed, 1), pc.gradient_jets(fr, fr.field_jet(grad, 2)),
+                      fr.field_jet(const, 1))
+            for Xj in probes:
+                M, B = (a[0] for a in pc.flat_form_and_selfadjoint_matrix(fr, Xj))
                 anti = B.T - B
                 scale = max(1.0, np.abs(M).max(), np.abs(anti).max())
                 worst = max(worst, np.abs(M - anti).max() / scale)
@@ -111,17 +112,18 @@ def test_criterion_03_flatness_and_closedness_dichotomy(capsys):
             fr = point_frame(s, p)
             flat_torsion = max(flat_torsion, np.abs(fr.Rhat).max())
             for f in scalar_probes:
-                flat_closed = max(
-                    flat_closed, pc.closedness_defect(fr, GradientField(f).jets(fr))[0]
-                )
+                grad = pc.gradient_jets(fr, fr.field_jet(f, 2))
+                flat_closed = max(flat_closed, pc.closedness_defect(fr, grad)[0])
                 nested = pc.dbar(fr, fr.delta_jets(fr.field_jet(f, 2)))
                 flat_dsq = max(flat_dsq, np.abs(nested).max())
     s = by_name("sphere2")
     pts = s.sample(NPTS, seed=SEED)
     sphere_torsion = max(np.abs(point_frame(s, p).Rhat).max() for p in pts)
-    documented = GradientField(lambda x, y: 0.5 * y[0] * y[0], name="fiber-square")
+    documented = lambda x, y: 0.5 * y[0] * y[0]  # the fiber square, X = grad f
     frames = [point_frame(s, p) for p in pts]
-    sphere_closed = max(pc.closedness_defect(fr, documented.jets(fr))[0] for fr in frames)
+    sphere_closed = max(
+        pc.closedness_defect(fr, pc.gradient_jets(fr, fr.field_jet(documented, 2)))[0]
+        for fr in frames)
 
     ok = (
         flat_torsion < 1e-8
@@ -265,20 +267,20 @@ def test_criterion_07_randers_drift_transfer(capsys):
 
 def test_criterion_08_conformal_transfer(capsys):
     e = euclidean(2)
-    X = constant_field([0.0, 1.0])
+    X = lambda x, y: (0.0, 1.0)
     pts = e.sample(NPTS, seed=SEED)
     worst_const = 0.0
     tilde = conformal_change(e, lambda x: 0.25)
     for p in pts:
         fr = point_frame(e, p)
-        rep = pc.conformal_closedness_transfer(fr, (point_frame(tilde, p),), X.jets(fr))[0]
+        rep = pc.conformal_closedness_transfer(fr, (point_frame(tilde, p),), fr.field_jet(X, 1))[0]
         worst_const = max(worst_const, rep.actual_defect[0], rep.scaling_residual[0])
     worst_pred = 0.0
     best_defect = 0.0
     tilde = conformal_change(e, lambda x: x[0])
     for p in pts:
         fr = point_frame(e, p)
-        rep = pc.conformal_closedness_transfer(fr, (point_frame(tilde, p),), X.jets(fr))[0]
+        rep = pc.conformal_closedness_transfer(fr, (point_frame(tilde, p),), fr.field_jet(X, 1))[0]
         worst_pred = max(worst_pred, rep.prediction_residual[0] / rep.scale[0])
         best_defect = max(best_defect, rep.actual_defect[0])
     ok = worst_const < 1e-7 and worst_pred < 1e-7 and best_defect > 1e-3

@@ -164,6 +164,17 @@ def spec_file(tmp_path, spec):
     return str(path)
 
 
+def nested_spec_file(tmp_path, depth):
+    """A spec of `depth` conformal changes nested over sphere2, written as
+    text: json.dumps recurses too deep for a spec 1000 deep."""
+    text = json.dumps(SPHERE)
+    for _ in range(depth):
+        text = f'{{"family": "conformal", "sigma": 0.1, "base": {text}}}'
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    return str(path)
+
+
 def _run_spec(tmp_path, capsys, command, spec):
     """(exit code, captured output) of `verify` or of `eval --object g` on a
     metric spec."""
@@ -445,6 +456,27 @@ class TestUsageErrors:
         assert out.err.startswith(f"error: metric field {field!r} must hold numbers")
         assert "Traceback" not in out.err
 
+    def test_eight_nested_bases_are_accepted(self, tmp_path, capsys):
+        path = nested_spec_file(tmp_path, 8)
+        assert main(["eval", "--metric", path, "--at", "x=0.1,0.2;y=1.0,0.5", "--object", "g"]) == 0
+        assert capsys.readouterr().out.startswith("conformal(" * 8 + "sphere2" + ")" * 8)
+
+    @pytest.mark.parametrize("command", ["verify", "eval"])
+    @pytest.mark.parametrize("depth", [9, 1000])
+    def test_a_deeply_nested_spec_is_a_configuration_error(self, tmp_path, capsys, command,
+                                                           depth):
+        # not a RecursionError and its traceback (exit 1); json.load itself
+        # recurses too deep for a spec 1000 deep
+        path = nested_spec_file(tmp_path, depth)
+        err = {9: "error: metric field 'base' nests more than 8 specs deep\n",
+               1000: f"error: metric spec {path!r} nests too deep to parse\n"}[depth]
+        if command == "verify":
+            code, _ = run_verify(tmp_path, metric=path)
+        else:
+            code = main(["eval", "--metric", path, "--at", "x=0.1,0.2;y=1.0,0.5", "--object", "g"])
+        assert code == 2
+        assert capsys.readouterr().err == err
+
     def test_whole_floats_read_as_integers(self, tmp_path, capsys):
         printed = []
         # and an int in a number field (a coef, a constant entry) reads as its float
@@ -505,6 +537,17 @@ class TestEval:
         assert main(["eval", "--metric", metric, "--at", EVAL_AT[metric], "--object", obj]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == EVAL_SHA256[metric, obj], out
+
+    def test_a_directory_does_not_shadow_a_catalog_name(self, tmp_path, monkeypatch, capsys):
+        # a directory named like a catalog metric, as `--out sphere2/report.json`
+        # leaves one, is no spec file: only a .json name or a path is read as one
+        args = ["eval", "--metric", "sphere2", "--at", "x=0.1,0.2;y=1.0,0.5", "--object", "Sc"]
+        assert main(args) == 0
+        clean = capsys.readouterr()
+        (tmp_path / "sphere2").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 0
+        assert capsys.readouterr() == clean
 
     def test_float_overflow_is_an_error_exit(self, tmp_path, capsys):
         code = main(["eval", "--metric", spec_file(tmp_path, HUGE_SIGMA),

@@ -10,7 +10,6 @@ import riemann_oracle as oracle
 from finslerkit import connections as cn
 from finslerkit import picalc as pc
 from finslerkit.chart import ChartPoint
-from finslerkit.fields import ComponentField
 from finslerkit.frame import PointFrame, point_frame
 from finslerkit.structures import by_name, sphere2
 
@@ -139,10 +138,10 @@ class TestCovariantDerivative:
     def test_tautological_field_is_parallel(self):
         # nabla_h of eta vanishes: delta_j y^i = -N^i_j cancels F^i_kj y^k
         s = sphere2()
-        eta = ComponentField(lambda x, y: [y[0], y[1]], name="eta")
+        eta = lambda x, y: [y[0], y[1]]
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(s, p)
-            A = pc.a_operator(fr, eta.jets(fr))
+            A = pc.a_operator(fr, fr.field_jet(eta, 1))
             assert np.abs(A).max() < 1e-12
 
     def test_cartan_pair_shapes(self):

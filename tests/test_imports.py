@@ -1,15 +1,20 @@
 """Import hygiene of the package: every imported name is used, no module
 but `jets` reads a private name of `jets`, whose coefficient layout stays
-behind its public readouts, `picalc` reads the jets of fields, never a
-field itself, and every public function and class is read by the package,
-apart from a named few."""
+behind its public readouts, no module reads a field class where the
+calculus takes a field's jets, `fields` holds no class, the benchmark
+harness still instruments the package, and every public function and class
+is read by the package, apart from a named few."""
 
 import ast
+import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import finslerkit
+from finslerkit import cli, fields
 
 PACKAGE = Path(finslerkit.__file__).parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -97,7 +102,41 @@ def test_scan_finds_a_field_read():
 
 
 def test_the_calculus_takes_jets():
-    assert field_reads((PACKAGE / "picalc.py").read_text()) == []
+    # a field is a callable and its jets are fr.field_jet(X, 1): no module of
+    # the package calls a `jets` method or imports a field class
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert field_reads(path.read_text()) == [], path.name
+
+
+def test_fields_defines_and_imports_no_class():
+    # perfbench/spans.py tests each class it finds in `fields` against
+    # fields.PiVectorField, which `fields` does not define: a class there,
+    # defined or imported, breaks the benchmark's traced runs
+    assert [name for name, value in vars(fields).items() if inspect.isclass(value)] == []
+
+
+_TRACED_VERIFY = """
+import contextlib, io, sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import spans
+from finslerkit import cli
+spans.instrument(spans.Tracer())
+with contextlib.redirect_stderr(io.StringIO()):
+    sys.exit(cli.main(["verify", "--metric", "sphere2", "--points", "5", "--out", {out!r}]))
+"""
+
+
+def test_the_benchmark_harness_instruments_the_package(tmp_path, capsys):
+    # the harness reads package names that an API change can break unseen;
+    # a traced sweep in a fresh process gives the untraced report's bytes
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    code = cli.main(["verify", "--metric", "sphere2", "--points", "5", "--out", str(plain)])
+    script = _TRACED_VERIFY.format(src=str(PACKAGE.parent), bench=str(PERFBENCH),
+                                   out=str(traced))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == code == 1, proc.stderr  # sphere2 has expected FAILs
+    assert traced.read_bytes() == plain.read_bytes()
 
 
 def unread_public_names(package: dict, readers=()) -> list:

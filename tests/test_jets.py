@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finslerkit.chart import ChartPoint
-from finslerkit.checks import _quadratic_scalar
+from finslerkit.fields import quadratic_scalar
 from finslerkit.errors import CapabilityError, DomainError, NumericalError
 from finslerkit.jets import (
     MAX_ORDER,
@@ -915,7 +915,7 @@ class TestFiniteDifferenceOracle:
         s = by_name(name)
         f = s.L
         if probe:
-            poly = _quadratic_scalar(s.n, np.random.default_rng(seed), True)
+            poly = quadratic_scalar(s.n, np.random.default_rng(seed), True)
             f = lambda x, y: poly(x, y) * s.L(x, y)
         p = s.sample(1, seed)[0]
         for m in index_table(2 * s.n, 3)[0][1:]:

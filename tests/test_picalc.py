@@ -8,7 +8,6 @@ import pytest
 from finslerkit import picalc as pc
 from finslerkit.chart import ChartPoint
 from finslerkit.errors import CapabilityError, DegenerateFieldError
-from finslerkit.fields import ComponentField, GradientField, constant_field
 from finslerkit.frame import PointFrame, matvec, point_frame
 from finslerkit.jets import Jet
 from finslerkit.picalc import project_away
@@ -30,12 +29,12 @@ def mixed_probe(n, seed=0):
     def fn(x, y):
         return [sum(cx[i][j] * x[j] + cy[i][j] * y[j] for j in range(n)) for i in range(n)]
 
-    return ComponentField(fn, name=f"mixed{seed}")
+    return fn
 
 
 def eta(n):
     """The canonical field eta, with components y^i."""
-    return ComponentField(lambda x, y: list(y), name="eta")
+    return lambda x, y: list(y)
 
 
 def one_form(comps):
@@ -63,7 +62,7 @@ class TestMusicals:
         f = lambda x, y: x[0] * x[1] + 0.2 * y[0]
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            grad = GradientField(f).jets(fr).value
+            grad = pc.gradient_jets(fr, fr.field_jet(f, 2)).value
             df = fr.delta_values(fr.field_jet(f, 1))
             assert np.abs(fr.flat_jets(const_jets(fr, grad)).value - df).max() < 1e-12
 
@@ -79,9 +78,9 @@ class TestMusicals:
         for fr in (PointFrame(s, pts[0]), PointFrame(s, tuple(pts))):
             df = fr.delta_values(fr.field_jet(f, 1))
             cases = [
-                (fr.flat_jets(X.jets(fr)), matvec(fr.g, X.jets(fr).value)),
+                (fr.flat_jets(fr.field_jet(X, 1)), matvec(fr.g, fr.field_jet(X, 1).value)),
                 (fr.sharp_jets(form_jets(fr, form)), matvec(fr.g_inv, form_jets(fr, form).value)),
-                (GradientField(f).jets(fr), matvec(fr.g_inv, df)),
+                (pc.gradient_jets(fr, fr.field_jet(f, 2)), matvec(fr.g_inv, df)),
             ]
             for jet, value in cases:
                 assert jet.value.shape == value.shape == (len(fr.point), s.n)
@@ -150,7 +149,7 @@ class TestDbarHigherDegree:
         Y = mixed_probe(2, seed=6)
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            wj, Xj, Yj = form_jets(fr, w), X.jets(fr), Y.jets(fr)
+            wj, Xj, Yj = form_jets(fr, w), fr.field_jet(X, 1), fr.field_jet(Y, 1)
             D = pc.dbar(fr, wj)[0]
             via_fields = dbar_1_on_fields(fr, wj, Xj, Yj)[0]
             xv, yv = Xj.value[0], Yj.value[0]
@@ -163,7 +162,7 @@ class TestDbarHigherDegree:
         Y = mixed_probe(2, seed=6)
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            wj, Xj, Yj = form_jets(fr, w), X.jets(fr), Y.jets(fr)
+            wj, Xj, Yj = form_jets(fr, w), fr.field_jet(X, 1), fr.field_jet(Y, 1)
             D = pc.dbar(fr, wj)[0]
             assert np.abs(D).max() > 1e-3
             via_fields = dbar_1_on_fields(fr, wj, Xj, Yj)[0]
@@ -178,28 +177,28 @@ class TestAOperator:
         s = by_name(name)
         for p in s.sample(3, seed=89):
             fr = point_frame(s, p)
-            assert np.abs(pc.a_operator(fr, eta(s.n).jets(fr))).max() < 1e-12
+            assert np.abs(pc.a_operator(fr, fr.field_jet(eta(s.n), 1))).max() < 1e-12
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_adjoint_identity_for_probe_fields(self, name):
         s = by_name(name)
-        probes = [
-            mixed_probe(s.n, seed=1),
-            GradientField(lambda x, y: x[0] * x[1] + y[0] * 0.3),
-            constant_field([1.0, -0.5]),
-        ]
+        X = mixed_probe(s.n, seed=1)
+        f = lambda x, y: x[0] * x[1] + y[0] * 0.3
+        const = lambda x, y: (1.0, -0.5)
         for p in s.sample(3, seed=89):
             fr = point_frame(s, p)
-            for X in probes:
-                M, B = (a[0] for a in pc.flat_form_and_selfadjoint_matrix(fr, X.jets(fr)))
+            probes = (fr.field_jet(X, 1), pc.gradient_jets(fr, fr.field_jet(f, 2)),
+                      fr.field_jet(const, 1))
+            for Xj in probes:
+                M, B = (a[0] for a in pc.flat_form_and_selfadjoint_matrix(fr, Xj))
                 assert float(np.max(np.abs(M - (B.T - B)))) < 1e-10
 
     def test_closedness_equals_selfadjointness(self):
         X = mixed_probe(2, seed=11)
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            B = pc.flat_form_and_selfadjoint_matrix(fr, X.jets(fr))[1][0]
-            assert pc.closedness_defect(fr, X.jets(fr))[0] == pytest.approx(
+            B = pc.flat_form_and_selfadjoint_matrix(fr, fr.field_jet(X, 1))[1][0]
+            assert pc.closedness_defect(fr, fr.field_jet(X, 1))[0] == pytest.approx(
                 float(np.max(np.abs(B - B.T))), rel=1e-9, abs=1e-12
             )
 
@@ -208,7 +207,7 @@ class TestAOperator:
         s = by_name(name)
         for p in s.sample(3, seed=89):
             fr = point_frame(s, p)
-            assert pc.closedness_defect(fr, eta(s.n).jets(fr)) < 1e-12
+            assert pc.closedness_defect(fr, fr.field_jet(eta(s.n), 1)) < 1e-12
 
 
 class TestSecondDerivative:
@@ -253,12 +252,13 @@ class TestGradientIdentity:
         f = lambda x, y: x[0] ** 2 - x[1]
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            assert pc.closedness_defect(fr, GradientField(f).jets(fr)) < 1e-11
+            assert pc.closedness_defect(fr, pc.gradient_jets(fr, fr.field_jet(f, 2))) < 1e-11
 
     def test_fiber_dependent_gradient_not_closed_on_sphere(self):
         f = lambda x, y: 0.5 * y[0] * y[0]
         frames = [point_frame(SPHERE, p) for p in SPHERE_POINTS]
-        worst = max(pc.closedness_defect(fr, GradientField(f).jets(fr)) for fr in frames)
+        worst = max(pc.closedness_defect(fr, pc.gradient_jets(fr, fr.field_jet(f, 2)))
+                    for fr in frames)
         assert worst > 1e-3
 
     def test_sides_are_nontrivial_on_sphere(self):
@@ -300,9 +300,9 @@ class TestLieComparison:
     def test_stretch_on_flat_plane(self):
         e = euclidean(2)
         p = e.sample(1, seed=107)[0]
-        X = ComponentField(lambda x, y: [x[0], 0.0], name="stretch")
+        X = lambda x, y: [x[0], 0.0]  # the stretch
         fr = point_frame(e, p)
-        rep = pc.lie_metric_report(fr, X.jets(fr))
+        rep = pc.lie_metric_report(fr, fr.field_jet(X, 1))
         assert rep.lie_defect == pytest.approx(2.0, abs=1e-12)
         assert rep.closedness < 1e-12
         assert rep.difference == pytest.approx(2.0, abs=1e-12)
@@ -310,17 +310,17 @@ class TestLieComparison:
     def test_rotation_on_flat_plane(self):
         e = euclidean(2)
         p = e.sample(1, seed=107)[0]
-        X = ComponentField(lambda x, y: [-x[1], x[0]], name="rotation")
+        X = lambda x, y: [-x[1], x[0]]  # the rotation
         fr = point_frame(e, p)
-        rep = pc.lie_metric_report(fr, X.jets(fr))
+        rep = pc.lie_metric_report(fr, fr.field_jet(X, 1))
         assert rep.lie_defect < 1e-12
         assert rep.closedness == pytest.approx(2.0, abs=1e-12)
 
     def test_rotation_is_a_sphere_isometry(self):
-        X = ComponentField(lambda x, y: [-x[1], x[0]], name="rotation")
+        X = lambda x, y: [-x[1], x[0]]  # the rotation
         for p in SPHERE_POINTS[:3]:
             fr = point_frame(SPHERE, p)
-            rep = pc.lie_metric_report(fr, X.jets(fr))
+            rep = pc.lie_metric_report(fr, fr.field_jet(X, 1))
             assert rep.lie_defect < 1e-11
 
 
@@ -328,19 +328,19 @@ class TestInvolutivity:
     def test_closed_field_complement_is_involutive(self):
         e3 = euclidean(3)
         p = e3.sample(1, seed=109)[0]
-        X = GradientField(lambda x, y: x[0] * x[1] + x[2] ** 2, name="gradpos")
+        f = lambda x, y: x[0] * x[1] + x[2] ** 2  # X = grad f
         fr = point_frame(e3, p)
-        rep = pc.involutivity_report(fr, X.jets(fr))
+        rep = pc.involutivity_report(fr, pc.gradient_jets(fr, fr.field_jet(f, 2)))
         assert rep.identity_defect < 1e-10
         assert rep.defect < 1e-10
 
     def test_open_field_complement_is_not(self):
         e3 = euclidean(3)
-        X = ComponentField(lambda x, y: [1.0 + x[1] ** 2, x[0], 0.4], name="open")
+        X = lambda x, y: [1.0 + x[1] ** 2, x[0], 0.4]  # not closed
         worst = 0.0
         for p in e3.sample(4, seed=109):
             fr = point_frame(e3, p)
-            rep = pc.involutivity_report(fr, X.jets(fr))
+            rep = pc.involutivity_report(fr, fr.field_jet(X, 1))
             assert rep.identity_defect < 1e-10  # exchange identity always holds
             worst = max(worst, rep.defect)
         assert worst > 1e-3
@@ -350,13 +350,13 @@ class TestInvolutivity:
         X = mixed_probe(3, seed=7)
         for p in m3.sample(3, seed=109):
             fr = point_frame(m3, p)
-            rep = pc.involutivity_report(fr, X.jets(fr))
+            rep = pc.involutivity_report(fr, fr.field_jet(X, 1))
             assert rep.identity_defect < 1e-9 * rep.scale
 
     def test_two_dimensional_complement_has_no_pairs(self):
         p = SPHERE_POINTS[0]
         fr = point_frame(SPHERE, p)
-        rep = pc.involutivity_report(fr, eta(2).jets(fr))
+        rep = pc.involutivity_report(fr, fr.field_jet(eta(2), 1))
         # one complement field: no bracket is taken, so nothing raises the scale
         assert rep.defect == 0.0 and rep.identity_defect == 0.0
         assert rep.scale == 1.0
@@ -365,13 +365,13 @@ class TestInvolutivity:
         p = SPHERE_POINTS[1]
         fr = point_frame(SPHERE, p)
         X = mixed_probe(2, seed=9)
-        xv = X.jets(fr).value[0]
-        yv = project_away(fr, np.array([1.0, 0.0]), X.jets(fr)).value[0]
+        xv = fr.field_jet(X, 1).value[0]
+        yv = project_away(fr, np.array([1.0, 0.0]), fr.field_jet(X, 1)).value[0]
         assert abs(yv @ fr.g[0] @ xv) < 1e-14
 
     def test_degenerate_projection_rejected(self):
         p = SPHERE_POINTS[1]
-        zero = constant_field([0.0, 0.0])
+        zero = lambda x, y: (0.0, 0.0)
         with pytest.raises(DegenerateFieldError):
             fr = point_frame(SPHERE, p)
-            project_away(fr, np.array([1.0, 0.0]), zero.jets(fr))
+            project_away(fr, np.array([1.0, 0.0]), fr.field_jet(zero, 1))

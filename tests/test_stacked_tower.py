@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from finslerkit import checks, connections, curvature, jets
 from finslerkit import picalc as pc
 from finslerkit import frame as frame_module
-from finslerkit.checks import _probe_fields, _probe_scalars, check_ids, run_checks
+from finslerkit.checks import check_ids, run_checks
 from finslerkit.chart import ChartPoint
 from finslerkit.errors import FinslerError, SingularMetricError
-from finslerkit.fields import GradientField, PiVectorField
+from finslerkit.fields import probe_fields, probe_scalars
 from finslerkit.frame import PointFrame, point_frame
 from finslerkit.jets import Jet, jet_solve
 from finslerkit.picalc import drift_companion_jets, project_away
@@ -56,25 +56,33 @@ def test_stacked_rungs_equal_scalar_reference(name):
 # -- pi-vector fields -----------------------------------------------------------------
 
 
-class _Projection(PiVectorField):
-    """A constant vector g-projected away from X by `project_away`, as the
-    involutivity probe projects the coordinate directions."""
-
-    def __init__(self, vec, X):
-        self.vec, self.X = vec, X
-
-    def jets(self, frame):
-        return project_away(frame, self.vec, self.X.jets(frame))
+# A field of these tests is a pair (jets, reference) of functions of a frame:
+# its stacked order-1 jets, and tower_oracle's list of its component jets.
 
 
-class _Companion(PiVectorField):
+def _component(X):
+    """A field callable X."""
+    return (lambda fr: fr.field_jet(X, 1)), (lambda fr: oracle.field_jets(X, fr, 1))
+
+
+def _gradient(f):
+    """The gradient of a scalar f."""
+    return ((lambda fr: pc.gradient_jets(fr, fr.field_jet(f, 2))),
+            (lambda fr: oracle.gradient_jets(f, fr)))
+
+
+def _projection(vec, field):
+    """A constant vector g-projected away from a field by `project_away`, as
+    the involutivity probe projects the coordinate directions."""
+    jets, reference = field
+    return ((lambda fr: project_away(fr, vec, jets(fr))),
+            (lambda fr: oracle.projected_jets(vec, reference(fr), fr)))
+
+
+def _companion(b_fn):
     """The drift companion of a positional covector b, as prop.randers builds it."""
-
-    def __init__(self, b_fn):
-        self.b_fn = b_fn
-
-    def jets(self, frame):
-        return drift_companion_jets(frame, frame.field_jet(lambda x, y: self.b_fn(x), 1))
+    return ((lambda fr: drift_companion_jets(fr, fr.field_jet(lambda x, y: b_fn(x), 1))),
+            (lambda fr: oracle.drift_companion_jets(b_fn, fr, 1)))
 
 
 def _drift(s):
@@ -82,24 +90,20 @@ def _drift(s):
     return lambda x: [0.2] + [0.1 * x[0]] * (s.n - 1)
 
 
+def _probes(s):
+    """The thm2.6 probes: four field callables, then two gradients."""
+    fields, scalars = probe_fields(s, 0, 26)
+    return [_component(X) for X in fields] + [_gradient(f) for f in scalars]
+
+
 def _fields(s):
     """Every field the checks use: the thm2.6 probes (component fields and
     gradients), a drift companion, and g-projections of the coordinate
     directions away from two of the probes."""
-    probes = _probe_fields(s, 0, 26)
-    companion = _Companion(_drift(s))
-    projected = [_Projection(np.eye(s.n)[a], X) for X in (probes[2], probes[5])
+    probes = _probes(s)
+    projected = [_projection(np.eye(s.n)[a], X) for X in (probes[2], probes[5])
                  for a in range(s.n)]
-    return probes + [companion] + projected
-
-
-def _reference_jets(X, frame):
-    """tower_oracle's component jets of a field of `_fields`."""
-    if isinstance(X, _Projection):
-        return oracle.projected_jets(X.vec, X.X, frame, 1)
-    if isinstance(X, _Companion):
-        return oracle.drift_companion_jets(X.b_fn, frame, 1)
-    return oracle.field_jets(X, frame, 1)
+    return probes + [_companion(_drift(s))] + projected
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -108,9 +112,9 @@ def test_stacked_field_calculus_equals_component_reference(name):
     fields = _fields(s)
     for p in s.sample(20, seed=0):
         fr = PointFrame(s, p)
-        stacked = [X.jets(fr) for X in fields]
-        listed = [_reference_jets(X, fr) for X in fields]
-        for X, Xj, ref in zip(fields, stacked, listed):
+        stacked = [jets(fr) for jets, _ in fields]
+        listed = [reference(fr) for _, reference in fields]
+        for X, (Xj, ref) in enumerate(zip(stacked, listed)):
             assert Xj.coeffs[0].tobytes() == stack(ref).tobytes(), (X, p)
             w, w_ref = fr.flat_jets(Xj), oracle.lowered_jets(fr, ref)
             assert w.coeffs[0].tobytes() == stack(w_ref).tobytes(), (X, p)
@@ -128,11 +132,11 @@ def test_field_jets_on_a_batch_frame_equal_each_point(name):
     s = by_name(name)
     pts = s.sample(20, seed=0)
     batch = PointFrame(s, tuple(pts))
-    for X in _fields(s):
-        whole = X.jets(batch).coeffs
+    for X, (jets, _) in enumerate(_fields(s)):
+        whole = jets(batch).coeffs
         assert whole.shape == (len(pts), s.n, 2 * s.n + 1)
         for i, p in enumerate(pts):
-            assert whole[i].tobytes() == X.jets(PointFrame(s, p)).coeffs[0].tobytes(), (X, p)
+            assert whole[i].tobytes() == jets(PointFrame(s, p)).coeffs[0].tobytes(), (X, p)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -140,17 +144,17 @@ def test_stacked_projections_equal_component_reference(name):
     # the n candidates of the involutivity probe, projected in one stack from
     # the jets of X, against the reference projection of each alone
     s = by_name(name)
-    probes = _probe_fields(s, 0, 26)
+    probes = _probes(s)
     pts = s.sample(20, seed=0)
     batch = PointFrame(s, tuple(pts))
-    for X in (probes[2], probes[5]):
-        whole = project_away(batch, np.eye(s.n), X.jets(batch)[..., None, :, :]).coeffs
+    for X, (jets, reference) in zip((2, 5), (probes[2], probes[5])):
+        whole = project_away(batch, np.eye(s.n), jets(batch)[..., None, :, :]).coeffs
         for i, p in enumerate(pts):
             fr = PointFrame(s, p)
-            one = project_away(fr, np.eye(s.n), X.jets(fr)[..., None, :, :]).coeffs[0]
+            one = project_away(fr, np.eye(s.n), jets(fr)[..., None, :, :]).coeffs[0]
             assert whole[i].tobytes() == one.tobytes(), (X, p)
             for a in range(s.n):
-                ref = oracle.projected_jets(np.eye(s.n)[a], X, fr, 1)
+                ref = oracle.projected_jets(np.eye(s.n)[a], reference(fr), fr)
                 assert one[a].tobytes() == stack(ref).tobytes(), (X, a, p)
 
 
@@ -159,9 +163,8 @@ def _entry_point_calls(s):
     of a frame of s; the transfer reports also build a frame of the changed
     structure at the frame's points."""
     n = s.n
-    probes = _probe_fields(s, 0, 26)
-    scalars = _probe_scalars(s, 0, 88)
-    closed = GradientField(scalars[1])
+    fields, grads = probe_fields(s, 0, 26)
+    scalars = probe_scalars(s, 0, 88)
     form = {(i,): (lambda i: (lambda x, y: x[i] * y[0]))(i) for i in range(n)}
     drift = _drift(s)
     star = randers_change(s, drift)
@@ -169,24 +172,29 @@ def _entry_point_calls(s):
     return [
         ("dbar", lambda fr: pc.dbar(fr, oracle.form_jets(fr, form))),
         ("dbar_1_on_fields", lambda fr: oracle.dbar_1_on_fields(
-            fr, oracle.form_jets(fr, form), probes[0].jets(fr), probes[3].jets(fr))),
-        ("a_operator", lambda fr: pc.a_operator(fr, probes[4].jets(fr))),
-        ("closedness_defect", lambda fr: pc.closedness_defect(fr, probes[5].jets(fr))),
+            fr, oracle.form_jets(fr, form), fr.field_jet(fields[0], 1),
+            fr.field_jet(fields[3], 1))),
+        ("a_operator",
+         lambda fr: pc.a_operator(fr, pc.gradient_jets(fr, fr.field_jet(grads[0], 2)))),
+        ("closedness_defect",
+         lambda fr: pc.closedness_defect(fr, pc.gradient_jets(fr, fr.field_jet(grads[1], 2)))),
         ("flat_form_and_selfadjoint_matrix",
-         lambda fr: pc.flat_form_and_selfadjoint_matrix(fr, probes[2].jets(fr))),
+         lambda fr: pc.flat_form_and_selfadjoint_matrix(fr, fr.field_jet(fields[2], 1))),
+        ("gradient_jets", lambda fr: pc.gradient_jets(fr, fr.field_jet(scalars[0], 2)).coeffs),
         ("dbar_sq", lambda fr: pc.dbar_sq(fr, scalars[1])),
         ("gradient_torsion_identity", lambda fr: pc.gradient_torsion_identity(fr, scalars[0])),
         ("isotropy_residual", lambda fr: pc.isotropy_residual(fr, scalars[2])),
-        ("lie_metric_report", lambda fr: pc.lie_metric_report(fr, probes[1].jets(fr))),
-        ("involutivity_report[closed]", lambda fr: pc.involutivity_report(fr, closed.jets(fr))),
+        ("lie_metric_report", lambda fr: pc.lie_metric_report(fr, fr.field_jet(fields[1], 1))),
+        ("involutivity_report[closed]", lambda fr: pc.involutivity_report(
+            fr, pc.gradient_jets(fr, fr.field_jet(scalars[1], 2)))),
         ("involutivity_report[open]",
-         lambda fr: pc.involutivity_report(fr, probes[3].jets(fr))),
+         lambda fr: pc.involutivity_report(fr, fr.field_jet(fields[3], 1))),
         ("drift_closedness_transfer", lambda fr: pc.drift_closedness_transfer(
             fr, PointFrame(star, fr.point), fr.field_jet(lambda x, y: drift(x), 1))),
         ("drift_precondition_defect",
          lambda fr: pc.drift_precondition_defect(fr.field_jet(lambda x, y: drift(x), 1))),
         ("conformal_closedness_transfer", lambda fr: pc.conformal_closedness_transfer(
-            fr, (PointFrame(tilde, fr.point),), probes[0].jets(fr))[0]),
+            fr, (PointFrame(tilde, fr.point),), fr.field_jet(fields[0], 1))[0]),
         ("spray_defect", lambda fr: connections.spray_defect(fr)),
         ("deflection_defect", lambda fr: connections.deflection_defect(fr)),
         ("conservativity_defect", lambda fr: connections.conservativity_defect(fr)),
@@ -273,10 +281,9 @@ def _requested_field_jets(s, frame):
     probe fields and companion fields to order 1."""
     out = []
     for tag in (28, 88, 212):
-        out += [frame.field_jet(f, order) for f in _probe_scalars(s, 0, tag)
+        out += [frame.field_jet(f, order) for f in probe_scalars(s, 0, tag)
                 for order in (1, 2)]
-    for X in _probe_fields(s, 0, 26):
-        out.append(X.jets(frame))
+    out += [jets(frame) for jets, _ in _probes(s)]
     b_fn = _drift(s)
     out.append(drift_companion_jets(frame, frame.field_jet(lambda x, y: b_fn(x), 1)))
     out.append(frame.field_jet(lambda x, y: x[0], 1))

@@ -8,7 +8,6 @@ import pytest
 from finslerkit import picalc as pc
 from finslerkit.checks import FAIL, PASS, REPORT_ONLY, run_checks
 from finslerkit.errors import NumericalError
-from finslerkit.fields import ComponentField, constant_field
 from finslerkit.frame import PointFrame, point_frame
 from finslerkit.jets import sqrt
 from finslerkit.structures import (
@@ -163,12 +162,12 @@ class TestRandersVerdict:
 class TestConformalTransfer:
     def test_constant_rescale_is_pure_scaling(self):
         s = sphere2()
-        X = ComponentField(lambda x, y: [1.0 + 0.3 * y[1], x[0]], name="probe")
+        X = lambda x, y: [1.0 + 0.3 * y[1], x[0]]
         tilde = conformal_change(s, lambda x: 0.25)
         for p in s.sample(4, seed=137):
             fr = point_frame(s, p)
             frt = point_frame(tilde, p)
-            rep = pc.conformal_closedness_transfer(fr, (frt,), X.jets(fr))[0]
+            rep = pc.conformal_closedness_transfer(fr, (frt,), fr.field_jet(X, 1))[0]
             assert rep.scaling_residual < 1e-10 * rep.scale
             assert rep.leibniz_residual < 1e-10 * rep.scale
             sigma = frt.structure.meta["sigma_fn"]
@@ -176,30 +175,31 @@ class TestConformalTransfer:
 
     def test_linear_sigma_on_flat_base_frozen_value(self):
         e = euclidean(2)
-        X = constant_field([0.0, 1.0])
+        X = lambda x, y: (0.0, 1.0)
         tilde = conformal_change(e, lambda x: x[0])
         for p in e.sample(3, seed=137):
             fr = point_frame(e, p)
             frt = point_frame(tilde, p)
-            rep = pc.conformal_closedness_transfer(fr, (frt,), X.jets(fr))[0]
+            rep = pc.conformal_closedness_transfer(fr, (frt,), fr.field_jet(X, 1))[0]
             assert rep.leibniz_residual < 1e-10 * rep.scale
             # base form is closed, so the wedge term is the whole derivative
             assert rep.tilde_base_defect < 1e-10
             assert rep.prediction_residual < 1e-10 * rep.scale
             expected = 2.0 * np.exp(2.0 * p.x[0])
-            actual = pc.dbar(frt, frt.flat_jets(X.jets(fr)))  # dbar~ i_X g~
+            actual = pc.dbar(frt, frt.flat_jets(fr.field_jet(X, 1)))  # dbar~ i_X g~
             assert actual[0, 0, 1] == pytest.approx(expected, rel=1e-11)
             assert rep.actual_defect == np.abs(actual).max()
             assert rep.actual_defect > 1e-3
 
     def test_leibniz_shape_on_quartic_base(self):
         q = minkowski_quartic(2)
-        X = ComponentField(lambda x, y: [y[0], 0.5 - x[1]], name="probe")
+        X = lambda x, y: [y[0], 0.5 - x[1]]
         tilde = conformal_change(q, lambda x: 0.3 * x[0])
         actual_seen = 0.0
         for p in q.sample(4, seed=139):
             fr = point_frame(q, p)
-            rep = pc.conformal_closedness_transfer(fr, (point_frame(tilde, p),), X.jets(fr))[0]
+            rep = pc.conformal_closedness_transfer(fr, (point_frame(tilde, p),),
+                                                   fr.field_jet(X, 1))[0]
             assert rep.leibniz_residual < 1e-9 * rep.scale
             actual_seen = max(actual_seen, rep.actual_defect)
         assert actual_seen > 1e-3
@@ -207,8 +207,8 @@ class TestConformalTransfer:
     def test_catalog_conformal_structure_round_trip(self):
         q = minkowski_quartic(2)
         tilde = by_name("conformal_quartic2")
-        X = constant_field([0.7, -0.2])
+        X = lambda x, y: (0.7, -0.2)
         p = tilde.sample(1, seed=149)[0]
         fr = point_frame(q, p)
-        rep = pc.conformal_closedness_transfer(fr, (point_frame(tilde, p),), X.jets(fr))[0]
+        rep = pc.conformal_closedness_transfer(fr, (point_frame(tilde, p),), fr.field_jet(X, 1))[0]
         assert rep.leibniz_residual < 1e-9 * rep.scale

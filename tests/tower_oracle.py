@@ -1,19 +1,20 @@
 """Scalar reference for the stacked PointFrame tower and field calculus.
 
-The frame builds each rung as one stacked jet. This module rebuilds the
-same rungs one component at a time from scalar jets, with the jet-linear
-solves written as the same degree recursion on the value inverse and the
+The frame builds each rung as one stacked jet. This module rebuilds the same
+rungs one component at a time from scalar jets, with the jet-linear solves
+written as the same degree recursion on the value inverse and the
 per-component loops, in the same floating-point operation order. A stacked
 rung must equal its reference here exactly, not merely to round-off. The
 same holds for the jets of pi-vector fields and for the `picalc` helpers
-built on them (`field_jets`, `drift_companion_jets`, `lowered_jets`,
-`projected_jets`, `dbar_matrix`, `bracket`, `nabla_h_matrix` below), which
-take lists of scalar component jets and a frame on one point, whose point 0
-they read. `gauss_jordan_solve` is an independent algorithm for the same
-solves, which the recursion is compared with to round-off. `form_jets`
-builds the stacked jet of a form's components (a 1-form's is what
-`picalc.dbar` takes, a 2-form's what it refuses), and `dbar_1_on_fields` is the invariant formula its components are checked
-against.
+built on them (`field_jets` of a field callable, `gradient_jets` of a
+scalar, `drift_companion_jets`, `lowered_jets`, `projected_jets`,
+`dbar_matrix`, `bracket`, `nabla_h_matrix` below), which take lists of
+scalar component jets and a frame on one point, whose point 0 they read.
+`gauss_jordan_solve` is an independent algorithm for the same solves, which
+the recursion is compared with to round-off. `form_jets` builds the stacked
+jet of a form's components (a 1-form's is what `picalc.dbar` takes, a
+2-form's what it refuses), and `dbar_1_on_fields` is the invariant formula
+its components are checked against.
 Index conventions match the frame:
 
     g_jets[i][j]        g_ij, order 2
@@ -31,7 +32,6 @@ from itertools import permutations
 import numpy as np
 
 from finslerkit.errors import CapabilityError, DegenerateFieldError, SingularMetricError
-from finslerkit.fields import ComponentField, GradientField
 from finslerkit.frame import dot
 from finslerkit.jets import MAX_ORDER, Jet, jet_eval
 from finslerkit.picalc import _bracket
@@ -268,23 +268,24 @@ def stack(nested):
 
 
 def field_jets(X, frame, order):
-    """The order-`order` jets of the components of X, as a list of scalar
-    jets at a frame on one point."""
+    """The order-`order` jets of the components of a field X, one callable
+    (x, y) -> [X^1, ..., X^n], as a list of scalar jets at a frame on one
+    point, each component evaluated alone."""
+    return [frame.field_jet(lambda x, y, i=i: X(x, y)[i], order)[0] for i in range(frame.n)]
+
+
+def gradient_jets(f, frame):
+    """The order-1 jets of the components X^i = g^ik delta_k f of grad f, of
+    a scalar f, as a list of scalar jets at a frame on one point."""
     n = frame.n
-    if isinstance(X, ComponentField):
-        return [frame.field_jet(lambda x, y, i=i: X.fn(x, y)[i], order)[0] for i in range(n)]
-    if isinstance(X, GradientField):
-        if order > 1:
-            raise CapabilityError("gradient components carry jets up to order 1")
-        df = frame.delta_jets(frame.field_jet(X.f, 2))[0]
-        out = []
-        for i in range(n):
-            acc = frame.ginv_jets[0, i, 0] * df[0]
-            for k in range(1, n):
-                acc = acc + frame.ginv_jets[0, i, k] * df[k]
-            out.append(acc.truncated(order))
-        return out
-    raise TypeError(f"no reference for {type(X).__name__}")
+    df = frame.delta_jets(frame.field_jet(f, 2))[0]
+    out = []
+    for i in range(n):
+        acc = frame.ginv_jets[0, i, 0] * df[0]
+        for k in range(1, n):
+            acc = acc + frame.ginv_jets[0, i, k] * df[k]
+        out.append(acc.truncated(1))
+    return out
 
 
 def drift_companion_jets(b_fn, frame, order):
@@ -312,12 +313,11 @@ def drift_companion_jets(b_fn, frame, order):
     return out
 
 
-def projected_jets(vec, X, frame, order):
+def projected_jets(vec, Xj, frame):
     """The jets of v - (g(v, X) / g(X, X)) X for a constant vector v, the
-    g-orthogonal projection of v away from the field X, as a list of scalar
-    jets at a frame on one point."""
-    n = frame.n
-    Xj = field_jets(X, frame, order)
+    g-orthogonal projection of v away from the field X of component jets
+    `Xj`, as a list of scalar jets at a frame on one point."""
+    n, order = frame.n, Xj[0].order
     vj = [Jet.constant(2 * n, order, float(v)) for v in vec]
     gvx = None
     gxx = None
